@@ -186,10 +186,9 @@ int main() {
     std::fprintf(stderr, "bench_kvs: cannot write %s\n", out_path);
     return 1;
   }
-  // `mode`/`workers` mirror BENCH_tpc.json so the artifacts compare
-  // like-for-like: bench_kvs drives the in-process store (the shared-mode
-  // execution model — any thread touches any shard), with `workers` = the
-  // largest reader count exercised.
+  // bench_kvs drives the in-process store in the shared execution model
+  // (any thread touches any shard), with `workers` = the largest reader
+  // count exercised.
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_kvs\",\n"

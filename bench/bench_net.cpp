@@ -5,6 +5,8 @@
 //   - loopback       in-process Channel baseline, depth 1
 //   - tcp depth 1    one request per write/read pair (memcached default)
 //   - tcp depth 8/64 SendNoWait x N -> Flush (one write) -> Drain
+//   - tcp depth 64 against 1/2/4 TcpServer workers: how the server side
+//     scales with worker threads once pipelining has amortized the wakeups
 //
 // Every cell runs kClientThreads concurrent clients (one connection each
 // for TCP), the way a cache server is actually loaded: the server drains
@@ -110,6 +112,31 @@ double MeasureThreads(
          (static_cast<double>(window) / kNanosPerSec);
 }
 
+/// Requests/sec of the mix at `depth` against a fresh IQServer behind a
+/// `workers`-worker TcpServer on 127.0.0.1, one connection per client thread.
+double MeasureTcp(int workers, int depth, Nanos window) {
+  IQServer server;
+  net::TcpServer::Config cfg;
+  cfg.workers = workers;
+  net::TcpServer tcp(server, cfg);
+  std::string error;
+  if (!tcp.Start(&error)) {
+    std::fprintf(stderr, "bench_net: %s\n", error.c_str());
+    std::exit(1);
+  }
+  return MeasureThreads(
+      [&tcp]() -> std::unique_ptr<net::Channel> {
+        std::string err;
+        auto ch = net::TcpChannel::Connect("127.0.0.1", tcp.port(), &err);
+        if (!ch) {
+          std::fprintf(stderr, "bench_net: %s\n", err.c_str());
+          std::exit(1);
+        }
+        return ch;
+      },
+      depth, window);
+}
+
 /// Round trips/sec of a bare 1-byte TCP echo between two threads: no epoll,
 /// no parsing, no dispatch — just the syscall + scheduler floor this host
 /// imposes on any depth-1 request/response protocol. Everything the real
@@ -183,40 +210,30 @@ int main() {
   // What this host charges for any depth-1 TCP round trip at all.
   double floor_rps = MeasureWireFloor(window);
 
-  // TCP over 127.0.0.1, one connection per client thread, depths 1/8/64.
-  IQServer server;
-  net::TcpServer::Config cfg;
-  cfg.workers = 2;
-  net::TcpServer tcp(server, cfg);
-  std::string error;
-  if (!tcp.Start(&error)) {
-    std::fprintf(stderr, "bench_net: %s\n", error.c_str());
-    return 1;
-  }
-  auto connect = [&tcp]() -> std::unique_ptr<net::Channel> {
-    std::string err;
-    auto ch = net::TcpChannel::Connect("127.0.0.1", tcp.port(), &err);
-    if (!ch) {
-      std::fprintf(stderr, "bench_net: %s\n", err.c_str());
-      std::exit(1);
-    }
-    return ch;
-  };
-
-  const int depths[] = {1, 8, 64};
-  std::vector<double> tcp_rps;
+  const unsigned hw = std::thread::hardware_concurrency();
   std::printf(
       "bench_net: loopback TCP, 1 set : 3 get, %zu-byte values, "
-      "%d client threads\n\n",
-      kValueBytes, kClientThreads);
+      "%d client threads, %u hardware threads\n\n",
+      kValueBytes, kClientThreads, hw);
   std::printf("  %-18s %14.0f req/s\n", "loopback (no net)", loopback_rps);
   std::printf("  %-18s %14.0f req/s\n", "wire floor (echo)", floor_rps);
+
+  // TCP over 127.0.0.1 against a 2-worker server, depths 1/8/64.
+  const int depths[] = {1, 8, 64};
+  std::vector<double> tcp_rps;
   for (int depth : depths) {
-    double rps = MeasureThreads(connect, depth, window);
-    tcp_rps.push_back(rps);
-    std::printf("  tcp depth %-8d %14.0f req/s\n", depth, rps);
+    tcp_rps.push_back(MeasureTcp(2, depth, window));
+    std::printf("  tcp depth %-8d %14.0f req/s\n", depth, tcp_rps.back());
   }
-  tcp.Stop();
+
+  // Server-side worker scaling at depth 64.
+  const int worker_counts[] = {1, 2, 4};
+  std::vector<double> worker_rps;
+  for (int workers : worker_counts) {
+    worker_rps.push_back(MeasureTcp(workers, 64, window));
+    std::printf("  tcp d64 workers=%-2d %14.0f req/s\n", workers,
+                worker_rps.back());
+  }
 
   double speedup = tcp_rps.back() / tcp_rps.front();
   double vs_loopback = loopback_rps / tcp_rps.front();
@@ -234,13 +251,20 @@ int main() {
                  "  \"bench\": \"bench_net\",\n"
                  "  \"mix\": \"1 set : 3 get, %zu-byte values\",\n"
                  "  \"client_threads\": %d,\n"
+                 "  \"hardware_concurrency\": %u,\n"
                  "  \"loopback_rps\": %.0f,\n"
                  "  \"wire_floor_rps\": %.0f,\n"
                  "  \"tcp\": [\n",
-                 kValueBytes, kClientThreads, loopback_rps, floor_rps);
+                 kValueBytes, kClientThreads, hw, loopback_rps, floor_rps);
     for (std::size_t i = 0; i < tcp_rps.size(); ++i) {
       std::fprintf(f, "    {\"depth\": %d, \"rps\": %.0f}%s\n", depths[i],
                    tcp_rps[i], i + 1 < tcp_rps.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"tcp_depth64_by_workers\": [\n");
+    for (std::size_t i = 0; i < worker_rps.size(); ++i) {
+      std::fprintf(f, "    {\"workers\": %d, \"rps\": %.0f}%s\n",
+                   worker_counts[i], worker_rps[i],
+                   i + 1 < worker_rps.size() ? "," : "");
     }
     std::fprintf(f,
                  "  ],\n"

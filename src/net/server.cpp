@@ -63,49 +63,6 @@ CommandClass ClassOf(Command c) {
   }
 }
 
-RouteKind RouteOf(const Request& request) {
-  switch (request.command) {
-    case Command::kGet:
-    case Command::kGets:
-      return request.keys.size() > 1 ? RouteKind::kControl : RouteKind::kKey;
-    case Command::kSet:
-    case Command::kAdd:
-    case Command::kReplace:
-    case Command::kCas:
-    case Command::kAppend:
-    case Command::kPrepend:
-    case Command::kDelete:
-    case Command::kIncr:
-    case Command::kDecr:
-    case Command::kIQGet:
-    case Command::kIQSet:
-    case Command::kQaRead:
-    case Command::kSaR:
-    case Command::kSaRNull:
-    case Command::kQaReg:
-    case Command::kIQAppend:
-    case Command::kIQPrepend:
-    case Command::kIQIncr:
-    case Command::kIQDecr:
-    case Command::kRelease:
-      return RouteKind::kKey;
-    case Command::kCommit:
-    case Command::kAbort:
-    case Command::kDaR:
-      return RouteKind::kSession;
-    case Command::kStats:
-    case Command::kMetrics:
-    case Command::kTrace:
-    case Command::kSweep:
-    case Command::kFlushAll:
-      return RouteKind::kControl;
-    case Command::kGenId:
-    case Command::kQuit:
-      return RouteKind::kLocal;
-  }
-  return RouteKind::kLocal;
-}
-
 Response CommandDispatcher::Dispatch(const Request& request) {
   const Clock& clock = server_.clock();
   Nanos start = clock.Now();

@@ -45,19 +45,6 @@ class CommandDispatcher {
 /// Latency-accounting class for a wire command.
 CommandClass ClassOf(Command c);
 
-/// How a request is routed in the shard-affinity (thread-per-core) server
-/// mode (DESIGN.md §4.7). Classification is static per command — only
-/// get/gets depend on request shape (single key vs multi-key).
-enum class RouteKind {
-  kKey,      // single-key data plane: execute on the key's shard owner
-  kSession,  // Commit/Abort/DaR: execute on the session's home partition
-  kControl,  // cross-shard aggregates (multi-key get, stats, metrics, trace,
-             // sweep, flush_all): execute on the control partition (0)
-  kLocal,    // shard-free (genid, quit, parse errors): execute inline
-};
-
-RouteKind RouteOf(const Request& request);
-
 /// Render the server's statistics as memcached "STAT name value" lines:
 /// the CacheStore counters, the IQ lease counters, and per-command latency
 /// percentiles ("cmd_<class>_{count,mean_us,p95_us,p99_us,max_us}") for

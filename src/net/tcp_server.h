@@ -9,39 +9,25 @@
 //   - each worker owns its connections outright (parser state, output
 //     buffer, epoll registration) and its own CommandDispatcher, so request
 //     handling never takes a cross-worker lock — all sharing happens inside
-//     IQServer, which is already shard-locked;
+//     IQServer, which is already shard-locked. Any worker executes any
+//     command: IQ's guarantees hold under the per-key shard locks, so the
+//     executing thread never affects consistency;
 //   - a readable event drains *every* complete pipelined request in the
 //     input buffer before returning to epoll_wait, and the responses are
-//     coalesced into one writev() per flush.
-//
-// Shard-affinity mode (Config::affinity, DESIGN.md §4.7) goes one step
-// further: the CacheStore shard space is partitioned across the workers
-// (core/partition.h) so each worker owns its shards' CacheStore/LeaseTable
-// state exclusively. Single-key commands whose key lands on an owned shard
-// execute inline; everything else is forwarded to the owning worker through
-// a bounded per-worker mailbox + eventfd wakeup and completed
-// asynchronously. The origin connection reserves an ordered response slot
-// per forwarded request, so pipelined responses are emitted strictly in
-// request order no matter which core executed what. Forwarding is an
-// optimization, never a safety requirement — the shard mutexes remain, so
-// when a mailbox is full (or the server is stopping) the origin worker
-// simply executes the command inline, paying one cross-core lock.
+//     coalesced into one write() per flush.
 //
 // Per-worker wire counters (conn_accepted, conn_active, bytes_read,
-// bytes_written, requests, affinity_*) are cache-line-aligned relaxed
-// atomics, the same discipline as IQShardStats; `stats` over any connection
-// includes them.
+// bytes_written, requests) are cache-line-aligned relaxed atomics, the same
+// discipline as IQShardStats; `stats` over any connection includes them.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/iq_server.h"
-#include "core/partition.h"
 #include "net/server.h"
 
 namespace iq::net {
@@ -53,13 +39,6 @@ struct TcpServerStats {
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
   std::uint64_t requests = 0;
-  /// Affinity mode: requests handed to another worker through its mailbox.
-  std::uint64_t affinity_forwards = 0;
-  /// Affinity mode: own-shard (or shard-free) requests executed inline.
-  std::uint64_t affinity_inline = 0;
-  /// Affinity mode: cross-core requests executed inline anyway because the
-  /// owner's mailbox was full — the graceful-degradation-to-shared-mode path.
-  std::uint64_t affinity_fallbacks = 0;
 };
 
 class TcpServer {
@@ -68,42 +47,13 @@ class TcpServer {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;  // 0 = kernel-assigned ephemeral; see port()
     int workers = 4;
-    /// A connection whose buffered, still-incomplete request grows past
-    /// this is answered with CLIENT_ERROR and closed (memory guard).
-    std::size_t max_request_bytes = 8u << 20;
     /// Output-side memory guard: once a connection's unsent responses
-    /// (including completed-but-unflushed affinity slots) exceed this, the
-    /// worker stops draining its requests and stops reading from it
-    /// (EPOLLIN off) until the backlog flushes — a client that pipelines
-    /// reads of large values but never consumes the replies is throttled by
-    /// TCP flow control instead of growing server memory without bound.
-    /// Soft cap: a single response may overshoot it.
+    /// exceed this, the worker stops draining its requests and stops reading
+    /// from it (EPOLLIN off) until the backlog flushes — a client that
+    /// pipelines reads of large values but never consumes the replies is
+    /// throttled by TCP flow control instead of growing server memory
+    /// without bound. Soft cap: a single response may overshoot it.
     std::size_t max_response_bytes = 8u << 20;
-    /// After serving events, a worker keeps polling epoll with a zero
-    /// timeout this many times before blocking again. For request/response
-    /// ping-pong the next request lands microseconds after the reply, so a
-    /// short spin dodges the scheduler wakeup that otherwise dominates
-    /// small-request round trips. 0 = always block immediately; -1 = auto
-    /// (spin on multicore hosts, block on a single CPU where spinning only
-    /// starves the peer).
-    int spin_polls = -1;
-    /// Shard-affinity (thread-per-core) execution mode: partition the
-    /// CacheStore shards across the workers and route every command to its
-    /// owner (see the file comment). Off = any worker executes anything
-    /// (the PR 6 shared mode, the A/B baseline).
-    bool affinity = false;
-    /// Pin worker i to CPU core (i % hardware_concurrency), so a worker's
-    /// owned shards stay resident in one core's cache. Affinity-mode
-    /// companion; harmless (and pointless) without it.
-    bool pin_cores = false;
-    /// Bound on each worker's cross-core mailbox (pending forwarded
-    /// requests). A full mailbox makes senders execute inline instead
-    /// (affinity_fallbacks), bounding both memory and the owner's backlog.
-    std::size_t mailbox_capacity = 4096;
-    /// Bound on one connection's in-flight forwarded requests; past it the
-    /// drain loop parks further pipelined requests in the parser until
-    /// completions arrive (memory guard, pairs with max_response_bytes).
-    std::size_t max_inflight_per_conn = 512;
   };
 
   explicit TcpServer(IQServer& server) : TcpServer(server, Config{}) {}
@@ -123,9 +73,6 @@ class TcpServer {
   /// The bound port, valid after a successful Start().
   std::uint16_t port() const { return port_; }
 
-  bool affinity() const { return config_.affinity; }
-  const ShardPartition& partition() const { return partition_; }
-
   TcpServerStats Stats() const;
 
   /// Append the wire counters as "STAT name value\r\n" lines — installed
@@ -135,8 +82,6 @@ class TcpServer {
  private:
   struct Connection;
   struct Worker;
-  struct CrossOp;
-  struct CrossDone;
 
   void WorkerLoop(Worker& worker);
   void AcceptReady(Worker& w0);
@@ -144,38 +89,20 @@ class TcpServer {
   void AdoptConnection(Worker& worker, int fd);
   void HandleEvent(Worker& worker, Connection& conn, std::uint32_t events);
   /// Alternate DrainRequests/FlushOutput until neither makes progress, then
-  /// close or re-arm epoll interest. The shared tail of a readable event
-  /// and of a delivered cross-core completion.
-  void PumpConnection(Worker& worker, Connection& conn,
-                      bool peer_closed = false);
+  /// close or re-arm epoll interest — the tail of every readable/writable
+  /// event.
+  void PumpConnection(Worker& worker, Connection& conn, bool peer_closed);
   void DrainRequests(Worker& worker, Connection& conn);
   void FlushOutput(Worker& worker, Connection& conn);
   void UpdateInterest(Worker& worker, Connection& conn);
   void CloseConnection(Worker& worker, Connection& conn);
 
-  /// Affinity routing: the worker index that must execute `request`
-  /// (== worker.index when it should run inline).
-  std::size_t TargetWorker(const Worker& worker, const Request& request) const;
-  /// Reserve the next response slot on `conn` and enqueue the request into
-  /// `target`'s mailbox. False when the mailbox is full (caller executes
-  /// inline; no slot is reserved).
-  bool TryForward(Worker& worker, Connection& conn, std::size_t target,
-                  Request&& request);
-  /// Execute every queued cross-core op against this worker's shards and
-  /// post the serialized responses back to the origin workers.
-  void ExecuteCrossOps(Worker& worker);
-  /// Fill the response slots of delivered completions and pump the touched
-  /// connections.
-  void DeliverCompletions(Worker& worker);
-
   IQServer& server_;
   Config config_;
-  ShardPartition partition_;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
   std::atomic<bool> running_{false};
   std::size_t accept_rotor_ = 0;  // least-loaded tie-break (worker 0 only)
-  std::atomic<std::uint64_t> next_conn_id_{1};
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 

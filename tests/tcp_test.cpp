@@ -13,13 +13,14 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/iq_client.h"
 #include "core/iq_server.h"
-#include "core/partition.h"
 #include "net/channel.h"
+#include "net/protocol.h"
 #include "net/remote_backend.h"
 #include "net/tcp_channel.h"
 #include "net/tcp_server.h"
@@ -58,6 +59,16 @@ class TcpServerTest : public ::testing::Test {
     int on = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
     return fd;
+  }
+
+  /// Blocking-write all of bytes; false once the peer has gone away.
+  static bool SendAll(int fd, std::string_view bytes) {
+    while (!bytes.empty()) {
+      ssize_t w = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      if (w <= 0) return false;
+      bytes.remove_prefix(static_cast<std::size_t>(w));
+    }
+    return true;
   }
 
   /// Blocking-read from fd until the accumulated bytes contain needle (or
@@ -177,6 +188,30 @@ TEST_F(TcpServerTest, QuitAndEofBothTearDownCleanly) {
   auto channel = Connect();
   RemoteCacheClient client(*channel);
   EXPECT_TRUE(client.Get("k").has_value());
+}
+
+TEST_F(TcpServerTest, QuitAfterPipelinedBatchAnswersEverythingFirst) {
+  // quit arrives in the same write as 32 pipelined gets: the connection must
+  // linger until every response has flushed, and only then FIN.
+  constexpr int kGets = 32;
+  int fd = RawConnect();
+  std::string burst;
+  for (int i = 0; i < kGets; ++i) burst += "get q:" + std::to_string(i) + "\r\n";
+  burst += "quit\r\n";
+  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+            static_cast<ssize_t>(burst.size()));
+  std::string got;
+  char buf[4096];
+  while (true) {
+    ssize_t r = ::read(fd, buf, sizeof(buf));
+    if (r <= 0) break;  // FIN only after the whole batch
+    got.append(buf, static_cast<std::size_t>(r));
+  }
+  std::string expected;
+  for (int i = 0; i < kGets; ++i) expected += "END\r\n";
+  EXPECT_EQ(got, expected);
+  ::close(fd);
+  EXPECT_TRUE(Eventually([this] { return tcp_->Stats().conn_active == 0; }));
 }
 
 TEST_F(TcpServerTest, WireCountersShowUpInStats) {
@@ -323,6 +358,36 @@ TEST_F(TcpServerTest, HugeLengthClaimDrawsClientErrorWithoutDesync) {
   ::close(fd);
 }
 
+TEST_F(TcpServerTest, RequestCapAdmitsMaxPayloadAndStopsRunawayLine) {
+  // A `set` carrying the largest payload the parser accepts is legal even
+  // while its trailing CRLF is still in flight: the buffered header plus
+  // payload already exceeds kMaxPayloadBytes, and must not trip the
+  // server's input bound.
+  int fd = RawConnect();
+  std::string request = "set big 0 0 " + std::to_string(kMaxPayloadBytes) +
+                        "\r\n" + std::string(kMaxPayloadBytes, 'x');
+  ASSERT_TRUE(SendAll(fd, request));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(SendAll(fd, "\r\n"));
+  EXPECT_EQ(ReadUntil(fd, "\r\n"), "STORED\r\n");
+  ::close(fd);
+  auto stored = server_.store().Get("big");
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(stored->value.size(), kMaxPayloadBytes);
+
+  // A line that never terminates is still bounded: once it outgrows any
+  // legal request the server answers CLIENT_ERROR and closes.
+  fd = RawConnect();
+  SendAll(fd, std::string(kMaxPayloadBytes + (1u << 20), 'y'));  // may EPIPE
+  EXPECT_NE(ReadUntil(fd, "\r\n").find("CLIENT_ERROR request exceeds server "
+                                       "limit"),
+            std::string::npos);
+  char buf[64];
+  EXPECT_LE(::read(fd, buf, sizeof(buf)), 0);  // FIN (or RST), no more bytes
+  ::close(fd);
+  EXPECT_TRUE(Eventually([this] { return tcp_->Stats().conn_active == 0; }));
+}
+
 TEST(TcpServerBackpressure, UnreadResponsesThrottleInsteadOfGrowingMemory) {
   // A client that pipelines many reads of a large value and consumes none of
   // the replies must be paused (response backlog capped, EPOLLIN dropped),
@@ -432,277 +497,6 @@ TEST_F(TcpServerTest, StopIsIdempotentAndDropsConnections) {
   tcp_->Stop();
   tcp_->Stop();  // second call is a no-op
   EXPECT_EQ(tcp_->Stats().conn_active, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Shard-affinity (thread-per-core) mode — DESIGN.md §4.7.
-// ---------------------------------------------------------------------------
-
-TEST(ShardPartitionTest, OwnershipIsTotalStableArithmetic) {
-  ShardPartition p(/*shard_count=*/16, /*partitions=*/4);
-  EXPECT_EQ(p.shard_count(), 16u);
-  EXPECT_EQ(p.partitions(), 4u);
-  for (std::size_t shard = 0; shard < 16; ++shard) {
-    EXPECT_EQ(p.OwnerOfShard(shard), shard % 4);
-    EXPECT_TRUE(p.Owns(shard % 4, shard));
-    EXPECT_FALSE(p.Owns((shard + 1) % 4, shard));
-  }
-  // OwnerOfHash must agree with the store's own shard placement.
-  for (std::uint64_t h : {0ull, 1ull, 15ull, 16ull, 12345678901234ull}) {
-    EXPECT_EQ(p.OwnerOfHash(h), p.OwnerOfShard(h % 16));
-  }
-  EXPECT_EQ(p.HomeOfSession(7), 7u % 4);
-}
-
-TEST(ShardPartitionTest, PartitionCountIsClampedToShardCount) {
-  // More partitions than shards would leave workers owning nothing.
-  EXPECT_EQ(ShardPartition(4, 64).partitions(), 4u);
-  EXPECT_EQ(ShardPartition(4, 0).partitions(), 1u);
-  EXPECT_EQ(ShardPartition(0, 0).shard_count(), 1u);  // degenerate but total
-}
-
-/// TcpServerTest with affinity mode on and enough workers that the 16-shard
-/// store splits into 4 partitions — most of a connection's requests are
-/// cross-core forwards.
-class AffinityServerTest : public TcpServerTest {
- protected:
-  void SetUp() override {
-    TcpServer::Config cfg;
-    cfg.workers = 4;
-    cfg.affinity = true;
-    tcp_ = std::make_unique<TcpServer>(server_, cfg);
-    std::string error;
-    ASSERT_TRUE(tcp_->Start(&error)) << error;
-  }
-
-  std::size_t OwnerOf(const std::string& key) const {
-    return tcp_->partition().OwnerOfHash(CacheStore::HashKey(key));
-  }
-
-  /// Keys covering every partition at least `per_owner` times, so a
-  /// pipelined burst is guaranteed to mix own-shard and cross-shard work no
-  /// matter which worker the connection landed on.
-  std::vector<std::string> KeysSpanningOwners(std::size_t per_owner) {
-    std::vector<std::size_t> seen(tcp_->partition().partitions(), 0);
-    std::vector<std::string> keys;
-    for (int i = 0; keys.size() < seen.size() * per_owner; ++i) {
-      std::string key = "span:" + std::to_string(i);
-      if (seen[OwnerOf(key)] >= per_owner) continue;
-      ++seen[OwnerOf(key)];
-      keys.push_back(std::move(key));
-    }
-    return keys;
-  }
-};
-
-TEST_F(AffinityServerTest, MixedOwnerPipelineDrainsInOrder) {
-  auto channel = Connect();
-  std::vector<std::string> keys = KeysSpanningOwners(8);  // 32 keys, 4 owners
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    Request r;
-    r.command = Command::kSet;
-    r.key = keys[i];
-    r.data = std::to_string(i);
-    channel->SendNoWait(r);
-  }
-  ASSERT_TRUE(channel->Flush());
-  std::vector<Response> stored = channel->Drain();
-  ASSERT_EQ(stored.size(), keys.size());
-  for (const Response& r : stored) EXPECT_EQ(r.type, ResponseType::kStored);
-
-  for (const std::string& key : keys) {
-    Request r;
-    r.command = Command::kGet;
-    r.key = key;
-    channel->SendNoWait(r);
-  }
-  ASSERT_TRUE(channel->Flush());
-  std::vector<Response> got = channel->Drain();
-  ASSERT_EQ(got.size(), keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(got[i].data, std::to_string(i))
-        << "response order must match request order across owners";
-  }
-  // The burst really did exercise the mailbox path.
-  TcpServerStats s = tcp_->Stats();
-  EXPECT_GT(s.affinity_forwards, 0u);
-  EXPECT_EQ(s.affinity_forwards + s.affinity_inline + s.affinity_fallbacks,
-            s.requests);
-}
-
-TEST_F(AffinityServerTest, RawSliveredBurstWithControlCommandsStaysInOrder) {
-  // The shared-mode byte-boundary test, now crossing cores: single-key sets
-  // and gets (kKey, forwarded by owner) interleaved with a multi-key get
-  // (kControl, forwarded to partition 0) must still come back in exactly
-  // the pipelined order.
-  int fd = RawConnect();
-  std::string burst =
-      "set a 0 0 1\r\nx\r\n"
-      "set b 0 0 1\r\ny\r\n"
-      "get a b\r\n"
-      "get missing\r\n"
-      "incr z 1\r\n";
-  for (std::size_t off = 0; off < burst.size(); off += 3) {
-    std::string piece = burst.substr(off, 3);
-    ASSERT_EQ(::write(fd, piece.data(), piece.size()),
-              static_cast<ssize_t>(piece.size()));
-    if (off % 9 == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  std::string reply = ReadUntil(fd, "NOT_FOUND\r\n");
-  EXPECT_NE(reply.find("STORED\r\nSTORED\r\n"), std::string::npos);
-  EXPECT_NE(reply.find("VALUE a 0 1\r\nx\r\nVALUE b 0 1\r\ny\r\nEND\r\n"),
-            std::string::npos);
-  EXPECT_NE(reply.find("END\r\nEND\r\nNOT_FOUND\r\n"), std::string::npos);
-  ::close(fd);
-}
-
-TEST_F(AffinityServerTest, QuitAfterCrossShardBatchAnswersEverythingFirst) {
-  // quit arrives pipelined behind 32 forwarded gets: the connection must
-  // linger until every reserved slot completes and flushes, then FIN.
-  std::vector<std::string> keys = KeysSpanningOwners(8);
-  int fd = RawConnect();
-  std::string burst;
-  for (const std::string& key : keys) burst += "get " + key + "\r\n";
-  burst += "quit\r\n";
-  ASSERT_EQ(::write(fd, burst.data(), burst.size()),
-            static_cast<ssize_t>(burst.size()));
-  std::string got;
-  char buf[4096];
-  while (true) {
-    ssize_t r = ::read(fd, buf, sizeof(buf));
-    if (r <= 0) break;  // FIN only after the whole batch
-    got.append(buf, static_cast<std::size_t>(r));
-  }
-  std::size_t ends = 0;
-  for (std::size_t pos = 0; (pos = got.find("END\r\n", pos)) != std::string::npos;
-       pos += 5) {
-    ++ends;
-  }
-  EXPECT_EQ(ends, keys.size());
-  ::close(fd);
-  EXPECT_TRUE(Eventually([this] { return tcp_->Stats().conn_active == 0; }));
-}
-
-TEST_F(AffinityServerTest, CrossOwnerSessionCommitReleasesAllLeases) {
-  // One session quarantines keys owned by every partition, then commits on
-  // its home worker: the fan-out must delete all of them and leave no lease
-  // behind, regardless of which core owns which shard.
-  std::vector<std::string> keys = KeysSpanningOwners(2);
-  auto channel = Connect();
-  RemoteCacheClient client(*channel);
-  for (const std::string& key : keys) {
-    ASSERT_EQ(client.Set(key, "stale"), StoreResult::kStored);
-  }
-  SessionId tid = client.GenID();
-  for (const std::string& key : keys) {
-    ASSERT_EQ(client.QaReg(tid, key), QuarantineResult::kGranted) << key;
-  }
-  ASSERT_TRUE(client.Commit(tid));
-  for (const std::string& key : keys) {
-    EXPECT_FALSE(client.Get(key).has_value()) << key << " not invalidated";
-  }
-  EXPECT_EQ(server_.LeaseCount(), 0u);
-}
-
-TEST_F(AffinityServerTest, ConcurrentConnectionsKeepExactCounterBalance) {
-  // The shared-mode acceptance gauntlet, re-run with every command crossing
-  // cores: committed increments must still land exactly once.
-  {
-    auto setup = Connect();
-    RemoteCacheClient client(*setup);
-    client.Set("n", "0");
-  }
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 40;
-  std::atomic<int> committed{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([this, &committed] {
-      auto channel = Connect();
-      ASSERT_NE(channel, nullptr);
-      RemoteCacheClient client(*channel);
-      for (int i = 0; i < kIncrements; ++i) {
-        SessionId session = client.GenID();
-        QaReadReply q = client.QaRead("n", session);
-        if (q.status != QaReadReply::Status::kGranted) {
-          client.Abort(session);
-          --i;  // retry
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-          continue;
-        }
-        std::string next = std::to_string(std::stoll(*q.value) + 1);
-        client.SaR("n", std::optional<std::string>(next), q.token);
-        committed.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  auto channel = Connect();
-  RemoteCacheClient check(*channel);
-  EXPECT_EQ(check.Get("n")->value, std::to_string(committed.load()));
-  EXPECT_EQ(committed.load(), kThreads * kIncrements);
-  EXPECT_EQ(server_.LeaseCount(), 0u);
-}
-
-TEST_F(AffinityServerTest, StatsExposeAffinityCounters) {
-  auto channel = Connect();
-  RemoteCacheClient client(*channel);
-  for (const std::string& key : KeysSpanningOwners(2)) client.Set(key, "v");
-  std::string stats = client.Stats();
-  EXPECT_NE(stats.find("STAT affinity_mode 1"), std::string::npos);
-  for (const char* name : {"STAT affinity_forwards ", "STAT affinity_inline ",
-                           "STAT affinity_fallbacks "}) {
-    EXPECT_NE(stats.find(name), std::string::npos) << name;
-  }
-  TcpServerStats s = tcp_->Stats();
-  EXPECT_GT(s.affinity_forwards, 0u);
-  EXPECT_EQ(s.affinity_forwards + s.affinity_inline + s.affinity_fallbacks,
-            s.requests);
-}
-
-TEST(AffinityDegradation, TinyMailboxStillAnswersEverythingInOrder) {
-  // mailbox_capacity=1 makes most cross-core forwards bounce to the inline
-  // fallback path mid-burst: correctness (order, completeness) must be
-  // identical, only the execution placement degrades.
-  IQServer server;
-  TcpServer::Config cfg;
-  cfg.workers = 4;
-  cfg.affinity = true;
-  cfg.mailbox_capacity = 1;
-  TcpServer tcp(server, cfg);
-  std::string error;
-  ASSERT_TRUE(tcp.Start(&error)) << error;
-
-  std::string perr;
-  auto ch = TcpChannel::Connect("127.0.0.1", tcp.port(), &perr);
-  ASSERT_NE(ch, nullptr) << perr;
-  constexpr int kBatch = 200;
-  for (int i = 0; i < kBatch; ++i) {
-    Request r;
-    r.command = Command::kSet;
-    r.key = "m:" + std::to_string(i);
-    r.data = std::to_string(i);
-    ch->SendNoWait(r);
-  }
-  ASSERT_TRUE(ch->Flush());
-  ASSERT_EQ(ch->Drain().size(), static_cast<std::size_t>(kBatch));
-  for (int i = 0; i < kBatch; ++i) {
-    Request r;
-    r.command = Command::kGet;
-    r.key = "m:" + std::to_string(i);
-    ch->SendNoWait(r);
-  }
-  ASSERT_TRUE(ch->Flush());
-  std::vector<Response> got = ch->Drain();
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kBatch));
-  for (int i = 0; i < kBatch; ++i) {
-    EXPECT_EQ(got[static_cast<std::size_t>(i)].data, std::to_string(i));
-  }
-  TcpServerStats s = tcp.Stats();
-  EXPECT_EQ(s.affinity_forwards + s.affinity_inline + s.affinity_fallbacks,
-            s.requests);
 }
 
 }  // namespace

@@ -3,19 +3,16 @@
 // the paper's IQ-Twemcached: run this on one host, point iqbench --connect
 // (or any memcached text-protocol client) at it from others.
 //
-//   iqcached [--port=N] [--host=A] [--workers=N] [--affinity] [--pin-cores]
+//   iqcached [--port=N] [--host=A] [--workers=N]
 //            [--lease-ms=N] [--near-validity-ms=N] [--eager-delete]
 //            [--cache-mb=N] [--sweep-ms=N]
 //            [--trace-capacity=N] [--trace-dump[=N]]
 //            [--opt-value-cap=N] [--no-opt-reads]
 //
-// --workers defaults to the host's hardware concurrency. --affinity turns on
-// the shard-affinity (thread-per-core) execution mode (DESIGN.md §4.7):
-// CacheStore shards are partitioned across the workers, single-key commands
-// run on their shard's owner, and cross-shard work is forwarded through
-// per-worker mailboxes. Off = shared mode (any worker executes anything),
-// the A/B baseline. --pin-cores additionally pins worker i to CPU core
-// (i % hardware_concurrency) so each partition stays cache-resident.
+// --workers defaults to the host's hardware concurrency; any worker executes
+// any command. To partition the key space across cores, run several
+// iqcached processes behind a client-side ShardedBackend ring (iqbench
+// --connect=A,B,...; DESIGN.md §4.3).
 //
 // --near-validity-ms grants every clean IQget hit a validity interval of N
 // milliseconds, letting clients with a near cache (iqbench --near-cap)
@@ -73,7 +70,6 @@ bool StartsWith(const char* arg, const char* prefix, const char** value) {
   std::fprintf(stderr, "iqcached: bad argument '%s'\n", bad);
   std::fprintf(stderr,
                "usage: iqcached [--port=N] [--host=A] [--workers=N]\n"
-               "                [--affinity] [--pin-cores]\n"
                "                [--lease-ms=N] [--near-validity-ms=N]\n"
                "                [--eager-delete] [--cache-mb=N]\n"
                "                [--sweep-ms=N] [--trace-capacity=N]\n"
@@ -90,8 +86,7 @@ bool StartsWith(const char* arg, const char* prefix, const char** value) {
 int main(int argc, char** argv) {
   net::TcpServer::Config net_cfg;
   net_cfg.port = 11211;
-  // One worker per hardware thread by default — the natural shape for both
-  // modes, and exactly one partition per core under --affinity.
+  // One worker per hardware thread by default.
   unsigned hw = std::thread::hardware_concurrency();
   net_cfg.workers = hw > 0 ? static_cast<int>(hw) : 1;
   IQServer::Config server_cfg;
@@ -108,10 +103,6 @@ int main(int argc, char** argv) {
     } else if (StartsWith(arg, "--workers=", &v)) {
       net_cfg.workers = std::atoi(v);
       if (net_cfg.workers <= 0) Usage(arg);
-    } else if (std::strcmp(arg, "--affinity") == 0) {
-      net_cfg.affinity = true;
-    } else if (std::strcmp(arg, "--pin-cores") == 0) {
-      net_cfg.pin_cores = true;
     } else if (StartsWith(arg, "--lease-ms=", &v)) {
       server_cfg.lease_lifetime = std::atoll(v) * kNanosPerMilli;
     } else if (StartsWith(arg, "--near-validity-ms=", &v)) {
@@ -156,11 +147,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "iqcached: %s\n", error.c_str());
     return 1;
   }
-  std::printf(
-      "iqcached: listening on %s:%u (%d workers, %s mode%s, sweep %lldms)\n",
-      net_cfg.host.c_str(), tcp.port(), net_cfg.workers,
-      net_cfg.affinity ? "affinity" : "shared",
-      net_cfg.pin_cores ? ", pinned" : "", sweep_ms);
+  std::printf("iqcached: listening on %s:%u (%d workers, sweep %lldms)\n",
+              net_cfg.host.c_str(), tcp.port(), net_cfg.workers, sweep_ms);
   std::fflush(stdout);
 
   // Prime the process-lifetime metrics window so the shutdown report (and a
