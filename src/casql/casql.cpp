@@ -52,34 +52,17 @@ CasqlConnection::CasqlConnection(CasqlSystem& system,
                                  std::uint64_t audit_seed)
     : system_(system), session_(std::move(session)), audit_rng_(audit_seed) {}
 
-void CasqlConnection::LogOp(check::OpKind kind, std::string_view key,
-                            const std::optional<std::string>& value) {
-  check::OpLog* log = system_.config_.op_log;
-  if (log == nullptr) return;
-  log->Record(session_->id(), kind, TraceKeyHash(key),
-              check::OpValueHash(value));
-}
-
-void CasqlConnection::LogKeyOp(check::OpKind kind, std::string_view key) {
-  check::OpLog* log = system_.config_.op_log;
-  if (log == nullptr) return;
-  log->Record(session_->id(), kind, TraceKeyHash(key));
-}
-
-void CasqlConnection::LogSessionEnd(check::OpKind kind) {
-  check::OpLog* log = system_.config_.op_log;
-  if (log == nullptr) return;
-  log->Record(session_->id(), kind, 0);
-}
-
 std::optional<std::string> CasqlConnection::ComputeFresh(
-    const ComputeFn& compute) {
+    const std::string& key, const ComputeFn& compute) {
   // A dedicated (fresh) RDBMS connection/transaction, so a miss inside a
   // write session never observes that session's uncommitted changes
   // (paper Section 6.2, the multi-connection approach).
   auto txn = system_.db_.Begin();
   auto value = compute(*txn);
   txn->Rollback();
+  // read_db justifies the hash before any caller installs the value, so a
+  // concurrent reader hitting it is always covered.
+  session_->Record(check::OpKind::kReadDb, key, value);
   return value;
 }
 
@@ -101,13 +84,7 @@ void CasqlConnection::MaybeAudit(const std::string& key,
       system_.audit_skipped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    if (current) {
-      LogOp(check::OpKind::kReadHit, key, current);
-    } else {
-      LogKeyOp(check::OpKind::kReadMiss, key);
-    }
-    std::optional<std::string> truth = ComputeFresh(compute);
-    LogOp(check::OpKind::kReadDb, key, truth);
+    std::optional<std::string> truth = ComputeFresh(key, compute);
     // A KVS miss under the lease is never stale (the KVS is a subset of the
     // RDBMS); a present value disagreeing with the ground truth is.
     bool stale = current && (!truth || *truth != *current);
@@ -134,8 +111,7 @@ void CasqlConnection::MaybeAudit(const std::string& key,
   // plain Sets, perturbing the system under measurement): compare the hit
   // the application saw against fresh ground truth. Racy by construction —
   // but unbounded staleness is exactly what the baselines exhibit.
-  std::optional<std::string> truth = ComputeFresh(compute);
-  LogOp(check::OpKind::kReadDb, key, truth);
+  std::optional<std::string> truth = ComputeFresh(key, compute);
   bool stale = observed && (!truth || *truth != *observed);
   system_.audit_samples_.fetch_add(1, std::memory_order_relaxed);
   if (stale) {
@@ -165,14 +141,13 @@ ReadOutcome CasqlConnection::ReadPlain(const std::string& key,
   if (item) {
     out.hit = true;
     out.value = std::move(item->value);
-    LogOp(check::OpKind::kReadHit, key, out.value);
+    session_->Record(check::OpKind::kReadHit, key, out.value);
     MaybeAudit(key, out.value, compute);
     return out;
   }
-  LogKeyOp(check::OpKind::kReadMiss, key);
+  session_->Record(check::OpKind::kReadMiss, key);
   out.computed = true;
-  out.value = ComputeFresh(compute);
-  LogOp(check::OpKind::kReadDb, key, out.value);
+  out.value = ComputeFresh(key, compute);
   // Race-prone: any number of concurrent sessions may install here, and a
   // value computed from a pre-update snapshot overwrites fresher data.
   if (out.value) system_.backend_.Set(key, *out.value);
@@ -183,40 +158,23 @@ ReadOutcome CasqlConnection::ReadLeased(const std::string& key,
                                         const ComputeFn& compute) {
   ReadOutcome out;
   ClientGetResult got = session_->Get(key);
-  switch (got.status) {
-    case ClientGetResult::Status::kHit:
-      out.hit = true;
-      out.value = std::move(got.value);
-      LogOp(check::OpKind::kReadHit, key, out.value);
-      MaybeAudit(key, out.value, compute, got.near_hit, got.near_remaining);
-      return out;
-    case ClientGetResult::Status::kMissRecompute:
-      LogKeyOp(check::OpKind::kReadMiss, key);
-      out.computed = true;
-      out.value = ComputeFresh(compute);
-      // read_db justifies the hash BEFORE Put installs it, so a concurrent
-      // reader hitting the fresh value is always covered.
-      LogOp(check::OpKind::kReadDb, key, out.value);
-      if (out.value) {
-        session_->Put(key, *out.value);
-      } else {
-        session_->DropLease(key);  // nothing to install; unblock others
-      }
-      return out;
-    case ClientGetResult::Status::kMissNoInstall:
-      // Our own quarantined key: recompute (observing our own RDBMS update)
-      // but do not install - the key dies at our commit anyway.
-      LogKeyOp(check::OpKind::kReadMiss, key);
-      out.computed = true;
-      out.value = ComputeFresh(compute);
-      LogOp(check::OpKind::kReadDb, key, out.value);
-      return out;
-    case ClientGetResult::Status::kTimeout:
-      LogKeyOp(check::OpKind::kReadMiss, key);
-      out.computed = true;
-      out.value = ComputeFresh(compute);
-      LogOp(check::OpKind::kReadDb, key, out.value);
-      return out;
+  if (got.status == ClientGetResult::Status::kHit) {
+    out.hit = true;
+    out.value = std::move(got.value);
+    MaybeAudit(key, out.value, compute, got.near_hit, got.near_remaining);
+    return out;
+  }
+  out.computed = true;
+  out.value = ComputeFresh(key, compute);
+  // Only a granted I lease installs. kMissNoInstall is our own quarantined
+  // key (the key dies at our commit anyway) or an unreachable cache, and
+  // kTimeout a contended one: recompute, install nothing.
+  if (got.status == ClientGetResult::Status::kMissRecompute) {
+    if (out.value) {
+      session_->Put(key, *out.value);
+    } else {
+      session_->DropLease(key);  // nothing to install; unblock others
+    }
   }
   return out;
 }
@@ -224,6 +182,9 @@ ReadOutcome CasqlConnection::ReadLeased(const std::string& key,
 // ---- write sessions ----------------------------------------------------------
 
 WriteOutcome CasqlConnection::Write(const WriteSpec& spec) {
+  // Each write's retries escalate the back-off from the base delay, not
+  // from where the previous write's last Abort() left it.
+  session_->ResetBackoff();
   if (system_.config_.consistency == Consistency::kIQ) {
     switch (system_.config_.technique) {
       case Technique::kInvalidate: return WriteIQInvalidate(spec);
@@ -238,41 +199,36 @@ WriteOutcome CasqlConnection::WriteBaseline(const WriteSpec& spec) {
   WriteOutcome out;
   KvsBackend& store = system_.backend_;
   const CasqlConfig& cfg = system_.config_;
-  // Baseline restarts only ever call Backoff() — never Commit()/Abort() on
-  // the IQ session — so without an explicit reset the escalation counter
-  // leaks across Write() calls and every later conflict waits the cap
-  // delay (the "stuck backoff" bug).
-  session_->ResetBackoff();
   for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
     auto txn = system_.db_.Begin();
     bool ok = spec.body(*txn);
     if (txn->state() == sql::Transaction::State::kAborted) {
-      LogSessionEnd(check::OpKind::kAbort);
+      session_->Record(check::OpKind::kAbort);
       ++out.rdbms_restarts;
       session_->Backoff();
       continue;
     }
     if (!ok) {
       txn->Rollback();
-      LogSessionEnd(check::OpKind::kAbort);
+      session_->Record(check::OpKind::kAbort);
       return out;
     }
     if (cfg.technique == Technique::kInvalidate) {
       // Trigger-style placement: the delete executes inside the RDBMS
       // transaction, before commit - the race-prone shape of Figure 3.
       for (const auto& u : spec.updates) {
-        LogKeyOp(check::OpKind::kInval, u.key);
+        session_->Record(check::OpKind::kInval, u.key);
         system_.backend_.DeleteVoid(u.key);
       }
       txn->Commit();
-      LogSessionEnd(check::OpKind::kCommit);
+      session_->Record(check::OpKind::kCommit);
       out.committed = true;
       return out;
     }
     // Mixed-mode updates that force invalidation are deleted trigger-style.
     for (const auto& u : spec.updates) {
       if (!u.invalidate) continue;
-      LogKeyOp(check::OpKind::kInval, u.key);
+      session_->Record(check::OpKind::kInval, u.key);
       system_.backend_.DeleteVoid(u.key);
     }
     txn->Commit();
@@ -286,14 +242,15 @@ WriteOutcome CasqlConnection::WriteBaseline(const WriteSpec& spec) {
             std::optional<std::string> old =
                 item ? std::optional<std::string>(std::move(item->value))
                      : std::nullopt;
-            LogOp(old ? check::OpKind::kReadHit : check::OpKind::kReadMiss,
-                  u.key, old);
+            session_->Record(
+                old ? check::OpKind::kReadHit : check::OpKind::kReadMiss,
+                u.key, old);
             auto v_new = u.refresh(old);
             if (cfg.baseline_rmw_delay > 0) {
               SleepFor(SteadyClock::Instance(), cfg.baseline_rmw_delay);
             }
             if (v_new) {
-              LogOp(check::OpKind::kWrite, u.key, v_new);
+              session_->Record(check::OpKind::kWrite, u.key, v_new);
               store.Set(u.key, *v_new);
             }
           } else {
@@ -303,21 +260,20 @@ WriteOutcome CasqlConnection::WriteBaseline(const WriteSpec& spec) {
             for (int i = 0; i < cfg.max_cas_retries; ++i) {
               auto item = store.Get(u.key);
               if (!item) {
-                LogKeyOp(check::OpKind::kReadMiss, u.key);
+                session_->Record(check::OpKind::kReadMiss, u.key);
                 auto v_new = u.refresh(std::nullopt);
                 if (!v_new) break;
-                LogOp(check::OpKind::kWrite, u.key, v_new);
+                session_->Record(check::OpKind::kWrite, u.key, v_new);
                 if (store.Add(u.key, *v_new) == StoreResult::kStored) break;
                 continue;  // lost the add race; retry as an update
               }
-              LogOp(check::OpKind::kReadHit, u.key,
-                    std::optional<std::string>(item->value));
+              session_->Record(check::OpKind::kReadHit, u.key, item->value);
               auto v_new = u.refresh(item->value);
               if (!v_new) break;
               if (cfg.baseline_rmw_delay > 0) {
                 SleepFor(SteadyClock::Instance(), cfg.baseline_rmw_delay);
               }
-              LogOp(check::OpKind::kWrite, u.key, v_new);
+              session_->Record(check::OpKind::kWrite, u.key, v_new);
               if (store.Cas(u.key, *v_new, item->cas) == StoreResult::kStored) {
                 break;
               }
@@ -328,7 +284,7 @@ WriteOutcome CasqlConnection::WriteBaseline(const WriteSpec& spec) {
       case Technique::kIncremental:
         for (const auto& u : spec.updates) {
           if (u.invalidate || !u.delta) continue;
-          LogKeyOp(check::OpKind::kDelta, u.key);
+          session_->Record(check::OpKind::kDelta, u.key);
           switch (u.delta->kind) {
             case DeltaOp::Kind::kAppend:
               store.Append(u.key, u.delta->blob);
@@ -348,7 +304,7 @@ WriteOutcome CasqlConnection::WriteBaseline(const WriteSpec& spec) {
       case Technique::kInvalidate:
         break;  // handled above
     }
-    LogSessionEnd(check::OpKind::kCommit);
+    session_->Record(check::OpKind::kCommit);
     out.committed = true;
     return out;
   }
@@ -382,11 +338,9 @@ WriteOutcome CasqlConnection::WriteIQInvalidate(const WriteSpec& spec) {
       for (const auto& u : spec.updates) {
         q = session_->Quarantine(u.key);
         if (q != ClientQResult::kGranted) break;
-        LogKeyOp(check::OpKind::kInval, u.key);
       }
       if (q != ClientQResult::kGranted) {
         session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
         CountRestart(q, &out);
         session_->Backoff();
         continue;
@@ -396,7 +350,6 @@ WriteOutcome CasqlConnection::WriteIQInvalidate(const WriteSpec& spec) {
     bool ok = spec.body(*txn);
     if (txn->state() == sql::Transaction::State::kAborted) {
       session_->Abort();
-      LogSessionEnd(check::OpKind::kAbort);
       ++out.rdbms_restarts;
       session_->Backoff();
       continue;
@@ -404,19 +357,16 @@ WriteOutcome CasqlConnection::WriteIQInvalidate(const WriteSpec& spec) {
     if (!ok) {
       txn->Rollback();
       session_->Abort();  // leaves current versions in the KVS
-      LogSessionEnd(check::OpKind::kAbort);
       return out;
     }
     if (cfg.placement == LeasePlacement::kInsideTxn) {
       for (const auto& u : spec.updates) {
         q = session_->Quarantine(u.key);
         if (q != ClientQResult::kGranted) break;
-        LogKeyOp(check::OpKind::kInval, u.key);
       }
       if (q != ClientQResult::kGranted) {
         txn->Rollback();
         session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
         CountRestart(q, &out);
         session_->Backoff();
         continue;
@@ -427,7 +377,6 @@ WriteOutcome CasqlConnection::WriteIQInvalidate(const WriteSpec& spec) {
     // so even if this DaR never reaches the server the Q leases expire and
     // delete the keys — the KVS stays a subset of the RDBMS.
     session_->Commit();  // DaR: delete quarantined keys, release Q leases
-    LogSessionEnd(check::OpKind::kCommit);
     out.committed = true;
     return out;
   }
@@ -450,7 +399,6 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
         bool conflicted = txn->state() == sql::Transaction::State::kAborted;
         txn->Rollback();
         session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
         if (!conflicted) return out;
         ++out.rdbms_restarts;
         session_->Backoff();
@@ -464,12 +412,6 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
               ? session_->Quarantine(spec.updates[i].key)
               : session_->QaRead(spec.updates[i].key, olds[i]);
       if (q != ClientQResult::kGranted) break;
-      if (spec.updates[i].invalidate) {
-        LogKeyOp(check::OpKind::kInval, spec.updates[i].key);
-      } else {
-        LogOp(olds[i] ? check::OpKind::kReadHit : check::OpKind::kReadMiss,
-              spec.updates[i].key, olds[i]);
-      }
     }
     if (q != ClientQResult::kGranted) {
       // Figure 5b: release every lease, roll back the RDBMS transaction,
@@ -478,7 +420,6 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
       // unprotected against concurrent readers.
       if (txn) txn->Rollback();
       session_->Abort();
-      LogSessionEnd(check::OpKind::kAbort);
       CountRestart(q, &out);
       session_->Backoff();
       continue;
@@ -496,7 +437,6 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
         bool conflicted = txn->state() == sql::Transaction::State::kAborted;
         txn->Rollback();
         session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
         if (!conflicted) return out;
         ++out.rdbms_restarts;
         session_->Backoff();
@@ -510,14 +450,9 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
     // the key — stale values cannot survive a lost SaR/Commit.
     for (std::size_t i = 0; i < n; ++i) {
       if (spec.updates[i].invalidate) continue;
-      auto v = news[i] ? std::optional<std::string_view>(*news[i])
-                       : std::nullopt;
-      // Write intent BEFORE the install (check/oplog.h soundness rule).
-      if (news[i]) LogOp(check::OpKind::kWrite, spec.updates[i].key, news[i]);
-      session_->SaR(spec.updates[i].key, v);
+      session_->SaR(spec.updates[i].key, news[i]);
     }
     session_->Commit();  // also deletes any quarantined (invalidate) keys
-    LogSessionEnd(check::OpKind::kCommit);
     out.committed = true;
     return out;
   }
@@ -536,7 +471,6 @@ WriteOutcome CasqlConnection::WriteIQIncremental(const WriteSpec& spec) {
         bool conflicted = txn->state() == sql::Transaction::State::kAborted;
         txn->Rollback();
         session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
         if (!conflicted) return out;
         ++out.rdbms_restarts;
         session_->Backoff();
@@ -548,14 +482,8 @@ WriteOutcome CasqlConnection::WriteIQIncremental(const WriteSpec& spec) {
     for (const auto& u : spec.updates) {
       if (u.invalidate) {
         q = session_->Quarantine(u.key);
-        if (q == ClientQResult::kGranted) {
-          LogKeyOp(check::OpKind::kInval, u.key);
-        }
       } else if (u.delta) {
         q = session_->Delta(u.key, *u.delta);
-        if (q == ClientQResult::kGranted) {
-          LogKeyOp(check::OpKind::kDelta, u.key);
-        }
       } else {
         continue;
       }
@@ -564,7 +492,6 @@ WriteOutcome CasqlConnection::WriteIQIncremental(const WriteSpec& spec) {
     if (q != ClientQResult::kGranted) {
       if (txn) txn->Rollback();
       session_->Abort();
-      LogSessionEnd(check::OpKind::kAbort);
       CountRestart(q, &out);
       session_->Backoff();
       continue;
@@ -577,7 +504,6 @@ WriteOutcome CasqlConnection::WriteIQIncremental(const WriteSpec& spec) {
         bool conflicted = txn->state() == sql::Transaction::State::kAborted;
         txn->Rollback();
         session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
         if (!conflicted) return out;
         ++out.rdbms_restarts;
         session_->Backoff();
@@ -587,7 +513,6 @@ WriteOutcome CasqlConnection::WriteIQIncremental(const WriteSpec& spec) {
 
     txn->Commit();
     session_->Commit();  // server applies the buffered deltas
-    LogSessionEnd(check::OpKind::kCommit);
     out.committed = true;
     return out;
   }

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "check/oplog.h"
 #include "core/iq_client.h"
 #include "rdbms/database.h"
 #include "util/rng.h"
@@ -61,13 +60,10 @@ struct CasqlConfig {
   /// perturbing the system under measurement), so their count is the racy
   /// staleness the paper's Table 1 quantifies. 0 disables auditing.
   double audit_rate = 0.0;
-  /// Optional client-side op log for the offline history checker
-  /// (src/check, tools/iqcheck): every client-visible read, write intent,
-  /// delta, invalidation, commit, and abort is recorded with the session
-  /// id and key/value hashes. Write intents are logged before the install
-  /// (see check/oplog.h). Null disables logging. Not owned; must outlive
-  /// the system and be thread-safe (check::OpLog is).
-  check::OpLog* op_log = nullptr;
+  /// The IQ client every connection's session runs on. Its `op_log` turns
+  /// on the client op log for the offline checker (DESIGN.md §4.8): the
+  /// sessions log their own verbs, and casql adds what no verb sees — the
+  /// RDBMS reads (read_db) and the lease-free baseline paths.
   IQClient::Config client;
 };
 
@@ -153,9 +149,10 @@ class CasqlConnection {
   WriteOutcome WriteIQRefresh(const WriteSpec& spec);
   WriteOutcome WriteIQIncremental(const WriteSpec& spec);
 
-  /// Recompute a key's value in a fresh RDBMS transaction (the paper's
-  /// separate-connection approach, Section 6.2).
-  std::optional<std::string> ComputeFresh(const ComputeFn& compute);
+  /// Recompute `key`'s value in a fresh RDBMS transaction (the paper's
+  /// separate-connection approach, Section 6.2); logs it as read_db.
+  std::optional<std::string> ComputeFresh(const std::string& key,
+                                          const ComputeFn& compute);
 
   /// Staleness auditor: with probability config.audit_rate, re-read the
   /// RDBMS ground truth for a key that just hit in the KVS and bump the
@@ -170,12 +167,6 @@ class CasqlConnection {
                   const std::optional<std::string>& observed,
                   const ComputeFn& compute, bool near_hit = false,
                   Nanos near_remaining = 0);
-
-  /// Op-log helpers (no-ops when CasqlConfig::op_log is null).
-  void LogOp(check::OpKind kind, std::string_view key,
-             const std::optional<std::string>& value);
-  void LogKeyOp(check::OpKind kind, std::string_view key);
-  void LogSessionEnd(check::OpKind kind);
 
   CasqlSystem& system_;
   std::unique_ptr<IQSession> session_;

@@ -9,10 +9,10 @@ MultiWriteOutcome ExecuteMultiTxn(CasqlSystem& system,
   const int max_restarts = system.config().max_session_restarts;
   KvsBackend& server = system.backend();
 
-  IQClient client(server, system.config().client);
+  // One session for every attempt, so its back-off keeps escalating across
+  // the restarts until Commit().
+  auto iq_session = system.client().NewSession();
   for (int attempt = 0; attempt < max_restarts; ++attempt) {
-    auto iq_session = client.NewSession();
-
     // Growing phase: every lease before the first transaction.
     std::vector<std::optional<std::string>> olds(spec.updates.size());
     bool conflict = false;

@@ -20,6 +20,7 @@
 // log.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -104,6 +105,14 @@ class OpLog {
   OpLog(const OpLog&) = delete;
   OpLog& operator=(const OpLog&) = delete;
 
+  /// A session id unique within this log (1, 2, ...). Every IQSession
+  /// writing here takes one when it is created; backend session ids cannot
+  /// serve, because each ShardedBackend numbers its virtual sessions from 1.
+  /// Id 0 marks records no session owns (seeds, a bench's final reads).
+  std::uint64_t NewSessionId() {
+    return next_session_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   /// Append one record, stamping `at` from the clock.
   void Record(std::uint64_t session, OpKind kind, std::uint64_t key_hash,
               std::uint64_t value_hash = kNoValueHash);
@@ -121,6 +130,7 @@ class OpLog {
 
  private:
   const Clock& clock_;
+  std::atomic<std::uint64_t> next_session_{1};
   mutable std::mutex mu_;
   std::vector<OpRecord> records_;
 };

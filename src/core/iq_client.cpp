@@ -23,10 +23,14 @@ std::unique_ptr<IQSession> IQClient::NewSession() {
 }
 
 IQSession::IQSession(IQClient& client, SessionId id)
-    : client_(client), id_(id), rng_([&] {
+    : client_(client),
+      id_(id),
+      rng_([&] {
         std::lock_guard lock(client.rng_mu_);
         return client.seed_rng_.Fork();
-      }()) {}
+      }()),
+      op_log_(client.config_.op_log),
+      log_id_(op_log_ != nullptr ? op_log_->NewSessionId() : 0) {}
 
 IQSession::~IQSession() {
   // A session destroyed without Commit() behaves like a failed application
@@ -50,7 +54,24 @@ void IQSession::NearInvalidate(std::string_view key) {
   near_written_.insert(std::move(skey));
 }
 
+void IQSession::Record(check::OpKind kind, std::string_view key,
+                       std::optional<std::string_view> value) {
+  if (op_log_ == nullptr) return;
+  op_log_->Record(log_id_, kind, key.empty() ? 0 : TraceKeyHash(key),
+                  value ? check::OpValueHash(*value) : check::kNoValueHash);
+}
+
 ClientGetResult IQSession::Get(std::string_view key, int max_retries) {
+  ClientGetResult got = Lookup(key, max_retries);
+  if (op_log_ != nullptr) {
+    const bool hit = got.status == ClientGetResult::Status::kHit;
+    Record(hit ? check::OpKind::kReadHit : check::OpKind::kReadMiss, key,
+           hit ? std::optional<std::string_view>(got.value) : std::nullopt);
+  }
+  return got;
+}
+
+ClientGetResult IQSession::Lookup(std::string_view key, int max_retries) {
   NearCache* near = client_.near_cache();
   if (near != nullptr) {
     // Zero round trips: a locally valid entry is served straight from the
@@ -120,6 +141,7 @@ ClientQResult IQSession::Quarantine(std::string_view key) {
   }
   switch (client_.backend_.QaReg(id_, key)) {
     case QuarantineResult::kGranted:
+      Record(check::OpKind::kInval, key);
       return ClientQResult::kGranted;
     case QuarantineResult::kReject:
       ++stats_.q_conflicts;
@@ -149,16 +171,26 @@ ClientQResult IQSession::QaRead(std::string_view key,
   }
   q_tokens_[std::string(key)] = reply.token;
   value = std::move(reply.value);
+  if (op_log_ != nullptr) {
+    Record(delta_keys_.count(TraceKeyHash(key)) != 0 ? check::OpKind::kReadOwn
+           : value ? check::OpKind::kReadHit
+                   : check::OpKind::kReadMiss,
+           key, value);
+  }
   return ClientQResult::kGranted;
 }
 
-void IQSession::SaR(std::string_view key,
-                    std::optional<std::string_view> v_new) {
+StoreResult IQSession::SaR(std::string_view key,
+                           std::optional<std::string_view> v_new) {
   auto it = q_tokens_.find(std::string(key));
-  if (it == q_tokens_.end()) return;
+  if (it == q_tokens_.end()) return StoreResult::kNotStored;
   NearInvalidate(key);
-  client_.backend_.SaR(key, v_new, it->second);
+  // Write intent BEFORE the install (check/oplog.h soundness rule).
+  if (v_new) Record(check::OpKind::kWrite, key, v_new);
+  StoreResult result = client_.backend_.SaR(key, v_new, it->second);
   q_tokens_.erase(it);
+  if (result == StoreResult::kTransportError) ++stats_.transport_errors;
+  return result;
 }
 
 ClientQResult IQSession::Delta(std::string_view key, DeltaOp delta) {
@@ -169,6 +201,10 @@ ClientQResult IQSession::Delta(std::string_view key, DeltaOp delta) {
   }
   switch (client_.backend_.IQDelta(id_, key, std::move(delta))) {
     case QuarantineResult::kGranted:
+      if (op_log_ != nullptr) {
+        delta_keys_.insert(TraceKeyHash(key));
+        Record(check::OpKind::kDelta, key);
+      }
       return ClientQResult::kGranted;
     case QuarantineResult::kReject:
       ++stats_.q_conflicts;
@@ -194,27 +230,34 @@ ClientQResult IQSession::Decr(std::string_view key, std::uint64_t amount) {
 
 void IQSession::Commit() {
   client_.backend_.Commit(id_);
-  // Re-invalidate everything this session wrote: a concurrent Get in this
-  // process may have re-populated an entry between the write verb's eager
-  // invalidation and the commit taking effect.
-  if (NearCache* near = client_.near_cache()) {
-    for (const std::string& key : near_written_) near->Invalidate(key);
-  }
-  near_written_.clear();
-  i_tokens_.clear();
-  q_tokens_.clear();
+  End(check::OpKind::kCommit);
   backoff_attempt_ = 0;
 }
 
 void IQSession::Abort() {
   client_.backend_.Abort(id_);
+  End(check::OpKind::kAbort);
+}
+
+void IQSession::End(check::OpKind kind) {
+  if (op_log_ != nullptr) {
+    if (kind == check::OpKind::kAbort &&
+        stats_.transport_errors != session_transport_errors_) {
+      kind = check::OpKind::kTransportError;
+    }
+    Record(kind);
+    delta_keys_.clear();
+    session_transport_errors_ = stats_.transport_errors;
+  }
+  // Re-invalidate everything this session wrote: a concurrent Get in this
+  // process may have re-populated an entry between the write verb's eager
+  // invalidation and the commit or abort taking effect.
   if (NearCache* near = client_.near_cache()) {
     for (const std::string& key : near_written_) near->Invalidate(key);
   }
   near_written_.clear();
   i_tokens_.clear();
   q_tokens_.clear();
-  backoff_attempt_ = 0;
 }
 
 void IQSession::DropLease(std::string_view key) {

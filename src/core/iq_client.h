@@ -11,6 +11,10 @@
 // A QaRead/Delta rejection (Q-Q conflict, Figure 5b) surfaces as
 // kQConflict: the caller must release everything (Abort()), roll back its
 // RDBMS transaction, back off (Backoff()), and re-run the whole session.
+//
+// The session is also the one writer of the client op log the offline
+// checker reads (check/oplog.h, DESIGN.md §4.8): with
+// IQClient::Config::op_log set, every verb appends its own record.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +26,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "check/oplog.h"
 #include "core/kvs_backend.h"
 #include "core/near_cache.h"
 #include "util/backoff.h"
@@ -83,11 +88,13 @@ class IQSession {
   /// transport error surfaces as kMissNoInstall: read the RDBMS directly,
   /// install nothing — safe (no token exists to install with) and it
   /// degrades reads to pass-through instead of spinning the retry budget
-  /// against an unreachable server.
+  /// against an unreachable server. Logs read_hit (near-cache hits
+  /// included) or read_miss.
   ClientGetResult Get(std::string_view key, int max_retries = 100);
 
   /// Install a value computed after a kMissRecompute. Silently ignored by
-  /// the server when the I lease was voided meanwhile.
+  /// the server when the I lease was voided meanwhile. Logs nothing: the
+  /// caller already logged the computed value as read_db.
   void Put(std::string_view key, std::string_view value);
 
   // ---- write path: invalidate ----------------------------------------------
@@ -101,10 +108,15 @@ class IQSession {
 
   /// Quarantine-and-Read. On kGranted, `value` holds the current value
   /// (nullopt on KVS miss) and the Q lease is held until SaR/Commit/Abort.
+  /// Logs read_hit/read_miss, or read_own once this logical session has
+  /// buffered a delta on `key` (the own-update probe, Section 4.2.2).
   ClientQResult QaRead(std::string_view key, std::optional<std::string>& value);
 
-  /// Swap-and-Release for a key previously QaRead by this session.
-  void SaR(std::string_view key, std::optional<std::string_view> v_new);
+  /// Swap-and-Release for a key previously QaRead by this session; a null
+  /// `v_new` only releases. Returns the backend's answer (kStored: the new
+  /// value is installed), or kNotStored when no Q lease is held on `key`.
+  /// A new value's write intent is logged before the install.
+  StoreResult SaR(std::string_view key, std::optional<std::string_view> v_new);
 
   // ---- write path: incremental update ---------------------------------------
 
@@ -117,22 +129,23 @@ class IQSession {
   // ---- lifecycle ------------------------------------------------------------
 
   /// Apply buffered changes (delete invalidated keys, apply deltas) and
-  /// release every lease. Call after the RDBMS transaction commits.
+  /// release every lease. Call after the RDBMS transaction commits. Resets
+  /// the back-off escalation.
   void Commit();
 
   /// Discard buffered changes and release every lease, leaving current
-  /// values in place. Call when the RDBMS transaction aborts.
+  /// values in place. Call when the RDBMS transaction aborts. Keeps the
+  /// back-off escalation, so each retry of a session waits longer. Logs
+  /// abort, or transport_error when a verb of this logical session failed
+  /// on transport.
   void Abort();
 
   /// Sleep per the client's back-off policy; increments the attempt counter
-  /// so repeated calls wait longer. Reset by Commit/Abort.
+  /// so repeated calls wait longer. Reset by Commit() and ResetBackoff().
   void Backoff();
 
-  /// Reset the back-off escalation to base delay. Commit/Abort do this
-  /// implicitly; callers that recycle a session across logical restarts
-  /// without either (e.g. a baseline write loop that only ever calls
-  /// Backoff()) must reset explicitly, or the counter escalates forever
-  /// and every later conflict waits the cap delay.
+  /// Reset the back-off escalation to base delay, for a caller starting a
+  /// new logical operation (CasqlConnection::Write() does on entry).
   void ResetBackoff() { backoff_attempt_ = 0; }
 
   /// Current back-off escalation level (0 = next Backoff waits base delay).
@@ -142,9 +155,23 @@ class IQSession {
   /// I lease whose recompute found no row to cache).
   void DropLease(std::string_view key);
 
+  /// Op-log record for an operation no verb of this session sees — an
+  /// RDBMS ground-truth read (read_db) or a lease-free baseline verb —
+  /// under this session's op-log id. No-op without IQClient::Config::op_log.
+  void Record(check::OpKind kind, std::string_view key = {},
+              std::optional<std::string_view> value = std::nullopt);
+
  private:
   friend class IQClient;
   IQSession(IQClient& client, SessionId id);
+
+  /// Get() without its op-log record.
+  ClientGetResult Lookup(std::string_view key, int max_retries);
+
+  /// The shared tail of Commit() and Abort(): log the logical session's end
+  /// as `kind` (an abort whose session saw a transport failure as
+  /// transport_error) and forget its written keys and tokens.
+  void End(check::OpKind kind);
 
   /// Sessions minted while the server was unreachable carry id 0; re-mint
   /// lazily so such a session heals once the backend reconnects. False
@@ -168,6 +195,15 @@ class IQSession {
   int backoff_attempt_ = 0;
   SessionStats stats_;
   Rng rng_;
+  /// IQClient::Config::op_log (null = no logging) and this session's id in
+  /// it, which is not the backend's session id.
+  check::OpLog* const op_log_;
+  const std::uint64_t log_id_;
+  /// Kept only while logging: hashes of the keys this logical session
+  /// buffered a delta on (a QaRead of one logs read_own), and
+  /// stats_.transport_errors when the logical session began.
+  std::unordered_set<std::uint64_t> delta_keys_;
+  std::uint64_t session_transport_errors_ = 0;
 };
 
 /// Factory bound to one IQ-Server; hands out sessions.
@@ -185,6 +221,11 @@ class IQClient {
     /// near_validity == 0 is a harmless no-op.
     std::size_t near_capacity = 0;
     std::uint64_t seed = 42;
+    /// Client op log for the offline checker (check/oplog.h): every
+    /// session verb appends its record here, under an id the log hands
+    /// each session. Null disables logging. Not owned; must outlive the
+    /// client.
+    check::OpLog* op_log = nullptr;
   };
 
   IQClient(KvsBackend& backend, Config config);

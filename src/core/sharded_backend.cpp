@@ -510,8 +510,4 @@ std::string ShardedBackend::FormatStats() const {
   return out.str();
 }
 
-StatsWindowSample ShardedBackend::WindowedStats() {
-  return metrics_window_.Advance(Stats(), clock_.Now());
-}
-
 }  // namespace iq

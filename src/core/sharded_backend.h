@@ -167,11 +167,6 @@ class ShardedBackend final : public KvsBackend {
   /// (shard<i>_endpoint/weight plus every IQ counter as shard<i>_<name>).
   std::string FormatStats() const;
 
-  /// Advance the router's metrics window over the aggregated Stats() and
-  /// return lifetime totals plus the delta since the previous call. One
-  /// logical scraper per router, same contract as IQServer::WindowedStats.
-  StatsWindowSample WindowedStats();
-
   /// The newest (up to) `max_events` lease-trace events across every child
   /// with a trace provider, stable-merged oldest first on (at, child,
   /// shard, seq). Equal timestamps (ManualClock tests, coarse clocks) keep
@@ -242,7 +237,6 @@ class ShardedBackend final : public KvsBackend {
   mutable std::vector<Stripe> stripes_;
   std::unique_ptr<ShardHealth[]> health_;  // one per shard
   std::atomic<SessionId> next_sid_{1};
-  StatsWindow metrics_window_;
 
   // Router counters, same relaxed-atomic discipline as IQShardStats.
   std::atomic<std::uint64_t> sessions_{0};

@@ -21,33 +21,28 @@ void AppendGauge(std::string* out, std::string_view name, double value) {
   AppendSample(out, name, value);
 }
 
-/// The shared middle: counter totals and per-sec rates for one window
-/// sample, with `prefix` distinguishing server ("iq_") from aggregate
-/// tiers. Rates are omitted while the window has no width (first scrape).
-void AppendWindowedCounters(std::string* out, const StatsWindowSample& s) {
-  for (const IQStatsField& f : kIQStatsFields) {
-    std::string name = "iq_";
-    name += f.name;
-    out->append("# TYPE ");
-    out->append(name);
-    out->append("_total counter\n");
-    AppendSample(out, name + "_total",
-                 static_cast<double>(s.lifetime.*f.member));
-    if (s.seconds > 0) {
-      AppendSample(out, name + "_per_sec",
-                   static_cast<double>(s.delta.*f.member) / s.seconds);
-    }
-  }
-  AppendGauge(out, "iq_window_seconds", s.seconds);
-}
-
 }  // namespace
 
 std::string FormatMetrics(IQServer& server) {
   std::string out;
   out.reserve(2048);
-  StatsWindowSample sample = server.WindowedStats();
-  AppendWindowedCounters(&out, sample);
+  // Counter totals and per-sec rates; rates are omitted while the window
+  // has no width (first scrape).
+  StatsWindowSample s = server.WindowedStats();
+  for (const IQStatsField& f : kIQStatsFields) {
+    std::string name = "iq_";
+    name += f.name;
+    out.append("# TYPE ");
+    out.append(name);
+    out.append("_total counter\n");
+    AppendSample(&out, name + "_total",
+                 static_cast<double>(s.lifetime.*f.member));
+    if (s.seconds > 0) {
+      AppendSample(&out, name + "_per_sec",
+                   static_cast<double>(s.delta.*f.member) / s.seconds);
+    }
+  }
+  AppendGauge(&out, "iq_window_seconds", s.seconds);
   CacheStats store = server.store().Stats();
   AppendGauge(&out, "iq_store_gets", static_cast<double>(store.gets));
   AppendGauge(&out, "iq_store_get_hits", static_cast<double>(store.get_hits));
@@ -68,45 +63,6 @@ std::string FormatMetrics(IQServer& server) {
   AppendGauge(&out, "iq_leases_live", static_cast<double>(server.LeaseCount()));
   AppendGauge(&out, "iq_trace_recorded",
               static_cast<double>(server.TraceRecorded()));
-  return out;
-}
-
-std::string FormatMetrics(ShardedBackend& backend) {
-  std::string out;
-  out.reserve(2048);
-  StatsWindowSample sample = backend.WindowedStats();
-  AppendWindowedCounters(&out, sample);
-  ShardedBackendStats router = backend.router_stats();
-  AppendGauge(&out, "iq_router_sessions", static_cast<double>(router.sessions));
-  AppendGauge(&out, "iq_router_shard_sessions",
-              static_cast<double>(router.shard_sessions));
-  AppendGauge(&out, "iq_router_fanout_commits",
-              static_cast<double>(router.fanout_commits));
-  AppendGauge(&out, "iq_router_fanout_aborts",
-              static_cast<double>(router.fanout_aborts));
-  AppendGauge(&out, "iq_router_reject_releases",
-              static_cast<double>(router.reject_releases));
-  AppendGauge(&out, "iq_router_transport_errors",
-              static_cast<double>(router.transport_errors));
-  AppendGauge(&out, "iq_router_shard_trips",
-              static_cast<double>(router.shard_trips));
-  AppendGauge(&out, "iq_router_shard_recoveries",
-              static_cast<double>(router.shard_recoveries));
-  // Per-shard breakdown under distinct series names (iq_shard_*) so the
-  // aggregate families above stay label-free.
-  for (std::size_t i = 0; i < backend.shard_count(); ++i) {
-    const ShardedBackend::Shard& shard = backend.shard(i);
-    std::string label = "{shard=\"";
-    label += shard.name;
-    label += "\"}";
-    AppendSample(&out, "iq_shard_up" + label, backend.ShardDown(i) ? 0 : 1);
-    if (!shard.stats) continue;
-    IQServerStats s = shard.stats();
-    for (const IQStatsField& f : kIQStatsFields) {
-      AppendSample(&out, "iq_shard_" + std::string(f.name) + "_total" + label,
-                   static_cast<double>(s.*f.member));
-    }
-  }
   return out;
 }
 

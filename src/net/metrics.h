@@ -14,18 +14,12 @@
 #include <string_view>
 
 #include "core/iq_server.h"
-#include "core/sharded_backend.h"
 
 namespace iq::net {
 
 /// Scrape one server: store gauges, IQ counter totals + per-sec rates,
 /// lease/trace gauges. Advances the server's metrics window.
 std::string FormatMetrics(IQServer& server);
-
-/// Scrape a sharded tier: router counters, aggregate IQ totals + rates,
-/// and a per-shard breakdown (iq_shard_* series labeled {shard="name"}).
-/// Advances the router's metrics window.
-std::string FormatMetrics(ShardedBackend& backend);
 
 /// Re-render "STAT <name> <value>" lines (e.g. a transport's wire stats)
 /// as "iq_<name> <value>" gauge lines appended to *out. Non-numeric values

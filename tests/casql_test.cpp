@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
+#include <thread>
+#include <vector>
+
+#include "check/checker.h"
 #include "core/iq_server.h"
 #include "casql/casql.h"
 
@@ -355,6 +361,55 @@ TEST_F(CasqlTest, AuditDisabledRecordsNothing) {
   EXPECT_EQ(a.stale_reads_detected, 0u);
   EXPECT_EQ(a.skipped, 0u);
 }
+
+// ---- op log: the history casql's sessions write certifies --------------------
+
+class CertifiedHistoryTest : public CasqlTest,
+                             public ::testing::WithParamInterface<Technique> {};
+
+// Four threads of reads and writes on one traced server: the op log their
+// IQ sessions (plus casql's read_db records) wrote, joined with the drained
+// lease trace, must replay as a certified history.
+TEST_P(CertifiedHistoryTest, ConcurrentReadsAndWritesCertify) {
+  IQServer::Config server_cfg;
+  server_cfg.trace_capacity = 1 << 14;
+  IQServer server(CacheStore::Config{}, server_cfg);
+  check::OpLog log;
+  CasqlConfig cfg = Config(GetParam(), Consistency::kIQ);
+  cfg.audit_rate = 0.1;
+  cfg.client.op_log = &log;
+  CasqlSystem system(db_, server, cfg);
+  std::atomic<int> commits{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      auto conn = system.Connect();
+      for (int i = 0; i < 200; ++i) {
+        if ((i + t) % 4 == 0) {
+          if (conn->Write(AddSpec(+1)).committed) ++commits;
+        } else {
+          conn->Read("K", ComputeK());
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(DbValue(), 100 + commits.load());
+
+  check::TraceSource src;
+  src.name = "server";
+  src.events = server.TraceSnapshot(std::numeric_limits<std::size_t>::max());
+  src.info = server.TraceInfoTotal();
+  src.has_info = true;
+  check::CheckReport report = check::CheckHistory({src}, log.Snapshot());
+  EXPECT_TRUE(report.certified()) << report.Summary();
+  EXPECT_GT(report.reads_checked + report.reads_exempt, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTechniques, CertifiedHistoryTest,
+                         ::testing::Values(Technique::kInvalidate,
+                                           Technique::kRefresh,
+                                           Technique::kIncremental));
 
 TEST_F(CasqlTest, ToStringsAreHumanReadable) {
   EXPECT_STREQ(ToString(Technique::kInvalidate), "invalidate");

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
+#include "check/oplog.h"
 #include "core/fault_backend.h"
 #include "core/iq_server.h"
 #include "core/iq_client.h"
+#include "core/sharded_backend.h"
+#include "net/channel.h"
+#include "net/remote_backend.h"
 
 namespace iq {
 namespace {
@@ -249,6 +254,154 @@ TEST_F(IQClientTest, FixedBackoffConfigSupported) {
   auto s = fixed_client.NewSession();
   s->Backoff();  // exercises the FixedBackoff path
   SUCCEED();
+}
+
+TEST_F(IQClientTest, BackoffEscalatesAcrossRejectAbortRetries) {
+  // casql's retry shape — rejected QaRead, Abort(), Backoff() — must wait
+  // longer on every retry (exponential back-off); only Commit() resets.
+  server_.store().Set("k", "v0");
+  auto holder = client_.NewSession();
+  auto s = client_.NewSession();
+  std::optional<std::string> v;
+  ASSERT_EQ(holder->QaRead("k", v), ClientQResult::kGranted);
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_EQ(s->QaRead("k", v), ClientQResult::kQConflict);
+    s->Abort();
+    s->Backoff();
+    EXPECT_EQ(s->backoff_attempt(), i);
+  }
+  holder->Commit();
+  ASSERT_EQ(s->QaRead("k", v), ClientQResult::kGranted);
+  s->Commit();
+  EXPECT_EQ(s->backoff_attempt(), 0);
+}
+
+// ---- the op log: every verb writes its own record ---------------------------
+
+using K = check::OpKind;
+
+class SessionOpLogTest : public ::testing::Test {
+ protected:
+  SessionOpLogTest()
+      : server_(CacheStore::Config{},
+                IQServer::Config{.near_validity = kNanosPerSec}) {}
+  IQClient::Config Logged() {
+    IQClient::Config cfg = FastBackoff();
+    cfg.near_capacity = 8;
+    cfg.op_log = &log_;
+    return cfg;
+  }
+  std::vector<K> Kinds() const {
+    std::vector<K> kinds;
+    for (const check::OpRecord& r : log_.Snapshot()) kinds.push_back(r.kind);
+    return kinds;
+  }
+
+  check::OpLog log_;
+  IQServer server_;
+};
+
+TEST_F(SessionOpLogTest, EachVerbLogsItsRecord) {
+  IQClient client(server_, Logged());
+  server_.store().Set("h", "v0");
+  server_.store().Set("c", "5");
+  auto s = client.NewSession();
+  std::optional<std::string> v;
+  ASSERT_EQ(s->Get("h").status, ClientGetResult::Status::kHit);
+  ASSERT_TRUE(s->Get("h").near_hit);  // zero round trips, logged all the same
+  ASSERT_EQ(s->Get("m").status, ClientGetResult::Status::kMissRecompute);
+  s->Put("m", "x");  // its caller logs the value as read_db
+  ASSERT_EQ(s->QaRead("h", v), ClientQResult::kGranted);
+  EXPECT_EQ(s->SaR("h", "v1"), StoreResult::kStored);
+  EXPECT_EQ(s->SaR("h", "v2"), StoreResult::kNotStored);  // lease released
+  ASSERT_EQ(s->Quarantine("q"), ClientQResult::kGranted);
+  ASSERT_EQ(s->QaRead("c", v), ClientQResult::kGranted);
+  ASSERT_EQ(s->Incr("c", 1), ClientQResult::kGranted);
+  ASSERT_EQ(s->QaRead("c", v), ClientQResult::kGranted);  // own-update probe
+  EXPECT_EQ(v, "6");
+  s->Commit();
+  s->Abort();
+
+  EXPECT_EQ(Kinds(), (std::vector<K>{K::kReadHit, K::kReadHit, K::kReadMiss,
+                                     K::kReadHit, K::kWrite, K::kInval,
+                                     K::kReadHit, K::kDelta, K::kReadOwn,
+                                     K::kCommit, K::kAbort}));
+  std::vector<check::OpRecord> ops = log_.Snapshot();
+  EXPECT_EQ(ops[0].value_hash, check::OpValueHash("v0"));
+  EXPECT_EQ(ops[1].value_hash, check::OpValueHash("v0"));
+  EXPECT_EQ(ops[2].value_hash, check::kNoValueHash);
+  EXPECT_EQ(ops[4].key_hash, TraceKeyHash("h"));
+  EXPECT_EQ(ops[4].value_hash, check::OpValueHash("v1"));
+  EXPECT_EQ(ops[8].value_hash, check::OpValueHash("6"));
+  EXPECT_NE(ops[0].session, 0u);
+  for (const check::OpRecord& r : ops) EXPECT_EQ(r.session, ops[0].session);
+}
+
+TEST_F(SessionOpLogTest, AbortAfterATransportFailureLogsTransportError) {
+  FaultBackend fault(server_);
+  IQClient client(fault, Logged());
+  auto s = client.NewSession();
+  std::optional<std::string> v;
+  fault.FailNext(FaultBackend::Verb::kQaRead);
+  EXPECT_EQ(s->QaRead("k", v), ClientQResult::kTransportError);
+  s->Abort();
+  ASSERT_EQ(s->QaRead("k", v), ClientQResult::kGranted);
+  fault.FailNext(FaultBackend::Verb::kSaR);
+  EXPECT_EQ(s->SaR("k", "v1"), StoreResult::kTransportError);
+  s->Abort();
+  ASSERT_EQ(s->QaRead("k", v), ClientQResult::kGranted);
+  s->Abort();  // this logical session saw no transport failure
+  EXPECT_EQ(Kinds(), (std::vector<K>{K::kTransportError, K::kReadMiss,
+                                     K::kWrite, K::kTransportError,
+                                     K::kReadMiss, K::kAbort}));
+}
+
+/// Loopback channel that notes the op log's size as each sar request leaves.
+class SarWatch final : public net::Channel {
+ public:
+  SarWatch(IQServer& server, const check::OpLog& log)
+      : inner_(server), log_(log) {}
+  bool RoundTrip(const std::string& request, std::string* reply) override {
+    if (request.rfind("sar ", 0) == 0) log_size_at_sar = log_.size();
+    return inner_.RoundTrip(request, reply);
+  }
+  std::size_t log_size_at_sar = 0;
+
+ private:
+  net::LoopbackChannel inner_;
+  const check::OpLog& log_;
+};
+
+TEST_F(SessionOpLogTest, WriteIntentIsLoggedBeforeTheInstall) {
+  SarWatch channel(server_, log_);
+  net::RemoteBackend remote(channel);
+  IQClient client(remote, Logged());
+  auto s = client.NewSession();
+  std::optional<std::string> v;
+  ASSERT_EQ(s->QaRead("k", v), ClientQResult::kGranted);
+  EXPECT_EQ(s->SaR("k", "v1"), StoreResult::kStored);
+  EXPECT_EQ(channel.log_size_at_sar, 2u);  // read_miss, then the write
+  EXPECT_EQ(Kinds().back(), K::kWrite);
+}
+
+TEST_F(SessionOpLogTest, ClientsOverSeparateRoutersLogDistinctSessions) {
+  // Each per-thread router numbers its virtual sessions from 1; the op log
+  // must still tell the two threads' sessions apart.
+  IQServer other;
+  ShardedBackend r1({{"a", &server_, 1, {}, {}, {}, {}},
+                     {"b", &other, 1, {}, {}, {}, {}}});
+  ShardedBackend r2({{"a", &server_, 1, {}, {}, {}, {}},
+                     {"b", &other, 1, {}, {}, {}, {}}});
+  IQClient c1(r1, Logged());
+  IQClient c2(r2, Logged());
+  auto s1 = c1.NewSession();
+  auto s2 = c2.NewSession();
+  EXPECT_EQ(s1->id(), s2->id());
+  s1->Commit();
+  s2->Commit();
+  std::vector<check::OpRecord> ops = log_.Snapshot();
+  ASSERT_EQ(ops.size(), 2u);
+  EXPECT_NE(ops[0].session, ops[1].session);
 }
 
 }  // namespace

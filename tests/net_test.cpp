@@ -4,7 +4,7 @@
 #include <thread>
 
 #include "net/channel.h"
-#include "net/channel_pool.h"
+#include "net/reconnecting_channel.h"
 #include "net/remote_backend.h"
 #include "util/backoff.h"
 #include "net/protocol.h"

@@ -11,7 +11,7 @@
 #include "casql/casql.h"
 #include "casql/query_cache.h"
 #include "core/sharded_backend.h"
-#include "net/channel_pool.h"
+#include "net/reconnecting_channel.h"
 #include "net/remote_backend.h"
 #include "net/tcp_server.h"
 

@@ -6,6 +6,7 @@
 
 #include "util/backoff.h"
 #include "util/clock.h"
+#include "util/flags.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 #include "util/worker_group.h"
@@ -321,6 +322,36 @@ TEST(WorkerGroup, WorkerIdsAreDistinct) {
   });
   group.StopAndJoin();
   EXPECT_EQ(mask.load(), 0b1111);
+}
+
+// ---- flags ------------------------------------------------------------------
+
+TEST(Flags, NumberMustBeTheWholeInRangeValue) {
+  int n = 7;
+  EXPECT_TRUE(flags::ParseNumber("42", &n));
+  EXPECT_EQ(n, 42);
+  EXPECT_TRUE(flags::ParseNumber("-3", &n));
+  EXPECT_EQ(n, -3);
+  for (const char* bad : {"", "abc", "4x", " 4", "+4", "2147483648"}) {
+    EXPECT_FALSE(flags::ParseNumber(bad, &n)) << bad;
+  }
+  EXPECT_EQ(n, -3);  // a refused value leaves the target untouched
+  std::uint16_t port = 0;
+  EXPECT_FALSE(flags::ParseNumber("65536", &port));
+  EXPECT_FALSE(flags::ParseNumber("-1", &port));
+  double mix = 0;
+  EXPECT_TRUE(flags::ParseNumber("0.05", &mix));
+  EXPECT_DOUBLE_EQ(mix, 0.05);
+  for (const char* bad : {"1O", "", ".", "nan", "inf", "1e999"}) {
+    EXPECT_FALSE(flags::ParseNumber(bad, &mix)) << bad;
+  }
+}
+
+TEST(Flags, ValueMatchesOnlyItsPrefix) {
+  const char* v = nullptr;
+  ASSERT_TRUE(flags::Value("--port=11211", "--port=", &v));
+  EXPECT_STREQ(v, "11211");
+  EXPECT_FALSE(flags::Value("--ports=1", "--port=", &v));
 }
 
 }  // namespace

@@ -17,14 +17,19 @@
 //   iqbench --connect=host:port[,host:port,...] [--threads=N] [--seconds=S]
 //           [--mix=PCT] [--seed=N]
 //
-// With one endpoint each thread opens its own connection; with several, each
-// thread builds its own ChannelPool (one pipelined connection per endpoint)
-// and routes every key through a ShardedBackend consistent-hash ring, so the
-// instances form one sharded cache tier. Reads hit a small keyspace, writes
-// run the full QaRead/SaR refresh protocol against shared counters. At the
-// end the counters must exactly equal the number of committed increments —
-// any lost lease, protocol desync, or mis-routed fan-out fails the run
-// (exit 1).
+// Each thread holds one reconnecting pipelined connection per endpoint and,
+// with several endpoints, routes every key through a ShardedBackend
+// consistent-hash ring, so the instances form one sharded cache tier. On
+// that tier each thread runs one IQClient and one IQSession, the session
+// engine casql runs: every lease verb goes through the session, and the
+// session writes the --oplog records. Reads hit a small keyspace; writes
+// run the QaRead/SaR refresh protocol (or a buffered delta) against shared
+// counters. At the end the counters must exactly equal the number of
+// committed increments — any lost lease, protocol desync, or mis-routed
+// fan-out fails the run (exit 1).
+//
+// A malformed flag value (--threads=abc, --mix=1O) prints the usage text
+// and exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,19 +39,20 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "check/oplog.h"
+#include "core/iq_client.h"
 #include "core/iq_server.h"
 #include "core/sharded_backend.h"
 #include "bg/workload.h"
 #include "casql/casql.h"
 #include "net/channel.h"
-#include "net/channel_pool.h"
+#include "net/reconnecting_channel.h"
 #include "net/remote_backend.h"
 #include "net/server.h"
-#include "net/tcp_channel.h"
-#include "util/backoff.h"
+#include "util/flags.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 
@@ -84,9 +90,9 @@ struct Options {
   /// Online staleness audit: fraction of reads re-checked against ground
   /// truth. Any detected stale read fails the run (exit 1).
   double audit_rate = 0.0;
-  /// Client-side op log for the offline checker (tools/iqcheck): every
-  /// client-visible read/write/commit/abort is appended here and dumped to
-  /// this file at the end of the run. Empty = off.
+  /// Client-side op log for the offline checker (tools/iqcheck): the IQ
+  /// sessions record every client-visible read/write/commit/abort here,
+  /// and it is dumped to this file at the end of the run. Empty = off.
   std::string oplog;
   /// In-process mode: dump the server's lease trace (TRACE_INFO header +
   /// TRACE lines, iqcheck --trace format) to this file after the run.
@@ -107,13 +113,6 @@ struct Options {
   /// for the checker's scenario matrix.
   double multikey_rate = 0.0;
 };
-
-bool StartsWith(const char* arg, const char* prefix, const char** value) {
-  std::size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) return false;
-  *value = arg + n;
-  return true;
-}
 
 [[noreturn]] void Usage(const char* bad) {
   std::fprintf(stderr, "iqbench: bad argument '%s'\n", bad);
@@ -146,7 +145,7 @@ Options Parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
     const char* arg = argv[i];
-    if (StartsWith(arg, "--technique=", &v)) {
+    if (flags::Value(arg, "--technique=", &v)) {
       if (std::strcmp(v, "invalidate") == 0) {
         opt.technique = casql::Technique::kInvalidate;
       } else if (std::strcmp(v, "refresh") == 0) {
@@ -156,7 +155,7 @@ Options Parse(int argc, char** argv) {
       } else {
         Usage(arg);
       }
-    } else if (StartsWith(arg, "--consistency=", &v)) {
+    } else if (flags::Value(arg, "--consistency=", &v)) {
       if (std::strcmp(v, "none") == 0) {
         opt.consistency = casql::Consistency::kNone;
       } else if (std::strcmp(v, "cas") == 0) {
@@ -168,7 +167,7 @@ Options Parse(int argc, char** argv) {
       } else {
         Usage(arg);
       }
-    } else if (StartsWith(arg, "--placement=", &v)) {
+    } else if (flags::Value(arg, "--placement=", &v)) {
       if (std::strcmp(v, "prior") == 0) {
         opt.placement = casql::LeasePlacement::kPriorToTxn;
       } else if (std::strcmp(v, "inside") == 0) {
@@ -176,51 +175,52 @@ Options Parse(int argc, char** argv) {
       } else {
         Usage(arg);
       }
-    } else if (StartsWith(arg, "--members=", &v)) {
-      opt.members = std::atoll(v);
-    } else if (StartsWith(arg, "--friends=", &v)) {
-      opt.friends = std::atoi(v);
-    } else if (StartsWith(arg, "--threads=", &v)) {
-      opt.threads = std::atoi(v);
-    } else if (StartsWith(arg, "--seconds=", &v)) {
-      opt.seconds = std::atof(v);
-    } else if (StartsWith(arg, "--mix=", &v)) {
-      opt.mix = std::atof(v);
-    } else if (StartsWith(arg, "--seed=", &v)) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
+    } else if (flags::Value(arg, "--members=", &v)) {
+      opt.members = flags::Number<bg::MemberId>(arg, v, Usage);
+    } else if (flags::Value(arg, "--friends=", &v)) {
+      opt.friends = flags::Number<int>(arg, v, Usage);
+    } else if (flags::Value(arg, "--threads=", &v)) {
+      opt.threads = flags::Number<int>(arg, v, Usage);
+      if (opt.threads < 1) Usage(arg);
+    } else if (flags::Value(arg, "--seconds=", &v)) {
+      opt.seconds = flags::Number<double>(arg, v, Usage);
+    } else if (flags::Value(arg, "--mix=", &v)) {
+      opt.mix = flags::Number<double>(arg, v, Usage);
+    } else if (flags::Value(arg, "--seed=", &v)) {
+      opt.seed = flags::Number<std::uint64_t>(arg, v, Usage);
     } else if (std::strcmp(arg, "--warm") == 0) {
       opt.warm = true;
     } else if (std::strcmp(arg, "--no-validate") == 0) {
       opt.validate = false;
-    } else if (StartsWith(arg, "--db-read-us=", &v)) {
-      opt.db_read = std::atoll(v) * kNanosPerMicro;
-    } else if (StartsWith(arg, "--db-write-us=", &v)) {
-      opt.db_write = std::atoll(v) * kNanosPerMicro;
-    } else if (StartsWith(arg, "--db-commit-us=", &v)) {
-      opt.db_commit = std::atoll(v) * kNanosPerMicro;
-    } else if (StartsWith(arg, "--lease-ms=", &v)) {
-      opt.lease_lifetime = std::atoll(v) * kNanosPerMilli;
+    } else if (flags::Value(arg, "--db-read-us=", &v)) {
+      opt.db_read = flags::Number<Nanos>(arg, v, Usage) * kNanosPerMicro;
+    } else if (flags::Value(arg, "--db-write-us=", &v)) {
+      opt.db_write = flags::Number<Nanos>(arg, v, Usage) * kNanosPerMicro;
+    } else if (flags::Value(arg, "--db-commit-us=", &v)) {
+      opt.db_commit = flags::Number<Nanos>(arg, v, Usage) * kNanosPerMicro;
+    } else if (flags::Value(arg, "--lease-ms=", &v)) {
+      opt.lease_lifetime = flags::Number<Nanos>(arg, v, Usage) * kNanosPerMilli;
     } else if (std::strcmp(arg, "--eager-delete") == 0) {
       opt.deferred_delete = false;
-    } else if (StartsWith(arg, "--near-ttl-ms=", &v)) {
-      opt.near_ttl_ms = std::atoll(v);
-    } else if (StartsWith(arg, "--near-cap=", &v)) {
-      opt.near_cap = static_cast<std::size_t>(std::atoll(v));
-    } else if (StartsWith(arg, "--connect=", &v)) {
+    } else if (flags::Value(arg, "--near-ttl-ms=", &v)) {
+      opt.near_ttl_ms = flags::Number<long long>(arg, v, Usage);
+    } else if (flags::Value(arg, "--near-cap=", &v)) {
+      opt.near_cap = flags::Number<std::size_t>(arg, v, Usage);
+    } else if (flags::Value(arg, "--connect=", &v)) {
       opt.connect = v;
-    } else if (StartsWith(arg, "--timeout-ms=", &v)) {
-      opt.timeout_ms = std::atoi(v);
-    } else if (StartsWith(arg, "--audit-rate=", &v)) {
-      opt.audit_rate = std::atof(v);
-    } else if (StartsWith(arg, "--oplog=", &v)) {
+    } else if (flags::Value(arg, "--timeout-ms=", &v)) {
+      opt.timeout_ms = flags::Number<int>(arg, v, Usage);
+    } else if (flags::Value(arg, "--audit-rate=", &v)) {
+      opt.audit_rate = flags::Number<double>(arg, v, Usage);
+    } else if (flags::Value(arg, "--oplog=", &v)) {
       opt.oplog = v;
-    } else if (StartsWith(arg, "--trace-out=", &v)) {
+    } else if (flags::Value(arg, "--trace-out=", &v)) {
       opt.trace_out = v;
-    } else if (StartsWith(arg, "--trace-capacity=", &v)) {
-      opt.trace_capacity = static_cast<std::size_t>(std::atoll(v));
-    } else if (StartsWith(arg, "--zipf=", &v)) {
-      opt.zipf = std::atof(v);
-    } else if (StartsWith(arg, "--rmw=", &v)) {
+    } else if (flags::Value(arg, "--trace-capacity=", &v)) {
+      opt.trace_capacity = flags::Number<std::size_t>(arg, v, Usage);
+    } else if (flags::Value(arg, "--zipf=", &v)) {
+      opt.zipf = flags::Number<double>(arg, v, Usage);
+    } else if (flags::Value(arg, "--rmw=", &v)) {
       if (std::strcmp(v, "sar") == 0) {
         opt.rmw_delta = false;
       } else if (std::strcmp(v, "delta") == 0) {
@@ -228,8 +228,8 @@ Options Parse(int argc, char** argv) {
       } else {
         Usage(arg);
       }
-    } else if (StartsWith(arg, "--multikey-rate=", &v)) {
-      opt.multikey_rate = std::atof(v);
+    } else if (flags::Value(arg, "--multikey-rate=", &v)) {
+      opt.multikey_rate = flags::Number<double>(arg, v, Usage);
     } else {
       Usage(arg);
     }
@@ -242,247 +242,126 @@ Options Parse(int argc, char** argv) {
 constexpr int kRemoteCounters = 8;
 constexpr int kRemoteDataKeys = 64;
 
-/// One client thread's view of the remote tier: one reconnecting pipelined
-/// connection per endpoint, a RemoteBackend per connection, and (for >1
-/// endpoint) a ShardedBackend routing over them. All threads use the same
-/// shard names (the endpoint labels), so every thread's ring agrees on key
-/// placement. The stack survives a server kill: the channel fails fast and
-/// reconnects lazily, and the router's circuit breaker keeps the healthy
-/// shards unaffected while the dead one heals.
-struct RemoteStack {
-  std::unique_ptr<net::ChannelPool> pool;
-  std::vector<std::unique_ptr<net::RemoteBackend>> backends;
-  std::unique_ptr<ShardedBackend> router;
-  KvsBackend* backend = nullptr;  // router, or the single backend
+std::string CounterKey(int i) { return "ctr:" + std::to_string(i); }
+std::string DataKey(int i) { return "data:" + std::to_string(i); }
 
-  static std::unique_ptr<RemoteStack> Connect(
-      const std::vector<net::Endpoint>& endpoints, int timeout_ms,
-      std::string* error) {
-    auto stack = std::make_unique<RemoteStack>();
-    net::ChannelPool::Config pool_cfg;
-    pool_cfg.channel.channel.connect_timeout_ms = timeout_ms;
-    pool_cfg.channel.channel.io_timeout_ms = timeout_ms;
-    // A shard may be mid-restart when a worker (re)builds its stack; let
-    // its channel come up "down" and heal through backoff.
-    pool_cfg.require_initial_connect = false;
-    stack->pool = net::ChannelPool::Connect(endpoints, pool_cfg, error);
-    if (!stack->pool) return nullptr;
+/// The seeded value of every data key; data keys are never written again.
+const std::string kDataValue(100, 'x');
+
+/// One client thread's view of the remote tier: one reconnecting pipelined
+/// connection per endpoint, a RemoteBackend per connection, for more than
+/// one endpoint a ShardedBackend routing over them, and on top the
+/// IQClient and the one IQSession every lease verb of the thread goes
+/// through. All threads use the same shard names (the endpoint labels), so
+/// every thread's ring agrees on key placement. The stack survives a server
+/// kill: channels connect lazily, fail fast and reconnect through backoff,
+/// and the router's circuit breaker keeps the healthy shards unaffected
+/// while the dead one heals.
+struct RemoteStack {
+  RemoteStack(const std::vector<net::Endpoint>& endpoints, const Options& opt,
+              check::OpLog* log, std::uint64_t seed) {
+    net::ReconnectingChannel::Config channel_cfg;
+    channel_cfg.channel.connect_timeout_ms = opt.timeout_ms;
+    channel_cfg.channel.io_timeout_ms = opt.timeout_ms;
     std::vector<ShardedBackend::Shard> shards;
-    for (std::size_t i = 0; i < stack->pool->size(); ++i) {
-      stack->backends.push_back(
-          std::make_unique<net::RemoteBackend>(stack->pool->channel(i)));
-      net::ReconnectingChannel* channel = &stack->pool->channel(i);
-      shards.push_back({net::Name(stack->pool->endpoint(i)),
-                        stack->backends.back().get(), 1,
+    for (const net::Endpoint& endpoint : endpoints) {
+      channels.push_back(
+          std::make_unique<net::ReconnectingChannel>(endpoint, channel_cfg));
+      net::ReconnectingChannel* channel = channels.back().get();
+      backends.push_back(std::make_unique<net::RemoteBackend>(*channel));
+      shards.push_back({net::Name(endpoint), backends.back().get(), 1,
                         [channel] {
                           return net::ParseIQStats(
                               net::RemoteCacheClient(*channel).Stats());
                         },
-                        [channel] { return channel->reconnects(); },
-                        [channel](std::size_t max_events) {
-                          auto drain = net::RemoteCacheClient(*channel)
-                                           .TraceWithInfo(max_events);
-                          return drain ? std::move(drain->events)
-                                       : std::vector<TraceEvent>{};
-                        },
-                        [channel] {
-                          auto drain =
-                              net::RemoteCacheClient(*channel).TraceWithInfo(1);
-                          return drain && drain->has_info ? drain->info
-                                                          : TraceInfo{};
-                        }});
+                        [channel] { return channel->reconnects(); }, {}, {}});
     }
-    if (endpoints.size() == 1) {
-      stack->backend = stack->backends[0].get();
-    } else {
-      stack->router = std::make_unique<ShardedBackend>(std::move(shards));
-      stack->backend = stack->router.get();
+    backend = backends[0].get();
+    if (endpoints.size() > 1) {
+      router = std::make_unique<ShardedBackend>(std::move(shards));
+      backend = router.get();
     }
-    return stack;
+    IQClient::Config client_cfg;
+    client_cfg.seed = seed;
+    client_cfg.op_log = log;
+    if (opt.near_ttl_ms > 0) client_cfg.near_capacity = opt.near_cap;
+    client = std::make_unique<IQClient>(*backend, client_cfg);
+    session = client->NewSession();
   }
+
+  std::vector<std::unique_ptr<net::ReconnectingChannel>> channels;
+  std::vector<std::unique_ptr<net::RemoteBackend>> backends;
+  std::unique_ptr<ShardedBackend> router;
+  KvsBackend* backend = nullptr;  // router, or the single backend
+  std::unique_ptr<IQClient> client;
+  std::unique_ptr<IQSession> session;
 };
 
-/// Op-log append (no-op when log is null). The key is hashed here; value
-/// hashes come pre-computed via check::OpValueHash.
-void LogOp(check::OpLog* log, SessionId session, check::OpKind kind,
-           const std::string& key,
-           std::uint64_t value_hash = check::kNoValueHash) {
-  if (log) log->Record(session, kind, TraceKeyHash(key), value_hash);
-}
-
-/// A failed lease request ends the logical session. Record which way it
-/// died: transport_error when the transport (not a lease conflict) killed
-/// it, abort otherwise — the offline checker treats both as session ends,
-/// and the distinct kind lets fault-leg op logs be certified instead of
-/// mis-reading a connection drop as a voluntary abort.
-check::OpKind EndKind(bool transport_error) {
-  return transport_error ? check::OpKind::kTransportError
-                         : check::OpKind::kAbort;
-}
-
-/// One increment of a shared counter via the refresh protocol, retried
-/// with exponential backoff across lease rejections AND transport failures
-/// until it commits or `deadline` passes. Every session ends with
-/// Commit/Abort so a routing backend can retire its per-shard session
-/// state.
+/// One write session that increments every counter in `ctrs` — one, or two
+/// for a multi-key session (two Q leases, one commit) — retried with the
+/// session's exponential back-off across lease rejections AND transport
+/// failures until it commits or `deadline` passes. Every attempt ends with
+/// Commit/Abort so a routing backend can retire its per-shard session state.
 ///
 /// `tally` is the authoritative count of committed increments — the stand-in
 /// for the RDBMS of a real CASQL deployment. It serves double duty: the
 /// final balance check compares cache contents against it, and a KVS miss
 /// under the Q lease (the cache server was restarted and lost the counter)
 /// reseeds the key from it, exactly as a CASQL refresh would recompute the
-/// value from the database.
+/// value from the database. SaR stores and releases at once, so a counter
+/// is tallied right after its own STORED ack; an abort after the first of
+/// two acks cannot undo it, the retry increments that counter again, and
+/// the balance still holds.
 ///
-/// `use_delta` switches the increment to a buffered IQDelta plus a re-read
-/// under the session's own (still live) Q lease — the own-update
-/// visibility probe: the server must replay the pending delta into the
-/// re-read (Section 4.2.2), and the read_own op record lets iqcheck flag a
-/// pre-delta value reappearing. A KVS miss still reseeds via SaR.
-bool RemoteIncrement(KvsBackend& backend, const std::string& key,
-                     std::atomic<long long>& tally, Nanos deadline, Rng& rng,
-                     bool use_delta = false, check::OpLog* log = nullptr) {
+/// `use_delta` (one counter only) switches the increment to a buffered Incr
+/// plus a re-read under the session's own (still live) Q lease — the
+/// own-update visibility probe: the server must replay the pending delta
+/// into the re-read (Section 4.2.2), and the session logs it as read_own so
+/// iqcheck can flag a pre-delta value reappearing. A KVS miss still reseeds
+/// via SaR.
+bool RemoteIncrement(IQSession& session, const std::vector<int>& ctrs,
+                     std::vector<std::atomic<long long>>& tally,
+                     Nanos deadline, bool use_delta) {
   const Clock& clock = SteadyClock::Instance();
-  ExponentialBackoff backoff(50 * kNanosPerMicro, 20 * kNanosPerMilli);
-  for (int attempt = 0; clock.Now() < deadline; ++attempt) {
-    SessionId session = backend.GenID();
-    if (session == 0) {
-      // Shard unreachable; back off while the channel reconnects.
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
+  std::vector<std::optional<std::string>> values(ctrs.size());
+  while (clock.Now() < deadline) {
+    bool ok = true;
+    for (std::size_t i = 0; ok && i < ctrs.size(); ++i) {
+      ok = session.QaRead(CounterKey(ctrs[i]), values[i]) ==
+           ClientQResult::kGranted;
     }
-    QaReadReply q = backend.QaRead(key, session);
-    if (q.status != QaReadReply::Status::kGranted) {
-      backend.Abort(session);
-      LogOp(log, session,
-            EndKind(q.status == QaReadReply::Status::kTransportError), key);
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
-    }
-    LogOp(log, session,
-          q.value ? check::OpKind::kReadHit : check::OpKind::kReadMiss, key,
-          check::OpValueHash(q.value));
-    if (use_delta && q.value) {
-      DeltaOp delta;
-      delta.kind = DeltaOp::Kind::kIncr;
-      delta.amount = 1;
-      QuarantineResult d = backend.IQDelta(session, key, delta);
-      if (d != QuarantineResult::kGranted) {
-        backend.Abort(session);
-        LogOp(log, session, EndKind(d == QuarantineResult::kTransportError),
-              key);
-        SleepFor(clock, backoff.DelayFor(attempt, rng));
-        continue;
+    if (ok && use_delta && values[0]) {
+      const std::string key = CounterKey(ctrs[0]);
+      if (session.Incr(key, 1) == ClientQResult::kGranted) {
+        session.QaRead(key, values[0]);  // the own-update probe
+        // Commit applies the buffered delta. Tally after the send, as the
+        // SaR path tallies after its ack: the exposure window against a
+        // mid-commit kill is the same sub-microsecond one.
+        session.Commit();
+        tally[ctrs[0]].fetch_add(1, std::memory_order_relaxed);
+        return true;
       }
-      LogOp(log, session, check::OpKind::kDelta, key);
-      // Re-read under our own live Q lease: same session, so the server
-      // hands back the value with our buffered delta replayed (no grant is
-      // traced — we already hold the lease).
-      QaReadReply own = backend.QaRead(key, session);
-      if (own.status == QaReadReply::Status::kGranted) {
-        LogOp(log, session, check::OpKind::kReadOwn, key,
-              check::OpValueHash(own.value));
-      }
-      // Commit applies the buffered delta. Tally after the send, as the
-      // SaR path does after its ack: the exposure window against a
-      // mid-commit kill is the same sub-microsecond one noted below.
-      backend.Commit(session);
-      tally.fetch_add(1, std::memory_order_relaxed);
-      LogOp(log, session, check::OpKind::kCommit, key);
+      ok = false;
+    }
+    for (std::size_t i = 0; ok && i < ctrs.size(); ++i) {
+      // The Q lease serializes writers, so at most one session reseeds a
+      // lost counter at a time and concurrent increments can't be lost.
+      std::atomic<long long>& count = tally[ctrs[i]];
+      long long current =
+          values[i] ? std::atoll(values[i]->c_str()) : count.load();
+      ok = session.SaR(CounterKey(ctrs[i]), std::to_string(current + 1)) ==
+           StoreResult::kStored;
+      if (ok) count.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (ok) {
+      session.Commit();
       return true;
     }
-    // The Q lease serializes writers, so at most one session reseeds a lost
-    // counter at a time and concurrent increments still can't be lost.
-    long long current =
-        q.value ? std::atoll(q.value->c_str()) : tally.load();
-    std::string next = std::to_string(current + 1);
-    // Write intent logged BEFORE the install (check/oplog.h soundness rule).
-    LogOp(log, session, check::OpKind::kWrite, key, check::OpValueHash(next));
-    if (backend.SaR(key, std::string_view(next), q.token) ==
-        StoreResult::kStored) {
-      // Tally immediately after the ack: a kill between the ack and this
-      // increment could strand one unseeded commit, but that window is
-      // sub-microsecond against a kill cadence of seconds.
-      tally.fetch_add(1, std::memory_order_relaxed);
-      backend.Commit(session);
-      LogOp(log, session, check::OpKind::kCommit, key);
-      return true;
-    }
-    // SaR not acknowledged (lease expired/evicted, or the connection
-    // dropped): the store did not commit, so it must not be counted —
-    // release the session and retry.
-    backend.Abort(session);
-    LogOp(log, session, check::OpKind::kAbort, key);
-    SleepFor(clock, backoff.DelayFor(attempt, rng));
-  }
-  return false;
-}
-
-/// One two-counter write session: increment `key_a` AND `key_b` under a
-/// single session (two Q leases, one commit) — the multi-key leg of the
-/// checker's scenario matrix. SaR stores-and-releases immediately, so each
-/// counter is tallied after its own ack; an abort after the first ack
-/// cannot undo it and the balance invariant still holds.
-bool RemoteTransfer(KvsBackend& backend, const std::string& key_a,
-                    std::atomic<long long>& tally_a, const std::string& key_b,
-                    std::atomic<long long>& tally_b, Nanos deadline, Rng& rng,
-                    check::OpLog* log) {
-  const Clock& clock = SteadyClock::Instance();
-  ExponentialBackoff backoff(50 * kNanosPerMicro, 20 * kNanosPerMilli);
-  for (int attempt = 0; clock.Now() < deadline; ++attempt) {
-    SessionId session = backend.GenID();
-    if (session == 0) {
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
-    }
-    QaReadReply qa = backend.QaRead(key_a, session);
-    if (qa.status != QaReadReply::Status::kGranted) {
-      backend.Abort(session);
-      LogOp(log, session,
-            EndKind(qa.status == QaReadReply::Status::kTransportError), key_a);
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
-    }
-    LogOp(log, session,
-          qa.value ? check::OpKind::kReadHit : check::OpKind::kReadMiss,
-          key_a, check::OpValueHash(qa.value));
-    QaReadReply qb = backend.QaRead(key_b, session);
-    if (qb.status != QaReadReply::Status::kGranted) {
-      // Second-lease rejection: abort releases the first lease too.
-      backend.Abort(session);
-      LogOp(log, session,
-            EndKind(qb.status == QaReadReply::Status::kTransportError), key_b);
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
-    }
-    LogOp(log, session,
-          qb.value ? check::OpKind::kReadHit : check::OpKind::kReadMiss,
-          key_b, check::OpValueHash(qb.value));
-    std::string next_a = std::to_string(
-        (qa.value ? std::atoll(qa.value->c_str()) : tally_a.load()) + 1);
-    LogOp(log, session, check::OpKind::kWrite, key_a,
-          check::OpValueHash(next_a));
-    if (backend.SaR(key_a, std::string_view(next_a), qa.token) !=
-        StoreResult::kStored) {
-      backend.Abort(session);
-      LogOp(log, session, check::OpKind::kAbort, key_a);
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
-    }
-    tally_a.fetch_add(1, std::memory_order_relaxed);
-    std::string next_b = std::to_string(
-        (qb.value ? std::atoll(qb.value->c_str()) : tally_b.load()) + 1);
-    LogOp(log, session, check::OpKind::kWrite, key_b,
-          check::OpValueHash(next_b));
-    if (backend.SaR(key_b, std::string_view(next_b), qb.token) ==
-        StoreResult::kStored) {
-      tally_b.fetch_add(1, std::memory_order_relaxed);
-      backend.Commit(session);
-      LogOp(log, session, check::OpKind::kCommit, key_b);
-      return true;
-    }
-    backend.Abort(session);
-    LogOp(log, session, check::OpKind::kAbort, key_b);
-    SleepFor(clock, backoff.DelayFor(attempt, rng));
+    // A rejection, a transport failure, or a SaR that was not acknowledged
+    // (lease expired/evicted, or the connection dropped): nothing of this
+    // attempt is tallied beyond its acked SaRs. Release and retry.
+    session.Abort();
+    session.Backoff();
   }
   return false;
 }
@@ -497,45 +376,43 @@ enum class AuditVerdict { kOk, kStale, kSkip };
 /// t2 afterwards — so t1 <= value <= t2 + threads, or the cache lost or
 /// invented an update. A KVS miss means a restarted shard dropped the
 /// counter (reseeded by the next increment): no verdict.
-AuditVerdict AuditRemoteCounter(KvsBackend& backend, const std::string& key,
-                                std::atomic<long long>& tally, int threads,
-                                check::OpLog* log) {
-  SessionId session = backend.GenID();
-  if (session == 0) return AuditVerdict::kSkip;
+AuditVerdict AuditRemoteCounter(IQSession& session, const std::string& key,
+                                std::atomic<long long>& tally, int threads) {
   long long t1 = tally.load();
-  QaReadReply q = backend.QaRead(key, session);
-  if (q.status != QaReadReply::Status::kGranted) {
-    backend.Abort(session);
-    LogOp(log, session,
-          EndKind(q.status == QaReadReply::Status::kTransportError), key);
+  std::optional<std::string> value;
+  if (session.QaRead(key, value) != ClientQResult::kGranted) {
+    session.Abort();
     return AuditVerdict::kSkip;
   }
-  LogOp(log, session,
-        q.value ? check::OpKind::kReadHit : check::OpKind::kReadMiss, key,
-        check::OpValueHash(q.value));
-  std::optional<long long> got;
-  if (q.value) got = std::atoll(q.value->c_str());
-  backend.SaR(key, std::nullopt, q.token);  // release, value left in place
-  backend.Commit(session);
-  LogOp(log, session, check::OpKind::kCommit, key);
-  if (!got) return AuditVerdict::kSkip;
+  session.SaR(key, std::nullopt);  // release, value left in place
+  session.Commit();
+  if (!value) return AuditVerdict::kSkip;
+  long long got = std::atoll(value->c_str());
   long long t2 = tally.load();
-  return (*got >= t1 && *got <= t2 + threads) ? AuditVerdict::kOk
-                                              : AuditVerdict::kStale;
+  return (got >= t1 && got <= t2 + threads) ? AuditVerdict::kOk
+                                            : AuditVerdict::kStale;
+}
+
+/// The read path: one IQget through the session (served from the near
+/// cache when the server granted validity). Data keys are never
+/// recomputed — a miss means a restarted shard — so the I lease a recompute
+/// miss carries is dropped at once to unblock other readers.
+std::optional<std::string> ReadDataKey(IQSession& session,
+                                       const std::string& key) {
+  ClientGetResult got = session.Get(key);
+  if (got.status == ClientGetResult::Status::kHit) return std::move(got.value);
+  if (got.status == ClientGetResult::Status::kMissRecompute) {
+    session.DropLease(key);
+  }
+  return std::nullopt;
 }
 
 /// Data keys are never written after seeding, so any hit must return the
 /// seeded constant; a miss is a restarted shard (no verdict).
-AuditVerdict AuditRemoteDataKey(KvsBackend& backend, const std::string& key,
-                                check::OpLog* log) {
-  auto item = backend.Get(key);
-  if (!item) {
-    LogOp(log, 0, check::OpKind::kReadMiss, key);
-    return AuditVerdict::kSkip;
-  }
-  LogOp(log, 0, check::OpKind::kReadHit, key, check::OpValueHash(item->value));
-  return item->value == std::string(100, 'x') ? AuditVerdict::kOk
-                                              : AuditVerdict::kStale;
+AuditVerdict AuditRemoteDataKey(IQSession& session, const std::string& key) {
+  std::optional<std::string> value = ReadDataKey(session, key);
+  if (!value) return AuditVerdict::kSkip;
+  return *value == kDataValue ? AuditVerdict::kOk : AuditVerdict::kStale;
 }
 
 int RunRemote(const Options& opt) {
@@ -561,25 +438,20 @@ int RunRemote(const Options& opt) {
   check::OpLog* log = opt.oplog.empty() ? nullptr : &op_log;
 
   // Seed the keyspace through the routing stack: shared counters for the
-  // write protocol, data keys for the read path. Seed records are logged
-  // before the install, like write intents.
+  // write protocol, data keys for the read path. The seeds and the settle
+  // pass's final reads are the only records no session sees, so iqbench
+  // logs them itself (session 0), each seed before its install.
   {
-    auto setup = RemoteStack::Connect(endpoints, opt.timeout_ms, &error);
-    if (!setup) {
-      std::fprintf(stderr, "iqbench: %s\n", error.c_str());
-      return 1;
-    }
-    for (int i = 0; i < kRemoteCounters; ++i) {
-      std::string key = "ctr:" + std::to_string(i);
-      LogOp(log, 0, check::OpKind::kSeed, key, check::OpValueHash("0"));
-      setup->backend->Set(key, "0");
-    }
-    for (int i = 0; i < kRemoteDataKeys; ++i) {
-      std::string key = "data:" + std::to_string(i);
-      LogOp(log, 0, check::OpKind::kSeed, key,
-            check::OpValueHash(std::string(100, 'x')));
-      setup->backend->Set(key, std::string(100, 'x'));
-    }
+    RemoteStack setup(endpoints, opt, nullptr, opt.seed);
+    auto seed = [&](const std::string& key, const std::string& value) {
+      if (log != nullptr) {
+        log->Record(0, check::OpKind::kSeed, TraceKeyHash(key),
+                    check::OpValueHash(value));
+      }
+      setup.backend->Set(key, value);
+    };
+    for (int i = 0; i < kRemoteCounters; ++i) seed(CounterKey(i), "0");
+    for (int i = 0; i < kRemoteDataKeys; ++i) seed(DataKey(i), kDataValue);
   }
 
   // Key pickers: Zipfian skew (scrambled so hot ids spread over the space)
@@ -602,7 +474,6 @@ int RunRemote(const Options& opt) {
   std::vector<std::atomic<long long>> committed(kRemoteCounters);
   for (auto& c : committed) c.store(0);
   std::atomic<std::uint64_t> ops{0};
-  std::atomic<bool> failed{false};
   // Fault-recovery evidence, harvested from each worker's own stack before it
   // exits: the settle-pass stack below connects fresh and would report zeros
   // even after a mid-run shard kill.
@@ -626,65 +497,38 @@ int RunRemote(const Options& opt) {
   std::vector<std::thread> threads;
   for (int t = 0; t < opt.threads; ++t) {
     threads.emplace_back([&, t] {
-      std::string conn_error;
-      auto stack = RemoteStack::Connect(endpoints, opt.timeout_ms, &conn_error);
-      if (!stack) {
-        std::fprintf(stderr, "iqbench: thread %d: %s\n", t, conn_error.c_str());
-        failed.store(true);
-        return;
-      }
-      // Single-endpoint reads keep the one-round-trip multi-key get; a
-      // sharded tier reads per key (each key lives on one server).
-      std::unique_ptr<net::RemoteCacheClient> multi;
-      if (endpoints.size() == 1) {
-        multi = std::make_unique<net::RemoteCacheClient>(stack->pool->channel(0));
-      }
-      // Near-cache read stack: data-key reads go through an IQSession so
-      // server validity grants (iqcached --near-validity-ms) populate a
-      // client-local near cache; repeat reads inside the granted interval
-      // are served with zero round trips (DESIGN.md §4.10). The counter
-      // write path keeps the raw QaRead/SaR protocol — no grants there.
-      std::unique_ptr<IQClient> near_client;
-      std::unique_ptr<IQSession> near_session;
-      if (opt.near_ttl_ms > 0) {
-        IQClient::Config near_cfg;
-        near_cfg.near_capacity = opt.near_cap;
-        near_cfg.seed = opt.seed + static_cast<std::uint64_t>(t) * 31;
-        near_client = std::make_unique<IQClient>(*stack->backend, near_cfg);
-        near_session = near_client->NewSession();
-      }
+      RemoteStack stack(endpoints, opt, log,
+                        opt.seed + static_cast<std::uint64_t>(t) * 31);
+      IQSession& session = *stack.session;
       Rng rng(opt.seed + static_cast<std::uint64_t>(t) * 7919);
       std::uint64_t local_ops = 0;
       while (clock.Now() < deadline) {
         Nanos start = clock.Now();
         if (rng.NextUint64(10000) < static_cast<std::uint64_t>(opt.mix * 100)) {
-          int idx = pick_ctr(rng);
+          std::vector<int> ctrs = {pick_ctr(rng)};
+          if (opt.multikey_rate > 0 && rng.NextBool(opt.multikey_rate)) {
+            int jdx = pick_ctr(rng);
+            while (jdx == ctrs[0]) {
+              jdx = static_cast<int>(rng.NextUint64(kRemoteCounters));
+            }
+            // Order the keys so contending sessions always acquire in the
+            // same direction (no circular rejection livelock).
+            ctrs.push_back(jdx);
+            if (ctrs[1] < ctrs[0]) std::swap(ctrs[0], ctrs[1]);
+          }
           // A false return means the run deadline arrived while the
           // counter's shard was unreachable — not an error: the increment
           // never committed, so it is not tallied and the balance holds.
-          if (opt.multikey_rate > 0 && rng.NextBool(opt.multikey_rate)) {
-            int jdx = pick_ctr(rng);
-            while (jdx == idx) jdx = static_cast<int>(rng.NextUint64(kRemoteCounters));
-            // Order the keys so contending transfers always acquire in the
-            // same direction (no circular rejection livelock).
-            if (jdx < idx) std::swap(idx, jdx);
-            RemoteTransfer(*stack->backend, "ctr:" + std::to_string(idx),
-                           committed[idx], "ctr:" + std::to_string(jdx),
-                           committed[jdx], deadline, rng, log);
-          } else {
-            RemoteIncrement(*stack->backend, "ctr:" + std::to_string(idx),
-                            committed[idx], deadline, rng, opt.rmw_delta, log);
-          }
+          RemoteIncrement(session, ctrs, committed, deadline,
+                          opt.rmw_delta && ctrs.size() == 1);
         } else if (opt.audit_rate > 0 && rng.NextBool(opt.audit_rate)) {
           // Audit instead of a plain read: one shared counter under a Q
           // lease and one never-written data key.
           int idx = pick_ctr(rng);
-          AuditVerdict v =
-              AuditRemoteCounter(*stack->backend, "ctr:" + std::to_string(idx),
-                                 committed[idx], opt.threads, log);
-          AuditVerdict d = AuditRemoteDataKey(
-              *stack->backend, "data:" + std::to_string(pick_data(rng)), log);
-          for (AuditVerdict verdict : {v, d}) {
+          for (AuditVerdict verdict :
+               {AuditRemoteCounter(session, CounterKey(idx), committed[idx],
+                                   opt.threads),
+                AuditRemoteDataKey(session, DataKey(pick_data(rng)))}) {
             switch (verdict) {
               case AuditVerdict::kOk: ++audit_samples; break;
               case AuditVerdict::kStale:
@@ -694,109 +538,63 @@ int RunRemote(const Options& opt) {
               case AuditVerdict::kSkip: ++audit_skipped; break;
             }
           }
-        } else if (near_session) {
-          for (int k = 0; k < 3; ++k) {
-            std::string key = "data:" + std::to_string(pick_data(rng));
-            ClientGetResult got = near_session->Get(key);
-            if (got.status == ClientGetResult::Status::kHit) {
-              LogOp(log, 0, check::OpKind::kReadHit, key,
-                    check::OpValueHash(got.value));
-            } else {
-              // Data keys are never recomputed (a miss means a restarted
-              // shard); drop the I lease so other readers are not blocked.
-              if (got.status == ClientGetResult::Status::kMissRecompute) {
-                near_session->DropLease(key);
-              }
-              LogOp(log, 0, check::OpKind::kReadMiss, key);
-            }
-          }
-        } else if (multi) {
-          std::vector<std::string> keys;
-          for (int k = 0; k < 3; ++k) {
-            keys.push_back("data:" + std::to_string(pick_data(rng)));
-          }
-          auto items = multi->MultiGet(keys);
-          for (std::size_t k = 0; log && k < items.size(); ++k) {
-            if (items[k]) {
-              LogOp(log, 0, check::OpKind::kReadHit, keys[k],
-                    check::OpValueHash(items[k]->value));
-            } else {
-              LogOp(log, 0, check::OpKind::kReadMiss, keys[k]);
-            }
-          }
         } else {
           for (int k = 0; k < 3; ++k) {
-            std::string key = "data:" + std::to_string(pick_data(rng));
-            auto item = stack->backend->Get(key);
-            if (item) {
-              LogOp(log, 0, check::OpKind::kReadHit, key,
-                    check::OpValueHash(item->value));
-            } else {
-              LogOp(log, 0, check::OpKind::kReadMiss, key);
-            }
+            ReadDataKey(session, DataKey(pick_data(rng)));
           }
         }
         latencies[t].Record(clock.Now() - start);
         ++local_ops;
       }
       ops.fetch_add(local_ops, std::memory_order_relaxed);
-      if (near_client != nullptr && near_client->near_cache() != nullptr) {
-        NearCache::Stats ns = near_client->near_cache()->stats();
+      if (NearCache* near = stack.client->near_cache()) {
+        NearCache::Stats ns = near->stats();
         near_hits += ns.hits;
         near_expired += ns.expired;
         near_invalidated += ns.invalidated;
         near_evictions += ns.evictions;
       }
-      near_session.reset();  // release any I leases before the stack dies
-      for (std::size_t i = 0; i < stack->pool->size(); ++i) {
-        worker_reconnects += stack->pool->channel(i).reconnects();
-        worker_transport_errors += stack->pool->channel(i).transport_errors();
+      for (const auto& channel : stack.channels) {
+        worker_reconnects += channel->reconnects();
+        worker_transport_errors += channel->transport_errors();
       }
-      if (stack->router) {
-        auto rs = stack->router->router_stats();
+      if (stack.router) {
+        auto rs = stack.router->router_stats();
         worker_shard_trips += rs.shard_trips;
         worker_shard_recoveries += rs.shard_recoveries;
       }
     });
   }
   for (auto& thread : threads) thread.join();
-  if (failed.load()) {
-    std::fprintf(stderr, "iqbench: a worker lost its connection\n");
-    return 1;
-  }
 
   // Exact IQ counter balance: every committed increment — and nothing
   // else — must be visible, wherever the ring placed each counter. A lost
   // lease, a desynced pipeline, or a mis-routed fan-out shows up here as a
   // mismatch.
-  auto check = RemoteStack::Connect(endpoints, opt.timeout_ms, &error);
-  if (!check) {
-    std::fprintf(stderr, "iqbench: %s\n", error.c_str());
-    return 1;
-  }
+  //
   // Settle pass: one more increment per counter through the Q-lease path.
   // A counter whose shard was killed and restarted is missing from the
   // restarted server; the settle increment reseeds it from the tally (the
   // same recovery every worker performs), so the read below checks real
   // end-to-end recovery rather than special-casing restarted shards. The
   // deadline also gives a just-restarted shard time to accept connections.
-  Rng settle_rng(opt.seed ^ 0xC0FFEE);
+  RemoteStack settle(endpoints, opt, log, opt.seed ^ 0xC0FFEE);
   Nanos settle_deadline = clock.Now() + 10 * kNanosPerSec;
   long long total_commits = 0;
   bool balanced = true;
   for (int i = 0; i < kRemoteCounters; ++i) {
-    std::string key = "ctr:" + std::to_string(i);
-    if (!RemoteIncrement(*check->backend, key, committed[i], settle_deadline,
-                         settle_rng, /*use_delta=*/false, log)) {
+    std::string key = CounterKey(i);
+    if (!RemoteIncrement(*settle.session, {i}, committed, settle_deadline,
+                         /*use_delta=*/false)) {
       std::fprintf(stderr, "iqbench: %s unreachable during settle pass\n",
                    key.c_str());
       balanced = false;
       continue;
     }
-    auto item = check->backend->Get(key);
-    if (item) {
-      LogOp(log, 0, check::OpKind::kReadHit, key,
-            check::OpValueHash(item->value));
+    auto item = settle.backend->Get(key);
+    if (item && log != nullptr) {
+      log->Record(0, check::OpKind::kReadHit, TraceKeyHash(key),
+                  check::OpValueHash(item->value));
     }
     long long expect = committed[i].load();
     long long got = item ? std::atoll(item->value.c_str()) : -1;
@@ -838,12 +636,12 @@ int RunRemote(const Options& opt) {
       static_cast<unsigned long long>(worker_reconnects.load()),
       static_cast<unsigned long long>(worker_shard_trips.load()),
       static_cast<unsigned long long>(worker_shard_recoveries.load()));
-  if (check->router) {
+  if (settle.router) {
     std::printf("\ncache tier (aggregated + per-shard):\n%s",
-                check->router->FormatStats().c_str());
+                settle.router->FormatStats().c_str());
   } else {
     std::printf("\ncache server:\n%s",
-                net::RemoteCacheClient(check->pool->channel(0)).Stats().c_str());
+                net::RemoteCacheClient(*settle.channels[0]).Stats().c_str());
   }
   if (log && !op_log.DumpToFile(opt.oplog)) {
     std::fprintf(stderr, "iqbench: cannot write op log '%s'\n",
@@ -898,7 +696,7 @@ int main(int argc, char** argv) {
   cfg.placement = opt.placement;
   cfg.audit_rate = opt.audit_rate;
   if (opt.near_ttl_ms > 0) cfg.client.near_capacity = opt.near_cap;
-  if (!opt.oplog.empty()) cfg.op_log = &op_log;
+  if (!opt.oplog.empty()) cfg.client.op_log = &op_log;
   casql::CasqlSystem system(db, server, cfg);
 
   if (opt.warm) {

@@ -50,6 +50,7 @@
 #include "core/iq_server.h"
 #include "net/server.h"
 #include "net/tcp_server.h"
+#include "util/flags.h"
 
 using namespace iq;
 
@@ -58,13 +59,6 @@ namespace {
 std::atomic<bool> g_stop{false};
 
 void OnSignal(int) { g_stop.store(true); }
-
-bool StartsWith(const char* arg, const char* prefix, const char** value) {
-  std::size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) return false;
-  *value = arg + n;
-  return true;
-}
 
 [[noreturn]] void Usage(const char* bad) {
   std::fprintf(stderr, "iqcached: bad argument '%s'\n", bad);
@@ -96,35 +90,38 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
     const char* arg = argv[i];
-    if (StartsWith(arg, "--port=", &v)) {
-      net_cfg.port = static_cast<std::uint16_t>(std::atoi(v));
-    } else if (StartsWith(arg, "--host=", &v)) {
+    if (flags::Value(arg, "--port=", &v)) {
+      net_cfg.port = flags::Number<std::uint16_t>(arg, v, Usage);
+    } else if (flags::Value(arg, "--host=", &v)) {
       net_cfg.host = v;
-    } else if (StartsWith(arg, "--workers=", &v)) {
-      net_cfg.workers = std::atoi(v);
+    } else if (flags::Value(arg, "--workers=", &v)) {
+      net_cfg.workers = flags::Number<int>(arg, v, Usage);
       if (net_cfg.workers <= 0) Usage(arg);
-    } else if (StartsWith(arg, "--lease-ms=", &v)) {
-      server_cfg.lease_lifetime = std::atoll(v) * kNanosPerMilli;
-    } else if (StartsWith(arg, "--near-validity-ms=", &v)) {
-      server_cfg.near_validity = std::atoll(v) * kNanosPerMilli;
+    } else if (flags::Value(arg, "--lease-ms=", &v)) {
+      server_cfg.lease_lifetime =
+          flags::Number<Nanos>(arg, v, Usage) * kNanosPerMilli;
+    } else if (flags::Value(arg, "--near-validity-ms=", &v)) {
+      server_cfg.near_validity =
+          flags::Number<Nanos>(arg, v, Usage) * kNanosPerMilli;
     } else if (std::strcmp(arg, "--eager-delete") == 0) {
       server_cfg.deferred_delete = false;
-    } else if (StartsWith(arg, "--cache-mb=", &v)) {
+    } else if (flags::Value(arg, "--cache-mb=", &v)) {
       store_cfg.memory_budget_bytes =
-          static_cast<std::size_t>(std::atoll(v)) * 1024 * 1024;
-    } else if (StartsWith(arg, "--sweep-ms=", &v)) {
-      sweep_ms = std::atoll(v);
-    } else if (StartsWith(arg, "--opt-value-cap=", &v)) {
-      store_cfg.optimistic_value_cap = static_cast<std::size_t>(std::atoll(v));
+          flags::Number<std::size_t>(arg, v, Usage) * 1024 * 1024;
+    } else if (flags::Value(arg, "--sweep-ms=", &v)) {
+      sweep_ms = flags::Number<long long>(arg, v, Usage);
+    } else if (flags::Value(arg, "--opt-value-cap=", &v)) {
+      store_cfg.optimistic_value_cap =
+          flags::Number<std::size_t>(arg, v, Usage);
     } else if (std::strcmp(arg, "--no-opt-reads") == 0) {
       store_cfg.optimistic_value_cap = 0;
-    } else if (StartsWith(arg, "--trace-capacity=", &v)) {
-      server_cfg.trace_capacity = static_cast<std::size_t>(std::atoll(v));
+    } else if (flags::Value(arg, "--trace-capacity=", &v)) {
+      server_cfg.trace_capacity = flags::Number<std::size_t>(arg, v, Usage);
     } else if (std::strcmp(arg, "--trace-dump") == 0) {
       trace_dump = 512;
-    } else if (StartsWith(arg, "--trace-dump=", &v)) {
-      trace_dump = static_cast<std::size_t>(std::atoll(v));
-    } else if (StartsWith(arg, "--mutate=", &v)) {
+    } else if (flags::Value(arg, "--trace-dump=", &v)) {
+      trace_dump = flags::Number<std::size_t>(arg, v, Usage);
+    } else if (flags::Value(arg, "--mutate=", &v)) {
       // Deliberately re-introduce a historical consistency bug (TEST ONLY;
       // see IQServer::Config). CI runs iqcheck against a mutated server to
       // prove the checker actually catches these.

@@ -9,7 +9,8 @@
 //   iqcheck --oplog=run.oplog --connect=127.0.0.1:11211 [--connect=...]
 //
 //   --trace=FILE        trace dump (one TraceSource per file; repeatable)
-//   --connect=HOST:PORT drain a live server's trace via the `trace` verb
+//   --connect=HOST:PORT[,HOST:PORT...]
+//                       drain live servers' traces via the `trace` verb
 //                       (one TraceSource per endpoint; repeatable)
 //   --oplog=FILE        the client op log (OPLOG_INFO + OP lines)
 //   --max-events=N      wire drain size per endpoint (default 1<<20)
@@ -35,19 +36,14 @@
 #include "check/checker.h"
 #include "check/oplog.h"
 #include "net/channel.h"
+#include "net/reconnecting_channel.h"
 #include "net/tcp_channel.h"
+#include "util/flags.h"
 #include "util/trace_ring.h"
 
 using namespace iq;
 
 namespace {
-
-bool StartsWith(const char* arg, const char* prefix, const char** value) {
-  std::size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) return false;
-  *value = arg + n;
-  return true;
-}
 
 [[noreturn]] void Usage(const char* bad) {
   if (bad) std::fprintf(stderr, "iqcheck: bad argument '%s'\n", bad);
@@ -70,25 +66,11 @@ bool ReadFile(const std::string& path, std::string* out) {
   return in.good() || in.eof();
 }
 
-/// "host:port" -> (host, port); false on malformed input.
-bool SplitEndpoint(const std::string& spec, std::string* host,
-                   std::uint16_t* port) {
-  std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size()) {
-    return false;
-  }
-  long p = std::atol(spec.c_str() + colon + 1);
-  if (p <= 0 || p > 65535) return false;
-  *host = spec.substr(0, colon);
-  *port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> trace_files;
-  std::vector<std::string> endpoints;
+  std::vector<net::Endpoint> endpoints;
   std::string oplog_file;
   std::string save_prefix;
   std::uint64_t max_events = 1ull << 20;
@@ -98,15 +80,17 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
     const char* arg = argv[i];
-    if (StartsWith(arg, "--trace=", &v)) {
+    if (flags::Value(arg, "--trace=", &v)) {
       trace_files.emplace_back(v);
-    } else if (StartsWith(arg, "--connect=", &v)) {
-      endpoints.emplace_back(v);
-    } else if (StartsWith(arg, "--oplog=", &v)) {
+    } else if (flags::Value(arg, "--connect=", &v)) {
+      std::vector<net::Endpoint> parsed = net::ParseEndpoints(v);
+      if (parsed.empty()) Usage(arg);
+      endpoints.insert(endpoints.end(), parsed.begin(), parsed.end());
+    } else if (flags::Value(arg, "--oplog=", &v)) {
       oplog_file = v;
-    } else if (StartsWith(arg, "--max-events=", &v)) {
-      max_events = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (StartsWith(arg, "--save-traces=", &v)) {
+    } else if (flags::Value(arg, "--max-events=", &v)) {
+      max_events = flags::Number<std::uint64_t>(arg, v, Usage);
+    } else if (flags::Value(arg, "--save-traces=", &v)) {
       save_prefix = v;
     } else if (std::strcmp(arg, "--allow-drops") == 0) {
       options.allow_drops = true;
@@ -140,16 +124,11 @@ int main(int argc, char** argv) {
     sources.push_back(std::move(src));
   }
 
-  for (const std::string& spec : endpoints) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!SplitEndpoint(spec, &host, &port)) {
-      std::fprintf(stderr, "iqcheck: bad endpoint '%s' (want host:port)\n",
-                   spec.c_str());
-      return 2;
-    }
+  for (const net::Endpoint& endpoint : endpoints) {
+    const std::string spec = net::Name(endpoint);
     std::string error;
-    auto channel = net::TcpChannel::Connect(host, port, &error);
+    auto channel =
+        net::TcpChannel::Connect(endpoint.host, endpoint.port, &error);
     if (!channel) {
       std::fprintf(stderr, "iqcheck: connect %s: %s\n", spec.c_str(),
                    error.c_str());
