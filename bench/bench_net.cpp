@@ -137,11 +137,10 @@ double MeasureTcp(int workers, int depth, Nanos window) {
       depth, window);
 }
 
-/// Round trips/sec of a bare 1-byte TCP echo between two threads: no epoll,
-/// no parsing, no dispatch — just the syscall + scheduler floor this host
-/// imposes on any depth-1 request/response protocol. Everything the real
-/// server adds on top of this is our overhead; the rest is the machine's.
-double MeasureWireFloor(Nanos window) {
+/// Round trips one bare 1-byte TCP echo pair (two threads) completes in
+/// `window`: no epoll, no parsing, no dispatch. 0 if the host refuses a
+/// loopback connection.
+std::uint64_t EchoPairRoundTrips(Nanos window) {
   int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -188,7 +187,25 @@ double MeasureWireFloor(Nanos window) {
   }
   ::close(fd);  // echo thread's read() returns 0 -> joins
   echo.join();
-  return static_cast<double>(count) /
+  return count;
+}
+
+/// The syscall + scheduler floor this host imposes on any depth-1
+/// request/response protocol, in the same shape as the tcp depth 1 cell:
+/// kClientThreads echo pairs at once, round trips/sec summed. Everything
+/// the real server adds on top of this is our overhead; the rest is the
+/// machine's.
+double MeasureWireFloor(Nanos window) {
+  std::atomic<std::uint64_t> total{0};
+  std::vector<std::thread> pairs;
+  pairs.reserve(kClientThreads);
+  for (int t = 0; t < kClientThreads; ++t) {
+    pairs.emplace_back([&total, window] {
+      total.fetch_add(EchoPairRoundTrips(window), std::memory_order_relaxed);
+    });
+  }
+  for (auto& th : pairs) th.join();
+  return static_cast<double>(total.load()) /
          (static_cast<double>(window) / kNanosPerSec);
 }
 
@@ -216,7 +233,8 @@ int main() {
       "%d client threads, %u hardware threads\n\n",
       kValueBytes, kClientThreads, hw);
   std::printf("  %-18s %14.0f req/s\n", "loopback (no net)", loopback_rps);
-  std::printf("  %-18s %14.0f req/s\n", "wire floor (echo)", floor_rps);
+  std::printf("  %-18s %14.0f req/s  (%d echo pairs)\n", "wire floor (echo)",
+              floor_rps, kClientThreads);
 
   // TCP over 127.0.0.1 against a 2-worker server, depths 1/8/64.
   const int depths[] = {1, 8, 64};
@@ -254,8 +272,10 @@ int main() {
                  "  \"hardware_concurrency\": %u,\n"
                  "  \"loopback_rps\": %.0f,\n"
                  "  \"wire_floor_rps\": %.0f,\n"
+                 "  \"wire_floor_pairs\": %d,\n"
                  "  \"tcp\": [\n",
-                 kValueBytes, kClientThreads, hw, loopback_rps, floor_rps);
+                 kValueBytes, kClientThreads, hw, loopback_rps, floor_rps,
+                 kClientThreads);
     for (std::size_t i = 0; i < tcp_rps.size(); ++i) {
       std::fprintf(f, "    {\"depth\": %d, \"rps\": %.0f}%s\n", depths[i],
                    tcp_rps[i], i + 1 < tcp_rps.size() ? "," : "");

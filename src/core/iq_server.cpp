@@ -613,10 +613,6 @@ IQServerStats IQServer::Stats() const {
   return total;
 }
 
-StatsWindowSample IQServer::WindowedStats() {
-  return metrics_window_.Advance(Stats(), clock_.Now());
-}
-
 std::vector<TraceEvent> IQServer::TraceSnapshot(std::size_t max_events) const {
   std::vector<TraceEvent> merged;
   if (trace_rings_.empty() || max_events == 0) return merged;
@@ -637,12 +633,6 @@ std::vector<TraceEvent> IQServer::TraceSnapshot(std::size_t max_events) const {
                  merged.end() - static_cast<std::ptrdiff_t>(max_events));
   }
   return merged;
-}
-
-std::uint64_t IQServer::TraceRecorded() const {
-  std::uint64_t n = 0;
-  for (const auto& ring : trace_rings_) n += ring->recorded();
-  return n;
 }
 
 TraceInfo IQServer::TraceInfoTotal() const {

@@ -129,6 +129,7 @@ class IQServer final : public KvsBackend {
   IQServer();
 
   CacheStore& store() { return store_; }
+  const CacheStore& store() const { return store_; }
   const Clock& clock() const override { return clock_; }
 
   // ---- commands ---------------------------------------------------------
@@ -216,19 +217,10 @@ class IQServer final : public KvsBackend {
 
   /// Aggregated counter snapshot (relaxed reads; no lock taken).
   IQServerStats Stats() const;
-  /// Advance the server's metrics window and return lifetime totals plus
-  /// the delta since the previous call. The window is shared by every
-  /// scraper of this server (the `metrics` wire verb and the iqcached
-  /// shutdown report), so run at most one logical scraper; the plain
-  /// `stats` verb never touches it.
-  StatsWindowSample WindowedStats();
   /// The newest (up to) `max_events` lease-trace events across all shard
   /// rings, merged oldest first. Safe against concurrent commands.
   std::vector<TraceEvent> TraceSnapshot(std::size_t max_events) const;
   bool trace_enabled() const { return !trace_rings_.empty(); }
-  /// Lifetime trace records emitted across all shard rings (including
-  /// events the rings have since overwritten).
-  std::uint64_t TraceRecorded() const;
   /// Drain-completeness accounting summed across all shard rings: lifetime
   /// records, events lost to ring wrap, and total capacity. dropped == 0
   /// means TraceSnapshot(big enough) is the complete lease history.
@@ -318,7 +310,6 @@ class IQServer final : public KvsBackend {
   /// One trace ring per CacheStore shard (empty when tracing is disabled);
   /// unique_ptr because TraceRing is immovable (atomics).
   std::vector<std::unique_ptr<TraceRing>> trace_rings_;
-  StatsWindow metrics_window_;
   StripedLatencyRecorder cmd_latencies_{kCommandClassCount};
 };
 

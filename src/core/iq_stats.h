@@ -1,15 +1,10 @@
-// IQServerStats and everything generic over its fields: the canonical
-// (name, member) table driving STAT rendering, ParseIQStats, per-shard
-// breakdowns and Prometheus export, plus the StatsWindow used for interval
-// (rate) metrics. Split out of iq_server.h so observers that only handle
+// IQServerStats and the canonical (name, member) table every generic user
+// of its fields walks: STAT rendering, ParseIQStats and per-shard
+// breakdowns. Split out of iq_server.h so observers that only handle
 // counter snapshots need not pull in the server.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <mutex>
-
-#include "util/clock.h"
 
 namespace iq {
 
@@ -29,15 +24,9 @@ struct IQServerStats {
   std::uint64_t expiry_deletes = 0; // keys deleted because a Q lease expired
   std::uint64_t commits = 0;
   std::uint64_t aborts = 0;
-  // Near-cache counters (DESIGN.md §4.10). near_grants is maintained
-  // server-side; the other four count client-local events — a bare server
-  // reports 0 for them, while iqbench merges its clients' NearCache
-  // counters into the same canonical fields.
-  std::uint64_t near_grants = 0;       // IQget hits granted a validity TTL
-  std::uint64_t near_hits = 0;         // reads served with zero round trips
-  std::uint64_t near_expired = 0;      // entries dropped on lookup past TTL
-  std::uint64_t near_invalidated = 0;  // entries dropped by own write verbs
-  std::uint64_t near_evictions = 0;    // entries dropped by LRU capacity
+  // IQget hits granted a near-cache validity TTL (DESIGN.md §4.10). What
+  // clients then do with their grants is counted client-side, by NearCache.
+  std::uint64_t near_grants = 0;
 };
 
 /// One row of the canonical IQServerStats field table.
@@ -47,9 +36,8 @@ struct IQStatsField {
 };
 
 /// The single source of truth mapping wire names to IQServerStats members.
-/// Shared by net::FormatStats / net::ParseIQStats, the ShardedBackend
-/// aggregate and per-shard breakdowns, StatsWindow deltas, and the
-/// Prometheus metrics export — add new counters here once.
+/// Shared by net::FormatStats / net::ParseIQStats and the ShardedBackend
+/// aggregate and per-shard breakdowns — add new counters here once.
 inline constexpr IQStatsField kIQStatsFields[] = {
     {"i_leases_granted", &IQServerStats::i_granted},
     {"i_leases_voided", &IQServerStats::i_voided},
@@ -64,60 +52,6 @@ inline constexpr IQStatsField kIQStatsFields[] = {
     {"commits", &IQServerStats::commits},
     {"aborts", &IQServerStats::aborts},
     {"near_grants", &IQServerStats::near_grants},
-    {"near_hits", &IQServerStats::near_hits},
-    {"near_expired", &IQServerStats::near_expired},
-    {"near_invalidated", &IQServerStats::near_invalidated},
-    {"near_evictions", &IQServerStats::near_evictions},
-};
-
-/// One scrape from a StatsWindow: the lifetime totals plus what changed
-/// since the previous scrape.
-struct StatsWindowSample {
-  IQServerStats lifetime;
-  IQServerStats delta;
-  /// Window width. 0 on the very first Advance (no previous scrape: delta
-  /// equals lifetime and no rate can be formed).
-  double seconds = 0;
-};
-
-/// Windowed metrics over IQServerStats: an observer keeps one StatsWindow
-/// and calls Advance() on each scrape, getting deltas/rates instead of only
-/// cumulative counters. One window supports one logical scraper — two
-/// pollers sharing a window would each see roughly half of every delta, so
-/// the plain `stats` verb never advances a window; only the `metrics` verb
-/// (and the iqcached shutdown report) does.
-class StatsWindow {
- public:
-  /// Record `current` as the new baseline and return what changed since the
-  /// previous call. Thread-safe; serialized internally.
-  StatsWindowSample Advance(const IQServerStats& current, Nanos now) {
-    std::lock_guard<std::mutex> lock(mu_);
-    StatsWindowSample s;
-    s.lifetime = current;
-    s.delta = current;
-    if (primed_) {
-      for (const IQStatsField& f : kIQStatsFields) {
-        std::uint64_t cur = current.*(f.member);
-        std::uint64_t old = prev_.*(f.member);
-        // Counters are monotonic; guard anyway so a swapped-in server
-        // yields a zero delta instead of an underflowed one.
-        s.delta.*(f.member) = cur >= old ? cur - old : 0;
-      }
-      if (now > prev_at_) {
-        s.seconds = static_cast<double>(now - prev_at_) / kNanosPerSec;
-      }
-    }
-    prev_ = current;
-    prev_at_ = now;
-    primed_ = true;
-    return s;
-  }
-
- private:
-  std::mutex mu_;
-  bool primed_ = false;
-  IQServerStats prev_{};
-  Nanos prev_at_ = 0;
 };
 
 }  // namespace iq

@@ -88,8 +88,8 @@ class RemoteCacheClient {
   /// Force one lease-table sweep on the server; returns the number of
   /// overdue leases expired, or nullopt on transport failure.
   std::optional<std::uint64_t> Sweep();
-  /// Scrape the server's Prometheus exposition (`metrics` verb); nullopt on
-  /// transport failure. Each scrape advances the server-side window.
+  /// Scrape the server's Prometheus exposition (`metrics` verb): the `stats`
+  /// lines as "iq_<name> <value>" samples. nullopt on transport failure.
   std::optional<std::string> Metrics();
   /// Drain the newest `max_events` lease-trace events (0 = server default).
   /// nullopt on transport failure or an unparsable reply.

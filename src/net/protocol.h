@@ -38,8 +38,8 @@
 //     (force one pass over the lease table, expiring overdue leases — the
 //      same reclamation a periodic server-side sweep thread performs)
 //   metrics\r\n                                -> METRICS <bytes>\r\n<data>\r\n
-//     (Prometheus exposition text: lifetime totals plus rates over the
-//      window since the previous metrics scrape; see net/metrics.h)
+//     (Prometheus exposition text: one "iq_<name> <value>" sample per
+//      numeric `stats` line, all lifetime totals; see net/server.h)
 //   trace [<n>]\r\n            -> TRACE_INFO + TRACE lines + END\r\n
 //     (a "TRACE_INFO <recorded> <dropped> <capacity>" completeness header —
 //      dropped != 0 means the rings wrapped and the history is incomplete —

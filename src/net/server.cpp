@@ -1,10 +1,8 @@
 #include "net/server.h"
 
+#include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <sstream>
-
-#include "net/metrics.h"
 
 namespace iq::net {
 namespace {
@@ -29,6 +27,41 @@ Nanos ExptimeToTtl(std::int64_t exptime) {
   // memcached: 0 = never; positive = relative seconds (we skip the 30-day
   // absolute-timestamp rule - callers here always use relative).
   return exptime <= 0 ? 0 : exptime * kNanosPerSec;
+}
+
+/// True when all of `text` parses as one number.
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
+  return ec == std::errc{} && end == text.data() + text.size();
+}
+
+/// Call fn(line) for each CR- or LF-terminated line of `text` (empty lines
+/// included) until fn returns false. Returns false iff fn did.
+template <typename Fn>
+bool ForEachLine(std::string_view text, Fn&& fn) {
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = std::min(text.find_first_of("\r\n", pos), text.size());
+    if (!fn(text.substr(pos, eol - pos))) return false;
+    pos = eol + 1;
+  }
+  return true;
+}
+
+/// The STAT-line walker: call fn(name, value) for each "STAT <name> <value>"
+/// line of `text`, skipping every other line.
+template <typename Fn>
+void ForEachStat(std::string_view text, Fn&& fn) {
+  ForEachLine(text, [&](std::string_view line) {
+    if (!line.starts_with("STAT ")) return true;
+    line.remove_prefix(5);
+    std::size_t space = line.find(' ');
+    if (space != std::string_view::npos && space > 0) {
+      fn(line.substr(0, space), line.substr(space + 1));
+    }
+    return true;
+  });
 }
 
 }  // namespace
@@ -70,6 +103,12 @@ Response CommandDispatcher::Dispatch(const Request& request) {
   server_.command_latencies().Record(
       static_cast<std::size_t>(ClassOf(request.command)), clock.Now() - start);
   return resp;
+}
+
+std::string CommandDispatcher::StatsText() const {
+  std::string text = FormatStats(server_);
+  if (stats_augmenter_) stats_augmenter_(text);
+  return text;
 }
 
 Response CommandDispatcher::DispatchCommand(const Request& request) {
@@ -117,8 +156,13 @@ Response CommandDispatcher::DispatchCommand(const Request& request) {
     case Command::kStats: {
       Response resp;
       resp.type = ResponseType::kStats;
-      resp.message = FormatStats(server_);
-      if (stats_augmenter_) stats_augmenter_(resp.message);
+      resp.message = StatsText();
+      return resp;
+    }
+    case Command::kMetrics: {
+      Response resp;
+      resp.type = ResponseType::kMetrics;
+      resp.data = FormatMetrics(StatsText());
       return resp;
     }
     case Command::kQuit: {
@@ -300,17 +344,6 @@ Response CommandDispatcher::DispatchIQ(const Request& r) {
       resp.type = ResponseType::kNumber;
       resp.number = server_.SweepExpired();
       return resp;
-    case Command::kMetrics:
-      resp.type = ResponseType::kMetrics;
-      resp.data = FormatMetrics(server_);
-      if (stats_augmenter_) {
-        // The wire tier's STAT lines, re-rendered as Prometheus gauges so
-        // one scrape carries both layers.
-        std::string wire;
-        stats_augmenter_(wire);
-        AppendStatsAsMetrics(wire, &resp.data);
-      }
-      return resp;
     case Command::kTrace:
       // TRACE_INFO header first: consumers (iqcheck) need recorded/dropped/
       // capacity to tell a complete history from one the rings wrapped.
@@ -330,9 +363,10 @@ Response CommandDispatcher::DispatchIQ(const Request& r) {
 
 std::string FormatStats(const IQServer& server) {
   const IQServerStats iq = server.Stats();
-  const CacheStats store = const_cast<IQServer&>(server).store().Stats();
+  const CacheStats store = server.store().Stats();
+  const TraceInfo trace = server.TraceInfoTotal();
   std::ostringstream out;
-  auto stat = [&](const char* name, std::uint64_t v) {
+  auto stat = [&](std::string_view name, std::uint64_t v) {
     out << "STAT " << name << " " << v << "\r\n";
   };
   stat("gets", store.gets);
@@ -348,40 +382,23 @@ std::string FormatStats(const IQServer& server) {
   stat("bytes_used", store.bytes_used);
   stat("item_count", store.item_count);
   for (const IQStatsField& f : kIQStatsFields) stat(f.name, iq.*f.member);
-  // Per-command service-time percentiles, recorded by the dispatcher.
-  // Classes with no observations are omitted (a fresh server emits none).
+  stat("leases_live", server.LeaseCount());
+  stat("trace_recorded", trace.recorded);
+  stat("trace_dropped", trace.dropped);
+  // Per-command service times, recorded by the dispatcher. Nanoseconds,
+  // because a hit is served in well under a microsecond. Classes with no
+  // observations are omitted (a fresh server emits none).
   const StripedLatencyRecorder& lat = server.command_latencies();
   for (std::size_t cls = 0; cls < lat.num_classes(); ++cls) {
     LatencyHistogram h = lat.Merged(cls);
     if (h.Count() == 0) continue;
     std::string prefix = "cmd_";
     prefix += ToString(static_cast<CommandClass>(cls));
-    stat((prefix + "_count").c_str(), h.Count());
-    stat((prefix + "_mean_us").c_str(),
-         static_cast<std::uint64_t>(h.MeanNanos() / kNanosPerMicro));
-    stat((prefix + "_p95_us").c_str(),
-         static_cast<std::uint64_t>(h.Percentile(0.95) / kNanosPerMicro));
-    stat((prefix + "_p99_us").c_str(),
-         static_cast<std::uint64_t>(h.Percentile(0.99) / kNanosPerMicro));
-    stat((prefix + "_max_us").c_str(),
-         static_cast<std::uint64_t>(h.Max() / kNanosPerMicro));
-  }
-  return out.str();
-}
-
-std::string FormatWindowedStats(const StatsWindowSample& sample) {
-  std::ostringstream out;
-  out << "STAT window_ms "
-      << static_cast<std::uint64_t>(sample.seconds * 1000.0) << "\r\n";
-  for (const IQStatsField& f : kIQStatsFields) {
-    out << "STAT w_" << f.name << " " << sample.delta.*f.member << "\r\n";
-    if (sample.seconds > 0) {
-      char rate[32];
-      std::snprintf(rate, sizeof rate, "%.3f",
-                    static_cast<double>(sample.delta.*f.member) /
-                        sample.seconds);
-      out << "STAT w_" << f.name << "_per_sec " << rate << "\r\n";
-    }
+    stat(prefix + "_count", h.Count());
+    stat(prefix + "_mean_ns", static_cast<std::uint64_t>(h.MeanNanos()));
+    stat(prefix + "_p95_ns", static_cast<std::uint64_t>(h.Percentile(0.95)));
+    stat(prefix + "_p99_ns", static_cast<std::uint64_t>(h.Percentile(0.99)));
+    stat(prefix + "_max_ns", static_cast<std::uint64_t>(h.Max()));
   }
   return out.str();
 }
@@ -390,28 +407,38 @@ IQServerStats ParseIQStats(std::string_view stats_text) {
   // Names and members come straight from the canonical kIQStatsFields table
   // (core/iq_stats.h), the same one FormatStats renders from.
   IQServerStats out{};
-  std::size_t pos = 0;
-  while (pos < stats_text.size()) {
-    std::size_t eol = stats_text.find_first_of("\r\n", pos);
-    if (eol == std::string_view::npos) eol = stats_text.size();
-    std::string_view line = stats_text.substr(pos, eol - pos);
-    pos = stats_text.find_first_not_of("\r\n", eol);
-    if (pos == std::string_view::npos) pos = stats_text.size();
-    if (!line.starts_with("STAT ")) continue;
-    line.remove_prefix(5);
-    std::size_t space = line.find(' ');
-    if (space == std::string_view::npos) continue;
-    std::string_view name = line.substr(0, space);
-    std::string_view value = line.substr(space + 1);
+  ForEachStat(stats_text, [&](std::string_view name, std::string_view value) {
     for (const IQStatsField& f : kIQStatsFields) {
       if (name != f.name) continue;
       std::uint64_t v = 0;
-      auto [p, ec] = std::from_chars(value.data(), value.data() + value.size(), v);
-      if (ec == std::errc{} && p == value.data() + value.size()) out.*f.member = v;
-      break;
+      if (ParseWhole(value, &v)) out.*f.member = v;
+      return;
     }
-  }
+  });
   return out;
+}
+
+std::string FormatMetrics(std::string_view stat_lines) {
+  std::string out;
+  ForEachStat(stat_lines, [&](std::string_view name, std::string_view value) {
+    double v = 0;
+    if (!ParseWhole(value, &v)) return;
+    out.append("iq_").append(name).append(" ").append(value).append("\n");
+  });
+  return out;
+}
+
+bool ParseMetrics(std::string_view text, std::map<std::string, double>* out) {
+  return ForEachLine(text, [out](std::string_view line) {
+    if (line.empty() || line[0] == '#') return true;
+    // The series id runs to the last space; the remainder is the value.
+    std::size_t space = line.rfind(' ');
+    if (space == std::string_view::npos || space == 0) return false;
+    double v = 0;
+    if (!ParseWhole(line.substr(space + 1), &v)) return false;
+    (*out)[std::string(line.substr(0, space))] = v;
+    return true;
+  });
 }
 
 }  // namespace iq::net

@@ -1,9 +1,13 @@
 // Server-side command dispatch: maps parsed protocol Requests onto an
 // IQServer, producing protocol Responses - the request-handling loop of the
 // real IQ-Twemcached, minus the sockets (see channel.h for the transport).
+// Also the one owner of the STAT text format: FormatStats renders a
+// server's counters, and the `metrics` exposition and both parsers are
+// views of those lines.
 #pragma once
 
 #include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 
@@ -24,16 +28,19 @@ class CommandDispatcher {
   /// transport teardown is the channel's business.
   Response Dispatch(const Request& request);
 
-  /// Extra "STAT name value\r\n" lines appended to every `stats` response —
-  /// how a transport (e.g. TcpServer) surfaces its wire counters without
-  /// the dispatcher knowing about sockets. Must be safe to call from the
-  /// dispatching thread at any time.
+  /// Extra "STAT name value\r\n" lines appended to every `stats` response
+  /// (and so to every `metrics` scrape) — how a transport (e.g. TcpServer)
+  /// surfaces its wire counters without the dispatcher knowing about
+  /// sockets. Must be safe to call from the dispatching thread at any time.
   using StatsAugmenter = std::function<void(std::string&)>;
   void set_stats_augmenter(StatsAugmenter fn) {
     stats_augmenter_ = std::move(fn);
   }
 
  private:
+  /// FormatStats plus the augmenter's lines: the `stats` reply body, which
+  /// `metrics` re-renders.
+  std::string StatsText() const;
   Response DispatchCommand(const Request& request);
   Response DispatchStorage(const Request& request);
   Response DispatchIQ(const Request& request);
@@ -45,17 +52,14 @@ class CommandDispatcher {
 /// Latency-accounting class for a wire command.
 CommandClass ClassOf(Command c);
 
-/// Render the server's statistics as memcached "STAT name value" lines:
-/// the CacheStore counters, the IQ lease counters, and per-command latency
-/// percentiles ("cmd_<class>_{count,mean_us,p95_us,p99_us,max_us}") for
-/// every command class observed so far.
+/// Render the server's statistics as memcached "STAT name value" lines, the
+/// one rendering of its counters: the CacheStore counters, the IQ lease
+/// counters (kIQStatsFields), the live-lease and trace-ring gauges
+/// (leases_live, trace_recorded, trace_dropped), and per-command service
+/// times in nanoseconds ("cmd_<class>_{count,mean_ns,p95_ns,p99_ns,max_ns}")
+/// for every command class observed so far. Every counter is a lifetime
+/// total; rates are the reader's difference of two scrapes.
 std::string FormatStats(const IQServer& server);
-
-/// Render one StatsWindowSample as "STAT" lines: window_ms, then per IQ
-/// counter the windowed delta ("w_<name>") and, when the window has width,
-/// the rate ("w_<name>_per_sec", 3 decimals). The STAT-format twin of the
-/// Prometheus export in net/metrics.h.
-std::string FormatWindowedStats(const StatsWindowSample& sample);
 
 /// Inverse of FormatStats for the IQ lease counters: pick the
 /// "STAT <name> <value>" lines that map onto IQServerStats fields out of a
@@ -63,5 +67,15 @@ std::string FormatWindowedStats(const StatsWindowSample& sample);
 /// percentiles, wire stats). This is how a ShardedBackend aggregates a TCP
 /// child's counters without the child growing a binary stats protocol.
 IQServerStats ParseIQStats(std::string_view stats_text);
+
+/// The `metrics` verb's Prometheus text: each numeric "STAT <name> <value>"
+/// line of `stat_lines` becomes one "iq_<name> <value>" sample, value text
+/// unchanged. Other lines are skipped.
+std::string FormatMetrics(std::string_view stat_lines);
+
+/// Parse exposition text produced by FormatMetrics back into a map keyed by
+/// the full series id as written (name including any {labels}). Comment and
+/// blank lines are ignored. Returns false on a malformed sample line.
+bool ParseMetrics(std::string_view text, std::map<std::string, double>* out);
 
 }  // namespace iq::net

@@ -87,26 +87,4 @@ class StripedLatencyRecorder {
   std::vector<Stripe> stripes_;
 };
 
-/// Simple counter bundle shared by benchmark workers.
-struct OpCounters {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t backoffs = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t restarts = 0;
-
-  OpCounters& operator+=(const OpCounters& o) {
-    reads += o.reads;
-    writes += o.writes;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    backoffs += o.backoffs;
-    aborts += o.aborts;
-    restarts += o.restarts;
-    return *this;
-  }
-};
-
 }  // namespace iq

@@ -472,7 +472,7 @@ TEST(WireTraceTest, TraceWithInfoCarriesCompleteness) {
   auto drain = client.TraceWithInfo(100);
   ASSERT_TRUE(drain);
   EXPECT_TRUE(drain->has_info);
-  EXPECT_EQ(drain->info.recorded, server.TraceRecorded());
+  EXPECT_EQ(drain->info.recorded, server.TraceInfoTotal().recorded);
   EXPECT_EQ(drain->info.dropped, 0u);
   EXPECT_GT(drain->info.capacity, 0u);
   ASSERT_EQ(drain->events.size(), 2u);

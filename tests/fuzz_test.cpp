@@ -1,9 +1,13 @@
 // Robustness fuzzing: random and mutated byte streams against the protocol
-// parser and the full dispatcher. The server must never crash, hang, or
-// corrupt state on arbitrary input - it may only answer with errors.
+// parser, the full dispatcher, and the stats/metrics text parsers. The
+// server must never crash, hang, or corrupt state on arbitrary input - it
+// may only answer with errors.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "net/channel.h"
+#include "net/server.h"
 #include "util/rng.h"
 
 namespace iq::net {
@@ -124,6 +128,29 @@ TEST_P(FuzzSeedTest, ResponseParserSurvivesRandomBytes) {
     std::size_t consumed = 0;
     auto resp = ParseResponse(bytes, &consumed);
     if (resp) EXPECT_LE(consumed, bytes.size());
+  }
+}
+
+TEST_P(FuzzSeedTest, StatsAndMetricsParsersSurviveMutatedText) {
+  Rng rng(GetParam() + 4000);
+  IQServer server;
+  server.QaRead("k", 1);
+  server.command_latencies().Record(0, 900);
+  const std::string stats = FormatStats(server);
+  const std::string metrics = FormatMetrics(stats);
+  for (int round = 0; round < 2000; ++round) {
+    std::string text;
+    switch (rng.NextUint64(3)) {
+      case 0: text = RandomBytes(rng, 64); break;
+      case 1: text = Mutate(rng, stats); break;
+      default: text = Mutate(rng, metrics); break;
+    }
+    ParseIQStats(text);
+    std::map<std::string, double> series;
+    ParseMetrics(text, &series);
+    // Whatever the STAT text, its metrics rendering parses back.
+    series.clear();
+    EXPECT_TRUE(ParseMetrics(FormatMetrics(text), &series)) << text;
   }
 }
 

@@ -516,10 +516,21 @@ TEST_F(RemoteTest, StatsExposeCommandLatencies) {
   // class, and FormatStats renders count/mean/p95/p99/max per class.
   EXPECT_NE(stats.find("STAT cmd_iqget_count 1"), std::string::npos);
   EXPECT_NE(stats.find("STAT cmd_store_count 1"), std::string::npos);
-  EXPECT_NE(stats.find("STAT cmd_iqget_p95_us"), std::string::npos);
-  EXPECT_NE(stats.find("STAT cmd_store_max_us"), std::string::npos);
+  EXPECT_NE(stats.find("STAT cmd_iqget_p95_ns"), std::string::npos);
+  EXPECT_NE(stats.find("STAT cmd_store_max_ns"), std::string::npos);
   // No delete was issued, so its class is omitted entirely.
   EXPECT_EQ(stats.find("STAT cmd_delete_"), std::string::npos);
+}
+
+TEST_F(RemoteTest, OneIQgetRecordsNonzeroMeanNanos) {
+  // A miss is served in well under a microsecond, so whole-microsecond
+  // latency lines would read 0 here.
+  client_.IQget("missing", client_.GenID());
+  std::string stats = client_.Stats();
+  const std::string line = "STAT cmd_iqget_mean_ns ";
+  std::size_t at = stats.find(line);
+  ASSERT_NE(at, std::string::npos) << stats;
+  EXPECT_GT(std::stoull(stats.substr(at + line.size())), 0u);
 }
 
 TEST_F(RemoteTest, MalformedRequestYieldsError) {
@@ -808,7 +819,7 @@ TEST(ParseIQStats, IgnoresForeignLinesAndGarbage) {
   IQServerStats s = ParseIQStats(
       "STAT bytes_used 4096\r\n"
       "STAT commits 7\r\n"
-      "STAT cmd_iqget_p95_us 12\r\n"
+      "STAT cmd_iqget_p95_ns 12\r\n"
       "STAT aborts notanumber\r\n"
       "garbage line\r\n"
       "STAT q_rejected 3\r\n");

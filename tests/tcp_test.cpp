@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -22,8 +24,10 @@
 #include "net/channel.h"
 #include "net/protocol.h"
 #include "net/remote_backend.h"
+#include "net/server.h"
 #include "net/tcp_channel.h"
 #include "net/tcp_server.h"
+#include "util/clock.h"
 
 namespace iq::net {
 namespace {
@@ -230,6 +234,73 @@ TEST_F(TcpServerTest, WireCountersShowUpInStats) {
   EXPECT_GT(s.bytes_read, 0u);
   EXPECT_GT(s.bytes_written, 0u);
   EXPECT_GE(s.requests, 2u);
+}
+
+TEST(TcpScrapeTest, MetricsMirrorsStatsThenSweepAndFlushAllTakeEffect) {
+  ManualClock clock;
+  IQServer::Config cfg;
+  cfg.clock = &clock;
+  cfg.lease_lifetime = kNanosPerSec;
+  IQServer server(CacheStore::Config{.clock = &clock}, cfg);
+  TcpServer::Config net_cfg;
+  net_cfg.workers = 2;
+  TcpServer tcp(server, net_cfg);
+  std::string error;
+  ASSERT_TRUE(tcp.Start(&error)) << error;
+  auto channel = TcpChannel::Connect("127.0.0.1", tcp.port(), &error);
+  ASSERT_NE(channel, nullptr) << error;
+  RemoteCacheClient client(*channel);
+
+  client.Set("a", "1");
+  client.Get("a");
+  client.Get("missing");
+  SessionId tid = client.GenID();
+  QaReadReply q = client.QaRead("a", tid);
+  ASSERT_EQ(q.status, QaReadReply::Status::kGranted);
+  client.SaR("a", "2", q.token);
+  client.Commit(tid);
+
+  // Back-to-back scrapes of a quiesced server. Between them only the
+  // scrapes themselves moved anything: the `metrics` request is on the
+  // wire counters before its reply renders, and the `stats` request is
+  // recorded as one more `other`-class command after its own reply
+  // rendered. The manual clock keeps every recorded latency at 0 ns.
+  std::string stats = client.Stats();
+  std::optional<std::string> metrics = client.Metrics();
+  ASSERT_TRUE(metrics);
+  std::map<std::string, double> series;
+  ASSERT_TRUE(ParseMetrics(*metrics, &series)) << *metrics;
+  std::istringstream lines(stats);
+  std::string stat, name;
+  std::uint64_t value = 0;
+  std::size_t count = 0;
+  while (lines >> stat >> name >> value) {
+    ++count;
+    ASSERT_TRUE(series.count("iq_" + name)) << name;
+    if (name == "net_requests" || name == "bytes_read" ||
+        name == "bytes_written") {
+      continue;
+    }
+    if (name == "cmd_other_count") ++value;
+    EXPECT_DOUBLE_EQ(series.at("iq_" + name), static_cast<double>(value))
+        << name;
+  }
+  EXPECT_TRUE(lines.eof()) << "a STAT line did not parse";
+  EXPECT_EQ(series.size(), count);
+  EXPECT_DOUBLE_EQ(series.at("iq_commits"), 1.0);
+  EXPECT_DOUBLE_EQ(series.at("iq_leases_live"), 0.0);
+
+  // A Q lease on a missing key, abandoned: only a sweep reclaims it.
+  ASSERT_EQ(client.QaRead("b", client.GenID()).status,
+            QaReadReply::Status::kGranted);
+  clock.Advance(2 * kNanosPerSec);
+  EXPECT_EQ(client.Sweep(), std::optional<std::uint64_t>(1));
+
+  client.FlushAll();
+  stats = client.Stats();
+  EXPECT_NE(stats.find("STAT item_count 0\r\n"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("STAT flushes 1\r\n"), std::string::npos) << stats;
+  tcp.Stop();
 }
 
 TEST(TcpNearCacheTest, RepeatedGetsWithinValidityCostOneWireRequest) {

@@ -1,15 +1,14 @@
 // Tests for the observability layer: the lease-event trace ring (including
 // the drain-while-writing race the TSan job exercises), the trace emission
-// sequence of IQServer, the windowed stats deltas, and the Prometheus
-// exposition round trip.
+// sequence of IQServer, and the `metrics` rendering of the STAT lines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "core/iq_server.h"
-#include "net/metrics.h"
 #include "net/server.h"
 #include "util/clock.h"
 #include "util/trace_ring.h"
@@ -268,97 +267,52 @@ TEST_F(ServerTraceTest, TracingDisabledByZeroCapacity) {
   EXPECT_FALSE(server.trace_enabled());
   server.QaRead("k", 1);
   EXPECT_TRUE(server.TraceSnapshot(100).empty());
-  EXPECT_EQ(server.TraceRecorded(), 0u);
-}
-
-// ---- windowed stats -----------------------------------------------------------
-
-TEST(StatsWindowTest, DeltasAndRatesOverWindows) {
-  StatsWindow window;
-  IQServerStats s;
-  s.commits = 10;
-  StatsWindowSample first = window.Advance(s, 1 * kNanosPerSec);
-  // First advance has no previous scrape: delta equals lifetime, no width.
-  EXPECT_EQ(first.lifetime.commits, 10u);
-  EXPECT_EQ(first.delta.commits, 10u);
-  EXPECT_EQ(first.seconds, 0.0);
-
-  s.commits = 30;
-  s.q_rejected = 4;
-  StatsWindowSample second = window.Advance(s, 3 * kNanosPerSec);
-  EXPECT_EQ(second.lifetime.commits, 30u);
-  EXPECT_EQ(second.delta.commits, 20u);
-  EXPECT_EQ(second.delta.q_rejected, 4u);
-  EXPECT_DOUBLE_EQ(second.seconds, 2.0);
-
-  // No traffic: zero delta over the next window.
-  StatsWindowSample third = window.Advance(s, 4 * kNanosPerSec);
-  EXPECT_EQ(third.delta.commits, 0u);
-  EXPECT_DOUBLE_EQ(third.seconds, 1.0);
-}
-
-TEST(StatsWindowTest, ServerWindowedStatsTracksTraffic) {
-  ManualClock clock;
-  IQServer::Config cfg;
-  cfg.clock = &clock;
-  IQServer server(CacheStore::Config{.clock = &clock}, cfg);
-  server.WindowedStats();  // prime
-  QaReadReply q = server.QaRead("k", 1);
-  server.SaR("k", "v", q.token);
-  clock.Advance(2 * kNanosPerSec);
-  StatsWindowSample sample = server.WindowedStats();
-  EXPECT_EQ(sample.delta.q_ref_granted, 1u);
-  EXPECT_DOUBLE_EQ(sample.seconds, 2.0);
-  std::string stat = net::FormatWindowedStats(sample);
-  EXPECT_NE(stat.find("STAT w_q_ref_granted 1\r\n"), std::string::npos);
-  EXPECT_NE(stat.find("STAT w_q_ref_granted_per_sec 0.500\r\n"),
-            std::string::npos);
-  EXPECT_NE(stat.find("STAT window_ms 2000\r\n"), std::string::npos);
+  EXPECT_EQ(server.TraceInfoTotal().recorded, 0u);
 }
 
 // ---- Prometheus exposition ----------------------------------------------------
 
-TEST(MetricsTest, FormatParsesBackWithRates) {
-  ManualClock clock;
-  IQServer::Config cfg;
-  cfg.clock = &clock;
-  IQServer server(CacheStore::Config{.clock = &clock}, cfg);
-  server.WindowedStats();  // prime the window so the scrape carries rates
+TEST(MetricsTest, FormatStatsRendersOneSamplePerStatLine) {
+  IQServer server{CacheStore::Config{}, IQServer::Config{}};
   for (int i = 0; i < 6; ++i) {
     QaReadReply q = server.QaRead("k", 1);
     server.SaR("k", "v", q.token);
     server.Commit(1);
   }
-  clock.Advance(3 * kNanosPerSec);
-  std::string text = net::FormatMetrics(server);
+  server.command_latencies().Record(
+      static_cast<std::size_t>(CommandClass::kIQget), 750);
+  std::string stats = net::FormatStats(server);
   std::map<std::string, double> series;
-  ASSERT_TRUE(net::ParseMetrics(text, &series)) << text;
-  EXPECT_DOUBLE_EQ(series.at("iq_q_ref_granted_total"), 6.0);
-  EXPECT_DOUBLE_EQ(series.at("iq_q_ref_granted_per_sec"), 2.0);
-  EXPECT_DOUBLE_EQ(series.at("iq_commits_total"), 6.0);
-  EXPECT_DOUBLE_EQ(series.at("iq_window_seconds"), 3.0);
-  EXPECT_DOUBLE_EQ(series.at("iq_store_item_count"), 1.0);
+  ASSERT_TRUE(net::ParseMetrics(net::FormatMetrics(stats), &series));
+
+  std::istringstream lines(stats);
+  std::string stat, name;
+  std::uint64_t value = 0;
+  std::size_t count = 0;
+  while (lines >> stat >> name >> value) {
+    ++count;
+    ASSERT_TRUE(series.count("iq_" + name)) << name;
+    EXPECT_DOUBLE_EQ(series.at("iq_" + name), static_cast<double>(value))
+        << name;
+  }
+  EXPECT_TRUE(lines.eof()) << "a STAT line did not parse";
+  EXPECT_EQ(series.size(), count);
+  EXPECT_DOUBLE_EQ(series.at("iq_q_ref_granted"), 6.0);
+  EXPECT_DOUBLE_EQ(series.at("iq_commits"), 6.0);
+  EXPECT_DOUBLE_EQ(series.at("iq_item_count"), 1.0);
   EXPECT_DOUBLE_EQ(series.at("iq_leases_live"), 0.0);
   EXPECT_GT(series.at("iq_trace_recorded"), 0.0);
+  EXPECT_DOUBLE_EQ(series.at("iq_trace_dropped"), 0.0);
+  EXPECT_DOUBLE_EQ(series.at("iq_cmd_iqget_count"), 1.0);
+  EXPECT_DOUBLE_EQ(series.at("iq_cmd_iqget_max_ns"), 750.0);
 }
 
-TEST(MetricsTest, FirstScrapeOmitsRates) {
-  IQServer server{CacheStore::Config{}, IQServer::Config{}};
-  std::string text = net::FormatMetrics(server);
-  std::map<std::string, double> series;
-  ASSERT_TRUE(net::ParseMetrics(text, &series));
-  EXPECT_TRUE(series.count("iq_commits_total"));
-  EXPECT_FALSE(series.count("iq_commits_per_sec"));
-  EXPECT_DOUBLE_EQ(series.at("iq_window_seconds"), 0.0);
-}
-
-TEST(MetricsTest, StatLinesRenderAsGauges) {
-  std::string out;
-  net::AppendStatsAsMetrics(
-      "STAT conn_active 3\r\nSTAT version whatever\r\nSTAT bytes_read 99\r\n",
-      &out);
+TEST(MetricsTest, SkipsNonNumericStatLines) {
+  std::string out = net::FormatMetrics(
+      "STAT conn_active 3\r\nSTAT version whatever\r\nSTAT bytes_read 99\r\n");
   std::map<std::string, double> series;
   ASSERT_TRUE(net::ParseMetrics(out, &series));
+  EXPECT_EQ(series.size(), 2u);
   EXPECT_DOUBLE_EQ(series.at("iq_conn_active"), 3.0);
   EXPECT_DOUBLE_EQ(series.at("iq_bytes_read"), 99.0);
   EXPECT_FALSE(series.count("iq_version"));  // non-numeric skipped

@@ -25,9 +25,9 @@
 // locked path. --no-opt-reads (= --opt-value-cap=0) disables the optimistic
 // path entirely — the A/B baseline where every read takes its shard mutex.
 //
-// Runs until SIGINT/SIGTERM, then prints the server's STAT lines — lifetime
-// totals plus the windowed deltas/rates since startup (the STAT twin of the
-// `metrics` wire verb).
+// Runs until SIGINT/SIGTERM, then prints the server's STAT lines plus the
+// wire counters: the same lifetime totals a `stats` request (or, as
+// Prometheus samples, a `metrics` scrape) returns.
 //
 // --sweep-ms starts a background thread that calls SweepExpired() on that
 // period, deleting keys whose leases expired while no request touched them
@@ -148,10 +148,6 @@ int main(int argc, char** argv) {
               net_cfg.host.c_str(), tcp.port(), net_cfg.workers, sweep_ms);
   std::fflush(stdout);
 
-  // Prime the process-lifetime metrics window so the shutdown report (and a
-  // single `metrics` scrape) gets rates over a real interval.
-  server.WindowedStats();
-
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
 
@@ -177,9 +173,6 @@ int main(int argc, char** argv) {
   // Snapshot the wire counters before Stop() tears the workers down.
   std::string stats = net::FormatStats(server);
   tcp.AppendWireStats(stats);
-  // Windowed deltas/rates since the last scrape (or since startup when no
-  // `metrics` client ever connected).
-  stats += net::FormatWindowedStats(server.WindowedStats());
   tcp.Stop();
   std::printf("iqcached: shutting down\n%s", stats.c_str());
   if (trace_dump > 0) {
