@@ -327,6 +327,10 @@ void CountRestart(ClientQResult r, WriteOutcome* out) {
 WriteOutcome CasqlConnection::WriteIQInvalidate(const WriteSpec& spec) {
   WriteOutcome out;
   const CasqlConfig& cfg = system_.config_;
+  std::vector<LeaseRequest> leases;
+  for (const auto& u : spec.updates) {
+    leases.push_back({LeaseRequest::Kind::kQaReg, u.key});
+  }
   for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
     // QaReg is always granted by a reachable server (Figure 5a), so
     // placement only changes when the quarantine window opens. A transport
@@ -335,10 +339,7 @@ WriteOutcome CasqlConnection::WriteIQInvalidate(const WriteSpec& spec) {
     // permanently stale, the exact anomaly the framework exists to prevent.
     ClientQResult q = ClientQResult::kGranted;
     if (cfg.placement == LeasePlacement::kPriorToTxn) {
-      for (const auto& u : spec.updates) {
-        q = session_->Quarantine(u.key);
-        if (q != ClientQResult::kGranted) break;
-      }
+      q = session_->Acquire(leases);
       if (q != ClientQResult::kGranted) {
         session_->Abort();
         CountRestart(q, &out);
@@ -360,10 +361,7 @@ WriteOutcome CasqlConnection::WriteIQInvalidate(const WriteSpec& spec) {
       return out;
     }
     if (cfg.placement == LeasePlacement::kInsideTxn) {
-      for (const auto& u : spec.updates) {
-        q = session_->Quarantine(u.key);
-        if (q != ClientQResult::kGranted) break;
-      }
+      q = session_->Acquire(leases);
       if (q != ClientQResult::kGranted) {
         txn->Rollback();
         session_->Abort();
@@ -387,8 +385,14 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
   WriteOutcome out;
   const CasqlConfig& cfg = system_.config_;
   const std::size_t n = spec.updates.size();
+  std::vector<LeaseRequest> leases;
+  for (const auto& u : spec.updates) {
+    leases.push_back({u.invalidate ? LeaseRequest::Kind::kQaReg
+                                   : LeaseRequest::Kind::kQaRead,
+                      u.key});
+  }
   for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
-    std::vector<std::optional<std::string>> olds(n);
+    std::vector<std::optional<std::string>> olds;
     std::vector<std::optional<std::string>> news(n);
     std::unique_ptr<sql::Transaction> txn;
 
@@ -406,13 +410,7 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
       }
     }
 
-    ClientQResult q = ClientQResult::kGranted;
-    for (std::size_t i = 0; i < n; ++i) {
-      q = spec.updates[i].invalidate
-              ? session_->Quarantine(spec.updates[i].key)
-              : session_->QaRead(spec.updates[i].key, olds[i]);
-      if (q != ClientQResult::kGranted) break;
-    }
+    ClientQResult q = session_->Acquire(leases, &olds);
     if (q != ClientQResult::kGranted) {
       // Figure 5b: release every lease, roll back the RDBMS transaction,
       // back off, restart the whole session. A transport error takes the
@@ -424,10 +422,12 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
       session_->Backoff();
       continue;
     }
+    std::vector<Swap> swaps;
     for (std::size_t i = 0; i < n; ++i) {
-      if (spec.updates[i].invalidate) continue;
-      news[i] = spec.updates[i].refresh ? spec.updates[i].refresh(olds[i])
-                                        : std::nullopt;
+      const KeyUpdate& u = spec.updates[i];
+      if (u.invalidate) continue;
+      news[i] = u.refresh ? u.refresh(olds[i]) : std::nullopt;
+      swaps.push_back({u.key, news[i]});
     }
 
     if (cfg.placement == LeasePlacement::kPriorToTxn) {
@@ -447,12 +447,10 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
     txn->Commit();
     // Post-RDBMS-commit failures are tolerable: every impacted key holds a
     // Q lease, and an unreleased Q lease expires server-side and deletes
-    // the key — stale values cannot survive a lost SaR/Commit.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (spec.updates[i].invalidate) continue;
-      session_->SaR(spec.updates[i].key, news[i]);
-    }
-    session_->Commit();  // also deletes any quarantined (invalidate) keys
+    // the key — stale values cannot survive a lost SaR/Commit. The swaps
+    // and the commit (which also deletes any quarantined, invalidate-mode
+    // keys) travel together.
+    session_->Commit(std::move(swaps));
     out.committed = true;
     return out;
   }
@@ -462,6 +460,14 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
 WriteOutcome CasqlConnection::WriteIQIncremental(const WriteSpec& spec) {
   WriteOutcome out;
   const CasqlConfig& cfg = system_.config_;
+  std::vector<LeaseRequest> leases;
+  for (const auto& u : spec.updates) {
+    if (u.invalidate) {
+      leases.push_back({LeaseRequest::Kind::kQaReg, u.key});
+    } else if (u.delta) {
+      leases.push_back({LeaseRequest::Kind::kDelta, u.key, *u.delta});
+    }
+  }
   for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
     std::unique_ptr<sql::Transaction> txn;
     if (cfg.placement == LeasePlacement::kInsideTxn) {
@@ -478,17 +484,7 @@ WriteOutcome CasqlConnection::WriteIQIncremental(const WriteSpec& spec) {
       }
     }
 
-    ClientQResult q = ClientQResult::kGranted;
-    for (const auto& u : spec.updates) {
-      if (u.invalidate) {
-        q = session_->Quarantine(u.key);
-      } else if (u.delta) {
-        q = session_->Delta(u.key, *u.delta);
-      } else {
-        continue;
-      }
-      if (q != ClientQResult::kGranted) break;
-    }
+    ClientQResult q = session_->Acquire(leases);
     if (q != ClientQResult::kGranted) {
       if (txn) txn->Rollback();
       session_->Abort();

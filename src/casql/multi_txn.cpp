@@ -8,22 +8,19 @@ MultiWriteOutcome ExecuteMultiTxn(CasqlSystem& system,
   if (system.config().consistency != Consistency::kIQ) return out;
   const int max_restarts = system.config().max_session_restarts;
   KvsBackend& server = system.backend();
+  std::vector<LeaseRequest> leases;
+  for (const auto& u : spec.updates) {
+    leases.push_back({LeaseRequest::Kind::kQaRead, u.key});
+  }
 
   // One session for every attempt, so its back-off keeps escalating across
   // the restarts until Commit().
   auto iq_session = system.client().NewSession();
   for (int attempt = 0; attempt < max_restarts; ++attempt) {
-    // Growing phase: every lease before the first transaction.
-    std::vector<std::optional<std::string>> olds(spec.updates.size());
-    bool conflict = false;
-    for (std::size_t i = 0; i < spec.updates.size(); ++i) {
-      if (iq_session->QaRead(spec.updates[i].key, olds[i]) ==
-          ClientQResult::kQConflict) {
-        conflict = true;
-        break;
-      }
-    }
-    if (conflict) {
+    // Growing phase: every lease before the first transaction. A transport
+    // error restarts like a conflict: the leases may not be in place.
+    std::vector<std::optional<std::string>> olds;
+    if (iq_session->Acquire(leases, &olds) != ClientQResult::kGranted) {
       iq_session->Abort();
       ++out.q_restarts;
       iq_session->Backoff();
@@ -69,24 +66,27 @@ MultiWriteOutcome ExecuteMultiTxn(CasqlSystem& system,
       // Mid-sequence failure after some commits: the cached values can no
       // longer be refreshed consistently, so fall back to deleting them -
       // a delete is always safe and readers recompute from the database.
+      // The deletes run under the Q leases; the commit then releases them
+      // without writing.
+      std::vector<Swap> releases;
       for (const auto& u : spec.updates) {
-        iq_session->SaR(u.key, std::nullopt);  // release without writing
         server.DeleteVoid(u.key);
+        releases.push_back({u.key, std::nullopt});
       }
-      iq_session->Commit();
+      iq_session->Commit(std::move(releases));
       out.degraded_to_invalidate = true;
       return out;
     }
 
     // Shrinking phase: apply every refresh after the LAST commit.
+    std::vector<std::optional<std::string>> news(spec.updates.size());
+    std::vector<Swap> swaps;
     for (std::size_t i = 0; i < spec.updates.size(); ++i) {
       const auto& u = spec.updates[i];
-      std::optional<std::string> v_new =
-          u.refresh ? u.refresh(olds[i]) : std::nullopt;
-      iq_session->SaR(u.key, v_new ? std::optional<std::string_view>(*v_new)
-                                   : std::nullopt);
+      news[i] = u.refresh ? u.refresh(olds[i]) : std::nullopt;
+      swaps.push_back({u.key, news[i]});
     }
-    iq_session->Commit();
+    iq_session->Commit(std::move(swaps));
     out.committed = true;
     return out;
   }

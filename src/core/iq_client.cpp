@@ -131,51 +131,94 @@ void IQSession::Put(std::string_view key, std::string_view value) {
 }
 
 ClientQResult IQSession::Quarantine(std::string_view key) {
-  // Write-your-own-reads within this client: drop the local entry before
-  // the quarantine lands so no later Get of this process serves the
-  // soon-to-be-deleted value locally.
-  NearInvalidate(key);
-  if (!EnsureId()) {
-    ++stats_.transport_errors;
-    return ClientQResult::kTransportError;
-  }
-  switch (client_.backend_.QaReg(id_, key)) {
-    case QuarantineResult::kGranted:
-      Record(check::OpKind::kInval, key);
-      return ClientQResult::kGranted;
-    case QuarantineResult::kReject:
-      ++stats_.q_conflicts;
-      return ClientQResult::kQConflict;
-    case QuarantineResult::kTransportError:
-      ++stats_.transport_errors;
-      return ClientQResult::kTransportError;
-  }
-  return ClientQResult::kTransportError;
+  return Acquire({{LeaseRequest::Kind::kQaReg, key}});
 }
 
 ClientQResult IQSession::QaRead(std::string_view key,
                                 std::optional<std::string>& value) {
-  NearInvalidate(key);
+  std::vector<std::optional<std::string>> values;
+  ClientQResult r = Acquire({{LeaseRequest::Kind::kQaRead, key}}, &values);
+  if (r == ClientQResult::kGranted) value = std::move(values[0]);
+  return r;
+}
+
+ClientQResult IQSession::Delta(std::string_view key, DeltaOp delta) {
+  return Acquire({{LeaseRequest::Kind::kDelta, key, std::move(delta)}});
+}
+
+ClientQResult IQSession::Append(std::string_view key, std::string_view blob) {
+  return Delta(key, DeltaOp{DeltaOp::Kind::kAppend, std::string(blob), 0});
+}
+
+ClientQResult IQSession::Incr(std::string_view key, std::uint64_t amount) {
+  return Delta(key, DeltaOp{DeltaOp::Kind::kIncr, {}, amount});
+}
+
+ClientQResult IQSession::Decr(std::string_view key, std::uint64_t amount) {
+  return Delta(key, DeltaOp{DeltaOp::Kind::kDecr, {}, amount});
+}
+
+ClientQResult IQSession::Acquire(
+    const std::vector<LeaseRequest>& requests,
+    std::vector<std::optional<std::string>>* values) {
+  if (values != nullptr) values->assign(requests.size(), std::nullopt);
+  // Write-your-own-reads within this client: drop the local entries before
+  // the leases land, so no later Get of this process serves a value this
+  // session is about to replace or delete.
+  for (const LeaseRequest& r : requests) NearInvalidate(r.key);
+  if (requests.empty()) return ClientQResult::kGranted;
   if (!EnsureId()) {
     ++stats_.transport_errors;
     return ClientQResult::kTransportError;
   }
-  QaReadReply reply = client_.backend_.QaRead(key, id_);
-  if (reply.status == QaReadReply::Status::kReject) {
-    ++stats_.q_conflicts;
-    return ClientQResult::kQConflict;
+  std::vector<LeaseReply> replies = client_.backend_.Acquire(id_, requests);
+  // A router runs the requests shard by shard, so a request it never ran
+  // (kNotRun) may precede the refusal in caller order; the refusal alone
+  // decides the result.
+  bool not_run = false;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const LeaseRequest& r = requests[i];
+    LeaseReply& reply = replies[i];
+    if (reply.status == LeaseReply::Status::kNotRun) {
+      not_run = true;
+      continue;
+    }
+    if (reply.status == LeaseReply::Status::kReject) {
+      ++stats_.q_conflicts;
+      return ClientQResult::kQConflict;
+    }
+    if (reply.status == LeaseReply::Status::kTransportError) {
+      ++stats_.transport_errors;
+      return ClientQResult::kTransportError;
+    }
+    switch (r.kind) {
+      case LeaseRequest::Kind::kQaRead:
+        q_tokens_[std::string(r.key)] = reply.token;
+        // read_own once this logical session buffered a delta on the key
+        // (the own-update probe, Section 4.2.2).
+        if (op_log_ != nullptr) {
+          Record(delta_keys_.count(TraceKeyHash(r.key)) != 0
+                     ? check::OpKind::kReadOwn
+                 : reply.value ? check::OpKind::kReadHit
+                               : check::OpKind::kReadMiss,
+                 r.key, reply.value);
+        }
+        if (values != nullptr) (*values)[i] = std::move(reply.value);
+        break;
+      case LeaseRequest::Kind::kQaReg:
+        Record(check::OpKind::kInval, r.key);
+        break;
+      case LeaseRequest::Kind::kDelta:
+        if (op_log_ != nullptr) {
+          delta_keys_.insert(TraceKeyHash(r.key));
+          Record(check::OpKind::kDelta, r.key);
+        }
+        break;
+    }
   }
-  if (reply.status == QaReadReply::Status::kTransportError) {
+  if (not_run) {  // unasked with no refusal to explain it: state unknown
     ++stats_.transport_errors;
     return ClientQResult::kTransportError;
-  }
-  q_tokens_[std::string(key)] = reply.token;
-  value = std::move(reply.value);
-  if (op_log_ != nullptr) {
-    Record(delta_keys_.count(TraceKeyHash(key)) != 0 ? check::OpKind::kReadOwn
-           : value ? check::OpKind::kReadHit
-                   : check::OpKind::kReadMiss,
-           key, value);
   }
   return ClientQResult::kGranted;
 }
@@ -193,45 +236,30 @@ StoreResult IQSession::SaR(std::string_view key,
   return result;
 }
 
-ClientQResult IQSession::Delta(std::string_view key, DeltaOp delta) {
-  NearInvalidate(key);
-  if (!EnsureId()) {
-    ++stats_.transport_errors;
-    return ClientQResult::kTransportError;
+std::vector<StoreResult> IQSession::Commit(std::vector<Swap> swaps) {
+  std::vector<StoreResult> results(swaps.size(), StoreResult::kNotStored);
+  std::vector<Swap> held;  // the swaps under a Q lease, token filled in
+  std::vector<std::size_t> at;
+  for (std::size_t i = 0; i < swaps.size(); ++i) {
+    auto it = q_tokens_.find(std::string(swaps[i].key));
+    if (it == q_tokens_.end()) continue;
+    NearInvalidate(swaps[i].key);
+    // Write intent BEFORE the install (check/oplog.h soundness rule).
+    if (swaps[i].value) {
+      Record(check::OpKind::kWrite, swaps[i].key, swaps[i].value);
+    }
+    swaps[i].token = it->second;
+    held.push_back(swaps[i]);
+    at.push_back(i);
   }
-  switch (client_.backend_.IQDelta(id_, key, std::move(delta))) {
-    case QuarantineResult::kGranted:
-      if (op_log_ != nullptr) {
-        delta_keys_.insert(TraceKeyHash(key));
-        Record(check::OpKind::kDelta, key);
-      }
-      return ClientQResult::kGranted;
-    case QuarantineResult::kReject:
-      ++stats_.q_conflicts;
-      return ClientQResult::kQConflict;
-    case QuarantineResult::kTransportError:
-      ++stats_.transport_errors;
-      return ClientQResult::kTransportError;
+  std::vector<StoreResult> got = client_.backend_.CommitSwaps(id_, held);
+  for (std::size_t j = 0; j < at.size(); ++j) {
+    results[at[j]] = got[j];
+    if (got[j] == StoreResult::kTransportError) ++stats_.transport_errors;
   }
-  return ClientQResult::kTransportError;
-}
-
-ClientQResult IQSession::Append(std::string_view key, std::string_view blob) {
-  return Delta(key, DeltaOp{DeltaOp::Kind::kAppend, std::string(blob), 0});
-}
-
-ClientQResult IQSession::Incr(std::string_view key, std::uint64_t amount) {
-  return Delta(key, DeltaOp{DeltaOp::Kind::kIncr, {}, amount});
-}
-
-ClientQResult IQSession::Decr(std::string_view key, std::uint64_t amount) {
-  return Delta(key, DeltaOp{DeltaOp::Kind::kDecr, {}, amount});
-}
-
-void IQSession::Commit() {
-  client_.backend_.Commit(id_);
   End(check::OpKind::kCommit);
   backoff_attempt_ = 0;
+  return results;
 }
 
 void IQSession::Abort() {

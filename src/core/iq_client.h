@@ -6,7 +6,10 @@
 //   read session:   Get() -> hit, or miss + permission to recompute;
 //                   Put() installs the recomputed value (token attached).
 //   write session:  QaRead()/Delta()/Quarantine() before the RDBMS commit,
-//                   then SaR()/Commit() after it; Abort() on failure.
+//                   then SaR()/Commit() after it; Abort() on failure. The
+//                   batched form — Acquire() before, Commit(swaps) after —
+//                   costs one backend call each, whatever the key count
+//                   (one round trip per shard over the wire).
 //
 // A QaRead/Delta rejection (Q-Q conflict, Figure 5b) surfaces as
 // kQConflict: the caller must release everything (Abort()), roll back its
@@ -101,7 +104,8 @@ class IQSession {
 
   /// Quarantine `key` for deletion at Commit (QaReg). Granted whenever the
   /// server is reachable; kTransportError means the quarantine is NOT in
-  /// place and the session must abort/back off/retry, not commit.
+  /// place and the session must abort/back off/retry, not commit. Logs
+  /// inval.
   ClientQResult Quarantine(std::string_view key);
 
   // ---- write path: refresh ---------------------------------------------------
@@ -126,12 +130,31 @@ class IQSession {
   ClientQResult Incr(std::string_view key, std::uint64_t amount);
   ClientQResult Decr(std::string_view key, std::uint64_t amount);
 
+  // ---- write path: batched ----------------------------------------------------
+
+  /// Take every lease of a write session in one backend call, in order:
+  /// kQaRead as QaRead(), kQaReg as Quarantine(), kDelta as Delta(), with
+  /// their near-cache invalidation, tokens and op-log records, up to the
+  /// first request not granted, whose outcome is the result. The
+  /// single-key verbs above are this call with one request. On kGranted,
+  /// (*values)[i] holds request i's QaRead value (values is resized to
+  /// match `requests`).
+  ClientQResult Acquire(const std::vector<LeaseRequest>& requests,
+                        std::vector<std::optional<std::string>>* values =
+                            nullptr);
+
   // ---- lifecycle ------------------------------------------------------------
 
-  /// Apply buffered changes (delete invalidated keys, apply deltas) and
-  /// release every lease. Call after the RDBMS transaction commits. Resets
-  /// the back-off escalation.
-  void Commit();
+  /// SaR every swap (a null value releases only), then apply buffered
+  /// changes (delete invalidated keys, apply deltas) and release every
+  /// lease — one backend call. Call after the RDBMS transaction commits.
+  /// Each swap goes out under the session's Q(refresh) token for its key
+  /// (the swap's own token field is ignored); a key without one reports
+  /// kNotStored and is not sent. Write intents are logged before the call.
+  /// Returns the swaps' results, in order. Resets the back-off escalation.
+  std::vector<StoreResult> Commit(std::vector<Swap> swaps);
+  /// Commit with no swaps.
+  void Commit() { Commit(std::vector<Swap>{}); }
 
   /// Discard buffered changes and release every lease, leaving current
   /// values in place. Call when the RDBMS transaction aborts. Keeps the

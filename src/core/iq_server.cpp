@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 
 namespace iq {
 namespace {
@@ -36,6 +37,32 @@ void ApplyDeltaToValue(std::string& value, const DeltaOp& delta) {
   }
 }
 
+/// Distance between the id bases of two incarnations in one process.
+constexpr std::uint64_t kIncarnationStride = std::uint64_t{1} << 32;
+
+/// First session id and lease token of a new server incarnation. Clients
+/// keep session ids and tokens across a reconnect, so a restarted server
+/// must never hand out one an earlier incarnation issued: an old session id
+/// would pass as the holder of a new session's Q lease, an old token would
+/// install into a new I lease. The base is the wall clock in nanoseconds —
+/// no server issues ids faster than one a nanosecond, so a later process
+/// starts past everything an earlier one issued — and within one process
+/// each incarnation starts at least kIncarnationStride past the previous
+/// one, whatever the clock does.
+std::uint64_t NextIncarnationBase() {
+  static std::atomic<std::uint64_t> last{0};
+  const auto wall = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+  std::uint64_t prev = last.load(std::memory_order_relaxed);
+  std::uint64_t base = 0;
+  do {
+    base = std::max(wall, prev + kIncarnationStride);
+  } while (!last.compare_exchange_weak(prev, base, std::memory_order_relaxed));
+  return base;
+}
+
 }  // namespace
 
 const char* ToString(CommandClass c) {
@@ -66,6 +93,8 @@ IQServer::IQServer(CacheStore::Config store_config, Config config)
       }()),
       clock_(config.clock != nullptr ? *config.clock : SteadyClock::Instance()),
       leases_(store_.shard_count()),
+      next_token_(NextIncarnationBase()),
+      next_session_(next_token_.load(std::memory_order_relaxed)),
       shard_stats_(store_.shard_count()) {
   if (config_.trace_capacity > 0) {
     trace_rings_.reserve(store_.shard_count());

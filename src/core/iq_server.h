@@ -134,7 +134,10 @@ class IQServer final : public KvsBackend {
 
   // ---- commands ---------------------------------------------------------
 
-  /// Command 5: unique session/transaction identifier.
+  /// Command 5: unique session/transaction identifier — unique across
+  /// incarnations too: session ids and lease tokens start at a base no
+  /// earlier incarnation of a server reached (see NextIncarnationBase in
+  /// iq_server.cpp), because clients keep both across a reconnect.
   SessionId GenID() override {
     return next_session_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -302,8 +305,8 @@ class IQServer final : public KvsBackend {
   /// like the lease table. Empty when near_validity == 0; entries are
   /// consumed by QaReg and pruned by SweepExpired.
   std::vector<std::unordered_map<std::string, Nanos>> near_horizons_;
-  std::atomic<LeaseToken> next_token_{1};
-  std::atomic<SessionId> next_session_{1};
+  std::atomic<LeaseToken> next_token_;
+  std::atomic<SessionId> next_session_;
 
   /// One counter block per CacheStore shard; see IQShardStats.
   std::vector<IQShardStats> shard_stats_;

@@ -7,12 +7,20 @@
 //
 // Everything above this interface (IQClient, the casql session layer, the
 // BG benchmark) is transport-agnostic.
+//
+// A write session's leases move in two batches (DESIGN.md §4.11): Acquire
+// takes every Q lease before the RDBMS commit, CommitSwaps installs every
+// refreshed value and commits after it. Their default bodies make one
+// per-key call each, so an implementation (or a decorator) that overrides
+// only the per-key verbs sees exactly the per-key sequence; a remote
+// backend overrides them to send one framed request per call.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "kvs/kvs.h"
 #include "leases/lease_table.h"
@@ -62,6 +70,40 @@ enum class QuarantineResult {
                     // session must never commit its RDBMS txn on this signal
 };
 
+/// One lease of a write session's acquire batch: QaRead, QaReg or IQDelta
+/// on `key`. Views must outlive the Acquire call.
+struct LeaseRequest {
+  enum class Kind { kQaRead, kQaReg, kDelta };
+  Kind kind = Kind::kQaRead;
+  std::string_view key;
+  DeltaOp delta{DeltaOp::Kind::kIncr, {}, 0};  // kDelta only
+};
+
+/// Answer to one LeaseRequest.
+struct LeaseReply {
+  enum class Status {
+    kGranted,
+    kReject,          // another session holds Q: release all, abort, retry
+    kTransportError,  // the lease state is unknown: abort, back off, retry
+    kNotRun,          // never executed: an earlier request was not granted
+  };
+  Status status = Status::kNotRun;
+  std::optional<std::string> value;  // kQaRead grant: nullopt = KVS miss
+  LeaseToken token = 0;              // kQaRead grant
+};
+
+/// The LeaseReply a per-key QaRead, or QaReg/IQDelta, answer amounts to.
+LeaseReply ToLeaseReply(QaReadReply reply);
+LeaseReply ToLeaseReply(QuarantineResult result);
+
+/// One swap of a write session's commit batch: SaR(key, value, token). A
+/// null value releases the Q lease leaving the current value in place.
+struct Swap {
+  std::string_view key;
+  std::optional<std::string_view> value;
+  LeaseToken token = 0;
+};
+
 class KvsBackend {
  public:
   virtual ~KvsBackend() = default;
@@ -86,6 +128,18 @@ class KvsBackend {
   virtual void Abort(SessionId tid) = 0;
   /// Release a session's lease on one key without applying changes.
   virtual void ReleaseKey(SessionId tid, std::string_view key) = 0;
+
+  // ---- a write session's two batches ----
+  /// Take `requests` in order for session `tid`, stopping after the first
+  /// one not granted. The reply list is aligned with `requests`; requests
+  /// never executed after a refusal or failure stay kNotRun (a router runs
+  /// them shard by shard, so those need not be the last in caller order).
+  virtual std::vector<LeaseReply> Acquire(
+      SessionId tid, const std::vector<LeaseRequest>& requests);
+  /// SaR each swap in order, then Commit(tid). Returns the swaps' results,
+  /// aligned with `swaps`.
+  virtual std::vector<StoreResult> CommitSwaps(SessionId tid,
+                                               const std::vector<Swap>& swaps);
 
   // ---- plain memcached operations (baseline clients) ----
   virtual std::optional<CacheItem> Get(std::string_view key) = 0;

@@ -32,6 +32,28 @@ void Accumulate(IQServerStats& total, const IQServerStats& s) {
   for (const IQStatsField& f : kIQStatsFields) total.*f.member += s.*f.member;
 }
 
+// The per-key lease verbs are Acquire of one request; these map its reply
+// back. kNotRun cannot occur for a lone request.
+QaReadReply ToQaReadReply(LeaseReply reply) {
+  QaReadReply out;
+  out.status = reply.status == LeaseReply::Status::kGranted
+                   ? QaReadReply::Status::kGranted
+               : reply.status == LeaseReply::Status::kReject
+                   ? QaReadReply::Status::kReject
+                   : QaReadReply::Status::kTransportError;
+  out.value = std::move(reply.value);
+  out.token = reply.token;
+  return out;
+}
+
+QuarantineResult ToQuarantineResult(const LeaseReply& reply) {
+  return reply.status == LeaseReply::Status::kGranted
+             ? QuarantineResult::kGranted
+         : reply.status == LeaseReply::Status::kReject
+             ? QuarantineResult::kReject
+             : QuarantineResult::kTransportError;
+}
+
 }  // namespace
 
 ShardedBackend::ShardedBackend(std::vector<Shard> shards, Config config)
@@ -126,13 +148,15 @@ SessionId ShardedBackend::GenID() {
   return next_sid_.fetch_add(1, std::memory_order_relaxed);
 }
 
-SessionId ShardedBackend::ShardSession(SessionId tid, std::size_t shard) {
+SessionId ShardedBackend::ShardSession(SessionId tid, std::size_t shard,
+                                       bool write) {
   Stripe& st = StripeFor(tid);
   {
     std::lock_guard lock(st.mu);
     auto it = st.sessions.find(tid);
     if (it != st.sessions.end() && !it->second.shard_sids.empty() &&
         it->second.shard_sids[shard] != 0) {
+      if (write) it->second.written[shard] = true;
       return it->second.shard_sids[shard];
     }
   }
@@ -143,7 +167,10 @@ SessionId ShardedBackend::ShardSession(SessionId tid, std::size_t shard) {
                              // kTransportError; nothing to record in the map
   std::lock_guard lock(st.mu);
   SessionState& state = st.sessions.try_emplace(tid).first->second;
-  if (state.shard_sids.empty()) state.shard_sids.resize(shards_.size(), 0);
+  if (state.shard_sids.empty()) {
+    state.shard_sids.resize(shards_.size(), 0);
+    state.written.resize(shards_.size(), false);
+  }
   SessionId& slot = state.shard_sids[shard];
   if (slot == 0) {
     // A session is single-threaded by contract; this re-check only guards
@@ -152,6 +179,7 @@ SessionId ShardedBackend::ShardSession(SessionId tid, std::size_t shard) {
     slot = child;
     shard_sessions_.fetch_add(1, std::memory_order_relaxed);
   }
+  if (write) state.written[shard] = true;
   return slot;
 }
 
@@ -164,22 +192,62 @@ SessionId ShardedBackend::LookupShardSession(SessionId tid,
   return it->second.shard_sids[shard];
 }
 
-std::vector<SessionId> ShardedBackend::TakeSession(SessionId tid) {
+std::vector<ShardedBackend::Written> ShardedBackend::TakeWritten(
+    SessionId tid, bool forget) {
+  std::vector<Written> out;
   Stripe& st = StripeFor(tid);
   std::lock_guard lock(st.mu);
   auto it = st.sessions.find(tid);
-  if (it == st.sessions.end()) return {};
-  std::vector<SessionId> sids = std::move(it->second.shard_sids);
-  st.sessions.erase(it);
-  return sids;
+  if (it == st.sessions.end()) return out;
+  SessionState& state = it->second;
+  for (std::size_t i = 0; i < state.written.size(); ++i) {
+    if (!state.written[i]) continue;
+    state.written[i] = false;
+    out.push_back({i, state.shard_sids[i]});
+  }
+  if (forget) st.sessions.erase(it);
+  return out;
 }
 
-void ShardedBackend::ReleaseAllTouched(SessionId tid) {
-  std::vector<SessionId> sids = TakeSession(tid);
-  for (std::size_t i = 0; i < sids.size(); ++i) {
+template <typename Item>
+ShardedBackend::ShardGroups ShardedBackend::GroupByShard(
+    const std::vector<Item>& items) const {
+  ShardGroups g;
+  g.by_shard.resize(shards_.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    std::size_t s = ShardFor(items[i].key);
+    if (g.by_shard[s].empty()) g.order.push_back(s);
+    g.by_shard[s].push_back(i);
+  }
+  return g;
+}
+
+void ShardedBackend::ReleaseAllWritten(SessionId tid) {
+  for (const Written& w : TakeWritten(tid, /*forget=*/true)) {
     // Down shards are skipped, not probed: an Abort cannot report success,
     // and the child's lease expiry reclaims whatever the session held.
-    if (sids[i] != 0 && !ShardDown(i)) shards_[i].backend->Abort(sids[i]);
+    if (!ShardDown(w.shard)) shards_[w.shard].backend->Abort(w.sid);
+  }
+  reject_releases_.fetch_add(1, std::memory_order_relaxed);
+}
+
+template <typename End>
+void ShardedBackend::FanOut(const std::vector<Written>& written,
+                            std::atomic<std::uint64_t>& logical, End&& end) {
+  for (const Written& w : written) {
+    // Safe to skip a down shard: its unreleased leases expire, and expiry
+    // DELETES the key (Section 6.1) — readers recompute from the RDBMS, so
+    // no stale value survives the missed commit or abort.
+    if (!ShardDown(w.shard)) end(*shards_[w.shard].backend, w.sid);
+  }
+  CountEnd(written.size(), logical);
+}
+
+void ShardedBackend::CountEnd(std::size_t written,
+                              std::atomic<std::uint64_t>& logical) {
+  if (written > 0) logical.fetch_add(1, std::memory_order_relaxed);
+  if (written > 1) {
+    cross_shard_sessions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -190,7 +258,7 @@ GetReply ShardedBackend::IQget(std::string_view key, SessionId session) {
   GetReply err;
   err.status = GetReply::Status::kTransportError;
   if (!AllowRequest(s)) return err;  // down: degrade to RDBMS pass-through
-  SessionId sid = session == 0 ? 0 : ShardSession(session, s);
+  SessionId sid = session == 0 ? 0 : ShardSession(session, s, false);
   if (session != 0 && sid == 0) {
     RecordResult(s, true);  // the mint round trip failed
     return err;
@@ -211,26 +279,8 @@ StoreResult ShardedBackend::IQset(std::string_view key, std::string_view value,
 }
 
 QaReadReply ShardedBackend::QaRead(std::string_view key, SessionId session) {
-  std::size_t s = ShardFor(key);
-  QaReadReply err;
-  err.status = QaReadReply::Status::kTransportError;
-  if (!AllowRequest(s)) return err;  // down: fail the write session fast
-  SessionId sid = ShardSession(session, s);
-  if (sid == 0) {
-    RecordResult(s, true);
-    return err;
-  }
-  QaReadReply reply = shards_[s].backend->QaRead(key, sid);
-  RecordResult(s, reply.status == QaReadReply::Status::kTransportError);
-  if (reply.status == QaReadReply::Status::kReject) {
-    // "Release all, abort, retry" (Figure 5b) — enforced here so a Q lease
-    // held on another shard cannot outlive the reject and deadlock the
-    // retried session. The caller's own Abort() then finds nothing left,
-    // which is harmless.
-    ReleaseAllTouched(session);
-    reject_releases_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return reply;
+  return ToQaReadReply(
+      std::move(Acquire(session, {{LeaseRequest::Kind::kQaRead, key}})[0]));
 }
 
 StoreResult ShardedBackend::SaR(std::string_view key,
@@ -244,82 +294,28 @@ StoreResult ShardedBackend::SaR(std::string_view key,
 }
 
 QuarantineResult ShardedBackend::QaReg(SessionId tid, std::string_view key) {
-  std::size_t s = ShardFor(key);
-  if (!AllowRequest(s)) return QuarantineResult::kTransportError;
-  SessionId sid = ShardSession(tid, s);
-  if (sid == 0) {
-    RecordResult(s, true);
-    return QuarantineResult::kTransportError;
-  }
-  QuarantineResult r = shards_[s].backend->QaReg(sid, key);
-  RecordResult(s, r == QuarantineResult::kTransportError);
-  return r;
+  return ToQuarantineResult(
+      Acquire(tid, {{LeaseRequest::Kind::kQaReg, key}})[0]);
 }
 
 void ShardedBackend::DaR(SessionId tid) {
-  std::vector<SessionId> sids = TakeSession(tid);
-  std::size_t touched = 0;
-  for (std::size_t i = 0; i < sids.size(); ++i) {
-    if (sids[i] == 0) continue;
-    ++touched;
-    if (ShardDown(i)) continue;  // lease expiry deletes the keys instead
-    shards_[i].backend->DaR(sids[i]);
-  }
-  if (touched > 0) fanout_commits_.fetch_add(1, std::memory_order_relaxed);
-  if (touched > 1) {
-    cross_shard_sessions_.fetch_add(1, std::memory_order_relaxed);
-  }
+  FanOut(TakeWritten(tid, /*forget=*/false), fanout_commits_,
+         [](KvsBackend& child, SessionId sid) { child.DaR(sid); });
 }
 
 QuarantineResult ShardedBackend::IQDelta(SessionId tid, std::string_view key,
                                          DeltaOp delta) {
-  std::size_t s = ShardFor(key);
-  if (!AllowRequest(s)) return QuarantineResult::kTransportError;
-  SessionId sid = ShardSession(tid, s);
-  if (sid == 0) {
-    RecordResult(s, true);
-    return QuarantineResult::kTransportError;
-  }
-  QuarantineResult r = shards_[s].backend->IQDelta(sid, key, std::move(delta));
-  RecordResult(s, r == QuarantineResult::kTransportError);
-  if (r == QuarantineResult::kReject) {
-    ReleaseAllTouched(tid);  // same rule as a QaRead reject
-    reject_releases_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return r;
+  return ToQuarantineResult(Acquire(
+      tid, {{LeaseRequest::Kind::kDelta, key, std::move(delta)}})[0]);
 }
 
-void ShardedBackend::Commit(SessionId tid) {
-  std::vector<SessionId> sids = TakeSession(tid);
-  std::size_t touched = 0;
-  for (std::size_t i = 0; i < sids.size(); ++i) {
-    if (sids[i] == 0) continue;
-    ++touched;
-    // Safe to skip a down shard: its unreleased leases expire, and expiry
-    // DELETES the key (Section 6.1) — readers recompute from the RDBMS, so
-    // no stale value survives the missed commit.
-    if (ShardDown(i)) continue;
-    shards_[i].backend->Commit(sids[i]);
-  }
-  if (touched > 0) fanout_commits_.fetch_add(1, std::memory_order_relaxed);
-  if (touched > 1) {
-    cross_shard_sessions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
+void ShardedBackend::Commit(SessionId tid) { CommitSwaps(tid, {}); }
 
 void ShardedBackend::Abort(SessionId tid) {
-  std::vector<SessionId> sids = TakeSession(tid);
-  std::size_t touched = 0;
-  for (std::size_t i = 0; i < sids.size(); ++i) {
-    if (sids[i] == 0) continue;
-    ++touched;
-    if (ShardDown(i)) continue;  // same expiry backstop as Commit
-    shards_[i].backend->Abort(sids[i]);
-  }
-  if (touched > 0) fanout_aborts_.fetch_add(1, std::memory_order_relaxed);
-  if (touched > 1) {
-    cross_shard_sessions_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // An abort also forgets the child ids: the next transaction re-mints
+  // them, so ids never outlive a session that failed on a dead shard.
+  FanOut(TakeWritten(tid, /*forget=*/true), fanout_aborts_,
+         [](KvsBackend& child, SessionId sid) { child.Abort(sid); });
 }
 
 void ShardedBackend::ReleaseKey(SessionId tid, std::string_view key) {
@@ -328,6 +324,73 @@ void ShardedBackend::ReleaseKey(SessionId tid, std::string_view key) {
   if (sid == 0) return;  // never touched that shard: nothing held there
   if (ShardDown(s)) return;  // expiry reclaims the lease
   shards_[s].backend->ReleaseKey(sid, key);
+}
+
+std::vector<LeaseReply> ShardedBackend::Acquire(
+    SessionId tid, const std::vector<LeaseRequest>& requests) {
+  std::vector<LeaseReply> replies(requests.size());
+  ShardGroups groups = GroupByShard(requests);
+  for (std::size_t s : groups.order) {
+    const std::vector<std::size_t>& idx = groups.by_shard[s];
+    if (!AllowRequest(s)) {  // down: fail the write session fast
+      replies[idx.front()].status = LeaseReply::Status::kTransportError;
+      return replies;
+    }
+    SessionId sid = ShardSession(tid, s, true);
+    if (sid == 0) {
+      RecordResult(s, true);  // the mint round trip failed
+      replies[idx.front()].status = LeaseReply::Status::kTransportError;
+      return replies;
+    }
+    std::vector<LeaseRequest> part;
+    part.reserve(idx.size());
+    for (std::size_t i : idx) part.push_back(requests[i]);
+    std::vector<LeaseReply> got = shards_[s].backend->Acquire(sid, part);
+    bool transport = false;
+    bool refused = false;
+    for (std::size_t j = 0; j < idx.size(); ++j) {
+      transport |= got[j].status == LeaseReply::Status::kTransportError;
+      refused |= got[j].status != LeaseReply::Status::kGranted;
+      if (got[j].status == LeaseReply::Status::kReject) {
+        // "Release all, abort, retry" (Figure 5b) — enforced here so a Q
+        // lease held on another shard cannot outlive the reject and
+        // deadlock the retried session. The caller's own Abort() then
+        // finds nothing left, which is harmless.
+        ReleaseAllWritten(tid);
+      }
+      replies[idx[j]] = std::move(got[j]);
+    }
+    RecordResult(s, transport);
+    if (refused) return replies;
+  }
+  return replies;
+}
+
+std::vector<StoreResult> ShardedBackend::CommitSwaps(
+    SessionId tid, const std::vector<Swap>& swaps) {
+  std::vector<StoreResult> results(swaps.size(), StoreResult::kTransportError);
+  // Each written shard gets one call: its swaps, then its commit. A swap's
+  // Q token comes from a lease the session took, which marked its shard
+  // written, so no swap lies on another shard.
+  std::vector<Written> written = TakeWritten(tid, /*forget=*/false);
+  ShardGroups groups = GroupByShard(swaps);
+  for (const Written& w : written) {
+    if (ShardDown(w.shard)) continue;  // the expiry backstop, as in FanOut
+    const std::vector<std::size_t>& idx = groups.by_shard[w.shard];
+    std::vector<Swap> part;
+    part.reserve(idx.size());
+    for (std::size_t i : idx) part.push_back(swaps[i]);
+    std::vector<StoreResult> got =
+        shards_[w.shard].backend->CommitSwaps(w.sid, part);
+    bool transport = false;
+    for (std::size_t j = 0; j < idx.size(); ++j) {
+      transport |= got[j] == StoreResult::kTransportError;
+      results[idx[j]] = got[j];
+    }
+    if (!idx.empty()) RecordResult(w.shard, transport);
+  }
+  CountEnd(written.size(), fanout_commits_);
+  return results;
 }
 
 // ---- plain memcached operations --------------------------------------------

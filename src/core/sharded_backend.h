@@ -16,12 +16,24 @@
 // SessionId per session, but leases and quarantine registries live
 // per-shard, in the child that owns each key. The router therefore treats
 // its own GenID() values as virtual ids and lazily mints a child SessionId
-// (via the child's GenID()) the first time a session touches a shard.
-// Commit/Abort/DaR fan out to exactly the touched shards; a QaRead/IQDelta
-// rejection releases every touched shard immediately (fan-out abort) so a
-// Q lease stranded on shard A can never deadlock the session's retry after
-// it backs off — the paper's "release all, abort, retry" rule, enforced
-// at the router even if a caller forgets.
+// (via the child's GenID()) the first time a session touches a shard. The
+// child ids live until the session aborts: a commit keeps them, so a
+// connection that reuses its session id pays one mint per shard, not one
+// per commit (DESIGN.md §4.3). Commit/Abort/DaR fan out to exactly the
+// shards the session wrote — took a Q lease on through QaRead, QaReg,
+// IQDelta or Acquire — since its last Commit or Abort; a shard it only
+// read holds nothing a commit could release (I leases are not
+// registered). A QaRead/IQDelta rejection releases every written shard
+// immediately (fan-out abort) so a Q lease stranded on shard A can never
+// deadlock the session's retry after it backs off — the paper's "release
+// all, abort, retry" rule, enforced at the router even if a caller
+// forgets.
+//
+// The batched verbs send one Acquire / CommitSwaps per shard, each request
+// in its caller's order, and answer in caller order; Acquire asks the
+// shards in the order the caller's keys first reach them. The per-key
+// lease verbs are Acquire of one request and Commit is CommitSwaps with no
+// swaps, so each has one code path.
 //
 // Fault tolerance: a per-shard circuit breaker watches for transport
 // errors from the child. After `down_after_errors` consecutive failures
@@ -57,9 +69,11 @@ namespace iq {
 struct ShardedBackendStats {
   std::uint64_t sessions = 0;            // virtual ids handed out by GenID()
   std::uint64_t shard_sessions = 0;      // child ids minted on first touch
-  std::uint64_t fanout_commits = 0;      // logical commits (incl. DaR)
-  std::uint64_t fanout_aborts = 0;       // logical aborts
-  std::uint64_t cross_shard_sessions = 0;  // sessions that touched >1 shard
+  std::uint64_t fanout_commits = 0;      // logical commits (incl. DaR) that
+                                         // wrote a shard
+  std::uint64_t fanout_aborts = 0;       // logical aborts that wrote a shard
+  std::uint64_t cross_shard_sessions = 0;  // commits/aborts that wrote >1
+                                           // shard
   std::uint64_t reject_releases = 0;     // fan-out releases after a Q reject
   std::uint64_t transport_errors = 0;    // child calls that failed transport
   std::uint64_t shard_trips = 0;         // shards marked down
@@ -128,6 +142,10 @@ class ShardedBackend final : public KvsBackend {
   void Commit(SessionId tid) override;
   void Abort(SessionId tid) override;
   void ReleaseKey(SessionId tid, std::string_view key) override;
+  std::vector<LeaseReply> Acquire(
+      SessionId tid, const std::vector<LeaseRequest>& requests) override;
+  std::vector<StoreResult> CommitSwaps(SessionId tid,
+                                       const std::vector<Swap>& swaps) override;
 
   // ---- plain memcached operations, routed --------------------------------
   std::optional<CacheItem> Get(std::string_view key) override;
@@ -156,7 +174,7 @@ class ShardedBackend final : public KvsBackend {
   std::size_t ShardFor(std::string_view key) const;
 
   /// Sum of the child counter snapshots (shards without a stats provider
-  /// contribute zeros). A session that touched k shards commits/aborts on
+  /// contribute zeros). A session that wrote k shards commits/aborts on
   /// each of them, so the aggregated commits/aborts count per-shard
   /// fan-outs; router_stats() has the logical session counts.
   IQServerStats Stats() const;
@@ -180,9 +198,15 @@ class ShardedBackend final : public KvsBackend {
 
  private:
   /// One live session: the lazily minted child id per shard (0 = shard not
-  /// touched yet).
+  /// touched yet) and the shards written since the last Commit/DaR/Abort.
   struct SessionState {
     std::vector<SessionId> shard_sids;
+    std::vector<bool> written;
+  };
+  /// A written shard and the session's child id there.
+  struct Written {
+    std::size_t shard;
+    SessionId sid;
   };
   struct alignas(64) Stripe {
     mutable std::mutex mu;
@@ -208,17 +232,35 @@ class ShardedBackend final : public KvsBackend {
   }
 
   /// Child id for (tid, shard), minted via the child's GenID() on first
-  /// touch. The mint happens outside the stripe lock (it may be a network
-  /// round trip); first writer wins on the defensive re-check.
-  SessionId ShardSession(SessionId tid, std::size_t shard);
+  /// touch; `write` marks the shard written. The mint happens outside the
+  /// stripe lock (it may be a network round trip); first writer wins on the
+  /// defensive re-check.
+  SessionId ShardSession(SessionId tid, std::size_t shard, bool write);
   /// Child id if the session already touched the shard, else 0. Never
   /// mints.
   SessionId LookupShardSession(SessionId tid, std::size_t shard) const;
-  /// Remove and return the session's minted child ids (empty if none).
-  std::vector<SessionId> TakeSession(SessionId tid);
-  /// Fan-out Abort over every touched shard and drop the session — the
-  /// mandatory release after a child rejected QaRead/IQDelta.
-  void ReleaseAllTouched(SessionId tid);
+  /// The shards written since the last commit or abort, which this call
+  /// ends. The child ids stay for the session's next transaction unless
+  /// `forget` drops the session.
+  std::vector<Written> TakeWritten(SessionId tid, bool forget);
+  /// Item indices by the shard of their key, and the shards in the order
+  /// the items first reach them.
+  struct ShardGroups {
+    std::vector<std::vector<std::size_t>> by_shard;
+    std::vector<std::size_t> order;
+  };
+  template <typename Item>
+  ShardGroups GroupByShard(const std::vector<Item>& items) const;
+  /// Fan-out Abort over every written shard and drop the session — the
+  /// mandatory release after a child rejected an Acquire.
+  void ReleaseAllWritten(SessionId tid);
+  /// Fan `end` (a child's DaR or Abort) out to the written shards that are
+  /// up, and count the logical commit or abort in `logical`.
+  template <typename End>
+  void FanOut(const std::vector<Written>& written,
+              std::atomic<std::uint64_t>& logical, End&& end);
+  /// Count one logical commit or abort that wrote `written` shards.
+  void CountEnd(std::size_t written, std::atomic<std::uint64_t>& logical);
 
   /// False while the shard is down and the probe slot for this interval is
   /// already claimed: the caller must fail fast without touching the child.

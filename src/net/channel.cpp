@@ -39,9 +39,13 @@ bool LoopbackChannel::RoundTrip(const std::string& request_bytes,
 }
 
 Response RemoteCacheClient::Call(const Request& request) {
+  return Exchange(Serialize(request));
+}
+
+Response RemoteCacheClient::Exchange(const std::string& request_bytes) {
   std::string bytes;
   Response err;
-  if (!channel_.RoundTrip(Serialize(request), &bytes)) {
+  if (!channel_.RoundTrip(request_bytes, &bytes)) {
     err.type = ResponseType::kTransportError;
     err.message = "connection failed";
     return err;
@@ -115,6 +119,92 @@ StoreResult ToStoreResult(const Response& resp) {
     case ResponseType::kTransportError: return StoreResult::kTransportError;
     default: return StoreResult::kNotStored;
   }
+}
+
+// The write-session verbs, each as a request builder plus a reply reader,
+// shared by the per-key calls and the batched ones.
+
+Request QaReadRequest(std::string_view key, SessionId session) {
+  Request r;
+  r.command = Command::kQaRead;
+  r.key = key;
+  r.session = session;
+  return r;
+}
+
+QaReadReply ToQaReadReply(Response resp) {
+  switch (resp.type) {
+    case ResponseType::kQValue:
+      return {QaReadReply::Status::kGranted, std::move(resp.data), resp.number};
+    case ResponseType::kQMiss:
+      return {QaReadReply::Status::kGranted, std::nullopt, resp.number};
+    case ResponseType::kReject:
+      return {QaReadReply::Status::kReject, std::nullopt, 0};
+    default:
+      // Only an explicit REJECT means "Q conflict, abort and retry". A dead
+      // channel must surface as an outage so the session aborts its RDBMS
+      // txn instead of spinning the conflict path forever.
+      return {QaReadReply::Status::kTransportError, std::nullopt, 0};
+  }
+}
+
+Request QaRegRequest(SessionId tid, std::string_view key) {
+  Request r;
+  r.command = Command::kQaReg;
+  r.session = tid;
+  r.key = key;
+  return r;
+}
+
+Request DeltaRequest(SessionId tid, std::string_view key, DeltaOp delta) {
+  Request r;
+  r.session = tid;
+  r.key = key;
+  switch (delta.kind) {
+    case DeltaOp::Kind::kAppend:
+      r.command = Command::kIQAppend;
+      r.data = std::move(delta.blob);
+      break;
+    case DeltaOp::Kind::kPrepend:
+      r.command = Command::kIQPrepend;
+      r.data = std::move(delta.blob);
+      break;
+    case DeltaOp::Kind::kIncr:
+      r.command = Command::kIQIncr;
+      r.amount = delta.amount;
+      break;
+    case DeltaOp::Kind::kDecr:
+      r.command = Command::kIQDecr;
+      r.amount = delta.amount;
+      break;
+  }
+  return r;
+}
+
+/// QaReg and the IQ deltas: kGranted only on an explicit GRANTED.
+QuarantineResult ToQuarantineResult(const Response& resp) {
+  switch (resp.type) {
+    case ResponseType::kGranted: return QuarantineResult::kGranted;
+    case ResponseType::kReject: return QuarantineResult::kReject;
+    default: return QuarantineResult::kTransportError;
+  }
+}
+
+Request SaRRequest(std::string_view key, std::optional<std::string_view> value,
+                   LeaseToken token) {
+  Request r;
+  r.command = value ? Command::kSaR : Command::kSaRNull;
+  r.key = key;
+  if (value) r.data = *value;
+  r.token = token;
+  return r;
+}
+
+Request SessionRequest(Command command, SessionId tid) {
+  Request r;
+  r.command = command;
+  r.session = tid;
+  return r;
 }
 
 }  // namespace
@@ -296,35 +386,15 @@ StoreResult RemoteCacheClient::IQset(const std::string& key,
 
 QaReadReply RemoteCacheClient::QaRead(const std::string& key,
                                       SessionId session) {
-  Request r;
-  r.command = Command::kQaRead;
-  r.key = key;
-  r.session = session;
-  Response resp = Call(r);
-  switch (resp.type) {
-    case ResponseType::kQValue:
-      return {QaReadReply::Status::kGranted, std::move(resp.data), resp.number};
-    case ResponseType::kQMiss:
-      return {QaReadReply::Status::kGranted, std::nullopt, resp.number};
-    case ResponseType::kReject:
-      return {QaReadReply::Status::kReject, std::nullopt, 0};
-    default:
-      // Only an explicit REJECT means "Q conflict, abort and retry". A dead
-      // channel must surface as an outage so the session aborts its RDBMS
-      // txn instead of spinning the conflict path forever.
-      return {QaReadReply::Status::kTransportError, std::nullopt, 0};
-  }
+  return ToQaReadReply(Call(QaReadRequest(key, session)));
 }
 
 StoreResult RemoteCacheClient::SaR(const std::string& key,
                                    const std::optional<std::string>& value,
                                    LeaseToken token) {
-  Request r;
-  r.command = value ? Command::kSaR : Command::kSaRNull;
-  r.key = key;
-  if (value) r.data = *value;
-  r.token = token;
-  return ToStoreResult(Call(r));
+  return ToStoreResult(Call(SaRRequest(
+      key, value ? std::optional<std::string_view>(*value) : std::nullopt,
+      token)));
 }
 
 SessionId RemoteCacheClient::GenID() {
@@ -336,67 +406,25 @@ SessionId RemoteCacheClient::GenID() {
 
 QuarantineResult RemoteCacheClient::QaReg(SessionId tid,
                                           const std::string& key) {
-  Request r;
-  r.command = Command::kQaReg;
-  r.session = tid;
-  r.key = key;
-  switch (Call(r).type) {
-    case ResponseType::kGranted: return QuarantineResult::kGranted;
-    case ResponseType::kReject: return QuarantineResult::kReject;
-    default: return QuarantineResult::kTransportError;
-  }
+  return ToQuarantineResult(Call(QaRegRequest(tid, key)));
 }
 
 bool RemoteCacheClient::DaR(SessionId tid) {
-  Request r;
-  r.command = Command::kDaR;
-  r.session = tid;
-  return Call(r).type == ResponseType::kOk;
+  return Call(SessionRequest(Command::kDaR, tid)).type == ResponseType::kOk;
 }
 
 QuarantineResult RemoteCacheClient::IQDelta(SessionId tid,
                                             const std::string& key,
                                             DeltaOp delta) {
-  Request r;
-  r.session = tid;
-  r.key = key;
-  switch (delta.kind) {
-    case DeltaOp::Kind::kAppend:
-      r.command = Command::kIQAppend;
-      r.data = std::move(delta.blob);
-      break;
-    case DeltaOp::Kind::kPrepend:
-      r.command = Command::kIQPrepend;
-      r.data = std::move(delta.blob);
-      break;
-    case DeltaOp::Kind::kIncr:
-      r.command = Command::kIQIncr;
-      r.amount = delta.amount;
-      break;
-    case DeltaOp::Kind::kDecr:
-      r.command = Command::kIQDecr;
-      r.amount = delta.amount;
-      break;
-  }
-  switch (Call(r).type) {
-    case ResponseType::kGranted: return QuarantineResult::kGranted;
-    case ResponseType::kReject: return QuarantineResult::kReject;
-    default: return QuarantineResult::kTransportError;
-  }
+  return ToQuarantineResult(Call(DeltaRequest(tid, key, std::move(delta))));
 }
 
 bool RemoteCacheClient::Commit(SessionId tid) {
-  Request r;
-  r.command = Command::kCommit;
-  r.session = tid;
-  return Call(r).type == ResponseType::kOk;
+  return Call(SessionRequest(Command::kCommit, tid)).type == ResponseType::kOk;
 }
 
 bool RemoteCacheClient::Abort(SessionId tid) {
-  Request r;
-  r.command = Command::kAbort;
-  r.session = tid;
-  return Call(r).type == ResponseType::kOk;
+  return Call(SessionRequest(Command::kAbort, tid)).type == ResponseType::kOk;
 }
 
 bool RemoteCacheClient::Release(SessionId tid, const std::string& key) {
@@ -405,6 +433,97 @@ bool RemoteCacheClient::Release(SessionId tid, const std::string& key) {
   r.session = tid;
   r.key = key;
   return Call(r).type == ResponseType::kOk;
+}
+
+std::vector<Response> RemoteCacheClient::CallBatch(
+    const std::vector<Request>& requests) {
+  std::vector<Response> out;
+  out.reserve(requests.size());
+  std::string body;
+  std::string one;
+  std::size_t next = 0;
+  while (next < requests.size()) {
+    // Fill one frame up to the server's caps (the 32 bytes cover the frame
+    // header); a lone request travels as itself.
+    body.clear();
+    std::size_t n = 0;
+    for (; next + n < requests.size() && n < kMaxBatchRequests; ++n) {
+      one.clear();
+      AppendTo(requests[next + n], &one);
+      if (n > 0 && 32 + body.size() + one.size() > kMaxRequestBytes) break;
+      body += one;
+    }
+    Response resp =
+        Exchange(n == 1 ? body : "batch " + std::to_string(n) + "\r\n" + body);
+    if (n == 1) {
+      out.push_back(std::move(resp));
+      ++next;
+    } else if (resp.type == ResponseType::kBatch && !resp.batch.empty() &&
+               resp.batch.size() <= n) {
+      // A reply cut short by the server's reply budget leaves the rest for
+      // the next frame; one cut short by a REJECT ends the call below.
+      next += resp.batch.size();
+      for (Response& r : resp.batch) out.push_back(std::move(r));
+    } else {
+      // A failed round trip, or a reply that is not this frame's: what the
+      // server executed is unknown, exactly as for a per-key transport
+      // error.
+      Response err;
+      err.type = ResponseType::kTransportError;
+      err.message = resp.message;
+      out.push_back(std::move(err));
+      return out;
+    }
+    ResponseType last = out.back().type;
+    if (last == ResponseType::kReject ||
+        last == ResponseType::kTransportError) {
+      return out;
+    }
+  }
+  return out;
+}
+
+std::vector<LeaseReply> RemoteCacheClient::Acquire(
+    SessionId tid, const std::vector<LeaseRequest>& requests) {
+  std::vector<Request> wire;
+  wire.reserve(requests.size());
+  for (const LeaseRequest& r : requests) {
+    switch (r.kind) {
+      case LeaseRequest::Kind::kQaRead:
+        wire.push_back(QaReadRequest(r.key, tid));
+        break;
+      case LeaseRequest::Kind::kQaReg:
+        wire.push_back(QaRegRequest(tid, r.key));
+        break;
+      case LeaseRequest::Kind::kDelta:
+        wire.push_back(DeltaRequest(tid, r.key, r.delta));
+        break;
+    }
+  }
+  std::vector<Response> responses = CallBatch(wire);
+  std::vector<LeaseReply> replies(requests.size());
+  for (std::size_t i = 0; i < responses.size() && i < replies.size(); ++i) {
+    replies[i] = requests[i].kind == LeaseRequest::Kind::kQaRead
+                     ? ToLeaseReply(ToQaReadReply(std::move(responses[i])))
+                     : ToLeaseReply(ToQuarantineResult(responses[i]));
+  }
+  return replies;
+}
+
+std::vector<StoreResult> RemoteCacheClient::CommitSwaps(
+    SessionId tid, const std::vector<Swap>& swaps) {
+  std::vector<Request> wire;
+  wire.reserve(swaps.size() + 1);
+  for (const Swap& s : swaps) {
+    wire.push_back(SaRRequest(s.key, s.value, s.token));
+  }
+  wire.push_back(SessionRequest(Command::kCommit, tid));
+  std::vector<Response> responses = CallBatch(wire);
+  std::vector<StoreResult> results(swaps.size(), StoreResult::kTransportError);
+  for (std::size_t i = 0; i < responses.size() && i < results.size(); ++i) {
+    results[i] = ToStoreResult(responses[i]);
+  }
+  return results;
 }
 
 }  // namespace iq::net

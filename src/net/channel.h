@@ -125,8 +125,25 @@ class RemoteCacheClient {
   /// Drop the session's lease on one key, keeping everything else it holds.
   bool Release(SessionId tid, const std::string& key);
 
+  // -- a write session's batches (KvsBackend::Acquire / CommitSwaps) --
+  /// Each is one round trip: the requests travel as one `batch` frame (a
+  /// lone request as itself), split into several frames, sent in order,
+  /// only where one would exceed kMaxRequestBytes or kMaxBatchRequests, or
+  /// where the server's reply budget cut a frame short.
+  std::vector<LeaseReply> Acquire(SessionId tid,
+                                  const std::vector<LeaseRequest>& requests);
+  /// The commit's own OK is not reported, as for Commit().
+  std::vector<StoreResult> CommitSwaps(SessionId tid,
+                                       const std::vector<Swap>& swaps);
+
  private:
   Response Call(const Request& request);
+  Response Exchange(const std::string& request_bytes);
+  /// Send `requests` in frames; one response per executed request, in
+  /// order. The list stops short after a REJECT (the requests after it are
+  /// then not sent) and ends with a kTransportError response when a round
+  /// trip failed.
+  std::vector<Response> CallBatch(const std::vector<Request>& requests);
 
   Channel& channel_;
 };

@@ -85,6 +85,7 @@ const std::unordered_map<std::string_view, CommandInfo>& CommandTable() {
       {"sweep", {Command::kSweep, false}},
       {"metrics", {Command::kMetrics, false}},
       {"trace", {Command::kTrace, false}},
+      {"batch", {Command::kBatch, false}},
   };
   return *table;
 }
@@ -237,6 +238,14 @@ std::optional<std::size_t> ParseCommandLine(
       req->amount = *amount;
       return 0;
     }
+    case Command::kBatch: {
+      // The header only; RequestParser::Next collects the framed requests.
+      if (tok.size() != 2) return fail("bad argument count");
+      auto n = ParseU64(tok[1]);
+      if (!n || *n == 0) return fail("bad request count");
+      req->amount = *n;
+      return 0;
+    }
   }
   return fail("unhandled command");
 }
@@ -277,8 +286,27 @@ const char* ToString(Command c) {
     case Command::kSweep: return "sweep";
     case Command::kMetrics: return "metrics";
     case Command::kTrace: return "trace";
+    case Command::kBatch: return "batch";
   }
   return "?";
+}
+
+bool IsBatchable(Command c) {
+  switch (c) {
+    case Command::kQaRead:
+    case Command::kQaReg:
+    case Command::kIQIncr:
+    case Command::kIQDecr:
+    case Command::kIQAppend:
+    case Command::kIQPrepend:
+    case Command::kSaR:
+    case Command::kSaRNull:
+    case Command::kCommit:
+    case Command::kDaR:
+      return true;
+    default:
+      return false;
+  }
 }
 
 void RequestParser::ConsumeTo(std::size_t end) {
@@ -292,56 +320,108 @@ void RequestParser::ConsumeTo(std::size_t end) {
   }
 }
 
-RequestParser::Status RequestParser::Next(Request* out, std::string* error) {
-  std::size_t eol = buffer_.find("\r\n", pos_);
+RequestParser::Status RequestParser::ParseAt(std::size_t at, Request* out,
+                                             std::string* error,
+                                             std::size_t* end) const {
+  std::size_t eol = buffer_.find("\r\n", at);
   if (eol == std::string::npos) return Status::kNeedMore;
-  std::string_view line(buffer_.data() + pos_, eol - pos_);
+  std::string_view line(buffer_.data() + at, eol - at);
   auto tokens = SplitTokens(line);
+  *end = eol + 2;
   if (tokens.empty()) {
     *error = "empty command line";
-    ConsumeTo(eol + 2);
     return Status::kError;
   }
   auto it = CommandTable().find(tokens[0]);
   if (it == CommandTable().end()) {
     *error = "unknown command '" + std::string(tokens[0]) + "'";
-    ConsumeTo(eol + 2);
     return Status::kError;
   }
   Request req;
   auto payload = ParseCommandLine(tokens, it->second, &req, error);
-  if (!payload) {
-    ConsumeTo(eol + 2);
-    return Status::kError;
-  }
-  std::size_t need = *payload;
+  if (!payload) return Status::kError;
   if (it->second.has_payload) {
+    std::size_t need = *payload;
     if (need > kMaxPayloadBytes) {
       // Never wait for (or index past) an absurd length claim; see the
       // kMaxPayloadBytes comment. Resync past the command line — the bytes
       // the peer meant as payload will parse as garbage commands and draw
       // further CLIENT_ERRORs, but nothing is silently executed as data.
       *error = "payload exceeds protocol limit";
-      ConsumeTo(eol + 2);
       return Status::kError;
     }
     // Data block: <need> bytes followed by \r\n. `avail`-style comparisons
     // keep the arithmetic overflow-free even if the cap above ever moves.
     std::size_t avail = buffer_.size() - (eol + 2);
     if (avail < need || avail - need < 2) return Status::kNeedMore;
-    std::size_t total = eol + 2 + need + 2;
+    *end = eol + 2 + need + 2;
     if (buffer_[eol + 2 + need] != '\r' || buffer_[eol + 2 + need + 1] != '\n') {
       *error = "bad data chunk terminator";
-      ConsumeTo(total);
       return Status::kError;
     }
     req.data = buffer_.substr(eol + 2, need);
-    ConsumeTo(total);
-  } else {
-    ConsumeTo(eol + 2);
   }
   *out = std::move(req);
   return Status::kOk;
+}
+
+RequestParser::Status RequestParser::Next(Request* out, std::string* error) {
+  if (frame_.open) return NextInFrame(out, error);
+  Request req;
+  std::size_t end = 0;
+  Status status = ParseAt(pos_, &req, error, &end);
+  if (status == Status::kNeedMore) return status;
+  if (status == Status::kOk && req.command == Command::kBatch) {
+    frame_.open = true;
+    frame_.count = req.amount;
+    frame_.cursor = end;
+    frame_.request.command = Command::kBatch;
+    if (frame_.count > kMaxBatchRequests) {
+      frame_.error = "batch: more than " + std::to_string(kMaxBatchRequests) +
+                     " requests";
+    }
+    return NextInFrame(out, error);
+  }
+  ConsumeTo(end);
+  if (status == Status::kOk) *out = std::move(req);
+  return status;
+}
+
+RequestParser::Status RequestParser::NextInFrame(Request* out,
+                                                 std::string* error) {
+  // The frame's bytes stay buffered (pos_ does not move), so the cursor
+  // survives later Feed()s. After a failure the rest of the frame is only
+  // skipped: a failed frame executes nothing.
+  Request inner;
+  std::string inner_error;
+  while (frame_.scanned < frame_.count) {
+    std::size_t end = 0;
+    Status status = ParseAt(frame_.cursor, &inner, &inner_error, &end);
+    if (status == Status::kNeedMore) return status;
+    if (frame_.error.empty()) {
+      if (status == Status::kError) {
+        frame_.error = "batch: " + inner_error;
+      } else if (!IsBatchable(inner.command)) {
+        frame_.error = std::string("batch: '") + ToString(inner.command) +
+                       "' cannot be batched";
+      } else {
+        frame_.request.batch.push_back(std::move(inner));
+      }
+    }
+    frame_.cursor = end;
+    ++frame_.scanned;
+  }
+  Status result = Status::kOk;
+  if (frame_.error.empty()) {
+    *out = std::move(frame_.request);
+  } else {
+    *error = std::move(frame_.error);
+    result = Status::kError;
+  }
+  std::size_t end = frame_.cursor;
+  frame_ = Frame{};
+  ConsumeTo(end);
+  return result;
 }
 
 void AppendTo(const Request& r, std::string* out) {
@@ -490,6 +570,12 @@ void AppendTo(const Request& r, std::string* out) {
       AppendU64(out, r.amount);
       out->append("\r\n");
       return;
+    case Command::kBatch:
+      out->append("batch ");
+      AppendU64(out, r.batch.size());
+      out->append("\r\n");
+      for (const Request& inner : r.batch) AppendTo(inner, out);
+      return;
   }
 }
 
@@ -616,6 +702,12 @@ void AppendTo(const Response& r, std::string* out) {
       out->append("SERVER_ERROR ");
       out->append(r.message.empty() ? "transport failure" : r.message);
       out->append("\r\n");
+      return;
+    case ResponseType::kBatch:
+      out->append("BATCH ");
+      AppendU64(out, r.batch.size());
+      out->append("\r\n");
+      for (const Response& inner : r.batch) AppendTo(inner, out);
       return;
   }
 }
@@ -751,6 +843,26 @@ std::optional<Response> ParseResponse(std::string_view bytes,
     resp.type = ResponseType::kMetrics;
     resp.data = std::string(bytes.substr(eol + 2, *size));
     *consumed = eol + 2 + *size + 2;
+    return resp;
+  }
+  if (head == "BATCH") {
+    if (tokens.size() != 2) return std::nullopt;
+    auto n = ParseU64(tokens[1]);
+    if (!n) return std::nullopt;
+    // No reserve(*n): the count is the peer's claim, the bytes are not.
+    resp.type = ResponseType::kBatch;
+    std::size_t off = eol + 2;
+    for (std::uint64_t i = 0; i < *n; ++i) {
+      std::string_view rest = bytes.substr(off);
+      // Frames never nest; refusing one keeps the parse non-recursive.
+      if (rest.starts_with("BATCH")) return std::nullopt;
+      std::size_t used = 0;
+      auto inner = ParseResponse(rest, &used);
+      if (!inner) return std::nullopt;
+      resp.batch.push_back(std::move(*inner));
+      off += used;
+    }
+    *consumed = off;
     return resp;
   }
   if (head == "TRACE" || head == "TRACE_INFO") {

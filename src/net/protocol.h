@@ -46,6 +46,17 @@
 //      then the newest n (default 128) lease-trace events, one
 //      "TRACE <seq> <at> <shard> <kind> <session> <key_hash>" line each;
 //      see util/trace_ring.h)
+//   batch <n>\r\n<request 1>...<request n>  -> BATCH <m>\r\n<response 1>...<response m>
+//     (a write session's lease verbs in one round trip: 1 <= n <=
+//      kMaxBatchRequests ordinary qaread | qareg | iqincr | iqdecr |
+//      iqappend | iqprepend | sar | sarnull | commit | dar requests,
+//      executed in order. Execution stops after the first REJECT, or once
+//      the replies' data outgrows the server's reply budget, so m <= n; a
+//      client sends the requests after a short reply that does not end in
+//      REJECT in its next frame. The frame is one request and its reply
+//      one response. A count above the cap, or an inner request that is
+//      malformed or of any other verb, fails the whole frame: nothing
+//      executes and the frame draws one CLIENT_ERROR. See DESIGN.md §4.11.)
 //
 // The parser is incremental: feed bytes, take complete requests.
 #pragma once
@@ -65,6 +76,18 @@ namespace iq::net {
 /// and the bytes meant as its payload are re-executed as commands (protocol
 /// desync). Oversized claims draw kError / are never treated as complete.
 constexpr std::size_t kMaxPayloadBytes = 8u << 20;
+
+/// Upper bound on one buffered request — a whole `batch` frame included — a
+/// server accepts: one command line plus a maximum payload and its CRLF fit
+/// under it, with room to spare. A connection whose incomplete request
+/// outgrows it is answered CLIENT_ERROR and closed; clients split a `batch`
+/// frame that would exceed it into several.
+constexpr std::size_t kMaxRequestBytes = kMaxPayloadBytes + (64u << 10);
+
+/// Upper bound on the requests one `batch` frame carries. A frame is parsed
+/// whole before it runs, so the cap bounds the requests and replies one
+/// frame holds in memory; clients split a longer batch into several frames.
+constexpr std::size_t kMaxBatchRequests = 1024;
 
 enum class Command {
   kGet,
@@ -100,9 +123,13 @@ enum class Command {
   kSweep,
   kMetrics,
   kTrace,
+  kBatch,
 };
 
 const char* ToString(Command c);
+
+/// True for the verbs a `batch` frame may carry (see the grammar above).
+bool IsBatchable(Command c);
 
 /// One parsed request.
 struct Request {
@@ -116,6 +143,7 @@ struct Request {
   std::uint64_t amount = 0;    // incr/decr
   std::uint64_t token = 0;     // IQ lease token
   std::uint64_t session = 0;   // IQ session / tid
+  std::vector<Request> batch;  // kBatch: the framed requests, in order
 };
 
 /// Incremental request parser. Tolerates requests split across arbitrary
@@ -144,8 +172,29 @@ class RequestParser {
   /// O(bytes * requests) front-erase churn.
   void ConsumeTo(std::size_t end);
 
+  /// Parse the request starting at absolute offset `at` without consuming
+  /// it. On kOk and kError, *end is where the next request starts (for
+  /// kError, the resync point past the bad line or block).
+  Status ParseAt(std::size_t at, Request* out, std::string* error,
+                 std::size_t* end) const;
+  /// Parse the inner requests of the open `batch` frame as they arrive,
+  /// resuming where an earlier call stopped. A failed frame is still
+  /// scanned to its end, keeping nothing, so a huge claimed count costs
+  /// only its bytes.
+  Status NextInFrame(Request* out, std::string* error);
+
   std::string buffer_;
   std::size_t pos_ = 0;  // start of unconsumed bytes within buffer_
+  /// The `batch` frame at the head of the buffer, while its requests are
+  /// still arriving. pos_ stays on its header until the frame completes.
+  struct Frame {
+    bool open = false;
+    std::uint64_t count = 0;    // inner requests the header announced
+    std::uint64_t scanned = 0;  // inner requests parsed or skipped so far
+    std::size_t cursor = 0;     // offset of the next inner request
+    Request request;            // kBatch; its inner requests while valid
+    std::string error;          // first failure ("" = none yet)
+  } frame_;
 };
 
 /// Serialize a request to protocol bytes (client side).
@@ -182,6 +231,7 @@ enum class ResponseType {
   // Observability
   kMetrics,      // METRICS <bytes>\r\n<data>\r\n (Prometheus text in data)
   kTrace,        // TRACE lines + END (raw lines in message)
+  kBatch,        // BATCH <m>\r\n + m responses (in `batch`)
   // Failure signalling
   kTransportError,  // SERVER_ERROR <msg>. Synthesized client-side by
                     // RemoteCacheClient::Call when the channel itself fails
@@ -217,6 +267,8 @@ struct Response {
   /// fields above for serialization, and ParseResponse mirrors entry 0 into
   /// them so single-key callers keep working unchanged.
   std::vector<ValueEntry> values;
+  /// kBatch: one response per executed request of the frame, in order.
+  std::vector<Response> batch;
 };
 
 /// Serialize a response to protocol bytes (server side).

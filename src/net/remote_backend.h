@@ -63,6 +63,14 @@ class RemoteBackend final : public KvsBackend {
     // deltas/quarantines on other keys survive, matching IQServer::ReleaseKey.
     client_.Release(tid, std::string(key));
   }
+  std::vector<LeaseReply> Acquire(
+      SessionId tid, const std::vector<LeaseRequest>& requests) override {
+    return client_.Acquire(tid, requests);  // one `batch` round trip
+  }
+  std::vector<StoreResult> CommitSwaps(
+      SessionId tid, const std::vector<Swap>& swaps) override {
+    return client_.CommitSwaps(tid, swaps);  // one `batch` round trip
+  }
 
   std::optional<CacheItem> Get(std::string_view key) override {
     return client_.Gets(std::string(key));  // gets: cas unique included

@@ -97,11 +97,33 @@ CommandClass ClassOf(Command c) {
 }
 
 Response CommandDispatcher::Dispatch(const Request& request) {
+  if (request.command == Command::kBatch) return DispatchBatch(request);
   const Clock& clock = server_.clock();
   Nanos start = clock.Now();
   Response resp = DispatchCommand(request);
   server_.command_latencies().Record(
       static_cast<std::size_t>(ClassOf(request.command)), clock.Now() - start);
+  return resp;
+}
+
+Response CommandDispatcher::DispatchBatch(const Request& frame) {
+  // The parser admits only batchable requests into a frame (IsBatchable),
+  // at most kMaxBatchRequests of them.
+  Response resp;
+  resp.type = ResponseType::kBatch;
+  resp.batch.reserve(frame.batch.size());
+  std::size_t reply_bytes = 0;
+  for (const Request& r : frame.batch) {
+    // Output guard: a frame of QaReads re-reading one large value would
+    // otherwise copy it once per request before a byte is written. The
+    // client sends the requests a short reply leaves out in its next frame.
+    if (reply_bytes > batch_reply_bytes_) break;
+    resp.batch.push_back(Dispatch(r));
+    reply_bytes += resp.batch.back().data.size();
+    // A rejected lease means the session must release everything and
+    // retry; running its later requests would only take leases to drop.
+    if (resp.batch.back().type == ResponseType::kReject) break;
+  }
   return resp;
 }
 

@@ -21,11 +21,19 @@ inline constexpr std::size_t kDefaultTraceEvents = 128;
 
 class CommandDispatcher {
  public:
-  explicit CommandDispatcher(IQServer& server) : server_(server) {}
+  /// `batch_reply_bytes` bounds the reply of one `batch` frame: the frame
+  /// stops once its replies carry more data than that (a transport passes
+  /// its output-side memory guard).
+  explicit CommandDispatcher(IQServer& server,
+                             std::size_t batch_reply_bytes = 8u << 20)
+      : server_(server), batch_reply_bytes_(batch_reply_bytes) {}
 
   /// Execute one request against the server, recording its service time
   /// into the server's per-command latency histograms. kQuit returns kOk;
-  /// transport teardown is the channel's business.
+  /// transport teardown is the channel's business. A kBatch frame runs its
+  /// requests through Dispatch in order (each recorded under its own
+  /// class), stopping after the first REJECT or once its replies' data
+  /// passes the reply budget.
   Response Dispatch(const Request& request);
 
   /// Extra "STAT name value\r\n" lines appended to every `stats` response
@@ -41,11 +49,13 @@ class CommandDispatcher {
   /// FormatStats plus the augmenter's lines: the `stats` reply body, which
   /// `metrics` re-renders.
   std::string StatsText() const;
+  Response DispatchBatch(const Request& frame);
   Response DispatchCommand(const Request& request);
   Response DispatchStorage(const Request& request);
   Response DispatchIQ(const Request& request);
 
   IQServer& server_;
+  const std::size_t batch_reply_bytes_;
   StatsAugmenter stats_augmenter_;
 };
 

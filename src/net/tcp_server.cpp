@@ -37,7 +37,8 @@ struct TcpServer::Connection {
 };
 
 struct alignas(64) TcpServer::Worker {
-  explicit Worker(IQServer& server) : dispatcher(server) {}
+  Worker(IQServer& server, std::size_t max_response_bytes)
+      : dispatcher(server, max_response_bytes) {}
 
   int epoll_fd = -1;
   int wake_fd = -1;  // eventfd: shutdown + handoff wakeups
@@ -68,14 +69,6 @@ struct alignas(64) TcpServer::Worker {
 };
 
 namespace {
-
-/// Input-side memory guard: a connection whose buffered, still-incomplete
-/// request grows past this is answered with CLIENT_ERROR and closed. A legal
-/// request is one command line plus at most kMaxPayloadBytes of data and its
-/// CRLF, so the bound leaves a command line's worth of room above the
-/// payload cap — a maximum-size `set` whose last bytes are still in flight
-/// must not trip it.
-constexpr std::size_t kMaxRequestBytes = kMaxPayloadBytes + (64u << 10);
 
 void AddEpoll(int epoll_fd, int fd, std::uint32_t events) {
   epoll_event ev{};
@@ -137,7 +130,7 @@ bool TcpServer::Start(std::string* error) {
 
   workers_.reserve(static_cast<std::size_t>(config_.workers));
   for (int i = 0; i < config_.workers; ++i) {
-    auto w = std::make_unique<Worker>(server_);
+    auto w = std::make_unique<Worker>(server_, config_.max_response_bytes);
     w->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     w->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     if (w->epoll_fd < 0 || w->wake_fd < 0) return fail("epoll/eventfd");
@@ -412,7 +405,10 @@ void TcpServer::DrainRequests(Worker& worker, Connection& conn) {
     AppendTo(worker.dispatcher.Dispatch(request), &conn.out);
   }
   // Reached only via kNeedMore (or quit), so `buffered()` is the one
-  // incomplete request at the head of the stream.
+  // incomplete request at the head of the stream — a `batch` frame counts
+  // whole. Input-side memory guard (kMaxRequestBytes): a maximum-size `set`
+  // whose last bytes are still in flight fits; a runaway line or a frame
+  // whose claimed count never arrives does not.
   if (!conn.closing && conn.parser.buffered() > kMaxRequestBytes) {
     Response err;
     err.type = ResponseType::kError;

@@ -52,7 +52,9 @@ class TcpServer {
     /// from it (EPOLLIN off) until the backlog flushes — a client that
     /// pipelines reads of large values but never consumes the replies is
     /// throttled by TCP flow control instead of growing server memory
-    /// without bound. Soft cap: a single response may overshoot it.
+    /// without bound. Soft cap: a single response may overshoot it. One
+    /// `batch` frame's reply stops once its data passes the same bound, so
+    /// a frame is throttled like the requests it carries.
     std::size_t max_response_bytes = 8u << 20;
   };
 

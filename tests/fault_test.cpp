@@ -138,6 +138,35 @@ TEST_F(WireFaultTest, DroppedQaRegResponseIsAnErrorNotAGrant) {
   EXPECT_EQ(server_.LeaseCount(), 0u);
 }
 
+TEST_F(WireFaultTest, CommitRuleHitsTheSwapCarryingFrame) {
+  // The SaRs travel in the commit's frame, so a rule on "commit" drops
+  // them too: a dropped request installs nothing and strands the Q leases
+  // for expiry to reclaim; a dropped response installed everything.
+  ASSERT_EQ(backend_.Set("a", "old"), StoreResult::kStored);
+  ASSERT_EQ(backend_.Set("b", "old"), StoreResult::kStored);
+  SessionId sid = backend_.GenID();
+  for (FaultChannel::Fault kind : {FaultChannel::Fault::kDropRequest,
+                                   FaultChannel::Fault::kDropResponse}) {
+    std::vector<LeaseReply> leases =
+        backend_.Acquire(sid, {{LeaseRequest::Kind::kQaRead, "a"},
+                               {LeaseRequest::Kind::kQaRead, "b"}});
+    ASSERT_EQ(leases.size(), 2u);
+    ASSERT_EQ(leases[1].status, LeaseReply::Status::kGranted);
+    fault_.Arm(Drop(kind, "commit"));
+    std::vector<StoreResult> stored = backend_.CommitSwaps(
+        sid, {{"a", "new", leases[0].token}, {"b", "new", leases[1].token}});
+    EXPECT_EQ(stored, std::vector<StoreResult>(
+                          2, StoreResult::kTransportError));
+    const bool executed = kind == FaultChannel::Fault::kDropResponse;
+    EXPECT_EQ(server_.store().Get("a")->value, executed ? "new" : "old");
+    EXPECT_EQ(server_.store().Get("b")->value, executed ? "new" : "old");
+    EXPECT_EQ(server_.LeaseCount(), executed ? 0u : 2u);
+    backend_.Abort(sid);
+    EXPECT_EQ(server_.LeaseCount(), 0u);
+  }
+  EXPECT_EQ(fault_.faults_injected(), 2u);
+}
+
 // ---- the headline: a dropped QaReg must not leave a stale value ----------
 
 class CasqlFaultTest : public ::testing::Test {
@@ -178,30 +207,42 @@ class CasqlFaultTest : public ::testing::Test {
     return spec;
   }
 
-  // Cache "0", drop the first qareg per `fault`, write n=1, and require the
-  // session to have restarted instead of committing around the dead
+  // Cache "0" under `keys`, drop the first qareg request (one QaReg, or
+  // the acquire frame carrying several) per `fault`, write n=1, and require
+  // the session to have restarted instead of committing around the dead
   // quarantine: the cache must never still say "0" afterwards.
-  void RunScenario(FaultChannel::Fault kind) {
+  void RunScenario(FaultChannel::Fault kind,
+                   const std::vector<std::string>& keys = {"K"}) {
     CasqlSystem system(db_, backend_, Config());
     auto conn = system.Connect();
-    auto cached = conn->Read("K", Compute);
-    ASSERT_TRUE(cached.value);
-    ASSERT_EQ(*cached.value, "0");
-    ASSERT_EQ(server_.store().Get("K")->value, "0");
+    casql::WriteSpec spec = IncrementSpec();
+    spec.updates.clear();
+    for (const std::string& key : keys) {
+      auto cached = conn->Read(key, Compute);
+      ASSERT_TRUE(cached.value);
+      ASSERT_EQ(*cached.value, "0");
+      ASSERT_EQ(server_.store().Get(key)->value, "0");
+      casql::KeyUpdate u;
+      u.key = key;
+      spec.updates.push_back(std::move(u));
+    }
 
     fault_.Arm(Drop(kind, "qareg"));
-    casql::WriteOutcome out = conn->Write(IncrementSpec());
+    casql::WriteOutcome out = conn->Write(spec);
     EXPECT_TRUE(out.committed);
     EXPECT_GE(out.transport_restarts, 1);
+    EXPECT_EQ(fault_.faults_injected(), 1u);
 
-    // The committed write invalidated the key despite the fault: no lease
+    // The committed write invalidated the keys despite the fault: no lease
     // is stranded and the stale "0" is gone from the cache.
     EXPECT_EQ(server_.LeaseCount(), 0u);
-    auto item = server_.store().Get("K");
-    EXPECT_TRUE(!item.has_value() || item->value != "0");
-    auto read = conn->Read("K", Compute);
-    ASSERT_TRUE(read.value);
-    EXPECT_EQ(*read.value, "1");
+    for (const std::string& key : keys) {
+      auto item = server_.store().Get(key);
+      EXPECT_TRUE(!item.has_value() || item->value != "0") << key;
+      auto read = conn->Read(key, Compute);
+      ASSERT_TRUE(read.value);
+      EXPECT_EQ(*read.value, "1") << key;
+    }
   }
 
   sql::Database db_;
@@ -217,6 +258,14 @@ TEST_F(CasqlFaultTest, DroppedQaRegRequestDoesNotLeaveAStaleValue) {
 
 TEST_F(CasqlFaultTest, DroppedQaRegResponseDoesNotLeaveAStaleValue) {
   RunScenario(FaultChannel::Fault::kDropResponse);
+}
+
+TEST_F(CasqlFaultTest, DroppedQaRegFrameRequestDoesNotLeaveAStaleValue) {
+  RunScenario(FaultChannel::Fault::kDropRequest, {"K", "K2", "K3"});
+}
+
+TEST_F(CasqlFaultTest, DroppedQaRegFrameResponseDoesNotLeaveAStaleValue) {
+  RunScenario(FaultChannel::Fault::kDropResponse, {"K", "K2", "K3"});
 }
 
 TEST_F(CasqlFaultTest, WriteNeverCommitsWhileTheCacheIsDown) {

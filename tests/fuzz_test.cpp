@@ -82,6 +82,8 @@ TEST_P(FuzzSeedTest, ParserSurvivesMutatedValidRequests) {
       "sar key 9 4\r\ndata\r\n",
       "iqappend 3 key 2\r\nxy\r\n",
       "commit 3\r\n",
+      "batch 2\r\nqaread key 7\r\nqareg 7 k2\r\n",
+      "batch 3\r\nsar key 9 4\r\ndata\r\nsarnull k2 4\r\ncommit 7\r\n",
   };
   for (int round = 0; round < 2000; ++round) {
     std::string bytes =
@@ -116,6 +118,44 @@ TEST_P(FuzzSeedTest, DispatcherSurvivesGarbageRoundTrips) {
     EXPECT_TRUE(channel.RoundTrip(RandomBytes(rng, 48) + "\r\n", &reply));
   }
   // The server still works after the abuse.
+  RemoteCacheClient client(channel);
+  EXPECT_EQ(client.Set("sane", "value"), StoreResult::kStored);
+  EXPECT_EQ(client.Get("sane")->value, "value");
+}
+
+TEST_P(FuzzSeedTest, BatchFramesParseWholeOrNotAtAll) {
+  // Mutated frames may parse as anything — but a frame that parses is
+  // whole (every request it announced, each one batchable, no more than
+  // kMaxBatchRequests), and a server fed them keeps serving.
+  Rng rng(GetParam() + 5000);
+  const std::string frames[] = {
+      "batch 3\r\nqaread a 7\r\niqincr 7 b 2\r\nqareg 7 c\r\n",
+      "batch 2\r\nsar a 9 4\r\ndata\r\ncommit 7\r\n",
+      "batch 2\r\niqappend 7 a 2\r\nxy\r\ndar 7\r\n",
+  };
+  IQServer server;
+  LoopbackChannel channel(server);
+  for (int round = 0; round < 1000; ++round) {
+    std::string bytes = Mutate(rng, frames[rng.NextUint64(std::size(frames))]);
+    RequestParser parser;
+    parser.Feed(bytes);
+    Request req;
+    std::string error;
+    for (int i = 0; i < 100; ++i) {
+      auto status = parser.Next(&req, &error);
+      if (status == RequestParser::Status::kNeedMore) break;
+      if (status != RequestParser::Status::kOk) continue;
+      if (req.command != Command::kBatch) continue;
+      EXPECT_FALSE(req.batch.empty());
+      EXPECT_LE(req.batch.size(), kMaxBatchRequests);
+      for (const Request& inner : req.batch) {
+        EXPECT_TRUE(IsBatchable(inner.command)) << ToString(inner.command);
+      }
+    }
+    std::string reply;
+    EXPECT_TRUE(channel.RoundTrip(bytes + "\r\n", &reply));
+    server.Abort(7);
+  }
   RemoteCacheClient client(channel);
   EXPECT_EQ(client.Set("sane", "value"), StoreResult::kStored);
   EXPECT_EQ(client.Get("sane")->value, "value");

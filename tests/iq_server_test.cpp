@@ -625,5 +625,40 @@ INSTANTIATE_TEST_SUITE_P(
         MatrixCase{Existing::kQRef, GetReply::Status::kMissBackoff,
                    QuarantineResult::kGranted, QaReadReply::Status::kReject}));
 
+// ---- restarts: ids and tokens never repeat across incarnations ------------
+
+TEST(IQServerRestartTest, PreRestartSessionIdIsRejectedWhileAnotherHolds) {
+  // Clients keep their session ids across a reconnect. A restarted server
+  // that re-issued an old id would treat the old holder's QaRead as the new
+  // session's idempotent re-acquisition: two writers on one Q lease.
+  SessionId old_id = 0;
+  {
+    IQServer before;
+    old_id = before.GenID();
+  }
+  IQServer after;
+  after.store().Set("k", "v");
+  SessionId fresh = after.GenID();
+  EXPECT_NE(fresh, old_id);
+  ASSERT_EQ(after.QaRead("k", fresh).status, QaReadReply::Status::kGranted);
+  EXPECT_EQ(after.QaRead("k", old_id).status, QaReadReply::Status::kReject);
+}
+
+TEST(IQServerRestartTest, PreRestartTokenDoesNotInstall) {
+  LeaseToken old_token = 0;
+  {
+    IQServer before;
+    GetReply miss = before.IQget("k", before.GenID());
+    ASSERT_EQ(miss.status, GetReply::Status::kMissGrantedI);
+    old_token = miss.token;
+  }
+  IQServer after;
+  GetReply miss = after.IQget("k", after.GenID());
+  ASSERT_EQ(miss.status, GetReply::Status::kMissGrantedI);
+  EXPECT_EQ(after.IQset("k", "computed before the restart", old_token),
+            StoreResult::kNotStored);
+  EXPECT_EQ(after.IQset("k", "fresh", miss.token), StoreResult::kStored);
+}
+
 }  // namespace
 }  // namespace iq

@@ -860,5 +860,256 @@ TEST(ParseEndpoints, RejectsMalformedSpecs) {
   EXPECT_TRUE(ParseEndpoints("host:99999", &error).empty());
 }
 
+// ---- batch frames -------------------------------------------------------------
+
+TEST(RequestParser, BatchFrameIsOneRequestAcrossSplitFeeds) {
+  const std::string frame =
+      "batch 3\r\nqaread a 7\r\nsar b 9 4\r\ndata\r\ncommit 7\r\n";
+  RequestParser p;
+  Request r;
+  std::string err;
+  for (std::size_t off = 0; off + 1 < frame.size(); off += 5) {
+    p.Feed(frame.substr(off, std::min<std::size_t>(5, frame.size() - 1 - off)));
+    ASSERT_EQ(p.Next(&r, &err), RequestParser::Status::kNeedMore) << off;
+  }
+  p.Feed(frame.substr(frame.size() - 1));
+  ASSERT_EQ(p.Next(&r, &err), RequestParser::Status::kOk) << err;
+  EXPECT_EQ(r.command, Command::kBatch);
+  ASSERT_EQ(r.batch.size(), 3u);
+  EXPECT_EQ(r.batch[0].command, Command::kQaRead);
+  EXPECT_EQ(r.batch[0].key, "a");
+  EXPECT_EQ(r.batch[1].command, Command::kSaR);
+  EXPECT_EQ(r.batch[1].data, "data");
+  EXPECT_EQ(r.batch[2].command, Command::kCommit);
+  EXPECT_EQ(p.buffered(), 0u);
+  // Serialize writes the frame back byte for byte.
+  EXPECT_EQ(Serialize(r), frame);
+}
+
+TEST(RequestParser, BadInnerRequestFailsTheWholeFrame) {
+  for (const char* bad : {"qaread b notanumber\r\n",  // malformed
+                          "frobnicate\r\n",            // unknown
+                          "quit\r\n", "stats\r\n",    // not batchable
+                          "batch 1\r\n"}) {            // nested frame
+    RequestParser p;
+    Request r;
+    std::string err;
+    p.Feed(std::string("batch 2\r\nqaread a 7\r\n") + bad + "get next\r\n");
+    ASSERT_EQ(p.Next(&r, &err), RequestParser::Status::kError) << bad;
+    EXPECT_EQ(err.rfind("batch: ", 0), 0u) << err;
+    // The frame's bytes are gone and the next plain request parses.
+    ASSERT_EQ(p.Next(&r, &err), RequestParser::Status::kOk) << bad;
+    EXPECT_EQ(r.command, Command::kGet);
+    EXPECT_EQ(r.key, "next");
+    EXPECT_EQ(p.buffered(), 0u);
+  }
+  RequestParser p;
+  Request r;
+  std::string err;
+  p.Feed("batch 0\r\nbatch x\r\n");
+  EXPECT_EQ(p.Next(&r, &err), RequestParser::Status::kError);
+  EXPECT_EQ(p.Next(&r, &err), RequestParser::Status::kError);
+}
+
+TEST(RequestParser, BatchCountAboveTheCapFailsTheWholeFrame) {
+  RequestParser p;
+  Request r;
+  std::string err;
+  std::string frame = "batch " + std::to_string(kMaxBatchRequests) + "\r\n";
+  for (std::size_t i = 0; i < kMaxBatchRequests; ++i) frame += "dar 7\r\n";
+  p.Feed(frame);
+  ASSERT_EQ(p.Next(&r, &err), RequestParser::Status::kOk) << err;
+  EXPECT_EQ(r.batch.size(), kMaxBatchRequests);
+  // One more request than the cap: the frame is skipped whole, its
+  // requests never surface, and the next plain request parses.
+  frame = "batch " + std::to_string(kMaxBatchRequests + 1) + "\r\n";
+  for (std::size_t i = 0; i <= kMaxBatchRequests; ++i) frame += "dar 7\r\n";
+  p.Feed(frame + "get next\r\n");
+  ASSERT_EQ(p.Next(&r, &err), RequestParser::Status::kError);
+  EXPECT_EQ(err.rfind("batch: more than", 0), 0u) << err;
+  ASSERT_EQ(p.Next(&r, &err), RequestParser::Status::kOk);
+  EXPECT_EQ(r.command, Command::kGet);
+  EXPECT_EQ(p.buffered(), 0u);
+}
+
+TEST(RequestParser, HugeBatchCountWaitsOnItsBytesAlone) {
+  // The count is the peer's claim: a count above kMaxBatchRequests fails
+  // the frame at its header, and the parser only skips what follows, so
+  // only the bytes cost memory; the transport's input cap
+  // (kMaxRequestBytes) bounds those.
+  RequestParser p;
+  Request r;
+  std::string err;
+  const std::string head = "batch 18446744073709551615\r\n";
+  p.Feed(head);
+  std::size_t fed = head.size();
+  for (int i = 0; i < 1000; ++i) {
+    p.Feed("qaread k 7\r\n");
+    fed += 12;
+    ASSERT_EQ(p.Next(&r, &err), RequestParser::Status::kNeedMore);
+  }
+  EXPECT_EQ(p.buffered(), fed);
+}
+
+TEST(ResponseCodec, BatchRoundTripsAndNeverNests) {
+  Response frame;
+  frame.type = ResponseType::kBatch;
+  Response qv;
+  qv.type = ResponseType::kQValue;
+  qv.number = 42;
+  qv.data = "v\r\nEND\r\n";  // payload bytes that look like protocol heads
+  Response reject;
+  reject.type = ResponseType::kReject;
+  frame.batch = {qv, reject};
+  const std::string bytes = Serialize(frame);
+  EXPECT_EQ(bytes.rfind("BATCH 2\r\nQVALUE 42 ", 0), 0u) << bytes;
+  std::size_t consumed = 0;
+  auto parsed = ParseResponse(bytes + "STORED\r\n", &consumed);
+  ASSERT_TRUE(parsed);
+  EXPECT_EQ(consumed, bytes.size());
+  EXPECT_EQ(parsed->type, ResponseType::kBatch);
+  ASSERT_EQ(parsed->batch.size(), 2u);
+  EXPECT_EQ(parsed->batch[0].type, ResponseType::kQValue);
+  EXPECT_EQ(parsed->batch[0].number, 42u);
+  EXPECT_EQ(parsed->batch[0].data, qv.data);
+  EXPECT_EQ(parsed->batch[1].type, ResponseType::kReject);
+  // Incomplete until the last inner response is whole.
+  EXPECT_FALSE(ParseResponse(bytes.substr(0, bytes.size() - 1), &consumed));
+  EXPECT_FALSE(ParseResponse("BATCH 18446744073709551615\r\nOK\r\n",
+                             &consumed));
+  EXPECT_FALSE(ParseResponse("BATCH 1\r\nBATCH 1\r\nOK\r\n", &consumed));
+}
+
+TEST_F(RemoteTest, BatchRunsInOrderAndStopsAfterTheFirstReject) {
+  client_.Set("a", "1");
+  client_.Set("b", "2");
+  client_.Set("c", "3");
+  SessionId holder = client_.GenID();
+  ASSERT_EQ(client_.QaRead("b", holder).status, QaReadReply::Status::kGranted);
+  SessionId tid = client_.GenID();
+  const std::string t = std::to_string(tid);
+  std::string reply;
+  ASSERT_TRUE(channel_.RoundTrip("batch 3\r\nqaread a " + t + "\r\nqaread b " +
+                                     t + "\r\nqaread c " + t + "\r\n",
+                                 &reply));
+  std::size_t consumed = 0;
+  auto resp = ParseResponse(reply, &consumed);
+  ASSERT_TRUE(resp);
+  EXPECT_EQ(consumed, reply.size());
+  ASSERT_EQ(resp->type, ResponseType::kBatch);
+  ASSERT_EQ(resp->batch.size(), 2u);  // c never ran
+  EXPECT_EQ(resp->batch[0].type, ResponseType::kQValue);
+  EXPECT_EQ(resp->batch[1].type, ResponseType::kReject);
+  EXPECT_EQ(server_.LeaseOn("c"), std::nullopt);
+  EXPECT_EQ(server_.LeaseCount(), 2u);  // a (tid) and b (holder)
+  // One frame is one request; each inner request is timed under its own
+  // command class.
+  EXPECT_EQ(server_.command_latencies().Merged(
+                static_cast<std::size_t>(CommandClass::kQaRead)).Count(),
+            3u);
+  client_.Abort(tid);
+  client_.Abort(holder);
+  EXPECT_EQ(server_.LeaseCount(), 0u);
+}
+
+TEST_F(RemoteTest, SwapsPastTheRequestCapSplitIntoOrderedFrames) {
+  RemoteBackend backend(channel_);
+  SessionId tid = backend.GenID();
+  const std::vector<std::string> keys = {"a", "b", "c"};
+  std::vector<LeaseRequest> requests;
+  for (const std::string& k : keys) {
+    requests.push_back({LeaseRequest::Kind::kQaRead, k});
+  }
+  std::vector<LeaseReply> leases = backend.Acquire(tid, requests);
+  ASSERT_EQ(leases.size(), 3u);
+  // Three swaps of 3 MiB: the frame would exceed kMaxRequestBytes, so the
+  // client sends [sar a, sar b] then [sar c, commit], in that order.
+  std::vector<std::string> values;
+  for (char c : {'x', 'y', 'z'}) values.emplace_back(3u << 20, c);
+  std::vector<Swap> swaps;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(leases[i].status, LeaseReply::Status::kGranted);
+    swaps.push_back({keys[i], values[i], leases[i].token});
+  }
+  std::uint64_t before = channel_.requests();
+  std::vector<StoreResult> stored = backend.CommitSwaps(tid, swaps);
+  EXPECT_EQ(channel_.requests() - before, 2u);
+  ASSERT_EQ(stored.size(), 3u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(stored[i], StoreResult::kStored) << i;
+    EXPECT_EQ(server_.store().Get(keys[i])->value, values[i]) << i;
+  }
+  EXPECT_EQ(server_.LeaseCount(), 0u);
+  EXPECT_EQ(server_.Stats().commits, 1u);
+}
+
+TEST_F(RemoteTest, LeasesPastTheCountCapSplitIntoOrderedFrames) {
+  RemoteBackend backend(channel_);
+  SessionId tid = backend.GenID();
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i <= kMaxBatchRequests; ++i) {
+    keys.push_back("k" + std::to_string(i));
+  }
+  std::vector<LeaseRequest> requests;
+  for (const std::string& k : keys) {
+    requests.push_back({LeaseRequest::Kind::kQaReg, k});
+  }
+  std::uint64_t before = channel_.requests();
+  std::vector<LeaseReply> leases = backend.Acquire(tid, requests);
+  EXPECT_EQ(channel_.requests() - before, 2u);  // a full frame, then one
+  ASSERT_EQ(leases.size(), keys.size());
+  for (const LeaseReply& lease : leases) {
+    EXPECT_EQ(lease.status, LeaseReply::Status::kGranted);
+  }
+  EXPECT_EQ(server_.LeaseCount(), keys.size());
+  backend.DaR(tid);
+  EXPECT_EQ(server_.LeaseCount(), 0u);
+}
+
+TEST(BatchTrace, BatchedSessionTracesLikeThePerKeyVerbs) {
+  // The same write session, once verb by verb and once as one acquire frame
+  // and one commit frame, leaves the same per-key lease history: grants,
+  // releases and commits, key by key, in the same order.
+  using Kinds = std::vector<std::pair<LeaseTraceKind, std::uint64_t>>;
+  auto run = [](bool batched) {
+    ManualClock clock;  // every event at t=0: the snapshot orders by seq
+    IQServer::Config cfg;
+    cfg.clock = &clock;
+    IQServer server(CacheStore::Config{}, cfg);
+    for (const char* k : {"x", "y", "z"}) server.store().Set(k, "1");
+    LoopbackChannel channel(server);
+    RemoteBackend backend(channel);
+    SessionId tid = backend.GenID();
+    if (batched) {
+      std::vector<LeaseReply> got = backend.Acquire(
+          tid, {{LeaseRequest::Kind::kQaRead, "x"},
+                {LeaseRequest::Kind::kQaRead, "y"},
+                {LeaseRequest::Kind::kDelta, "z", {DeltaOp::Kind::kIncr, {}, 2}},
+                {LeaseRequest::Kind::kQaReg, "w"}});
+      backend.CommitSwaps(tid, {{"x", "2", got[0].token},
+                                {"y", std::nullopt, got[1].token}});
+    } else {
+      QaReadReply x = backend.QaRead("x", tid);
+      QaReadReply y = backend.QaRead("y", tid);
+      backend.IQDelta(tid, "z", {DeltaOp::Kind::kIncr, {}, 2});
+      backend.QaReg(tid, "w");
+      backend.SaR("x", std::string_view("2"), x.token);
+      backend.SaR("y", std::nullopt, y.token);
+      backend.Commit(tid);
+    }
+    EXPECT_EQ(server.store().Get("x")->value, "2");
+    EXPECT_EQ(server.store().Get("z")->value, "3");
+    EXPECT_EQ(server.LeaseCount(), 0u);
+    Kinds kinds;
+    for (const TraceEvent& e : server.TraceSnapshot(1000)) {
+      kinds.emplace_back(e.kind, e.key_hash);
+    }
+    return kinds;
+  };
+  Kinds per_key = run(false);
+  EXPECT_EQ(per_key.size(), 8u);  // four grants, two releases, two commits
+  EXPECT_EQ(run(true), per_key);
+}
+
 }  // namespace
 }  // namespace iq::net

@@ -156,7 +156,9 @@ TEST_F(RemoteStackTest, BgWorkloadOverTheWireHasZeroUnpredictableReads) {
   EXPECT_GT(result.validation.reads_checked, 0u);
   EXPECT_EQ(result.validation.unpredictable, 0u)
       << result.validation.StalePercent() << "% stale over the wire";
-  EXPECT_GT(channel_.requests(), result.actions);  // wire traffic happened
+  // Wire traffic happened: every action that did its work crossed the wire
+  // at least once (a write session costs two requests, a read one or more).
+  EXPECT_GE(channel_.requests(), result.actions - result.failed_actions);
 }
 
 TEST_F(RemoteStackTest, AuditDetectsPoisonedEntryOverTheWire) {

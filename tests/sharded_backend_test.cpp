@@ -1,6 +1,6 @@
 // ShardedBackend: consistent-hash routing, lazy per-shard session minting,
 // and the fan-out session lifecycle (commit/abort/reject-release) across
-// in-process children.
+// in-process children, plus the batched verbs over loopback wire children.
 #include "core/sharded_backend.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "core/iq_client.h"
 #include "core/iq_server.h"
+#include "net/channel.h"
+#include "net/remote_backend.h"
 
 namespace iq {
 namespace {
@@ -247,10 +250,11 @@ TEST_F(ShardedBackendTest, StatsAggregateAcrossShardsWithBreakdown) {
   EXPECT_NE(stats.find("STAT router_sessions 2"), std::string::npos);
 }
 
-TEST_F(ShardedBackendTest, SessionIdReuseAfterCommitMintsFreshChildIds) {
+TEST_F(ShardedBackendTest, SessionIdReuseAfterCommitKeepsChildIds) {
   // The upper stack reuses one SessionId across transactions (IQSession
-  // keeps its id); after a fan-out Commit the router must start a clean
-  // per-shard slate for the same virtual id.
+  // keeps its id); a commit ends the transaction but not the session, so
+  // the child id minted for the first one serves the second. An abort
+  // forgets the ids.
   std::string k0 = KeyOnShard(router_, 0);
   router_.Set(k0, "1");
   SessionId tid = router_.GenID();
@@ -261,8 +265,146 @@ TEST_F(ShardedBackendTest, SessionIdReuseAfterCommitMintsFreshChildIds) {
             QuarantineResult::kGranted);
   router_.Commit(tid);
   EXPECT_EQ(router_.Get(k0)->value, "3");
-  EXPECT_EQ(router_.router_stats().shard_sessions, 2u);  // minted twice
+  EXPECT_EQ(router_.router_stats().shard_sessions, 1u);  // minted once
   EXPECT_EQ(child0_.Stats().commits, 2u);
+  router_.Abort(tid);
+  ASSERT_EQ(router_.QaReg(tid, k0), QuarantineResult::kGranted);
+  EXPECT_EQ(router_.router_stats().shard_sessions, 2u);  // re-minted
+  router_.DaR(tid);
+}
+
+TEST_F(ShardedBackendTest, CommitSkipsShardsTheSessionOnlyRead) {
+  std::string k0 = KeyOnShard(router_, 0);
+  std::string k1 = KeyOnShard(router_, 1);
+  router_.Set(k1, "v");
+  SessionId tid = router_.GenID();
+  ASSERT_EQ(router_.IQget(k1, tid).status, GetReply::Status::kHit);
+  ASSERT_EQ(router_.QaReg(tid, k0), QuarantineResult::kGranted);
+  router_.Commit(tid);
+  EXPECT_EQ(child0_.Stats().commits, 1u);
+  EXPECT_EQ(child1_.Stats().commits, 0u);  // read, never written
+  EXPECT_EQ(router_.router_stats().cross_shard_sessions, 0u);
+  // The written set restarts with each transaction: the next commit has
+  // nothing to send anywhere.
+  router_.Commit(tid);
+  EXPECT_EQ(child0_.Stats().commits, 1u);
+  EXPECT_EQ(router_.router_stats().fanout_commits, 1u);
+}
+
+TEST_F(ShardedBackendTest, SessionAcquireRejectedBehindAnUnaskedShardIsAConflict) {
+  // Keys a0 b0 a1, with a1 held by another session. Shard 0 answers
+  // [granted, REJECT] and b0 is never asked, though it comes before the
+  // reject in caller order: the session still sees a Q conflict, not a
+  // transport error.
+  std::string a0 = KeyOnShard(router_, 0, "a");
+  std::string b0 = KeyOnShard(router_, 1, "b");
+  std::string a1 = KeyOnShard(router_, 0, "c");
+  SessionId holder = router_.GenID();
+  ASSERT_EQ(router_.QaRead(a1, holder).status, QaReadReply::Status::kGranted);
+
+  IQClient client(router_);
+  auto session = client.NewSession();
+  EXPECT_EQ(session->Acquire({{LeaseRequest::Kind::kQaRead, a0},
+                              {LeaseRequest::Kind::kQaRead, b0},
+                              {LeaseRequest::Kind::kQaRead, a1}}),
+            ClientQResult::kQConflict);
+  EXPECT_EQ(session->stats().q_conflicts, 1u);
+  EXPECT_EQ(session->stats().transport_errors, 0u);
+  session->Abort();
+  router_.Abort(holder);
+  EXPECT_EQ(child0_.LeaseCount() + child1_.LeaseCount(), 0u);
+}
+
+// ---- the batched verbs over wire children --------------------------------
+
+/// Two shards, each a RemoteBackend over a loopback channel, so every frame
+/// the router sends is one counted request.
+class ShardedBatchTest : public ::testing::Test {
+ protected:
+  ShardedBatchTest()
+      : wire0_(child0_),
+        wire1_(child1_),
+        remote0_(wire0_),
+        remote1_(wire1_),
+        router_({{"cache-a", &remote0_, 1, {}, {}, {}, {}},
+                 {"cache-b", &remote1_, 1, {}, {}, {}, {}}}) {}
+
+  IQServer child0_;
+  IQServer child1_;
+  net::LoopbackChannel wire0_;
+  net::LoopbackChannel wire1_;
+  net::RemoteBackend remote0_;
+  net::RemoteBackend remote1_;
+  ShardedBackend router_;
+};
+
+TEST_F(ShardedBatchTest, RepliesComeBackInCallerKeyOrder) {
+  // Interleave the shards: a0 b0 a1 b1. Each shard gets one frame (after
+  // its one-time mint) and the replies line up with the caller's keys.
+  std::vector<std::string> keys = {
+      KeyOnShard(router_, 0, "a"), KeyOnShard(router_, 1, "b"),
+      KeyOnShard(router_, 0, "c"), KeyOnShard(router_, 1, "d")};
+  for (const std::string& k : keys) router_.Set(k, "v:" + k);
+  SessionId tid = router_.GenID();
+  std::vector<LeaseRequest> requests;
+  for (const std::string& k : keys) {
+    requests.push_back({LeaseRequest::Kind::kQaRead, k});
+  }
+  std::uint64_t before0 = wire0_.requests();
+  std::uint64_t before1 = wire1_.requests();
+  std::vector<LeaseReply> replies = router_.Acquire(tid, requests);
+  ASSERT_EQ(replies.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(replies[i].status, LeaseReply::Status::kGranted) << i;
+    EXPECT_EQ(replies[i].value, "v:" + keys[i]) << i;
+  }
+  EXPECT_EQ(wire0_.requests() - before0, 2u);  // genid + one frame
+  EXPECT_EQ(wire1_.requests() - before1, 2u);
+
+  std::vector<std::string> news;
+  for (const std::string& k : keys) news.push_back("new:" + k);
+  std::vector<Swap> swaps;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    swaps.push_back({keys[i], news[i], replies[i].token});
+  }
+  before0 = wire0_.requests();
+  before1 = wire1_.requests();
+  std::vector<StoreResult> stored = router_.CommitSwaps(tid, swaps);
+  EXPECT_EQ(wire0_.requests() - before0, 1u);  // swaps + commit, one frame
+  EXPECT_EQ(wire1_.requests() - before1, 1u);
+  ASSERT_EQ(stored.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(stored[i], StoreResult::kStored) << i;
+    EXPECT_EQ(router_.Get(keys[i])->value, news[i]);
+  }
+  EXPECT_EQ(child0_.Stats().commits, 1u);
+  EXPECT_EQ(child1_.Stats().commits, 1u);
+  EXPECT_EQ(child0_.LeaseCount() + child1_.LeaseCount(), 0u);
+  EXPECT_EQ(router_.router_stats().cross_shard_sessions, 1u);
+}
+
+TEST_F(ShardedBatchTest, RejectOnTheSecondShardReleasesBothShards) {
+  std::string a = KeyOnShard(router_, 0, "a");
+  std::string b = KeyOnShard(router_, 1, "b");
+  router_.Set(a, "1");
+  router_.Set(b, "2");
+  SessionId holder = router_.GenID();
+  ASSERT_EQ(router_.QaRead(b, holder).status, QaReadReply::Status::kGranted);
+
+  SessionId tid = router_.GenID();
+  std::vector<LeaseReply> replies =
+      router_.Acquire(tid, {{LeaseRequest::Kind::kQaRead, a},
+                            {LeaseRequest::Kind::kQaRead, b}});
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].status, LeaseReply::Status::kGranted);
+  EXPECT_EQ(replies[0].value, "1");
+  EXPECT_EQ(replies[1].status, LeaseReply::Status::kReject);
+  EXPECT_EQ(router_.router_stats().reject_releases, 1u);
+  router_.Abort(tid);  // the caller's rule, after the router's own release
+  EXPECT_EQ(child0_.LeaseCount(), 0u);
+  router_.Abort(holder);
+  EXPECT_EQ(child0_.LeaseCount(), 0u);
+  EXPECT_EQ(child1_.LeaseCount(), 0u);
 }
 
 }  // namespace

@@ -19,8 +19,10 @@
 #include <thread>
 #include <vector>
 
+#include "casql/casql.h"
 #include "core/iq_client.h"
 #include "core/iq_server.h"
+#include "core/sharded_backend.h"
 #include "net/channel.h"
 #include "net/protocol.h"
 #include "net/remote_backend.h"
@@ -514,6 +516,91 @@ TEST(TcpServerBackpressure, UnreadResponsesThrottleInsteadOfGrowingMemory) {
   ::close(fd);
 }
 
+TEST(TcpServerBackpressure, BatchFrameReplyStopsAtTheOutputBound) {
+  // One frame of QaReads re-reading a large value under one session — each
+  // after the first an idempotent re-acquire, each a full copy of the value
+  // — is cut short once its replies pass max_response_bytes, instead of
+  // building every copy before a byte is written. A client sends the
+  // requests a cut-short reply leaves out in its next frame.
+  IQServer server;
+  TcpServer::Config cfg;
+  cfg.workers = 1;
+  cfg.max_response_bytes = 64u << 10;
+  TcpServer tcp(server, cfg);
+  std::string error;
+  ASSERT_TRUE(tcp.Start(&error)) << error;
+  const std::string big(32u << 10, 'v');
+  for (const char* key : {"big", "b0", "b1", "b2", "b3"}) {
+    server.store().Set(key, big);
+  }
+
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(tcp.port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
+      << std::strerror(errno);
+  std::string frame = "batch " + std::to_string(kMaxBatchRequests) + "\r\n";
+  for (std::size_t i = 0; i < kMaxBatchRequests; ++i) {
+    frame += "qaread big 7\r\n";
+  }
+  ASSERT_EQ(::write(fd, frame.data(), frame.size()),
+            static_cast<ssize_t>(frame.size()));
+  std::string got;
+  std::optional<Response> reply;
+  char buf[64 * 1024];
+  while (!reply) {
+    ssize_t r = ::read(fd, buf, sizeof(buf));
+    ASSERT_GT(r, 0) << "connection died";
+    got.append(buf, static_cast<std::size_t>(r));
+    std::size_t used = 0;
+    reply = ParseResponse(got, &used);
+  }
+  ASSERT_EQ(reply->type, ResponseType::kBatch);
+  // At most one value past the bound, not a thousand copies.
+  ASSERT_GE(reply->batch.size(), 1u);
+  EXPECT_LE(reply->batch.size(), cfg.max_response_bytes / big.size() + 1);
+  for (const Response& r : reply->batch) {
+    EXPECT_EQ(r.type, ResponseType::kQValue);
+    EXPECT_EQ(r.data, big);
+  }
+  // The connection goes on answering, with nothing else queued before.
+  const std::string abort = "abort 7\r\n";
+  ASSERT_EQ(::write(fd, abort.data(), abort.size()),
+            static_cast<ssize_t>(abort.size()));
+  ssize_t r = ::read(fd, buf, sizeof(buf));
+  ASSERT_GT(r, 0);
+  EXPECT_EQ(std::string(buf, static_cast<std::size_t>(r)), "OK\r\n");
+  EXPECT_EQ(server.LeaseCount(), 0u);
+  ::close(fd);
+
+  // Four QaReads of large values: the first frame stops past the bound and
+  // the client sends the rest, so every lease is granted in two requests.
+  auto ch = TcpChannel::Connect("127.0.0.1", tcp.port(), &error);
+  ASSERT_NE(ch, nullptr) << error;
+  RemoteBackend backend(*ch);
+  SessionId tid = backend.GenID();
+  std::uint64_t before = tcp.Stats().requests;
+  std::vector<LeaseReply> leases =
+      backend.Acquire(tid, {{LeaseRequest::Kind::kQaRead, "b0"},
+                            {LeaseRequest::Kind::kQaRead, "b1"},
+                            {LeaseRequest::Kind::kQaRead, "b2"},
+                            {LeaseRequest::Kind::kQaRead, "b3"}});
+  EXPECT_EQ(tcp.Stats().requests - before, 2u);
+  ASSERT_EQ(leases.size(), 4u);
+  for (const LeaseReply& lease : leases) {
+    EXPECT_EQ(lease.status, LeaseReply::Status::kGranted);
+    EXPECT_EQ(lease.value, big);
+  }
+  EXPECT_EQ(server.LeaseCount(), 4u);
+  backend.Commit(tid);
+  EXPECT_EQ(server.LeaseCount(), 0u);
+  ch.reset();
+  tcp.Stop();
+}
+
 // A server that accepts the connection and then never replies must not hang
 // the client: the io deadline expires, the operation fails as a transport
 // error, and the channel reports itself dead.
@@ -568,6 +655,170 @@ TEST_F(TcpServerTest, StopIsIdempotentAndDropsConnections) {
   tcp_->Stop();
   tcp_->Stop();  // second call is a no-op
   EXPECT_EQ(tcp_->Stats().conn_active, 0u);
+}
+
+// ---- write sessions on the wire: two requests per written shard ------------
+
+/// A casql write session over `keys` whose RDBMS body changes nothing and
+/// whose refresh rule stores `value`.
+casql::WriteSpec TouchSpec(const std::vector<std::string>& keys,
+                           const std::string& value) {
+  casql::WriteSpec spec;
+  spec.body = [](sql::Transaction&) { return true; };
+  for (const std::string& key : keys) {
+    casql::KeyUpdate u;
+    u.key = key;
+    u.refresh = [value](const std::optional<std::string>&) {
+      return std::optional<std::string>(value);
+    };
+    spec.updates.push_back(std::move(u));
+  }
+  return spec;
+}
+
+TEST_F(TcpServerTest, CasqlWriteCostsTwoRequestsWhateverItsKeyCount) {
+  // One acquire request before the RDBMS commit and one commit request
+  // after it, for 1 to 5 keys: QaReads (or QaRegs) travel in one frame, and
+  // the SaRs ride in the commit's frame.
+  sql::Database db;
+  auto channel = Connect();
+  RemoteBackend backend(*channel);
+  for (casql::Technique technique :
+       {casql::Technique::kRefresh, casql::Technique::kInvalidate}) {
+    casql::CasqlConfig cfg;
+    cfg.technique = technique;
+    cfg.consistency = casql::Consistency::kIQ;
+    casql::CasqlSystem system(db, backend, cfg);
+    auto conn = system.Connect();
+    for (int k = 1; k <= 5; ++k) {
+      std::vector<std::string> keys;
+      for (int i = 0; i < k; ++i) keys.push_back("w" + std::to_string(i));
+      for (const std::string& key : keys) server_.store().Set(key, "old");
+      std::uint64_t before = tcp_->Stats().requests;
+      casql::WriteOutcome out = conn->Write(TouchSpec(keys, "new"));
+      ASSERT_TRUE(out.committed);
+      EXPECT_EQ(tcp_->Stats().requests - before, 2u)
+          << casql::ToString(technique) << " k=" << k;
+      for (const std::string& key : keys) {
+        auto item = server_.store().Get(key);
+        if (technique == casql::Technique::kRefresh) {
+          ASSERT_TRUE(item.has_value()) << key;
+          EXPECT_EQ(item->value, "new");
+        } else {
+          EXPECT_FALSE(item.has_value()) << key;
+        }
+      }
+      EXPECT_EQ(server_.LeaseCount(), 0u);
+    }
+  }
+}
+
+TEST(TcpRouterTest, WriteCostsOneAcquireAndOneCommitPerWrittenShard) {
+  IQServer s0;
+  IQServer s1;
+  TcpServer::Config net_cfg;
+  net_cfg.workers = 1;
+  TcpServer t0(s0, net_cfg);
+  TcpServer t1(s1, net_cfg);
+  std::string error;
+  ASSERT_TRUE(t0.Start(&error)) << error;
+  ASSERT_TRUE(t1.Start(&error)) << error;
+  auto c0 = TcpChannel::Connect("127.0.0.1", t0.port(), &error);
+  auto c1 = TcpChannel::Connect("127.0.0.1", t1.port(), &error);
+  ASSERT_NE(c0, nullptr);
+  ASSERT_NE(c1, nullptr);
+  RemoteBackend r0(*c0);
+  RemoteBackend r1(*c1);
+  ShardedBackend router(
+      {{"s0", &r0, 1, {}, {}, {}, {}}, {"s1", &r1, 1, {}, {}, {}, {}}});
+  auto key_on = [&router](std::size_t shard, const std::string& prefix) {
+    for (int i = 0;; ++i) {
+      std::string key = prefix + std::to_string(i);
+      if (router.ShardFor(key) == shard) return key;
+    }
+  };
+  const std::string a = key_on(0, "a");
+  const std::string a2 = key_on(0, "c");
+  const std::string b = key_on(1, "b");
+  for (const std::string& k : {a, a2}) s0.store().Set(k, "old");
+  s1.store().Set(b, "old");
+
+  sql::Database db;
+  casql::CasqlConfig cfg;
+  cfg.technique = casql::Technique::kRefresh;
+  cfg.consistency = casql::Consistency::kIQ;
+  casql::CasqlSystem system(db, router, cfg);
+  auto conn = system.Connect();
+  auto write = [&](const std::vector<std::string>& keys, std::uint64_t want0,
+                   std::uint64_t want1) {
+    std::uint64_t before0 = t0.Stats().requests;
+    std::uint64_t before1 = t1.Stats().requests;
+    ASSERT_TRUE(conn->Write(TouchSpec(keys, "new")).committed);
+    EXPECT_EQ(t0.Stats().requests - before0, want0) << keys.size();
+    EXPECT_EQ(t1.Stats().requests - before1, want1) << keys.size();
+  };
+  // The connection's first touch of each shard mints its child id there.
+  write({a, b}, 3, 3);
+  // From then on: one acquire and one commit per written shard, no genid.
+  write({a, b, a2}, 2, 2);
+  write({a, a2}, 2, 0);  // shard 1 is neither leased nor committed
+  // A shard the session only read is not written: its commit skips it.
+  auto read = conn->Read(b, [](sql::Transaction&) {
+    return std::optional<std::string>("x");
+  });
+  EXPECT_TRUE(read.hit);
+  write({a}, 2, 0);
+  EXPECT_EQ(router.router_stats().shard_sessions, 2u);
+  EXPECT_EQ(s0.LeaseCount() + s1.LeaseCount(), 0u);
+  c0.reset();
+  c1.reset();
+  t0.Stop();
+  t1.Stop();
+}
+
+// ---- batch frames on a raw connection --------------------------------------
+
+TEST_F(TcpServerTest, BadBatchFrameExecutesNothingAndTheNextRequestAnswers) {
+  int fd = RawConnect();
+  for (const char* bad : {"qaread j notanumber\r\n", "quit\r\n",
+                          "stats\r\n", "batch 1\r\n"}) {
+    ASSERT_TRUE(SendAll(
+        fd, std::string("batch 2\r\nqaread k 7\r\n") + bad + "get k\r\n"));
+    std::string reply = ReadUntil(fd, "END\r\n");
+    EXPECT_EQ(reply.rfind("CLIENT_ERROR batch: ", 0), 0u) << reply;
+    EXPECT_EQ(reply.find("CLIENT_ERROR", 1), std::string::npos) << reply;
+    EXPECT_EQ(reply.substr(reply.size() - 5), "END\r\n") << reply;
+    EXPECT_EQ(server_.LeaseCount(), 0u) << bad;  // the qaread never ran
+  }
+  ::close(fd);
+}
+
+TEST_F(TcpServerTest, TruncatedBatchFrameExecutesNothing) {
+  int fd = RawConnect();
+  ASSERT_TRUE(SendAll(fd, "batch 3\r\nqaread k 7\r\nqaread j 7\r\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(server_.LeaseCount(), 0u);  // waiting for the third request
+  ::close(fd);  // the frame never completes
+  EXPECT_TRUE(Eventually([this] { return tcp_->Stats().conn_active == 0; }));
+  EXPECT_EQ(server_.LeaseCount(), 0u);
+}
+
+TEST_F(TcpServerTest, HugeBatchCountStaysUnderTheInputCap) {
+  // A frame claiming 2^64-1 requests is one incomplete request until the
+  // server's input bound closes the connection; nothing inside it runs.
+  int fd = RawConnect();
+  std::string chunk;
+  while (chunk.size() < (1u << 20)) chunk += "qaread k 7\r\n";
+  SendAll(fd, "batch 18446744073709551615\r\n");
+  for (std::size_t sent = 0; sent <= kMaxRequestBytes; sent += chunk.size()) {
+    if (!SendAll(fd, chunk)) break;  // the server may already have closed
+  }
+  EXPECT_NE(ReadUntil(fd, "\r\n").find("CLIENT_ERROR request exceeds server "
+                                         "limit"),
+            std::string::npos);
+  EXPECT_TRUE(Eventually([this] { return tcp_->Stats().conn_active == 0; }));
+  EXPECT_EQ(server_.LeaseCount(), 0u);
+  ::close(fd);
 }
 
 }  // namespace

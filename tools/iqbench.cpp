@@ -300,67 +300,79 @@ struct RemoteStack {
 /// One write session that increments every counter in `ctrs` — one, or two
 /// for a multi-key session (two Q leases, one commit) — retried with the
 /// session's exponential back-off across lease rejections AND transport
-/// failures until it commits or `deadline` passes. Every attempt ends with
-/// Commit/Abort so a routing backend can retire its per-shard session state.
+/// failures until it commits or `deadline` passes. Each attempt is one
+/// acquire (every QaRead in one batch) and one swap-carrying commit, or an
+/// Abort when the acquire fails, so a routing backend can retire its
+/// per-shard session state.
 ///
 /// `tally` is the authoritative count of committed increments — the stand-in
 /// for the RDBMS of a real CASQL deployment. It serves double duty: the
 /// final balance check compares cache contents against it, and a KVS miss
 /// under the Q lease (the cache server was restarted and lost the counter)
 /// reseeds the key from it, exactly as a CASQL refresh would recompute the
-/// value from the database. SaR stores and releases at once, so a counter
-/// is tallied right after its own STORED ack; an abort after the first of
-/// two acks cannot undo it, the retry increments that counter again, and
-/// the balance still holds.
+/// value from the database. A counter is tallied once the commit's reply
+/// acknowledges its swap as STORED; a swap that was not (lease expired or
+/// evicted, or the connection dropped) leaves its counter untallied, the
+/// retry increments every counter again, and the balance still holds.
 ///
-/// `use_delta` (one counter only) switches the increment to a buffered Incr
-/// plus a re-read under the session's own (still live) Q lease — the
-/// own-update visibility probe: the server must replay the pending delta
-/// into the re-read (Section 4.2.2), and the session logs it as read_own so
-/// iqcheck can flag a pre-delta value reappearing. A KVS miss still reseeds
-/// via SaR.
+/// `use_delta` (one counter only) adds a buffered Incr plus a re-read under
+/// the session's own (still live) Q lease to the acquire — the own-update
+/// visibility probe: the server must replay the pending delta into the
+/// re-read (Section 4.2.2), and the session logs it as read_own so iqcheck
+/// can flag a pre-delta value reappearing. A KVS miss still reseeds via a
+/// swap, which drops the buffered delta with the lease.
 bool RemoteIncrement(IQSession& session, const std::vector<int>& ctrs,
                      std::vector<std::atomic<long long>>& tally,
                      Nanos deadline, bool use_delta) {
   const Clock& clock = SteadyClock::Instance();
-  std::vector<std::optional<std::string>> values(ctrs.size());
+  std::vector<std::string> keys;
+  std::vector<LeaseRequest> leases;
+  for (int ctr : ctrs) keys.push_back(CounterKey(ctr));
+  for (const std::string& key : keys) {
+    leases.push_back({LeaseRequest::Kind::kQaRead, key});
+  }
+  if (use_delta) {
+    leases.push_back({LeaseRequest::Kind::kDelta, keys[0],
+                      DeltaOp{DeltaOp::Kind::kIncr, {}, 1}});
+    leases.push_back({LeaseRequest::Kind::kQaRead, keys[0]});  // the probe
+  }
+  std::vector<std::optional<std::string>> values;
   while (clock.Now() < deadline) {
-    bool ok = true;
-    for (std::size_t i = 0; ok && i < ctrs.size(); ++i) {
-      ok = session.QaRead(CounterKey(ctrs[i]), values[i]) ==
-           ClientQResult::kGranted;
+    if (session.Acquire(leases, &values) != ClientQResult::kGranted) {
+      session.Abort();
+      session.Backoff();
+      continue;
     }
-    if (ok && use_delta && values[0]) {
-      const std::string key = CounterKey(ctrs[0]);
-      if (session.Incr(key, 1) == ClientQResult::kGranted) {
-        session.QaRead(key, values[0]);  // the own-update probe
-        // Commit applies the buffered delta. Tally after the send, as the
-        // SaR path tallies after its ack: the exposure window against a
-        // mid-commit kill is the same sub-microsecond one.
-        session.Commit();
-        tally[ctrs[0]].fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      ok = false;
-    }
-    for (std::size_t i = 0; ok && i < ctrs.size(); ++i) {
-      // The Q lease serializes writers, so at most one session reseeds a
-      // lost counter at a time and concurrent increments can't be lost.
-      std::atomic<long long>& count = tally[ctrs[i]];
-      long long current =
-          values[i] ? std::atoll(values[i]->c_str()) : count.load();
-      ok = session.SaR(CounterKey(ctrs[i]), std::to_string(current + 1)) ==
-           StoreResult::kStored;
-      if (ok) count.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (ok) {
+    if (use_delta && values[0]) {
+      // Commit applies the buffered delta. Tally after the send, as the
+      // swap path tallies after its ack: the exposure window against a
+      // mid-commit kill is the same sub-microsecond one.
       session.Commit();
+      tally[ctrs[0]].fetch_add(1, std::memory_order_relaxed);
       return true;
     }
-    // A rejection, a transport failure, or a SaR that was not acknowledged
-    // (lease expired/evicted, or the connection dropped): nothing of this
-    // attempt is tallied beyond its acked SaRs. Release and retry.
-    session.Abort();
+    // The Q leases serialize writers, so at most one session reseeds a lost
+    // counter at a time and concurrent increments can't be lost.
+    std::vector<std::string> news;
+    for (std::size_t i = 0; i < ctrs.size(); ++i) {
+      long long current =
+          values[i] ? std::atoll(values[i]->c_str()) : tally[ctrs[i]].load();
+      news.push_back(std::to_string(current + 1));
+    }
+    std::vector<Swap> swaps;
+    for (std::size_t i = 0; i < ctrs.size(); ++i) {
+      swaps.push_back({keys[i], news[i]});
+    }
+    std::vector<StoreResult> stored = session.Commit(std::move(swaps));
+    bool all = true;
+    for (std::size_t i = 0; i < ctrs.size(); ++i) {
+      if (stored[i] == StoreResult::kStored) {
+        tally[ctrs[i]].fetch_add(1, std::memory_order_relaxed);
+      } else {
+        all = false;
+      }
+    }
+    if (all) return true;
     session.Backoff();
   }
   return false;
@@ -370,12 +382,16 @@ enum class AuditVerdict { kOk, kStale, kSkip };
 
 /// Online staleness audit of one shared counter. A granted Q lease
 /// serializes against the writers, so the value read under it must fall in
-/// a bound derived from the tally of committed increments: every increment
-/// tallied before the QaRead (t1) had its SaR acked first, and at most
-/// `threads` acked increments can still be un-tallied by the time we load
-/// t2 afterwards — so t1 <= value <= t2 + threads, or the cache lost or
-/// invented an update. A KVS miss means a restarted shard dropped the
-/// counter (reseeded by the next increment): no verdict.
+/// a bound derived from the tally of committed increments. A writer tallies
+/// an increment only after the commit reply acknowledged its swap, so
+/// every increment tallied before the QaRead (t1) is in the cache. The
+/// other way round, an increment can be stored but not yet tallied when we
+/// load t2 afterwards only while its writer sits between that reply and its
+/// tally; a writer's reply may acknowledge two counters, but at most one
+/// increment of this one — so at most `threads` such increments exist, and
+/// t1 <= value <= t2 + threads, or the cache lost or invented an update. A
+/// KVS miss means a restarted shard dropped the counter (reseeded by the
+/// next increment): no verdict.
 AuditVerdict AuditRemoteCounter(IQSession& session, const std::string& key,
                                 std::atomic<long long>& tally, int threads) {
   long long t1 = tally.load();
@@ -384,8 +400,7 @@ AuditVerdict AuditRemoteCounter(IQSession& session, const std::string& key,
     session.Abort();
     return AuditVerdict::kSkip;
   }
-  session.SaR(key, std::nullopt);  // release, value left in place
-  session.Commit();
+  session.Commit({{key, std::nullopt}});  // release, value left in place
   if (!value) return AuditVerdict::kSkip;
   long long got = std::atoll(value->c_str());
   long long t2 = tally.load();
