@@ -5,7 +5,8 @@
 //
 // All threads share one hot keyspace (the worst case for the mutex: every
 // hit funnels through the shard locks; the best case for the seqlock:
-// readers share nothing writable but two relaxed touch-buffer slots).
+// readers share nothing writable but each entry's CLOCK bit, written only
+// while it is clear, and count their hits in per-thread slots).
 //
 // Environment:
 //   IQ_BENCH_SECONDS   measurement window per cell in seconds (default 1.0)

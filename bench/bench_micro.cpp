@@ -50,7 +50,7 @@ BENCHMARK(BM_KvsGetHitLocked);
 // Shared-keyspace read-hit scaling: every thread reads the SAME hot keys,
 // the worst case for the mutex (all hits funnel through 16 shard locks) and
 // the best case for the seqlock mirror (readers never write shared state
-// except two relaxed touch-buffer ops).
+// except each entry's CLOCK bit, and that only while it is clear).
 void BM_KvsGetHitThreaded(benchmark::State& state) {
   static CacheStore* store = nullptr;
   if (state.thread_index() == 0) {

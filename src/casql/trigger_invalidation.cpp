@@ -5,7 +5,7 @@ namespace {
 
 // The trigger fires on the thread executing the DML, so the active managed
 // session is thread-local state.
-thread_local SessionId t_active_tid = 0;
+thread_local TriggerInvalidator::ManagedSession* t_active = nullptr;
 
 }  // namespace
 
@@ -24,23 +24,33 @@ void TriggerInvalidator::Register(const std::string& table, sql::DmlOp op,
 
 void TriggerInvalidator::OnTrigger(const KeyMapper& mapper,
                                    const sql::TriggerEvent& event) {
-  if (t_active_tid == 0) return;  // DML outside a managed session
+  ManagedSession* session = t_active;
+  // DML outside a managed session, or in one that can no longer commit.
+  if (session == nullptr || session->failed_) return;
   for (const std::string& key : mapper(event)) {
-    // QaReg is always granted (Figure 5a); voids I leases so racing readers
-    // cannot install values computed from pre-commit snapshots.
-    server_.QaReg(t_active_tid, key);
+    // QaReg voids I leases so racing readers cannot install values computed
+    // from pre-commit snapshots. A server grants it (Figure 5a), but an
+    // unreachable one leaves the key unquarantined.
+    if (server_.QaReg(session->tid_, key) != QuarantineResult::kGranted) {
+      session->failed_ = true;
+      return;
+    }
   }
 }
 
-SessionId TriggerInvalidator::ActiveTid() { return t_active_tid; }
+SessionId TriggerInvalidator::ActiveTid() {
+  return t_active != nullptr ? t_active->tid_ : 0;
+}
 
 std::unique_ptr<TriggerInvalidator::ManagedSession>
 TriggerInvalidator::BeginSession() {
-  SessionId tid = server_.GenID();
+  SessionId tid = server_.GenID();  // 0: the cache tier is unreachable
   auto txn = db_.Begin();
-  t_active_tid = tid;
-  return std::unique_ptr<ManagedSession>(
+  std::unique_ptr<ManagedSession> session(
       new ManagedSession(*this, tid, std::move(txn)));
+  session->failed_ = (tid == 0);
+  t_active = session.get();
+  return session;
 }
 
 TriggerInvalidator::ManagedSession::ManagedSession(
@@ -55,8 +65,8 @@ TriggerInvalidator::ManagedSession::~ManagedSession() {
 bool TriggerInvalidator::ManagedSession::Commit() {
   if (finished_) return false;
   finished_ = true;
-  t_active_tid = 0;
-  if (txn_->state() != sql::Transaction::State::kActive ||
+  if (t_active == this) t_active = nullptr;
+  if (failed_ || txn_->state() != sql::Transaction::State::kActive ||
       txn_->Commit() != sql::TxnResult::kOk) {
     txn_->Rollback();
     owner_.server_.Abort(tid_);  // leases released, values untouched
@@ -69,7 +79,7 @@ bool TriggerInvalidator::ManagedSession::Commit() {
 void TriggerInvalidator::ManagedSession::Abort() {
   if (finished_) return;
   finished_ = true;
-  t_active_tid = 0;
+  if (t_active == this) t_active = nullptr;
   txn_->Rollback();
   owner_.server_.Abort(tid_);
 }

@@ -55,7 +55,9 @@ class TriggerInvalidator {
     sql::Transaction& txn() { return *txn_; }
 
     /// Commit the transaction, then delete the quarantined keys and
-    /// release the Q leases. False if the transaction had already failed.
+    /// release the Q leases. False, with the transaction rolled back, if it
+    /// had already failed or the cache tier did not confirm the session's
+    /// id or a quarantine (a stale value would outlive the commit).
     bool Commit();
 
     /// Roll back and release leases, leaving cached values in place.
@@ -70,6 +72,7 @@ class TriggerInvalidator {
     SessionId tid_;
     std::unique_ptr<sql::Transaction> txn_;
     bool finished_ = false;
+    bool failed_ = false;  // a quarantine was not confirmed: Commit fails
   };
 
   std::unique_ptr<ManagedSession> BeginSession();

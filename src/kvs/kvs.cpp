@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstring>
 #include <functional>
+#include <utility>
 
 namespace iq {
 
@@ -89,7 +90,8 @@ CacheStore::CacheStore(Config config)
       opt_val_cap_(config.optimistic_value_cap),
       opt_key_words_((kOptKeyCap + 7) / 8),
       opt_val_words_((config.optimistic_value_cap + 7) / 8),
-      shards_(config.shard_count > 0 ? config.shard_count : 1) {
+      shards_(config.shard_count > 0 ? config.shard_count : 1),
+      opt_counters_(std::make_unique<OptCounters[]>(kCounterSlots)) {
   for (auto& s : shards_) {
     if (config.eviction == EvictionPolicy::kCamp) {
       s.camp = std::make_unique<CampPolicy>(config.camp_precision);
@@ -97,7 +99,6 @@ CacheStore::CacheStore(Config config)
     if (opt_val_cap_ > 0) {
       s.opt_tables.push_back(std::make_unique<OptTable>(kOptInitialCapacity));
       s.opt_table.store(s.opt_tables.back().get(), std::memory_order_release);
-      s.touch_slots = std::make_unique<std::atomic<OptEntry*>[]>(kTouchSlots);
     }
   }
 }
@@ -143,6 +144,7 @@ void CacheStore::OptUpsertLocked(Shard& s, const std::string& key, Item& item) {
       e->words = std::make_unique<std::atomic<std::uint64_t>[]>(opt_key_words_ +
                                                                 opt_val_words_);
     }
+    e->referenced.store(false, std::memory_order_relaxed);  // last key's bit
     item.opt = e;
   }
   const std::uint64_t h = HashKey(key);
@@ -230,58 +232,25 @@ void CacheStore::OptEnsureCapacityLocked(Shard& s) {
   s.opt_table.store(s.opt_tables.back().get(), std::memory_order_release);
 }
 
-void CacheStore::DrainTouchesLocked(Shard& s) {
-  if (opt_val_cap_ == 0) return;
-  const std::uint32_t head = s.touch_head.load(std::memory_order_relaxed);
-  if (head == s.touch_drained) return;
-  // Under wrap, older pushes were overwritten: skip ahead and only replay
-  // the last kTouchSlots hints (approximate LRU by design).
-  if (head - s.touch_drained > kTouchSlots) s.touch_drained = head - kTouchSlots;
-  while (s.touch_drained != head) {
-    OptEntry* e = s.touch_slots[s.touch_drained & (kTouchSlots - 1)].exchange(
-        nullptr, std::memory_order_relaxed);
-    ++s.touch_drained;
-    if (e == nullptr) continue;
-    // The entry may have been erased or recycled for another key since the
-    // reader queued it; resolve it through the live table and ignore hints
-    // that no longer match (a wrong touch would only perturb LRU order).
-    if (e->version.load(std::memory_order_relaxed) & 1) continue;
-    const std::uint32_t klen = e->key_len.load(std::memory_order_relaxed);
-    if (klen == 0 || klen > kOptKeyCap) continue;
-    char kbuf[kOptKeyCap];
-    LoadWords(e->words.get(), kbuf, klen);
-    auto it = s.items.find(std::string_view(kbuf, klen));
-    if (it == s.items.end() || it->second.opt != e) continue;
-    TouchLocked(s, it->second, it->first);
-  }
-}
-
 // ---- locked core -----------------------------------------------------------
 
 void CacheStore::EraseLocked(Shard& s, ItemMap::iterator it) {
   OptEraseLocked(s, it->second);
   s.bytes -= ItemBytes(it->first, it->second.value);
-  s.lru.erase(it->second.lru_pos);
   if (s.camp) s.camp->OnErase(it->first);
   s.items.erase(it);
 }
 
-void CacheStore::BumpLruLocked(Shard& s, Item& item, const std::string& key) {
-  s.lru.erase(item.lru_pos);
-  s.lru.push_front(key);
-  item.lru_pos = s.lru.begin();
-}
-
 void CacheStore::TouchLocked(Shard& s, Item& item, const std::string& key) {
-  BumpLruLocked(s, item, key);
+  item.referenced = true;
   if (s.camp) s.camp->OnAccess(key);
 }
 
 void CacheStore::EvictIfNeededLocked(Shard& s) {
   if (per_shard_budget_ == 0 || s.bytes <= per_shard_budget_) return;
-  // Replay queued optimistic-read touches first so recently-read items get
-  // their LRU/CAMP protection before victims are chosen.
-  DrainTouchesLocked(s);
+  // One lap of second chances per eviction run: without a bound, readers
+  // re-setting bits during the sweep could keep every item referenced.
+  std::size_t chances = s.items.size();
   while (s.bytes > per_shard_budget_ && !s.items.empty()) {
     ItemMap::iterator victim;
     if (s.camp) {
@@ -292,17 +261,42 @@ void CacheStore::EvictIfNeededLocked(Shard& s) {
         s.camp->OnErase(*key);
         continue;
       }
-      s.camp->OnEvict(*key);  // advances the inflation value L
-    } else {
-      if (s.lru.empty()) break;
-      victim = s.items.find(s.lru.back());
-      if (victim == s.items.end()) {  // should not happen; keep lists in sync
-        s.lru.pop_back();
+      // A lock-free hit earns the refresh a locked hit gets at once. Only
+      // the mirror's bit counts: every write sets Item::referenced.
+      OptEntry* e = victim->second.opt;
+      if (chances > 0 && e != nullptr &&
+          e->referenced.exchange(false, std::memory_order_relaxed)) {
+        --chances;
+        s.camp->OnAccess(*key);
         continue;
       }
+      s.camp->OnEvict(*key);  // advances the inflation value L
+    } else {
+      victim = ClockVictimLocked(s, chances);
     }
     EraseLocked(s, victim);
     ++s.stats.evictions;
+  }
+}
+
+CacheStore::ItemMap::iterator CacheStore::ClockVictimLocked(
+    Shard& s, std::size_t& chances) {
+  for (;; ++s.clock_hand) {
+    const std::size_t b = s.clock_hand % s.items.bucket_count();
+    for (auto it = s.items.begin(b); it != s.items.end(b); ++it) {
+      Item& item = it->second;
+      bool referenced = std::exchange(item.referenced, false);
+      if (item.opt != nullptr &&
+          item.opt->referenced.exchange(false, std::memory_order_relaxed)) {
+        referenced = true;
+      }
+      if (referenced && chances > 0) {
+        --chances;
+        continue;
+      }
+      ++s.clock_hand;  // the bucket's later items wait for the next lap
+      return s.items.find(it->first);
+    }
   }
 }
 
@@ -337,7 +331,7 @@ void CacheStore::StoreLocked(Shard& s, std::string_view key,
       s.camp->OnInsert(it->first, it->second.cost,
                        ItemBytes(it->first, it->second.value));
     }
-    BumpLruLocked(s, it->second, it->first);
+    it->second.referenced = true;
     OptUpsertLocked(s, it->first, it->second);
   } else {
     auto [ins, ok] = s.items.emplace(std::string(key), Item{});
@@ -347,8 +341,8 @@ void CacheStore::StoreLocked(Shard& s, std::string_view key,
     ins->second.cas = cas_counter_.fetch_add(1, std::memory_order_relaxed);
     ins->second.expires_at = expires;
     ins->second.cost = cost.value_or(1);
-    s.lru.push_front(ins->first);
-    ins->second.lru_pos = s.lru.begin();
+    // Referenced from birth: the insert may land just ahead of the hand.
+    ins->second.referenced = true;
     s.bytes += ItemBytes(ins->first, ins->second.value);
     if (s.camp) {
       s.camp->OnInsert(ins->first, ins->second.cost,
@@ -367,7 +361,7 @@ void CacheStore::FinishResizeLocked(Shard& s, ItemMap::iterator it) {
     s.camp->OnInsert(it->first, it->second.cost,
                      ItemBytes(it->first, it->second.value));
   }
-  BumpLruLocked(s, it->second, it->first);
+  it->second.referenced = true;
   OptUpsertLocked(s, it->first, it->second);
   EvictIfNeededLocked(s);
 }
@@ -390,6 +384,13 @@ std::optional<CacheItem> CacheStore::Get(std::string_view key) {
   return CacheItem{it->second.value, it->second.flags, it->second.cas};
 }
 
+CacheStore::OptCounters& CacheStore::ThreadOptCounters() {
+  static std::atomic<std::size_t> next_thread{0};
+  thread_local const std::size_t index =
+      next_thread.fetch_add(1, std::memory_order_relaxed);
+  return opt_counters_[index % kCounterSlots];
+}
+
 std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key) {
   return OptimisticGet(key, HashKey(key));
 }
@@ -407,7 +408,7 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     if (e == tomb) continue;
     const std::uint64_t v1 = e->version.load(std::memory_order_acquire);
     if (v1 & 1) {  // writer mid-update or dead entry: bounce, never spin
-      s.opt_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      ThreadOptCounters().fallbacks.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
     // Pre-validation loads below may be torn; any decision they feed ends in
@@ -430,22 +431,25 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     }
     std::atomic_thread_fence(std::memory_order_acquire);
     if (e->version.load(std::memory_order_relaxed) != v1) {
-      s.opt_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      ThreadOptCounters().fallbacks.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;  // raced a writer; the locked path settles it
     }
     // Snapshot is consistent as of v1.
     if (oversize || (expires != 0 && clock_.Now() >= expires)) {
       // Big values and TTL hits are served (and expired) by the locked path.
-      s.opt_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      ThreadOptCounters().fallbacks.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
     out.flags = flags;
     out.cas = cas;
-    // Approximate recency: queue the touch; the next locked mutation on
-    // this shard replays it into the real LRU/CAMP structures.
-    const std::uint32_t ti = s.touch_head.fetch_add(1, std::memory_order_relaxed);
-    s.touch_slots[ti & (kTouchSlots - 1)].store(e, std::memory_order_relaxed);
-    s.opt_hits.fetch_add(1, std::memory_order_relaxed);
+    // CLOCK recency, written only when clear (memcached's
+    // ITEM_UPDATE_INTERVAL idea), so a hot entry's line stays clean until a
+    // sweep clears the bit. A set racing an erase at worst spares the
+    // entry's next owner once.
+    if (!e->referenced.load(std::memory_order_relaxed)) {
+      e->referenced.store(true, std::memory_order_relaxed);
+    }
+    ThreadOptCounters().hits.fetch_add(1, std::memory_order_relaxed);
     return out;
   }
   return std::nullopt;  // genuine miss or overlong probe chain: locked path
@@ -587,11 +591,7 @@ void CacheStore::Flush() {
   for (auto& s : shards_) {
     std::lock_guard lock(s.mu);
     if (opt_val_cap_ > 0) {
-      // Discard queued touches and kill every mirror before dropping items.
-      s.touch_drained = s.touch_head.load(std::memory_order_relaxed);
-      for (std::uint32_t i = 0; i < kTouchSlots; ++i) {
-        s.touch_slots[i].store(nullptr, std::memory_order_relaxed);
-      }
+      // Kill every mirror before dropping items.
       for (auto& [key, item] : s.items) {
         if (item.opt != nullptr) {
           SeqBegin(*item.opt);  // leave odd = dead
@@ -607,7 +607,6 @@ void CacheStore::Flush() {
       s.opt_tombs = 0;
     }
     s.items.clear();
-    s.lru.clear();
     s.bytes = 0;
     // Without this, CAMP keeps ghost entries for flushed keys and its
     // victim choices (and Size accounting) drift from the live store.
@@ -619,13 +618,18 @@ void CacheStore::Flush() {
 
 CacheStats CacheStore::Stats() const {
   CacheStats total;
+  for (std::size_t i = 0; i < kCounterSlots; ++i) {
+    total.opt_hits += opt_counters_[i].hits.load(std::memory_order_relaxed);
+    total.opt_fallbacks +=
+        opt_counters_[i].fallbacks.load(std::memory_order_relaxed);
+  }
+  // Optimistic hits bypass the locked counters; fold them in so gets/
+  // get_hits keep meaning "every get / every hit" regardless of path.
+  total.gets = total.get_hits = total.opt_hits;
   for (const auto& s : shards_) {
     std::lock_guard lock(s.mu);
-    const std::uint64_t opt_hits = s.opt_hits.load(std::memory_order_relaxed);
-    // Optimistic hits bypass the locked counters; fold them in so gets/
-    // get_hits keep meaning "every get / every hit" regardless of path.
-    total.gets += s.stats.gets + opt_hits;
-    total.get_hits += s.stats.get_hits + opt_hits;
+    total.gets += s.stats.gets;
+    total.get_hits += s.stats.get_hits;
     total.get_misses += s.stats.get_misses;
     total.sets += s.stats.sets;
     total.deletes += s.stats.deletes;
@@ -638,8 +642,6 @@ CacheStats CacheStore::Stats() const {
     total.evictions += s.stats.evictions;
     total.expirations += s.stats.expirations;
     total.flushes += s.stats.flushes;
-    total.opt_hits += opt_hits;
-    total.opt_fallbacks += s.opt_fallbacks.load(std::memory_order_relaxed);
     total.bytes_used += s.bytes;
     total.item_count += s.items.size();
   }
@@ -657,17 +659,6 @@ std::string CacheStore::CheckInvariants() {
     if (bytes != s.bytes) {
       return where + "bytes accounting drift: counted " + std::to_string(bytes) +
              " recorded " + std::to_string(s.bytes);
-    }
-    if (s.lru.size() != s.items.size()) {
-      return where + "lru size " + std::to_string(s.lru.size()) +
-             " != item count " + std::to_string(s.items.size());
-    }
-    for (const auto& key : s.lru) {
-      auto it = s.items.find(key);
-      if (it == s.items.end()) return where + "lru ghost key '" + key + "'";
-      if (&*it->second.lru_pos != &key) {
-        return where + "lru_pos desync for '" + key + "'";
-      }
     }
     if (s.camp && s.camp->Size() != s.items.size()) {
       return where + "camp tracks " + std::to_string(s.camp->Size()) +

@@ -1,10 +1,10 @@
 // An in-process key-value store equivalent to Twitter memcached
 // (Twemcache 2.5.3) as used by the paper: get/set/add/replace/cas/delete/
-// append/prepend/incr/decr over byte-string values, with LRU eviction under
-// a byte budget, optional TTLs, and per-operation statistics.
+// append/prepend/incr/decr over byte-string values, with CLOCK (approximate
+// LRU) eviction under a byte budget, optional TTLs, and per-op statistics.
 //
-// The store is sharded; each shard owns a mutex, a hash table, and an LRU
-// list. The IQ-Server (src/core/iq_server.h) composes on top of this class
+// The store is sharded; each shard owns a mutex, a hash table, and a CLOCK
+// hand. The IQ-Server (src/core/iq_server.h) composes on top of this class
 // through the Locked* API: it takes the shard lock once, consults its lease
 // table, and manipulates items under the same critical section — exactly
 // how the paper's lease code is woven into Twemcache's item module.
@@ -20,7 +20,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <mutex>
 #include <memory>
 #include <optional>
@@ -36,7 +35,7 @@ namespace iq {
 
 /// Which eviction policy a CacheStore runs under its byte budget.
 enum class EvictionPolicy {
-  kLru,   // classic memcached least-recently-used
+  kLru,   // memcached least-recently-used, approximated by a CLOCK bit
   kCamp,  // cost/size-aware CAMP (see kvs/camp.h)
 };
 
@@ -135,8 +134,8 @@ class CacheStore {
   /// nullopt whenever the answer must come from the locked path instead —
   /// true miss, oversize value, long key, concurrent write, TTL expiry, or
   /// optimistic reads disabled. Never blocks and never takes the shard
-  /// mutex; LRU/CAMP recency is recorded into a striped touch buffer that
-  /// writers drain under the shard lock.
+  /// mutex. A hit sets the entry's CLOCK bit, only when it is clear, and
+  /// counts itself in the calling thread's own counter slot.
   std::optional<CacheItem> OptimisticGet(std::string_view key);
   std::optional<CacheItem> OptimisticGet(std::string_view key,
                                          std::uint64_t hash);
@@ -172,8 +171,8 @@ class CacheStore {
 
   /// incr/decr: treat the value as an ASCII unsigned integer. Returns the
   /// new value, or nullopt if the key is missing or non-numeric. decr
-  /// saturates at 0 (memcached semantics). Counts as an access for LRU and
-  /// CAMP, and re-checks the byte budget (a growing counter can evict).
+  /// saturates at 0 (memcached semantics). Counts as an access for CLOCK
+  /// and CAMP, and re-checks the byte budget (a growing counter can evict).
   std::optional<std::uint64_t> Incr(std::string_view key, std::uint64_t delta);
   std::optional<std::uint64_t> Decr(std::string_view key, std::uint64_t delta);
 
@@ -184,9 +183,9 @@ class CacheStore {
   CacheStats Stats() const;
 
   /// Structural self-check, taking each shard lock in turn: per-shard byte
-  /// accounting (shard.bytes == Σ ItemBytes over live items), LRU/items
-  /// agreement, CAMP tracking exactly the live items, and every short-key
-  /// item owning a live, value-consistent optimistic mirror. Returns an
+  /// accounting (shard.bytes == Σ ItemBytes over live items), CAMP tracking
+  /// exactly the live items, and every short-key item owning a live,
+  /// value-consistent optimistic mirror. Returns an
   /// empty string when consistent, else a description of the first
   /// violation. Meant for tests and debug assertions, not the hot path.
   std::string CheckInvariants();
@@ -262,6 +261,7 @@ class CacheStore {
     std::atomic<std::uint32_t> flags{0};
     std::atomic<std::uint64_t> cas{0};
     std::atomic<std::int64_t> expires_at{0};
+    std::atomic<bool> referenced{false};  // CLOCK bit of lock-free hits
     /// Key bytes then value bytes, packed into 64-bit words so the copy is
     /// a handful of relaxed word ops instead of per-byte atomics.
     std::unique_ptr<std::atomic<std::uint64_t>[]> words;
@@ -292,23 +292,17 @@ class CacheStore {
     /// Recomputation cost recorded at Set; preserved across cas/append/
     /// prepend/incr/decr so CAMP's priority never silently degrades.
     std::uint64_t cost = 1;
-    std::list<std::string>::iterator lru_pos;
+    bool referenced = false;  // CLOCK bit set by locked hits and writes
     OptEntry* opt = nullptr;  // mirror, or nullptr (long key / disabled)
   };
 
   using ItemMap = std::unordered_map<std::string, Item, TransparentStringHash,
                                      std::equal_to<>>;
 
-  /// Slots in the per-shard touch buffer (power of two). Optimistic hits
-  /// record their OptEntry here with two relaxed atomic ops; the next
-  /// locked mutation drains it into real LRU/CAMP touches. Overwrites under
-  /// wrap just lose recency hints — LRU stays approximate, never wrong.
-  static constexpr std::uint32_t kTouchSlots = 128;
-
   struct Shard {
     mutable std::mutex mu;
     ItemMap items;
-    std::list<std::string> lru;  // front = most recent (LRU policy)
+    std::size_t clock_hand = 0;  // bucket of `items` the CLOCK sweep resumes at
     std::unique_ptr<CampPolicy> camp;  // non-null iff eviction == kCamp
     std::size_t bytes = 0;
     CacheStats stats;  // guarded by mu
@@ -321,31 +315,36 @@ class CacheStore {
     std::vector<OptEntry*> opt_free;                    // recycled entries
     std::size_t opt_live = 0;   // entries reachable through the index
     std::size_t opt_tombs = 0;  // tombstoned slots in the current table
-
-    // Striped (per-shard) approximate-LRU touch buffer.
-    std::unique_ptr<std::atomic<OptEntry*>[]> touch_slots;
-    std::atomic<std::uint32_t> touch_head{0};
-    std::uint32_t touch_drained = 0;  // guarded by mu
-
-    // Counters the lock-free read path may bump (folded into stats).
-    std::atomic<std::uint64_t> opt_hits{0};
-    std::atomic<std::uint64_t> opt_fallbacks{0};
   };
+
+  /// Per-thread lock-free hit/fallback counts, a cache line per slot
+  /// (masstree's threadinfo counters); Stats() sums them. Threads take
+  /// slots in the order of their first count, so the first kCounterSlots
+  /// threads (a server's workers) each own one; the atomic add keeps a slot
+  /// exact when a later thread wraps onto it.
+  struct alignas(64) OptCounters {
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> fallbacks{0};
+  };
+  static constexpr std::size_t kCounterSlots = 64;
+  OptCounters& ThreadOptCounters();
 
   Shard& ShardFor(std::string_view key);
 
   bool ExpiredLocked(Shard& s, const Item& item) const;
   void EraseLocked(Shard& s, ItemMap::iterator it);
-  void BumpLruLocked(Shard& s, Item& item, const std::string& key);
   void TouchLocked(Shard& s, Item& item, const std::string& key);
   void StoreLocked(Shard& s, std::string_view key, std::string_view value,
                    std::uint32_t flags, Nanos ttl,
                    std::optional<std::uint64_t> cost = std::nullopt);
   /// Shared tail of every in-place value resize (append/prepend/incr/decr):
-  /// refresh CAMP's recorded size at the preserved cost, touch the LRU,
-  /// refresh the optimistic mirror, and re-check the byte budget.
+  /// refresh CAMP's recorded size at the preserved cost, set the reference
+  /// bit, refresh the optimistic mirror, and re-check the byte budget.
   void FinishResizeLocked(Shard& s, ItemMap::iterator it);
   void EvictIfNeededLocked(Shard& s);
+  /// Sweeps the CLOCK hand to a victim, clearing set bits and sparing their
+  /// items while `chances` lasts. Requires a non-empty shard.
+  ItemMap::iterator ClockVictimLocked(Shard& s, std::size_t& chances);
   static std::size_t ItemBytes(std::string_view key, std::string_view value);
 
   /// Looks up key, erasing it first if expired. Returns items.end() on miss.
@@ -355,7 +354,6 @@ class CacheStore {
   void OptUpsertLocked(Shard& s, const std::string& key, Item& item);
   void OptEraseLocked(Shard& s, Item& item);
   void OptEnsureCapacityLocked(Shard& s);
-  void DrainTouchesLocked(Shard& s);
 
   const Clock& clock_;
   std::size_t per_shard_budget_;
@@ -363,6 +361,7 @@ class CacheStore {
   std::size_t opt_key_words_;  // words reserved for the key mirror
   std::size_t opt_val_words_;  // words reserved for the value mirror
   std::vector<Shard> shards_;
+  std::unique_ptr<OptCounters[]> opt_counters_;  // kCounterSlots entries
   std::atomic<std::uint64_t> cas_counter_{1};
 };
 

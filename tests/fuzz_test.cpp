@@ -1,14 +1,17 @@
 // Robustness fuzzing: random and mutated byte streams against the protocol
-// parser, the full dispatcher, and the stats/metrics text parsers. The
-// server must never crash, hang, or corrupt state on arbitrary input - it
-// may only answer with errors.
+// parser, the full dispatcher, the stats/metrics text parsers, and the two
+// history parsers iqcheck reads (lease traces and op logs). The server must
+// never crash, hang, or corrupt state on arbitrary input - it may only
+// answer with errors.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "check/oplog.h"
 #include "net/channel.h"
 #include "net/server.h"
 #include "util/rng.h"
+#include "util/trace_ring.h"
 
 namespace iq::net {
 namespace {
@@ -192,6 +195,62 @@ TEST_P(FuzzSeedTest, StatsAndMetricsParsersSurviveMutatedText) {
     series.clear();
     EXPECT_TRUE(ParseMetrics(FormatMetrics(text), &series)) << text;
   }
+}
+
+TEST_P(FuzzSeedTest, TraceAndOpLogParsersSurviveMutatedText) {
+  // A parse either fails and leaves its outputs untouched, or yields
+  // records whose formatting parses back to the same text.
+  Rng rng(GetParam() + 6000);
+  const std::vector<TraceEvent> events = {
+      {LeaseTraceKind::kIGrant, 0, 7, 11, 100, 1},
+      {LeaseTraceKind::kQRefGrant, 3, 8, 12, -5, 2},
+      {LeaseTraceKind::kRelease, 15, 8, 12, 300, 3}};
+  const std::string trace = FormatTraceInfo({3, 0, 1024}) +
+                            FormatTraceEvents(events) + "END\r\n";
+  check::OpLog log;
+  log.Record(0, check::OpKind::kSeed, 11, 21);
+  log.Record(1, check::OpKind::kReadHit, 11, 21);
+  log.Record(2, check::OpKind::kWrite, 12, 22);
+  log.Record(2, check::OpKind::kInval, 12);
+  const std::string oplog = log.Dump();
+  for (int round = 0; round < 2000; ++round) {
+    std::string text;
+    switch (rng.NextUint64(3)) {
+      case 0: text = RandomBytes(rng, 64); break;
+      case 1: text = Mutate(rng, trace); break;
+      default: text = Mutate(rng, oplog); break;
+    }
+    std::vector<TraceEvent> parsed;
+    TraceInfo info{1, 2, 3};
+    bool has_info = false;
+    if (ParseTraceEvents(text, &parsed, &info, &has_info)) {
+      const std::string again = FormatTraceEvents(parsed);
+      std::vector<TraceEvent> reparsed;
+      ASSERT_TRUE(ParseTraceEvents(again, &reparsed)) << again;
+      EXPECT_EQ(FormatTraceEvents(reparsed), again);
+    } else {
+      EXPECT_TRUE(parsed.empty());
+      EXPECT_EQ(FormatTraceInfo(info), FormatTraceInfo({1, 2, 3}));
+      EXPECT_FALSE(has_info);
+    }
+    std::vector<check::OpRecord> records;
+    if (check::ParseOpLog(text, &records)) {
+      const std::string again = check::FormatOpRecords(records);
+      std::vector<check::OpRecord> reparsed;
+      ASSERT_TRUE(check::ParseOpLog(again, &reparsed)) << again;
+      EXPECT_EQ(check::FormatOpRecords(reparsed), again);
+    } else {
+      EXPECT_TRUE(records.empty());
+    }
+  }
+  // The unmutated texts parse whole.
+  std::vector<TraceEvent> parsed;
+  ASSERT_TRUE(ParseTraceEvents(trace, &parsed));
+  EXPECT_EQ(FormatTraceEvents(parsed), FormatTraceEvents(events));
+  std::vector<check::OpRecord> records;
+  ASSERT_TRUE(check::ParseOpLog(oplog, &records));
+  EXPECT_EQ(check::FormatOpRecords(records),
+            check::FormatOpRecords(log.Snapshot()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeedTest,

@@ -180,6 +180,76 @@ TEST(CacheStore, LruKeepsRecentlyReadItems) {
   }
 }
 
+// ---- CLOCK eviction -------------------------------------------------------
+
+// Ten 96-byte items (ItemBytes = key + value + 64) fill this one-shard
+// budget exactly, so each further insert evicts exactly one item.
+constexpr std::size_t kTenItems = 960;
+const std::string kClockValue(29, 'v');
+std::string ClockKey(int i) {
+  return (i < 10 ? "k0" : "k") + std::to_string(i);
+}
+
+/// Presence without a hit: sets no reference bit.
+bool Holds(CacheStore& store, const std::string& key) {
+  auto g = store.LockKey(key);
+  return store.ContainsLocked(g, key);
+}
+
+/// Inserts k00..k10 into a ten-item store. The one eviction this forces
+/// sweeps (and clears) every insert's reference bit. Returns the ten
+/// survivors in insertion order.
+std::vector<std::string> FillPastOneEviction(CacheStore& store) {
+  for (int i = 0; i <= 10; ++i) store.Set(ClockKey(i), kClockValue);
+  EXPECT_EQ(store.Stats().evictions, 1u);
+  std::vector<std::string> survivors;
+  for (int i = 0; i <= 10; ++i) {
+    if (Holds(store, ClockKey(i))) survivors.push_back(ClockKey(i));
+  }
+  EXPECT_EQ(survivors.size(), 10u);
+  return survivors;
+}
+
+TEST(CacheStore, OnceReadItemOutlivesLaterLockFreeHits) {
+  // One lock-free read must protect its item however many lock-free hits
+  // other keys take before the next eviction.
+  CacheStore store({.shard_count = 1, .memory_budget_bytes = kTenItems});
+  const auto survivors = FillPastOneEviction(store);
+  const std::string& once = survivors[0];
+  ASSERT_TRUE(store.OptimisticGet(once));
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(store.OptimisticGet(survivors[1 + i % 2]));
+  }
+  store.Set(ClockKey(11), kClockValue);
+  ASSERT_EQ(store.Stats().evictions, 2u);
+  EXPECT_TRUE(Holds(store, once));
+  EXPECT_EQ(store.CheckInvariants(), "");
+}
+
+TEST(CacheStore, EvictionTakesTheUnreferencedItemFirst) {
+  // Whatever bucket the unreferenced item hashes to, the sweep passes over
+  // every referenced one (locked or lock-free hit) to reach it.
+  for (int cold = 0; cold < 10; ++cold) {
+    CacheStore store({.shard_count = 1, .memory_budget_bytes = kTenItems});
+    const auto survivors = FillPastOneEviction(store);
+    for (int i = 0; i < 10; ++i) {
+      if (i == cold) continue;
+      if (i % 2 == 0) {
+        ASSERT_TRUE(store.OptimisticGet(survivors[i]));
+      } else {
+        auto g = store.LockKey(survivors[i]);
+        ASSERT_TRUE(store.GetLocked(g, survivors[i]));
+      }
+    }
+    store.Set(ClockKey(11), kClockValue);
+    ASSERT_EQ(store.Stats().evictions, 2u);
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(Holds(store, survivors[i]), i != cold) << survivors[i];
+    }
+    EXPECT_TRUE(Holds(store, ClockKey(11)));
+  }
+}
+
 TEST(CacheStore, StatsCountHitsAndMisses) {
   CacheStore store;
   store.Set("k", "v");

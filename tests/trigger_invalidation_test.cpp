@@ -2,6 +2,7 @@
 
 #include <thread>
 
+#include "core/fault_backend.h"
 #include "core/iq_server.h"
 #include "casql/trigger_invalidation.h"
 #include "rdbms/sql.h"
@@ -17,7 +18,9 @@ using sql::V;
 
 class TriggerInvalidationTest : public ::testing::Test {
  protected:
-  TriggerInvalidationTest() : invalidator_(db_, server_) {
+  // Sessions reach server_ through faulty_, which forwards every verb until
+  // a test arms it.
+  TriggerInvalidationTest() : faulty_(server_), invalidator_(db_, faulty_) {
     db_.CreateTable(SchemaBuilder("Users")
                         .AddInt("id")
                         .AddInt("score")
@@ -42,8 +45,14 @@ class TriggerInvalidationTest : public ::testing::Test {
 
   static std::string Key(int id) { return "Profile:" + std::to_string(id); }
 
+  std::int64_t Score(int id) {
+    auto txn = db_.Begin();
+    return *sql::AsInt((*txn->SelectByPk("Users", {V(id)}))[1]);
+  }
+
   sql::Database db_;
   IQServer server_;
+  FaultBackend faulty_;
   TriggerInvalidator invalidator_;
 };
 
@@ -100,6 +109,31 @@ TEST_F(TriggerInvalidationTest, QuarantineVoidsRacingReaderLease) {
             StoreResult::kNotStored);
   session->Commit();
   EXPECT_FALSE(server_.store().Get(Key(1)));
+}
+
+TEST_F(TriggerInvalidationTest, UnconfirmedQuarantineFailsTheCommit) {
+  // The cache tier drops the trigger's QaReg: the key is not quarantined,
+  // so committing would leave score=10 cached with no Q lease to expire.
+  server_.store().Set(Key(1), "score=10");
+  auto session = invalidator_.BeginSession();
+  faulty_.FailNext(FaultBackend::Verb::kQaReg);
+  sql::Query(session->txn(), "UPDATE Users SET score = score + 1 WHERE id = 1");
+  EXPECT_FALSE(session->Commit());
+  EXPECT_EQ(Score(1), 10);
+  EXPECT_EQ(server_.store().Get(Key(1))->value, "score=10");
+  EXPECT_FALSE(server_.LeaseOn(Key(1)));
+}
+
+TEST_F(TriggerInvalidationTest, UnconfirmedSessionIdFailsTheCommit) {
+  // GenID fails (id 0): the session has no id to quarantine under.
+  server_.store().Set(Key(1), "score=10");
+  faulty_.FailNext(FaultBackend::Verb::kGenID);
+  auto session = invalidator_.BeginSession();
+  sql::Query(session->txn(), "UPDATE Users SET score = score + 1 WHERE id = 1");
+  EXPECT_FALSE(session->Commit());
+  EXPECT_EQ(Score(1), 10);
+  EXPECT_EQ(server_.store().Get(Key(1))->value, "score=10");
+  EXPECT_FALSE(server_.LeaseOn(Key(1)));
 }
 
 TEST_F(TriggerInvalidationTest, MultiRowDmlQuarantinesEachRow) {
