@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "net/channel.h"
+#include "net/remote_backend.h"
 
 using namespace iq;
 using namespace iq::net;
@@ -54,7 +55,7 @@ int main() {
   IQServer server;
   LoopbackChannel loopback(server);
   TracingChannel wire(loopback);
-  RemoteCacheClient client(wire);
+  RemoteBackend client(wire);
 
   std::printf("-- read session: miss, I lease, recompute, install --\n");
   SessionId reader = client.GenID();
@@ -65,7 +66,7 @@ int main() {
   std::printf("\n-- write session (refresh): QaRead ... SaR --\n");
   SessionId writer = client.GenID();
   QaReadReply q = client.QaRead("profile:1", writer);
-  client.SaR("profile:1", std::optional<std::string>("alice|7|1"), q.token);
+  client.SaR("profile:1", "alice|7|1", q.token);
 
   std::printf("\n-- write session (invalidate): QaReg ... DaR --\n");
   SessionId tid = client.GenID();

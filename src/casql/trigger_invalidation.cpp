@@ -9,15 +9,15 @@ thread_local TriggerInvalidator::ManagedSession* t_active = nullptr;
 
 }  // namespace
 
-TriggerInvalidator::TriggerInvalidator(sql::Database& db, KvsBackend& server)
-    : db_(db), server_(server) {}
+TriggerInvalidator::TriggerInvalidator(sql::Database& db, IQClient& client)
+    : db_(db), client_(client) {}
 
 void TriggerInvalidator::Register(const std::string& table, sql::DmlOp op,
                                   KeyMapper mapper) {
   db_.RegisterTrigger(
       table, op,
-      [this, mapper = std::move(mapper)](sql::Transaction&,
-                                         const sql::TriggerEvent& event) {
+      [mapper = std::move(mapper)](sql::Transaction&,
+                                   const sql::TriggerEvent& event) {
         OnTrigger(mapper, event);
       });
 }
@@ -31,7 +31,7 @@ void TriggerInvalidator::OnTrigger(const KeyMapper& mapper,
     // QaReg voids I leases so racing readers cannot install values computed
     // from pre-commit snapshots. A server grants it (Figure 5a), but an
     // unreachable one leaves the key unquarantined.
-    if (server_.QaReg(session->tid_, key) != QuarantineResult::kGranted) {
+    if (session->iq_->Quarantine(key) != ClientQResult::kGranted) {
       session->failed_ = true;
       return;
     }
@@ -39,24 +39,20 @@ void TriggerInvalidator::OnTrigger(const KeyMapper& mapper,
 }
 
 SessionId TriggerInvalidator::ActiveTid() {
-  return t_active != nullptr ? t_active->tid_ : 0;
+  return t_active != nullptr ? t_active->iq_->id() : 0;
 }
 
 std::unique_ptr<TriggerInvalidator::ManagedSession>
 TriggerInvalidator::BeginSession() {
-  SessionId tid = server_.GenID();  // 0: the cache tier is unreachable
-  auto txn = db_.Begin();
   std::unique_ptr<ManagedSession> session(
-      new ManagedSession(*this, tid, std::move(txn)));
-  session->failed_ = (tid == 0);
+      new ManagedSession(client_.NewSession(), db_.Begin()));
   t_active = session.get();
   return session;
 }
 
 TriggerInvalidator::ManagedSession::ManagedSession(
-    TriggerInvalidator& owner, SessionId tid,
-    std::unique_ptr<sql::Transaction> txn)
-    : owner_(owner), tid_(tid), txn_(std::move(txn)) {}
+    std::unique_ptr<IQSession> iq, std::unique_ptr<sql::Transaction> txn)
+    : iq_(std::move(iq)), txn_(std::move(txn)) {}
 
 TriggerInvalidator::ManagedSession::~ManagedSession() {
   if (!finished_) Abort();
@@ -64,15 +60,14 @@ TriggerInvalidator::ManagedSession::~ManagedSession() {
 
 bool TriggerInvalidator::ManagedSession::Commit() {
   if (finished_) return false;
-  finished_ = true;
-  if (t_active == this) t_active = nullptr;
   if (failed_ || txn_->state() != sql::Transaction::State::kActive ||
       txn_->Commit() != sql::TxnResult::kOk) {
-    txn_->Rollback();
-    owner_.server_.Abort(tid_);  // leases released, values untouched
+    Abort();  // leases released, values untouched
     return false;
   }
-  owner_.server_.DaR(tid_);  // delete quarantined keys, release Q leases
+  finished_ = true;
+  if (t_active == this) t_active = nullptr;
+  iq_->Commit();  // delete quarantined keys, release Q leases
   return true;
 }
 
@@ -81,7 +76,7 @@ void TriggerInvalidator::ManagedSession::Abort() {
   finished_ = true;
   if (t_active == this) t_active = nullptr;
   txn_->Rollback();
-  owner_.server_.Abort(tid_);
+  iq_->Abort();
 }
 
 }  // namespace iq::casql

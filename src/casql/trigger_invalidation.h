@@ -5,11 +5,15 @@
 // 3.1), the trigger quarantines them (QaReg) under the session's TID and
 // the keys are deleted at commit (DaR).
 //
+// Each managed session runs on an IQSession, the one session engine: the
+// trigger's quarantines, the commit and the abort are its verbs, so the
+// session writes op-log records and re-mints an id its BeginSession lost.
+//
 // The developer registers, per (table, DML) pair, a KeyMapper that derives
 // the impacted cache keys from the affected row - the "query to trigger
 // translation" - then runs write transactions through ManagedSession:
 //
-//   TriggerInvalidator ti(db, server);
+//   TriggerInvalidator ti(db, client);
 //   ti.Register("Users", sql::DmlOp::kUpdate, [](const sql::TriggerEvent& e) {
 //     return std::vector<std::string>{"Profile:" + ToString((*e.new_row)[0])};
 //   });
@@ -28,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "core/kvs_backend.h"
+#include "core/iq_client.h"
 #include "rdbms/database.h"
 
 namespace iq::casql {
@@ -38,7 +42,7 @@ using KeyMapper = std::function<std::vector<std::string>(const sql::TriggerEvent
 
 class TriggerInvalidator {
  public:
-  TriggerInvalidator(sql::Database& db, KvsBackend& server);
+  TriggerInvalidator(sql::Database& db, IQClient& client);
 
   /// Quarantine the keys `mapper` derives whenever `op` fires on `table`
   /// inside a managed session.
@@ -56,8 +60,8 @@ class TriggerInvalidator {
 
     /// Commit the transaction, then delete the quarantined keys and
     /// release the Q leases. False, with the transaction rolled back, if it
-    /// had already failed or the cache tier did not confirm the session's
-    /// id or a quarantine (a stale value would outlive the commit).
+    /// had already failed or the cache tier did not confirm a quarantine
+    /// (a stale value would outlive the commit).
     bool Commit();
 
     /// Roll back and release leases, leaving cached values in place.
@@ -65,11 +69,10 @@ class TriggerInvalidator {
 
    private:
     friend class TriggerInvalidator;
-    ManagedSession(TriggerInvalidator& owner, SessionId tid,
+    ManagedSession(std::unique_ptr<IQSession> iq,
                    std::unique_ptr<sql::Transaction> txn);
 
-    TriggerInvalidator& owner_;
-    SessionId tid_;
+    std::unique_ptr<IQSession> iq_;
     std::unique_ptr<sql::Transaction> txn_;
     bool finished_ = false;
     bool failed_ = false;  // a quarantine was not confirmed: Commit fails
@@ -81,10 +84,11 @@ class TriggerInvalidator {
   static SessionId ActiveTid();
 
  private:
-  void OnTrigger(const KeyMapper& mapper, const sql::TriggerEvent& event);
+  static void OnTrigger(const KeyMapper& mapper,
+                        const sql::TriggerEvent& event);
 
   sql::Database& db_;
-  KvsBackend& server_;
+  IQClient& client_;
 };
 
 }  // namespace iq::casql

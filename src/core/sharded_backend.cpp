@@ -61,17 +61,15 @@ ShardedBackend::ShardedBackend(std::vector<Shard> shards, Config config)
       config_(config),
       clock_(config.clock != nullptr ? *config.clock
                                      : SteadyClock::Instance()),
-      stripes_(config.session_stripes > 0 ? config.session_stripes : 1),
+      stripes_(16),  // session-map stripes
       health_(std::make_unique<ShardHealth[]>(
           shards_.empty() ? 1 : shards_.size())) {
   if (shards_.empty()) {
     throw std::invalid_argument("ShardedBackend: no shards");
   }
-  std::size_t vnodes =
-      config_.vnodes_per_weight > 0 ? config_.vnodes_per_weight : 1;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     std::uint32_t weight = shards_[i].weight > 0 ? shards_[i].weight : 1;
-    std::size_t points = static_cast<std::size_t>(weight) * vnodes;
+    std::size_t points = std::size_t{64} * weight;  // ring points
     for (std::size_t v = 0; v < points; ++v) {
       std::string label = shards_[i].name;
       label.push_back('#');

@@ -7,8 +7,8 @@
 // multi-server tier.
 //
 // Routing is a consistent-hash ring with virtual nodes: each shard
-// contributes `weight * vnodes_per_weight` points hashed from its name, and
-// a key belongs to the clockwise successor of its hash. Same shard list =>
+// contributes 64 points per unit of weight, hashed from its name, and a
+// key belongs to the clockwise successor of its hash. Same shard list =>
 // same ring, so independent router instances (one per client thread, one
 // per process) agree on placement.
 //
@@ -99,7 +99,7 @@ class ShardedBackend final : public KvsBackend {
     /// Optional lease-trace drain used by TraceSnapshot(): the newest (up
     /// to) max_events events, oldest first. Bind IQServer::TraceSnapshot
     /// for an in-process child; for a TCP child bind the `trace` verb via
-    /// net::RemoteCacheClient::Trace.
+    /// net::RemoteBackend::Trace.
     std::function<std::vector<TraceEvent>(std::size_t)> trace;
     /// Optional drain-completeness accounting for TraceInfoTotal(); bind
     /// IQServer::TraceInfoTotal or the TRACE_INFO wire header.
@@ -107,10 +107,6 @@ class ShardedBackend final : public KvsBackend {
   };
 
   struct Config {
-    /// Ring points per unit of shard weight. More points = smoother key
-    /// distribution at O(points) ring-build cost; lookups stay O(log n).
-    std::size_t vnodes_per_weight = 64;
-    std::size_t session_stripes = 16;
     /// Consecutive transport errors before a shard is marked down. Down
     /// shards fail fast (no round trip): reads degrade to RDBMS
     /// pass-through, writes restart their session. 0 disables tripping.

@@ -94,7 +94,7 @@ CacheStore::CacheStore(Config config)
       opt_counters_(std::make_unique<OptCounters[]>(kCounterSlots)) {
   for (auto& s : shards_) {
     if (config.eviction == EvictionPolicy::kCamp) {
-      s.camp = std::make_unique<CampPolicy>(config.camp_precision);
+      s.camp = std::make_unique<CampPolicy>(/*precision=*/8);
     }
     if (opt_val_cap_ > 0) {
       s.opt_tables.push_back(std::make_unique<OptTable>(kOptInitialCapacity));

@@ -108,8 +108,6 @@ class CacheStore {
     const Clock* clock = nullptr;
     /// Victim selection under the byte budget.
     EvictionPolicy eviction = EvictionPolicy::kLru;
-    /// Significant bits kept by CAMP's ratio rounding.
-    int camp_precision = 8;
     /// Largest value (bytes) served by the mutex-free optimistic read path;
     /// larger values always go through the locked path. 0 disables
     /// optimistic reads entirely (A/B baseline).

@@ -1,17 +1,17 @@
 #include "net/fault.h"
 
-#include "util/backoff.h"
-
 namespace iq::net {
 
 bool FaultChannel::RoundTrip(const std::string& request_bytes,
                              std::string* reply) {
   Fault fault = Fault::kDropRequest;
-  Nanos delay = 0;
   bool fire = false;
   {
     std::lock_guard lock(mu_);
-    if (down_) return false;
+    if (down_) {
+      ++injected_;
+      return false;
+    }
     for (auto it = rules_.begin(); it != rules_.end(); ++it) {
       if (!it->match.empty() &&
           request_bytes.find(it->match) == std::string::npos) {
@@ -25,7 +25,6 @@ bool FaultChannel::RoundTrip(const std::string& request_bytes,
       }
       fire = true;
       fault = it->fault;
-      delay = it->delay;
       ++injected_;
       if (it->count > 0 && --it->count == 0) rules_.erase(it);
       if (fault == Fault::kDown) down_ = true;
@@ -46,9 +45,6 @@ bool FaultChannel::RoundTrip(const std::string& request_bytes,
         inner_.RoundTrip(request_bytes, &discarded);
       }
       return false;
-    case Fault::kDelay:
-      SleepFor(clock_, delay);
-      return inner_.RoundTrip(request_bytes, reply);
   }
   return false;
 }

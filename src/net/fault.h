@@ -1,8 +1,8 @@
 // FaultChannel: deterministic transport-fault injection for tests.
 //
 // Wraps any Channel and fires armed faults against matching round trips.
-// The four fault kinds model the distinct failure points of a request on a
-// real connection:
+// The three fault kinds model the distinct failure points of a request on
+// a real connection:
 //
 //   kDropRequest   the request never reaches the server (connect refused,
 //                  send into a dead socket): the server state is unchanged
@@ -11,14 +11,20 @@
 //                  (server crashed after processing, reply segment dropped):
 //                  the dangerous asymmetric case — e.g. a QaReg the client
 //                  cannot distinguish from one that never arrived.
-//   kDelay         the reply is held for `delay` before delivery; for
-//                  exercising client deadlines without a slow server.
 //   kDown          this and every later round trip fails until Heal() —
 //                  a crashed server, as seen from one connection.
 //
 // Matching is by substring of the serialized request ("qareg", a key, or
 // empty for any), with `skip` requests let through first and `count`
-// firings before the rule disarms. Rules are checked in Arm() order.
+// firings before the rule disarms. Rules are checked in Arm() order. A
+// `batch` frame is one request: a rule matching any of its inner requests
+// fires on the whole frame.
+//
+// faults_injected() counts every round trip failed here, the ones failed
+// while down included, so a test can tell whether a caller reached the
+// channel at all. Tests above the wire layer (sessions, the router's
+// breaker, casql) use it too: a RemoteBackend over a FaultChannel over a
+// LoopbackChannel to an in-process IQServer.
 //
 // Thread safety: safe for concurrent callers, like the channels it wraps.
 #pragma once
@@ -29,13 +35,12 @@
 #include <vector>
 
 #include "net/channel.h"
-#include "util/clock.h"
 
 namespace iq::net {
 
 class FaultChannel final : public Channel {
  public:
-  enum class Fault { kDropRequest, kDropResponse, kDelay, kDown };
+  enum class Fault { kDropRequest, kDropResponse, kDown };
 
   struct Rule {
     Fault fault = Fault::kDropResponse;
@@ -46,14 +51,9 @@ class FaultChannel final : public Channel {
     int skip = 0;
     /// Fire at most this many times, then disarm; -1 = forever.
     int count = 1;
-    /// kDelay only: how long to hold the reply.
-    Nanos delay = 0;
   };
 
-  /// `clock` drives kDelay sleeps; null = process steady clock.
-  explicit FaultChannel(Channel& inner, const Clock* clock = nullptr)
-      : inner_(inner),
-        clock_(clock != nullptr ? *clock : SteadyClock::Instance()) {}
+  explicit FaultChannel(Channel& inner) : inner_(inner) {}
 
   void Arm(Rule rule) {
     std::lock_guard lock(mu_);
@@ -86,7 +86,6 @@ class FaultChannel final : public Channel {
 
  private:
   Channel& inner_;
-  const Clock& clock_;
   mutable std::mutex mu_;
   std::vector<Rule> rules_;
   bool down_ = false;

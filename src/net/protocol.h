@@ -234,7 +234,7 @@ enum class ResponseType {
   kBatch,        // BATCH <m>\r\n + m responses (in `batch`)
   // Failure signalling
   kTransportError,  // SERVER_ERROR <msg>. Synthesized client-side by
-                    // RemoteCacheClient::Call when the channel itself fails
+                    // RemoteBackend when the channel itself fails
                     // (dead connection, deadline, desync); distinct from
                     // kError (the server parsed the request and refused it)
                     // so sessions can tell outage from conflict.

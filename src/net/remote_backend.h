@@ -1,14 +1,28 @@
-// RemoteBackend: a KvsBackend that speaks the wire protocol through a
-// Channel - the deployment shape of the paper's testbed, where the
-// application (IQ-Client) and the cache server (IQ-Twemcached) are separate
-// processes. Everything above KvsBackend (IQClient, the casql session
-// layer, the BG benchmark) runs unchanged over it.
+// RemoteBackend: the IQ client's wire side (the paper's memcached client
+// extended with the IQ verbs, Section 5) - a KvsBackend that speaks the
+// wire protocol through a Channel. This is the deployment shape of the
+// paper's testbed, where the application (IQ-Client) and the cache server
+// (IQ-Twemcached) are separate processes. Everything above KvsBackend
+// (IQClient, the casql session layer, the BG benchmark) runs unchanged
+// over it.
+//
+// Each per-key verb is one round trip carrying one request; Acquire and
+// CommitSwaps frame all their requests as one `batch` round trip (split
+// only past the frame caps). A failed round trip or an unparsable reply
+// surfaces as the verb's transport-error shape (kTransportError, id 0,
+// nullopt, false), never as a miss, a grant or a conflict.
 //
 // Thread safety: safe for concurrent callers; the underlying channel
 // serializes round trips like a single memcached connection would. For
 // higher fan-out, give each worker its own RemoteBackend over its own
 // channel.
 #pragma once
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/kvs_backend.h"
 #include "net/channel.h"
@@ -20,91 +34,95 @@ class RemoteBackend final : public KvsBackend {
   /// `clock` defaults to the process steady clock (the remote server's
   /// clock is not observable, exactly as in a real deployment).
   explicit RemoteBackend(Channel& channel, const Clock* clock = nullptr)
-      : client_(channel),
+      : channel_(channel),
         clock_(clock != nullptr ? *clock : SteadyClock::Instance()) {}
 
   const Clock& clock() const override { return clock_; }
 
-  SessionId GenID() override { return client_.GenID(); }
-  GetReply IQget(std::string_view key, SessionId session = 0) override {
-    return client_.IQget(std::string(key), session);
-  }
+  // ---- the IQ command set --------------------------------------------------
+  SessionId GenID() override;  // 0 on transport failure
+  GetReply IQget(std::string_view key, SessionId session = 0) override;
   StoreResult IQset(std::string_view key, std::string_view value,
-                    LeaseToken token) override {
-    return client_.IQset(std::string(key), std::string(value), token);
-  }
-  QaReadReply QaRead(std::string_view key, SessionId session) override {
-    return client_.QaRead(std::string(key), session);
-  }
+                    LeaseToken token) override;
+  QaReadReply QaRead(std::string_view key, SessionId session) override;
   StoreResult SaR(std::string_view key, std::optional<std::string_view> v_new,
-                  LeaseToken token) override {
-    return client_.SaR(std::string(key),
-                       v_new ? std::optional<std::string>(std::string(*v_new))
-                             : std::nullopt,
-                       token);
-  }
-  QuarantineResult QaReg(SessionId tid, std::string_view key) override {
-    // The server always grants QaReg, but only an acknowledged GRANTED may
-    // be reported as one: returning kGranted unconditionally here let a
-    // session on a dead channel believe its keys were quarantined and
-    // commit its RDBMS txn with no invalidation in place — the permanent
-    // staleness the whole lease protocol exists to prevent.
-    return client_.QaReg(tid, std::string(key));
-  }
-  void DaR(SessionId tid) override { client_.DaR(tid); }
+                  LeaseToken token) override;
+  /// kGranted only on an explicit GRANTED: a session on a dead channel must
+  /// never believe its key quarantined and commit its RDBMS txn with no
+  /// invalidation in place.
+  QuarantineResult QaReg(SessionId tid, std::string_view key) override;
+  /// The void verbs send and forget: a lost reply leaves the outcome
+  /// unknown, and lease expiry is the backstop.
+  void DaR(SessionId tid) override;
   QuarantineResult IQDelta(SessionId tid, std::string_view key,
-                           DeltaOp delta) override {
-    return client_.IQDelta(tid, std::string(key), std::move(delta));
-  }
-  void Commit(SessionId tid) override { client_.Commit(tid); }
-  void Abort(SessionId tid) override { client_.Abort(tid); }
-  void ReleaseKey(SessionId tid, std::string_view key) override {
-    // `release <tid> <key>` drops just this lease; the session's buffered
-    // deltas/quarantines on other keys survive, matching IQServer::ReleaseKey.
-    client_.Release(tid, std::string(key));
-  }
+                           DeltaOp delta) override;
+  void Commit(SessionId tid) override;
+  void Abort(SessionId tid) override;
+  /// `release <tid> <key>` drops just this lease; the session's buffered
+  /// deltas and quarantines on other keys survive, as in IQServer.
+  void ReleaseKey(SessionId tid, std::string_view key) override;
+  /// One round trip: the requests travel as one `batch` frame (a lone
+  /// request as itself), split into several frames, sent in order, only
+  /// where one would exceed kMaxRequestBytes or kMaxBatchRequests, or
+  /// where the server's reply budget cut a frame short.
   std::vector<LeaseReply> Acquire(
-      SessionId tid, const std::vector<LeaseRequest>& requests) override {
-    return client_.Acquire(tid, requests);  // one `batch` round trip
-  }
-  std::vector<StoreResult> CommitSwaps(
-      SessionId tid, const std::vector<Swap>& swaps) override {
-    return client_.CommitSwaps(tid, swaps);  // one `batch` round trip
-  }
+      SessionId tid, const std::vector<LeaseRequest>& requests) override;
+  /// The swaps and the commit in one round trip, framed as for Acquire.
+  /// The commit's own OK is not reported, as for Commit().
+  std::vector<StoreResult> CommitSwaps(SessionId tid,
+                                       const std::vector<Swap>& swaps) override;
 
-  std::optional<CacheItem> Get(std::string_view key) override {
-    return client_.Gets(std::string(key));  // gets: cas unique included
-  }
-  StoreResult Set(std::string_view key, std::string_view value) override {
-    return client_.Set(std::string(key), std::string(value));
-  }
-  StoreResult Add(std::string_view key, std::string_view value) override {
-    return client_.Add(std::string(key), std::string(value));
-  }
+  // ---- plain memcached operations --------------------------------------------
+  std::optional<CacheItem> Get(std::string_view key) override;  // via gets
+  StoreResult Set(std::string_view key, std::string_view value) override;
+  StoreResult Add(std::string_view key, std::string_view value) override;
   StoreResult Cas(std::string_view key, std::string_view value,
-                  std::uint64_t cas) override {
-    return client_.Cas(std::string(key), std::string(value), cas);
-  }
-  StoreResult Append(std::string_view key, std::string_view blob) override {
-    return client_.Append(std::string(key), std::string(blob));
-  }
-  StoreResult Prepend(std::string_view key, std::string_view blob) override {
-    return client_.Prepend(std::string(key), std::string(blob));
-  }
+                  std::uint64_t cas) override;
+  StoreResult Append(std::string_view key, std::string_view blob) override;
+  StoreResult Prepend(std::string_view key, std::string_view blob) override;
   std::optional<std::uint64_t> Incr(std::string_view key,
-                                    std::uint64_t amount) override {
-    return client_.Incr(std::string(key), amount);
-  }
+                                    std::uint64_t amount) override;
   std::optional<std::uint64_t> Decr(std::string_view key,
-                                    std::uint64_t amount) override {
-    return client_.Decr(std::string(key), amount);
-  }
-  bool DeleteVoid(std::string_view key) override {
-    return client_.Delete(std::string(key));  // wire delete voids I leases
-  }
+                                    std::uint64_t amount) override;
+  bool DeleteVoid(std::string_view key) override;  // wire delete voids I leases
+
+  // ---- wire-only verbs ---------------------------------------------------------
+  /// Fetch N keys in one round trip (`get k1 k2 ... kn`). Result is aligned
+  /// with `keys`; misses are nullopt. `with_cas` issues `gets` instead.
+  std::vector<std::optional<CacheItem>> MultiGet(
+      const std::vector<std::string>& keys, bool with_cas = false);
+  void FlushAll();
+  /// The `stats` reply's STAT lines.
+  std::string Stats();
+  /// Force one lease-table sweep on the server; returns the number of
+  /// overdue leases expired, or nullopt on transport failure.
+  std::optional<std::uint64_t> Sweep();
+  /// Scrape the server's Prometheus exposition (`metrics` verb): the `stats`
+  /// lines as "iq_<name> <value>" samples. nullopt on transport failure.
+  std::optional<std::string> Metrics();
+  /// One drained lease trace with its completeness header. `has_info` is
+  /// false against pre-TRACE_INFO servers.
+  struct TraceDrain {
+    std::vector<TraceEvent> events;
+    TraceInfo info;
+    bool has_info = false;
+  };
+  /// Drain the newest `max_events` lease-trace events (0 = server default)
+  /// and the server's TRACE_INFO header, so the caller (iqcheck) can tell a
+  /// complete history from a wrapped one. nullopt on transport failure or
+  /// an unparsable reply.
+  std::optional<TraceDrain> Trace(std::uint64_t max_events = 0);
 
  private:
-  RemoteCacheClient client_;
+  Response Call(const Request& request);
+  Response Exchange(const std::string& request_bytes);
+  /// Send `requests` in frames; one response per executed request, in
+  /// order. The list stops short after a REJECT (the requests after it are
+  /// then not sent) and ends with a kTransportError response when a round
+  /// trip failed.
+  std::vector<Response> CallBatch(const std::vector<Request>& requests);
+
+  Channel& channel_;
   const Clock& clock_;
 };
 

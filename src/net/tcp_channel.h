@@ -1,7 +1,7 @@
 // Client side of the TCP transport.
 //
 // TcpChannel is the socket twin of LoopbackChannel: RoundTrip() gives the
-// one-outstanding-request behavior RemoteCacheClient expects. On top of
+// one-outstanding-request behavior RemoteBackend expects. On top of
 // that it implements the PipelinedChannel batching API — queue N requests
 // with SendNoWait (serialized back-to-back into one reused buffer), push
 // them over the socket with a single write() via Flush, then Drain the N

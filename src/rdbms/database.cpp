@@ -1,7 +1,5 @@
 #include "rdbms/database.h"
 
-#include "rdbms/wal.h"
-
 #include <algorithm>
 
 #include "util/backoff.h"
@@ -84,9 +82,6 @@ TxnResult Transaction::Insert(const std::string& table, Row row) {
   }
   if (r != TxnResult::kOk) return r;
   writes_.push_back({t, std::move(pk)});
-  if (db_.config_.wal != nullptr) {
-    redo_.push_back({RedoOp::Kind::kPut, table, row_copy});
-  }
   TriggerEvent event{DmlOp::kInsert, table, nullptr, &row_copy};
   db_.FireTriggers(*this, event);
   return r;
@@ -120,9 +115,6 @@ TxnResult Transaction::UpdateByPk(const std::string& table, const Row& pk,
   }
   if (r != TxnResult::kOk) return r;
   writes_.push_back({t, pk});
-  if (db_.config_.wal != nullptr) {
-    redo_.push_back({RedoOp::Kind::kPut, table, new_row});
-  }
   TriggerEvent event{DmlOp::kUpdate, table, &old_row, &new_row};
   db_.FireTriggers(*this, event);
   return r;
@@ -171,9 +163,6 @@ TxnResult Transaction::DeleteByPk(const std::string& table, const Row& pk) {
   }
   if (r != TxnResult::kOk) return r;
   writes_.push_back({t, pk});
-  if (db_.config_.wal != nullptr) {
-    redo_.push_back({RedoOp::Kind::kDelete, table, pk});
-  }
   TriggerEvent event{DmlOp::kDelete, table, &old_row, nullptr};
   db_.FireTriggers(*this, event);
   return r;
@@ -188,11 +177,6 @@ TxnResult Transaction::Commit() {
     for (const auto& w : writes_) w.table->InstallCommit(ctx_.id, w.pk, ts);
     db_.commit_counter_.store(ts, std::memory_order_release);
     commit_ts_ = ts;
-    // Durability: the record is on stable storage before Commit returns,
-    // and the commit mutex keeps the log in timestamp order.
-    if (db_.config_.wal != nullptr && !redo_.empty()) {
-      db_.config_.wal->Append(ts, redo_);
-    }
   }
   state_ = State::kCommitted;
   std::lock_guard lock(db_.stats_mu_);
@@ -208,7 +192,6 @@ void Transaction::Rollback() {
 void Transaction::Doom() {
   for (const auto& w : writes_) w.table->AbortIntent(ctx_.id, w.pk);
   writes_.clear();
-  redo_.clear();
   state_ = State::kAborted;
   std::lock_guard lock(db_.stats_mu_);
   ++db_.stats_.txns_aborted;

@@ -24,15 +24,6 @@
 namespace iq::sql {
 
 class Database;
-class WriteAheadLog;
-
-/// One redo operation captured for the write-ahead log.
-struct RedoOp {
-  enum class Kind { kPut, kDelete };
-  Kind kind;
-  std::string table;
-  Row row;  // full row for kPut, primary key for kDelete
-};
 
 /// Which DML fired a trigger.
 enum class DmlOp { kInsert, kUpdate, kDelete };
@@ -107,7 +98,6 @@ class Transaction {
   State state_ = State::kActive;
   Timestamp commit_ts_ = 0;
   std::vector<WriteRecord> writes_;
-  std::vector<RedoOp> redo_;  // only populated when the database has a WAL
 };
 
 class Database {
@@ -119,9 +109,6 @@ class Database {
     Nanos write_delay = 0;
     Nanos commit_delay = 0;
     const Clock* clock = nullptr;
-    /// Optional durability: committed transactions append redo records
-    /// here before Commit() returns (see rdbms/wal.h).
-    WriteAheadLog* wal = nullptr;
   };
 
   struct Stats {

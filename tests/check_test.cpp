@@ -14,6 +14,7 @@
 #include "core/iq_server.h"
 #include "core/sharded_backend.h"
 #include "net/channel.h"
+#include "net/remote_backend.h"
 #include "util/clock.h"
 #include "util/trace_ring.h"
 
@@ -464,12 +465,12 @@ TEST(ShardedTraceTest, SnapshotMergesAndInfoSums) {
 TEST(WireTraceTest, TraceWithInfoCarriesCompleteness) {
   IQServer server(CacheStore::Config{}, IQServer::Config{});
   net::LoopbackChannel channel(server);
-  net::RemoteCacheClient client(channel);
+  net::RemoteBackend client(channel);
 
   QaReadReply q = server.QaRead("k", 1);
   server.SaR("k", "v", q.token);
 
-  auto drain = client.TraceWithInfo(100);
+  auto drain = client.Trace(100);
   ASSERT_TRUE(drain);
   EXPECT_TRUE(drain->has_info);
   EXPECT_EQ(drain->info.recorded, server.TraceInfoTotal().recorded);

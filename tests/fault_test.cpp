@@ -1,5 +1,6 @@
-// Fault injection across the stack: the FaultChannel/FaultBackend harnesses
-// themselves, the transport-error status on every wire verb, the casql
+// Fault injection across the stack: the FaultChannel harness itself, the
+// transport-error status on every wire verb, the session layer's
+// transport-error accounting and lazy id re-mint, the casql
 // restart discipline that keeps a dropped QaReg from leaving a permanently
 // stale value (the anomaly of Section 2 with a dead connection instead of a
 // racing reader), and the ShardedBackend circuit breaker.
@@ -11,7 +12,6 @@
 #include <thread>
 
 #include "casql/casql.h"
-#include "core/fault_backend.h"
 #include "core/iq_client.h"
 #include "core/iq_server.h"
 #include "core/sharded_backend.h"
@@ -42,6 +42,22 @@ FaultChannel::Rule Drop(FaultChannel::Fault fault, std::string match,
   return r;
 }
 
+/// An in-process server behind the fault injector: a RemoteBackend over a
+/// FaultChannel over a LoopbackChannel.
+struct FaultyServer {
+  IQServer server;
+  net::LoopbackChannel loop{server};
+  FaultChannel fault{loop};
+  net::RemoteBackend backend{fault};
+
+  /// Fail the next round trip matching `match` before it reaches the server.
+  void DropNext(const std::string& match) {
+    fault.Arm(Drop(FaultChannel::Fault::kDropRequest, match));
+  }
+  /// Every round trip fails from the next one on, until Heal().
+  void Down() { fault.Arm(Drop(FaultChannel::Fault::kDown, "")); }
+};
+
 // ---- the FaultChannel harness itself ------------------------------------
 
 TEST(FaultChannelTest, SkipCountDownAndHeal) {
@@ -59,10 +75,13 @@ TEST(FaultChannelTest, SkipCountDownAndHeal) {
   fault.Arm(Drop(FaultChannel::Fault::kDown, ""));
   EXPECT_FALSE(fault.RoundTrip("get k\r\n", &reply));
   EXPECT_TRUE(fault.down());
-  // Down outlives the (consumed) rule until healed.
+  // Down outlives the (consumed) rule until healed, and every round trip
+  // it fails counts.
   EXPECT_FALSE(fault.RoundTrip("get k\r\n", &reply));
+  EXPECT_EQ(fault.faults_injected(), 3u);
   fault.Heal();
   EXPECT_TRUE(fault.RoundTrip("get k\r\n", &reply));
+  EXPECT_EQ(fault.faults_injected(), 3u);
 }
 
 TEST(FaultChannelTest, DropResponseExecutesServerSide) {
@@ -301,18 +320,17 @@ TEST_F(CasqlFaultTest, WriteNeverCommitsWhileTheCacheIsDown) {
   EXPECT_EQ(*after.value, "1");
 }
 
-// ---- FaultBackend + the client session layer -----------------------------
+// ---- the client session layer over a faulty channel -----------------------
 
-TEST(FaultBackendTest, SessionCountsTransportErrorsSeparately) {
-  IQServer server;
-  FaultBackend fb(server);
+TEST(SessionFaultTest, SessionCountsTransportErrorsSeparately) {
+  FaultyServer f;
   IQClient::Config cfg;
   cfg.backoff_base = 20 * kNanosPerMicro;
   cfg.backoff_cap = kNanosPerMilli;
-  IQClient client(fb, cfg);
+  IQClient client(f.backend, cfg);
   auto session = client.NewSession();
 
-  fb.FailNext(FaultBackend::Verb::kQaReg);
+  f.DropNext("qareg");
   EXPECT_EQ(session->Quarantine("k"), ClientQResult::kTransportError);
   EXPECT_EQ(session->stats().transport_errors, 1u);
   EXPECT_EQ(session->stats().q_conflicts, 0u);
@@ -322,51 +340,50 @@ TEST(FaultBackendTest, SessionCountsTransportErrorsSeparately) {
 
   // A transport error on the read path degrades to pass-through: read the
   // RDBMS, install nothing (no token exists to install with).
-  fb.FailNext(FaultBackend::Verb::kIQget);
+  f.DropNext("iqget");
   EXPECT_EQ(session->Get("k").status, ClientGetResult::Status::kMissNoInstall);
   EXPECT_EQ(session->stats().transport_errors, 2u);
+  EXPECT_EQ(f.fault.faults_injected(), 2u);
 }
 
-TEST(FaultBackendTest, SessionMintedWhileDownHealsAfterReconnect) {
-  IQServer server;
-  FaultBackend fb(server);
-  IQClient client(fb);
-  fb.SetDown(true);
+TEST(SessionFaultTest, SessionMintedWhileDownHealsAfterReconnect) {
+  FaultyServer f;
+  IQClient client(f.backend);
+  f.Down();
   auto session = client.NewSession();
   EXPECT_EQ(session->id(), 0u);  // minted against a dead server
   EXPECT_EQ(session->Quarantine("k"), ClientQResult::kTransportError);
-  fb.SetDown(false);
+  f.fault.Heal();
   // The id is re-minted lazily on the next operation.
   EXPECT_EQ(session->Quarantine("k"), ClientQResult::kGranted);
   EXPECT_NE(session->id(), 0u);
   session->Commit();
-  EXPECT_EQ(server.LeaseCount(), 0u);
+  EXPECT_EQ(f.server.LeaseCount(), 0u);
 }
 
-TEST(FaultBackendTest, SessionMintedWhileDownHealsOnTheReadPath) {
+TEST(SessionFaultTest, SessionMintedWhileDownHealsOnTheReadPath) {
   // Regression: Get() used to skip the lazy id re-mint, so a session minted
   // against a dead server kept issuing IQget under session 0 — and an I
   // lease granted to session 0 could never be released by Commit/Abort
   // once a later write verb switched the id.
-  IQServer server;
-  FaultBackend fb(server);
-  IQClient client(fb);
-  fb.SetDown(true);
+  FaultyServer f;
+  IQClient client(f.backend);
+  f.Down();
   auto session = client.NewSession();
   EXPECT_EQ(session->id(), 0u);
   EXPECT_EQ(session->Get("k").status, ClientGetResult::Status::kMissNoInstall);
   EXPECT_GE(session->stats().transport_errors, 1u);
-  fb.SetDown(false);
+  f.fault.Heal();
   // The first read after reconnect re-mints the id before IQget; the I
   // lease it wins belongs to the healed session, so its Put installs (and
   // consumes the lease) instead of being orphaned under session 0.
   EXPECT_EQ(session->Get("k").status,
             ClientGetResult::Status::kMissRecompute);
   EXPECT_NE(session->id(), 0u);
-  EXPECT_EQ(server.LeaseCount(), 1u);
+  EXPECT_EQ(f.server.LeaseCount(), 1u);
   session->Put("k", "healed");
-  EXPECT_EQ(server.store().Get("k")->value, "healed");
-  EXPECT_EQ(server.LeaseCount(), 0u);
+  EXPECT_EQ(f.server.store().Get("k")->value, "healed");
+  EXPECT_EQ(f.server.LeaseCount(), 0u);
 }
 
 // ---- the ShardedBackend circuit breaker ----------------------------------
@@ -382,30 +399,32 @@ std::string KeyOn(const ShardedBackend& router, std::size_t shard,
 }
 
 TEST(ShardedFaultTest, BreakerTripsFailsFastAndHealsThroughAProbe) {
-  IQServer s0, s1;
-  FaultBackend f0(s0);
+  FaultyServer f0;
+  IQServer s1;
   ManualClock clock;
   ShardedBackend::Config cfg;
   cfg.clock = &clock;
   cfg.down_after_errors = 3;
   cfg.probe_interval = 1000;
-  ShardedBackend router({{"s0", &f0, 1, {}, {}, {}, {}}, {"s1", &s1, 1, {}, {}, {}, {}}}, cfg);
+  ShardedBackend router(
+      {{"s0", &f0.backend, 1, {}, {}, {}, {}}, {"s1", &s1, 1, {}, {}, {}, {}}},
+      cfg);
   std::string k0 = KeyOn(router, 0, "a");
   std::string k1 = KeyOn(router, 1, "b");
   ASSERT_EQ(router.Set(k0, "v0"), StoreResult::kStored);
   ASSERT_EQ(router.Set(k1, "v1"), StoreResult::kStored);
 
-  f0.SetDown(true);
+  f0.Down();
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(router.IQget(k0).status, GetReply::Status::kTransportError);
     EXPECT_EQ(router.ShardDown(0), i == 2);  // trips on the third error
   }
+  EXPECT_EQ(f0.fault.faults_injected(), 3u);
 
   // Down: requests fail fast without reaching the child (probe not due).
-  std::uint64_t reached = f0.faults_injected();
   EXPECT_EQ(router.IQget(k0).status, GetReply::Status::kTransportError);
   EXPECT_EQ(router.IQset(k0, "x", 1), StoreResult::kTransportError);
-  EXPECT_EQ(f0.faults_injected(), reached);
+  EXPECT_EQ(f0.fault.faults_injected(), 3u);
   // Degraded plain read: a miss (pass-through), never a hang or stale hit.
   EXPECT_FALSE(router.Get(k0).has_value());
   // The healthy shard is untouched.
@@ -413,7 +432,7 @@ TEST(ShardedFaultTest, BreakerTripsFailsFastAndHealsThroughAProbe) {
   EXPECT_EQ(router.Get(k1)->value, "v1");
 
   // The server comes back, but the shard stays down until a probe is due...
-  f0.SetDown(false);
+  f0.fault.Heal();
   EXPECT_EQ(router.IQget(k0).status, GetReply::Status::kTransportError);
   EXPECT_TRUE(router.ShardDown(0));
   // ...then the first probe's success heals it for everyone.
@@ -433,17 +452,19 @@ TEST(ShardedFaultTest, BreakerTripsFailsFastAndHealsThroughAProbe) {
 }
 
 TEST(ShardedFaultTest, FailedProbeKeepsTheShardDown) {
-  IQServer s0, s1;
-  FaultBackend f0(s0);
+  FaultyServer f0;
+  IQServer s1;
   ManualClock clock;
   ShardedBackend::Config cfg;
   cfg.clock = &clock;
   cfg.down_after_errors = 1;
   cfg.probe_interval = 1000;
-  ShardedBackend router({{"s0", &f0, 1, {}, {}, {}, {}}, {"s1", &s1, 1, {}, {}, {}, {}}}, cfg);
+  ShardedBackend router(
+      {{"s0", &f0.backend, 1, {}, {}, {}, {}}, {"s1", &s1, 1, {}, {}, {}, {}}},
+      cfg);
   std::string k0 = KeyOn(router, 0, "a");
 
-  f0.SetDown(true);
+  f0.Down();
   EXPECT_EQ(router.IQget(k0).status, GetReply::Status::kTransportError);
   ASSERT_TRUE(router.ShardDown(0));
 
@@ -451,23 +472,25 @@ TEST(ShardedFaultTest, FailedProbeKeepsTheShardDown) {
   // shard stays down and everyone else keeps failing fast.
   for (int round = 0; round < 3; ++round) {
     clock.Advance(1500);
-    std::uint64_t reached = f0.faults_injected();
+    std::uint64_t reached = f0.fault.faults_injected();
     EXPECT_EQ(router.IQget(k0).status, GetReply::Status::kTransportError);
-    EXPECT_EQ(f0.faults_injected(), reached + 1);  // the probe
+    EXPECT_EQ(f0.fault.faults_injected(), reached + 1);  // the probe
     EXPECT_EQ(router.IQget(k0).status, GetReply::Status::kTransportError);
-    EXPECT_EQ(f0.faults_injected(), reached + 1);  // fast-failed
+    EXPECT_EQ(f0.fault.faults_injected(), reached + 1);  // fast-failed
     EXPECT_TRUE(router.ShardDown(0));
   }
   EXPECT_EQ(router.router_stats().shard_recoveries, 0u);
 }
 
 TEST(ShardedFaultTest, CasqlDegradesReadsAndFailsWritesFastOnADownShard) {
-  IQServer s0, s1;
-  FaultBackend f0(s0);
+  FaultyServer f0;
+  IQServer s1;
   ShardedBackend::Config rcfg;  // real clock: casql back-off sleeps in it
   rcfg.down_after_errors = 1;
   rcfg.probe_interval = kNanosPerMilli;
-  ShardedBackend router({{"s0", &f0, 1, {}, {}, {}, {}}, {"s1", &s1, 1, {}, {}, {}, {}}}, rcfg);
+  ShardedBackend router(
+      {{"s0", &f0.backend, 1, {}, {}, {}, {}}, {"s1", &s1, 1, {}, {}, {}, {}}},
+      rcfg);
   std::string k0 = KeyOn(router, 0, "a");
 
   sql::Database db;
@@ -492,13 +515,13 @@ TEST(ShardedFaultTest, CasqlDegradesReadsAndFailsWritesFastOnADownShard) {
     return std::to_string(*sql::AsInt((*row)[1]));
   };
 
-  f0.SetDown(true);
+  f0.Down();
   // Reads on the down shard pass through to the RDBMS, installing nothing.
   auto read = conn->Read(k0, compute);
   EXPECT_TRUE(read.computed);
   ASSERT_TRUE(read.value);
   EXPECT_EQ(*read.value, "0");
-  EXPECT_FALSE(s0.store().Get(k0).has_value());
+  EXPECT_FALSE(f0.server.store().Get(k0).has_value());
 
   // Writes fail fast after the restart budget — never an uncached commit.
   casql::WriteSpec spec;
@@ -520,7 +543,7 @@ TEST(ShardedFaultTest, CasqlDegradesReadsAndFailsWritesFastOnADownShard) {
   }
 
   // Shard heals; the same connection's next write goes through.
-  f0.SetDown(false);
+  f0.fault.Heal();
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   out = conn->Write(spec);
   EXPECT_TRUE(out.committed);

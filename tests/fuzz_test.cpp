@@ -9,6 +9,7 @@
 
 #include "check/oplog.h"
 #include "net/channel.h"
+#include "net/remote_backend.h"
 #include "net/server.h"
 #include "util/rng.h"
 #include "util/trace_ring.h"
@@ -121,7 +122,7 @@ TEST_P(FuzzSeedTest, DispatcherSurvivesGarbageRoundTrips) {
     EXPECT_TRUE(channel.RoundTrip(RandomBytes(rng, 48) + "\r\n", &reply));
   }
   // The server still works after the abuse.
-  RemoteCacheClient client(channel);
+  RemoteBackend client(channel);
   EXPECT_EQ(client.Set("sane", "value"), StoreResult::kStored);
   EXPECT_EQ(client.Get("sane")->value, "value");
 }
@@ -159,7 +160,7 @@ TEST_P(FuzzSeedTest, BatchFramesParseWholeOrNotAtAll) {
     EXPECT_TRUE(channel.RoundTrip(bytes + "\r\n", &reply));
     server.Abort(7);
   }
-  RemoteCacheClient client(channel);
+  RemoteBackend client(channel);
   EXPECT_EQ(client.Set("sane", "value"), StoreResult::kStored);
   EXPECT_EQ(client.Get("sane")->value, "value");
 }
@@ -170,7 +171,9 @@ TEST_P(FuzzSeedTest, ResponseParserSurvivesRandomBytes) {
     std::string bytes = RandomBytes(rng, 64);
     std::size_t consumed = 0;
     auto resp = ParseResponse(bytes, &consumed);
-    if (resp) EXPECT_LE(consumed, bytes.size());
+    if (resp) {
+      EXPECT_LE(consumed, bytes.size());
+    }
   }
 }
 

@@ -4,11 +4,11 @@
 #include <vector>
 
 #include "check/oplog.h"
-#include "core/fault_backend.h"
 #include "core/iq_server.h"
 #include "core/iq_client.h"
 #include "core/sharded_backend.h"
 #include "net/channel.h"
+#include "net/fault.h"
 #include "net/remote_backend.h"
 
 namespace iq {
@@ -201,30 +201,6 @@ TEST_F(IQClientTest, BackoffSleepsAndResets) {
   s->Backoff();
 }
 
-TEST_F(IQClientTest, GetReMintsSessionIdMintedDuringOutage) {
-  // Regression: Get() used to skip EnsureId(), so a session minted while
-  // the server was unreachable (id 0) would issue IQget under session 0
-  // forever — and any I lease it won would be orphaned once a later write
-  // verb lazily re-minted the id.
-  FaultBackend fault(server_);
-  IQClient client(fault, FastBackoff());
-  fault.SetDown(true);
-  auto s = client.NewSession();
-  EXPECT_EQ(s->id(), 0u);
-  // While unreachable, reads degrade to RDBMS pass-through.
-  auto r = s->Get("k");
-  EXPECT_EQ(r.status, ClientGetResult::Status::kMissNoInstall);
-  EXPECT_GE(s->stats().transport_errors, 1u);
-  fault.SetDown(false);
-  // First read after the backend heals re-mints the id before IQget.
-  r = s->Get("k");
-  EXPECT_EQ(r.status, ClientGetResult::Status::kMissRecompute);
-  EXPECT_NE(s->id(), 0u);
-  // The I lease belongs to the re-minted session: Put installs normally.
-  s->Put("k", "healed");
-  EXPECT_EQ(server_.store().Get("k")->value, "healed");
-}
-
 TEST_F(IQClientTest, RestartedSessionBackoffResetsToBase) {
   IQClient::Config cfg;
   cfg.backoff_base = 10 * kNanosPerMicro;
@@ -338,15 +314,17 @@ TEST_F(SessionOpLogTest, EachVerbLogsItsRecord) {
 }
 
 TEST_F(SessionOpLogTest, AbortAfterATransportFailureLogsTransportError) {
-  FaultBackend fault(server_);
-  IQClient client(fault, Logged());
+  net::LoopbackChannel loop(server_);
+  net::FaultChannel fault(loop);
+  net::RemoteBackend remote(fault);
+  IQClient client(remote, Logged());
   auto s = client.NewSession();
   std::optional<std::string> v;
-  fault.FailNext(FaultBackend::Verb::kQaRead);
+  fault.Arm({net::FaultChannel::Fault::kDropRequest, "qaread"});
   EXPECT_EQ(s->QaRead("k", v), ClientQResult::kTransportError);
   s->Abort();
   ASSERT_EQ(s->QaRead("k", v), ClientQResult::kGranted);
-  fault.FailNext(FaultBackend::Verb::kSaR);
+  fault.Arm({net::FaultChannel::Fault::kDropRequest, "sar "});
   EXPECT_EQ(s->SaR("k", "v1"), StoreResult::kTransportError);
   s->Abort();
   ASSERT_EQ(s->QaRead("k", v), ClientQResult::kGranted);

@@ -417,7 +417,7 @@ class RemoteTest : public ::testing::Test {
   RemoteTest() : channel_(server_), client_(channel_) {}
   IQServer server_;
   LoopbackChannel channel_;
-  RemoteCacheClient client_;
+  RemoteBackend client_;
 };
 
 TEST_F(RemoteTest, SetGetDeleteOverTheWire) {
@@ -425,13 +425,13 @@ TEST_F(RemoteTest, SetGetDeleteOverTheWire) {
   auto item = client_.Get("k");
   ASSERT_TRUE(item);
   EXPECT_EQ(item->value, "v");
-  EXPECT_TRUE(client_.Delete("k"));
+  EXPECT_TRUE(client_.DeleteVoid("k"));
   EXPECT_FALSE(client_.Get("k"));
 }
 
 TEST_F(RemoteTest, GetsReturnsCasAndCasWorks) {
   client_.Set("k", "v1");
-  auto item = client_.Gets("k");
+  auto item = client_.Get("k");
   ASSERT_TRUE(item);
   EXPECT_EQ(client_.Cas("k", "v2", item->cas), StoreResult::kStored);
   EXPECT_EQ(client_.Cas("k", "v3", item->cas), StoreResult::kExists);
@@ -464,7 +464,7 @@ TEST_F(RemoteTest, FullRefreshProtocol) {
   // Second writer rejected over the wire.
   SessionId other = client_.GenID();
   EXPECT_EQ(client_.QaRead("k", other).status, QaReadReply::Status::kReject);
-  EXPECT_EQ(client_.SaR("k", std::optional<std::string>("new"), q.token),
+  EXPECT_EQ(client_.SaR("k", "new", q.token),
             StoreResult::kStored);
   EXPECT_EQ(client_.Get("k")->value, "new");
 }
@@ -542,7 +542,7 @@ TEST_F(RemoteTest, MalformedRequestYieldsError) {
 TEST(LoopbackLatency, InjectedLatencySlowsRoundTrip) {
   IQServer server;
   LoopbackChannel channel(server, /*one_way_latency=*/kNanosPerMilli);
-  RemoteCacheClient client(channel);
+  RemoteBackend client(channel);
   Nanos t0 = SteadyClock::Instance().Now();
   client.Set("k", "v");
   EXPECT_GE(SteadyClock::Instance().Now() - t0, 2 * kNanosPerMilli);
@@ -555,7 +555,7 @@ TEST(RemoteConcurrency, RefreshProtocolSerializesOverTheWire) {
   IQServer server;
   LoopbackChannel channel(server);
   {
-    RemoteCacheClient setup(channel);
+    RemoteBackend setup(channel);
     setup.Set("n", "0");
   }
   constexpr int kThreads = 4;
@@ -564,7 +564,7 @@ TEST(RemoteConcurrency, RefreshProtocolSerializesOverTheWire) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&server, &channel, &committed] {
-      RemoteCacheClient client(channel);
+      RemoteBackend client(channel);
       for (int i = 0; i < kIncrements; ++i) {
         SessionId session = client.GenID();
         QaReadReply q = client.QaRead("n", session);
@@ -575,13 +575,13 @@ TEST(RemoteConcurrency, RefreshProtocolSerializesOverTheWire) {
           continue;
         }
         std::string next = std::to_string(std::stoll(*q.value) + 1);
-        client.SaR("n", std::optional<std::string>(next), q.token);
+        client.SaR("n", next, q.token);
         committed.fetch_add(1);
       }
     });
   }
   for (auto& t : threads) t.join();
-  RemoteCacheClient check(channel);
+  RemoteBackend check(channel);
   EXPECT_EQ(check.Get("n")->value, std::to_string(committed.load()));
   EXPECT_EQ(committed.load(), kThreads * kIncrements);
 }
@@ -639,7 +639,7 @@ TEST(ResponseCodec, MultiValueRoundTrip) {
 TEST(LoopbackMultiGet, MissesAreOmittedAndOrderIsPreserved) {
   IQServer server;
   LoopbackChannel channel(server);
-  RemoteCacheClient client(channel);
+  RemoteBackend client(channel);
   client.Set("a", "one");
   client.Set("c", "three");
   auto hits = client.MultiGet({"a", "missing", "c"});
@@ -655,7 +655,7 @@ TEST(LoopbackMultiGet, MissesAreOmittedAndOrderIsPreserved) {
 TEST(LoopbackMultiGet, GetsCarriesCasPerValue) {
   IQServer server;
   LoopbackChannel channel(server);
-  RemoteCacheClient client(channel);
+  RemoteBackend client(channel);
   client.Set("a", "one");
   client.Set("b", "two");
   auto hits = client.MultiGet({"a", "b"}, /*with_cas=*/true);
@@ -770,7 +770,7 @@ TEST_F(RemoteTest, ReleaseDropsOneLeaseAndKeepsBufferedWork) {
             QuarantineResult::kGranted);
   QaReadReply q = client_.QaRead("held", tid);
   ASSERT_EQ(q.status, QaReadReply::Status::kGranted);
-  client_.Release(tid, "held");
+  client_.ReleaseKey(tid, "held");
   // The Q lease on "held" is gone: another session acquires it immediately.
   SessionId other = client_.GenID();
   EXPECT_EQ(client_.QaRead("held", other).status,
@@ -1109,6 +1109,94 @@ TEST(BatchTrace, BatchedSessionTracesLikeThePerKeyVerbs) {
   Kinds per_key = run(false);
   EXPECT_EQ(per_key.size(), 8u);  // four grants, two releases, two commits
   EXPECT_EQ(run(true), per_key);
+}
+
+// ---- the bytes RemoteBackend puts on the wire ---------------------------------
+
+/// Loopback channel that keeps every request it carries.
+class RecordingChannel final : public Channel {
+ public:
+  explicit RecordingChannel(IQServer& server) : inner_(server) {}
+  bool RoundTrip(const std::string& request, std::string* reply) override {
+    sent.push_back(request);
+    return inner_.RoundTrip(request, reply);
+  }
+  std::vector<std::string> sent;
+
+ private:
+  LoopbackChannel inner_;
+};
+
+TEST(RemoteBackendWire, EveryVerbSendsItsPinnedRequest) {
+  // One round trip per verb, byte for byte: a per-key verb is one bare
+  // request, and each of a write session's two batches one `batch` frame.
+  IQServer server;
+  RecordingChannel channel(server);
+  RemoteBackend backend(channel);
+  const SessionId tid = backend.GenID();
+  ASSERT_NE(tid, 0u);
+  const std::string t = std::to_string(tid);
+  backend.IQget("k", tid);
+  backend.IQset("k", "v1", 9);
+  backend.QaRead("k", tid);
+  backend.SaR("k", std::string_view("v2"), 9);
+  backend.SaR("k", std::nullopt, 9);
+  backend.QaReg(tid, "k");
+  backend.DaR(tid);
+  backend.IQDelta(tid, "n", {DeltaOp::Kind::kAppend, "ab", 0});
+  backend.IQDelta(tid, "n", {DeltaOp::Kind::kPrepend, "c", 0});
+  backend.IQDelta(tid, "n", {DeltaOp::Kind::kIncr, {}, 3});
+  backend.IQDelta(tid, "n", {DeltaOp::Kind::kDecr, {}, 2});
+  backend.Commit(tid);
+  backend.Abort(tid);
+  backend.ReleaseKey(tid, "k");
+  std::vector<LeaseReply> leases =
+      backend.Acquire(tid, {{LeaseRequest::Kind::kQaRead, "a"},
+                            {LeaseRequest::Kind::kQaReg, "b"}});
+  ASSERT_EQ(leases.size(), 2u);
+  ASSERT_EQ(leases[1].status, LeaseReply::Status::kGranted);
+  const std::string token = std::to_string(leases[0].token);
+  EXPECT_EQ(backend.CommitSwaps(tid, {{"a", "v3", leases[0].token}}),
+            std::vector<StoreResult>{StoreResult::kStored});
+  backend.Get("k");
+  backend.Set("k", "v4");
+  backend.Add("k", "v5");
+  backend.Cas("k", "v6", 11);
+  backend.Append("k", "x");
+  backend.Prepend("k", "y");
+  backend.Incr("n", 4);
+  backend.Decr("n", 1);
+  backend.DeleteVoid("k");
+  EXPECT_EQ(channel.sent,
+            (std::vector<std::string>{
+                "genid\r\n",
+                "iqget k " + t + "\r\n",
+                "iqset k 9 2\r\nv1\r\n",
+                "qaread k " + t + "\r\n",
+                "sar k 9 2\r\nv2\r\n",
+                "sarnull k 9\r\n",
+                "qareg " + t + " k\r\n",
+                "dar " + t + "\r\n",
+                "iqappend " + t + " n 2\r\nab\r\n",
+                "iqprepend " + t + " n 1\r\nc\r\n",
+                "iqincr " + t + " n 3\r\n",
+                "iqdecr " + t + " n 2\r\n",
+                "commit " + t + "\r\n",
+                "abort " + t + "\r\n",
+                "release " + t + " k\r\n",
+                "batch 2\r\nqaread a " + t + "\r\nqareg " + t + " b\r\n",
+                "batch 2\r\nsar a " + token + " 2\r\nv3\r\ncommit " + t +
+                    "\r\n",
+                "gets k\r\n",
+                "set k 0 0 2\r\nv4\r\n",
+                "add k 0 0 2\r\nv5\r\n",
+                "cas k 0 0 2 11\r\nv6\r\n",
+                "append k 0 0 1\r\nx\r\n",
+                "prepend k 0 0 1\r\ny\r\n",
+                "incr n 4\r\n",
+                "decr n 1\r\n",
+                "delete k\r\n",
+            }));
 }
 
 }  // namespace

@@ -210,7 +210,7 @@ class ShardedStackTest : public ::testing::Test {
         // same `stats` command an operator would use.
         {"tcp", remote_.get(), 1,
          [this] {
-           return net::ParseIQStats(net::RemoteCacheClient(*channel_).Stats());
+           return net::ParseIQStats(net::RemoteBackend(*channel_).Stats());
          },
          {}}});
   }
@@ -447,7 +447,7 @@ TEST(KillRestartTest, ClientReconnectsAndServesZeroStaleReads) {
   {
     auto holder = net::TcpChannel::Connect("127.0.0.1", port, &error);
     ASSERT_NE(holder, nullptr) << error;
-    net::RemoteCacheClient dead_writer(*holder);
+    net::RemoteBackend dead_writer(*holder);
     SessionId tid = dead_writer.GenID();
     ASSERT_NE(tid, 0u);
     ASSERT_EQ(dead_writer.QaReg(tid, "K"), QuarantineResult::kGranted);

@@ -21,11 +21,11 @@
 #include <vector>
 
 #include "check/checker.h"
-#include "core/fault_backend.h"
 #include "core/iq_client.h"
 #include "core/near_cache.h"
 #include "core/sharded_backend.h"
 #include "net/channel.h"
+#include "net/fault.h"
 #include "net/remote_backend.h"
 #include "net/server.h"
 #include "net/tcp_channel.h"
@@ -403,7 +403,7 @@ TEST(StressTest, MultiWorkerTcpBalanceUnderContention) {
 }
 
 TEST(StressTest, FlappingShardTripsHealsAndStrandsNoLeases) {
-  // One shard flaps (a FaultBackend toggling down/up under the router's
+  // One shard flaps (a FaultChannel toggling down/up under the router's
   // circuit breaker) while worker threads run the IQ mix against a shared
   // 2-shard router. Transport errors surface as statuses — never as grants —
   // so the grant-side balance between client observations and child counters
@@ -415,12 +415,14 @@ TEST(StressTest, FlappingShardTripsHealsAndStrandsNoLeases) {
   IQServer s1(CacheStore::Config{.shard_count = 8},
               IQServer::Config{.lease_lifetime = 20 * kNanosPerMilli,
                                .trace_capacity = 1 << 14});
-  FaultBackend flappy(s0);
+  net::LoopbackChannel loop(s0);
+  net::FaultChannel flappy(loop);
+  net::RemoteBackend remote(flappy);
   ShardedBackend::Config rcfg;
   rcfg.down_after_errors = 2;
   rcfg.probe_interval = 200 * kNanosPerMicro;
   ShardedBackend router(
-      {{"s0", &flappy, 1, {}, {}, {}, {}}, {"s1", &s1, 1, {}, {}, {}, {}}},
+      {{"s0", &remote, 1, {}, {}, {}, {}}, {"s1", &s1, 1, {}, {}, {}, {}}},
       rcfg);
 
   struct FlapTally {
@@ -438,10 +440,14 @@ TEST(StressTest, FlappingShardTripsHealsAndStrandsNoLeases) {
     bool down = false;
     while (!stop_flapping.load(std::memory_order_acquire)) {
       down = !down;
-      flappy.SetDown(down);
+      if (down) {
+        flappy.Arm({net::FaultChannel::Fault::kDown, ""});
+      } else {
+        flappy.Clear();  // heals, and drops a kDown rule not yet fired
+      }
       std::this_thread::sleep_for(std::chrono::microseconds(500));
     }
-    flappy.SetDown(false);
+    flappy.Clear();
   });
 
   std::vector<std::thread> threads;
@@ -563,7 +569,7 @@ TEST(StressTest, LoopbackRequestCounterExactUnderThreads) {
   std::vector<std::thread> clients;
   for (int i = 0; i < kClientThreads; ++i) {
     clients.emplace_back([&channel, i] {
-      net::RemoteCacheClient client(channel);
+      net::RemoteBackend client(channel);
       for (int op = 0; op < kOpsPerThread; ++op) {
         std::string key = "c" + std::to_string(i) + "-" + std::to_string(op % 16);
         if (op % 2 == 0) {

@@ -1,5 +1,5 @@
 // End-to-end tests of the TCP front end: TcpServer (epoll workers) driven
-// both through TcpChannel/RemoteCacheClient and through raw sockets that
+// both through TcpChannel/RemoteBackend and through raw sockets that
 // misbehave on purpose (split writes, garbage, abrupt EOF).
 #include <gtest/gtest.h>
 
@@ -105,7 +105,7 @@ class TcpServerTest : public ::testing::Test {
 
 TEST_F(TcpServerTest, BasicRoundTripsThroughRemoteClient) {
   auto channel = Connect();
-  RemoteCacheClient client(*channel);
+  RemoteBackend client(*channel);
   EXPECT_EQ(client.Set("k", "hello"), StoreResult::kStored);
   auto item = client.Get("k");
   ASSERT_TRUE(item.has_value());
@@ -115,7 +115,7 @@ TEST_F(TcpServerTest, BasicRoundTripsThroughRemoteClient) {
 
 TEST_F(TcpServerTest, MultiGetOverTheWire) {
   auto channel = Connect();
-  RemoteCacheClient client(*channel);
+  RemoteBackend client(*channel);
   client.Set("a", "one");
   client.Set("c", "three");
   auto hits = client.MultiGet({"a", "b", "c"});
@@ -167,7 +167,7 @@ TEST_F(TcpServerTest, MalformedInputGetsClientErrorAndConnectionSurvives) {
 
   // And the server as a whole is still healthy for other connections.
   auto channel = Connect();
-  RemoteCacheClient client(*channel);
+  RemoteBackend client(*channel);
   EXPECT_EQ(client.Set("after", "ok"), StoreResult::kStored);
   ::close(fd);
 }
@@ -192,7 +192,7 @@ TEST_F(TcpServerTest, QuitAndEofBothTearDownCleanly) {
 
   // Still serving.
   auto channel = Connect();
-  RemoteCacheClient client(*channel);
+  RemoteBackend client(*channel);
   EXPECT_TRUE(client.Get("k").has_value());
 }
 
@@ -222,7 +222,7 @@ TEST_F(TcpServerTest, QuitAfterPipelinedBatchAnswersEverythingFirst) {
 
 TEST_F(TcpServerTest, WireCountersShowUpInStats) {
   auto channel = Connect();
-  RemoteCacheClient client(*channel);
+  RemoteBackend client(*channel);
   client.Set("k", "v");
   std::string stats = client.Stats();
   for (const char* name :
@@ -251,7 +251,7 @@ TEST(TcpScrapeTest, MetricsMirrorsStatsThenSweepAndFlushAllTakeEffect) {
   ASSERT_TRUE(tcp.Start(&error)) << error;
   auto channel = TcpChannel::Connect("127.0.0.1", tcp.port(), &error);
   ASSERT_NE(channel, nullptr) << error;
-  RemoteCacheClient client(*channel);
+  RemoteBackend client(*channel);
 
   client.Set("a", "1");
   client.Get("a");
@@ -381,7 +381,7 @@ TEST_F(TcpServerTest, ConcurrentConnectionsKeepExactCounterBalance) {
   // one counter. Every committed increment must land exactly once.
   {
     auto setup = Connect();
-    RemoteCacheClient client(*setup);
+    RemoteBackend client(*setup);
     client.Set("n", "0");
   }
   constexpr int kThreads = 4;
@@ -392,7 +392,7 @@ TEST_F(TcpServerTest, ConcurrentConnectionsKeepExactCounterBalance) {
     threads.emplace_back([this, &committed] {
       auto channel = Connect();
       ASSERT_NE(channel, nullptr);
-      RemoteCacheClient client(*channel);
+      RemoteBackend client(*channel);
       for (int i = 0; i < kIncrements; ++i) {
         SessionId session = client.GenID();
         QaReadReply q = client.QaRead("n", session);
@@ -403,14 +403,14 @@ TEST_F(TcpServerTest, ConcurrentConnectionsKeepExactCounterBalance) {
           continue;
         }
         std::string next = std::to_string(std::stoll(*q.value) + 1);
-        client.SaR("n", std::optional<std::string>(next), q.token);
+        client.SaR("n", next, q.token);
         committed.fetch_add(1);
       }
     });
   }
   for (auto& t : threads) t.join();
   auto channel = Connect();
-  RemoteCacheClient check(*channel);
+  RemoteBackend check(*channel);
   EXPECT_EQ(check.Get("n")->value, std::to_string(committed.load()));
   EXPECT_EQ(committed.load(), kThreads * kIncrements);
 }
@@ -478,7 +478,7 @@ TEST(TcpServerBackpressure, UnreadResponsesThrottleInsteadOfGrowingMemory) {
   {
     auto ch = TcpChannel::Connect("127.0.0.1", tcp.port(), &error);
     ASSERT_NE(ch, nullptr) << error;
-    RemoteCacheClient client(*ch);
+    RemoteBackend client(*ch);
     ASSERT_EQ(client.Set("big", big), StoreResult::kStored);
   }
 
@@ -650,7 +650,7 @@ TEST(TcpChannelDeadlineTest, SilentServerTripsTheIoDeadline) {
 
 TEST_F(TcpServerTest, StopIsIdempotentAndDropsConnections) {
   auto channel = Connect();
-  RemoteCacheClient client(*channel);
+  RemoteBackend client(*channel);
   client.Set("k", "v");
   tcp_->Stop();
   tcp_->Stop();  // second call is a no-op

@@ -2,15 +2,20 @@
 
 #include <thread>
 
-#include "core/fault_backend.h"
-#include "core/iq_server.h"
 #include "casql/trigger_invalidation.h"
+#include "check/oplog.h"
+#include "core/iq_client.h"
+#include "core/iq_server.h"
+#include "net/channel.h"
+#include "net/fault.h"
+#include "net/remote_backend.h"
 #include "rdbms/sql.h"
 #include "util/worker_group.h"
 
 namespace iq::casql {
 namespace {
 
+using net::FaultChannel;
 using sql::DmlOp;
 using sql::SchemaBuilder;
 using sql::TriggerEvent;
@@ -18,9 +23,14 @@ using sql::V;
 
 class TriggerInvalidationTest : public ::testing::Test {
  protected:
-  // Sessions reach server_ through faulty_, which forwards every verb until
-  // a test arms it.
-  TriggerInvalidationTest() : faulty_(server_), invalidator_(db_, faulty_) {
+  // Sessions reach server_ over the wire through faulty_, which forwards
+  // every round trip until a test arms it, and log to log_.
+  TriggerInvalidationTest()
+      : loop_(server_),
+        faulty_(loop_),
+        remote_(faulty_),
+        client_(remote_, IQClient::Config{.op_log = &log_}),
+        invalidator_(db_, client_) {
     db_.CreateTable(SchemaBuilder("Users")
                         .AddInt("id")
                         .AddInt("score")
@@ -52,7 +62,11 @@ class TriggerInvalidationTest : public ::testing::Test {
 
   sql::Database db_;
   IQServer server_;
-  FaultBackend faulty_;
+  net::LoopbackChannel loop_;
+  FaultChannel faulty_;
+  net::RemoteBackend remote_;
+  check::OpLog log_;
+  IQClient client_;
   TriggerInvalidator invalidator_;
 };
 
@@ -116,7 +130,7 @@ TEST_F(TriggerInvalidationTest, UnconfirmedQuarantineFailsTheCommit) {
   // so committing would leave score=10 cached with no Q lease to expire.
   server_.store().Set(Key(1), "score=10");
   auto session = invalidator_.BeginSession();
-  faulty_.FailNext(FaultBackend::Verb::kQaReg);
+  faulty_.Arm({FaultChannel::Fault::kDropRequest, "qareg"});
   sql::Query(session->txn(), "UPDATE Users SET score = score + 1 WHERE id = 1");
   EXPECT_FALSE(session->Commit());
   EXPECT_EQ(Score(1), 10);
@@ -125,15 +139,45 @@ TEST_F(TriggerInvalidationTest, UnconfirmedQuarantineFailsTheCommit) {
 }
 
 TEST_F(TriggerInvalidationTest, UnconfirmedSessionIdFailsTheCommit) {
-  // GenID fails (id 0): the session has no id to quarantine under.
+  // No id was minted and none can be: the session has nothing to
+  // quarantine under, so it must not commit.
   server_.store().Set(Key(1), "score=10");
-  faulty_.FailNext(FaultBackend::Verb::kGenID);
+  faulty_.Arm({FaultChannel::Fault::kDown, ""});
   auto session = invalidator_.BeginSession();
+  EXPECT_EQ(TriggerInvalidator::ActiveTid(), 0u);
   sql::Query(session->txn(), "UPDATE Users SET score = score + 1 WHERE id = 1");
   EXPECT_FALSE(session->Commit());
   EXPECT_EQ(Score(1), 10);
   EXPECT_EQ(server_.store().Get(Key(1))->value, "score=10");
   EXPECT_FALSE(server_.LeaseOn(Key(1)));
+}
+
+TEST_F(TriggerInvalidationTest, LostSessionIdIsReMintedByTheTrigger) {
+  // BeginSession's genid is lost, but the tier is back by the time the
+  // trigger quarantines: the session re-mints its id and commits.
+  server_.store().Set(Key(1), "score=10");
+  faulty_.Arm({FaultChannel::Fault::kDropRequest, "genid"});
+  auto session = invalidator_.BeginSession();
+  EXPECT_EQ(TriggerInvalidator::ActiveTid(), 0u);
+  sql::Query(session->txn(), "UPDATE Users SET score = score + 1 WHERE id = 1");
+  EXPECT_NE(TriggerInvalidator::ActiveTid(), 0u);
+  EXPECT_TRUE(session->Commit());
+  EXPECT_EQ(Score(1), 11);
+  EXPECT_FALSE(server_.store().Get(Key(1)));
+  EXPECT_EQ(server_.LeaseCount(), 0u);
+}
+
+TEST_F(TriggerInvalidationTest, CommittedSessionLogsInvalThenCommit) {
+  auto session = invalidator_.BeginSession();
+  sql::Query(session->txn(), "UPDATE Users SET score = score + 1 WHERE id = 1");
+  EXPECT_TRUE(session->Commit());
+  std::vector<check::OpRecord> ops = log_.Snapshot();
+  ASSERT_EQ(ops.size(), 2u);
+  EXPECT_EQ(ops[0].kind, check::OpKind::kInval);
+  EXPECT_EQ(ops[0].key_hash, TraceKeyHash(Key(1)));
+  EXPECT_EQ(ops[1].kind, check::OpKind::kCommit);
+  EXPECT_NE(ops[0].session, 0u);
+  EXPECT_EQ(ops[1].session, ops[0].session);
 }
 
 TEST_F(TriggerInvalidationTest, MultiRowDmlQuarantinesEachRow) {
@@ -227,7 +271,9 @@ TEST_F(TriggerInvalidationTest, ConcurrentManagedSessionsStayConsistent) {
   std::string db_value =
       std::to_string(*sql::AsInt((*final_txn->SelectByPk("Users", {V(1)}))[1]));
   auto cached = server_.store().Get(Key(1));
-  if (cached) EXPECT_EQ(cached->value, db_value);
+  if (cached) {
+    EXPECT_EQ(cached->value, db_value);
+  }
 }
 
 }  // namespace

@@ -272,7 +272,7 @@ struct RemoteStack {
       shards.push_back({net::Name(endpoint), backends.back().get(), 1,
                         [channel] {
                           return net::ParseIQStats(
-                              net::RemoteCacheClient(*channel).Stats());
+                              net::RemoteBackend(*channel).Stats());
                         },
                         [channel] { return channel->reconnects(); }, {}, {}});
     }
@@ -656,7 +656,7 @@ int RunRemote(const Options& opt) {
                 settle.router->FormatStats().c_str());
   } else {
     std::printf("\ncache server:\n%s",
-                net::RemoteCacheClient(*settle.channels[0]).Stats().c_str());
+                net::RemoteBackend(*settle.channels[0]).Stats().c_str());
   }
   if (log && !op_log.DumpToFile(opt.oplog)) {
     std::fprintf(stderr, "iqbench: cannot write op log '%s'\n",

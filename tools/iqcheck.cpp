@@ -37,6 +37,7 @@
 #include "check/oplog.h"
 #include "net/channel.h"
 #include "net/reconnecting_channel.h"
+#include "net/remote_backend.h"
 #include "net/tcp_channel.h"
 #include "util/flags.h"
 #include "util/trace_ring.h"
@@ -134,8 +135,8 @@ int main(int argc, char** argv) {
                    error.c_str());
       return 2;
     }
-    net::RemoteCacheClient client(*channel);
-    auto drain = client.TraceWithInfo(max_events);
+    net::RemoteBackend client(*channel);
+    auto drain = client.Trace(max_events);
     if (!drain) {
       std::fprintf(stderr, "iqcheck: trace drain from %s failed\n",
                    spec.c_str());
