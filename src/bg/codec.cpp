@@ -68,14 +68,24 @@ std::string IdListRemove(const std::string& raw, MemberId id) {
   return EncodeIdList(ids);
 }
 
-std::string ProfileKey(MemberId id) { return "Profile:" + std::to_string(id); }
-std::string FriendsKey(MemberId id) { return "Friends:" + std::to_string(id); }
-std::string PendingKey(MemberId id) { return "Pending:" + std::to_string(id); }
+namespace {
+
+// "<prefix>{<id>}": the braces are a router hash tag, so every key built
+// here for one member lands on that member's cache server.
+std::string MemberKey(const char* prefix, MemberId id) {
+  return std::string(prefix) + "{" + std::to_string(id) + "}";
+}
+
+}  // namespace
+
+std::string ProfileKey(MemberId id) { return MemberKey("Profile:", id); }
+std::string FriendsKey(MemberId id) { return MemberKey("Friends:", id); }
+std::string PendingKey(MemberId id) { return MemberKey("Pending:", id); }
 std::string TopKKey(MemberId id) { return "TopK:" + std::to_string(id); }
 std::string CommentsKey(std::int64_t resource_id) {
   return "Comments:" + std::to_string(resource_id);
 }
-std::string PendingCountKey(MemberId id) { return "PC:" + std::to_string(id); }
-std::string FriendCountKey(MemberId id) { return "FC:" + std::to_string(id); }
+std::string PendingCountKey(MemberId id) { return MemberKey("PC:", id); }
+std::string FriendCountKey(MemberId id) { return MemberKey("FC:", id); }
 
 }  // namespace iq::bg

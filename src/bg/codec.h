@@ -1,13 +1,17 @@
 // Value codecs for BG's key-value pairs.
 //
 // Key scheme (one key per cached query result, Section 6.1):
-//   Profile:<id>   -> "name|friendCount|pendingCount"
-//   Friends:<id>   -> comma-separated sorted friend ids
-//   Pending:<id>   -> comma-separated sorted inviter ids
+//   Profile:{<id>} -> "name|friendCount|pendingCount"
+//   Friends:{<id>} -> comma-separated sorted friend ids
+//   Pending:{<id>} -> comma-separated sorted inviter ids
 //   TopK:<id>      -> comma-separated resource ids (static)
 //   Comments:<rid> -> comma-separated comment ids (static)
 // Incremental-update mode additionally uses numeric counter keys
-//   PC:<id> / FC:<id> so incr/decr deltas apply (see DESIGN.md).
+//   PC:{<id>} / FC:{<id>} so incr/decr deltas apply (see DESIGN.md).
+// The braces are a hash tag (DESIGN.md §4.3): the sharded router places a
+// tagged key by its member id alone, so the keys one member's write
+// sessions update together share a cache server. TopK and Comments are
+// never written, so they stay untagged and spread a hot member's reads.
 #pragma once
 
 #include <cstdint>

@@ -25,6 +25,17 @@ std::uint64_t Fnv1a(std::string_view s) {
   return h;
 }
 
+// The part of `key` that picks its shard (Redis Cluster's hash-tag rule):
+// the bytes between the first '{' and the first '}' after it, when that
+// span is non-empty; otherwise the whole key.
+std::string_view HashTag(std::string_view key) {
+  std::size_t open = key.find('{');
+  if (open == std::string_view::npos) return key;
+  std::size_t close = key.find('}', open + 1);
+  if (close == std::string_view::npos || close == open + 1) return key;
+  return key.substr(open + 1, close - open - 1);
+}
+
 // Counter names and members come from the canonical kIQStatsFields table
 // (core/iq_stats.h), shared with net::FormatStats/ParseIQStats so the
 // per-shard lines stay grep-compatible with a child's own `stats` output.
@@ -85,7 +96,7 @@ ShardedBackend::ShardedBackend(std::vector<Shard> shards, Config config)
 
 std::size_t ShardedBackend::ShardFor(std::string_view key) const {
   if (shards_.size() == 1) return 0;
-  std::uint64_t h = Fnv1a(key);
+  std::uint64_t h = Fnv1a(HashTag(key));
   // Clockwise successor on the ring; past the last point wraps to the
   // first.
   auto it = std::lower_bound(

@@ -8,9 +8,13 @@
 //
 // Routing is a consistent-hash ring with virtual nodes: each shard
 // contributes 64 points per unit of weight, hashed from its name, and a
-// key belongs to the clockwise successor of its hash. Same shard list =>
-// same ring, so independent router instances (one per client thread, one
-// per process) agree on placement.
+// key belongs to the clockwise successor of its hash. A key with a hash
+// tag — the non-empty span between its first '{' and the first '}' after
+// it, as in Redis Cluster and twemproxy — is placed by the tag alone, so
+// keys that share a tag share a shard (BG tags each member's keys with the
+// member id, so a write session on one member writes one shard). Same
+// shard list => same ring, so independent router instances (one per
+// client thread, one per process) agree on placement.
 //
 // Session identity is the real refactor. The upper stack holds ONE
 // SessionId per session, but leases and quarantine registries live
@@ -165,8 +169,8 @@ class ShardedBackend final : public KvsBackend {
   bool ShardDown(std::size_t i) const {
     return health_[i].down.load(std::memory_order_acquire);
   }
-  /// Ring position of `key` (stable across router instances with the same
-  /// shard list).
+  /// Ring position of `key`, or of its hash tag when it has one (stable
+  /// across router instances with the same shard list).
   std::size_t ShardFor(std::string_view key) const;
 
   /// Sum of the child counter snapshots (shards without a stats provider

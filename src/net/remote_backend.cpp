@@ -124,7 +124,7 @@ Response RemoteBackend::Exchange(const std::string& request_bytes) {
     err.message = "short or malformed response";
     return err;
   }
-  return *response;
+  return std::move(*response);
 }
 
 // ---- the IQ command set ------------------------------------------------------

@@ -102,17 +102,15 @@ TxnResult Table::CheckWritableLocked(const TxnCtx& ctx,
   if (chain.writer != 0 && chain.writer != ctx.id) {
     return TxnResult::kConflict;  // another transaction holds a pending intent
   }
-  // First-committer-wins: a version committed after our snapshot means a
-  // concurrent transaction already won this row.
-  if (!chain.versions.empty() &&
-      chain.versions.back().begin_ts > ctx.snapshot) {
+  // First-committer-wins: a version committed, or a delete committed, after
+  // our snapshot means a concurrent transaction already won this row.
+  // Versions are in commit order and each ends no later than the next
+  // begins, so only the newest can begin or end after the snapshot.
+  if (chain.versions.empty()) return TxnResult::kOk;
+  const Version& newest = chain.versions.back();
+  if (newest.begin_ts > ctx.snapshot ||
+      (newest.end_ts != kInfinity && newest.end_ts > ctx.snapshot)) {
     return TxnResult::kConflict;
-  }
-  // A delete that committed after our snapshot also conflicts.
-  for (const auto& v : chain.versions) {
-    if (v.end_ts != kInfinity && v.end_ts > ctx.snapshot) {
-      return TxnResult::kConflict;
-    }
   }
   return TxnResult::kOk;
 }

@@ -112,7 +112,8 @@ class Table {
   };
 
   struct RowChain {
-    std::vector<Version> versions;  // begin_ts ascending
+    std::vector<Version> versions;  // commit order: each ends no later
+                                    // than the next begins
     TxnId writer = 0;               // pending intent owner
     std::optional<Row> pending;     // nullopt + writer!=0 => pending delete
     bool pending_is_delete = false;

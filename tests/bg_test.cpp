@@ -6,6 +6,7 @@
 #include "bg/social_graph.h"
 #include "bg/validation.h"
 #include "bg/workload.h"
+#include "core/sharded_backend.h"
 
 namespace iq::bg {
 namespace {
@@ -54,13 +55,13 @@ TEST(Codec, IdListAddRemove) {
 }
 
 TEST(Codec, KeyBuildersAreDistinct) {
-  EXPECT_EQ(ProfileKey(5), "Profile:5");
-  EXPECT_EQ(FriendsKey(5), "Friends:5");
-  EXPECT_EQ(PendingKey(5), "Pending:5");
+  EXPECT_EQ(ProfileKey(5), "Profile:{5}");
+  EXPECT_EQ(FriendsKey(5), "Friends:{5}");
+  EXPECT_EQ(PendingKey(5), "Pending:{5}");
   EXPECT_EQ(TopKKey(5), "TopK:5");
   EXPECT_EQ(CommentsKey(5), "Comments:5");
-  EXPECT_EQ(PendingCountKey(5), "PC:5");
-  EXPECT_EQ(FriendCountKey(5), "FC:5");
+  EXPECT_EQ(PendingCountKey(5), "PC:{5}");
+  EXPECT_EQ(FriendCountKey(5), "FC:{5}");
 }
 
 // ---- graph loader ---------------------------------------------------------------
@@ -261,6 +262,34 @@ class BgActionsTest : public ::testing::Test {
     return row ? *sql::AsInt((*row)[static_cast<std::size_t>(col)]) : -1;
   }
 
+  // The router places a member's tagged keys by the member id, so a
+  // session that updates one member's keys writes one cache server:
+  // InviteFriend and RejectFriend update only the invitee's.
+  void ExpectOneMemberSessionsCommitOnOneShard(casql::Technique technique) {
+    IQServer other;
+    ShardedBackend router({{"s0", &server_, 1, {}, {}, {}, {}},
+                           {"s1", &other, 1, {}, {}, {}, {}}});
+    casql::CasqlSystem system(db_, router, Config(technique));
+    BGActions actions(system, pools_, graph_, nullptr, Rng(1));
+    std::uint64_t commits = 0;
+    for (MemberId offset : {10, 15, 20}) {
+      for (MemberId invitee = 0; invitee < graph_.members; ++invitee) {
+        if (actions.InviteFriend((invitee + offset) % graph_.members,
+                                 invitee)) {
+          ++commits;
+        }
+      }
+    }
+    while (actions.RejectFriend()) ++commits;
+    ASSERT_GE(commits, 150u);
+    ShardedBackendStats rs = router.router_stats();
+    EXPECT_EQ(rs.fanout_commits, commits);
+    EXPECT_EQ(rs.cross_shard_sessions, 0u);
+    // Both servers took sessions: the tier really is two shards wide.
+    EXPECT_GT(server_.Stats().commits, 0u);
+    EXPECT_GT(other.Stats().commits, 0u);
+  }
+
   GraphConfig graph_;
   sql::Database db_;
   IQServer server_;
@@ -283,7 +312,7 @@ TEST_F(BgActionsTest, ViewProfileReturnsLoadedState) {
 TEST_F(BgActionsTest, InviteUpdatesDbAndCache) {
   casql::CasqlSystem system(db_, server_, Config(casql::Technique::kRefresh));
   BGActions actions(system, pools_, graph_, nullptr, Rng(1));
-  actions.ViewProfile(20);  // warm Profile:20
+  actions.ViewProfile(20);  // warm Profile:{20}
   // Member 5 and 20 are not ring-adjacent, so the invite succeeds.
   ASSERT_TRUE(actions.InviteFriend(5, 20));
   EXPECT_EQ(UserCol(20, 2), 1);  // pendingCount
@@ -369,6 +398,14 @@ TEST_F(BgActionsTest, IncrementalModeUsesCounterKeys) {
   EXPECT_TRUE(server_.store().Get(FriendCountKey(20)));
   ASSERT_TRUE(actions.InviteFriend(5, 20));
   EXPECT_EQ(server_.store().Get(PendingCountKey(20))->value, "1");
+}
+
+TEST_F(BgActionsTest, OneMemberWriteSessionsCommitOnOneShard) {
+  ExpectOneMemberSessionsCommitOnOneShard(casql::Technique::kRefresh);
+}
+
+TEST_F(BgActionsTest, OneMemberCounterSessionsCommitOnOneShard) {
+  ExpectOneMemberSessionsCommitOnOneShard(casql::Technique::kIncremental);
 }
 
 // ---- workload mixes ---------------------------------------------------------------

@@ -174,6 +174,37 @@ TEST(Table, ReinsertAfterDeleteAllowed) {
   EXPECT_EQ((*t.Read(TxnCtx{4, 3}, {V(1)}))[1], V("b"));
 }
 
+TEST(Table, DeleteAfterSnapshotConflictsOnALongChain) {
+  Table t(TwoColSchema());
+  // 200 committed versions, as a hot row collects between vacuums: an
+  // insert at ts 1, then one update per ts up to 200.
+  ASSERT_EQ(t.InsertIntent(TxnCtx{1, 0}, {V(1), V("v1")}), TxnResult::kOk);
+  t.InstallCommit(1, {V(1)}, 1);
+  for (TxnId id = 2; id <= 200; ++id) {
+    auto bump = [id](Row& r) { r[1] = V("v" + std::to_string(id)); };
+    ASSERT_EQ(t.UpdateIntent(TxnCtx{id, id - 1}, {V(1)}, bump),
+              TxnResult::kOk);
+    t.InstallCommit(id, {V(1)}, id);
+  }
+  // A writer snapshots at ts 200; then another transaction deletes the row.
+  TxnCtx stale{300, 200};
+  ASSERT_EQ(t.DeleteIntent(TxnCtx{201, 200}, {V(1)}), TxnResult::kOk);
+  t.InstallCommit(201, {V(1)}, 201);
+  // The stale writer still sees the row, but the delete won it.
+  ASSERT_TRUE(t.Read(stale, {V(1)}));
+  EXPECT_EQ(t.UpdateIntent(stale, {V(1)}, [](Row& r) { r[1] = V("late"); }),
+            TxnResult::kConflict);
+  EXPECT_EQ(t.DeleteIntent(stale, {V(1)}), TxnResult::kConflict);
+  // A snapshot taken after the delete sees no row and may re-insert it.
+  TxnCtx later{301, 201};
+  EXPECT_FALSE(t.Read(later, {V(1)}));
+  EXPECT_EQ(t.InsertIntent(later, {V(1), V("again")}), TxnResult::kOk);
+  t.InstallCommit(301, {V(1)}, 202);
+  EXPECT_EQ((*t.Read(TxnCtx{302, 202}, {V(1)}))[1], V("again"));
+  EXPECT_EQ(t.UpdateIntent(stale, {V(1)}, [](Row& r) { r[1] = V("late"); }),
+            TxnResult::kConflict);
+}
+
 TEST(Table, UpdateMissingRowIsNotFound) {
   Table t(TwoColSchema());
   TxnCtx w{1, 0};

@@ -28,6 +28,17 @@ std::string KeyOnShard(const ShardedBackend& router, std::size_t shard,
   return {};
 }
 
+/// Shards s0, s1, ... over `servers`: the names perfbench and bench_shard
+/// give their rings.
+std::vector<ShardedBackend::Shard> NamedShards(IQServer* servers,
+                                               std::size_t n) {
+  std::vector<ShardedBackend::Shard> shards;
+  for (std::size_t i = 0; i < n; ++i) {
+    shards.push_back({"s" + std::to_string(i), &servers[i], 1, {}, {}, {}, {}});
+  }
+  return shards;
+}
+
 class ShardedBackendTest : public ::testing::Test {
  protected:
   ShardedBackendTest()
@@ -73,6 +84,79 @@ TEST(ShardedRing, WeightSkewsDistribution) {
     (router.ShardFor("key" + std::to_string(i)) == 0 ? small : big)++;
   }
   EXPECT_GT(big, small);  // weight 4 owns ~4x the ring
+}
+
+// Keys without a hash tag must keep their ring placement: iqbench's
+// ctr:/data: keys and the numbered test keys, on the rings perfbench and
+// bench_shard build. Digit i is ShardFor(keys[i]).
+TEST(ShardedRing, UntaggedPlacementIsPinned) {
+  IQServer servers[4];
+  ShardedBackend two(NamedShards(servers, 2));
+  ShardedBackend four(NamedShards(servers, 4));
+  std::vector<std::string> keys;
+  for (int i = 0; i < 16; ++i) keys.push_back("ctr:" + std::to_string(i));
+  for (int i = 0; i < 24; ++i) keys.push_back("data:" + std::to_string(i));
+  for (int i = 0; i < 24; ++i) keys.push_back("key" + std::to_string(i));
+  std::string on_two, on_four;
+  for (const std::string& key : keys) {
+    on_two.push_back(static_cast<char>('0' + two.ShardFor(key)));
+    on_four.push_back(static_cast<char>('0' + four.ShardFor(key)));
+  }
+  EXPECT_EQ(on_two,
+            "1001010000100001110100100110110111110001100011100000001000101001");
+  EXPECT_EQ(on_four,
+            "3031330202200231310202320210310231312301130221100002002220101332");
+}
+
+TEST(ShardedRing, KeysSharingAHashTagShareAShard) {
+  IQServer servers[4];
+  for (std::size_t n : {2, 3, 4}) {
+    ShardedBackend router(NamedShards(servers, n));
+    std::vector<int> owned(n, 0);
+    for (int tag = 0; tag < 1000; ++tag) {
+      std::string t = "{" + std::to_string(tag) + "}";
+      std::size_t home = router.ShardFor(t);
+      ++owned[home];
+      for (const std::string& key :
+           {"Profile:" + t, "Friends:" + t, "Pending:" + t, "PC:" + t,
+            "FC:" + t, t + ":suffix", "a{" + std::to_string(tag) + "}{x}"}) {
+        EXPECT_EQ(router.ShardFor(key), home) << key << " on " << n;
+      }
+    }
+    for (int count : owned) EXPECT_GT(count, 0) << n << " shards";
+  }
+}
+
+// Braces that make no tag leave the whole key hashed, so these keys keep
+// their placement too (pinned like the keys above, on the 4-shard ring):
+// an empty span, an unclosed '{', a '}' before the only '{', and a key
+// whose first span is empty — only the first '{' counts, so a non-empty
+// span after it is no tag.
+TEST(ShardedRing, BracesWithoutATagHashTheWholeKey) {
+  IQServer servers[4];
+  ShardedBackend four(NamedShards(servers, 4));
+  std::string placed;
+  for (int i = 0; i < 16; ++i) {
+    std::string n = std::to_string(i);
+    for (const std::string& key :
+         {"{}" + n, "{" + n, n + "}{", "x{}{" + n + "}"}) {
+      placed.push_back(static_cast<char>('0' + four.ShardFor(key)));
+    }
+  }
+  EXPECT_EQ(placed,
+            "3300111000030003122100202312233031123223323313331201323310111012");
+}
+
+TEST(ShardedRing, OnlyTheFirstTagPlacesAKey) {
+  IQServer servers[4];
+  ShardedBackend four(NamedShards(servers, 4));
+  for (int i = 0; i < 100; ++i) {
+    std::string tag = "m" + std::to_string(i);
+    std::size_t home = four.ShardFor(tag);  // an untagged key hashes whole
+    EXPECT_EQ(four.ShardFor("{" + tag + "}"), home) << tag;
+    EXPECT_EQ(four.ShardFor("x{" + tag + "}{other}"), home) << tag;
+    EXPECT_EQ(four.ShardFor("x{" + tag + "}}"), home) << tag;
+  }
 }
 
 TEST(ShardedRing, EmptyShardListThrows) {

@@ -489,13 +489,15 @@ int RunRemote(const Options& opt) {
   std::vector<std::atomic<long long>> committed(kRemoteCounters);
   for (auto& c : committed) c.store(0);
   std::atomic<std::uint64_t> ops{0};
-  // Fault-recovery evidence, harvested from each worker's own stack before it
-  // exits: the settle-pass stack below connects fresh and would report zeros
-  // even after a mid-run shard kill.
+  // Fault-recovery and router evidence, harvested from each worker's own
+  // stack before it exits: the settle-pass stack below connects fresh and
+  // would report zeros even after a mid-run shard kill.
   std::atomic<std::uint64_t> worker_reconnects{0};
   std::atomic<std::uint64_t> worker_transport_errors{0};
   std::atomic<std::uint64_t> worker_shard_trips{0};
   std::atomic<std::uint64_t> worker_shard_recoveries{0};
+  std::atomic<std::uint64_t> worker_router_commits{0};
+  std::atomic<std::uint64_t> worker_cross_shard{0};
   std::atomic<std::uint64_t> audit_samples{0};
   std::atomic<std::uint64_t> audit_stale{0};
   std::atomic<std::uint64_t> audit_skipped{0};
@@ -577,6 +579,8 @@ int RunRemote(const Options& opt) {
         auto rs = stack.router->router_stats();
         worker_shard_trips += rs.shard_trips;
         worker_shard_recoveries += rs.shard_recoveries;
+        worker_router_commits += rs.fanout_commits;
+        worker_cross_shard += rs.cross_shard_sessions;
       }
     });
   }
@@ -652,6 +656,13 @@ int RunRemote(const Options& opt) {
       static_cast<unsigned long long>(worker_shard_trips.load()),
       static_cast<unsigned long long>(worker_shard_recoveries.load()));
   if (settle.router) {
+    // Logical commits that wrote a shard, and those that wrote more than
+    // one: a multi-server run that never crosses shards proves nothing
+    // about cross-shard sessions.
+    std::printf("router          %llu logical commits, %llu cross-shard "
+                "sessions (worker-side)\n",
+                static_cast<unsigned long long>(worker_router_commits.load()),
+                static_cast<unsigned long long>(worker_cross_shard.load()));
     std::printf("\ncache tier (aggregated + per-shard):\n%s",
                 settle.router->FormatStats().c_str());
   } else {
