@@ -185,13 +185,7 @@ WriteOutcome CasqlConnection::Write(const WriteSpec& spec) {
   // Each write's retries escalate the back-off from the base delay, not
   // from where the previous write's last Abort() left it.
   session_->ResetBackoff();
-  if (system_.config_.consistency == Consistency::kIQ) {
-    switch (system_.config_.technique) {
-      case Technique::kInvalidate: return WriteIQInvalidate(spec);
-      case Technique::kRefresh: return WriteIQRefresh(spec);
-      case Technique::kIncremental: return WriteIQIncremental(spec);
-    }
-  }
+  if (system_.config_.consistency == Consistency::kIQ) return WriteIQ(spec);
   return WriteBaseline(spec);
 }
 
@@ -313,202 +307,91 @@ WriteOutcome CasqlConnection::WriteBaseline(const WriteSpec& spec) {
 
 namespace {
 
-/// Bump the matching restart counter for a failed quarantine/lease request.
-void CountRestart(ClientQResult r, WriteOutcome* out) {
-  if (r == ClientQResult::kQConflict) {
-    ++out->q_restarts;
-  } else {
-    ++out->transport_restarts;
+/// The Q lease a write session takes on `u` (Figure 5): QaReg under
+/// invalidate or for a key the spec forces to invalidate, QaRead under
+/// refresh, IQ-delta for a key with a delta under incremental, and none for
+/// an incremental key without one.
+std::optional<LeaseRequest> LeaseFor(Technique t, const KeyUpdate& u) {
+  if (t == Technique::kInvalidate || u.invalidate) {
+    return LeaseRequest{LeaseRequest::Kind::kQaReg, u.key};
   }
+  if (t == Technique::kRefresh) {
+    return LeaseRequest{LeaseRequest::Kind::kQaRead, u.key};
+  }
+  if (u.delta) return LeaseRequest{LeaseRequest::Kind::kDelta, u.key, *u.delta};
+  return std::nullopt;
 }
 
 }  // namespace
 
-WriteOutcome CasqlConnection::WriteIQInvalidate(const WriteSpec& spec) {
+WriteOutcome CasqlConnection::WriteIQ(const WriteSpec& spec) {
   WriteOutcome out;
   const CasqlConfig& cfg = system_.config_;
+  const bool refresh = cfg.technique == Technique::kRefresh;
+  // Placement (Figure 9, Table 6) only decides whether the leases are taken
+  // before the RDBMS transaction begins or inside it, after the body. For
+  // invalidate it only moves when the quarantine window opens: a reachable
+  // server always grants QaReg (Figure 5a).
+  const bool leases_first = cfg.placement == LeasePlacement::kPriorToTxn;
   std::vector<LeaseRequest> leases;
   for (const auto& u : spec.updates) {
-    leases.push_back({LeaseRequest::Kind::kQaReg, u.key});
+    if (auto lease = LeaseFor(cfg.technique, u)) leases.push_back(*lease);
   }
   for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
-    // QaReg is always granted by a reachable server (Figure 5a), so
-    // placement only changes when the quarantine window opens. A transport
-    // error means the quarantine is NOT in place: abort and retry —
-    // committing the RDBMS txn anyway would leave the cached value
-    // permanently stale, the exact anomaly the framework exists to prevent.
-    ClientQResult q = ClientQResult::kGranted;
-    if (cfg.placement == LeasePlacement::kPriorToTxn) {
-      q = session_->Acquire(leases);
+    std::unique_ptr<sql::Transaction> txn;
+    std::vector<std::optional<std::string>> news;
+    std::vector<Swap> swaps;
+    // Take every lease; refresh then computes its new values from the ones
+    // its leases read. On a rejection (Figure 5b) or a transport error,
+    // release everything, roll back, back off and restart the whole
+    // session: a lease or quarantine that may not be in place leaves the
+    // commit unprotected, and an invalidated value permanently stale.
+    auto acquire = [&] {
+      std::vector<std::optional<std::string>> olds;
+      ClientQResult q = session_->Acquire(leases, refresh ? &olds : nullptr);
       if (q != ClientQResult::kGranted) {
+        if (txn) txn->Rollback();
         session_->Abort();
-        CountRestart(q, &out);
+        if (q == ClientQResult::kQConflict) {
+          ++out.q_restarts;
+        } else {
+          ++out.transport_restarts;
+        }
         session_->Backoff();
-        continue;
+        return false;
       }
-    }
-    auto txn = system_.db_.Begin();
+      if (refresh) {
+        // Every update holds a lease under refresh, so olds[i] is update i's.
+        news.resize(spec.updates.size());
+        for (std::size_t i = 0; i < spec.updates.size(); ++i) {
+          const KeyUpdate& u = spec.updates[i];
+          if (u.invalidate) continue;
+          if (u.refresh) news[i] = u.refresh(olds[i]);
+          swaps.push_back({u.key, news[i]});
+        }
+      }
+      return true;
+    };
+    if (leases_first && !acquire()) continue;
+    txn = system_.db_.Begin();
     bool ok = spec.body(*txn);
-    if (txn->state() == sql::Transaction::State::kAborted) {
-      session_->Abort();
+    bool conflicted = txn->state() == sql::Transaction::State::kAborted;
+    if (!ok || conflicted) {
+      txn->Rollback();
+      session_->Abort();  // leaves current versions in the KVS
+      if (!conflicted) return out;
       ++out.rdbms_restarts;
       session_->Backoff();
       continue;
     }
-    if (!ok) {
-      txn->Rollback();
-      session_->Abort();  // leaves current versions in the KVS
-      return out;
-    }
-    if (cfg.placement == LeasePlacement::kInsideTxn) {
-      q = session_->Acquire(leases);
-      if (q != ClientQResult::kGranted) {
-        txn->Rollback();
-        session_->Abort();
-        CountRestart(q, &out);
-        session_->Backoff();
-        continue;
-      }
-    }
-    txn->Commit();
-    // Past this point failures are tolerable: the quarantines are in place,
-    // so even if this DaR never reaches the server the Q leases expire and
-    // delete the keys — the KVS stays a subset of the RDBMS.
-    session_->Commit();  // DaR: delete quarantined keys, release Q leases
-    out.committed = true;
-    return out;
-  }
-  return out;
-}
-
-WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
-  WriteOutcome out;
-  const CasqlConfig& cfg = system_.config_;
-  const std::size_t n = spec.updates.size();
-  std::vector<LeaseRequest> leases;
-  for (const auto& u : spec.updates) {
-    leases.push_back({u.invalidate ? LeaseRequest::Kind::kQaReg
-                                   : LeaseRequest::Kind::kQaRead,
-                      u.key});
-  }
-  for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
-    std::vector<std::optional<std::string>> olds;
-    std::vector<std::optional<std::string>> news(n);
-    std::unique_ptr<sql::Transaction> txn;
-
-    if (cfg.placement == LeasePlacement::kInsideTxn) {
-      txn = system_.db_.Begin();
-      if (!spec.body(*txn) ||
-          txn->state() == sql::Transaction::State::kAborted) {
-        bool conflicted = txn->state() == sql::Transaction::State::kAborted;
-        txn->Rollback();
-        session_->Abort();
-        if (!conflicted) return out;
-        ++out.rdbms_restarts;
-        session_->Backoff();
-        continue;
-      }
-    }
-
-    ClientQResult q = session_->Acquire(leases, &olds);
-    if (q != ClientQResult::kGranted) {
-      // Figure 5b: release every lease, roll back the RDBMS transaction,
-      // back off, restart the whole session. A transport error takes the
-      // same path — the Q lease may not be held, so committing would race
-      // unprotected against concurrent readers.
-      if (txn) txn->Rollback();
-      session_->Abort();
-      CountRestart(q, &out);
-      session_->Backoff();
-      continue;
-    }
-    std::vector<Swap> swaps;
-    for (std::size_t i = 0; i < n; ++i) {
-      const KeyUpdate& u = spec.updates[i];
-      if (u.invalidate) continue;
-      news[i] = u.refresh ? u.refresh(olds[i]) : std::nullopt;
-      swaps.push_back({u.key, news[i]});
-    }
-
-    if (cfg.placement == LeasePlacement::kPriorToTxn) {
-      txn = system_.db_.Begin();
-      if (!spec.body(*txn) ||
-          txn->state() == sql::Transaction::State::kAborted) {
-        bool conflicted = txn->state() == sql::Transaction::State::kAborted;
-        txn->Rollback();
-        session_->Abort();
-        if (!conflicted) return out;
-        ++out.rdbms_restarts;
-        session_->Backoff();
-        continue;
-      }
-    }
-
+    if (!leases_first && !acquire()) continue;
     txn->Commit();
     // Post-RDBMS-commit failures are tolerable: every impacted key holds a
-    // Q lease, and an unreleased Q lease expires server-side and deletes
-    // the key — stale values cannot survive a lost SaR/Commit. The swaps
-    // and the commit (which also deletes any quarantined, invalidate-mode
-    // keys) travel together.
+    // Q lease, and an unreleased one expires server-side and deletes its
+    // key, so no stale value survives a lost commit. The swaps travel with
+    // the commit, which also deletes the quarantined keys and applies the
+    // buffered deltas.
     session_->Commit(std::move(swaps));
-    out.committed = true;
-    return out;
-  }
-  return out;
-}
-
-WriteOutcome CasqlConnection::WriteIQIncremental(const WriteSpec& spec) {
-  WriteOutcome out;
-  const CasqlConfig& cfg = system_.config_;
-  std::vector<LeaseRequest> leases;
-  for (const auto& u : spec.updates) {
-    if (u.invalidate) {
-      leases.push_back({LeaseRequest::Kind::kQaReg, u.key});
-    } else if (u.delta) {
-      leases.push_back({LeaseRequest::Kind::kDelta, u.key, *u.delta});
-    }
-  }
-  for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
-    std::unique_ptr<sql::Transaction> txn;
-    if (cfg.placement == LeasePlacement::kInsideTxn) {
-      txn = system_.db_.Begin();
-      if (!spec.body(*txn) ||
-          txn->state() == sql::Transaction::State::kAborted) {
-        bool conflicted = txn->state() == sql::Transaction::State::kAborted;
-        txn->Rollback();
-        session_->Abort();
-        if (!conflicted) return out;
-        ++out.rdbms_restarts;
-        session_->Backoff();
-        continue;
-      }
-    }
-
-    ClientQResult q = session_->Acquire(leases);
-    if (q != ClientQResult::kGranted) {
-      if (txn) txn->Rollback();
-      session_->Abort();
-      CountRestart(q, &out);
-      session_->Backoff();
-      continue;
-    }
-
-    if (cfg.placement == LeasePlacement::kPriorToTxn) {
-      txn = system_.db_.Begin();
-      if (!spec.body(*txn) ||
-          txn->state() == sql::Transaction::State::kAborted) {
-        bool conflicted = txn->state() == sql::Transaction::State::kAborted;
-        txn->Rollback();
-        session_->Abort();
-        if (!conflicted) return out;
-        ++out.rdbms_restarts;
-        session_->Backoff();
-        continue;
-      }
-    }
-
-    txn->Commit();
-    session_->Commit();  // server applies the buffered deltas
     out.committed = true;
     return out;
   }

@@ -145,9 +145,8 @@ class CasqlConnection {
   ReadOutcome ReadLeased(const std::string& key, const ComputeFn& compute);
 
   WriteOutcome WriteBaseline(const WriteSpec& spec);
-  WriteOutcome WriteIQInvalidate(const WriteSpec& spec);
-  WriteOutcome WriteIQRefresh(const WriteSpec& spec);
-  WriteOutcome WriteIQIncremental(const WriteSpec& spec);
+  /// The IQ write session of every technique and placement.
+  WriteOutcome WriteIQ(const WriteSpec& spec);
 
   /// Recompute `key`'s value in a fresh RDBMS transaction (the paper's
   /// separate-connection approach, Section 6.2); logs it as read_db.

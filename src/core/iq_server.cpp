@@ -413,11 +413,16 @@ QuarantineResult IQServer::QaReg(SessionId tid, std::string_view key) {
       case LeaseKind::kQRefresh: {
         // Cross-technique collision: invalidation always wins because a
         // delete is always safe. Void the refresh lease - its SaR/Commit
-        // becomes a no-op - and quarantine for deletion.
+        // becomes a no-op - and quarantine for deletion. The value goes
+        // now, even under deferred delete: the voided writer may already
+        // have committed its RDBMS transaction, and its dropped swap or
+        // delta was what would have replaced the old value, which must not
+        // stay readable until this session commits.
         SessionId writer = entry->holder;
         registry_.RemoveKey(entry->holder, skey);
         leases_.Erase(g.shard_index(), skey);
         entry = nullptr;
+        store_.DeleteLocked(g, key);
         StatsFor(g).q_ref_voided.fetch_add(1, std::memory_order_relaxed);
         Trace(g, LeaseTraceKind::kQRefVoid, writer, key, now);
         break;

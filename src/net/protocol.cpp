@@ -746,7 +746,7 @@ std::optional<Response> ParseResponse(std::string_view bytes,
   if (head == "ERROR") return simple(ResponseType::kError);
   if (head == "CLIENT_ERROR") {
     resp.type = ResponseType::kError;
-    resp.message = std::string(line.substr(13));
+    resp.message = line.size() > 13 ? std::string(line.substr(13)) : "";
     *consumed = eol + 2;
     return resp;
   }

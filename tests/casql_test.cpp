@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -251,8 +252,23 @@ TEST_F(CasqlTest, MixedModeInvalidateFlagDeletesListKey) {
   EXPECT_FALSE(server_.store().Get("List"));          // invalidated
 }
 
-TEST_F(CasqlTest, RdbmsConflictRestartsSession) {
-  CasqlSystem system(db_, server_, Config(Technique::kRefresh, Consistency::kIQ));
+// ---- restart accounting, parameterized over every IQ design ---------------
+
+struct IQDesign {
+  Technique technique;
+  LeasePlacement placement;
+};
+
+class IQRestartTest : public CasqlTest,
+                      public ::testing::WithParamInterface<IQDesign> {
+ protected:
+  CasqlConfig DesignConfig() {
+    return Config(GetParam().technique, Consistency::kIQ, GetParam().placement);
+  }
+};
+
+TEST_P(IQRestartTest, RdbmsConflictRestartsSession) {
+  CasqlSystem system(db_, server_, DesignConfig());
   auto conn = system.Connect();
   conn->Read("K", ComputeK());
   // A blocker holds a write intent on the row; it commits from inside the
@@ -274,30 +290,60 @@ TEST_F(CasqlTest, RdbmsConflictRestartsSession) {
   spec.updates = AddSpec(+1).updates;
   auto out = conn->Write(spec);
   EXPECT_TRUE(out.committed);
-  EXPECT_GE(out.rdbms_restarts, 1);
+  EXPECT_EQ(out.rdbms_restarts, 1);
+  EXPECT_EQ(out.q_restarts, 0);
+  EXPECT_EQ(out.transport_restarts, 0);
   EXPECT_EQ(DbValue(), 501);
+  EXPECT_EQ(server_.LeaseCount(), 0u);
 }
 
-TEST_F(CasqlTest, QLeaseConflictRestartsAndEventuallySucceeds) {
-  CasqlConfig cfg = Config(Technique::kRefresh, Consistency::kIQ,
-                           LeasePlacement::kPriorToTxn);
-  CasqlSystem system(db_, server_, cfg);
+TEST_P(IQRestartTest, QLeaseConflictRestartsAndEventuallySucceeds) {
+  CasqlSystem system(db_, server_, DesignConfig());
   auto conn = system.Connect();
   conn->Read("K", ComputeK());
-  // Hold a Q lease on "K" from a foreign session, then release it from
-  // another thread while the session retries.
+  // A foreign session holds a Q(refresh) lease on "K". Another thread
+  // releases it once the session has been turned away, or once the session
+  // is done: a QaReg voids the lease instead of waiting behind it.
   SessionId intruder = server_.GenID();
   server_.QaRead("K", intruder);
+  std::atomic<bool> done{false};
   std::thread releaser([&] {
-    SleepFor(server_.clock(), 2 * kNanosPerMilli);
+    while (!done.load() && server_.Stats().q_rejected == 0) {
+      std::this_thread::yield();
+    }
     server_.Abort(intruder);
   });
   auto out = conn->Write(AddSpec(+50));
+  done.store(true);
   releaser.join();
   EXPECT_TRUE(out.committed);
-  EXPECT_GE(out.q_restarts, 1);
-  EXPECT_EQ(server_.store().Get("K")->value, "150");
+  EXPECT_EQ(out.rdbms_restarts, 0);
+  EXPECT_EQ(out.transport_restarts, 0);
+  if (GetParam().technique == Technique::kInvalidate) {
+    EXPECT_EQ(out.q_restarts, 0);
+    EXPECT_FALSE(server_.store().Get("K"));
+  } else {
+    EXPECT_GE(out.q_restarts, 1);
+    EXPECT_EQ(server_.store().Get("K")->value, "150");
+  }
+  EXPECT_EQ(DbValue(), 150);
+  EXPECT_EQ(server_.LeaseCount(), 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllIQDesigns, IQRestartTest,
+    ::testing::Values(
+        IQDesign{Technique::kInvalidate, LeasePlacement::kInsideTxn},
+        IQDesign{Technique::kInvalidate, LeasePlacement::kPriorToTxn},
+        IQDesign{Technique::kRefresh, LeasePlacement::kInsideTxn},
+        IQDesign{Technique::kRefresh, LeasePlacement::kPriorToTxn},
+        IQDesign{Technique::kIncremental, LeasePlacement::kInsideTxn},
+        IQDesign{Technique::kIncremental, LeasePlacement::kPriorToTxn}),
+    [](const ::testing::TestParamInfo<IQDesign>& info) {
+      return std::string(ToString(info.param.technique)) +
+             (info.param.placement == LeasePlacement::kPriorToTxn ? "Prior"
+                                                                   : "Inside");
+    });
 
 // ---- staleness auditor ---------------------------------------------------
 

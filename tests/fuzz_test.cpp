@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "check/oplog.h"
 #include "net/channel.h"
@@ -173,6 +176,27 @@ TEST_P(FuzzSeedTest, ResponseParserSurvivesRandomBytes) {
     auto resp = ParseResponse(bytes, &consumed);
     if (resp) {
       EXPECT_LE(consumed, bytes.size());
+    }
+  }
+}
+
+TEST(ResponseParserTest, EveryHeadParsesBare) {
+  // Each response head with nothing after it, alone and as a frame's only
+  // reply: the parse may wait for more bytes or succeed, but never throws
+  // and never claims more bytes than it was given.
+  for (std::string_view head :
+       {"END", "STORED", "NOT_STORED", "EXISTS", "NOT_FOUND", "DELETED", "OK",
+        "MISS_BACKOFF", "MISS_NOLEASE", "REJECT", "GRANTED", "ERROR",
+        "CLIENT_ERROR", "SERVER_ERROR", "MISS_TOKEN", "QMISS", "ID", "VALUE",
+        "QVALUE", "STAT", "METRICS", "BATCH", "TRACE", "TRACE_INFO", "7"}) {
+    const std::string line = std::string(head) + "\r\n";
+    for (const std::string& bytes : {line, "BATCH 1\r\n" + line}) {
+      std::size_t consumed = 0;
+      std::optional<Response> resp;
+      EXPECT_NO_THROW(resp = ParseResponse(bytes, &consumed)) << bytes;
+      if (resp) {
+        EXPECT_LE(consumed, bytes.size()) << bytes;
+      }
     }
   }
 }

@@ -253,6 +253,45 @@ TEST_F(IQServerTest, QaRegOverRefreshLeaseWins) {
   EXPECT_FALSE(server_.store().Get("k"));
 }
 
+// A writer W whose Q(refresh) lease a QaReg voids may already have
+// committed its RDBMS transaction: its dropped swap or discarded delta was
+// all that would have replaced the old value. So the void deletes the value
+// at once, and a read after W's commit must not hit the pre-W version while
+// the invalidator is still in flight. Parameter: W updates by delta (true)
+// or by QaRead and SaR (false).
+class QaRegVoidTest : public IQServerTest,
+                      public ::testing::WithParamInterface<bool> {};
+
+TEST_P(QaRegVoidTest, VoidedWritersOldValueIsNotServed) {
+  const bool delta = GetParam();
+  server_.store().Set("k", "10");
+  SessionId w = server_.GenID();
+  LeaseToken token = 0;
+  if (delta) {
+    ASSERT_EQ(server_.IQDelta(w, "k", DeltaOp{DeltaOp::Kind::kIncr, {}, 1}),
+              QuarantineResult::kGranted);
+  } else {
+    QaReadReply q = server_.QaRead("k", w);
+    ASSERT_EQ(q.status, QaReadReply::Status::kGranted);
+    token = q.token;
+  }
+  SessionId i = server_.GenID();
+  ASSERT_EQ(server_.QaReg(i, "k"), QuarantineResult::kGranted);
+  if (!delta) {
+    EXPECT_EQ(server_.SaR("k", "11", token), StoreResult::kNotFound);
+  }
+  server_.Commit(w);
+  GetReply during = server_.IQget("k", server_.GenID());
+  EXPECT_NE(during.value, "10");
+  EXPECT_EQ(during.status, GetReply::Status::kMissBackoff);
+  server_.Commit(i);
+  GetReply after = server_.IQget("k", server_.GenID());
+  EXPECT_EQ(after.status, GetReply::Status::kMissGrantedI);
+  EXPECT_EQ(server_.Stats().q_ref_voided, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(DeltaAndRefresh, QaRegVoidTest, ::testing::Bool());
+
 // ---- IQDelta / Commit / Abort (incremental update) ----------------------------
 
 TEST_F(IQServerTest, DeltasBufferUntilCommit) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "net/channel.h"
 #include "net/reconnecting_channel.h"
@@ -362,6 +364,29 @@ TEST(ResponseCodec, IncompleteBytesReturnNullopt) {
   std::size_t consumed = 0;
   EXPECT_FALSE(ParseResponse("VALUE k 0 100\r\nshort", &consumed));
   EXPECT_FALSE(ParseResponse("STO", &consumed));
+}
+
+TEST(ResponseCodec, BareErrorLinesParse) {
+  // An error head with no message, alone or inside a frame, parses to an
+  // empty message: a peer's bare line must not throw in the client.
+  const std::pair<std::string, ResponseType> cases[] = {
+      {"CLIENT_ERROR\r\n", ResponseType::kError},
+      {"SERVER_ERROR\r\n", ResponseType::kTransportError},
+  };
+  for (const auto& [line, type] : cases) {
+    std::size_t consumed = 0;
+    auto parsed = ParseResponse(line, &consumed);
+    ASSERT_TRUE(parsed) << line;
+    EXPECT_EQ(parsed->type, type);
+    EXPECT_TRUE(parsed->message.empty());
+    EXPECT_EQ(consumed, line.size());
+    const std::string frame = "BATCH 1\r\n" + line;
+    parsed = ParseResponse(frame, &consumed);
+    ASSERT_TRUE(parsed) << frame;
+    ASSERT_EQ(parsed->batch.size(), 1u);
+    EXPECT_EQ(parsed->batch[0].type, type);
+    EXPECT_EQ(consumed, frame.size());
+  }
 }
 
 TEST(ResponseCodec, MetricsIsASizedBlock) {
