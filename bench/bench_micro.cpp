@@ -1,11 +1,12 @@
 // Microbenchmarks (google-benchmark): raw costs of the substrate
-// operations - KVS commands, lease acquisition/release, RDBMS transactions,
-// SQL parse/execute - to back up the Table 8 claim that the lease machinery
-// adds negligible overhead to the cache hot path.
+// operations - KVS commands, lease acquisition/release, the wire codec,
+// RDBMS transactions, SQL parse/execute - to back up the Table 8 claim that
+// the lease machinery adds negligible overhead to the cache hot path.
 #include "core/iq_server.h"
 #include <benchmark/benchmark.h>
 
 #include "core/iq_client.h"
+#include "net/protocol.h"
 #include "rdbms/sql.h"
 
 namespace iq {
@@ -246,6 +247,68 @@ void BM_DeltaCommit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaCommit);
+
+// ---- wire codec ----------------------------------------------------------------
+// The codec layer below the perfbench ladder's loopback rung: each message
+// read in place (view rows) and through the owning adapter (owning rows).
+
+const std::string kIQgetRequest = "iqget user:42 7\r\n";
+const std::string kValueReply =
+    "VALUE user:42 0 100\r\n" + std::string(100, 'v') + "\r\nEND\r\n";
+const std::string kQaReadFrame =
+    "batch 3\r\nqaread a 7\r\nqaread b 7\r\nqaread c 7\r\n";
+const std::string kQaReadFrameReply = "BATCH 3\r\nQVALUE 11 100\r\n" +
+                                      std::string(100, 'a') +
+                                      "\r\nQVALUE 12 100\r\n" +
+                                      std::string(100, 'b') +
+                                      "\r\nQMISS 13\r\n";
+
+/// One request fed and taken per iteration, as a RequestView or a Request.
+template <typename RequestT>
+void ParseRequests(benchmark::State& state, const std::string& bytes) {
+  net::RequestParser parser;
+  RequestT request;
+  std::string error;
+  for (auto _ : state) {
+    parser.Feed(bytes);
+    if (parser.Next(&request, &error) != net::RequestParser::Status::kOk) {
+      state.SkipWithError("parse failed");
+      break;
+    }
+    benchmark::DoNotOptimize(request);
+  }
+}
+
+void BM_CodecRequestView(benchmark::State& state, const std::string& bytes) {
+  ParseRequests<net::RequestView>(state, bytes);
+}
+BENCHMARK_CAPTURE(BM_CodecRequestView, iqget, kIQgetRequest);
+BENCHMARK_CAPTURE(BM_CodecRequestView, batch3_qaread, kQaReadFrame);
+
+void BM_CodecRequestOwning(benchmark::State& state, const std::string& bytes) {
+  ParseRequests<net::Request>(state, bytes);
+}
+BENCHMARK_CAPTURE(BM_CodecRequestOwning, iqget, kIQgetRequest);
+BENCHMARK_CAPTURE(BM_CodecRequestOwning, batch3_qaread, kQaReadFrame);
+
+void BM_CodecReplyView(benchmark::State& state, const std::string& bytes) {
+  net::ResponseView response;
+  std::vector<net::ResponseView> batch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::ReadResponse(bytes, &response, &batch));
+  }
+}
+BENCHMARK_CAPTURE(BM_CodecReplyView, value100, kValueReply);
+BENCHMARK_CAPTURE(BM_CodecReplyView, batch3_qaread, kQaReadFrameReply);
+
+void BM_CodecReplyOwning(benchmark::State& state, const std::string& bytes) {
+  std::size_t consumed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::ParseResponse(bytes, &consumed));
+  }
+}
+BENCHMARK_CAPTURE(BM_CodecReplyOwning, value100, kValueReply);
+BENCHMARK_CAPTURE(BM_CodecReplyOwning, batch3_qaread, kQaReadFrameReply);
 
 // ---- RDBMS ---------------------------------------------------------------------
 

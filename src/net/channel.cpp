@@ -17,21 +17,21 @@ bool LoopbackChannel::RoundTrip(const std::string& request_bytes,
   {
     std::lock_guard lock(mu_);
     parser_.Feed(request_bytes);
-    Request request;
+    RequestView request;
     std::string error;
-    // A single RoundTrip may carry several pipelined requests; answer all.
+    // A single RoundTrip may carry several pipelined requests; answer all,
+    // each read in place and answered straight into *reply.
     while (true) {
       auto status = parser_.Next(&request, &error);
       if (status == RequestParser::Status::kNeedMore) break;
       if (status == RequestParser::Status::kError) {
-        Response err;
-        err.type = ResponseType::kError;
-        err.message = error;
-        *reply += Serialize(err);
+        AppendError(error, reply);
         continue;
       }
       requests_.fetch_add(1, std::memory_order_relaxed);
-      *reply += Serialize(dispatcher_.Dispatch(request));
+      // quit draws no reply, as over TCP (CountRequests agrees).
+      if (request.command == Command::kQuit) continue;
+      dispatcher_.DispatchTo(request, reply);
     }
   }
   if (latency_ > 0) SleepFor(clock_, latency_);

@@ -2,10 +2,10 @@
 // (net::RemoteBackend) and the dispatcher.
 //
 // LoopbackChannel is an in-process stand-in for a TCP connection to the
-// cache server: bytes go through the full serialize -> parse -> dispatch ->
-// serialize -> parse cycle, with optional injected round-trip latency, so
+// cache server: bytes go through the full write -> parse -> dispatch ->
+// write -> parse cycle, with optional injected round-trip latency, so
 // everything above the socket layer is exercised exactly as in a networked
-// deployment.
+// deployment (quit included: it draws no reply).
 #pragma once
 
 #include "core/iq_server.h"

@@ -1,7 +1,9 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <charconv>
 #include <unordered_map>
+#include <utility>
 
 namespace iq::net {
 namespace {
@@ -34,16 +36,27 @@ void AppendI64(std::string* out, std::int64_t v) {
   out->append(buf, p - buf);
 }
 
-std::vector<std::string_view> SplitTokens(std::string_view line) {
-  std::vector<std::string_view> out;
+/// The space-separated tokens of one line. Only the first kMax are kept;
+/// `count` counts them all, so an arity check sees every token.
+struct Tokens {
+  static constexpr std::size_t kMax = 6;  // widest fixed line: cas; VALUE
+  std::string_view tok[kMax];
+  std::size_t count = 0;
+};
+
+Tokens Tokenize(std::string_view line) {
+  Tokens t;
   std::size_t i = 0;
   while (i < line.size()) {
     while (i < line.size() && line[i] == ' ') ++i;
     std::size_t start = i;
     while (i < line.size() && line[i] != ' ') ++i;
-    if (i > start) out.push_back(line.substr(start, i - start));
+    if (i > start) {
+      if (t.count < Tokens::kMax) t.tok[t.count] = line.substr(start, i - start);
+      ++t.count;
+    }
   }
-  return out;
+  return t;
 }
 
 struct CommandInfo {
@@ -91,10 +104,12 @@ const std::unordered_map<std::string_view, CommandInfo>& CommandTable() {
 }
 
 /// Expected payload size for a storage-style command line, or nullopt for
-/// malformed lines. Fills the non-payload fields of *req.
+/// malformed lines. Fills the non-payload fields of *req; a get's keys go to
+/// *keys unless it is null.
 std::optional<std::size_t> ParseCommandLine(
-    const std::vector<std::string_view>& tok, const CommandInfo& info,
-    Request* req, std::string* error) {
+    const Tokens& tok, std::string_view line, const CommandInfo& info,
+    RequestView* req, std::vector<std::string_view>* keys,
+    std::string* error) {
   auto fail = [&](const char* msg) -> std::optional<std::size_t> {
     *error = msg;
     return std::nullopt;
@@ -105,39 +120,46 @@ std::optional<std::size_t> ParseCommandLine(
     case Command::kGets:
       // Multi-key retrieval per the real memcached protocol: one request
       // line, N keys, one END-terminated response.
-      if (tok.size() < 2) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      req->keys.reserve(tok.size() - 1);
-      for (std::size_t i = 1; i < tok.size(); ++i) {
-        req->keys.emplace_back(tok[i]);
+      if (tok.count < 2) return fail("bad argument count");
+      req->key = tok.tok[1];
+      if (keys != nullptr) {
+        keys->clear();
+        std::size_t i = static_cast<std::size_t>(tok.tok[1].data() - line.data());
+        while (i < line.size()) {
+          std::size_t start = i;
+          while (i < line.size() && line[i] != ' ') ++i;
+          if (i > start) keys->push_back(line.substr(start, i - start));
+          while (i < line.size() && line[i] == ' ') ++i;
+        }
+        req->keys = *keys;
       }
       return 0;
     case Command::kDelete:
-      if (tok.size() != 2) return fail("bad argument count");
-      req->key = std::string(tok[1]);
+      if (tok.count != 2) return fail("bad argument count");
+      req->key = tok.tok[1];
       return 0;
     case Command::kSet:
     case Command::kAdd:
     case Command::kReplace:
     case Command::kAppend:
     case Command::kPrepend: {
-      if (tok.size() != 5) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto flags = ParseU64(tok[2]);
-      auto exptime = ParseI64(tok[3]);
-      auto bytes = ParseU64(tok[4]);
+      if (tok.count != 5) return fail("bad argument count");
+      req->key = tok.tok[1];
+      auto flags = ParseU64(tok.tok[2]);
+      auto exptime = ParseI64(tok.tok[3]);
+      auto bytes = ParseU64(tok.tok[4]);
       if (!flags || !exptime || !bytes) return fail("bad numeric field");
       req->flags = static_cast<std::uint32_t>(*flags);
       req->exptime = *exptime;
       return *bytes;
     }
     case Command::kCas: {
-      if (tok.size() != 6) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto flags = ParseU64(tok[2]);
-      auto exptime = ParseI64(tok[3]);
-      auto bytes = ParseU64(tok[4]);
-      auto unique = ParseU64(tok[5]);
+      if (tok.count != 6) return fail("bad argument count");
+      req->key = tok.tok[1];
+      auto flags = ParseU64(tok.tok[2]);
+      auto exptime = ParseI64(tok.tok[3]);
+      auto bytes = ParseU64(tok.tok[4]);
+      auto unique = ParseU64(tok.tok[5]);
       if (!flags || !exptime || !bytes || !unique) return fail("bad numeric field");
       req->flags = static_cast<std::uint32_t>(*flags);
       req->exptime = *exptime;
@@ -146,9 +168,9 @@ std::optional<std::size_t> ParseCommandLine(
     }
     case Command::kIncr:
     case Command::kDecr: {
-      if (tok.size() != 3) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto amount = ParseU64(tok[2]);
+      if (tok.count != 3) return fail("bad argument count");
+      req->key = tok.tok[1];
+      auto amount = ParseU64(tok.tok[2]);
       if (!amount) return fail("bad amount");
       req->amount = *amount;
       return 0;
@@ -159,14 +181,14 @@ std::optional<std::size_t> ParseCommandLine(
     case Command::kGenId:
     case Command::kSweep:
     case Command::kMetrics:
-      if (tok.size() != 1) return fail("bad argument count");
+      if (tok.count != 1) return fail("bad argument count");
       return 0;
     case Command::kTrace: {
       // Optional event count: `trace` or `trace <n>`. 0 (or omitted) means
       // the server default.
-      if (tok.size() > 2) return fail("bad argument count");
-      if (tok.size() == 2) {
-        auto n = ParseU64(tok[1]);
+      if (tok.count > 2) return fail("bad argument count");
+      if (tok.count == 2) {
+        auto n = ParseU64(tok.tok[1]);
         if (!n) return fail("bad event count");
         req->amount = *n;
       }
@@ -174,74 +196,74 @@ std::optional<std::size_t> ParseCommandLine(
     }
     case Command::kIQGet:
     case Command::kQaRead: {
-      if (tok.size() != 3) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto session = ParseU64(tok[2]);
+      if (tok.count != 3) return fail("bad argument count");
+      req->key = tok.tok[1];
+      auto session = ParseU64(tok.tok[2]);
       if (!session) return fail("bad session id");
       req->session = *session;
       return 0;
     }
     case Command::kIQSet:
     case Command::kSaR: {
-      if (tok.size() != 4) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto token = ParseU64(tok[2]);
-      auto bytes = ParseU64(tok[3]);
+      if (tok.count != 4) return fail("bad argument count");
+      req->key = tok.tok[1];
+      auto token = ParseU64(tok.tok[2]);
+      auto bytes = ParseU64(tok.tok[3]);
       if (!token || !bytes) return fail("bad numeric field");
       req->token = *token;
       return *bytes;
     }
     case Command::kSaRNull: {
-      if (tok.size() != 3) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto token = ParseU64(tok[2]);
+      if (tok.count != 3) return fail("bad argument count");
+      req->key = tok.tok[1];
+      auto token = ParseU64(tok.tok[2]);
       if (!token) return fail("bad token");
       req->token = *token;
       return 0;
     }
     case Command::kQaReg:
     case Command::kRelease: {
-      if (tok.size() != 3) return fail("bad argument count");
-      auto tid = ParseU64(tok[1]);
+      if (tok.count != 3) return fail("bad argument count");
+      auto tid = ParseU64(tok.tok[1]);
       if (!tid) return fail("bad tid");
       req->session = *tid;
-      req->key = std::string(tok[2]);
+      req->key = tok.tok[2];
       return 0;
     }
     case Command::kDaR:
     case Command::kCommit:
     case Command::kAbort: {
-      if (tok.size() != 2) return fail("bad argument count");
-      auto tid = ParseU64(tok[1]);
+      if (tok.count != 2) return fail("bad argument count");
+      auto tid = ParseU64(tok.tok[1]);
       if (!tid) return fail("bad tid");
       req->session = *tid;
       return 0;
     }
     case Command::kIQAppend:
     case Command::kIQPrepend: {
-      if (tok.size() != 4) return fail("bad argument count");
-      auto tid = ParseU64(tok[1]);
-      auto bytes = ParseU64(tok[3]);
+      if (tok.count != 4) return fail("bad argument count");
+      auto tid = ParseU64(tok.tok[1]);
+      auto bytes = ParseU64(tok.tok[3]);
       if (!tid || !bytes) return fail("bad numeric field");
       req->session = *tid;
-      req->key = std::string(tok[2]);
+      req->key = tok.tok[2];
       return *bytes;
     }
     case Command::kIQIncr:
     case Command::kIQDecr: {
-      if (tok.size() != 4) return fail("bad argument count");
-      auto tid = ParseU64(tok[1]);
-      auto amount = ParseU64(tok[3]);
+      if (tok.count != 4) return fail("bad argument count");
+      auto tid = ParseU64(tok.tok[1]);
+      auto amount = ParseU64(tok.tok[3]);
       if (!tid || !amount) return fail("bad numeric field");
       req->session = *tid;
-      req->key = std::string(tok[2]);
+      req->key = tok.tok[2];
       req->amount = *amount;
       return 0;
     }
     case Command::kBatch: {
       // The header only; RequestParser::Next collects the framed requests.
-      if (tok.size() != 2) return fail("bad argument count");
-      auto n = ParseU64(tok[1]);
+      if (tok.count != 2) return fail("bad argument count");
+      auto n = ParseU64(tok.tok[1]);
       if (!n || *n == 0) return fail("bad request count");
       req->amount = *n;
       return 0;
@@ -309,36 +331,33 @@ bool IsBatchable(Command c) {
   }
 }
 
-void RequestParser::ConsumeTo(std::size_t end) {
-  pos_ = end;
-  if (pos_ == buffer_.size()) {
-    buffer_.clear();
-    pos_ = 0;
-  } else if (pos_ > buffer_.size() / 2) {
-    buffer_.erase(0, pos_);  // one memmove of the unconsumed tail
-    pos_ = 0;
-  }
-}
+namespace {
 
-RequestParser::Status RequestParser::ParseAt(std::size_t at, Request* out,
-                                             std::string* error,
-                                             std::size_t* end) const {
-  std::size_t eol = buffer_.find("\r\n", at);
-  if (eol == std::string::npos) return Status::kNeedMore;
-  std::string_view line(buffer_.data() + at, eol - at);
-  auto tokens = SplitTokens(line);
+/// Parse the one request (a frame's header line alone) starting at offset
+/// `at` of `buf`, without consuming it. On kOk and kError, *end is where the
+/// next request starts (for kError, the resync point past the bad line or
+/// block).
+RequestParser::Status ParseLine(std::string_view buf, std::size_t at,
+                                RequestView* out,
+                                std::vector<std::string_view>* keys,
+                                std::string* error, std::size_t* end) {
+  using Status = RequestParser::Status;
+  std::size_t eol = buf.find("\r\n", at);
+  if (eol == std::string_view::npos) return Status::kNeedMore;
+  std::string_view line = buf.substr(at, eol - at);
+  Tokens tokens = Tokenize(line);
   *end = eol + 2;
-  if (tokens.empty()) {
+  if (tokens.count == 0) {
     *error = "empty command line";
     return Status::kError;
   }
-  auto it = CommandTable().find(tokens[0]);
+  auto it = CommandTable().find(tokens.tok[0]);
   if (it == CommandTable().end()) {
-    *error = "unknown command '" + std::string(tokens[0]) + "'";
+    *error = "unknown command '" + std::string(tokens.tok[0]) + "'";
     return Status::kError;
   }
-  Request req;
-  auto payload = ParseCommandLine(tokens, it->second, &req, error);
+  *out = RequestView{};
+  auto payload = ParseCommandLine(tokens, line, it->second, out, keys, error);
   if (!payload) return Status::kError;
   if (it->second.has_payload) {
     std::size_t need = *payload;
@@ -352,79 +371,27 @@ RequestParser::Status RequestParser::ParseAt(std::size_t at, Request* out,
     }
     // Data block: <need> bytes followed by \r\n. `avail`-style comparisons
     // keep the arithmetic overflow-free even if the cap above ever moves.
-    std::size_t avail = buffer_.size() - (eol + 2);
+    std::size_t avail = buf.size() - (eol + 2);
     if (avail < need || avail - need < 2) return Status::kNeedMore;
     *end = eol + 2 + need + 2;
-    if (buffer_[eol + 2 + need] != '\r' || buffer_[eol + 2 + need + 1] != '\n') {
+    if (buf[eol + 2 + need] != '\r' || buf[eol + 2 + need + 1] != '\n') {
       *error = "bad data chunk terminator";
       return Status::kError;
     }
-    req.data = buffer_.substr(eol + 2, need);
+    out->data = buf.substr(eol + 2, need);
   }
-  *out = std::move(req);
   return Status::kOk;
 }
 
-RequestParser::Status RequestParser::Next(Request* out, std::string* error) {
-  if (frame_.open) return NextInFrame(out, error);
-  Request req;
-  std::size_t end = 0;
-  Status status = ParseAt(pos_, &req, error, &end);
-  if (status == Status::kNeedMore) return status;
-  if (status == Status::kOk && req.command == Command::kBatch) {
-    frame_.open = true;
-    frame_.count = req.amount;
-    frame_.cursor = end;
-    frame_.request.command = Command::kBatch;
-    if (frame_.count > kMaxBatchRequests) {
-      frame_.error = "batch: more than " + std::to_string(kMaxBatchRequests) +
-                     " requests";
-    }
-    return NextInFrame(out, error);
+bool CarriableKey(std::string_view key) {
+  for (char c : key) {
+    if (c == ' ' || c == '\r' || c == '\n') return false;
   }
-  ConsumeTo(end);
-  if (status == Status::kOk) *out = std::move(req);
-  return status;
+  return !key.empty();
 }
 
-RequestParser::Status RequestParser::NextInFrame(Request* out,
-                                                 std::string* error) {
-  // The frame's bytes stay buffered (pos_ does not move), so the cursor
-  // survives later Feed()s. After a failure the rest of the frame is only
-  // skipped: a failed frame executes nothing.
-  Request inner;
-  std::string inner_error;
-  while (frame_.scanned < frame_.count) {
-    std::size_t end = 0;
-    Status status = ParseAt(frame_.cursor, &inner, &inner_error, &end);
-    if (status == Status::kNeedMore) return status;
-    if (frame_.error.empty()) {
-      if (status == Status::kError) {
-        frame_.error = "batch: " + inner_error;
-      } else if (!IsBatchable(inner.command)) {
-        frame_.error = std::string("batch: '") + ToString(inner.command) +
-                       "' cannot be batched";
-      } else {
-        frame_.request.batch.push_back(std::move(inner));
-      }
-    }
-    frame_.cursor = end;
-    ++frame_.scanned;
-  }
-  Status result = Status::kOk;
-  if (frame_.error.empty()) {
-    *out = std::move(frame_.request);
-  } else {
-    *error = std::move(frame_.error);
-    result = Status::kError;
-  }
-  std::size_t end = frame_.cursor;
-  frame_ = Frame{};
-  ConsumeTo(end);
-  return result;
-}
-
-void AppendTo(const Request& r, std::string* out) {
+/// The request writer behind AppendTo, once CanCarry has passed.
+void AppendRequest(const RequestView& r, std::string* out) {
   auto data_block = [&] {
     out->push_back(' ');
     AppendU64(out, r.data.size());
@@ -446,7 +413,7 @@ void AppendTo(const Request& r, std::string* out) {
         out->push_back(' ');
         out->append(r.key);
       } else {
-        for (const std::string& k : r.keys) {
+        for (std::string_view k : r.keys) {
           out->push_back(' ');
           out->append(k);
         }
@@ -574,61 +541,257 @@ void AppendTo(const Request& r, std::string* out) {
       out->append("batch ");
       AppendU64(out, r.batch.size());
       out->append("\r\n");
-      for (const Request& inner : r.batch) AppendTo(inner, out);
+      for (const RequestView& inner : r.batch) AppendRequest(inner, out);
       return;
   }
 }
 
-std::string Serialize(const Request& r) {
-  std::string out;
-  AppendTo(r, &out);
-  return out;
-}
-
-namespace {
-
-void AppendValueBlock(std::string* out, const std::string& key,
-                      const std::string& data, std::uint32_t flags,
-                      bool with_cas, std::uint64_t cas_unique,
-                      std::uint64_t ttl_ns) {
-  out->append("VALUE ");
-  out->append(key);
-  out->push_back(' ');
-  AppendU64(out, flags);
-  out->push_back(' ');
-  AppendU64(out, data.size());
-  if (with_cas) {
-    out->push_back(' ');
-    AppendU64(out, cas_unique);
-  }
-  if (ttl_ns != 0) {
-    // Near-cache validity duration. The 'T' prefix keeps the token
-    // non-numeric, so pre-TTL parsers skip it instead of mistaking it for
-    // a cas unique.
-    out->append(" T");
-    AppendU64(out, ttl_ns);
-  }
-  out->append("\r\n");
-  out->append(data);
-  out->append("\r\n");
+/// An owning copy of `v`.
+Request ToRequest(const RequestView& v) {
+  Request r;
+  r.command = v.command;
+  r.key = v.key;
+  for (std::string_view k : v.keys) r.keys.emplace_back(k);
+  r.data = v.data;
+  r.flags = v.flags;
+  r.exptime = v.exptime;
+  r.cas_unique = v.cas_unique;
+  r.amount = v.amount;
+  r.token = v.token;
+  r.session = v.session;
+  for (const RequestView& inner : v.batch) r.batch.push_back(ToRequest(inner));
+  return r;
 }
 
 }  // namespace
 
-void AppendTo(const Response& r, std::string* out) {
-  switch (r.type) {
-    case ResponseType::kValue:
-      if (!r.values.empty()) {
-        for (const ValueEntry& v : r.values) {
-          AppendValueBlock(out, v.key, v.data, v.flags, r.with_cas,
-                           v.cas_unique, v.ttl_ns);
-        }
-      } else {
-        AppendValueBlock(out, r.key, r.data, r.flags, r.with_cas,
-                         r.cas_unique, r.ttl_ns);
+void RequestParser::Compact() {
+  if (frame_.open) return;
+  if (pos_ == buffer_.size()) {
+    buffer_.clear();
+    pos_ = 0;
+  } else if (pos_ > buffer_.size() / 2) {
+    buffer_.erase(0, pos_);  // one memmove of the unconsumed tail
+    pos_ = 0;
+  }
+}
+
+RequestParser::Status RequestParser::Next(RequestView* out,
+                                          std::string* error) {
+  Compact();
+  return Scan(buffer_, out, error, /*keep=*/true);
+}
+
+RequestParser::Status RequestParser::Next(Request* out, std::string* error) {
+  RequestView view;
+  Status status = Next(&view, error);
+  if (status == Status::kOk) *out = ToRequest(view);
+  return status;
+}
+
+RequestParser::Status RequestParser::Scan(std::string_view buf,
+                                          RequestView* out,
+                                          std::string* error, bool keep) {
+  if (!frame_.open) {
+    std::size_t end = 0;
+    Status status =
+        ParseLine(buf, pos_, out, keep ? &keys_ : nullptr, error, &end);
+    if (status == Status::kNeedMore) return status;
+    if (status == Status::kError || out->command != Command::kBatch) {
+      pos_ = end;
+      return status;
+    }
+    frame_.open = true;
+    frame_.count = out->amount;
+    frame_.cursor = end;
+    pending_.clear();
+    if (frame_.count > kMaxBatchRequests) {
+      frame_.error = "batch: more than " + std::to_string(kMaxBatchRequests) +
+                     " requests";
+    }
+  }
+  // The frame's bytes stay buffered (pos_ does not move), so the cursor and
+  // the offsets survive later Feed()s. After a failure the rest of the
+  // frame is only skipped: a failed frame executes nothing, and a huge
+  // claimed count costs only its bytes.
+  auto slice = [&](std::string_view v) {
+    return v.empty() ? Slice{}
+                     : Slice{static_cast<std::size_t>(v.data() - buf.data()),
+                             v.size()};
+  };
+  RequestView inner;
+  std::string inner_error;
+  while (frame_.scanned < frame_.count) {
+    std::size_t end = 0;
+    Status status =
+        ParseLine(buf, frame_.cursor, &inner, nullptr, &inner_error, &end);
+    if (status == Status::kNeedMore) return status;
+    if (frame_.error.empty()) {
+      if (status == Status::kError) {
+        frame_.error = "batch: " + inner_error;
+      } else if (!IsBatchable(inner.command)) {
+        frame_.error = std::string("batch: '") + ToString(inner.command) +
+                       "' cannot be batched";
+      } else if (keep) {
+        Pending p{inner, slice(inner.key), slice(inner.data)};
+        p.request.key = {};
+        p.request.data = {};
+        pending_.push_back(p);
       }
+    }
+    frame_.cursor = end;
+    ++frame_.scanned;
+  }
+  Status result = Status::kOk;
+  if (frame_.error.empty()) {
+    batch_.clear();
+    for (const Pending& p : pending_) {
+      batch_.push_back(p.request);
+      batch_.back().key = buf.substr(p.key.at, p.key.size);
+      batch_.back().data = buf.substr(p.data.at, p.data.size);
+    }
+    *out = RequestView{};
+    out->command = Command::kBatch;
+    out->amount = frame_.count;
+    out->batch = batch_;
+  } else {
+    *error = std::move(frame_.error);
+    result = Status::kError;
+  }
+  pos_ = frame_.cursor;
+  frame_ = Frame{};
+  return result;
+}
+
+std::size_t CountRequests(std::string_view bytes) {
+  RequestParser scanner;  // never fed: scans `bytes` in place
+  RequestView request;
+  std::string error;
+  std::size_t count = 0;
+  while (true) {
+    auto status = scanner.Scan(bytes, &request, &error, /*keep=*/false);
+    if (status == RequestParser::Status::kNeedMore) return count;
+    if (status == RequestParser::Status::kOk &&
+        request.command == Command::kQuit) {
+      continue;  // the server closes without replying
+    }
+    ++count;  // kError also draws one CLIENT_ERROR response
+  }
+}
+
+bool CanCarry(const RequestView& r) {
+  switch (r.command) {
+    case Command::kGet:
+    case Command::kGets:
+      if (r.keys.empty()) return CarriableKey(r.key);
+      for (std::string_view k : r.keys) {
+        if (!CarriableKey(k)) return false;
+      }
+      return true;
+    case Command::kBatch:
+      for (const RequestView& inner : r.batch) {
+        if (!CanCarry(inner)) return false;
+      }
+      return true;
+    case Command::kFlushAll:
+    case Command::kStats:
+    case Command::kQuit:
+    case Command::kGenId:
+    case Command::kDaR:
+    case Command::kCommit:
+    case Command::kAbort:
+    case Command::kSweep:
+    case Command::kMetrics:
+    case Command::kTrace:
+      return true;
+    default:
+      return CarriableKey(r.key);
+  }
+}
+
+bool AppendTo(const RequestView& request, std::string* out) {
+  if (!CanCarry(request)) return false;
+  AppendRequest(request, out);
+  return true;
+}
+
+RequestView ViewOf(const Request& r, std::vector<std::string_view>* keys,
+                   std::vector<RequestView>* batch) {
+  RequestView v;
+  v.command = r.command;
+  v.key = r.key;
+  v.data = r.data;
+  v.flags = r.flags;
+  v.exptime = r.exptime;
+  v.cas_unique = r.cas_unique;
+  v.amount = r.amount;
+  v.token = r.token;
+  v.session = r.session;
+  if (keys != nullptr && !r.keys.empty()) {
+    keys->assign(r.keys.begin(), r.keys.end());
+    v.keys = *keys;
+  }
+  if (batch != nullptr && !r.batch.empty()) {
+    batch->clear();
+    for (const Request& inner : r.batch) {
+      batch->push_back(ViewOf(inner, nullptr, nullptr));
+    }
+    v.batch = *batch;
+  }
+  return v;
+}
+
+bool AppendTo(const Request& request, std::string* out) {
+  std::vector<std::string_view> keys;
+  std::vector<RequestView> batch;
+  return AppendTo(ViewOf(request, &keys, &batch), out);
+}
+
+std::string Serialize(const Request& request) {
+  std::string out;
+  AppendTo(request, &out);
+  return out;
+}
+
+// ---- responses ----------------------------------------------------------------
+
+void AppendValueBlock(const ValueView& v, std::string* out) {
+  out->append("VALUE ");
+  out->append(v.key);
+  out->push_back(' ');
+  AppendU64(out, v.flags);
+  out->push_back(' ');
+  AppendU64(out, v.data.size());
+  if (v.with_cas) {
+    out->push_back(' ');
+    AppendU64(out, v.cas_unique);
+  }
+  if (v.ttl_ns != 0) {
+    // Near-cache validity duration. The 'T' prefix keeps the token
+    // non-numeric, so pre-TTL parsers skip it instead of mistaking it for
+    // a cas unique.
+    out->append(" T");
+    AppendU64(out, v.ttl_ns);
+  }
+  out->append("\r\n");
+  out->append(v.data);
+  out->append("\r\n");
+}
+
+void AppendTo(const ResponseView& r, std::string* out) {
+  switch (r.type) {
+    case ResponseType::kValue: {
+      ValueView v;
+      v.key = r.key;
+      v.data = r.data;
+      v.flags = r.flags;
+      v.cas_unique = r.cas_unique;
+      v.with_cas = r.with_cas;
+      v.ttl_ns = r.ttl_ns;
+      AppendValueBlock(v, out);
       out->append("END\r\n");
       return;
+    }
     case ResponseType::kEnd: out->append("END\r\n"); return;
     case ResponseType::kStored: out->append("STORED\r\n"); return;
     case ResponseType::kNotStored: out->append("NOT_STORED\r\n"); return;
@@ -705,11 +868,117 @@ void AppendTo(const Response& r, std::string* out) {
       return;
     case ResponseType::kBatch:
       out->append("BATCH ");
-      AppendU64(out, r.batch.size());
+      AppendU64(out, r.number);
       out->append("\r\n");
-      for (const Response& inner : r.batch) AppendTo(inner, out);
       return;
   }
+}
+
+void AppendError(std::string_view message, std::string* out) {
+  ResponseView error;
+  error.type = ResponseType::kError;
+  error.message = message;
+  AppendTo(error, out);
+}
+
+namespace {
+
+ResponseView ViewOf(const Response& r) {
+  ResponseView v;
+  v.type = r.type;
+  v.key = r.key;
+  v.data = r.data;
+  v.flags = r.flags;
+  v.cas_unique = r.cas_unique;
+  v.with_cas = r.with_cas;
+  v.ttl_ns = r.ttl_ns;
+  v.number = r.type == ResponseType::kBatch ? r.batch.size() : r.number;
+  v.message = r.message;
+  return v;
+}
+
+Response ToResponse(const ResponseView& v) {
+  Response r;
+  r.type = v.type;
+  r.key = v.key;
+  r.data = v.data;
+  r.flags = v.flags;
+  r.cas_unique = v.cas_unique;
+  r.with_cas = v.with_cas;
+  r.ttl_ns = v.ttl_ns;
+  r.number = v.number;
+  r.message = v.message;
+  std::string_view blocks = v.values;
+  ValueView e;
+  while (NextValue(&blocks, &e)) {
+    r.values.push_back({std::string(e.key), std::string(e.data), e.flags,
+                        e.cas_unique, e.ttl_ns});
+  }
+  return r;
+}
+
+/// The VALUE block at the front of `bytes`, whose line ends at `eol` and
+/// tokenizes as `t`. Returns the offset past its data block, or 0 when the
+/// block is malformed or not yet whole.
+std::size_t ReadValueBlock(std::string_view bytes, std::size_t eol,
+                           const Tokens& t, ValueView* out) {
+  if (t.count < 4 || t.tok[0] != "VALUE") return 0;
+  auto flags = ParseU64(t.tok[2]);
+  auto size = ParseU64(t.tok[3]);
+  if (!flags || !size || *size > kMaxPayloadBytes) return 0;
+  std::size_t avail = bytes.size() - (eol + 2);
+  if (avail < *size || avail - *size < 2) return 0;
+  *out = ValueView{};
+  out->key = t.tok[1];
+  out->flags = static_cast<std::uint32_t>(*flags);
+  out->data = bytes.substr(eol + 2, *size);
+  for (std::size_t i = 4; i < std::min(t.count, Tokens::kMax); ++i) {
+    if (t.tok[i][0] == 'T') {
+      // Trailing near-cache validity duration (see protocol.h).
+      if (auto ttl = ParseU64(t.tok[i].substr(1))) out->ttl_ns = *ttl;
+    } else if (auto cas = ParseU64(t.tok[i])) {
+      out->cas_unique = *cas;
+      out->with_cas = true;
+    }
+  }
+  return eol + 2 + *size + 2;
+}
+
+/// The response heads that are the whole response.
+constexpr std::pair<std::string_view, ResponseType> kBareHeads[] = {
+    {"END", ResponseType::kEnd},
+    {"STORED", ResponseType::kStored},
+    {"NOT_STORED", ResponseType::kNotStored},
+    {"EXISTS", ResponseType::kExists},
+    {"NOT_FOUND", ResponseType::kNotFound},
+    {"DELETED", ResponseType::kDeleted},
+    {"OK", ResponseType::kOk},
+    {"MISS_BACKOFF", ResponseType::kMissBackoff},
+    {"MISS_NOLEASE", ResponseType::kMissNoLease},
+    {"REJECT", ResponseType::kReject},
+    {"GRANTED", ResponseType::kGranted},
+    {"ERROR", ResponseType::kError},
+};
+
+}  // namespace
+
+void AppendTo(const Response& r, std::string* out) {
+  if (r.type == ResponseType::kValue && !r.values.empty()) {
+    for (const ValueEntry& e : r.values) {
+      ValueView v;
+      v.key = e.key;
+      v.data = e.data;
+      v.flags = e.flags;
+      v.cas_unique = e.cas_unique;
+      v.with_cas = r.with_cas;
+      v.ttl_ns = e.ttl_ns;
+      AppendValueBlock(v, out);
+    }
+    out->append("END\r\n");
+    return;
+  }
+  AppendTo(ViewOf(r), out);
+  for (const Response& inner : r.batch) AppendTo(inner, out);
 }
 
 std::string Serialize(const Response& r) {
@@ -718,170 +987,150 @@ std::string Serialize(const Response& r) {
   return out;
 }
 
-std::optional<Response> ParseResponse(std::string_view bytes,
-                                      std::size_t* consumed) {
+bool NextValue(std::string_view* blocks, ValueView* out) {
+  std::size_t eol = blocks->find("\r\n");
+  if (eol == std::string_view::npos) return false;
+  std::size_t end =
+      ReadValueBlock(*blocks, eol, Tokenize(blocks->substr(0, eol)), out);
+  if (end == 0) return false;
+  blocks->remove_prefix(end);
+  return true;
+}
+
+std::size_t ReadResponse(std::string_view bytes, ResponseView* out,
+                         std::vector<ResponseView>* batch) {
   std::size_t eol = bytes.find("\r\n");
-  if (eol == std::string_view::npos) return std::nullopt;
+  if (eol == std::string_view::npos) return 0;
   std::string_view line = bytes.substr(0, eol);
-  auto tokens = SplitTokens(line);
-  if (tokens.empty()) return std::nullopt;
-  Response resp;
-  auto simple = [&](ResponseType t) {
-    resp.type = t;
-    *consumed = eol + 2;
-    return resp;
+  Tokens tokens = Tokenize(line);
+  if (tokens.count == 0) return 0;
+  *out = ResponseView{};
+  const std::size_t line_end = eol + 2;
+  const std::string_view head = tokens.tok[0];
+  // The sized data block after the head line: its end, or 0.
+  auto block_end = [&](std::optional<std::uint64_t> size) -> std::size_t {
+    if (!size || *size > kMaxPayloadBytes) return 0;
+    std::size_t avail = bytes.size() - line_end;
+    if (avail < *size || avail - *size < 2) return 0;
+    out->data = bytes.substr(line_end, *size);
+    return line_end + *size + 2;
   };
-  std::string_view head = tokens[0];
-  if (head == "END") return simple(ResponseType::kEnd);
-  if (head == "STORED") return simple(ResponseType::kStored);
-  if (head == "NOT_STORED") return simple(ResponseType::kNotStored);
-  if (head == "EXISTS") return simple(ResponseType::kExists);
-  if (head == "NOT_FOUND") return simple(ResponseType::kNotFound);
-  if (head == "DELETED") return simple(ResponseType::kDeleted);
-  if (head == "OK") return simple(ResponseType::kOk);
-  if (head == "MISS_BACKOFF") return simple(ResponseType::kMissBackoff);
-  if (head == "MISS_NOLEASE") return simple(ResponseType::kMissNoLease);
-  if (head == "REJECT") return simple(ResponseType::kReject);
-  if (head == "GRANTED") return simple(ResponseType::kGranted);
-  if (head == "ERROR") return simple(ResponseType::kError);
-  if (head == "CLIENT_ERROR") {
-    resp.type = ResponseType::kError;
-    resp.message = line.size() > 13 ? std::string(line.substr(13)) : "";
-    *consumed = eol + 2;
-    return resp;
-  }
-  if (head == "SERVER_ERROR") {
-    resp.type = ResponseType::kTransportError;
-    resp.message = line.size() > 13 ? std::string(line.substr(13)) : "";
-    *consumed = eol + 2;
-    return resp;
-  }
-  if (head == "MISS_TOKEN" || head == "QMISS" || head == "ID") {
-    if (tokens.size() != 2) return std::nullopt;
-    auto n = ParseU64(tokens[1]);
-    if (!n) return std::nullopt;
-    resp.type = head == "MISS_TOKEN" ? ResponseType::kMissToken
-                : head == "QMISS"    ? ResponseType::kQMiss
-                                     : ResponseType::kId;
-    resp.number = *n;
-    *consumed = eol + 2;
-    return resp;
-  }
+  // STAT and TRACE lines run to END, one response.
+  auto lines_to_end = [&](ResponseType type) -> std::size_t {
+    std::size_t end = bytes.find("END\r\n");
+    if (end == std::string_view::npos) return 0;
+    out->type = type;
+    out->message = bytes.substr(0, end);
+    return end + 5;
+  };
   if (head == "VALUE") {
-    // One or more VALUE blocks (multi-key get), terminated by END.
-    resp.type = ResponseType::kValue;
-    std::size_t off = 0;
+    // One or more VALUE blocks (multi-key get), terminated by END. The
+    // first block's fields are mirrored into the single-value fields.
+    out->type = ResponseType::kValue;
+    std::size_t at = 0;
+    std::size_t block_eol = eol;
     while (true) {
-      if (bytes.size() - off >= 5 && bytes.compare(off, 5, "END\r\n") == 0) {
-        *consumed = off + 5;
-        break;
+      ValueView v;
+      std::size_t end = ReadValueBlock(bytes.substr(at), block_eol - at,
+                                       tokens, &v);
+      if (end == 0) return 0;
+      if (at == 0) {
+        out->key = v.key;
+        out->data = v.data;
+        out->flags = v.flags;
+        out->cas_unique = v.cas_unique;
+        out->ttl_ns = v.ttl_ns;
       }
-      std::size_t block_eol = bytes.find("\r\n", off);
-      if (block_eol == std::string_view::npos) return std::nullopt;
-      auto btok = SplitTokens(bytes.substr(off, block_eol - off));
-      if (btok.size() < 4 || btok[0] != "VALUE") return std::nullopt;
-      auto flags = ParseU64(btok[2]);
-      auto size = ParseU64(btok[3]);
-      if (!flags || !size || *size > kMaxPayloadBytes) return std::nullopt;
-      std::size_t avail = bytes.size() - (block_eol + 2);
-      if (avail < *size || avail - *size < 2) return std::nullopt;
-      std::size_t data_end = block_eol + 2 + *size + 2;
-      ValueEntry entry;
-      entry.key = std::string(btok[1]);
-      entry.flags = static_cast<std::uint32_t>(*flags);
-      entry.data = std::string(bytes.substr(block_eol + 2, *size));
-      for (std::size_t i = 4; i < btok.size(); ++i) {
-        if (!btok[i].empty() && btok[i][0] == 'T') {
-          // Trailing near-cache validity duration (see protocol.h).
-          if (auto ttl = ParseU64(btok[i].substr(1))) entry.ttl_ns = *ttl;
-        } else if (auto cas = ParseU64(btok[i])) {
-          entry.cas_unique = *cas;
-          resp.with_cas = true;
-        }
+      out->with_cas = out->with_cas || v.with_cas;
+      at += end;
+      if (bytes.substr(at).starts_with("END\r\n")) {
+        out->values = bytes.substr(0, at);
+        return at + 5;
       }
-      resp.values.push_back(std::move(entry));
-      off = data_end;
+      block_eol = bytes.find("\r\n", at);
+      if (block_eol == std::string_view::npos) return 0;
+      tokens = Tokenize(bytes.substr(at, block_eol - at));
     }
-    // Mirror the first hit into the single-value fields so single-key
-    // callers (get/gets/iqget) keep reading resp.data as before.
-    resp.key = resp.values.front().key;
-    resp.flags = resp.values.front().flags;
-    resp.cas_unique = resp.values.front().cas_unique;
-    resp.ttl_ns = resp.values.front().ttl_ns;
-    resp.data = resp.values.front().data;
-    return resp;
+  }
+  for (const auto& [text, type] : kBareHeads) {
+    if (head == text) {
+      out->type = type;
+      return line_end;
+    }
   }
   if (head == "QVALUE") {
-    if (tokens.size() != 3) return std::nullopt;
-    auto token = ParseU64(tokens[1]);
-    auto size = ParseU64(tokens[2]);
-    if (!token || !size || *size > kMaxPayloadBytes) return std::nullopt;
-    std::size_t avail = bytes.size() - (eol + 2);
-    if (avail < *size || avail - *size < 2) return std::nullopt;
-    std::size_t total = eol + 2 + *size + 2;
-    resp.type = ResponseType::kQValue;
-    resp.number = *token;
-    resp.data = std::string(bytes.substr(eol + 2, *size));
-    *consumed = total;
-    return resp;
+    if (tokens.count != 3) return 0;
+    auto token = ParseU64(tokens.tok[1]);
+    if (!token) return 0;
+    out->type = ResponseType::kQValue;
+    out->number = *token;
+    return block_end(ParseU64(tokens.tok[2]));
   }
-  if (head == "STAT") {
-    // Collect STAT lines up to END.
-    std::size_t end = bytes.find("END\r\n");
-    if (end == std::string_view::npos) return std::nullopt;
-    resp.type = ResponseType::kStats;
-    resp.message = std::string(bytes.substr(0, end));
-    *consumed = end + 5;
-    return resp;
+  if (head == "MISS_TOKEN" || head == "QMISS" || head == "ID") {
+    if (tokens.count != 2) return 0;
+    auto n = ParseU64(tokens.tok[1]);
+    if (!n) return 0;
+    out->type = head == "MISS_TOKEN" ? ResponseType::kMissToken
+                : head == "QMISS"    ? ResponseType::kQMiss
+                                     : ResponseType::kId;
+    out->number = *n;
+    return line_end;
   }
-  if (head == "METRICS") {
-    if (tokens.size() != 2) return std::nullopt;
-    auto size = ParseU64(tokens[1]);
-    if (!size || *size > kMaxPayloadBytes) return std::nullopt;
-    std::size_t avail = bytes.size() - (eol + 2);
-    if (avail < *size || avail - *size < 2) return std::nullopt;
-    resp.type = ResponseType::kMetrics;
-    resp.data = std::string(bytes.substr(eol + 2, *size));
-    *consumed = eol + 2 + *size + 2;
-    return resp;
+  if (head == "CLIENT_ERROR" || head == "SERVER_ERROR") {
+    out->type = head == "CLIENT_ERROR" ? ResponseType::kError
+                                       : ResponseType::kTransportError;
+    if (line.size() > 13) out->message = line.substr(13);
+    return line_end;
   }
   if (head == "BATCH") {
-    if (tokens.size() != 2) return std::nullopt;
-    auto n = ParseU64(tokens[1]);
-    if (!n) return std::nullopt;
+    if (tokens.count != 2) return 0;
+    auto n = ParseU64(tokens.tok[1]);
+    if (!n) return 0;
     // No reserve(*n): the count is the peer's claim, the bytes are not.
-    resp.type = ResponseType::kBatch;
-    std::size_t off = eol + 2;
+    if (batch != nullptr) batch->clear();
+    std::size_t off = line_end;
     for (std::uint64_t i = 0; i < *n; ++i) {
       std::string_view rest = bytes.substr(off);
       // Frames never nest; refusing one keeps the parse non-recursive.
-      if (rest.starts_with("BATCH")) return std::nullopt;
-      std::size_t used = 0;
-      auto inner = ParseResponse(rest, &used);
-      if (!inner) return std::nullopt;
-      resp.batch.push_back(std::move(*inner));
+      if (rest.starts_with("BATCH")) return 0;
+      ResponseView inner;
+      std::size_t used = ReadResponse(rest, &inner, nullptr);
+      if (used == 0) return 0;
+      if (batch != nullptr) batch->push_back(inner);
       off += used;
     }
-    *consumed = off;
-    return resp;
+    out->type = ResponseType::kBatch;
+    out->number = *n;
+    return off;
   }
+  if (head == "STAT") return lines_to_end(ResponseType::kStats);
   if (head == "TRACE" || head == "TRACE_INFO") {
-    // Collect TRACE_INFO/TRACE lines up to END (same shape as STAT).
-    std::size_t end = bytes.find("END\r\n");
-    if (end == std::string_view::npos) return std::nullopt;
-    resp.type = ResponseType::kTrace;
-    resp.message = std::string(bytes.substr(0, end));
-    *consumed = end + 5;
-    return resp;
+    return lines_to_end(ResponseType::kTrace);
+  }
+  if (head == "METRICS") {
+    if (tokens.count != 2) return 0;
+    out->type = ResponseType::kMetrics;
+    return block_end(ParseU64(tokens.tok[1]));
   }
   // A bare number (incr/decr result).
-  if (auto n = ParseU64(head); n && tokens.size() == 1) {
-    resp.type = ResponseType::kNumber;
-    resp.number = *n;
-    *consumed = eol + 2;
-    return resp;
+  if (auto n = ParseU64(head); n && tokens.count == 1) {
+    out->type = ResponseType::kNumber;
+    out->number = *n;
+    return line_end;
   }
-  return std::nullopt;
+  return 0;
+}
+
+std::optional<Response> ParseResponse(std::string_view bytes,
+                                      std::size_t* consumed) {
+  ResponseView view;
+  std::vector<ResponseView> batch;
+  std::size_t used = ReadResponse(bytes, &view, &batch);
+  if (used == 0) return std::nullopt;
+  *consumed = used;
+  Response resp = ToResponse(view);
+  for (const ResponseView& inner : batch) resp.batch.push_back(ToResponse(inner));
+  return resp;
 }
 
 }  // namespace iq::net

@@ -58,11 +58,15 @@
 //      malformed or of any other verb, fails the whole frame: nothing
 //      executes and the frame draws one CLIENT_ERROR. See DESIGN.md §4.11.)
 //
-// The parser is incremental: feed bytes, take complete requests.
+// The parser is incremental: feed bytes, take complete requests. Both
+// directions are read in place (RequestView, ResponseView) and written
+// straight into a caller's reused buffer; the owning Request and Response
+// are adapters over those views.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -131,7 +135,25 @@ const char* ToString(Command c);
 /// True for the verbs a `batch` frame may carry (see the grammar above).
 bool IsBatchable(Command c);
 
-/// One parsed request.
+/// One request read in place: the key, keys, data and inner requests are
+/// views into the bytes it was read from (RequestParser's buffer, or the
+/// caller's strings for a request being written).
+struct RequestView {
+  Command command = Command::kQuit;
+  std::string_view key;
+  std::span<const std::string_view> keys;  // multi-key get/gets; key == keys[0]
+  std::string_view data;       // payload of storage commands
+  std::uint32_t flags = 0;
+  std::int64_t exptime = 0;    // seconds, memcached-style
+  std::uint64_t cas_unique = 0;
+  std::uint64_t amount = 0;    // incr/decr; trace count; batch header count
+  std::uint64_t token = 0;     // IQ lease token
+  std::uint64_t session = 0;   // IQ session / tid
+  std::span<const RequestView> batch;  // kBatch: the framed requests, in order
+};
+
+/// One parsed request that owns its bytes: an adapter over RequestView for
+/// tests and tools that keep requests around.
 struct Request {
   Command command;
   std::string key;
@@ -146,12 +168,25 @@ struct Request {
   std::vector<Request> batch;  // kBatch: the framed requests, in order
 };
 
+/// A RequestView of `request`. *keys and *batch hold what its key list and
+/// frame point at (they may be null for a request that has neither).
+RequestView ViewOf(const Request& request, std::vector<std::string_view>* keys,
+                   std::vector<RequestView>* batch);
+
 /// Incremental request parser. Tolerates requests split across arbitrary
 /// Feed() boundaries (as TCP would deliver them).
+///
+/// Lifetime rule: the views of a request Next() yields point into this
+/// parser's buffer and stay valid until the next Feed() or Next(), which
+/// may compact or reallocate it. A `batch` frame still arriving keeps its
+/// inner requests as offsets, and becomes views only once it is whole.
 class RequestParser {
  public:
   /// Append raw bytes to the internal buffer.
-  void Feed(std::string_view bytes) { buffer_.append(bytes); }
+  void Feed(std::string_view bytes) {
+    Compact();
+    buffer_.append(bytes);
+  }
 
   /// Result of attempting to take one request.
   enum class Status {
@@ -160,50 +195,74 @@ class RequestParser {
     kError,      // malformed input; message in *error
   };
 
+  Status Next(RequestView* out, std::string* error);
+  /// Next() copied into an owning Request.
   Status Next(Request* out, std::string* error);
 
   /// Bytes buffered but not yet consumed by Next().
   std::size_t buffered() const { return buffer_.size() - pos_; }
 
  private:
-  /// Advance the read cursor to absolute offset `end`. The consumed prefix
-  /// is only memmoved out (compacted) once it exceeds half the buffer, so
-  /// a stream of small pipelined requests costs O(bytes) total instead of
-  /// O(bytes * requests) front-erase churn.
-  void ConsumeTo(std::size_t end);
+  friend std::size_t CountRequests(std::string_view bytes);
 
-  /// Parse the request starting at absolute offset `at` without consuming
-  /// it. On kOk and kError, *end is where the next request starts (for
-  /// kError, the resync point past the bad line or block).
-  Status ParseAt(std::size_t at, Request* out, std::string* error,
-                 std::size_t* end) const;
-  /// Parse the inner requests of the open `batch` frame as they arrive,
-  /// resuming where an earlier call stopped. A failed frame is still
-  /// scanned to its end, keeping nothing, so a huge claimed count costs
-  /// only its bytes.
-  Status NextInFrame(Request* out, std::string* error);
+  /// Drop the consumed prefix: a clear once everything is consumed, else
+  /// one memmove of the unconsumed tail once the prefix exceeds half the
+  /// buffer, so a stream of small pipelined requests costs O(bytes) total.
+  /// Never while a frame is open: its offsets are absolute.
+  void Compact();
+
+  /// The request at pos_ in `buf` (this parser's buffer, or the bytes
+  /// CountRequests scans in place), resuming an open frame; a request it
+  /// takes moves pos_ past it. `keep` = false only counts: the views of a
+  /// get's keys and a frame's requests are not kept.
+  Status Scan(std::string_view buf, RequestView* out, std::string* error,
+              bool keep);
+
+  /// A byte range of the buffer: a frame's inner key or data while the
+  /// frame is open and the buffer may still move.
+  struct Slice {
+    std::size_t at = 0;
+    std::size_t size = 0;
+  };
+  struct Pending {
+    RequestView request;  // key and data empty until the frame completes
+    Slice key;
+    Slice data;
+  };
 
   std::string buffer_;
   std::size_t pos_ = 0;  // start of unconsumed bytes within buffer_
-  /// The `batch` frame at the head of the buffer, while its requests are
-  /// still arriving. pos_ stays on its header until the frame completes.
+  /// The `batch` frame at pos_, while its requests are still arriving. pos_
+  /// stays on its header until the frame completes.
   struct Frame {
     bool open = false;
     std::uint64_t count = 0;    // inner requests the header announced
     std::uint64_t scanned = 0;  // inner requests parsed or skipped so far
     std::size_t cursor = 0;     // offset of the next inner request
-    Request request;            // kBatch; its inner requests while valid
     std::string error;          // first failure ("" = none yet)
   } frame_;
+  std::vector<Pending> pending_;          // the open frame's requests
+  std::vector<RequestView> batch_;        // the last frame's requests
+  std::vector<std::string_view> keys_;    // the last get's keys
 };
 
-/// Serialize a request to protocol bytes (client side).
-std::string Serialize(const Request& request);
+/// The responses a server sends for `bytes`: one per complete request,
+/// malformed ones and failed frames included, and none for `quit` or for
+/// an incomplete trailing request. TcpChannel::RoundTrip waits for this
+/// many. Scans `bytes` in place with RequestParser's own engine.
+std::size_t CountRequests(std::string_view bytes);
 
-/// Append the wire form of `request` to *out without intermediate strings —
-/// the zero-copy-ish path used by pipelined clients to batch many requests
-/// into one reused buffer. Serialize() is a thin wrapper over this.
-void AppendTo(const Request& request, std::string* out);
+/// True when every key of `request` (and of its frame's requests) can
+/// travel in the text protocol: non-empty, with no ' ', '\r' or '\n'.
+bool CanCarry(const RequestView& request);
+
+/// Append the wire form of `request` to *out: the one request writer. A
+/// request with a key CanCarry refuses appends nothing and returns false.
+bool AppendTo(const RequestView& request, std::string* out);
+
+/// The owning forms, over the views: false / "" for a refused key.
+bool AppendTo(const Request& request, std::string* out);
+std::string Serialize(const Request& request);
 
 // ---- responses ----------------------------------------------------------------
 
@@ -240,6 +299,48 @@ enum class ResponseType {
                     // so sessions can tell outage from conflict.
 };
 
+/// One VALUE block of a (possibly multi-key) get/gets/iqget response, read
+/// in place.
+struct ValueView {
+  std::string_view key;
+  std::string_view data;
+  std::uint32_t flags = 0;
+  std::uint64_t cas_unique = 0;
+  bool with_cas = false;       // the block carried a cas unique
+  /// Near-cache validity duration in nanoseconds (iqget hits; 0 = none).
+  std::uint64_t ttl_ns = 0;
+};
+
+/// One response read in place: its strings are views into the bytes it was
+/// read from. A default view is the transport-error shape.
+struct ResponseView {
+  ResponseType type = ResponseType::kTransportError;
+  // kValue: the first VALUE block's fields.
+  std::string_view key;
+  std::string_view data;       // also kQValue / kMetrics payload
+  std::uint32_t flags = 0;
+  std::uint64_t cas_unique = 0;
+  bool with_cas = false;       // gets vs get
+  std::uint64_t ttl_ns = 0;
+  /// incr/decr result, token, session id, or (kBatch) the inner count.
+  std::uint64_t number = 0;
+  std::string_view message;    // error text / stats and trace lines
+  /// kValue: every VALUE block, END excluded; NextValue walks them.
+  std::string_view values;
+};
+
+/// Read one whole response at the front of `bytes` into *out. Returns the
+/// bytes it spans, or 0 when `bytes` do not yet hold a complete response
+/// (or never will: malformed). A kBatch reply's inner responses go to
+/// *batch when it is not null; they are read, and so checked, either way.
+/// Response frames never nest.
+std::size_t ReadResponse(std::string_view bytes, ResponseView* out,
+                         std::vector<ResponseView>* batch = nullptr);
+
+/// Read the first VALUE block of *blocks (a kValue ResponseView's
+/// `values`) into *out and drop it from *blocks. False once none is left.
+bool NextValue(std::string_view* blocks, ValueView* out);
+
 /// One VALUE block of a (possibly multi-key) get/gets response.
 struct ValueEntry {
   std::string key;
@@ -250,6 +351,8 @@ struct ValueEntry {
   std::uint64_t ttl_ns = 0;
 };
 
+/// One response that owns its bytes: an adapter over ResponseView for tests,
+/// tools and the pipelined Drain().
 struct Response {
   ResponseType type;
   std::string key;
@@ -271,16 +374,24 @@ struct Response {
   std::vector<Response> batch;
 };
 
-/// Serialize a response to protocol bytes (server side).
+/// Append one VALUE block (without the closing END) to *out.
+void AppendValueBlock(const ValueView& value, std::string* out);
+
+/// Append the wire form of `response` to *out: one VALUE block and END for
+/// kValue, and only the `BATCH <number>` header line for kBatch, whose
+/// inner responses the caller appends.
+void AppendTo(const ResponseView& response, std::string* out);
+
+/// Append the CLIENT_ERROR line a malformed request draws.
+void AppendError(std::string_view message, std::string* out);
+
+/// The owning forms, over the views.
+void AppendTo(const Response& response, std::string* out);
 std::string Serialize(const Response& response);
 
-/// Append the wire form of `response` to *out without intermediate strings
-/// (server hot path: one reused output buffer per connection).
-void AppendTo(const Response& response, std::string* out);
-
-/// Parse exactly one response from `bytes` (client side). Returns nullopt
-/// when the buffer does not yet hold a complete response; on success,
-/// *consumed is set to the bytes used.
+/// Parse exactly one response from `bytes` into an owning Response: an
+/// adapter over ReadResponse. Returns nullopt when the buffer does not yet
+/// hold a complete response; on success, *consumed is set to the bytes used.
 std::optional<Response> ParseResponse(std::string_view bytes,
                                       std::size_t* consumed);
 

@@ -1,47 +1,47 @@
 #include "net/remote_backend.h"
 
+#include <charconv>
+
 namespace iq::net {
 namespace {
 
-// Request builders, one per wire shape, each straight from the caller's
-// views, plus the reply readers the per-key and batched verbs share.
+// Request builders, one per wire shape, each a view of the caller's
+// arguments, plus the reply readers the per-key and batched verbs share.
 
-Request KeyRequest(Command command, std::string_view key) {
-  Request r;
+RequestView KeyRequest(Command command, std::string_view key = {}) {
+  RequestView r;
   r.command = command;
   r.key = key;
   return r;
 }
 
-Request DataRequest(Command command, std::string_view key,
-                    std::string_view data) {
-  Request r = KeyRequest(command, key);
+RequestView DataRequest(Command command, std::string_view key,
+                        std::string_view data) {
+  RequestView r = KeyRequest(command, key);
   r.data = data;
   return r;
 }
 
-Request SessionRequest(Command command, SessionId tid,
-                       std::string_view key = {}) {
-  Request r = KeyRequest(command, key);
+RequestView SessionRequest(Command command, SessionId tid,
+                           std::string_view key = {}) {
+  RequestView r = KeyRequest(command, key);
   r.session = tid;
   return r;
 }
 
-Request DeltaRequest(SessionId tid, std::string_view key, DeltaOp delta) {
-  Request r;
-  r.session = tid;
-  r.key = key;
+RequestView DeltaRequest(SessionId tid, std::string_view key,
+                         const DeltaOp& delta) {
+  RequestView r = SessionRequest(Command::kIQIncr, tid, key);
   switch (delta.kind) {
     case DeltaOp::Kind::kAppend:
       r.command = Command::kIQAppend;
-      r.data = std::move(delta.blob);
+      r.data = delta.blob;
       break;
     case DeltaOp::Kind::kPrepend:
       r.command = Command::kIQPrepend;
-      r.data = std::move(delta.blob);
+      r.data = delta.blob;
       break;
     case DeltaOp::Kind::kIncr:
-      r.command = Command::kIQIncr;
       r.amount = delta.amount;
       break;
     case DeltaOp::Kind::kDecr:
@@ -52,15 +52,16 @@ Request DeltaRequest(SessionId tid, std::string_view key, DeltaOp delta) {
   return r;
 }
 
-Request SaRRequest(std::string_view key, std::optional<std::string_view> value,
-                   LeaseToken token) {
-  Request r = value ? DataRequest(Command::kSaR, key, *value)
-                    : KeyRequest(Command::kSaRNull, key);
+RequestView SaRRequest(std::string_view key,
+                       std::optional<std::string_view> value,
+                       LeaseToken token) {
+  RequestView r = value ? DataRequest(Command::kSaR, key, *value)
+                        : KeyRequest(Command::kSaRNull, key);
   r.token = token;
   return r;
 }
 
-StoreResult ToStoreResult(const Response& resp) {
+StoreResult ToStoreResult(const ResponseView& resp) {
   switch (resp.type) {
     case ResponseType::kStored: return StoreResult::kStored;
     case ResponseType::kExists: return StoreResult::kExists;
@@ -70,10 +71,11 @@ StoreResult ToStoreResult(const Response& resp) {
   }
 }
 
-QaReadReply ToQaReadReply(Response resp) {
+QaReadReply ToQaReadReply(const ResponseView& resp) {
   switch (resp.type) {
     case ResponseType::kQValue:
-      return {QaReadReply::Status::kGranted, std::move(resp.data), resp.number};
+      return {QaReadReply::Status::kGranted, std::string(resp.data),
+              resp.number};
     case ResponseType::kQMiss:
       return {QaReadReply::Status::kGranted, std::nullopt, resp.number};
     case ResponseType::kReject:
@@ -87,7 +89,7 @@ QaReadReply ToQaReadReply(Response resp) {
 }
 
 /// QaReg and the IQ deltas: kGranted only on an explicit GRANTED.
-QuarantineResult ToQuarantineResult(const Response& resp) {
+QuarantineResult ToQuarantineResult(const ResponseView& resp) {
   switch (resp.type) {
     case ResponseType::kGranted: return QuarantineResult::kGranted;
     case ResponseType::kReject: return QuarantineResult::kReject;
@@ -95,252 +97,257 @@ QuarantineResult ToQuarantineResult(const Response& resp) {
   }
 }
 
-std::optional<std::uint64_t> ToNumber(const Response& resp) {
+std::optional<std::uint64_t> ToNumber(const ResponseView& resp) {
   if (resp.type != ResponseType::kNumber) return std::nullopt;
   return resp.number;
 }
 
+/// The void verbs send and forget.
+void Ignore(const ResponseView&) {}
+
 }  // namespace
 
-Response RemoteBackend::Call(const Request& request) {
-  return Exchange(Serialize(request));
+template <typename Read>
+auto RemoteBackend::Call(const RequestView& request, Read&& read) {
+  std::lock_guard lock(mu_);
+  request_.clear();
+  if (!AppendTo(request, &request_)) return read(ResponseView{});
+  return read(Exchange());
 }
 
-Response RemoteBackend::Exchange(const std::string& request_bytes) {
-  std::string bytes;
-  Response err;
-  if (!channel_.RoundTrip(request_bytes, &bytes)) {
-    err.type = ResponseType::kTransportError;
-    err.message = "connection failed";
-    return err;
+ResponseView RemoteBackend::Exchange() {
+  ResponseView response;
+  // A short or unreadable reply means the stream is desynced; the caller
+  // cannot trust anything further on this connection. Treat it as a
+  // transport failure, not as a server-refused command.
+  if (!channel_.RoundTrip(request_, &reply_) ||
+      ReadResponse(reply_, &response, &batch_) == 0) {
+    return ResponseView{};
   }
-  std::size_t consumed = 0;
-  auto response = ParseResponse(bytes, &consumed);
-  if (!response) {
-    // A short or unparseable reply means the stream is desynced; the caller
-    // cannot trust anything further on this connection. Treat as transport
-    // failure, not as a server-refused command.
-    err.type = ResponseType::kTransportError;
-    err.message = "short or malformed response";
-    return err;
+  return response;
+}
+
+template <typename OnReply>
+void RemoteBackend::CallBatch(OnReply&& on_reply) {
+  for (const RequestView& r : frame_) {
+    if (!CanCarry(r)) {
+      on_reply(0, ResponseView{});
+      return;
+    }
   }
-  return std::move(*response);
+  std::size_t next = 0;
+  while (next < frame_.size()) {
+    // Fill one frame up to the server's caps (the 32 bytes cover the frame
+    // header, put in front once the count is known); a lone request
+    // travels as itself.
+    request_.clear();
+    std::size_t n = 0;
+    for (; next + n < frame_.size() && n < kMaxBatchRequests; ++n) {
+      const std::size_t mark = request_.size();
+      AppendTo(frame_[next + n], &request_);
+      if (n > 0 && 32 + request_.size() > kMaxRequestBytes) {
+        request_.resize(mark);
+        break;
+      }
+    }
+    if (n > 1) {
+      char header[32] = "batch ";
+      char* end = std::to_chars(header + 6, header + 28, n).ptr;
+      *end++ = '\r';
+      *end++ = '\n';
+      request_.insert(0, header, static_cast<std::size_t>(end - header));
+    }
+    ResponseView resp = Exchange();
+    ResponseType last;
+    if (n == 1) {
+      on_reply(next++, resp);
+      last = resp.type;
+    } else if (resp.type == ResponseType::kBatch && !batch_.empty() &&
+               batch_.size() <= n) {
+      // A reply cut short by the server's reply budget leaves the rest for
+      // the next frame; one cut short by a REJECT ends the call below.
+      for (const ResponseView& inner : batch_) on_reply(next++, inner);
+      last = batch_.back().type;
+    } else {
+      // A failed round trip, or a reply that is not this frame's: what the
+      // server executed is unknown, exactly as for a per-key transport
+      // error.
+      on_reply(next, ResponseView{});
+      return;
+    }
+    if (last == ResponseType::kReject ||
+        last == ResponseType::kTransportError) {
+      return;
+    }
+  }
 }
 
 // ---- the IQ command set ------------------------------------------------------
 
 SessionId RemoteBackend::GenID() {
-  Request r;
-  r.command = Command::kGenId;
-  Response resp = Call(r);
-  return resp.type == ResponseType::kId ? resp.number : 0;
+  return Call(KeyRequest(Command::kGenId), [](const ResponseView& resp) {
+    return resp.type == ResponseType::kId ? resp.number : 0;
+  });
 }
 
 GetReply RemoteBackend::IQget(std::string_view key, SessionId session) {
-  Request r = KeyRequest(Command::kIQGet, key);
-  r.session = session;
-  Response resp = Call(r);
-  switch (resp.type) {
-    case ResponseType::kValue:
-      // The ttl token, if any, is a duration relative to receipt: the
-      // caller anchors it to its own clock the moment it stores the entry.
-      return {GetReply::Status::kHit, std::move(resp.data), 0,
-              static_cast<Nanos>(resp.ttl_ns)};
-    case ResponseType::kMissToken:
-      return {GetReply::Status::kMissGrantedI, {}, resp.number};
-    case ResponseType::kMissNoLease:
-      return {GetReply::Status::kMissNoLease, {}, 0};
-    case ResponseType::kMissBackoff:
-      return {GetReply::Status::kMissBackoff, {}, 0};
-    default:
-      // Transport failure (or a refused/garbled command): report the outage
-      // rather than kMissBackoff, which would make the session spin its full
-      // retry budget against a dead server.
-      return {GetReply::Status::kTransportError, {}, 0};
-  }
+  return Call(SessionRequest(Command::kIQGet, session, key),
+              [](const ResponseView& resp) -> GetReply {
+    switch (resp.type) {
+      case ResponseType::kValue:
+        // The ttl token, if any, is a duration relative to receipt: the
+        // caller anchors it to its own clock the moment it stores the entry.
+        return {GetReply::Status::kHit, std::string(resp.data), 0,
+                static_cast<Nanos>(resp.ttl_ns)};
+      case ResponseType::kMissToken:
+        return {GetReply::Status::kMissGrantedI, {}, resp.number};
+      case ResponseType::kMissNoLease:
+        return {GetReply::Status::kMissNoLease, {}, 0};
+      case ResponseType::kMissBackoff:
+        return {GetReply::Status::kMissBackoff, {}, 0};
+      default:
+        // Transport failure (or a refused/garbled command): report the
+        // outage rather than kMissBackoff, which would make the session
+        // spin its full retry budget against a dead server.
+        return {GetReply::Status::kTransportError, {}, 0};
+    }
+  });
 }
 
 StoreResult RemoteBackend::IQset(std::string_view key, std::string_view value,
                                  LeaseToken token) {
-  Request r = DataRequest(Command::kIQSet, key, value);
+  RequestView r = DataRequest(Command::kIQSet, key, value);
   r.token = token;
-  return ToStoreResult(Call(r));
+  return Call(r, ToStoreResult);
 }
 
 QaReadReply RemoteBackend::QaRead(std::string_view key, SessionId session) {
-  return ToQaReadReply(Call(SessionRequest(Command::kQaRead, session, key)));
+  return Call(SessionRequest(Command::kQaRead, session, key), ToQaReadReply);
 }
 
 StoreResult RemoteBackend::SaR(std::string_view key,
                                std::optional<std::string_view> v_new,
                                LeaseToken token) {
-  return ToStoreResult(Call(SaRRequest(key, v_new, token)));
+  return Call(SaRRequest(key, v_new, token), ToStoreResult);
 }
 
 QuarantineResult RemoteBackend::QaReg(SessionId tid, std::string_view key) {
-  return ToQuarantineResult(Call(SessionRequest(Command::kQaReg, tid, key)));
+  return Call(SessionRequest(Command::kQaReg, tid, key), ToQuarantineResult);
 }
 
 void RemoteBackend::DaR(SessionId tid) {
-  Call(SessionRequest(Command::kDaR, tid));
+  Call(SessionRequest(Command::kDaR, tid), Ignore);
 }
 
 QuarantineResult RemoteBackend::IQDelta(SessionId tid, std::string_view key,
                                         DeltaOp delta) {
-  return ToQuarantineResult(Call(DeltaRequest(tid, key, std::move(delta))));
+  return Call(DeltaRequest(tid, key, delta), ToQuarantineResult);
 }
 
 void RemoteBackend::Commit(SessionId tid) {
-  Call(SessionRequest(Command::kCommit, tid));
+  Call(SessionRequest(Command::kCommit, tid), Ignore);
 }
 
 void RemoteBackend::Abort(SessionId tid) {
-  Call(SessionRequest(Command::kAbort, tid));
+  Call(SessionRequest(Command::kAbort, tid), Ignore);
 }
 
 void RemoteBackend::ReleaseKey(SessionId tid, std::string_view key) {
-  Call(SessionRequest(Command::kRelease, tid, key));
-}
-
-std::vector<Response> RemoteBackend::CallBatch(
-    const std::vector<Request>& requests) {
-  std::vector<Response> out;
-  out.reserve(requests.size());
-  std::string body;
-  std::string one;
-  std::size_t next = 0;
-  while (next < requests.size()) {
-    // Fill one frame up to the server's caps (the 32 bytes cover the frame
-    // header); a lone request travels as itself.
-    body.clear();
-    std::size_t n = 0;
-    for (; next + n < requests.size() && n < kMaxBatchRequests; ++n) {
-      one.clear();
-      AppendTo(requests[next + n], &one);
-      if (n > 0 && 32 + body.size() + one.size() > kMaxRequestBytes) break;
-      body += one;
-    }
-    Response resp =
-        Exchange(n == 1 ? body : "batch " + std::to_string(n) + "\r\n" + body);
-    if (n == 1) {
-      out.push_back(std::move(resp));
-      ++next;
-    } else if (resp.type == ResponseType::kBatch && !resp.batch.empty() &&
-               resp.batch.size() <= n) {
-      // A reply cut short by the server's reply budget leaves the rest for
-      // the next frame; one cut short by a REJECT ends the call below.
-      next += resp.batch.size();
-      for (Response& r : resp.batch) out.push_back(std::move(r));
-    } else {
-      // A failed round trip, or a reply that is not this frame's: what the
-      // server executed is unknown, exactly as for a per-key transport
-      // error.
-      Response err;
-      err.type = ResponseType::kTransportError;
-      err.message = resp.message;
-      out.push_back(std::move(err));
-      return out;
-    }
-    ResponseType last = out.back().type;
-    if (last == ResponseType::kReject ||
-        last == ResponseType::kTransportError) {
-      return out;
-    }
-  }
-  return out;
+  Call(SessionRequest(Command::kRelease, tid, key), Ignore);
 }
 
 std::vector<LeaseReply> RemoteBackend::Acquire(
     SessionId tid, const std::vector<LeaseRequest>& requests) {
-  std::vector<Request> wire;
-  wire.reserve(requests.size());
+  std::vector<LeaseReply> replies(requests.size());
+  std::lock_guard lock(mu_);
+  frame_.clear();
   for (const LeaseRequest& r : requests) {
     switch (r.kind) {
       case LeaseRequest::Kind::kQaRead:
-        wire.push_back(SessionRequest(Command::kQaRead, tid, r.key));
+        frame_.push_back(SessionRequest(Command::kQaRead, tid, r.key));
         break;
       case LeaseRequest::Kind::kQaReg:
-        wire.push_back(SessionRequest(Command::kQaReg, tid, r.key));
+        frame_.push_back(SessionRequest(Command::kQaReg, tid, r.key));
         break;
       case LeaseRequest::Kind::kDelta:
-        wire.push_back(DeltaRequest(tid, r.key, r.delta));
+        frame_.push_back(DeltaRequest(tid, r.key, r.delta));
         break;
     }
   }
-  std::vector<Response> responses = CallBatch(wire);
-  std::vector<LeaseReply> replies(requests.size());
-  for (std::size_t i = 0; i < responses.size() && i < replies.size(); ++i) {
+  CallBatch([&](std::size_t i, const ResponseView& resp) {
     replies[i] = requests[i].kind == LeaseRequest::Kind::kQaRead
-                     ? ToLeaseReply(ToQaReadReply(std::move(responses[i])))
-                     : ToLeaseReply(ToQuarantineResult(responses[i]));
-  }
+                     ? ToLeaseReply(ToQaReadReply(resp))
+                     : ToLeaseReply(ToQuarantineResult(resp));
+  });
   return replies;
 }
 
 std::vector<StoreResult> RemoteBackend::CommitSwaps(
     SessionId tid, const std::vector<Swap>& swaps) {
-  std::vector<Request> wire;
-  wire.reserve(swaps.size() + 1);
-  for (const Swap& s : swaps) {
-    wire.push_back(SaRRequest(s.key, s.value, s.token));
-  }
-  wire.push_back(SessionRequest(Command::kCommit, tid));
-  std::vector<Response> responses = CallBatch(wire);
   std::vector<StoreResult> results(swaps.size(), StoreResult::kTransportError);
-  for (std::size_t i = 0; i < responses.size() && i < results.size(); ++i) {
-    results[i] = ToStoreResult(responses[i]);
-  }
+  std::lock_guard lock(mu_);
+  frame_.clear();
+  for (const Swap& s : swaps) frame_.push_back(SaRRequest(s.key, s.value, s.token));
+  frame_.push_back(SessionRequest(Command::kCommit, tid));
+  // The commit's own OK is not reported, as for Commit().
+  CallBatch([&](std::size_t i, const ResponseView& resp) {
+    if (i < results.size()) results[i] = ToStoreResult(resp);
+  });
   return results;
 }
 
 // ---- plain memcached operations ------------------------------------------------
 
 std::optional<CacheItem> RemoteBackend::Get(std::string_view key) {
-  Response resp = Call(KeyRequest(Command::kGets, key));
-  if (resp.type != ResponseType::kValue) return std::nullopt;
-  return CacheItem{std::move(resp.data), resp.flags, resp.cas_unique};
+  return Call(KeyRequest(Command::kGets, key),
+              [](const ResponseView& resp) -> std::optional<CacheItem> {
+    if (resp.type != ResponseType::kValue) return std::nullopt;
+    return CacheItem{std::string(resp.data), resp.flags, resp.cas_unique};
+  });
 }
 
 StoreResult RemoteBackend::Set(std::string_view key, std::string_view value) {
-  return ToStoreResult(Call(DataRequest(Command::kSet, key, value)));
+  return Call(DataRequest(Command::kSet, key, value), ToStoreResult);
 }
 
 StoreResult RemoteBackend::Add(std::string_view key, std::string_view value) {
-  return ToStoreResult(Call(DataRequest(Command::kAdd, key, value)));
+  return Call(DataRequest(Command::kAdd, key, value), ToStoreResult);
 }
 
 StoreResult RemoteBackend::Cas(std::string_view key, std::string_view value,
                                std::uint64_t cas) {
-  Request r = DataRequest(Command::kCas, key, value);
+  RequestView r = DataRequest(Command::kCas, key, value);
   r.cas_unique = cas;
-  return ToStoreResult(Call(r));
+  return Call(r, ToStoreResult);
 }
 
 StoreResult RemoteBackend::Append(std::string_view key, std::string_view blob) {
-  return ToStoreResult(Call(DataRequest(Command::kAppend, key, blob)));
+  return Call(DataRequest(Command::kAppend, key, blob), ToStoreResult);
 }
 
 StoreResult RemoteBackend::Prepend(std::string_view key,
                                    std::string_view blob) {
-  return ToStoreResult(Call(DataRequest(Command::kPrepend, key, blob)));
+  return Call(DataRequest(Command::kPrepend, key, blob), ToStoreResult);
 }
 
 std::optional<std::uint64_t> RemoteBackend::Incr(std::string_view key,
                                                  std::uint64_t amount) {
-  Request r = KeyRequest(Command::kIncr, key);
+  RequestView r = KeyRequest(Command::kIncr, key);
   r.amount = amount;
-  return ToNumber(Call(r));
+  return Call(r, ToNumber);
 }
 
 std::optional<std::uint64_t> RemoteBackend::Decr(std::string_view key,
                                                  std::uint64_t amount) {
-  Request r = KeyRequest(Command::kDecr, key);
+  RequestView r = KeyRequest(Command::kDecr, key);
   r.amount = amount;
-  return ToNumber(Call(r));
+  return Call(r, ToNumber);
 }
 
 bool RemoteBackend::DeleteVoid(std::string_view key) {
-  return Call(KeyRequest(Command::kDelete, key)).type == ResponseType::kDeleted;
+  return Call(KeyRequest(Command::kDelete, key), [](const ResponseView& resp) {
+    return resp.type == ResponseType::kDeleted;
+  });
 }
 
 // ---- wire-only verbs -------------------------------------------------------------
@@ -349,69 +356,67 @@ std::vector<std::optional<CacheItem>> RemoteBackend::MultiGet(
     const std::vector<std::string>& keys, bool with_cas) {
   std::vector<std::optional<CacheItem>> out(keys.size());
   if (keys.empty()) return out;
-  Request r = KeyRequest(with_cas ? Command::kGets : Command::kGet, keys[0]);
-  r.keys = keys;
-  Response resp = Call(r);
-  if (resp.type != ResponseType::kValue) return out;
-  // The server omits misses, so match returned VALUE blocks back to the
-  // requested keys (duplicates each consume one block, in order). Caveat,
-  // inherent to memcached get semantics: the server looks keys up one at a
-  // time, so with duplicate keys in one request a concurrent write can make
-  // the copies disagree (e.g. only the second copy hits), and sequence
-  // matching then attributes the hit to the first copy. Positions still only
-  // ever receive a value stored under their own key; dedupe keys before
-  // calling if per-position exactness across duplicates matters.
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < keys.size() && next < resp.values.size(); ++i) {
-    ValueEntry& v = resp.values[next];
-    if (v.key != keys[i]) continue;
-    out[i] = CacheItem{std::move(v.data), v.flags, v.cas_unique};
-    ++next;
-  }
+  const std::vector<std::string_view> views(keys.begin(), keys.end());
+  RequestView r = KeyRequest(with_cas ? Command::kGets : Command::kGet, keys[0]);
+  r.keys = views;
+  Call(r, [&](const ResponseView& resp) {
+    if (resp.type != ResponseType::kValue) return;
+    // The server omits misses, so match returned VALUE blocks back to the
+    // requested keys (duplicates each consume one block, in order).
+    // Caveat, inherent to memcached get semantics: the server looks keys up
+    // one at a time, so with duplicate keys in one request a concurrent
+    // write can make the copies disagree (e.g. only the second copy hits),
+    // and sequence matching then attributes the hit to the first copy.
+    // Positions still only ever receive a value stored under their own
+    // key; dedupe keys before calling if per-position exactness across
+    // duplicates matters.
+    std::string_view blocks = resp.values;
+    ValueView v;
+    bool more = NextValue(&blocks, &v);
+    for (std::size_t i = 0; i < keys.size() && more; ++i) {
+      if (v.key != keys[i]) continue;
+      out[i] = CacheItem{std::string(v.data), v.flags, v.cas_unique};
+      more = NextValue(&blocks, &v);
+    }
+  });
   return out;
 }
 
-void RemoteBackend::FlushAll() {
-  Request r;
-  r.command = Command::kFlushAll;
-  Call(r);
-}
+void RemoteBackend::FlushAll() { Call(KeyRequest(Command::kFlushAll), Ignore); }
 
 std::string RemoteBackend::Stats() {
-  Request r;
-  r.command = Command::kStats;
-  return Call(r).message;
+  return Call(KeyRequest(Command::kStats), [](const ResponseView& resp) {
+    return std::string(resp.message);
+  });
 }
 
 std::optional<std::uint64_t> RemoteBackend::Sweep() {
-  Request r;
-  r.command = Command::kSweep;
-  return ToNumber(Call(r));
+  return Call(KeyRequest(Command::kSweep), ToNumber);
 }
 
 std::optional<std::string> RemoteBackend::Metrics() {
-  Request r;
-  r.command = Command::kMetrics;
-  Response resp = Call(r);
-  if (resp.type != ResponseType::kMetrics) return std::nullopt;
-  return std::move(resp.data);
+  return Call(KeyRequest(Command::kMetrics),
+              [](const ResponseView& resp) -> std::optional<std::string> {
+    if (resp.type != ResponseType::kMetrics) return std::nullopt;
+    return std::string(resp.data);
+  });
 }
 
 std::optional<RemoteBackend::TraceDrain> RemoteBackend::Trace(
     std::uint64_t max_events) {
-  Request r;
-  r.command = Command::kTrace;
+  RequestView r = KeyRequest(Command::kTrace);
   r.amount = max_events;
-  Response resp = Call(r);
-  TraceDrain drain;
-  // An empty trace from a pre-TRACE_INFO server is a bare END.
-  if (resp.type == ResponseType::kEnd) return drain;
-  if (resp.type != ResponseType::kTrace) return std::nullopt;
-  if (!ParseTraceEvents(resp.message, &drain.events, &drain.info,
-                        &drain.has_info)) {
-    return std::nullopt;
-  }
-  return drain;
+  return Call(r, [](const ResponseView& resp) -> std::optional<TraceDrain> {
+    TraceDrain drain;
+    // An empty trace from a pre-TRACE_INFO server is a bare END.
+    if (resp.type == ResponseType::kEnd) return drain;
+    if (resp.type != ResponseType::kTrace) return std::nullopt;
+    if (!ParseTraceEvents(resp.message, &drain.events, &drain.info,
+                          &drain.has_info)) {
+      return std::nullopt;
+    }
+    return drain;
+  });
 }
 
 }  // namespace iq::net

@@ -10,15 +10,22 @@
 // CommitSwaps frame all their requests as one `batch` round trip (split
 // only past the frame caps). A failed round trip or an unparsable reply
 // surfaces as the verb's transport-error shape (kTransportError, id 0,
-// nullopt, false), never as a miss, a grant or a conflict.
+// nullopt, false), never as a miss, a grant or a conflict. So does a key
+// the text protocol cannot carry (empty, or holding ' ', '\r' or '\n'):
+// nothing is sent for it.
 //
-// Thread safety: safe for concurrent callers; the underlying channel
-// serializes round trips like a single memcached connection would. For
-// higher fan-out, give each worker its own RemoteBackend over its own
-// channel.
+// Requests are written into one reused buffer and replies received into
+// another, where they are read in place (ResponseView); only the caller's
+// result is allocated.
+//
+// Thread safety: safe for concurrent callers. One mutex covers the build,
+// the round trip and the read of each call, since the channel serializes
+// round trips anyway, like a single memcached connection would. For higher
+// fan-out, give each worker its own RemoteBackend over its own channel.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -114,16 +121,31 @@ class RemoteBackend final : public KvsBackend {
   std::optional<TraceDrain> Trace(std::uint64_t max_events = 0);
 
  private:
-  Response Call(const Request& request);
-  Response Exchange(const std::string& request_bytes);
-  /// Send `requests` in frames; one response per executed request, in
-  /// order. The list stops short after a REJECT (the requests after it are
-  /// then not sent) and ends with a kTransportError response when a round
-  /// trip failed.
-  std::vector<Response> CallBatch(const std::vector<Request>& requests);
+  /// Write `request` into request_, round-trip it into reply_ and return
+  /// read(response), the reply read in place, all under mu_. A key the
+  /// protocol cannot carry sends nothing and reads a default
+  /// (transport-error) view.
+  template <typename Read>
+  auto Call(const RequestView& request, Read&& read);
+  /// Round-trip request_ into reply_ and read the reply; a failed round
+  /// trip or an unreadable reply is the transport-error view. Needs mu_.
+  ResponseView Exchange();
+  /// Send frame_ in frames and call on_reply(i, response) for each request
+  /// the server executed, in order. It stops after a REJECT; on a failed
+  /// round trip, or a key the protocol cannot carry (then nothing is
+  /// sent), the last call gets a transport-error view. Needs mu_.
+  template <typename OnReply>
+  void CallBatch(OnReply&& on_reply);
 
   Channel& channel_;
   const Clock& clock_;
+  std::mutex mu_;
+  std::string request_;  // the request bytes being built
+  std::string reply_;    // the reply bytes; the views read point here
+  // Views, kept for their capacity: valid only within the call that
+  // filled them.
+  std::vector<ResponseView> batch_;  // a frame reply's inner responses
+  std::vector<RequestView> frame_;   // Acquire's or CommitSwaps' requests
 };
 
 }  // namespace iq::net

@@ -7,20 +7,43 @@
 namespace iq::net {
 namespace {
 
-Response FromStoreResult(StoreResult r) {
-  Response resp;
+ResponseType FromStoreResult(StoreResult r) {
   switch (r) {
-    case StoreResult::kStored: resp.type = ResponseType::kStored; break;
-    case StoreResult::kNotStored: resp.type = ResponseType::kNotStored; break;
-    case StoreResult::kExists: resp.type = ResponseType::kExists; break;
-    case StoreResult::kNotFound: resp.type = ResponseType::kNotFound; break;
+    case StoreResult::kStored: return ResponseType::kStored;
+    case StoreResult::kNotStored: return ResponseType::kNotStored;
+    case StoreResult::kExists: return ResponseType::kExists;
+    case StoreResult::kNotFound: return ResponseType::kNotFound;
     // A server never produces kTransportError itself; surfacing it keeps a
     // relaying tier (proxy) honest if one ever forwards backend results.
-    case StoreResult::kTransportError:
-      resp.type = ResponseType::kTransportError;
-      break;
+    case StoreResult::kTransportError: return ResponseType::kTransportError;
   }
-  return resp;
+  return ResponseType::kError;
+}
+
+/// QaReg and the IQ deltas. In-process they are always granted; the
+/// mapping keeps a relaying tier honest should its backend ever report
+/// differently.
+ResponseType FromQuarantineResult(QuarantineResult q) {
+  switch (q) {
+    case QuarantineResult::kGranted: return ResponseType::kGranted;
+    case QuarantineResult::kTransportError: return ResponseType::kTransportError;
+    default: return ResponseType::kReject;
+  }
+}
+
+/// Append `response` to *out; returns its type.
+ResponseType Reply(const ResponseView& response, std::string* out) {
+  AppendTo(response, out);
+  return response.type;
+}
+
+/// Append a response that is its type alone (or carries one number).
+ResponseType Reply(ResponseType type, std::string* out,
+                   std::uint64_t number = 0) {
+  ResponseView response;
+  response.type = type;
+  response.number = number;
+  return Reply(response, out);
 }
 
 Nanos ExptimeToTtl(std::int64_t exptime) {
@@ -96,35 +119,62 @@ CommandClass ClassOf(Command c) {
   }
 }
 
-Response CommandDispatcher::Dispatch(const Request& request) {
-  if (request.command == Command::kBatch) return DispatchBatch(request);
-  const Clock& clock = server_.clock();
-  Nanos start = clock.Now();
-  Response resp = DispatchCommand(request);
-  server_.command_latencies().Record(
-      static_cast<std::size_t>(ClassOf(request.command)), clock.Now() - start);
-  return resp;
+void CommandDispatcher::DispatchTo(const RequestView& request,
+                                   std::string* out) {
+  if (request.command == Command::kBatch) {
+    DispatchBatch(request, out);
+  } else {
+    Run(request, out);
+  }
 }
 
-Response CommandDispatcher::DispatchBatch(const Request& frame) {
+Response CommandDispatcher::Dispatch(const Request& request) {
+  std::vector<std::string_view> keys;
+  std::vector<RequestView> batch;
+  std::string bytes;
+  DispatchTo(ViewOf(request, &keys, &batch), &bytes);
+  std::size_t consumed = 0;
+  if (std::optional<Response> response = ParseResponse(bytes, &consumed)) {
+    return std::move(*response);
+  }
+  Response err;
+  err.type = ResponseType::kError;
+  err.message = "unreadable reply";
+  return err;
+}
+
+ResponseType CommandDispatcher::Run(const RequestView& request,
+                                    std::string* out) {
+  const Clock& clock = server_.clock();
+  Nanos start = clock.Now();
+  ResponseType type = DispatchCommand(request, out);
+  server_.command_latencies().Record(
+      static_cast<std::size_t>(ClassOf(request.command)), clock.Now() - start);
+  return type;
+}
+
+void CommandDispatcher::DispatchBatch(const RequestView& frame,
+                                      std::string* out) {
   // The parser admits only batchable requests into a frame (IsBatchable),
-  // at most kMaxBatchRequests of them.
-  Response resp;
-  resp.type = ResponseType::kBatch;
-  resp.batch.reserve(frame.batch.size());
-  std::size_t reply_bytes = 0;
-  for (const Request& r : frame.batch) {
+  // at most kMaxBatchRequests of them. The replies go straight after the
+  // frame's start; the BATCH line, whose count is known only at the end,
+  // goes in front of them.
+  const std::size_t head = out->size();
+  std::uint64_t executed = 0;
+  for (const RequestView& r : frame.batch) {
     // Output guard: a frame of QaReads re-reading one large value would
     // otherwise copy it once per request before a byte is written. The
     // client sends the requests a short reply leaves out in its next frame.
-    if (reply_bytes > batch_reply_bytes_) break;
-    resp.batch.push_back(Dispatch(r));
-    reply_bytes += resp.batch.back().data.size();
+    if (out->size() - head > batch_reply_bytes_) break;
+    ResponseType type = Run(r, out);
+    ++executed;
     // A rejected lease means the session must release everything and
     // retry; running its later requests would only take leases to drop.
-    if (resp.batch.back().type == ResponseType::kReject) break;
+    if (type == ResponseType::kReject) break;
   }
-  return resp;
+  std::string line;  // "BATCH <n>\r\n" fits the small-string buffer
+  Reply(ResponseType::kBatch, &line, executed);
+  out->insert(head, line);
 }
 
 std::string CommandDispatcher::StatsText() const {
@@ -133,37 +183,12 @@ std::string CommandDispatcher::StatsText() const {
   return text;
 }
 
-Response CommandDispatcher::DispatchCommand(const Request& request) {
+ResponseType CommandDispatcher::DispatchCommand(const RequestView& request,
+                                                std::string* out) {
   switch (request.command) {
     case Command::kGet:
-    case Command::kGets: {
-      Response resp;
-      // Multi-key get: one VALUE block per hit, misses silently omitted
-      // (memcached semantics). Requests built in-process may carry only
-      // `key`; the wire parser always fills `keys`.
-      auto lookup = [&](const std::string& k) {
-        auto item = server_.store().Get(k);
-        if (!item) return;
-        ValueEntry entry;
-        entry.key = k;
-        entry.data = std::move(item->value);
-        entry.flags = item->flags;
-        entry.cas_unique = item->cas;
-        resp.values.push_back(std::move(entry));
-      };
-      if (request.keys.empty()) {
-        lookup(request.key);
-      } else {
-        for (const std::string& k : request.keys) lookup(k);
-      }
-      if (resp.values.empty()) {
-        resp.type = ResponseType::kEnd;
-        return resp;
-      }
-      resp.type = ResponseType::kValue;
-      resp.with_cas = request.command == Command::kGets;
-      return resp;
-    }
+    case Command::kGets:
+      return DispatchGet(request, out);
     case Command::kSet:
     case Command::kAdd:
     case Command::kReplace:
@@ -174,155 +199,154 @@ Response CommandDispatcher::DispatchCommand(const Request& request) {
     case Command::kIncr:
     case Command::kDecr:
     case Command::kFlushAll:
-      return DispatchStorage(request);
+      return DispatchStorage(request, out);
     case Command::kStats: {
-      Response resp;
+      const std::string text = StatsText();
+      ResponseView resp;
       resp.type = ResponseType::kStats;
-      resp.message = StatsText();
-      return resp;
+      resp.message = text;
+      return Reply(resp, out);
     }
     case Command::kMetrics: {
-      Response resp;
+      const std::string text = FormatMetrics(StatsText());
+      ResponseView resp;
       resp.type = ResponseType::kMetrics;
-      resp.data = FormatMetrics(StatsText());
-      return resp;
+      resp.data = text;
+      return Reply(resp, out);
     }
-    case Command::kQuit: {
-      Response resp;
-      resp.type = ResponseType::kOk;
-      return resp;
-    }
+    case Command::kQuit:
+      return Reply(ResponseType::kOk, out);
     default:
-      return DispatchIQ(request);
+      return DispatchIQ(request, out);
   }
 }
 
-Response CommandDispatcher::DispatchStorage(const Request& r) {
+ResponseType CommandDispatcher::DispatchGet(const RequestView& request,
+                                            std::string* out) {
+  // Multi-key get: one VALUE block per hit, misses silently omitted
+  // (memcached semantics), then END. Requests built in-process may carry
+  // only `key`; the wire parser always fills `keys`.
+  bool hit = false;
+  auto lookup = [&](std::string_view k) {
+    auto item = server_.store().Get(k);
+    if (!item) return;
+    ValueView v;
+    v.key = k;
+    v.data = item->value;
+    v.flags = item->flags;
+    v.cas_unique = item->cas;
+    v.with_cas = request.command == Command::kGets;
+    AppendValueBlock(v, out);
+    hit = true;
+  };
+  if (request.keys.empty()) {
+    lookup(request.key);
+  } else {
+    for (std::string_view k : request.keys) lookup(k);
+  }
+  Reply(ResponseType::kEnd, out);
+  return hit ? ResponseType::kValue : ResponseType::kEnd;
+}
+
+ResponseType CommandDispatcher::DispatchStorage(const RequestView& r,
+                                                std::string* out) {
   CacheStore& store = server_.store();
   Nanos ttl = ExptimeToTtl(r.exptime);
   switch (r.command) {
     case Command::kSet:
-      return FromStoreResult(store.Set(r.key, r.data, r.flags, ttl));
+      return Reply(FromStoreResult(store.Set(r.key, r.data, r.flags, ttl)), out);
     case Command::kAdd:
-      return FromStoreResult(store.Add(r.key, r.data, r.flags, ttl));
+      return Reply(FromStoreResult(store.Add(r.key, r.data, r.flags, ttl)), out);
     case Command::kReplace:
-      return FromStoreResult(store.Replace(r.key, r.data, r.flags, ttl));
+      return Reply(
+          FromStoreResult(store.Replace(r.key, r.data, r.flags, ttl)), out);
     case Command::kCas:
-      return FromStoreResult(store.Cas(r.key, r.data, r.cas_unique, r.flags, ttl));
+      return Reply(FromStoreResult(
+                       store.Cas(r.key, r.data, r.cas_unique, r.flags, ttl)),
+                   out);
     case Command::kAppend:
-      return FromStoreResult(store.Append(r.key, r.data));
+      return Reply(FromStoreResult(store.Append(r.key, r.data)), out);
     case Command::kPrepend:
-      return FromStoreResult(store.Prepend(r.key, r.data));
-    case Command::kDelete: {
-      Response resp;
+      return Reply(FromStoreResult(store.Prepend(r.key, r.data)), out);
+    case Command::kDelete:
       // Baseline delete carries Facebook semantics: voids I leases too.
-      resp.type = server_.DeleteVoid(r.key) ? ResponseType::kDeleted
-                                            : ResponseType::kNotFound;
-      return resp;
-    }
+      return Reply(server_.DeleteVoid(r.key) ? ResponseType::kDeleted
+                                             : ResponseType::kNotFound,
+                   out);
     case Command::kIncr:
     case Command::kDecr: {
       auto result = r.command == Command::kIncr ? store.Incr(r.key, r.amount)
                                                 : store.Decr(r.key, r.amount);
-      Response resp;
-      if (!result) {
-        resp.type = ResponseType::kNotFound;
-      } else {
-        resp.type = ResponseType::kNumber;
-        resp.number = *result;
-      }
-      return resp;
+      if (!result) return Reply(ResponseType::kNotFound, out);
+      return Reply(ResponseType::kNumber, out, *result);
     }
-    case Command::kFlushAll: {
+    case Command::kFlushAll:
       store.Flush();
-      Response resp;
-      resp.type = ResponseType::kOk;
-      return resp;
-    }
+      return Reply(ResponseType::kOk, out);
     default: {
-      Response resp;
+      ResponseView resp;
       resp.type = ResponseType::kError;
       resp.message = "not a storage command";
-      return resp;
+      return Reply(resp, out);
     }
   }
 }
 
-Response CommandDispatcher::DispatchIQ(const Request& r) {
-  Response resp;
+ResponseType CommandDispatcher::DispatchIQ(const RequestView& r,
+                                           std::string* out) {
   switch (r.command) {
     case Command::kIQGet: {
       GetReply reply = server_.IQget(r.key, r.session);
       switch (reply.status) {
-        case GetReply::Status::kHit:
+        case GetReply::Status::kHit: {
+          ResponseView resp;
           resp.type = ResponseType::kValue;
           resp.key = r.key;
-          resp.data = std::move(reply.value);
+          resp.data = reply.value;
           // Near-cache validity grant rides the VALUE line as a duration.
           resp.ttl_ns = static_cast<std::uint64_t>(reply.validity);
-          return resp;
+          return Reply(resp, out);
+        }
         case GetReply::Status::kMissGrantedI:
-          resp.type = ResponseType::kMissToken;
-          resp.number = reply.token;
-          return resp;
+          return Reply(ResponseType::kMissToken, out, reply.token);
         case GetReply::Status::kMissBackoff:
-          resp.type = ResponseType::kMissBackoff;
-          return resp;
+          return Reply(ResponseType::kMissBackoff, out);
         case GetReply::Status::kMissNoLease:
-          resp.type = ResponseType::kMissNoLease;
-          return resp;
+          return Reply(ResponseType::kMissNoLease, out);
         case GetReply::Status::kTransportError:
-          resp.type = ResponseType::kTransportError;
-          return resp;
+          return Reply(ResponseType::kTransportError, out);
       }
       break;
     }
     case Command::kIQSet:
-      return FromStoreResult(server_.IQset(r.key, r.data, r.token));
+      return Reply(FromStoreResult(server_.IQset(r.key, r.data, r.token)), out);
     case Command::kQaRead: {
       QaReadReply reply = server_.QaRead(r.key, r.session);
       if (reply.status == QaReadReply::Status::kReject) {
-        resp.type = ResponseType::kReject;
-        return resp;
+        return Reply(ResponseType::kReject, out);
       }
       if (reply.status == QaReadReply::Status::kTransportError) {
-        resp.type = ResponseType::kTransportError;
-        return resp;
+        return Reply(ResponseType::kTransportError, out);
       }
-      if (reply.value) {
-        resp.type = ResponseType::kQValue;
-        resp.number = reply.token;
-        resp.data = std::move(*reply.value);
-      } else {
-        resp.type = ResponseType::kQMiss;
-        resp.number = reply.token;
-      }
-      return resp;
+      if (!reply.value) return Reply(ResponseType::kQMiss, out, reply.token);
+      ResponseView resp;
+      resp.type = ResponseType::kQValue;
+      resp.number = reply.token;
+      resp.data = *reply.value;
+      return Reply(resp, out);
     }
     case Command::kSaR:
-      return FromStoreResult(
-          server_.SaR(r.key, std::string_view(r.data), r.token));
+      return Reply(FromStoreResult(server_.SaR(r.key, r.data, r.token)), out);
     case Command::kSaRNull:
-      return FromStoreResult(server_.SaR(r.key, std::nullopt, r.token));
+      return Reply(FromStoreResult(server_.SaR(r.key, std::nullopt, r.token)),
+                   out);
     case Command::kGenId:
-      resp.type = ResponseType::kId;
-      resp.number = server_.GenID();
-      return resp;
-    case Command::kQaReg: {
-      QuarantineResult q = server_.QaReg(r.session, r.key);
-      // In-process QaReg is always granted; the switch keeps a relaying
-      // tier honest should its backend ever report differently.
-      resp.type = q == QuarantineResult::kGranted
-                      ? ResponseType::kGranted
-                      : (q == QuarantineResult::kTransportError
-                             ? ResponseType::kTransportError
-                             : ResponseType::kReject);
-      return resp;
-    }
+      return Reply(ResponseType::kId, out, server_.GenID());
+    case Command::kQaReg:
+      return Reply(FromQuarantineResult(server_.QaReg(r.session, r.key)), out);
     case Command::kDaR:
       server_.DaR(r.session);
-      resp.type = ResponseType::kOk;
-      return resp;
+      return Reply(ResponseType::kOk, out);
     case Command::kIQAppend:
     case Command::kIQPrepend:
     case Command::kIQIncr:
@@ -330,10 +354,10 @@ Response CommandDispatcher::DispatchIQ(const Request& r) {
       DeltaOp delta;
       switch (r.command) {
         case Command::kIQAppend:
-          delta = {DeltaOp::Kind::kAppend, r.data, 0};
+          delta = {DeltaOp::Kind::kAppend, std::string(r.data), 0};
           break;
         case Command::kIQPrepend:
-          delta = {DeltaOp::Kind::kPrepend, r.data, 0};
+          delta = {DeltaOp::Kind::kPrepend, std::string(r.data), 0};
           break;
         case Command::kIQIncr:
           delta = {DeltaOp::Kind::kIncr, {}, r.amount};
@@ -342,45 +366,40 @@ Response CommandDispatcher::DispatchIQ(const Request& r) {
           delta = {DeltaOp::Kind::kDecr, {}, r.amount};
           break;
       }
-      QuarantineResult q = server_.IQDelta(r.session, r.key, std::move(delta));
-      resp.type = q == QuarantineResult::kGranted
-                      ? ResponseType::kGranted
-                      : (q == QuarantineResult::kTransportError
-                             ? ResponseType::kTransportError
-                             : ResponseType::kReject);
-      return resp;
+      return Reply(FromQuarantineResult(
+                       server_.IQDelta(r.session, r.key, std::move(delta))),
+                   out);
     }
     case Command::kCommit:
       server_.Commit(r.session);
-      resp.type = ResponseType::kOk;
-      return resp;
+      return Reply(ResponseType::kOk, out);
     case Command::kAbort:
       server_.Abort(r.session);
-      resp.type = ResponseType::kOk;
-      return resp;
+      return Reply(ResponseType::kOk, out);
     case Command::kRelease:
       server_.ReleaseKey(r.session, r.key);
-      resp.type = ResponseType::kOk;
-      return resp;
+      return Reply(ResponseType::kOk, out);
     case Command::kSweep:
-      resp.type = ResponseType::kNumber;
-      resp.number = server_.SweepExpired();
-      return resp;
-    case Command::kTrace:
+      return Reply(ResponseType::kNumber, out, server_.SweepExpired());
+    case Command::kTrace: {
       // TRACE_INFO header first: consumers (iqcheck) need recorded/dropped/
       // capacity to tell a complete history from one the rings wrapped.
-      resp.type = ResponseType::kTrace;
-      resp.message = FormatTraceInfo(server_.TraceInfoTotal());
-      resp.message += FormatTraceEvents(server_.TraceSnapshot(
+      std::string text = FormatTraceInfo(server_.TraceInfoTotal());
+      text += FormatTraceEvents(server_.TraceSnapshot(
           r.amount != 0 ? static_cast<std::size_t>(r.amount)
                         : kDefaultTraceEvents));
-      return resp;
+      ResponseView resp;
+      resp.type = ResponseType::kTrace;
+      resp.message = text;
+      return Reply(resp, out);
+    }
     default:
       break;
   }
+  ResponseView resp;
   resp.type = ResponseType::kError;
   resp.message = "unhandled command";
-  return resp;
+  return Reply(resp, out);
 }
 
 std::string FormatStats(const IQServer& server) {

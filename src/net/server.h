@@ -1,6 +1,7 @@
-// Server-side command dispatch: maps parsed protocol Requests onto an
-// IQServer, producing protocol Responses - the request-handling loop of the
-// real IQ-Twemcached, minus the sockets (see channel.h for the transport).
+// Server-side command dispatch: runs a request read in place (RequestView)
+// against an IQServer and appends its response bytes to the connection's
+// output buffer - the request-handling loop of the real IQ-Twemcached, minus
+// the sockets (see channel.h and tcp_server.h for the transports).
 // Also the one owner of the STAT text format: FormatStats renders a
 // server's counters, and the `metrics` exposition and both parsers are
 // views of those lines.
@@ -22,18 +23,22 @@ inline constexpr std::size_t kDefaultTraceEvents = 128;
 class CommandDispatcher {
  public:
   /// `batch_reply_bytes` bounds the reply of one `batch` frame: the frame
-  /// stops once its replies carry more data than that (a transport passes
+  /// stops once its replies hold more bytes than that (a transport passes
   /// its output-side memory guard).
   explicit CommandDispatcher(IQServer& server,
                              std::size_t batch_reply_bytes = 8u << 20)
       : server_(server), batch_reply_bytes_(batch_reply_bytes) {}
 
-  /// Execute one request against the server, recording its service time
-  /// into the server's per-command latency histograms. kQuit returns kOk;
-  /// transport teardown is the channel's business. A kBatch frame runs its
-  /// requests through Dispatch in order (each recorded under its own
-  /// class), stopping after the first REJECT or once its replies' data
-  /// passes the reply budget.
+  /// Execute one request against the server and append its response bytes
+  /// to *out, recording its service time into the server's per-command
+  /// latency histograms. kQuit answers OK; transport teardown is the
+  /// channel's business. A kBatch frame runs its requests in order (each
+  /// recorded under its own class), stopping after the first REJECT or once
+  /// its replies pass the reply budget in bytes.
+  void DispatchTo(const RequestView& request, std::string* out);
+
+  /// DispatchTo for an owning Request, its reply read back into an owning
+  /// Response: an adapter for tests and the benchmark ladder.
   Response Dispatch(const Request& request);
 
   /// Extra "STAT name value\r\n" lines appended to every `stats` response
@@ -49,10 +54,14 @@ class CommandDispatcher {
   /// FormatStats plus the augmenter's lines: the `stats` reply body, which
   /// `metrics` re-renders.
   std::string StatsText() const;
-  Response DispatchBatch(const Request& frame);
-  Response DispatchCommand(const Request& request);
-  Response DispatchStorage(const Request& request);
-  Response DispatchIQ(const Request& request);
+  void DispatchBatch(const RequestView& frame, std::string* out);
+  /// Execute and time one request that is not a frame; each step below
+  /// returns the type of the response it appended.
+  ResponseType Run(const RequestView& request, std::string* out);
+  ResponseType DispatchCommand(const RequestView& request, std::string* out);
+  ResponseType DispatchGet(const RequestView& request, std::string* out);
+  ResponseType DispatchStorage(const RequestView& request, std::string* out);
+  ResponseType DispatchIQ(const RequestView& request, std::string* out);
 
   IQServer& server_;
   const std::size_t batch_reply_bytes_;

@@ -221,29 +221,13 @@ bool TcpChannel::RoundTrip(const std::string& request_bytes,
   TimePoint deadline = IoDeadline();
   // The caller may pipeline several requests into one RoundTrip (the
   // LoopbackChannel contract), so count how many responses to await.
-  std::size_t expected = 0;
-  {
-    RequestParser counter;
-    counter.Feed(request_bytes);
-    Request request;
-    std::string error;
-    while (true) {
-      auto status = counter.Next(&request, &error);
-      if (status == RequestParser::Status::kNeedMore) break;
-      if (status == RequestParser::Status::kOk &&
-          request.command == Command::kQuit) {
-        continue;  // server closes without replying
-      }
-      ++expected;  // kError also draws one CLIENT_ERROR response
-    }
-  }
+  const std::size_t expected = CountRequests(request_bytes);
   if (!WriteAll(request_bytes.data(), request_bytes.size(), deadline)) {
     return false;
   }
+  ResponseView response;  // read only for its length
   for (std::size_t i = 0; i < expected;) {
-    std::size_t consumed = 0;
-    if (auto response = ParseResponse(Unread(), &consumed)) {
-      (void)response;
+    if (std::size_t consumed = ReadResponse(Unread(), &response)) {
       reply->append(Unread().substr(0, consumed));
       MarkConsumed(consumed);
       ++i;
@@ -261,10 +245,11 @@ bool TcpChannel::RoundTrip(const std::string& request_bytes,
   return true;
 }
 
-void TcpChannel::SendNoWait(const Request& request) {
+bool TcpChannel::SendNoWait(const Request& request) {
   std::lock_guard lock(mu_);
-  AppendTo(request, &wbuf_);
+  if (!AppendTo(request, &wbuf_)) return false;
   if (request.command != Command::kQuit) ++outstanding_;
+  return true;
 }
 
 bool TcpChannel::Flush() {

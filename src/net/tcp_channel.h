@@ -28,8 +28,9 @@ namespace iq::net {
 class PipelinedChannel : public Channel {
  public:
   /// Queue one request locally (no I/O). `quit` expects no response and is
-  /// excluded from the outstanding count.
-  virtual void SendNoWait(const Request& request) = 0;
+  /// excluded from the outstanding count. False, queueing nothing, for a
+  /// key the protocol cannot carry (CanCarry).
+  virtual bool SendNoWait(const Request& request) = 0;
 
   /// Write every queued request to the transport. False on transport error.
   virtual bool Flush() = 0;
@@ -69,14 +70,15 @@ class TcpChannel final : public PipelinedChannel {
 
   /// One-outstanding-request mode: writes `request_bytes`, blocks (at most
   /// io_timeout_ms) until the matching response(s) arrive in *reply, raw.
-  /// The bytes may carry several pipelined requests; one response is awaited
-  /// per parsed request (quit expects none and closes the connection
-  /// server-side). False on transport failure or deadline expiry — the
+  /// The bytes may carry several pipelined requests; it awaits
+  /// CountRequests(request_bytes) responses (quit expects none and closes
+  /// the connection server-side), finding each one's end with
+  /// ReadResponse. False on transport failure or deadline expiry — the
   /// connection is then closed (the stream can no longer be trusted).
   bool RoundTrip(const std::string& request_bytes,
                  std::string* reply) override;
 
-  void SendNoWait(const Request& request) override;
+  bool SendNoWait(const Request& request) override;
   bool Flush() override;
   std::vector<Response> Drain() override;
 

@@ -383,17 +383,16 @@ void TcpServer::PumpConnection(Worker& worker, Connection& conn,
 }
 
 void TcpServer::DrainRequests(Worker& worker, Connection& conn) {
-  Request request;
+  // Each request is read in place and answered straight into conn.out; its
+  // views die at the next Next(), after its reply is written.
+  RequestView request;
   std::string error;
   while (!conn.closing) {
     if (conn.out_backlog() > config_.max_response_bytes) return;
     auto status = conn.parser.Next(&request, &error);
     if (status == RequestParser::Status::kNeedMore) break;
     if (status == RequestParser::Status::kError) {
-      Response err;
-      err.type = ResponseType::kError;
-      err.message = error;
-      AppendTo(err, &conn.out);
+      AppendError(error, &conn.out);
       continue;  // parser resynced past the bad line; keep the connection
     }
     worker.requests.fetch_add(1, std::memory_order_relaxed);
@@ -402,7 +401,7 @@ void TcpServer::DrainRequests(Worker& worker, Connection& conn) {
       conn.closing = true;
       break;
     }
-    AppendTo(worker.dispatcher.Dispatch(request), &conn.out);
+    worker.dispatcher.DispatchTo(request, &conn.out);
   }
   // Reached only via kNeedMore (or quit), so `buffered()` is the one
   // incomplete request at the head of the stream — a `batch` frame counts
@@ -410,10 +409,7 @@ void TcpServer::DrainRequests(Worker& worker, Connection& conn) {
   // whose last bytes are still in flight fits; a runaway line or a frame
   // whose claimed count never arrives does not.
   if (!conn.closing && conn.parser.buffered() > kMaxRequestBytes) {
-    Response err;
-    err.type = ResponseType::kError;
-    err.message = "request exceeds server limit";
-    AppendTo(err, &conn.out);
+    AppendError("request exceeds server limit", &conn.out);
     conn.closing = true;
   }
 }

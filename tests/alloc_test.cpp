@@ -1,0 +1,137 @@
+// Allocation budget of the wire hot path. A replaced global operator new
+// counts every heap allocation in the process, client and server threads
+// alike, so this file is a test binary of its own. Each case warms up, then
+// averages the allocations of one operation over many.
+//
+// Sanitizer runtimes allocate on their own behalf, so the cases skip there.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "core/iq_server.h"
+#include "net/channel.h"
+#include "net/remote_backend.h"
+#include "net/tcp_channel.h"
+#include "net/tcp_server.h"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define IQ_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define IQ_SANITIZED 1
+#endif
+#endif
+#ifndef IQ_SANITIZED
+#define IQ_SANITIZED 0
+#endif
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+#if !IQ_SANITIZED
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#endif
+
+namespace iq::net {
+namespace {
+
+constexpr int kWarmOps = 200;
+constexpr int kOps = 2000;
+const std::string kValue(100, 'v');
+
+/// Heap allocations per call of `op`, averaged over kOps calls that follow
+/// kWarmOps warm-up calls. `op` returns false on a wrong answer.
+template <typename Op>
+double AllocationsPer(Op op) {
+  for (int i = 0; i < kWarmOps; ++i) EXPECT_TRUE(op());
+  int wrong = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kOps; ++i) wrong += op() ? 0 : 1;
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(wrong, 0);
+  return static_cast<double>(after - before) / kOps;
+}
+
+bool Hit(RemoteBackend& backend) {
+  GetReply r = backend.IQget("hit", 0);
+  return r.status == GetReply::Status::kHit && r.value == kValue;
+}
+
+/// One-key refresh session: GenID, one acquire frame, one commit frame.
+bool RefreshSession(RemoteBackend& backend) {
+  SessionId tid = backend.GenID();
+  std::vector<LeaseReply> leases =
+      backend.Acquire(tid, {{LeaseRequest::Kind::kQaRead, "session"}});
+  if (leases.size() != 1 || leases[0].status != LeaseReply::Status::kGranted) {
+    return false;
+  }
+  std::vector<StoreResult> stored =
+      backend.CommitSwaps(tid, {{"session", kValue, leases[0].token}});
+  return stored.size() == 1 && stored[0] == StoreResult::kStored;
+}
+
+class AllocTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (IQ_SANITIZED) GTEST_SKIP() << "sanitizer runtimes allocate on their own";
+    server_.Set("hit", kValue);
+    server_.Set("session", kValue);
+  }
+
+  /// A one-worker TcpServer over server_ and one connection to it.
+  std::unique_ptr<TcpChannel> StartTcp() {
+    TcpServer::Config config;
+    config.workers = 1;
+    tcp_ = std::make_unique<TcpServer>(server_, config);
+    std::string error;
+    EXPECT_TRUE(tcp_->Start(&error)) << error;
+    auto channel = TcpChannel::Connect("127.0.0.1", tcp_->port(), &error);
+    EXPECT_NE(channel, nullptr) << error;
+    return channel;
+  }
+
+  IQServer server_;
+  std::unique_ptr<TcpServer> tcp_;
+};
+
+TEST_F(AllocTest, IQgetHitOverLoopback) {
+  LoopbackChannel channel(server_);
+  RemoteBackend backend(channel);
+  double per_hit = AllocationsPer([&] { return Hit(backend); });
+  EXPECT_LE(per_hit, 3.0);
+  RecordProperty("allocations_per_hit", std::to_string(per_hit));
+}
+
+TEST_F(AllocTest, IQgetHitOverTcp) {
+  auto channel = StartTcp();
+  ASSERT_NE(channel, nullptr);
+  RemoteBackend backend(*channel);
+  double per_hit = AllocationsPer([&] { return Hit(backend); });
+  EXPECT_LE(per_hit, 3.0);
+  RecordProperty("allocations_per_hit", std::to_string(per_hit));
+}
+
+TEST_F(AllocTest, RefreshSessionOverTcp) {
+  auto channel = StartTcp();
+  ASSERT_NE(channel, nullptr);
+  RemoteBackend backend(*channel);
+  double per_session = AllocationsPer([&] { return RefreshSession(backend); });
+  EXPECT_LE(per_session, 20.0);
+  RecordProperty("allocations_per_session", std::to_string(per_session));
+}
+
+}  // namespace
+}  // namespace iq::net

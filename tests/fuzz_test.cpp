@@ -168,6 +168,52 @@ TEST_P(FuzzSeedTest, BatchFramesParseWholeOrNotAtAll) {
   EXPECT_EQ(client.Get("sane")->value, "value");
 }
 
+TEST_P(FuzzSeedTest, RoundTripAwaitsEveryResponseTheServerSends) {
+  // CountRequests is how many responses TcpChannel::RoundTrip waits for.
+  // For random bytes and mutated request streams it must equal the
+  // responses a LoopbackChannel, fresh each time, answers the same bytes
+  // with: one fewer and a reply is left in the socket to desync the next
+  // call; one more and the call waits out its deadline.
+  Rng rng(GetParam() + 7000);
+  const std::string templates[] = {
+      "set key 0 0 5\r\nhello\r\n",
+      "get key other\r\n",
+      "iqget key 7\r\n",
+      "qaread key 7\r\n",
+      "sar key 9 4\r\ndata\r\n",
+      "commit 3\r\n",
+      "quit\r\n",
+      "batch 2\r\nqaread key 7\r\nqareg 7 k2\r\n",
+      "batch 3\r\nsar key 9 4\r\ndata\r\nsarnull k2 4\r\ncommit 7\r\n",
+  };
+  IQServer server;
+  for (int round = 0; round < 1000; ++round) {
+    std::string bytes;
+    if (round % 2 == 0) {
+      bytes = RandomBytes(rng, 64);
+      if (rng.NextUint64(2) == 0) bytes += "\r\n";
+    } else {
+      for (std::uint64_t n = 1 + rng.NextUint64(4); n > 0; --n) {
+        bytes += templates[rng.NextUint64(std::size(templates))];
+      }
+      bytes = Mutate(rng, bytes);
+    }
+    LoopbackChannel channel(server);
+    std::string reply;
+    ASSERT_TRUE(channel.RoundTrip(bytes, &reply));
+    std::size_t responses = 0;
+    std::string_view rest = reply;
+    ResponseView response;
+    while (!rest.empty()) {
+      std::size_t used = ReadResponse(rest, &response);
+      ASSERT_GT(used, 0u) << reply;
+      rest.remove_prefix(used);
+      ++responses;
+    }
+    EXPECT_EQ(CountRequests(bytes), responses) << bytes;
+  }
+}
+
 TEST_P(FuzzSeedTest, ResponseParserSurvivesRandomBytes) {
   Rng rng(GetParam() + 3000);
   for (int round = 0; round < 2000; ++round) {

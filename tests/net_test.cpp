@@ -739,6 +739,47 @@ TEST(RequestParser, CompactionKeepsPipelinedTailIntact) {
   EXPECT_EQ(p.buffered(), 0u);
 }
 
+TEST(RequestParser, ViewsSurviveReallocationAndCompaction) {
+  // A view never outlives a compaction: a `batch` frame and a large `set`
+  // arrive in pieces that each outgrow the parser's buffer, so it moves
+  // while the frame is open (the frame keeps offsets, not views) and is
+  // compacted between requests. Every request's key and data, read the
+  // moment Next() yields it, equals what was sent.
+  const std::string x(200u << 10, 'x');
+  const std::string y(150u << 10, 'y');
+  const std::string z(300u << 10, 'z');
+  const std::string stream =
+      "get a\r\n"
+      "batch 3\r\nsar k1 7 " + std::to_string(x.size()) + "\r\n" + x +
+      "\r\nqaread k2 9\r\nsar k3 8 " + std::to_string(y.size()) + "\r\n" +
+      y + "\r\nset big 0 0 " + std::to_string(z.size()) + "\r\n" + z + "\r\n";
+  using Seen = std::vector<std::pair<std::string, std::string>>;
+  Seen seen;
+  RequestParser p;
+  RequestView r;
+  std::string err;
+  std::size_t off = 0;
+  for (std::size_t piece = 4u << 10; off < stream.size(); piece *= 2) {
+    p.Feed(std::string_view(stream).substr(off, piece));
+    off += piece;
+    while (true) {
+      auto status = p.Next(&r, &err);
+      ASSERT_NE(status, RequestParser::Status::kError) << err;
+      if (status == RequestParser::Status::kNeedMore) break;
+      if (r.command != Command::kBatch) {
+        seen.emplace_back(std::string(r.key), std::string(r.data));
+        continue;
+      }
+      for (const RequestView& inner : r.batch) {
+        seen.emplace_back(std::string(inner.key), std::string(inner.data));
+      }
+    }
+  }
+  EXPECT_EQ(seen, (Seen{{"a", ""}, {"k1", x}, {"k2", ""}, {"k3", y},
+                        {"big", z}}));
+  EXPECT_EQ(p.buffered(), 0u);
+}
+
 // ---- length-claim hardening -------------------------------------------------
 
 TEST(RequestParser, RejectsPayloadLengthClaimAboveProtocolLimit) {
@@ -1222,6 +1263,39 @@ TEST(RemoteBackendWire, EveryVerbSendsItsPinnedRequest) {
                 "decr n 1\r\n",
                 "delete k\r\n",
             }));
+}
+
+TEST(RemoteBackendWire, KeysTheProtocolCannotCarryAreNeverSent) {
+  // A key with a delimiter in it would otherwise split into extra tokens
+  // or smuggle whole requests onto the wire (here a flush_all). Such a
+  // call sends nothing and returns its transport-error shape.
+  IQServer server;
+  LoopbackChannel channel(server);
+  RemoteBackend backend(channel);
+  ASSERT_EQ(backend.Set("victim", "alive"), StoreResult::kStored);
+  const SessionId tid = backend.GenID();
+  const std::uint64_t before = channel.requests();
+  for (const std::string bad : {"k 0\r\nflush_all\r\niqget j", "two words",
+                                "", "cr\rkey", "lf\nkey"}) {
+    EXPECT_EQ(backend.IQget(bad, 0).status, GetReply::Status::kTransportError)
+        << bad;
+    EXPECT_EQ(backend.Set(bad, "v"), StoreResult::kTransportError) << bad;
+    std::vector<LeaseReply> leases =
+        backend.Acquire(tid, {{LeaseRequest::Kind::kQaRead, "fine"},
+                              {LeaseRequest::Kind::kQaReg, bad}});
+    ASSERT_EQ(leases.size(), 2u);
+    EXPECT_EQ(leases[0].status, LeaseReply::Status::kTransportError) << bad;
+    EXPECT_EQ(leases[1].status, LeaseReply::Status::kNotRun) << bad;
+    std::vector<std::optional<CacheItem>> got =
+        backend.MultiGet({"victim", bad});
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_FALSE(got[0].has_value()) << bad;
+    EXPECT_FALSE(got[1].has_value()) << bad;
+    EXPECT_EQ(channel.requests(), before) << bad;
+  }
+  EXPECT_EQ(server.LeaseCount(), 0u);
+  ASSERT_TRUE(server.store().Get("victim").has_value());
+  EXPECT_EQ(server.store().Get("victim")->value, "alive");
 }
 
 }  // namespace
