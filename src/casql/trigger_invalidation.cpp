@@ -1,11 +1,14 @@
 #include "casql/trigger_invalidation.h"
 
+#include <algorithm>
+
 namespace iq::casql {
 namespace {
 
-// The trigger fires on the thread executing the DML, so the active managed
-// session is thread-local state.
-thread_local TriggerInvalidator::ManagedSession* t_active = nullptr;
+// The trigger fires on the thread executing the DML, so each thread keeps
+// its open managed sessions, oldest first. A trigger quarantines under the
+// one whose transaction runs the DML.
+thread_local std::vector<TriggerInvalidator::ManagedSession*> t_open;
 
 }  // namespace
 
@@ -16,17 +19,21 @@ void TriggerInvalidator::Register(const std::string& table, sql::DmlOp op,
                                   KeyMapper mapper) {
   db_.RegisterTrigger(
       table, op,
-      [mapper = std::move(mapper)](sql::Transaction&,
+      [mapper = std::move(mapper)](sql::Transaction& txn,
                                    const sql::TriggerEvent& event) {
-        OnTrigger(mapper, event);
+        OnTrigger(mapper, txn, event);
       });
 }
 
 void TriggerInvalidator::OnTrigger(const KeyMapper& mapper,
+                                   const sql::Transaction& txn,
                                    const sql::TriggerEvent& event) {
-  ManagedSession* session = t_active;
+  auto it = std::find_if(t_open.begin(), t_open.end(), [&](ManagedSession* s) {
+    return s->txn_.get() == &txn;
+  });
   // DML outside a managed session, or in one that can no longer commit.
-  if (session == nullptr || session->failed_) return;
+  if (it == t_open.end() || (*it)->failed_) return;
+  ManagedSession* session = *it;
   for (const std::string& key : mapper(event)) {
     // QaReg voids I leases so racing readers cannot install values computed
     // from pre-commit snapshots. A server grants it (Figure 5a), but an
@@ -39,14 +46,14 @@ void TriggerInvalidator::OnTrigger(const KeyMapper& mapper,
 }
 
 SessionId TriggerInvalidator::ActiveTid() {
-  return t_active != nullptr ? t_active->iq_->id() : 0;
+  return t_open.empty() ? 0 : t_open.back()->iq_->id();
 }
 
 std::unique_ptr<TriggerInvalidator::ManagedSession>
 TriggerInvalidator::BeginSession() {
   std::unique_ptr<ManagedSession> session(
       new ManagedSession(client_.NewSession(), db_.Begin()));
-  t_active = session.get();
+  t_open.push_back(session.get());
   return session;
 }
 
@@ -66,7 +73,7 @@ bool TriggerInvalidator::ManagedSession::Commit() {
     return false;
   }
   finished_ = true;
-  if (t_active == this) t_active = nullptr;
+  std::erase(t_open, this);
   iq_->Commit();  // delete quarantined keys, release Q leases
   return true;
 }
@@ -74,7 +81,7 @@ bool TriggerInvalidator::ManagedSession::Commit() {
 void TriggerInvalidator::ManagedSession::Abort() {
   if (finished_) return;
   finished_ = true;
-  if (t_active == this) t_active = nullptr;
+  std::erase(t_open, this);
   txn_->Rollback();
   iq_->Abort();
 }

@@ -49,8 +49,9 @@ class TriggerInvalidator {
   void Register(const std::string& table, sql::DmlOp op, KeyMapper mapper);
 
   /// One managed write session: an RDBMS transaction whose covered DMLs
-  /// quarantine their impacted keys automatically. Not thread-safe; use
-  /// from one thread. Destroying an uncommitted session aborts it.
+  /// quarantine their impacted keys automatically. Not thread-safe: begin,
+  /// run and end it on one thread, which may hold several open at once.
+  /// Destroying an uncommitted session aborts it.
   class ManagedSession {
    public:
     ~ManagedSession();
@@ -80,11 +81,12 @@ class TriggerInvalidator {
 
   std::unique_ptr<ManagedSession> BeginSession();
 
-  /// The session id active on this thread, or 0 (testing / diagnostics).
+  /// The id of the newest session open on this thread, or 0 (testing /
+  /// diagnostics).
   static SessionId ActiveTid();
 
  private:
-  static void OnTrigger(const KeyMapper& mapper,
+  static void OnTrigger(const KeyMapper& mapper, const sql::Transaction& txn,
                         const sql::TriggerEvent& event);
 
   sql::Database& db_;

@@ -142,22 +142,6 @@ ClientQResult IQSession::QaRead(std::string_view key,
   return r;
 }
 
-ClientQResult IQSession::Delta(std::string_view key, DeltaOp delta) {
-  return Acquire({{LeaseRequest::Kind::kDelta, key, std::move(delta)}});
-}
-
-ClientQResult IQSession::Append(std::string_view key, std::string_view blob) {
-  return Delta(key, DeltaOp{DeltaOp::Kind::kAppend, std::string(blob), 0});
-}
-
-ClientQResult IQSession::Incr(std::string_view key, std::uint64_t amount) {
-  return Delta(key, DeltaOp{DeltaOp::Kind::kIncr, {}, amount});
-}
-
-ClientQResult IQSession::Decr(std::string_view key, std::uint64_t amount) {
-  return Delta(key, DeltaOp{DeltaOp::Kind::kDecr, {}, amount});
-}
-
 ClientQResult IQSession::Acquire(
     const std::vector<LeaseRequest>& requests,
     std::vector<std::optional<std::string>>* values) {

@@ -5,13 +5,13 @@
 //
 //   read session:   Get() -> hit, or miss + permission to recompute;
 //                   Put() installs the recomputed value (token attached).
-//   write session:  QaRead()/Delta()/Quarantine() before the RDBMS commit,
-//                   then SaR()/Commit() after it; Abort() on failure. The
-//                   batched form — Acquire() before, Commit(swaps) after —
-//                   costs one backend call each, whatever the key count
-//                   (one round trip per shard over the wire).
+//   write session:  Acquire() (QaRead, QaReg and delta leases) before the
+//                   RDBMS commit, then Commit(swaps) after it; Abort() on
+//                   failure. Each costs one backend call, whatever the key
+//                   count (one round trip per shard over the wire).
+//                   QaRead()/Quarantine()/SaR() are one-key forms.
 //
-// A QaRead/Delta rejection (Q-Q conflict, Figure 5b) surfaces as
+// A QaRead/delta rejection (Q-Q conflict, Figure 5b) surfaces as
 // kQConflict: the caller must release everything (Abort()), roll back its
 // RDBMS transaction, back off (Backoff()), and re-run the whole session.
 //
@@ -122,21 +122,14 @@ class IQSession {
   /// A new value's write intent is logged before the install.
   StoreResult SaR(std::string_view key, std::optional<std::string_view> v_new);
 
-  // ---- write path: incremental update ---------------------------------------
-
-  /// Buffer an incremental update (applied server-side at Commit()).
-  ClientQResult Delta(std::string_view key, DeltaOp delta);
-  ClientQResult Append(std::string_view key, std::string_view blob);
-  ClientQResult Incr(std::string_view key, std::uint64_t amount);
-  ClientQResult Decr(std::string_view key, std::uint64_t amount);
-
   // ---- write path: batched ----------------------------------------------------
 
   /// Take every lease of a write session in one backend call, in order:
-  /// kQaRead as QaRead(), kQaReg as Quarantine(), kDelta as Delta(), with
-  /// their near-cache invalidation, tokens and op-log records, up to the
-  /// first request not granted, whose outcome is the result. The
-  /// single-key verbs above are this call with one request. On kGranted,
+  /// kQaRead as QaRead(), kQaReg as Quarantine(), kDelta buffering an
+  /// incremental update that Commit() applies server-side, with their
+  /// near-cache invalidation, tokens and op-log records, up to the first
+  /// request not granted, whose outcome is the result. QaRead() and
+  /// Quarantine() are this call with one request. On kGranted,
   /// (*values)[i] holds request i's QaRead value (values is resized to
   /// match `requests`).
   ClientQResult Acquire(const std::vector<LeaseRequest>& requests,

@@ -149,9 +149,6 @@ class Database {
   void ClearTriggers();
 
   Stats GetStats() const;
-  Timestamp LastCommitTs() const {
-    return commit_counter_.load(std::memory_order_acquire);
-  }
 
   /// Reclaim dead versions older than every active snapshot.
   std::size_t Vacuum();

@@ -143,14 +143,20 @@ TEST_F(IQClientTest, DeltaHelpersBuildCorrectOps) {
   server_.store().Set("list", "a");
   server_.store().Set("count", "10");
   auto s = client_.NewSession();
-  EXPECT_EQ(s->Append("list", ",b"), ClientQResult::kGranted);
-  EXPECT_EQ(s->Incr("count", 5), ClientQResult::kGranted);
+  EXPECT_EQ(s->Acquire({{LeaseRequest::Kind::kDelta, "list",
+                         DeltaOp{DeltaOp::Kind::kAppend, ",b", 0}}}),
+            ClientQResult::kGranted);
+  EXPECT_EQ(s->Acquire({{LeaseRequest::Kind::kDelta, "count",
+                         DeltaOp{DeltaOp::Kind::kIncr, {}, 5}}}),
+            ClientQResult::kGranted);
   s->Commit();
   EXPECT_EQ(server_.store().Get("list")->value, "a,b");
   EXPECT_EQ(server_.store().Get("count")->value, "15");
 
   auto s2 = client_.NewSession();
-  EXPECT_EQ(s2->Decr("count", 3), ClientQResult::kGranted);
+  EXPECT_EQ(s2->Acquire({{LeaseRequest::Kind::kDelta, "count",
+                          DeltaOp{DeltaOp::Kind::kDecr, {}, 3}}}),
+            ClientQResult::kGranted);
   s2->Commit();
   EXPECT_EQ(server_.store().Get("count")->value, "12");
 }
@@ -158,8 +164,12 @@ TEST_F(IQClientTest, DeltaHelpersBuildCorrectOps) {
 TEST_F(IQClientTest, DeltaConflictReportedToCaller) {
   auto s1 = client_.NewSession();
   auto s2 = client_.NewSession();
-  EXPECT_EQ(s1->Append("k", "x"), ClientQResult::kGranted);
-  EXPECT_EQ(s2->Append("k", "y"), ClientQResult::kQConflict);
+  EXPECT_EQ(s1->Acquire({{LeaseRequest::Kind::kDelta, "k",
+                          DeltaOp{DeltaOp::Kind::kAppend, "x", 0}}}),
+            ClientQResult::kGranted);
+  EXPECT_EQ(s2->Acquire({{LeaseRequest::Kind::kDelta, "k",
+                          DeltaOp{DeltaOp::Kind::kAppend, "y", 0}}}),
+            ClientQResult::kQConflict);
 }
 
 TEST_F(IQClientTest, AbortReleasesEverything) {
@@ -167,7 +177,8 @@ TEST_F(IQClientTest, AbortReleasesEverything) {
   std::optional<std::string> v;
   s->QaRead("a", v);
   s->Quarantine("b");
-  s->Append("c", "x");
+  s->Acquire({{LeaseRequest::Kind::kDelta, "c",
+               DeltaOp{DeltaOp::Kind::kAppend, "x", 0}}});
   s->Abort();
   EXPECT_FALSE(server_.LeaseOn("a"));
   EXPECT_FALSE(server_.LeaseOn("b"));
@@ -292,7 +303,9 @@ TEST_F(SessionOpLogTest, EachVerbLogsItsRecord) {
   EXPECT_EQ(s->SaR("h", "v2"), StoreResult::kNotStored);  // lease released
   ASSERT_EQ(s->Quarantine("q"), ClientQResult::kGranted);
   ASSERT_EQ(s->QaRead("c", v), ClientQResult::kGranted);
-  ASSERT_EQ(s->Incr("c", 1), ClientQResult::kGranted);
+  ASSERT_EQ(s->Acquire({{LeaseRequest::Kind::kDelta, "c",
+                         DeltaOp{DeltaOp::Kind::kIncr, {}, 1}}}),
+            ClientQResult::kGranted);
   ASSERT_EQ(s->QaRead("c", v), ClientQResult::kGranted);  // own-update probe
   EXPECT_EQ(v, "6");
   s->Commit();

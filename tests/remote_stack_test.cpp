@@ -9,7 +9,6 @@
 
 #include "bg/workload.h"
 #include "casql/casql.h"
-#include "casql/query_cache.h"
 #include "core/sharded_backend.h"
 #include "net/reconnecting_channel.h"
 #include "net/remote_backend.h"
@@ -110,31 +109,6 @@ TEST_F(RemoteStackTest, WriteSessionsWorkForEveryTechnique) {
     ASSERT_TRUE(read.value) << casql::ToString(t);
     EXPECT_EQ(*read.value, "1") << casql::ToString(t);
   }
-}
-
-TEST_F(RemoteStackTest, QueryCacheRunsOverTheWire) {
-  sql::Database db;
-  db.CreateTable(SchemaBuilder("Users")
-                     .AddInt("id")
-                     .AddInt("score")
-                     .PrimaryKey({"id"})
-                     .Build());
-  {
-    auto txn = db.Begin();
-    txn->Insert("Users", {V(1), V(10)});
-    txn->Commit();
-  }
-  casql::QueryCache cache(db, backend_);
-  auto r1 = cache.Select("SELECT score FROM Users WHERE id = ?", {V(1)});
-  EXPECT_EQ(r1.rows[0][0], V(10));
-  auto r2 = cache.Select("SELECT score FROM Users WHERE id = ?", {V(1)});
-  EXPECT_EQ(r2.rows[0][0], V(10));
-  EXPECT_EQ(cache.GetStats().result_hits, 1u);
-  ASSERT_TRUE(cache.Write({"Users"}, [](Transaction& txn) {
-    return sql::Query(txn, "UPDATE Users SET score = 99 WHERE id = 1").ok();
-  }));
-  auto r3 = cache.Select("SELECT score FROM Users WHERE id = ?", {V(1)});
-  EXPECT_EQ(r3.rows[0][0], V(99));
 }
 
 TEST_F(RemoteStackTest, BgWorkloadOverTheWireHasZeroUnpredictableReads) {

@@ -235,6 +235,27 @@ TEST_F(TriggerInvalidationTest, ActiveTidIsPerThread) {
   session->Abort();
 }
 
+TEST_F(TriggerInvalidationTest, OverlappingSessionsQuarantineUnderTheirOwnTxn) {
+  // Two managed sessions open on one thread: A's DML must quarantine under
+  // A, whichever session began last and whenever the other one ends.
+  for (bool other_ends_first : {false, true}) {
+    SCOPED_TRACE(other_ends_first ? "B ends before A's DML"
+                                  : "B aborts after A's DML");
+    server_.store().Set(Key(1), "score=" + std::to_string(Score(1)));
+    auto a = invalidator_.BeginSession();
+    SessionId a_id = TriggerInvalidator::ActiveTid();
+    auto b = invalidator_.BeginSession();
+    if (other_ends_first) EXPECT_TRUE(b->Commit());
+    sql::Query(a->txn(), "UPDATE Users SET score = score + 1 WHERE id = 1");
+    if (!other_ends_first) b->Abort();
+    EXPECT_EQ(TriggerInvalidator::ActiveTid(), a_id);
+    EXPECT_TRUE(a->Commit());
+    EXPECT_FALSE(server_.store().Get(Key(1)));
+    EXPECT_EQ(server_.LeaseCount(), 0u);
+  }
+  EXPECT_EQ(Score(1), 12);
+}
+
 TEST_F(TriggerInvalidationTest, ConcurrentManagedSessionsStayConsistent) {
   // Writers bump scores through managed sessions; readers read through the
   // cache with I leases. The cache must always converge to the database.
