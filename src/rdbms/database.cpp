@@ -19,29 +19,19 @@ Transaction::~Transaction() {
 
 std::optional<Row> Transaction::SelectByPk(const std::string& table,
                                            const Row& pk) {
-  db_.DelayFor(db_.config_.read_delay);
-  {
-    std::lock_guard lock(db_.stats_mu_);
-    ++db_.stats_.reads;
-  }
   Table* t = db_.GetTable(table);
-  if (t == nullptr || state_ != State::kActive) return std::nullopt;
-  return t->Read(ctx_, pk);
+  if (t == nullptr) return std::nullopt;
+  return SelectByPk(*t, pk);
 }
 
 std::vector<Row> Transaction::SelectWhereEq(const std::string& table,
                                             const std::string& column,
                                             const Value& value) {
-  db_.DelayFor(db_.config_.read_delay);
-  {
-    std::lock_guard lock(db_.stats_mu_);
-    ++db_.stats_.reads;
-  }
   Table* t = db_.GetTable(table);
-  if (t == nullptr || state_ != State::kActive) return {};
+  if (t == nullptr) return {};
   auto col = t->schema().ColumnIndex(column);
   if (!col) return {};
-  return t->ReadWhereEq(ctx_, *col, value);
+  return SelectWhereEq(*t, *col, value);
 }
 
 std::vector<Row> Transaction::SelectAll(const std::string& table) {
@@ -50,74 +40,22 @@ std::vector<Row> Transaction::SelectAll(const std::string& table) {
 
 std::vector<Row> Transaction::SelectWhere(
     const std::string& table, const std::function<bool(const Row&)>& pred) {
-  db_.DelayFor(db_.config_.read_delay);
-  {
-    std::lock_guard lock(db_.stats_mu_);
-    ++db_.stats_.reads;
-  }
   Table* t = db_.GetTable(table);
-  if (t == nullptr || state_ != State::kActive) return {};
-  return t->Scan(ctx_, pred);
+  if (t == nullptr) return {};
+  return SelectWhere(*t, pred);
 }
 
 TxnResult Transaction::Insert(const std::string& table, Row row) {
-  if (state_ != State::kActive) return TxnResult::kAborted;
-  db_.DelayFor(db_.config_.write_delay);
-  {
-    std::lock_guard lock(db_.stats_mu_);
-    ++db_.stats_.writes;
-  }
   Table* t = db_.GetTable(table);
   if (t == nullptr) return TxnResult::kNotFound;
-  Row pk = t->schema().PrimaryKeyOf(row);
-  Row row_copy = row;  // for the trigger event
-  TxnResult r = t->InsertIntent(ctx_, std::move(row));
-  if (r == TxnResult::kConflict) {
-    {
-      std::lock_guard lock(db_.stats_mu_);
-      ++db_.stats_.conflicts;
-    }
-    Doom();
-    return r;
-  }
-  if (r != TxnResult::kOk) return r;
-  writes_.push_back({t, std::move(pk)});
-  TriggerEvent event{DmlOp::kInsert, table, nullptr, &row_copy};
-  db_.FireTriggers(*this, event);
-  return r;
+  return Insert(*t, std::move(row));
 }
 
 TxnResult Transaction::UpdateByPk(const std::string& table, const Row& pk,
                                   const std::function<void(Row&)>& mutate) {
-  if (state_ != State::kActive) return TxnResult::kAborted;
-  db_.DelayFor(db_.config_.write_delay);
-  {
-    std::lock_guard lock(db_.stats_mu_);
-    ++db_.stats_.writes;
-  }
   Table* t = db_.GetTable(table);
   if (t == nullptr) return TxnResult::kNotFound;
-  Row old_row;
-  Row new_row;
-  auto capture = [&](Row& r) {
-    old_row = r;
-    mutate(r);
-    new_row = r;
-  };
-  TxnResult r = t->UpdateIntent(ctx_, pk, capture);
-  if (r == TxnResult::kConflict) {
-    {
-      std::lock_guard lock(db_.stats_mu_);
-      ++db_.stats_.conflicts;
-    }
-    Doom();
-    return r;
-  }
-  if (r != TxnResult::kOk) return r;
-  writes_.push_back({t, pk});
-  TriggerEvent event{DmlOp::kUpdate, table, &old_row, &new_row};
-  db_.FireTriggers(*this, event);
-  return r;
+  return UpdateByPk(*t, pk, mutate);
 }
 
 TxnResult Transaction::UpdateByPk(
@@ -133,38 +71,121 @@ TxnResult Transaction::UpdateByPk(
     if (!idx) return TxnResult::kInvalidRow;
     resolved.emplace_back(*idx, val);
   }
-  return UpdateByPk(table, pk, [&](Row& row) {
+  return UpdateByPk(*t, pk, [&](Row& row) {
     for (const auto& [idx, val] : resolved) row[idx] = val;
   });
 }
 
 TxnResult Transaction::DeleteByPk(const std::string& table, const Row& pk) {
-  if (state_ != State::kActive) return TxnResult::kAborted;
-  db_.DelayFor(db_.config_.write_delay);
-  {
-    std::lock_guard lock(db_.stats_mu_);
-    ++db_.stats_.writes;
-  }
   Table* t = db_.GetTable(table);
   if (t == nullptr) return TxnResult::kNotFound;
-  Row old_row;
-  {
-    auto visible = t->Read(ctx_, pk);
-    if (visible) old_row = *visible;
+  return DeleteByPk(*t, pk);
+}
+
+std::optional<Row> Transaction::SelectByPk(Table& table, const Row& pk) {
+  db_.DelayFor(db_.config_.read_delay);
+  Database::Bump(db_.stats_.reads);
+  if (state_ != State::kActive) return std::nullopt;
+  return table.Read(ctx_, pk);
+}
+
+std::vector<Row> Transaction::SelectWhereEq(Table& table, std::size_t col,
+                                            const Value& value) {
+  db_.DelayFor(db_.config_.read_delay);
+  Database::Bump(db_.stats_.reads);
+  if (state_ != State::kActive || col >= table.schema().columns.size()) {
+    return {};
   }
-  TxnResult r = t->DeleteIntent(ctx_, pk);
+  return table.ReadWhereEq(ctx_, col, value);
+}
+
+std::vector<Row> Transaction::SelectWhere(
+    Table& table, const std::function<bool(const Row&)>& pred) {
+  db_.DelayFor(db_.config_.read_delay);
+  Database::Bump(db_.stats_.reads);
+  if (state_ != State::kActive) return {};
+  return table.Scan(ctx_, pred);
+}
+
+void Transaction::Record(Table& table, TxnResult r,
+                         Table::RowChain* claimed) {
   if (r == TxnResult::kConflict) {
-    {
-      std::lock_guard lock(db_.stats_mu_);
-      ++db_.stats_.conflicts;
-    }
+    Database::Bump(db_.stats_.conflicts);
     Doom();
+  }
+  if (r == TxnResult::kOk && claimed != nullptr) {
+    writes_.push_back({&table, claimed});
+  }
+}
+
+TxnResult Transaction::Insert(Table& table, Row row) {
+  if (state_ != State::kActive) return TxnResult::kAborted;
+  db_.DelayFor(db_.config_.write_delay);
+  Database::Bump(db_.stats_.writes);
+  const bool fire = db_.HasTriggers();
+  Row new_row;  // the trigger event's copy
+  if (fire) new_row = row;
+  Table::RowChain* claimed = nullptr;
+  TxnResult r = table.InsertIntent(ctx_, std::move(row), &claimed);
+  Record(table, r, claimed);
+  if (r == TxnResult::kOk && fire) {
+    db_.FireTriggers(*this, {DmlOp::kInsert, table.schema().name, nullptr,
+                             &new_row});
+  }
+  return r;
+}
+
+TxnResult Transaction::UpdateByPk(Table& table, const Row& pk,
+                                  const std::function<void(Row&)>& mutate,
+                                  const std::function<bool(const Row&)>& match) {
+  if (state_ != State::kActive) return TxnResult::kAborted;
+  db_.DelayFor(db_.config_.write_delay);
+  Database::Bump(db_.stats_.writes);
+  Table::RowChain* claimed = nullptr;
+  if (!db_.HasTriggers()) {
+    TxnResult r = table.UpdateIntent(ctx_, pk, mutate, match, &claimed);
+    Record(table, r, claimed);
     return r;
   }
-  if (r != TxnResult::kOk) return r;
-  writes_.push_back({t, pk});
-  TriggerEvent event{DmlOp::kDelete, table, &old_row, nullptr};
-  db_.FireTriggers(*this, event);
+  Row old_row;
+  Row new_row;
+  auto capture = [&](Row& r) {
+    old_row = r;
+    mutate(r);
+    new_row = r;
+  };
+  TxnResult r = table.UpdateIntent(ctx_, pk, capture, match, &claimed);
+  Record(table, r, claimed);
+  if (r == TxnResult::kOk) {
+    db_.FireTriggers(*this, {DmlOp::kUpdate, table.schema().name, &old_row,
+                             &new_row});
+  }
+  return r;
+}
+
+TxnResult Transaction::DeleteByPk(Table& table, const Row& pk,
+                                  const std::function<bool(const Row&)>& match) {
+  if (state_ != State::kActive) return TxnResult::kAborted;
+  db_.DelayFor(db_.config_.write_delay);
+  Database::Bump(db_.stats_.writes);
+  Table::RowChain* claimed = nullptr;
+  if (!db_.HasTriggers()) {
+    TxnResult r = table.DeleteIntent(ctx_, pk, match, &claimed);
+    Record(table, r, claimed);
+    return r;
+  }
+  Row old_row;
+  auto capture = [&](const Row& r) {
+    if (match && !match(r)) return false;
+    old_row = r;
+    return true;
+  };
+  TxnResult r = table.DeleteIntent(ctx_, pk, capture, &claimed);
+  Record(table, r, claimed);
+  if (r == TxnResult::kOk) {
+    db_.FireTriggers(*this, {DmlOp::kDelete, table.schema().name, &old_row,
+                             nullptr});
+  }
   return r;
 }
 
@@ -174,13 +195,12 @@ TxnResult Transaction::Commit() {
   {
     std::lock_guard commit_lock(db_.commit_mu_);
     Timestamp ts = db_.commit_counter_.load(std::memory_order_relaxed) + 1;
-    for (const auto& w : writes_) w.table->InstallCommit(ctx_.id, w.pk, ts);
+    for (const auto& w : writes_) w.table->InstallCommit(ctx_.id, *w.chain, ts);
     db_.commit_counter_.store(ts, std::memory_order_release);
     commit_ts_ = ts;
   }
   state_ = State::kCommitted;
-  std::lock_guard lock(db_.stats_mu_);
-  ++db_.stats_.txns_committed;
+  Database::Bump(db_.stats_.txns_committed);
   return TxnResult::kOk;
 }
 
@@ -190,11 +210,10 @@ void Transaction::Rollback() {
 }
 
 void Transaction::Doom() {
-  for (const auto& w : writes_) w.table->AbortIntent(ctx_.id, w.pk);
+  for (const auto& w : writes_) w.table->AbortIntent(ctx_.id, *w.chain);
   writes_.clear();
   state_ = State::kAborted;
-  std::lock_guard lock(db_.stats_mu_);
-  ++db_.stats_.txns_aborted;
+  Database::Bump(db_.stats_.txns_aborted);
 }
 
 // ---- Database ---------------------------------------------------------------
@@ -233,10 +252,7 @@ const Table* Database::GetTable(const std::string& name) const {
 std::unique_ptr<Transaction> Database::Begin() {
   TxnId id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   Timestamp snapshot = commit_counter_.load(std::memory_order_acquire);
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.txns_started;
-  }
+  Bump(stats_.txns_started);
   {
     std::lock_guard lock(active_mu_);
     active_snapshots_[id] = snapshot;
@@ -273,11 +289,13 @@ void Database::RegisterTrigger(const std::string& table, DmlOp op,
                                TriggerFn fn) {
   std::lock_guard lock(trigger_mu_);
   triggers_[TriggerKey{table, op}].push_back(std::move(fn));
+  has_triggers_.store(true, std::memory_order_release);
 }
 
 void Database::ClearTriggers() {
   std::lock_guard lock(trigger_mu_);
   triggers_.clear();
+  has_triggers_.store(false, std::memory_order_release);
 }
 
 void Database::FireTriggers(Transaction& txn, const TriggerEvent& event) {
@@ -292,8 +310,12 @@ void Database::FireTriggers(Transaction& txn, const TriggerEvent& event) {
 }
 
 Database::Stats Database::GetStats() const {
-  std::lock_guard lock(stats_mu_);
-  return stats_;
+  auto load = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  return Stats{load(stats_.txns_started), load(stats_.txns_committed),
+               load(stats_.txns_aborted),  load(stats_.conflicts),
+               load(stats_.reads),         load(stats_.writes)};
 }
 
 std::size_t Database::Vacuum() {

@@ -75,6 +75,22 @@ class Transaction {
                        const std::vector<std::pair<std::string, Value>>& sets);
   TxnResult DeleteByPk(const std::string& table, const Row& pk);
 
+  // ---- the same on a table already resolved ----
+  // The SQL executor's path: a statement looks its table up once. `match`,
+  // when given, sees the visible row first; false leaves the row unwritten
+  // and returns kNotFound.
+  std::optional<Row> SelectByPk(Table& table, const Row& pk);
+  std::vector<Row> SelectWhereEq(Table& table, std::size_t col,
+                                 const Value& value);
+  std::vector<Row> SelectWhere(Table& table,
+                               const std::function<bool(const Row&)>& pred);
+  TxnResult Insert(Table& table, Row row);
+  TxnResult UpdateByPk(Table& table, const Row& pk,
+                       const std::function<void(Row&)>& mutate,
+                       const std::function<bool(const Row&)>& match = {});
+  TxnResult DeleteByPk(Table& table, const Row& pk,
+                       const std::function<bool(const Row&)>& match = {});
+
   // ---- lifecycle ----
   /// Atomically installs all intents. Always succeeds for an active
   /// transaction (conflicts were detected eagerly at intent time).
@@ -88,9 +104,13 @@ class Transaction {
 
   void Doom();  // release intents, mark aborted
 
+  /// Counts a write intent's outcome: a conflict dooms the transaction, and
+  /// a chain claimed for the first time joins writes_.
+  void Record(Table& table, TxnResult r, Table::RowChain* claimed);
+
   struct WriteRecord {
     Table* table;
-    Row pk;
+    Table::RowChain* chain;  // this transaction's pending intent
   };
 
   Database& db_;
@@ -156,6 +176,11 @@ class Database {
  private:
   friend class Transaction;
 
+  /// True while any trigger is registered; DML builds trigger events only
+  /// then.
+  bool HasTriggers() const {
+    return has_triggers_.load(std::memory_order_acquire);
+  }
   void FireTriggers(Transaction& txn, const TriggerEvent& event);
   void DelayFor(Nanos d) const;
 
@@ -183,9 +208,21 @@ class Database {
   };
   std::unordered_map<TriggerKey, std::vector<TriggerFn>, TriggerKeyHash>
       triggers_;
+  std::atomic<bool> has_triggers_{false};
 
-  mutable std::mutex stats_mu_;
-  Stats stats_;
+  /// Stats fields, bumped with relaxed atomics (no lock per statement).
+  struct Counters {
+    std::atomic<std::uint64_t> txns_started{0};
+    std::atomic<std::uint64_t> txns_committed{0};
+    std::atomic<std::uint64_t> txns_aborted{0};
+    std::atomic<std::uint64_t> conflicts{0};
+    std::atomic<std::uint64_t> reads{0};
+    std::atomic<std::uint64_t> writes{0};
+  };
+  static void Bump(std::atomic<std::uint64_t>& counter) {
+    counter.fetch_add(1, std::memory_order_relaxed);
+  }
+  Counters stats_;
 
   mutable std::mutex active_mu_;
   std::unordered_map<TxnId, Timestamp> active_snapshots_;

@@ -2,7 +2,10 @@
 //
 // Planning is deliberately simple: full primary-key equality => point
 // read/write; single-column equality on an indexed column => index lookup
-// with residual filter; otherwise a visible scan.
+// with residual filter; otherwise a visible scan. A statement resolves its
+// table once, and a point UPDATE or DELETE checks its residual predicate
+// inside the write, so it finds its row once.
+#include <functional>
 #include <stdexcept>
 
 #include "rdbms/sql.h"
@@ -69,7 +72,7 @@ struct Plan {
   /// Full primary key assembled from equality predicates, if available.
   std::optional<Row> point_pk;
   /// Otherwise: an indexed column equality to seed the lookup.
-  std::optional<std::pair<std::string, Value>> index_probe;
+  std::optional<std::pair<std::size_t, Value>> index_probe;
   /// Conjuncts to evaluate on each candidate (column idx, op, value).
   std::vector<std::tuple<std::size_t, CompareOp, Value>> residual;
 };
@@ -111,7 +114,7 @@ Plan MakePlan(const TableSchema& schema, const std::vector<Predicate>& where,
       if (p.op != CompareOp::kEq) continue;
       for (std::size_t col : schema.secondary_indexes) {
         if (col == p.col) {
-          plan.index_probe = {schema.columns[col].name, p.value};
+          plan.index_probe = {col, p.value};
           break;
         }
       }
@@ -130,34 +133,29 @@ bool MatchesResidual(const Plan& plan, const Row& row) {
 }
 
 /// All rows matching the plan, visible to the transaction.
-std::vector<Row> FetchCandidates(Transaction& txn, const std::string& table,
-                                 const TableSchema& schema, const Plan& plan) {
+std::vector<Row> FetchCandidates(Transaction& txn, Table& table,
+                                 const Plan& plan) {
+  auto matches = [&plan](const Row& r) { return MatchesResidual(plan, r); };
   std::vector<Row> rows;
   if (plan.point_pk) {
     auto row = txn.SelectByPk(table, *plan.point_pk);
-    if (row) rows.push_back(std::move(*row));
+    if (row && matches(*row)) rows.push_back(std::move(*row));
   } else if (plan.index_probe) {
     rows = txn.SelectWhereEq(table, plan.index_probe->first,
                              plan.index_probe->second);
+    std::erase_if(rows, [&](const Row& r) { return !matches(r); });
   } else {
-    rows = txn.SelectAll(table);
+    rows = txn.SelectWhere(table, matches);
   }
-  std::vector<Row> out;
-  out.reserve(rows.size());
-  for (auto& r : rows) {
-    if (r.size() == schema.columns.size() && MatchesResidual(plan, r)) {
-      out.push_back(std::move(r));
-    }
-  }
-  return out;
+  return rows;
 }
 
-QueryResult ExecSelect(Transaction& txn, const Statement& stmt,
-                       const TableSchema& schema,
+QueryResult ExecSelect(Transaction& txn, const Statement& stmt, Table& table,
                        const std::vector<Value>& params) {
+  const TableSchema& schema = table.schema();
   QueryResult result;
   Plan plan = MakePlan(schema, stmt.where, params);
-  std::vector<Row> matched = FetchCandidates(txn, stmt.table, schema, plan);
+  std::vector<Row> matched = FetchCandidates(txn, table, plan);
   // Projection.
   std::vector<std::size_t> proj;
   if (stmt.select_columns.empty()) {
@@ -181,9 +179,9 @@ QueryResult ExecSelect(Transaction& txn, const Statement& stmt,
   return result;
 }
 
-QueryResult ExecInsert(Transaction& txn, const Statement& stmt,
-                       const TableSchema& schema,
+QueryResult ExecInsert(Transaction& txn, const Statement& stmt, Table& table,
                        const std::vector<Value>& params) {
+  const TableSchema& schema = table.schema();
   QueryResult result;
   Row row(schema.columns.size(), V());
   if (stmt.insert_columns.empty()) {
@@ -205,17 +203,41 @@ QueryResult ExecInsert(Transaction& txn, const Statement& stmt,
       row[*idx] = EvalExpr(stmt.insert_values[i], params, nullptr, nullptr);
     }
   }
-  result.status = txn.Insert(stmt.table, std::move(row));
+  result.status = txn.Insert(table, std::move(row));
   result.affected = result.ok() ? 1 : 0;
   return result;
 }
 
-QueryResult ExecUpdate(Transaction& txn, const Statement& stmt,
-                       const TableSchema& schema,
-                       const std::vector<Value>& params) {
+/// Writes every row the plan matches with `write(pk, match)`. A point plan
+/// makes one write that checks the residual itself; kNotFound there means
+/// no visible row matched.
+template <typename Write>
+QueryResult WriteMatching(Transaction& txn, Table& table, const Plan& plan,
+                          const Write& write) {
   QueryResult result;
+  if (plan.point_pk) {
+    TxnResult status = write(*plan.point_pk, [&plan](const Row& r) {
+      return MatchesResidual(plan, r);
+    });
+    if (status != TxnResult::kNotFound) result.status = status;
+    result.affected = status == TxnResult::kOk ? 1 : 0;
+    return result;
+  }
+  for (const auto& r : FetchCandidates(txn, table, plan)) {
+    TxnResult status = write(table.schema().PrimaryKeyOf(r), {});
+    if (status != TxnResult::kOk) {
+      result.status = status;
+      return result;
+    }
+    ++result.affected;
+  }
+  return result;
+}
+
+QueryResult ExecUpdate(Transaction& txn, const Statement& stmt, Table& table,
+                       const std::vector<Value>& params) {
+  const TableSchema& schema = table.schema();
   Plan plan = MakePlan(schema, stmt.where, params);
-  std::vector<Row> matched = FetchCandidates(txn, stmt.table, schema, plan);
   // Resolve SET target columns once.
   std::vector<std::pair<std::size_t, const Expr*>> sets;
   sets.reserve(stmt.set_exprs.size());
@@ -224,40 +246,33 @@ QueryResult ExecUpdate(Transaction& txn, const Statement& stmt,
     if (!idx) throw std::invalid_argument("unknown column '" + col + "'");
     sets.emplace_back(*idx, &expr);
   }
-  for (const auto& r : matched) {
-    Row pk = schema.PrimaryKeyOf(r);
-    TxnResult status = txn.UpdateByPk(stmt.table, pk, [&](Row& row) {
-      // Evaluate all SET expressions against the pre-update row (SQL
-      // semantics: "SET a = b, b = a" swaps).
-      Row before = row;
-      for (const auto& [idx, expr] : sets) {
-        row[idx] = EvalExpr(*expr, params, &schema, &before);
-      }
-    });
-    if (status != TxnResult::kOk) {
-      result.status = status;
-      return result;
+  auto assign = [&](Row& row) {
+    // Evaluate all SET expressions against the pre-update row (SQL
+    // semantics: "SET a = b, b = a" swaps), then assign.
+    std::vector<Value> values;
+    values.reserve(sets.size());
+    for (const auto& [idx, expr] : sets) {
+      values.push_back(EvalExpr(*expr, params, &schema, &row));
     }
-    ++result.affected;
-  }
-  return result;
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      row[sets[i].first] = std::move(values[i]);
+    }
+  };
+  return WriteMatching(
+      txn, table, plan,
+      [&](const Row& pk, const std::function<bool(const Row&)>& match) {
+        return txn.UpdateByPk(table, pk, assign, match);
+      });
 }
 
-QueryResult ExecDelete(Transaction& txn, const Statement& stmt,
-                       const TableSchema& schema,
+QueryResult ExecDelete(Transaction& txn, const Statement& stmt, Table& table,
                        const std::vector<Value>& params) {
-  QueryResult result;
-  Plan plan = MakePlan(schema, stmt.where, params);
-  std::vector<Row> matched = FetchCandidates(txn, stmt.table, schema, plan);
-  for (const auto& r : matched) {
-    TxnResult status = txn.DeleteByPk(stmt.table, schema.PrimaryKeyOf(r));
-    if (status != TxnResult::kOk) {
-      result.status = status;
-      return result;
-    }
-    ++result.affected;
-  }
-  return result;
+  Plan plan = MakePlan(table.schema(), stmt.where, params);
+  return WriteMatching(
+      txn, table, plan,
+      [&](const Row& pk, const std::function<bool(const Row&)>& match) {
+        return txn.DeleteByPk(table, pk, match);
+      });
 }
 
 }  // namespace
@@ -270,18 +285,17 @@ QueryResult Execute(Transaction& txn, const Statement& stmt,
                                 " parameters, got " +
                                 std::to_string(params.size()));
   }
-  const Table* table = txn.database().GetTable(stmt.table);
+  Table* table = txn.database().GetTable(stmt.table);
   if (table == nullptr) {
     QueryResult r;
     r.status = TxnResult::kNotFound;
     return r;
   }
-  const TableSchema* schema = &table->schema();
   switch (stmt.kind) {
-    case StatementKind::kSelect: return ExecSelect(txn, stmt, *schema, params);
-    case StatementKind::kInsert: return ExecInsert(txn, stmt, *schema, params);
-    case StatementKind::kUpdate: return ExecUpdate(txn, stmt, *schema, params);
-    case StatementKind::kDelete: return ExecDelete(txn, stmt, *schema, params);
+    case StatementKind::kSelect: return ExecSelect(txn, stmt, *table, params);
+    case StatementKind::kInsert: return ExecInsert(txn, stmt, *table, params);
+    case StatementKind::kUpdate: return ExecUpdate(txn, stmt, *table, params);
+    case StatementKind::kDelete: return ExecDelete(txn, stmt, *table, params);
   }
   QueryResult r;
   r.status = TxnResult::kInvalidRow;

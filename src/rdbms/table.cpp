@@ -18,61 +18,62 @@ const char* ToString(TxnResult r) {
 
 Table::Table(TableSchema schema) : schema_(std::move(schema)) {
   indexes_.resize(schema_.secondary_indexes.size());
-  for (std::size_t i = 0; i < schema_.secondary_indexes.size(); ++i) {
-    index_of_column_[schema_.secondary_indexes[i]] = i;
-  }
 }
 
 const Table::Version* Table::VisibleVersion(const RowChain& chain,
-                                            Timestamp snapshot) const {
-  // Chains are short (usually 1-2 live versions); scan from newest.
-  for (auto it = chain.versions.rbegin(); it != chain.versions.rend(); ++it) {
-    if (it->begin_ts <= snapshot && snapshot < it->end_ts) return &*it;
+                                            Timestamp snapshot) {
+  auto visible = [snapshot](const Version& v) {
+    return v.begin_ts <= snapshot && snapshot < v.end_ts;
+  };
+  if (chain.newest.begin_ts == 0) return nullptr;
+  if (visible(chain.newest)) return &chain.newest;
+  // Older versions exist only until Vacuum; scan from newest.
+  for (auto it = chain.older.rbegin(); it != chain.older.rend(); ++it) {
+    if (visible(*it)) return &*it;
   }
   return nullptr;
 }
 
-std::optional<Row> Table::VisibleRowLocked(const TxnCtx& ctx,
-                                           const RowChain& chain) const {
+const Row* Table::VisibleRowLocked(const TxnCtx& ctx, const RowChain& chain) {
   if (chain.writer == ctx.id && ctx.id != 0) {
     // Own pending intent wins (read-your-writes within the transaction).
-    if (chain.pending_is_delete) return std::nullopt;
-    if (chain.pending) return *chain.pending;
+    return chain.pending.empty() ? nullptr : &chain.pending;
   }
   const Version* v = VisibleVersion(chain, ctx.snapshot);
-  if (v == nullptr) return std::nullopt;
-  return v->data;
+  return v == nullptr ? nullptr : &v->data;
 }
 
 std::optional<Row> Table::Read(const TxnCtx& ctx, const Row& pk) const {
   std::lock_guard lock(mu_);
   auto it = chains_.find(pk);
   if (it == chains_.end()) return std::nullopt;
-  return VisibleRowLocked(ctx, *it->second);
+  const Row* row = VisibleRowLocked(ctx, it->second);
+  if (row == nullptr) return std::nullopt;
+  return *row;
 }
 
 std::vector<Row> Table::ReadWhereEq(const TxnCtx& ctx, std::size_t col,
                                     const Value& value) const {
   std::lock_guard lock(mu_);
   std::vector<Row> out;
-  auto idx_it = index_of_column_.find(col);
-  if (idx_it != index_of_column_.end()) {
-    const IndexMap& index = indexes_[idx_it->second];
+  const auto& cols = schema_.secondary_indexes;
+  auto slot = std::find(cols.begin(), cols.end(), col);
+  if (slot != cols.end()) {
+    const IndexMap& index = indexes_[slot - cols.begin()];
     auto bucket = index.find(value);
     if (bucket == index.end()) return out;
-    for (const Row& pk : bucket->second) {
-      auto chain_it = chains_.find(pk);
-      if (chain_it == chains_.end()) continue;
-      auto row = VisibleRowLocked(ctx, *chain_it->second);
-      // Index entries are never eagerly removed; re-verify the predicate
-      // against the visible version.
-      if (row && (*row)[col] == value) out.push_back(std::move(*row));
+    out.reserve(bucket->second.size());
+    for (const RowChain* chain : bucket->second) {
+      // The bucket holds every chain that has held `value`; keep the ones
+      // whose visible version still does.
+      const Row* row = VisibleRowLocked(ctx, *chain);
+      if (row != nullptr && (*row)[col] == value) out.push_back(*row);
     }
     return out;
   }
   for (const auto& [pk, chain] : chains_) {
-    auto row = VisibleRowLocked(ctx, *chain);
-    if (row && (*row)[col] == value) out.push_back(std::move(*row));
+    const Row* row = VisibleRowLocked(ctx, chain);
+    if (row != nullptr && (*row)[col] == value) out.push_back(*row);
   }
   return out;
 }
@@ -82,8 +83,8 @@ std::vector<Row> Table::Scan(const TxnCtx& ctx,
   std::lock_guard lock(mu_);
   std::vector<Row> out;
   for (const auto& [pk, chain] : chains_) {
-    auto row = VisibleRowLocked(ctx, *chain);
-    if (row && pred(*row)) out.push_back(std::move(*row));
+    const Row* row = VisibleRowLocked(ctx, chain);
+    if (row != nullptr && pred(*row)) out.push_back(*row);
   }
   return out;
 }
@@ -92,13 +93,13 @@ std::size_t Table::VisibleCount(const TxnCtx& ctx) const {
   std::lock_guard lock(mu_);
   std::size_t n = 0;
   for (const auto& [pk, chain] : chains_) {
-    if (VisibleRowLocked(ctx, *chain)) ++n;
+    if (VisibleRowLocked(ctx, chain) != nullptr) ++n;
   }
   return n;
 }
 
 TxnResult Table::CheckWritableLocked(const TxnCtx& ctx,
-                                     const RowChain& chain) const {
+                                     const RowChain& chain) {
   if (chain.writer != 0 && chain.writer != ctx.id) {
     return TxnResult::kConflict;  // another transaction holds a pending intent
   }
@@ -106,8 +107,8 @@ TxnResult Table::CheckWritableLocked(const TxnCtx& ctx,
   // our snapshot means a concurrent transaction already won this row.
   // Versions are in commit order and each ends no later than the next
   // begins, so only the newest can begin or end after the snapshot.
-  if (chain.versions.empty()) return TxnResult::kOk;
-  const Version& newest = chain.versions.back();
+  const Version& newest = chain.newest;
+  if (newest.begin_ts == 0) return TxnResult::kOk;
   if (newest.begin_ts > ctx.snapshot ||
       (newest.end_ts != kInfinity && newest.end_ts > ctx.snapshot)) {
     return TxnResult::kConflict;
@@ -115,119 +116,183 @@ TxnResult Table::CheckWritableLocked(const TxnCtx& ctx,
   return TxnResult::kOk;
 }
 
-void Table::AddToIndexesLocked(const Row& row, const Row& pk) {
-  for (const auto& [col, slot] : index_of_column_) {
-    indexes_[slot][row[col]].insert(pk);
+bool Table::CommittedHolds(const RowChain& chain, std::size_t col,
+                           const Value& v) {
+  if (chain.newest.begin_ts == 0) return false;
+  if (chain.newest.data[col] == v) return true;
+  for (const Version& old : chain.older) {
+    if (old.data[col] == v) return true;
+  }
+  return false;
+}
+
+void Table::UnlinkLocked(std::size_t slot, const Value& v, RowChain* chain) {
+  IndexMap& index = indexes_[slot];
+  auto bucket = index.find(v);
+  if (bucket == index.end()) return;
+  std::vector<RowChain*>& refs = bucket->second;
+  auto it = std::find(refs.begin(), refs.end(), chain);
+  if (it == refs.end()) return;
+  *it = refs.back();
+  refs.pop_back();
+  if (refs.empty()) index.erase(bucket);
+}
+
+void Table::ReindexLocked(RowChain& chain, const Row* prev, const Row* next) {
+  for (std::size_t slot = 0; slot < indexes_.size(); ++slot) {
+    const std::size_t col = schema_.secondary_indexes[slot];
+    const Value* old_v = prev != nullptr ? &(*prev)[col] : nullptr;
+    const Value* new_v = next != nullptr ? &(*next)[col] : nullptr;
+    if (old_v != nullptr && new_v != nullptr && *old_v == *new_v) continue;
+    if (new_v != nullptr && !CommittedHolds(chain, col, *new_v)) {
+      indexes_[slot][*new_v].push_back(&chain);
+    }
+    if (old_v != nullptr && !CommittedHolds(chain, col, *old_v)) {
+      UnlinkLocked(slot, *old_v, &chain);
+    }
   }
 }
 
-TxnResult Table::InsertIntent(const TxnCtx& ctx, Row row) {
+void Table::SetPendingLocked(const TxnCtx& ctx, RowChain& chain, Row next,
+                             RowChain** claimed) {
+  ReindexLocked(chain, chain.pending.empty() ? nullptr : &chain.pending,
+                next.empty() ? nullptr : &next);
+  if (claimed != nullptr) *claimed = chain.writer != ctx.id ? &chain : nullptr;
+  chain.writer = ctx.id;
+  chain.pending = std::move(next);
+}
+
+TxnResult Table::InsertIntent(const TxnCtx& ctx, Row row, RowChain** claimed) {
   if (!schema_.RowMatches(row)) return TxnResult::kInvalidRow;
-  Row pk = schema_.PrimaryKeyOf(row);
   std::lock_guard lock(mu_);
-  auto& chain_ptr = chains_[pk];
-  if (chain_ptr == nullptr) chain_ptr = std::make_unique<RowChain>();
-  RowChain& chain = *chain_ptr;
+  RowChain& chain = chains_.try_emplace(schema_.PrimaryKeyOf(row)).first->second;
   TxnResult writable = CheckWritableLocked(ctx, chain);
   if (writable != TxnResult::kOk) return writable;
   // Duplicate if a row is visible to us (own pending insert included).
-  if (VisibleRowLocked(ctx, chain)) return TxnResult::kDuplicateKey;
-  chain.writer = ctx.id;
-  chain.pending = std::move(row);
-  chain.pending_is_delete = false;
-  AddToIndexesLocked(*chain.pending, pk);
+  if (VisibleRowLocked(ctx, chain) != nullptr) return TxnResult::kDuplicateKey;
+  SetPendingLocked(ctx, chain, std::move(row), claimed);
   return TxnResult::kOk;
 }
 
 TxnResult Table::UpdateIntent(const TxnCtx& ctx, const Row& pk,
-                              const std::function<void(Row&)>& mutate) {
+                              const std::function<void(Row&)>& mutate,
+                              const std::function<bool(const Row&)>& match,
+                              RowChain** claimed) {
   std::lock_guard lock(mu_);
   auto it = chains_.find(pk);
   if (it == chains_.end()) return TxnResult::kNotFound;
-  RowChain& chain = *it->second;
+  RowChain& chain = it->second;
   TxnResult writable = CheckWritableLocked(ctx, chain);
   if (writable != TxnResult::kOk) return writable;
-  auto current = VisibleRowLocked(ctx, chain);
-  if (!current) return TxnResult::kNotFound;
-  mutate(*current);
-  if (!schema_.RowMatches(*current)) return TxnResult::kInvalidRow;
+  const Row* current = VisibleRowLocked(ctx, chain);
+  if (current == nullptr || (match && !match(*current))) {
+    return TxnResult::kNotFound;
+  }
+  Row next = *current;
+  mutate(next);
+  if (!schema_.RowMatches(next)) return TxnResult::kInvalidRow;
   // Updating primary-key columns is not supported (delete + insert instead).
-  if (schema_.PrimaryKeyOf(*current) != pk) return TxnResult::kInvalidRow;
-  chain.writer = ctx.id;
-  chain.pending = std::move(current);
-  chain.pending_is_delete = false;
-  AddToIndexesLocked(*chain.pending, pk);
+  for (std::size_t k = 0; k < schema_.primary_key.size(); ++k) {
+    if (next[schema_.primary_key[k]] != pk[k]) return TxnResult::kInvalidRow;
+  }
+  SetPendingLocked(ctx, chain, std::move(next), claimed);
   return TxnResult::kOk;
 }
 
-TxnResult Table::DeleteIntent(const TxnCtx& ctx, const Row& pk) {
+TxnResult Table::DeleteIntent(const TxnCtx& ctx, const Row& pk,
+                              const std::function<bool(const Row&)>& match,
+                              RowChain** claimed) {
   std::lock_guard lock(mu_);
   auto it = chains_.find(pk);
   if (it == chains_.end()) return TxnResult::kNotFound;
-  RowChain& chain = *it->second;
+  RowChain& chain = it->second;
   TxnResult writable = CheckWritableLocked(ctx, chain);
   if (writable != TxnResult::kOk) return writable;
-  if (!VisibleRowLocked(ctx, chain)) return TxnResult::kNotFound;
-  chain.writer = ctx.id;
-  chain.pending = std::nullopt;
-  chain.pending_is_delete = true;
+  const Row* current = VisibleRowLocked(ctx, chain);
+  if (current == nullptr || (match && !match(*current))) {
+    return TxnResult::kNotFound;
+  }
+  SetPendingLocked(ctx, chain, Row{}, claimed);
   return TxnResult::kOk;
 }
 
-void Table::InstallCommit(TxnId txn, const Row& pk, Timestamp ts) {
+void Table::InstallCommit(TxnId txn, RowChain& chain, Timestamp ts) {
   std::lock_guard lock(mu_);
-  auto it = chains_.find(pk);
-  if (it == chains_.end()) return;
-  RowChain& chain = *it->second;
   if (chain.writer != txn) return;
+  const bool has_newest = chain.newest.begin_ts != 0;
   // Terminate the previously live version, if any.
-  if (!chain.versions.empty() && chain.versions.back().end_ts == kInfinity) {
-    chain.versions.back().end_ts = ts;
-  }
-  if (!chain.pending_is_delete && chain.pending) {
-    chain.versions.push_back(Version{ts, kInfinity, std::move(*chain.pending)});
+  if (has_newest && chain.newest.end_ts == kInfinity) chain.newest.end_ts = ts;
+  if (!chain.pending.empty()) {
+    if (has_newest) chain.older.push_back(std::move(chain.newest));
+    chain.newest = Version{ts, kInfinity, std::move(chain.pending)};
   }
   chain.writer = 0;
-  chain.pending.reset();
-  chain.pending_is_delete = false;
+  chain.pending.clear();
 }
 
-void Table::AbortIntent(TxnId txn, const Row& pk) {
+void Table::AbortIntent(TxnId txn, RowChain& chain) {
   std::lock_guard lock(mu_);
-  auto it = chains_.find(pk);
-  if (it == chains_.end()) return;
-  RowChain& chain = *it->second;
   if (chain.writer != txn) return;
+  if (chain.pending.empty()) {
+    // A pending delete holds no indexed value. (After an insert and a
+    // delete in one transaction the chain may hold no version at all;
+    // Vacuum erases it.)
+    chain.writer = 0;
+    return;
+  }
+  ReindexLocked(chain, &chain.pending, nullptr);
+  if (chain.newest.begin_ts == 0) {  // an aborted fresh insert leaves no trace
+    chains_.erase(chains_.find(schema_.PrimaryKeyOf(chain.pending)));
+    return;
+  }
   chain.writer = 0;
-  chain.pending.reset();
-  chain.pending_is_delete = false;
-  if (chain.versions.empty()) chains_.erase(it);  // aborted fresh insert
+  chain.pending.clear();
 }
 
 std::size_t Table::Vacuum(Timestamp oldest_active) {
   std::lock_guard lock(mu_);
   std::size_t reclaimed = 0;
+  auto dead = [&](const Version& v) {
+    return v.end_ts != kInfinity && v.end_ts <= oldest_active;
+  };
   for (auto it = chains_.begin(); it != chains_.end();) {
-    RowChain& chain = *it->second;
-    auto dead = [&](const Version& v) {
-      return v.end_ts != kInfinity && v.end_ts <= oldest_active;
-    };
-    auto before = chain.versions.size();
-    chain.versions.erase(
-        std::remove_if(chain.versions.begin(), chain.versions.end(), dead),
-        chain.versions.end());
-    reclaimed += before - chain.versions.size();
-    if (chain.versions.empty() && chain.writer == 0) {
+    RowChain& chain = it->second;
+    auto before = chain.older.size();
+    chain.older.erase(
+        std::remove_if(chain.older.begin(), chain.older.end(), dead),
+        chain.older.end());
+    reclaimed += before - chain.older.size();
+    if (chain.older.empty()) chain.older = std::vector<Version>();
+    // Every older version ends before the newest begins, so a dead newest
+    // leaves nothing behind it.
+    if (chain.newest.begin_ts != 0 && dead(chain.newest)) {
+      chain.newest = Version{};
+      ++reclaimed;
+    }
+    if (chain.newest.begin_ts == 0 && chain.writer == 0) {
       it = chains_.erase(it);
     } else {
       ++it;
     }
   }
-  // Rebuild indexes from live data (simplest correct pruning).
+  // Rebuild the buckets: each chain once per distinct value its kept
+  // versions and pending intent hold.
   for (auto& index : indexes_) index.clear();
-  for (const auto& [pk, chain] : chains_) {
-    for (const auto& v : chain->versions) AddToIndexesLocked(v.data, pk);
-    if (chain->pending) AddToIndexesLocked(*chain->pending, pk);
+  std::vector<const Row*> rows;
+  for (auto& [pk, chain] : chains_) {
+    rows.clear();
+    if (chain.newest.begin_ts != 0) rows.push_back(&chain.newest.data);
+    for (const Version& v : chain.older) rows.push_back(&v.data);
+    if (!chain.pending.empty()) rows.push_back(&chain.pending);
+    for (std::size_t slot = 0; slot < indexes_.size(); ++slot) {
+      const std::size_t col = schema_.secondary_indexes[slot];
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const Value& v = (*rows[i])[col];
+        bool seen = std::any_of(rows.begin(), rows.begin() + i,
+                                [&](const Row* r) { return (*r)[col] == v; });
+        if (!seen) indexes_[slot][v].push_back(&chain);
+      }
+    }
   }
   return reclaimed;
 }

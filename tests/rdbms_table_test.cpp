@@ -45,11 +45,44 @@ TEST(Schema, RowMatchesChecksArityAndTypes) {
   EXPECT_FALSE(s.RowMatches({V("x"), V("y")}));
 }
 
+// Table-level tests drive the commit protocol as Transaction does: each
+// intent reports the chain it claimed, and InstallCommit/AbortIntent take
+// that chain back.
+using Chain = Table::RowChain*;
+
+/// Inserts `row` as transaction `id` on snapshot `id - 1` and commits it at
+/// timestamp `id`.
+void CommitInsert(Table& t, TxnId id, Row row) {
+  Chain c = nullptr;
+  ASSERT_EQ(t.InsertIntent(TxnCtx{id, id - 1}, std::move(row), &c),
+            TxnResult::kOk);
+  t.InstallCommit(id, *c, id);
+}
+
+/// Sets column `col` of row `pk` as transaction `id` on snapshot `id - 1`
+/// and commits it at timestamp `id`.
+void CommitSet(Table& t, TxnId id, const Row& pk, std::size_t col, Value v) {
+  Chain c = nullptr;
+  ASSERT_EQ(t.UpdateIntent(TxnCtx{id, id - 1}, pk,
+                           [&](Row& r) { r[col] = v; }, {}, &c),
+            TxnResult::kOk);
+  t.InstallCommit(id, *c, id);
+}
+
+/// Deletes row `pk` as transaction `id` on snapshot `id - 1` and commits it
+/// at timestamp `id`.
+void CommitDelete(Table& t, TxnId id, const Row& pk) {
+  Chain c = nullptr;
+  ASSERT_EQ(t.DeleteIntent(TxnCtx{id, id - 1}, pk, {}, &c), TxnResult::kOk);
+  t.InstallCommit(id, *c, id);
+}
+
 TEST(Table, InsertThenReadAtLaterSnapshot) {
   Table t(TwoColSchema());
   TxnCtx writer{1, 0};
-  EXPECT_EQ(t.InsertIntent(writer, {V(1), V("a")}), TxnResult::kOk);
-  t.InstallCommit(1, {V(1)}, 1);
+  Chain c = nullptr;
+  EXPECT_EQ(t.InsertIntent(writer, {V(1), V("a")}, &c), TxnResult::kOk);
+  t.InstallCommit(1, *c, 1);
   TxnCtx reader{2, 1};
   auto row = t.Read(reader, {V(1)});
   ASSERT_TRUE(row);
@@ -67,9 +100,7 @@ TEST(Table, UncommittedInsertInvisibleToOthersVisibleToSelf) {
 
 TEST(Table, SnapshotDoesNotSeeLaterCommit) {
   Table t(TwoColSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
+  CommitInsert(t, 1, {V(1), V("a")});
   TxnCtx old_reader{5, 0};  // snapshot before commit ts 1
   EXPECT_FALSE(t.Read(old_reader, {V(1)}));
   TxnCtx new_reader{6, 1};
@@ -78,34 +109,30 @@ TEST(Table, SnapshotDoesNotSeeLaterCommit) {
 
 TEST(Table, UpdateCreatesNewVersionOldSnapshotSeesOld) {
   Table t(TwoColSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
+  CommitInsert(t, 1, {V(1), V("a")});
   TxnCtx w2{2, 1};
-  EXPECT_EQ(t.UpdateIntent(w2, {V(1)}, [](Row& r) { r[1] = V("b"); }),
+  Chain c = nullptr;
+  EXPECT_EQ(t.UpdateIntent(w2, {V(1)}, [](Row& r) { r[1] = V("b"); }, {}, &c),
             TxnResult::kOk);
-  t.InstallCommit(2, {V(1)}, 2);
+  t.InstallCommit(2, *c, 2);
   EXPECT_EQ((*t.Read(TxnCtx{3, 1}, {V(1)}))[1], V("a"));
   EXPECT_EQ((*t.Read(TxnCtx{4, 2}, {V(1)}))[1], V("b"));
 }
 
 TEST(Table, DeleteHidesFromLaterSnapshots) {
   Table t(TwoColSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
+  CommitInsert(t, 1, {V(1), V("a")});
   TxnCtx w2{2, 1};
-  EXPECT_EQ(t.DeleteIntent(w2, {V(1)}), TxnResult::kOk);
-  t.InstallCommit(2, {V(1)}, 2);
+  Chain c = nullptr;
+  EXPECT_EQ(t.DeleteIntent(w2, {V(1)}, {}, &c), TxnResult::kOk);
+  t.InstallCommit(2, *c, 2);
   EXPECT_TRUE(t.Read(TxnCtx{3, 1}, {V(1)}));
   EXPECT_FALSE(t.Read(TxnCtx{4, 2}, {V(1)}));
 }
 
 TEST(Table, WriteWriteConflictOnPendingIntent) {
   Table t(TwoColSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
+  CommitInsert(t, 1, {V(1), V("a")});
   TxnCtx w2{2, 1};
   TxnCtx w3{3, 1};
   EXPECT_EQ(t.UpdateIntent(w2, {V(1)}, [](Row& r) { r[1] = V("b"); }),
@@ -116,13 +143,9 @@ TEST(Table, WriteWriteConflictOnPendingIntent) {
 
 TEST(Table, FirstCommitterWinsAgainstStaleSnapshot) {
   Table t(TwoColSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
+  CommitInsert(t, 1, {V(1), V("a")});
   // w2 and w3 both start at snapshot 1; w2 commits first.
-  TxnCtx w2{2, 1};
-  t.UpdateIntent(w2, {V(1)}, [](Row& r) { r[1] = V("b"); });
-  t.InstallCommit(2, {V(1)}, 2);
+  CommitSet(t, 2, {V(1)}, 1, V("b"));
   TxnCtx w3{3, 1};
   EXPECT_EQ(t.UpdateIntent(w3, {V(1)}, [](Row& r) { r[1] = V("c"); }),
             TxnResult::kConflict);
@@ -130,12 +153,11 @@ TEST(Table, FirstCommitterWinsAgainstStaleSnapshot) {
 
 TEST(Table, AbortReleasesIntent) {
   Table t(TwoColSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
+  CommitInsert(t, 1, {V(1), V("a")});
   TxnCtx w2{2, 1};
-  t.UpdateIntent(w2, {V(1)}, [](Row& r) { r[1] = V("b"); });
-  t.AbortIntent(2, {V(1)});
+  Chain c = nullptr;
+  t.UpdateIntent(w2, {V(1)}, [](Row& r) { r[1] = V("b"); }, {}, &c);
+  t.AbortIntent(2, *c);
   TxnCtx w3{3, 1};
   EXPECT_EQ(t.UpdateIntent(w3, {V(1)}, [](Row& r) { r[1] = V("c"); }),
             TxnResult::kOk);
@@ -144,33 +166,57 @@ TEST(Table, AbortReleasesIntent) {
 TEST(Table, AbortedFreshInsertLeavesNoTrace) {
   Table t(TwoColSchema());
   TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.AbortIntent(1, {V(1)});
+  Chain c = nullptr;
+  t.InsertIntent(w1, {V(1), V("a")}, &c);
+  t.AbortIntent(1, *c);
   EXPECT_EQ(t.ChainCount(), 0u);
   TxnCtx w2{2, 0};
   EXPECT_EQ(t.InsertIntent(w2, {V(1), V("b")}), TxnResult::kOk);
 }
 
+TEST(Table, OnlyTheFirstIntentOnARowClaimsIt) {
+  Table t(TwoColSchema());
+  CommitInsert(t, 1, {V(1), V("a")});
+  TxnCtx w{2, 1};
+  Chain first = nullptr;
+  Chain second = nullptr;
+  ASSERT_EQ(t.UpdateIntent(w, {V(1)}, [](Row& r) { r[1] = V("b"); }, {}, &first),
+            TxnResult::kOk);
+  ASSERT_EQ(t.DeleteIntent(w, {V(1)}, {}, &second), TxnResult::kOk);
+  EXPECT_NE(first, nullptr);
+  EXPECT_EQ(second, nullptr);  // one write record per row and transaction
+  t.InstallCommit(2, *first, 2);
+  EXPECT_FALSE(t.Read(TxnCtx{3, 2}, {V(1)}));
+}
+
+TEST(Table, MatchRejectionLeavesTheRowUnwritten) {
+  Table t(TwoColSchema());
+  CommitInsert(t, 1, {V(1), V("a")});
+  TxnCtx w{2, 1};
+  auto is_b = [](const Row& r) { return r[1] == V("b"); };
+  EXPECT_EQ(t.UpdateIntent(w, {V(1)}, [](Row& r) { r[1] = V("c"); }, is_b),
+            TxnResult::kNotFound);
+  EXPECT_EQ(t.DeleteIntent(w, {V(1)}, is_b), TxnResult::kNotFound);
+  // No intent was registered: another writer is not blocked.
+  EXPECT_EQ(t.UpdateIntent(TxnCtx{3, 1}, {V(1)}, [](Row& r) { r[1] = V("d"); }),
+            TxnResult::kOk);
+}
+
 TEST(Table, DuplicateInsertRejected) {
   Table t(TwoColSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
+  CommitInsert(t, 1, {V(1), V("a")});
   TxnCtx w2{2, 1};
   EXPECT_EQ(t.InsertIntent(w2, {V(1), V("b")}), TxnResult::kDuplicateKey);
 }
 
 TEST(Table, ReinsertAfterDeleteAllowed) {
   Table t(TwoColSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
-  TxnCtx w2{2, 1};
-  t.DeleteIntent(w2, {V(1)});
-  t.InstallCommit(2, {V(1)}, 2);
+  CommitInsert(t, 1, {V(1), V("a")});
+  CommitDelete(t, 2, {V(1)});
   TxnCtx w3{3, 2};
-  EXPECT_EQ(t.InsertIntent(w3, {V(1), V("b")}), TxnResult::kOk);
-  t.InstallCommit(3, {V(1)}, 3);
+  Chain c = nullptr;
+  EXPECT_EQ(t.InsertIntent(w3, {V(1), V("b")}, &c), TxnResult::kOk);
+  t.InstallCommit(3, *c, 3);
   EXPECT_EQ((*t.Read(TxnCtx{4, 3}, {V(1)}))[1], V("b"));
 }
 
@@ -178,18 +224,13 @@ TEST(Table, DeleteAfterSnapshotConflictsOnALongChain) {
   Table t(TwoColSchema());
   // 200 committed versions, as a hot row collects between vacuums: an
   // insert at ts 1, then one update per ts up to 200.
-  ASSERT_EQ(t.InsertIntent(TxnCtx{1, 0}, {V(1), V("v1")}), TxnResult::kOk);
-  t.InstallCommit(1, {V(1)}, 1);
+  CommitInsert(t, 1, {V(1), V("v1")});
   for (TxnId id = 2; id <= 200; ++id) {
-    auto bump = [id](Row& r) { r[1] = V("v" + std::to_string(id)); };
-    ASSERT_EQ(t.UpdateIntent(TxnCtx{id, id - 1}, {V(1)}, bump),
-              TxnResult::kOk);
-    t.InstallCommit(id, {V(1)}, id);
+    CommitSet(t, id, {V(1)}, 1, V("v" + std::to_string(id)));
   }
   // A writer snapshots at ts 200; then another transaction deletes the row.
   TxnCtx stale{300, 200};
-  ASSERT_EQ(t.DeleteIntent(TxnCtx{201, 200}, {V(1)}), TxnResult::kOk);
-  t.InstallCommit(201, {V(1)}, 201);
+  CommitDelete(t, 201, {V(1)});
   // The stale writer still sees the row, but the delete won it.
   ASSERT_TRUE(t.Read(stale, {V(1)}));
   EXPECT_EQ(t.UpdateIntent(stale, {V(1)}, [](Row& r) { r[1] = V("late"); }),
@@ -198,8 +239,9 @@ TEST(Table, DeleteAfterSnapshotConflictsOnALongChain) {
   // A snapshot taken after the delete sees no row and may re-insert it.
   TxnCtx later{301, 201};
   EXPECT_FALSE(t.Read(later, {V(1)}));
-  EXPECT_EQ(t.InsertIntent(later, {V(1), V("again")}), TxnResult::kOk);
-  t.InstallCommit(301, {V(1)}, 202);
+  Chain c = nullptr;
+  EXPECT_EQ(t.InsertIntent(later, {V(1), V("again")}, &c), TxnResult::kOk);
+  t.InstallCommit(301, *c, 202);
   EXPECT_EQ((*t.Read(TxnCtx{302, 202}, {V(1)}))[1], V("again"));
   EXPECT_EQ(t.UpdateIntent(stale, {V(1)}, [](Row& r) { r[1] = V("late"); }),
             TxnResult::kConflict);
@@ -214,9 +256,7 @@ TEST(Table, UpdateMissingRowIsNotFound) {
 
 TEST(Table, PrimaryKeyMutationRejected) {
   Table t(TwoColSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
+  CommitInsert(t, 1, {V(1), V("a")});
   TxnCtx w2{2, 1};
   EXPECT_EQ(t.UpdateIntent(w2, {V(1)}, [](Row& r) { r[0] = V(2); }),
             TxnResult::kInvalidRow);
@@ -233,8 +273,9 @@ TEST(Table, SecondaryIndexLookup) {
   Table t(IndexedSchema());
   TxnCtx w{1, 0};
   for (int i = 0; i < 10; ++i) {
-    t.InsertIntent(w, {V(i), V(i % 3), V("v" + std::to_string(i))});
-    t.InstallCommit(1, {V(i)}, 1);
+    Chain c = nullptr;
+    t.InsertIntent(w, {V(i), V(i % 3), V("v" + std::to_string(i))}, &c);
+    t.InstallCommit(1, *c, 1);
   }
   TxnCtx r{2, 1};
   auto rows = t.ReadWhereEq(r, 1, V(0));
@@ -244,12 +285,8 @@ TEST(Table, SecondaryIndexLookup) {
 
 TEST(Table, IndexReflectsUpdates) {
   Table t(IndexedSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V(10), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
-  TxnCtx w2{2, 1};
-  t.UpdateIntent(w2, {V(1)}, [](Row& r) { r[1] = V(20); });
-  t.InstallCommit(2, {V(1)}, 2);
+  CommitInsert(t, 1, {V(1), V(10), V("a")});
+  CommitSet(t, 2, {V(1)}, 1, V(20));
   TxnCtx r{3, 2};
   EXPECT_TRUE(t.ReadWhereEq(r, 1, V(10)).empty());
   EXPECT_EQ(t.ReadWhereEq(r, 1, V(20)).size(), 1u);
@@ -257,24 +294,136 @@ TEST(Table, IndexReflectsUpdates) {
 
 TEST(Table, IndexRespectsSnapshots) {
   Table t(IndexedSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V(10), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
-  TxnCtx w2{2, 1};
-  t.UpdateIntent(w2, {V(1)}, [](Row& r) { r[1] = V(20); });
-  t.InstallCommit(2, {V(1)}, 2);
+  CommitInsert(t, 1, {V(1), V(10), V("a")});
+  CommitSet(t, 2, {V(1)}, 1, V(20));
   // The old snapshot still finds the row under its old indexed value.
   TxnCtx old_reader{3, 1};
   EXPECT_EQ(t.ReadWhereEq(old_reader, 1, V(10)).size(), 1u);
   EXPECT_TRUE(t.ReadWhereEq(old_reader, 1, V(20)).empty());
 }
 
+// ---- the index-reference invariant (table.h) ----------------------------
+
+TEST(Table, AbortedFreshInsertLeavesNoBucketEntry) {
+  Table t(IndexedSchema());
+  CommitInsert(t, 1, {V(1), V(10), V("kept")});
+  Chain c = nullptr;
+  ASSERT_EQ(t.InsertIntent(TxnCtx{2, 1}, {V(2), V(10), V("x")}, &c),
+            TxnResult::kOk);
+  ASSERT_EQ(t.InsertIntent(TxnCtx{3, 1}, {V(3), V(30), V("y")}), TxnResult::kOk);
+  t.AbortIntent(2, *c);  // erases the chain of id 2
+  // A dangling bucket entry would be read here (ASan: heap-use-after-free).
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{4, 1}, 1, V(10)).size(), 1u);
+  EXPECT_TRUE(t.ReadWhereEq(TxnCtx{4, 1}, 1, V(30)).empty());
+  // The same key re-inserted under the same value is found once.
+  CommitInsert(t, 5, {V(2), V(10), V("again")});
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{6, 5}, 1, V(10)).size(), 2u);
+}
+
+TEST(Table, AbortedFreshInsertProbeOfItsValueReturnsNothing) {
+  Table t(IndexedSchema());
+  Chain c = nullptr;
+  ASSERT_EQ(t.InsertIntent(TxnCtx{1, 0}, {V(1), V(10), V("x")}, &c),
+            TxnResult::kOk);
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{1, 0}, 1, V(10)).size(), 1u);  // own intent
+  t.AbortIntent(1, *c);
+  EXPECT_TRUE(t.ReadWhereEq(TxnCtx{2, 0}, 1, V(10)).empty());
+  EXPECT_EQ(t.ChainCount(), 0u);
+}
+
+TEST(Table, DeleteThenReinsertSameIndexedValueReturnedOnce) {
+  Table t(IndexedSchema());
+  CommitInsert(t, 1, {V(1), V(10), V("a")});
+  CommitDelete(t, 2, {V(1)});
+  EXPECT_TRUE(t.ReadWhereEq(TxnCtx{9, 2}, 1, V(10)).empty());
+  CommitInsert(t, 3, {V(1), V(10), V("b")});
+  auto rows = t.ReadWhereEq(TxnCtx{9, 3}, 1, V(10));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][2], V("b"));
+  // The snapshot before the delete still finds the first incarnation.
+  rows = t.ReadWhereEq(TxnCtx{9, 1}, 1, V(10));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][2], V("a"));
+}
+
+TEST(Table, IndexedValueChangedAToBToAReturnedOnceUnderA) {
+  Table t(IndexedSchema());
+  const Value a = V(10);
+  const Value b = V(20);
+  CommitInsert(t, 1, {V(1), a, V("x")});
+  CommitSet(t, 2, {V(1)}, 1, b);
+  CommitSet(t, 3, {V(1)}, 1, a);
+  TxnCtx now{9, 3};
+  EXPECT_EQ(t.ReadWhereEq(now, 1, a).size(), 1u);
+  EXPECT_TRUE(t.ReadWhereEq(now, 1, b).empty());
+  // A snapshot taken before A->B still finds the row under A only.
+  TxnCtx before{9, 1};
+  EXPECT_EQ(t.ReadWhereEq(before, 1, a).size(), 1u);
+  EXPECT_TRUE(t.ReadWhereEq(before, 1, b).empty());
+  // One taken between the updates finds it under B only.
+  TxnCtx between{9, 2};
+  EXPECT_TRUE(t.ReadWhereEq(between, 1, a).empty());
+  EXPECT_EQ(t.ReadWhereEq(between, 1, b).size(), 1u);
+}
+
+TEST(Table, PendingIndexedValueIsUnlinkedWhenReplacedOrAborted) {
+  Table t(IndexedSchema());
+  CommitInsert(t, 1, {V(1), V(10), V("x")});
+  // One transaction moves the row 10 -> 20 -> 30, then aborts.
+  TxnCtx w{2, 1};
+  Chain c = nullptr;
+  ASSERT_EQ(t.UpdateIntent(w, {V(1)}, [](Row& r) { r[1] = V(20); }, {}, &c),
+            TxnResult::kOk);
+  EXPECT_EQ(t.ReadWhereEq(w, 1, V(20)).size(), 1u);
+  EXPECT_TRUE(t.ReadWhereEq(w, 1, V(10)).empty());
+  ASSERT_EQ(t.UpdateIntent(w, {V(1)}, [](Row& r) { r[1] = V(30); }),
+            TxnResult::kOk);
+  EXPECT_TRUE(t.ReadWhereEq(w, 1, V(20)).empty());
+  EXPECT_EQ(t.ReadWhereEq(w, 1, V(30)).size(), 1u);
+  t.AbortIntent(2, *c);
+  // Later writers move it to 20 and then 30: each value finds it once.
+  CommitSet(t, 3, {V(1)}, 1, V(20));
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{9, 3}, 1, V(20)).size(), 1u);
+  CommitSet(t, 4, {V(1)}, 1, V(30));
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{9, 4}, 1, V(30)).size(), 1u);
+  EXPECT_TRUE(t.ReadWhereEq(TxnCtx{9, 4}, 1, V(20)).empty());
+}
+
+TEST(Table, ProbeAfterVacuumStillFindsTheRow) {
+  Table t(IndexedSchema());
+  CommitInsert(t, 1, {V(1), V(10), V("a")});
+  CommitInsert(t, 2, {V(2), V(10), V("b")});
+  CommitSet(t, 3, {V(1)}, 1, V(20));
+  CommitDelete(t, 4, {V(2)});
+  // Snapshot 3 is still active: the delete of id 2 stays visible to it.
+  EXPECT_EQ(t.Vacuum(3), 1u);  // id 1's version under 10
+  EXPECT_EQ(t.ChainCount(), 2u);
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{9, 3}, 1, V(10)).size(), 1u);  // id 2
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{9, 3}, 1, V(20)).size(), 1u);  // id 1
+  EXPECT_EQ(t.Vacuum(4), 1u);  // id 2's version, and its chain
+  EXPECT_EQ(t.ChainCount(), 1u);
+  EXPECT_TRUE(t.ReadWhereEq(TxnCtx{9, 4}, 1, V(10)).empty());
+  auto rows = t.ReadWhereEq(TxnCtx{9, 4}, 1, V(20));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], V(1));
+  // A writer's pending intent keeps its bucket entry across a vacuum.
+  Chain c = nullptr;
+  ASSERT_EQ(t.UpdateIntent(TxnCtx{5, 4}, {V(1)}, [](Row& r) { r[1] = V(50); },
+                           {}, &c),
+            TxnResult::kOk);
+  t.Vacuum(4);
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{5, 4}, 1, V(50)).size(), 1u);
+  t.InstallCommit(5, *c, 5);
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{9, 5}, 1, V(50)).size(), 1u);
+}
+
 TEST(Table, ScanAppliesPredicateToVisibleRows) {
   Table t(TwoColSchema());
   TxnCtx w{1, 0};
   for (int i = 0; i < 20; ++i) {
-    t.InsertIntent(w, {V(i), V("v")});
-    t.InstallCommit(1, {V(i)}, 1);
+    Chain c = nullptr;
+    t.InsertIntent(w, {V(i), V("v")}, &c);
+    t.InstallCommit(1, *c, 1);
   }
   TxnCtx r{2, 1};
   auto rows = t.Scan(r, [](const Row& row) { return *AsInt(row[0]) < 5; });
@@ -284,14 +433,8 @@ TEST(Table, ScanAppliesPredicateToVisibleRows) {
 
 TEST(Table, VacuumReclaimsDeadVersions) {
   Table t(TwoColSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
-  for (Timestamp ts = 2; ts <= 10; ++ts) {
-    TxnCtx w{ts, ts - 1};
-    t.UpdateIntent(w, {V(1)}, [](Row& r) { r[1] = V("x"); });
-    t.InstallCommit(ts, {V(1)}, ts);
-  }
+  CommitInsert(t, 1, {V(1), V("a")});
+  for (Timestamp ts = 2; ts <= 10; ++ts) CommitSet(t, ts, {V(1)}, 1, V("x"));
   std::size_t reclaimed = t.Vacuum(10);
   EXPECT_EQ(reclaimed, 9u);
   EXPECT_TRUE(t.Read(TxnCtx{99, 10}, {V(1)}));
@@ -299,12 +442,8 @@ TEST(Table, VacuumReclaimsDeadVersions) {
 
 TEST(Table, VacuumKeepsVersionsVisibleToActiveSnapshots) {
   Table t(TwoColSchema());
-  TxnCtx w1{1, 0};
-  t.InsertIntent(w1, {V(1), V("a")});
-  t.InstallCommit(1, {V(1)}, 1);
-  TxnCtx w2{2, 1};
-  t.UpdateIntent(w2, {V(1)}, [](Row& r) { r[1] = V("b"); });
-  t.InstallCommit(2, {V(1)}, 2);
+  CommitInsert(t, 1, {V(1), V("a")});
+  CommitSet(t, 2, {V(1)}, 1, V("b"));
   t.Vacuum(1);  // oldest active snapshot still needs version at ts 1
   EXPECT_EQ((*t.Read(TxnCtx{5, 1}, {V(1)}))[1], V("a"));
 }

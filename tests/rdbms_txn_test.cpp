@@ -106,6 +106,24 @@ TEST_F(DatabaseTest, DisjointWritesBothCommit) {
   EXPECT_EQ(ReadN(2), 2);
 }
 
+TEST_F(DatabaseTest, InsertOfAShortRowIsInvalidAndReadsNothingPastIt) {
+  // The primary key (a, b) names a column the one-cell row lacks: the shape
+  // is checked before any key cell is read.
+  db_.CreateTable(SchemaBuilder("F")
+                      .AddInt("a")
+                      .AddInt("b")
+                      .AddInt("c")
+                      .PrimaryKey({"a", "b"})
+                      .Build());
+  auto txn = db_.Begin();
+  EXPECT_EQ(txn->Insert("F", {V(1)}), TxnResult::kInvalidRow);
+  EXPECT_EQ(txn->state(), Transaction::State::kActive);
+  EXPECT_EQ(txn->Insert("F", {V(1), V(2), V(3)}), TxnResult::kOk);
+  EXPECT_EQ(txn->Commit(), TxnResult::kOk);
+  auto reader = db_.Begin();
+  EXPECT_EQ(reader->SelectAll("F").size(), 1u);
+}
+
 TEST_F(DatabaseTest, AbortedTxnRejectsFurtherOps) {
   auto t1 = db_.Begin();
   auto t2 = db_.Begin();

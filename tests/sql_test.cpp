@@ -221,6 +221,23 @@ TEST_F(SqlTest, UpdateZeroRowsIsOk) {
   EXPECT_EQ(r.affected, 0u);
 }
 
+TEST_F(SqlTest, PointWriteWhoseResidualFailsTouchesNothing) {
+  auto txn = db_.Begin();
+  auto u = Query(*txn, "UPDATE Users SET score = 1 WHERE id = 4 AND score = 999");
+  EXPECT_TRUE(u.ok());
+  EXPECT_EQ(u.affected, 0u);
+  auto d = Query(*txn, "DELETE FROM Users WHERE id = 4 AND score = 999");
+  EXPECT_TRUE(d.ok());
+  EXPECT_EQ(d.affected, 0u);
+  // Neither statement left an intent on row 4: another writer takes it.
+  auto other = db_.Begin();
+  EXPECT_EQ(Query(*other, "UPDATE Users SET score = 41 WHERE id = 4").affected,
+            1u);
+  EXPECT_EQ(other->Commit(), TxnResult::kOk);
+  EXPECT_EQ(txn->Commit(), TxnResult::kOk);
+  EXPECT_EQ(Run("SELECT score FROM Users WHERE id = 4").rows[0][0], V(41));
+}
+
 TEST_F(SqlTest, SwapSemanticsUsePreUpdateRow) {
   // "SET a = b, b = a" must read both from the pre-update row.
   db_.CreateTable(SchemaBuilder("P")
