@@ -129,53 +129,6 @@ void BackoffAblation(BenchScale& scale) {
       "(Facebook's thundering-herd protection via the I lease).\n");
 }
 
-void EvictionAblation(BenchScale& scale) {
-  PrintHeader("A4: LRU vs CAMP eviction under heterogeneous recompute costs");
-  std::printf("%-8s %14s %14s %16s\n", "policy", "hit-rate", "evictions",
-              "recompute cost");
-  // Two key classes: frequently-read cheap values and COLD but very
-  // expensive ones (multi-join query results touched occasionally). LRU is
-  // cost-blind: it keeps recently-seen cheap items and re-pays the dear
-  // recompute every time; CAMP holds on to the dear items.
-  constexpr int kCheapKeys = 4000;
-  constexpr int kDearKeys = 800;
-  constexpr std::uint64_t kCheapCost = 1;
-  constexpr std::uint64_t kDearCost = 500;
-  for (auto policy : {EvictionPolicy::kLru, EvictionPolicy::kCamp}) {
-    CacheStore::Config cfg;
-    cfg.shard_count = 4;
-    cfg.memory_budget_bytes = 60'000;  // ~600 items of ~100B
-    cfg.eviction = policy;
-    CacheStore store(cfg);
-    Rng rng(scale.seed);
-    ZipfianGenerator cheap_zipf(kCheapKeys, 0.73);
-    std::uint64_t recompute_cost = 0;
-    std::string value(40, 'v');
-    for (int i = 0; i < 400'000; ++i) {
-      bool dear = rng.NextBool(0.04);
-      std::string key =
-          dear ? "dear:" + std::to_string(rng.NextUint64(kDearKeys))
-               : "cheap:" + std::to_string(cheap_zipf.Next(rng));
-      if (!store.Get(key)) {
-        std::uint64_t cost = dear ? kDearCost : kCheapCost;
-        recompute_cost += cost;  // "query the RDBMS"
-        store.Set(key, value, 0, 0, cost);
-      }
-    }
-    auto stats = store.Stats();
-    double hit_rate = 100.0 * static_cast<double>(stats.get_hits) /
-                      static_cast<double>(stats.gets);
-    std::printf("%-8s %13.1f%% %14llu %16llu\n",
-                policy == EvictionPolicy::kLru ? "LRU" : "CAMP", hit_rate,
-                static_cast<unsigned long long>(stats.evictions),
-                static_cast<unsigned long long>(recompute_cost));
-    std::fflush(stdout);
-  }
-  std::printf(
-      "\nCAMP may take slightly more misses but pays far less total\n"
-      "recomputation cost by protecting the expensive items.\n");
-}
-
 void TransportAblation(BenchScale& scale) {
   PrintHeader("A5: transport - in-process vs wire protocol (refresh cycle)");
   std::printf("%-26s %16s\n", "backend", "sessions/sec");
@@ -226,7 +179,6 @@ int main() {
   LeaseLifetimeSweep(scale);
   DeferredDeleteAblation(scale);
   BackoffAblation(scale);
-  EvictionAblation(scale);
   TransportAblation(scale);
   return 0;
 }

@@ -96,18 +96,18 @@ class ShardedBackend final : public KvsBackend {
     /// Optional counter snapshot used by Stats()/FormatStats(). Bind
     /// IQServer::Stats for an in-process child; for a TCP child use
     /// net::ParseIQStats over the child's `stats` response.
-    std::function<IQServerStats()> stats;
+    std::function<IQServerStats()> stats = nullptr;
     /// Optional reconnect counter for FormatStats(); bind
     /// net::ReconnectingChannel::reconnects for a TCP child.
-    std::function<std::uint64_t()> reconnects;
+    std::function<std::uint64_t()> reconnects = nullptr;
     /// Optional lease-trace drain used by TraceSnapshot(): the newest (up
     /// to) max_events events, oldest first. Bind IQServer::TraceSnapshot
     /// for an in-process child; for a TCP child bind the `trace` verb via
     /// net::RemoteBackend::Trace.
-    std::function<std::vector<TraceEvent>(std::size_t)> trace;
+    std::function<std::vector<TraceEvent>(std::size_t)> trace = nullptr;
     /// Optional drain-completeness accounting for TraceInfoTotal(); bind
     /// IQServer::TraceInfoTotal or the TRACE_INFO wire header.
-    std::function<TraceInfo()> trace_info;
+    std::function<TraceInfo()> trace_info = nullptr;
   };
 
   struct Config {

@@ -92,11 +92,8 @@ CacheStore::CacheStore(Config config)
       opt_val_words_((config.optimistic_value_cap + 7) / 8),
       shards_(config.shard_count > 0 ? config.shard_count : 1),
       opt_counters_(std::make_unique<OptCounters[]>(kCounterSlots)) {
-  for (auto& s : shards_) {
-    if (config.eviction == EvictionPolicy::kCamp) {
-      s.camp = std::make_unique<CampPolicy>(/*precision=*/8);
-    }
-    if (opt_val_cap_ > 0) {
+  if (opt_val_cap_ > 0) {
+    for (auto& s : shards_) {
       s.opt_tables.push_back(std::make_unique<OptTable>(kOptInitialCapacity));
       s.opt_table.store(s.opt_tables.back().get(), std::memory_order_release);
     }
@@ -237,44 +234,22 @@ void CacheStore::OptEnsureCapacityLocked(Shard& s) {
 void CacheStore::EraseLocked(Shard& s, ItemMap::iterator it) {
   OptEraseLocked(s, it->second);
   s.bytes -= ItemBytes(it->first, it->second.value);
-  if (s.camp) s.camp->OnErase(it->first);
   s.items.erase(it);
 }
 
-void CacheStore::TouchLocked(Shard& s, Item& item, const std::string& key) {
-  item.referenced = true;
-  if (s.camp) s.camp->OnAccess(key);
-}
-
-void CacheStore::EvictIfNeededLocked(Shard& s) {
+void CacheStore::EvictIfNeededLocked(Shard& s, ItemMap::iterator written) {
   if (per_shard_budget_ == 0 || s.bytes <= per_shard_budget_) return;
+  // The written item starts referenced, so the sweep would take other items
+  // until its hand reached it; one that cannot fit goes at once, alone.
+  if (ItemBytes(written->first, written->second.value) > per_shard_budget_) {
+    EraseLocked(s, written);
+    ++s.stats.evictions;
+  }
   // One lap of second chances per eviction run: without a bound, readers
   // re-setting bits during the sweep could keep every item referenced.
   std::size_t chances = s.items.size();
   while (s.bytes > per_shard_budget_ && !s.items.empty()) {
-    ItemMap::iterator victim;
-    if (s.camp) {
-      auto key = s.camp->Victim();
-      if (!key) break;
-      victim = s.items.find(*key);
-      if (victim == s.items.end()) {
-        s.camp->OnErase(*key);
-        continue;
-      }
-      // A lock-free hit earns the refresh a locked hit gets at once. Only
-      // the mirror's bit counts: every write sets Item::referenced.
-      OptEntry* e = victim->second.opt;
-      if (chances > 0 && e != nullptr &&
-          e->referenced.exchange(false, std::memory_order_relaxed)) {
-        --chances;
-        s.camp->OnAccess(*key);
-        continue;
-      }
-      s.camp->OnEvict(*key);  // advances the inflation value L
-    } else {
-      victim = ClockVictimLocked(s, chances);
-    }
-    EraseLocked(s, victim);
+    EraseLocked(s, ClockVictimLocked(s, chances));
     ++s.stats.evictions;
   }
 }
@@ -314,56 +289,28 @@ CacheStore::ItemMap::iterator CacheStore::FindLive(Shard& s,
 
 void CacheStore::StoreLocked(Shard& s, std::string_view key,
                              std::string_view value, std::uint32_t flags,
-                             Nanos ttl, std::optional<std::uint64_t> cost) {
+                             Nanos ttl) {
   auto it = s.items.find(key);
-  Nanos expires = ttl > 0 ? clock_.Now() + ttl : 0;
-  if (it != s.items.end()) {
-    s.bytes -= ItemBytes(it->first, it->second.value);
-    it->second.value.assign(value);
-    it->second.flags = flags;
-    it->second.cas = cas_counter_.fetch_add(1, std::memory_order_relaxed);
-    it->second.expires_at = expires;
-    // cas/replace/refresh overwrites keep the cost recorded at Set: the
-    // recomputation cost of the query result did not change.
-    if (cost) it->second.cost = *cost;
-    s.bytes += ItemBytes(it->first, it->second.value);
-    if (s.camp) {
-      s.camp->OnInsert(it->first, it->second.cost,
-                       ItemBytes(it->first, it->second.value));
-    }
-    it->second.referenced = true;
-    OptUpsertLocked(s, it->first, it->second);
+  if (it == s.items.end()) {
+    it = s.items.emplace(std::string(key), Item{}).first;
   } else {
-    auto [ins, ok] = s.items.emplace(std::string(key), Item{});
-    (void)ok;
-    ins->second.value.assign(value);
-    ins->second.flags = flags;
-    ins->second.cas = cas_counter_.fetch_add(1, std::memory_order_relaxed);
-    ins->second.expires_at = expires;
-    ins->second.cost = cost.value_or(1);
-    // Referenced from birth: the insert may land just ahead of the hand.
-    ins->second.referenced = true;
-    s.bytes += ItemBytes(ins->first, ins->second.value);
-    if (s.camp) {
-      s.camp->OnInsert(ins->first, ins->second.cost,
-                       ItemBytes(ins->first, ins->second.value));
-    }
-    OptUpsertLocked(s, ins->first, ins->second);
+    s.bytes -= ItemBytes(it->first, it->second.value);
   }
-  EvictIfNeededLocked(s);
+  Item& item = it->second;
+  item.value.assign(value);
+  item.flags = flags;
+  item.cas = cas_counter_.fetch_add(1, std::memory_order_relaxed);
+  item.expires_at = ttl > 0 ? clock_.Now() + ttl : 0;
+  s.bytes += ItemBytes(it->first, item.value);
+  FinishWriteLocked(s, it);
 }
 
-void CacheStore::FinishResizeLocked(Shard& s, ItemMap::iterator it) {
-  // CAMP must see the new size (at the preserved cost) or its cost/size heap
-  // drifts from reality; the resize also counts as an access, and a grown
-  // value must re-check the byte budget.
-  if (s.camp) {
-    s.camp->OnInsert(it->first, it->second.cost,
-                     ItemBytes(it->first, it->second.value));
-  }
+void CacheStore::FinishWriteLocked(Shard& s, ItemMap::iterator it) {
+  // A write counts as an access, and an insert is referenced from birth
+  // because it may land just ahead of the hand.
   it->second.referenced = true;
   OptUpsertLocked(s, it->first, it->second);
-  EvictIfNeededLocked(s);
+  EvictIfNeededLocked(s, it);
 }
 
 // ---- public command set ----------------------------------------------------
@@ -380,7 +327,7 @@ std::optional<CacheItem> CacheStore::Get(std::string_view key) {
     return std::nullopt;
   }
   ++s.stats.get_hits;
-  TouchLocked(s, it->second, it->first);
+  it->second.referenced = true;
   return CacheItem{it->second.value, it->second.flags, it->second.cas};
 }
 
@@ -457,12 +404,11 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
 }
 
 StoreResult CacheStore::Set(std::string_view key, std::string_view value,
-                            std::uint32_t flags, Nanos ttl,
-                            std::uint64_t cost) {
+                            std::uint32_t flags, Nanos ttl) {
   Shard& s = ShardFor(key);
   std::lock_guard lock(s.mu);
   ++s.stats.sets;
-  StoreLocked(s, key, value, flags, ttl, cost);
+  StoreLocked(s, key, value, flags, ttl);
   return StoreResult::kStored;
 }
 
@@ -522,7 +468,7 @@ StoreResult CacheStore::Append(std::string_view key, std::string_view suffix) {
   it->second.value.append(suffix);
   it->second.cas = cas_counter_.fetch_add(1, std::memory_order_relaxed);
   s.bytes += ItemBytes(it->first, it->second.value);
-  FinishResizeLocked(s, it);
+  FinishWriteLocked(s, it);
   return StoreResult::kStored;
 }
 
@@ -536,7 +482,7 @@ StoreResult CacheStore::Prepend(std::string_view key, std::string_view prefix) {
   it->second.value.insert(0, prefix);
   it->second.cas = cas_counter_.fetch_add(1, std::memory_order_relaxed);
   s.bytes += ItemBytes(it->first, it->second.value);
-  FinishResizeLocked(s, it);
+  FinishWriteLocked(s, it);
   return StoreResult::kStored;
 }
 
@@ -565,7 +511,7 @@ std::optional<std::uint64_t> CacheStore::Incr(std::string_view key,
   it->second.value = std::to_string(next);
   it->second.cas = cas_counter_.fetch_add(1, std::memory_order_relaxed);
   s.bytes += ItemBytes(it->first, it->second.value);
-  FinishResizeLocked(s, it);
+  FinishWriteLocked(s, it);
   return next;
 }
 
@@ -583,7 +529,7 @@ std::optional<std::uint64_t> CacheStore::Decr(std::string_view key,
   it->second.value = std::to_string(next);
   it->second.cas = cas_counter_.fetch_add(1, std::memory_order_relaxed);
   s.bytes += ItemBytes(it->first, it->second.value);
-  FinishResizeLocked(s, it);
+  FinishWriteLocked(s, it);
   return next;
 }
 
@@ -608,9 +554,6 @@ void CacheStore::Flush() {
     }
     s.items.clear();
     s.bytes = 0;
-    // Without this, CAMP keeps ghost entries for flushed keys and its
-    // victim choices (and Size accounting) drift from the live store.
-    if (s.camp) s.camp->Clear();
     // Count the flush once, not once per shard.
     if (&s == &shards_.front()) ++s.stats.flushes;
   }
@@ -659,10 +602,6 @@ std::string CacheStore::CheckInvariants() {
     if (bytes != s.bytes) {
       return where + "bytes accounting drift: counted " + std::to_string(bytes) +
              " recorded " + std::to_string(s.bytes);
-    }
-    if (s.camp && s.camp->Size() != s.items.size()) {
-      return where + "camp tracks " + std::to_string(s.camp->Size()) +
-             " keys, store has " + std::to_string(s.items.size());
     }
     if (opt_val_cap_ > 0) {
       std::size_t mirrored = 0;
@@ -734,7 +673,7 @@ std::optional<CacheItem> CacheStore::GetLocked(const ShardGuard& g,
     return std::nullopt;
   }
   ++s.stats.get_hits;
-  TouchLocked(s, it->second, it->first);
+  it->second.referenced = true;
   return CacheItem{it->second.value, it->second.flags, it->second.cas};
 }
 

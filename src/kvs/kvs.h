@@ -28,16 +28,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "kvs/camp.h"
 #include "util/clock.h"
 
 namespace iq {
-
-/// Which eviction policy a CacheStore runs under its byte budget.
-enum class EvictionPolicy {
-  kLru,   // memcached least-recently-used, approximated by a CLOCK bit
-  kCamp,  // cost/size-aware CAMP (see kvs/camp.h)
-};
 
 /// Result of a mutating KVS command, mirroring memcached reply semantics.
 enum class StoreResult {
@@ -102,12 +95,12 @@ class CacheStore {
 
   struct Config {
     std::size_t shard_count = 16;
-    /// Total memory budget across shards; 0 disables eviction.
+    /// Total memory budget across shards; 0 disables eviction. A write
+    /// whose item alone exceeds its shard's share is evicted at once, and
+    /// nothing else is.
     std::size_t memory_budget_bytes = 0;
     /// Clock used for TTL expiry. Defaults to the process steady clock.
     const Clock* clock = nullptr;
-    /// Victim selection under the byte budget.
-    EvictionPolicy eviction = EvictionPolicy::kLru;
     /// Largest value (bytes) served by the mutex-free optimistic read path;
     /// larger values always go through the locked path. 0 disables
     /// optimistic reads entirely (A/B baseline).
@@ -138,54 +131,46 @@ class CacheStore {
   std::optional<CacheItem> OptimisticGet(std::string_view key,
                                          std::uint64_t hash);
 
-  /// set: unconditional store. `cost` is the application-reported cost of
-  /// recomputing this value (used by the CAMP eviction policy; ignored by
-  /// LRU; 1 = default).
+  /// set: unconditional store.
   StoreResult Set(std::string_view key, std::string_view value,
-                  std::uint32_t flags = 0, Nanos ttl = 0,
-                  std::uint64_t cost = 1);
+                  std::uint32_t flags = 0, Nanos ttl = 0);
 
   /// add: store only if the key does not exist.
   StoreResult Add(std::string_view key, std::string_view value,
                   std::uint32_t flags = 0, Nanos ttl = 0);
 
-  /// replace: store only if the key exists. Keeps the cost recorded at Set.
+  /// replace: store only if the key exists.
   StoreResult Replace(std::string_view key, std::string_view value,
                       std::uint32_t flags = 0, Nanos ttl = 0);
 
   /// cas: store only if the caller's version matches the current one.
-  /// Keeps the cost recorded at Set (a cas swap does not change how
-  /// expensive the value is to recompute).
   StoreResult Cas(std::string_view key, std::string_view value,
                   std::uint64_t cas, std::uint32_t flags = 0, Nanos ttl = 0);
 
   /// delete: returns true if the key existed.
   bool Delete(std::string_view key);
 
-  /// append/prepend: extend an existing value; kNotStored on miss. The
-  /// CAMP-recorded size follows the resize.
+  /// append/prepend: extend an existing value; kNotStored on miss.
   StoreResult Append(std::string_view key, std::string_view suffix);
   StoreResult Prepend(std::string_view key, std::string_view prefix);
 
   /// incr/decr: treat the value as an ASCII unsigned integer. Returns the
   /// new value, or nullopt if the key is missing or non-numeric. decr
-  /// saturates at 0 (memcached semantics). Counts as an access for CLOCK
-  /// and CAMP, and re-checks the byte budget (a growing counter can evict).
+  /// saturates at 0 (memcached semantics). Counts as an access for CLOCK,
+  /// and re-checks the byte budget (a growing counter can evict).
   std::optional<std::uint64_t> Incr(std::string_view key, std::uint64_t delta);
   std::optional<std::uint64_t> Decr(std::string_view key, std::uint64_t delta);
 
-  /// flush_all: drop every item, including the CAMP policy state and the
-  /// optimistic-read index.
+  /// flush_all: drop every item, including the optimistic-read index.
   void Flush();
 
   CacheStats Stats() const;
 
   /// Structural self-check, taking each shard lock in turn: per-shard byte
-  /// accounting (shard.bytes == Σ ItemBytes over live items), CAMP tracking
-  /// exactly the live items, and every short-key item owning a live,
-  /// value-consistent optimistic mirror. Returns an
-  /// empty string when consistent, else a description of the first
-  /// violation. Meant for tests and debug assertions, not the hot path.
+  /// accounting (shard.bytes == Σ ItemBytes over live items) and every
+  /// short-key item owning a live, value-consistent optimistic mirror.
+  /// Returns an empty string when consistent, else a description of the
+  /// first violation. Meant for tests and debug assertions, not the hot path.
   std::string CheckInvariants();
 
   bool optimistic_enabled() const { return opt_val_cap_ > 0; }
@@ -287,9 +272,6 @@ class CacheStore {
     std::uint32_t flags = 0;
     std::uint64_t cas = 0;
     Nanos expires_at = 0;  // 0 = never
-    /// Recomputation cost recorded at Set; preserved across cas/append/
-    /// prepend/incr/decr so CAMP's priority never silently degrades.
-    std::uint64_t cost = 1;
     bool referenced = false;  // CLOCK bit set by locked hits and writes
     OptEntry* opt = nullptr;  // mirror, or nullptr (long key / disabled)
   };
@@ -301,7 +283,6 @@ class CacheStore {
     mutable std::mutex mu;
     ItemMap items;
     std::size_t clock_hand = 0;  // bucket of `items` the CLOCK sweep resumes at
-    std::unique_ptr<CampPolicy> camp;  // non-null iff eviction == kCamp
     std::size_t bytes = 0;
     CacheStats stats;  // guarded by mu
 
@@ -331,15 +312,16 @@ class CacheStore {
 
   bool ExpiredLocked(Shard& s, const Item& item) const;
   void EraseLocked(Shard& s, ItemMap::iterator it);
-  void TouchLocked(Shard& s, Item& item, const std::string& key);
   void StoreLocked(Shard& s, std::string_view key, std::string_view value,
-                   std::uint32_t flags, Nanos ttl,
-                   std::optional<std::uint64_t> cost = std::nullopt);
-  /// Shared tail of every in-place value resize (append/prepend/incr/decr):
-  /// refresh CAMP's recorded size at the preserved cost, set the reference
-  /// bit, refresh the optimistic mirror, and re-check the byte budget.
-  void FinishResizeLocked(Shard& s, ItemMap::iterator it);
-  void EvictIfNeededLocked(Shard& s);
+                   std::uint32_t flags, Nanos ttl);
+  /// Shared tail of every write (store, append/prepend, incr/decr): set the
+  /// reference bit, refresh the optimistic mirror, and re-check the byte
+  /// budget.
+  void FinishWriteLocked(Shard& s, ItemMap::iterator it);
+  /// Evicts until the shard fits its budget. `written` is the item the
+  /// caller just wrote: one that alone exceeds the budget is the only
+  /// victim.
+  void EvictIfNeededLocked(Shard& s, ItemMap::iterator written);
   /// Sweeps the CLOCK hand to a victim, clearing set bits and sparing their
   /// items while `chances` lasts. Requires a non-empty shard.
   ItemMap::iterator ClockVictimLocked(Shard& s, std::size_t& chances);

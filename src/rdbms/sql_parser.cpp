@@ -1,6 +1,8 @@
 // Recursive-descent parser for the SQL subset declared in sql.h.
 #include <cctype>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "rdbms/sql.h"
 
@@ -234,15 +236,18 @@ class Parser {
   }
 
   CompareOp ParseCompareOp() {
-    if (lex_.Peek().kind != TokKind::kPunct) lex_.Fail("expected comparison");
-    std::string op = lex_.Take().text;
-    if (op == "=") return CompareOp::kEq;
-    if (op == "<>") return CompareOp::kNe;
-    if (op == "<") return CompareOp::kLt;
-    if (op == "<=") return CompareOp::kLe;
-    if (op == ">") return CompareOp::kGt;
-    if (op == ">=") return CompareOp::kGe;
-    lex_.Fail("unknown comparison operator '" + op + "'");
+    static constexpr std::pair<std::string_view, CompareOp> kOps[] = {
+        {"=", CompareOp::kEq},  {"<>", CompareOp::kNe}, {"<", CompareOp::kLt},
+        {"<=", CompareOp::kLe}, {">", CompareOp::kGt},  {">=", CompareOp::kGe}};
+    const Token& t = lex_.Peek();
+    if (t.kind != TokKind::kPunct) lex_.Fail("expected comparison");
+    for (const auto& [text, op] : kOps) {
+      if (t.text == text) {
+        lex_.Take();
+        return op;
+      }
+    }
+    lex_.Fail("unknown comparison operator '" + t.text + "'");
   }
 
   void ParseWhere(Statement& stmt) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -250,6 +251,40 @@ TEST(CacheStore, EvictionTakesTheUnreferencedItemFirst) {
   }
 }
 
+TEST(CacheStore, OversizeWriteEvictsOnlyItself) {
+  // An item larger than the whole shard budget cannot stay. It must be the
+  // one eviction, not the last of several: the write leaves it referenced,
+  // so the sweep would take the items around it first.
+  const std::string big(kTenItems, 'b');
+  struct Case {
+    const char* write;
+    std::function<StoreResult(CacheStore&)> run;
+    std::string evicted;
+  };
+  const Case cases[] = {
+      {"set of a fresh key", [&](CacheStore& s) { return s.Set("big", big); },
+       "big"},
+      {"overwrite", [&](CacheStore& s) { return s.Set(ClockKey(3), big); },
+       ClockKey(3)},
+      {"append", [&](CacheStore& s) { return s.Append(ClockKey(3), big); },
+       ClockKey(3)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.write);
+    CacheStore store({.shard_count = 1, .memory_budget_bytes = kTenItems});
+    for (int i = 0; i < 10; ++i) store.Set(ClockKey(i), kClockValue);
+    EXPECT_EQ(c.run(store), StoreResult::kStored);
+    EXPECT_EQ(store.Stats().evictions, 1u);
+    EXPECT_FALSE(Holds(store, c.evicted));
+    for (int i = 0; i < 10; ++i) {
+      if (ClockKey(i) != c.evicted) {
+        EXPECT_TRUE(Holds(store, ClockKey(i)));
+      }
+    }
+    EXPECT_EQ(store.CheckInvariants(), "");
+  }
+}
+
 TEST(CacheStore, StatsCountHitsAndMisses) {
   CacheStore store;
   store.Set("k", "v");
@@ -382,57 +417,18 @@ TEST(CacheStore, IncrGrowthReenforcesByteBudget) {
   EXPECT_EQ(store.CheckInvariants(), "");
 }
 
-TEST(CacheStore, CasKeepsCostForCampVictimChoice) {
-  CacheStore store({.shard_count = 1,
-                    .memory_budget_bytes = 400,
-                    .eviction = EvictionPolicy::kCamp});
-  store.Set("cheap", "1", 0, 0, /*cost=*/1);
-  store.Set("dear", "1", 0, 0, /*cost=*/100000);
-  // A cas swap must not clobber the cost recorded at Set...
-  auto item = store.Get("dear");
-  ASSERT_TRUE(item);
-  ASSERT_EQ(store.Cas("dear", "2", item->cas), StoreResult::kStored);
-  // ...so when the fill forces an eviction, CAMP still sees "dear" as
-  // expensive and sacrifices "cheap".
-  store.Get("cheap");
-  store.Set("fill", std::string(200, 'x'), 0, 0, /*cost=*/1000000);
-  EXPECT_GT(store.Stats().evictions, 0u);
-  EXPECT_TRUE(store.Get("dear"));
-  EXPECT_FALSE(store.Get("cheap"));
-  EXPECT_EQ(store.CheckInvariants(), "");
-}
-
-TEST(CacheStore, AppendUpdatesCampRecordedSize) {
-  CacheStore store({.shard_count = 1,
-                    .memory_budget_bytes = 800,
-                    .eviction = EvictionPolicy::kCamp});
-  store.Set("small", "y", 0, 0, /*cost=*/1000);
-  store.Set("grow", "x", 0, 0, /*cost=*/1000);
-  // Equal cost and size so far. Growing "grow" by 400 bytes crushes its
-  // cost/size ratio; CAMP must be told, or it keeps the stale high ratio
-  // and evicts "small" instead.
-  ASSERT_EQ(store.Append("grow", std::string(400, 'z')), StoreResult::kStored);
-  store.Set("fill", std::string(300, 'f'), 0, 0, /*cost=*/1000000);
-  EXPECT_GT(store.Stats().evictions, 0u);
-  EXPECT_TRUE(store.Get("small"));
-  EXPECT_FALSE(store.Get("grow"));
-  EXPECT_EQ(store.CheckInvariants(), "");
-}
-
-TEST(CacheStore, FlushClearsCampGhosts) {
-  CacheStore store({.shard_count = 2,
-                    .memory_budget_bytes = 2000,
-                    .eviction = EvictionPolicy::kCamp});
+TEST(CacheStore, RefillAfterFlushEvictsWithinBudget) {
+  CacheStore store({.shard_count = 2, .memory_budget_bytes = 2000});
   for (int i = 0; i < 20; ++i) {
-    store.Set("pre" + std::to_string(i), std::string(30, 'a'), 0, 0, 50);
+    store.Set("pre" + std::to_string(i), std::string(30, 'a'));
   }
   store.Flush();
   EXPECT_EQ(store.CheckInvariants(), "");
   EXPECT_EQ(store.Stats().flushes, 1u);
-  // Refill past the budget: victim selection must work against live keys
-  // only (ghost CAMP entries would stall or misdirect the eviction loop).
+  // Refill past the budget: the CLOCK sweep must find victims among the
+  // refilled keys only.
   for (int i = 0; i < 40; ++i) {
-    store.Set("post" + std::to_string(i), std::string(50, 'b'), 0, 0, 50);
+    store.Set("post" + std::to_string(i), std::string(50, 'b'));
   }
   auto stats = store.Stats();
   EXPECT_GT(stats.evictions, 0u);
@@ -441,52 +437,46 @@ TEST(CacheStore, FlushClearsCampGhosts) {
 }
 
 TEST(CacheStore, InvariantsHoldAcrossMutationMix) {
-  for (auto policy : {EvictionPolicy::kLru, EvictionPolicy::kCamp}) {
-    CacheStore store({.shard_count = 4,
-                      .memory_budget_bytes = 3000,
-                      .eviction = policy});
-    std::uint64_t rng = 0x9e3779b9;
-    auto next = [&rng] {
-      rng ^= rng << 13;
-      rng ^= rng >> 7;
-      rng ^= rng << 17;
-      return rng;
-    };
-    for (int i = 0; i < 2000; ++i) {
-      std::string key = "k" + std::to_string(next() % 48);
-      switch (next() % 8) {
-        case 0:
-        case 1:
-          store.Set(key, std::string(next() % 60, 'v'), 0, 0, 1 + next() % 100);
-          break;
-        case 2:
-          store.Incr(key, next() % 1000);
-          break;
-        case 3:
-          store.Append(key, std::string(next() % 20, 'x'));
-          break;
-        case 4: {
-          if (auto item = store.Get(key)) store.Cas(key, "swap", item->cas);
-          break;
-        }
-        case 5:
-          store.Delete(key);
-          break;
-        case 6:
-          store.Get(key);
-          break;
-        case 7:
-          if (next() % 97 == 0) store.Flush();
-          break;
+  CacheStore store({.shard_count = 4, .memory_budget_bytes = 3000});
+  std::uint64_t rng = 0x9e3779b9;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    std::string key = "k" + std::to_string(next() % 48);
+    switch (next() % 8) {
+      case 0:
+      case 1:
+        store.Set(key, std::string(next() % 60, 'v'));
+        break;
+      case 2:
+        store.Incr(key, next() % 1000);
+        break;
+      case 3:
+        store.Append(key, std::string(next() % 20, 'x'));
+        break;
+      case 4: {
+        if (auto item = store.Get(key)) store.Cas(key, "swap", item->cas);
+        break;
       }
-      if (i % 50 == 0) {
-        ASSERT_EQ(store.CheckInvariants(), "")
-            << "policy=" << (policy == EvictionPolicy::kLru ? "lru" : "camp")
-            << " op=" << i;
-      }
+      case 5:
+        store.Delete(key);
+        break;
+      case 6:
+        store.Get(key);
+        break;
+      case 7:
+        if (next() % 97 == 0) store.Flush();
+        break;
     }
-    EXPECT_EQ(store.CheckInvariants(), "");
+    if (i % 50 == 0) {
+      ASSERT_EQ(store.CheckInvariants(), "") << "op=" << i;
+    }
   }
+  EXPECT_EQ(store.CheckInvariants(), "");
 }
 
 // ---- optimistic (mutex-free) reads ----------------------------------------

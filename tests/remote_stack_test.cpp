@@ -179,14 +179,18 @@ class ShardedStackTest : public ::testing::Test {
     ASSERT_NE(channel_, nullptr) << error;
     remote_ = std::make_unique<net::RemoteBackend>(*channel_);
     router_ = std::make_unique<ShardedBackend>(std::vector<ShardedBackend::Shard>{
-        {"local", &local_child_, 1, [this] { return local_child_.Stats(); }, {}},
+        {.name = "local",
+         .backend = &local_child_,
+         .stats = [this] { return local_child_.Stats(); }},
         // The TCP child's counters come back over the wire, through the
         // same `stats` command an operator would use.
-        {"tcp", remote_.get(), 1,
-         [this] {
-           return net::ParseIQStats(net::RemoteBackend(*channel_).Stats());
-         },
-         {}}});
+        {.name = "tcp",
+         .backend = remote_.get(),
+         .stats =
+             [this] {
+               return net::ParseIQStats(
+                   net::RemoteBackend(*channel_).Stats());
+             }}});
   }
 
   void TearDown() override {

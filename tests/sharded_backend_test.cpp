@@ -42,8 +42,12 @@ std::vector<ShardedBackend::Shard> NamedShards(IQServer* servers,
 class ShardedBackendTest : public ::testing::Test {
  protected:
   ShardedBackendTest()
-      : router_({{"cache-a", &child0_, 1, [this] { return child0_.Stats(); }},
-                 {"cache-b", &child1_, 1, [this] { return child1_.Stats(); }}},
+      : router_({{.name = "cache-a",
+                  .backend = &child0_,
+                  .stats = [this] { return child0_.Stats(); }},
+                 {.name = "cache-b",
+                  .backend = &child1_,
+                  .stats = [this] { return child1_.Stats(); }}},
                 ShardedBackend::Config{}) {}
 
   IQServer child0_;
@@ -53,8 +57,8 @@ class ShardedBackendTest : public ::testing::Test {
 
 TEST(ShardedRing, RoutingIsDeterministicAcrossInstances) {
   IQServer a, b;
-  std::vector<ShardedBackend::Shard> shards = {{"s0", &a, 1, nullptr},
-                                               {"s1", &b, 1, nullptr}};
+  std::vector<ShardedBackend::Shard> shards = {{.name = "s0", .backend = &a},
+                                               {.name = "s1", .backend = &b}};
   ShardedBackend r1(shards);
   ShardedBackend r2(shards);  // a second router, as each client thread builds
   for (int i = 0; i < 500; ++i) {
@@ -65,10 +69,10 @@ TEST(ShardedRing, RoutingIsDeterministicAcrossInstances) {
 
 TEST(ShardedRing, EveryShardOwnsKeyspace) {
   IQServer a, b, c, d;
-  ShardedBackend router({{"s0", &a, 1, nullptr},
-                         {"s1", &b, 1, nullptr},
-                         {"s2", &c, 1, nullptr},
-                         {"s3", &d, 1, nullptr}});
+  ShardedBackend router({{.name = "s0", .backend = &a},
+                         {.name = "s1", .backend = &b},
+                         {.name = "s2", .backend = &c},
+                         {.name = "s3", .backend = &d}});
   std::vector<int> hits(4, 0);
   for (int i = 0; i < 2000; ++i) {
     ++hits[router.ShardFor("key" + std::to_string(i))];
@@ -78,7 +82,8 @@ TEST(ShardedRing, EveryShardOwnsKeyspace) {
 
 TEST(ShardedRing, WeightSkewsDistribution) {
   IQServer a, b;
-  ShardedBackend router({{"small", &a, 1, nullptr}, {"big", &b, 4, nullptr}});
+  ShardedBackend router({{.name = "small", .backend = &a, .weight = 1},
+                         {.name = "big", .backend = &b, .weight = 4}});
   int small = 0, big = 0;
   for (int i = 0; i < 4000; ++i) {
     (router.ShardFor("key" + std::to_string(i)) == 0 ? small : big)++;

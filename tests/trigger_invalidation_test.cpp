@@ -245,7 +245,9 @@ TEST_F(TriggerInvalidationTest, OverlappingSessionsQuarantineUnderTheirOwnTxn) {
     auto a = invalidator_.BeginSession();
     SessionId a_id = TriggerInvalidator::ActiveTid();
     auto b = invalidator_.BeginSession();
-    if (other_ends_first) EXPECT_TRUE(b->Commit());
+    if (other_ends_first) {
+      EXPECT_TRUE(b->Commit());
+    }
     sql::Query(a->txn(), "UPDATE Users SET score = score + 1 WHERE id = 1");
     if (!other_ends_first) b->Abort();
     EXPECT_EQ(TriggerInvalidator::ActiveTid(), a_id);
