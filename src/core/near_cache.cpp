@@ -30,7 +30,7 @@ void NearCache::Insert(const std::string& key, std::string value,
                        Nanos validity) {
   if (validity <= 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const Nanos expires_at = clock_.Now() + validity;
+  const Nanos expires_at = SaturatingAdd(clock_.Now(), validity);
   auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->second = Entry{std::move(value), expires_at};

@@ -300,7 +300,7 @@ void CacheStore::StoreLocked(Shard& s, std::string_view key,
   item.value.assign(value);
   item.flags = flags;
   item.cas = cas_counter_.fetch_add(1, std::memory_order_relaxed);
-  item.expires_at = ttl > 0 ? clock_.Now() + ttl : 0;
+  item.expires_at = ttl > 0 ? SaturatingAdd(clock_.Now(), ttl) : 0;
   s.bytes += ItemBytes(it->first, item.value);
   FinishWriteLocked(s, it);
 }

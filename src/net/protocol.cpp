@@ -1,40 +1,32 @@
 #include "net/protocol.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
-#include <unordered_map>
+#include <limits>
+#include <span>
 #include <utility>
 
 namespace iq::net {
 namespace {
 
-std::optional<std::uint64_t> ParseU64(std::string_view s) {
-  std::uint64_t v = 0;
+/// All of `s` as one number, or nullopt.
+template <typename T = std::uint64_t>
+std::optional<T> ParseNumber(std::string_view s) {
+  T v = 0;
   auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || p != s.data() + s.size()) return std::nullopt;
   return v;
 }
 
-std::optional<std::int64_t> ParseI64(std::string_view s) {
-  std::int64_t v = 0;
-  auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || p != s.data() + s.size()) return std::nullopt;
-  return v;
-}
-
-void AppendU64(std::string* out, std::uint64_t v) {
-  char buf[20];
-  auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  (void)ec;
-  out->append(buf, p - buf);
-}
-
-void AppendI64(std::string* out, std::int64_t v) {
+template <typename T>
+void AppendNumber(std::string* out, T v) {
   char buf[21];
-  auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  (void)ec;
-  out->append(buf, p - buf);
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
+
+/// memcached's flags are 32 bits wide: a larger value is malformed.
+constexpr std::uint64_t kMaxFlags = std::numeric_limits<std::uint32_t>::max();
 
 /// The space-separated tokens of one line. Only the first kMax are kept;
 /// `count` counts them all, so an arity check sees every token.
@@ -44,7 +36,9 @@ struct Tokens {
   std::size_t count = 0;
 };
 
-Tokens Tokenize(std::string_view line) {
+/// The tokens of `line`; every one of them also goes to *all, if given.
+Tokens Tokenize(std::string_view line,
+                std::vector<std::string_view>* all = nullptr) {
   Tokens t;
   std::size_t i = 0;
   while (i < line.size()) {
@@ -52,286 +46,190 @@ Tokens Tokenize(std::string_view line) {
     std::size_t start = i;
     while (i < line.size() && line[i] != ' ') ++i;
     if (i > start) {
-      if (t.count < Tokens::kMax) t.tok[t.count] = line.substr(start, i - start);
+      const std::string_view token = line.substr(start, i - start);
+      if (t.count < Tokens::kMax) t.tok[t.count] = token;
+      if (all != nullptr) all->push_back(token);
       ++t.count;
     }
   }
   return t;
 }
 
-struct CommandInfo {
-  Command command;
-  bool has_payload;  // followed by a data block
+/// Table rows keyed by (non-empty) name, built at compile time: open
+/// addressing, probed linearly from a hash of the name's length and end
+/// bytes. Every reply read looks its head up here; a std::unordered_map
+/// made reading a VALUE reply about 20 ns slower.
+template <typename Row>
+class NameIndex {
+ public:
+  constexpr void Add(std::string_view name, const Row* row) {
+    std::size_t i = Slot(name);
+    while (rows_[i] != nullptr) i = (i + 1) % kSlots;
+    names_[i] = name;
+    rows_[i] = row;
+  }
+
+  constexpr const Row* Find(std::string_view name) const {
+    for (std::size_t i = Slot(name); rows_[i] != nullptr;
+         i = (i + 1) % kSlots) {
+      if (names_[i] == name) return rows_[i];
+    }
+    return nullptr;
+  }
+
+ private:
+  static constexpr std::size_t kSlots = 64;  // under half full: short probes
+  static constexpr std::size_t Slot(std::string_view name) {
+    return (name.size() * 31 + static_cast<unsigned char>(name.front()) * 7 +
+            static_cast<unsigned char>(name.back())) %
+           kSlots;
+  }
+  std::array<std::string_view, kSlots> names_{};
+  std::array<const Row*, kSlots> rows_{};
 };
 
-const std::unordered_map<std::string_view, CommandInfo>& CommandTable() {
-  static const auto* table = new std::unordered_map<std::string_view, CommandInfo>{
-      {"get", {Command::kGet, false}},
-      {"gets", {Command::kGets, false}},
-      {"set", {Command::kSet, true}},
-      {"add", {Command::kAdd, true}},
-      {"replace", {Command::kReplace, true}},
-      {"cas", {Command::kCas, true}},
-      {"append", {Command::kAppend, true}},
-      {"prepend", {Command::kPrepend, true}},
-      {"delete", {Command::kDelete, false}},
-      {"incr", {Command::kIncr, false}},
-      {"decr", {Command::kDecr, false}},
-      {"flush_all", {Command::kFlushAll, false}},
-      {"stats", {Command::kStats, false}},
-      {"quit", {Command::kQuit, false}},
-      {"iqget", {Command::kIQGet, false}},
-      {"iqset", {Command::kIQSet, true}},
-      {"qaread", {Command::kQaRead, false}},
-      {"sar", {Command::kSaR, true}},
-      {"sarnull", {Command::kSaRNull, false}},
-      {"genid", {Command::kGenId, false}},
-      {"qareg", {Command::kQaReg, false}},
-      {"dar", {Command::kDaR, false}},
-      {"iqappend", {Command::kIQAppend, true}},
-      {"iqprepend", {Command::kIQPrepend, true}},
-      {"iqincr", {Command::kIQIncr, false}},
-      {"iqdecr", {Command::kIQDecr, false}},
-      {"commit", {Command::kCommit, false}},
-      {"abort", {Command::kAbort, false}},
-      {"release", {Command::kRelease, false}},
-      {"sweep", {Command::kSweep, false}},
-      {"metrics", {Command::kMetrics, false}},
-      {"trace", {Command::kTrace, false}},
-      {"batch", {Command::kBatch, false}},
-  };
-  return *table;
+/// True when rows[i] is the row of enum value i, for every value to `last`.
+template <typename Row, std::size_t N, typename Enum>
+constexpr bool OneRowPerValue(const Row (&rows)[N], Enum Row::*id, Enum last) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (rows[i].*id != static_cast<Enum>(i)) return false;
+  }
+  return N == static_cast<std::size_t>(last) + 1;
 }
 
-/// Expected payload size for a storage-style command line, or nullopt for
-/// malformed lines. Fills the non-payload fields of *req; a get's keys go to
-/// *keys unless it is null.
-std::optional<std::size_t> ParseCommandLine(
-    const Tokens& tok, std::string_view line, const CommandInfo& info,
-    RequestView* req, std::vector<std::string_view>* keys,
-    std::string* error) {
-  auto fail = [&](const char* msg) -> std::optional<std::size_t> {
-    *error = msg;
-    return std::nullopt;
+// ---- the request grammar ----------------------------------------------------
+
+/// One field of a request line. A verb's row lists its fields in wire order.
+enum class Field : std::uint8_t {
+  kNone,     // past the row's last field
+  kKey,      // <key>
+  kKeys,     // <key> [<key> ...]: writes `keys` when set, else `key`
+  kFlags,    // <flags>, at most UINT32_MAX
+  kExptime,  // <exptime>, signed seconds
+  kBytes,    // <bytes>: the data block that follows the line
+  kCas,      // <cas unique>
+  kAmount,   // <amount>
+  kToken,    // <token>
+  kSession,  // <session> or <tid>
+  kCount,    // [<n>] into `amount`: optional, written only when non-zero
+  kFrame,    // <n> > 0 into `amount`, then n requests; writes batch.size()
+};
+using enum Field;
+
+/// The name a malformed field's CLIENT_ERROR gives it.
+constexpr std::string_view kFieldNames[] = {
+    "argument count", "key",   "keys",       "flags",   "exptime",
+    "bytes",          "cas",   "amount",     "token",   "session id",
+    "count",          "request count"};
+static_assert(std::size(kFieldNames) == static_cast<std::size_t>(kFrame) + 1);
+
+/// One verb: its name, its line's fields in wire order, and whether a
+/// `batch` frame may carry it.
+struct Verb {
+  Command command;
+  std::string_view name;
+  std::array<Field, 5> fields;  // the widest line: cas
+  bool batchable = false;
+};
+
+constexpr bool kBatchable = true;
+
+/// The request grammar: one row per Command, in enum order.
+constexpr Verb kVerbs[] = {
+    {Command::kGet, "get", {kKeys}},
+    {Command::kGets, "gets", {kKeys}},
+    {Command::kSet, "set", {kKey, kFlags, kExptime, kBytes}},
+    {Command::kAdd, "add", {kKey, kFlags, kExptime, kBytes}},
+    {Command::kReplace, "replace", {kKey, kFlags, kExptime, kBytes}},
+    {Command::kCas, "cas", {kKey, kFlags, kExptime, kBytes, kCas}},
+    {Command::kAppend, "append", {kKey, kFlags, kExptime, kBytes}},
+    {Command::kPrepend, "prepend", {kKey, kFlags, kExptime, kBytes}},
+    {Command::kDelete, "delete", {kKey}},
+    {Command::kIncr, "incr", {kKey, kAmount}},
+    {Command::kDecr, "decr", {kKey, kAmount}},
+    {Command::kFlushAll, "flush_all", {}},
+    {Command::kStats, "stats", {}},
+    {Command::kQuit, "quit", {}},
+    {Command::kIQGet, "iqget", {kKey, kSession}},
+    {Command::kIQSet, "iqset", {kKey, kToken, kBytes}},
+    {Command::kQaRead, "qaread", {kKey, kSession}, kBatchable},
+    {Command::kSaR, "sar", {kKey, kToken, kBytes}, kBatchable},
+    {Command::kSaRNull, "sarnull", {kKey, kToken}, kBatchable},
+    {Command::kGenId, "genid", {}},
+    {Command::kQaReg, "qareg", {kSession, kKey}, kBatchable},
+    {Command::kDaR, "dar", {kSession}, kBatchable},
+    {Command::kIQAppend, "iqappend", {kSession, kKey, kBytes}, kBatchable},
+    {Command::kIQPrepend, "iqprepend", {kSession, kKey, kBytes}, kBatchable},
+    {Command::kIQIncr, "iqincr", {kSession, kKey, kAmount}, kBatchable},
+    {Command::kIQDecr, "iqdecr", {kSession, kKey, kAmount}, kBatchable},
+    {Command::kCommit, "commit", {kSession}, kBatchable},
+    {Command::kAbort, "abort", {kSession}},
+    {Command::kRelease, "release", {kSession, kKey}},
+    {Command::kSweep, "sweep", {}},
+    {Command::kMetrics, "metrics", {}},
+    {Command::kTrace, "trace", {kCount}},
+    {Command::kBatch, "batch", {kFrame}},
+};
+
+static_assert(OneRowPerValue(kVerbs, &Verb::command, Command::kBatch));
+
+const Verb& VerbOf(Command c) { return kVerbs[static_cast<std::size_t>(c)]; }
+
+constexpr NameIndex<Verb> kVerbIndex = [] {
+  NameIndex<Verb> index;
+  for (const Verb& verb : kVerbs) index.Add(verb.name, &verb);
+  return index;
+}();
+
+/// Read `verb`'s fields from the tokens after its name into *req. *block
+/// gets the size of the data block that follows, for a verb that has one;
+/// a get's keys go to *keys unless it is null. False, with *error set, for
+/// a malformed line.
+bool ReadFields(const Verb& verb, const Tokens& tok, std::string_view line,
+                RequestView* req, std::vector<std::string_view>* keys,
+                std::optional<std::size_t>* block, std::string* error) {
+  auto bad = [&](Field field) {
+    *error = "bad " + std::string(kFieldNames[static_cast<int>(field)]);
+    return false;
   };
-  req->command = info.command;
-  switch (info.command) {
-    case Command::kGet:
-    case Command::kGets:
-      // Multi-key retrieval per the real memcached protocol: one request
-      // line, N keys, one END-terminated response.
-      if (tok.count < 2) return fail("bad argument count");
-      req->key = tok.tok[1];
-      if (keys != nullptr) {
+  req->command = verb.command;
+  std::size_t next = 1;  // the token the next field reads
+  for (Field field : verb.fields) {
+    if (field == kNone || (field == kCount && next == tok.count)) break;
+    if (next >= tok.count) return bad(kNone);
+    const std::string_view text = tok.tok[next++];
+    if (field == kKey || field == kKeys) {
+      req->key = text;
+      if (field == kKeys) next = tok.count;  // memcached's multi-key get
+      if (field == kKeys && keys != nullptr) {
         keys->clear();
-        std::size_t i = static_cast<std::size_t>(tok.tok[1].data() - line.data());
-        while (i < line.size()) {
-          std::size_t start = i;
-          while (i < line.size() && line[i] != ' ') ++i;
-          if (i > start) keys->push_back(line.substr(start, i - start));
-          while (i < line.size() && line[i] == ' ') ++i;
-        }
+        Tokenize(line.substr(text.data() - line.data()), keys);
         req->keys = *keys;
       }
-      return 0;
-    case Command::kDelete:
-      if (tok.count != 2) return fail("bad argument count");
-      req->key = tok.tok[1];
-      return 0;
-    case Command::kSet:
-    case Command::kAdd:
-    case Command::kReplace:
-    case Command::kAppend:
-    case Command::kPrepend: {
-      if (tok.count != 5) return fail("bad argument count");
-      req->key = tok.tok[1];
-      auto flags = ParseU64(tok.tok[2]);
-      auto exptime = ParseI64(tok.tok[3]);
-      auto bytes = ParseU64(tok.tok[4]);
-      if (!flags || !exptime || !bytes) return fail("bad numeric field");
-      req->flags = static_cast<std::uint32_t>(*flags);
+      continue;
+    }
+    if (field == kExptime) {
+      auto exptime = ParseNumber<std::int64_t>(text);
+      if (!exptime) return bad(field);
       req->exptime = *exptime;
-      return *bytes;
+      continue;
     }
-    case Command::kCas: {
-      if (tok.count != 6) return fail("bad argument count");
-      req->key = tok.tok[1];
-      auto flags = ParseU64(tok.tok[2]);
-      auto exptime = ParseI64(tok.tok[3]);
-      auto bytes = ParseU64(tok.tok[4]);
-      auto unique = ParseU64(tok.tok[5]);
-      if (!flags || !exptime || !bytes || !unique) return fail("bad numeric field");
-      req->flags = static_cast<std::uint32_t>(*flags);
-      req->exptime = *exptime;
-      req->cas_unique = *unique;
-      return *bytes;
+    auto n = ParseNumber(text);
+    if (!n || (field == kFlags && *n > kMaxFlags) || (field == kFrame && !*n)) {
+      return bad(field);
     }
-    case Command::kIncr:
-    case Command::kDecr: {
-      if (tok.count != 3) return fail("bad argument count");
-      req->key = tok.tok[1];
-      auto amount = ParseU64(tok.tok[2]);
-      if (!amount) return fail("bad amount");
-      req->amount = *amount;
-      return 0;
-    }
-    case Command::kFlushAll:
-    case Command::kStats:
-    case Command::kQuit:
-    case Command::kGenId:
-    case Command::kSweep:
-    case Command::kMetrics:
-      if (tok.count != 1) return fail("bad argument count");
-      return 0;
-    case Command::kTrace: {
-      // Optional event count: `trace` or `trace <n>`. 0 (or omitted) means
-      // the server default.
-      if (tok.count > 2) return fail("bad argument count");
-      if (tok.count == 2) {
-        auto n = ParseU64(tok.tok[1]);
-        if (!n) return fail("bad event count");
-        req->amount = *n;
-      }
-      return 0;
-    }
-    case Command::kIQGet:
-    case Command::kQaRead: {
-      if (tok.count != 3) return fail("bad argument count");
-      req->key = tok.tok[1];
-      auto session = ParseU64(tok.tok[2]);
-      if (!session) return fail("bad session id");
-      req->session = *session;
-      return 0;
-    }
-    case Command::kIQSet:
-    case Command::kSaR: {
-      if (tok.count != 4) return fail("bad argument count");
-      req->key = tok.tok[1];
-      auto token = ParseU64(tok.tok[2]);
-      auto bytes = ParseU64(tok.tok[3]);
-      if (!token || !bytes) return fail("bad numeric field");
-      req->token = *token;
-      return *bytes;
-    }
-    case Command::kSaRNull: {
-      if (tok.count != 3) return fail("bad argument count");
-      req->key = tok.tok[1];
-      auto token = ParseU64(tok.tok[2]);
-      if (!token) return fail("bad token");
-      req->token = *token;
-      return 0;
-    }
-    case Command::kQaReg:
-    case Command::kRelease: {
-      if (tok.count != 3) return fail("bad argument count");
-      auto tid = ParseU64(tok.tok[1]);
-      if (!tid) return fail("bad tid");
-      req->session = *tid;
-      req->key = tok.tok[2];
-      return 0;
-    }
-    case Command::kDaR:
-    case Command::kCommit:
-    case Command::kAbort: {
-      if (tok.count != 2) return fail("bad argument count");
-      auto tid = ParseU64(tok.tok[1]);
-      if (!tid) return fail("bad tid");
-      req->session = *tid;
-      return 0;
-    }
-    case Command::kIQAppend:
-    case Command::kIQPrepend: {
-      if (tok.count != 4) return fail("bad argument count");
-      auto tid = ParseU64(tok.tok[1]);
-      auto bytes = ParseU64(tok.tok[3]);
-      if (!tid || !bytes) return fail("bad numeric field");
-      req->session = *tid;
-      req->key = tok.tok[2];
-      return *bytes;
-    }
-    case Command::kIQIncr:
-    case Command::kIQDecr: {
-      if (tok.count != 4) return fail("bad argument count");
-      auto tid = ParseU64(tok.tok[1]);
-      auto amount = ParseU64(tok.tok[3]);
-      if (!tid || !amount) return fail("bad numeric field");
-      req->session = *tid;
-      req->key = tok.tok[2];
-      req->amount = *amount;
-      return 0;
-    }
-    case Command::kBatch: {
-      // The header only; RequestParser::Next collects the framed requests.
-      if (tok.count != 2) return fail("bad argument count");
-      auto n = ParseU64(tok.tok[1]);
-      if (!n || *n == 0) return fail("bad request count");
-      req->amount = *n;
-      return 0;
+    switch (field) {
+      case kFlags: req->flags = static_cast<std::uint32_t>(*n); break;
+      case kBytes: *block = *n; break;
+      case kCas: req->cas_unique = *n; break;
+      case kToken: req->token = *n; break;
+      case kSession: req->session = *n; break;
+      default: req->amount = *n; break;  // kAmount, kCount, kFrame
     }
   }
-  return fail("unhandled command");
+  if (next != tok.count) return bad(kNone);
+  return true;
 }
-
-}  // namespace
-
-const char* ToString(Command c) {
-  switch (c) {
-    case Command::kGet: return "get";
-    case Command::kGets: return "gets";
-    case Command::kSet: return "set";
-    case Command::kAdd: return "add";
-    case Command::kReplace: return "replace";
-    case Command::kCas: return "cas";
-    case Command::kAppend: return "append";
-    case Command::kPrepend: return "prepend";
-    case Command::kDelete: return "delete";
-    case Command::kIncr: return "incr";
-    case Command::kDecr: return "decr";
-    case Command::kFlushAll: return "flush_all";
-    case Command::kStats: return "stats";
-    case Command::kQuit: return "quit";
-    case Command::kIQGet: return "iqget";
-    case Command::kIQSet: return "iqset";
-    case Command::kQaRead: return "qaread";
-    case Command::kSaR: return "sar";
-    case Command::kSaRNull: return "sarnull";
-    case Command::kGenId: return "genid";
-    case Command::kQaReg: return "qareg";
-    case Command::kDaR: return "dar";
-    case Command::kIQAppend: return "iqappend";
-    case Command::kIQPrepend: return "iqprepend";
-    case Command::kIQIncr: return "iqincr";
-    case Command::kIQDecr: return "iqdecr";
-    case Command::kCommit: return "commit";
-    case Command::kAbort: return "abort";
-    case Command::kRelease: return "release";
-    case Command::kSweep: return "sweep";
-    case Command::kMetrics: return "metrics";
-    case Command::kTrace: return "trace";
-    case Command::kBatch: return "batch";
-  }
-  return "?";
-}
-
-bool IsBatchable(Command c) {
-  switch (c) {
-    case Command::kQaRead:
-    case Command::kQaReg:
-    case Command::kIQIncr:
-    case Command::kIQDecr:
-    case Command::kIQAppend:
-    case Command::kIQPrepend:
-    case Command::kSaR:
-    case Command::kSaRNull:
-    case Command::kCommit:
-    case Command::kDaR:
-      return true;
-    default:
-      return false;
-  }
-}
-
-namespace {
 
 /// Parse the one request (a frame's header line alone) starting at offset
 /// `at` of `buf`, without consuming it. On kOk and kError, *end is where the
@@ -351,16 +249,18 @@ RequestParser::Status ParseLine(std::string_view buf, std::size_t at,
     *error = "empty command line";
     return Status::kError;
   }
-  auto it = CommandTable().find(tokens.tok[0]);
-  if (it == CommandTable().end()) {
+  const Verb* verb = kVerbIndex.Find(tokens.tok[0]);
+  if (verb == nullptr) {
     *error = "unknown command '" + std::string(tokens.tok[0]) + "'";
     return Status::kError;
   }
   *out = RequestView{};
-  auto payload = ParseCommandLine(tokens, line, it->second, out, keys, error);
-  if (!payload) return Status::kError;
-  if (it->second.has_payload) {
-    std::size_t need = *payload;
+  std::optional<std::size_t> block;
+  if (!ReadFields(*verb, tokens, line, out, keys, &block, error)) {
+    return Status::kError;
+  }
+  if (block) {
+    std::size_t need = *block;
     if (need > kMaxPayloadBytes) {
       // Never wait for (or index past) an absurd length claim; see the
       // kMaxPayloadBytes comment. Resync past the command line — the bytes
@@ -390,180 +290,69 @@ bool CarriableKey(std::string_view key) {
   return !key.empty();
 }
 
+/// The keys a `keys` field carries: the key list when set, else the key.
+std::span<const std::string_view> KeysOf(const RequestView& r) {
+  return r.keys.empty() ? std::span(&r.key, 1) : r.keys;
+}
+
 /// The request writer behind AppendTo, once CanCarry has passed.
 void AppendRequest(const RequestView& r, std::string* out) {
-  auto data_block = [&] {
+  const Verb& verb = VerbOf(r.command);
+  out->append(verb.name);
+  bool block = false;
+  for (Field field : verb.fields) {
+    if (field == kNone) break;
+    if (field == kCount && r.amount == 0) continue;
     out->push_back(' ');
-    AppendU64(out, r.data.size());
-    out->append("\r\n");
+    switch (field) {
+      case kKey: out->append(r.key); break;
+      case kKeys:
+        for (std::string_view k : KeysOf(r)) {
+          out->append(k);
+          out->push_back(' ');
+        }
+        out->pop_back();
+        break;
+      case kFlags: AppendNumber(out, r.flags); break;
+      case kExptime: AppendNumber(out, r.exptime); break;
+      case kBytes:
+        AppendNumber(out, r.data.size());
+        block = true;
+        break;
+      case kCas: AppendNumber(out, r.cas_unique); break;
+      case kToken: AppendNumber(out, r.token); break;
+      case kSession: AppendNumber(out, r.session); break;
+      case kFrame:  // the row's last field: the frame's requests follow
+        AppendNumber(out, r.batch.size());
+        out->append("\r\n");
+        for (const RequestView& inner : r.batch) AppendRequest(inner, out);
+        return;
+      default: AppendNumber(out, r.amount); break;  // kAmount, kCount
+    }
+  }
+  out->append("\r\n");
+  if (block) {
     out->append(r.data);
     out->append("\r\n");
-  };
-  auto keyed_line = [&](const char* verb) {
-    out->append(verb);
-    out->push_back(' ');
-    out->append(r.key);
-    out->append("\r\n");
-  };
-  switch (r.command) {
-    case Command::kGet:
-    case Command::kGets:
-      out->append(ToString(r.command));
-      if (r.keys.empty()) {
-        out->push_back(' ');
-        out->append(r.key);
-      } else {
-        for (std::string_view k : r.keys) {
-          out->push_back(' ');
-          out->append(k);
-        }
-      }
-      out->append("\r\n");
-      return;
-    case Command::kSet:
-    case Command::kAdd:
-    case Command::kReplace:
-    case Command::kAppend:
-    case Command::kPrepend:
-      out->append(ToString(r.command));
-      out->push_back(' ');
-      out->append(r.key);
-      out->push_back(' ');
-      AppendU64(out, r.flags);
-      out->push_back(' ');
-      AppendI64(out, r.exptime);
-      data_block();
-      return;
-    case Command::kCas:
-      out->append("cas ");
-      out->append(r.key);
-      out->push_back(' ');
-      AppendU64(out, r.flags);
-      out->push_back(' ');
-      AppendI64(out, r.exptime);
-      out->push_back(' ');
-      AppendU64(out, r.data.size());
-      out->push_back(' ');
-      AppendU64(out, r.cas_unique);
-      out->append("\r\n");
-      out->append(r.data);
-      out->append("\r\n");
-      return;
-    case Command::kDelete:
-      keyed_line("delete");
-      return;
-    case Command::kIncr:
-    case Command::kDecr:
-      out->append(ToString(r.command));
-      out->push_back(' ');
-      out->append(r.key);
-      out->push_back(' ');
-      AppendU64(out, r.amount);
-      out->append("\r\n");
-      return;
-    case Command::kFlushAll: out->append("flush_all\r\n"); return;
-    case Command::kStats: out->append("stats\r\n"); return;
-    case Command::kQuit: out->append("quit\r\n"); return;
-    case Command::kIQGet:
-    case Command::kQaRead:
-      out->append(ToString(r.command));
-      out->push_back(' ');
-      out->append(r.key);
-      out->push_back(' ');
-      AppendU64(out, r.session);
-      out->append("\r\n");
-      return;
-    case Command::kIQSet:
-    case Command::kSaR:
-      out->append(ToString(r.command));
-      out->push_back(' ');
-      out->append(r.key);
-      out->push_back(' ');
-      AppendU64(out, r.token);
-      data_block();
-      return;
-    case Command::kSaRNull:
-      out->append("sarnull ");
-      out->append(r.key);
-      out->push_back(' ');
-      AppendU64(out, r.token);
-      out->append("\r\n");
-      return;
-    case Command::kGenId: out->append("genid\r\n"); return;
-    case Command::kSweep: out->append("sweep\r\n"); return;
-    case Command::kMetrics: out->append("metrics\r\n"); return;
-    case Command::kTrace:
-      out->append("trace");
-      if (r.amount != 0) {
-        out->push_back(' ');
-        AppendU64(out, r.amount);
-      }
-      out->append("\r\n");
-      return;
-    case Command::kQaReg:
-    case Command::kRelease:
-      out->append(ToString(r.command));
-      out->push_back(' ');
-      AppendU64(out, r.session);
-      out->push_back(' ');
-      out->append(r.key);
-      out->append("\r\n");
-      return;
-    case Command::kDaR:
-    case Command::kCommit:
-    case Command::kAbort:
-      out->append(ToString(r.command));
-      out->push_back(' ');
-      AppendU64(out, r.session);
-      out->append("\r\n");
-      return;
-    case Command::kIQAppend:
-    case Command::kIQPrepend:
-      out->append(ToString(r.command));
-      out->push_back(' ');
-      AppendU64(out, r.session);
-      out->push_back(' ');
-      out->append(r.key);
-      data_block();
-      return;
-    case Command::kIQIncr:
-    case Command::kIQDecr:
-      out->append(ToString(r.command));
-      out->push_back(' ');
-      AppendU64(out, r.session);
-      out->push_back(' ');
-      out->append(r.key);
-      out->push_back(' ');
-      AppendU64(out, r.amount);
-      out->append("\r\n");
-      return;
-    case Command::kBatch:
-      out->append("batch ");
-      AppendU64(out, r.batch.size());
-      out->append("\r\n");
-      for (const RequestView& inner : r.batch) AppendRequest(inner, out);
-      return;
   }
 }
 
 /// An owning copy of `v`.
 Request ToRequest(const RequestView& v) {
-  Request r;
-  r.command = v.command;
-  r.key = v.key;
-  for (std::string_view k : v.keys) r.keys.emplace_back(k);
-  r.data = v.data;
-  r.flags = v.flags;
-  r.exptime = v.exptime;
-  r.cas_unique = v.cas_unique;
-  r.amount = v.amount;
-  r.token = v.token;
-  r.session = v.session;
+  Request r{.command = v.command, .key = std::string(v.key),
+            .keys = {v.keys.begin(), v.keys.end()}, .data = std::string(v.data),
+            .flags = v.flags, .exptime = v.exptime, .cas_unique = v.cas_unique,
+            .amount = v.amount, .token = v.token, .session = v.session,
+            .batch = {}};
   for (const RequestView& inner : v.batch) r.batch.push_back(ToRequest(inner));
   return r;
 }
 
 }  // namespace
+
+const char* ToString(Command c) { return VerbOf(c).name.data(); }
+
+bool IsBatchable(Command c) { return VerbOf(c).batchable; }
 
 void RequestParser::Compact() {
   if (frame_.open) return;
@@ -680,33 +469,15 @@ std::size_t CountRequests(std::string_view bytes) {
 }
 
 bool CanCarry(const RequestView& r) {
-  switch (r.command) {
-    case Command::kGet:
-    case Command::kGets:
-      if (r.keys.empty()) return CarriableKey(r.key);
-      for (std::string_view k : r.keys) {
-        if (!CarriableKey(k)) return false;
-      }
-      return true;
-    case Command::kBatch:
-      for (const RequestView& inner : r.batch) {
-        if (!CanCarry(inner)) return false;
-      }
-      return true;
-    case Command::kFlushAll:
-    case Command::kStats:
-    case Command::kQuit:
-    case Command::kGenId:
-    case Command::kDaR:
-    case Command::kCommit:
-    case Command::kAbort:
-    case Command::kSweep:
-    case Command::kMetrics:
-    case Command::kTrace:
-      return true;
-    default:
-      return CarriableKey(r.key);
+  for (Field field : VerbOf(r.command).fields) {
+    if (field == kNone) break;
+    if ((field == kKey && !CarriableKey(r.key)) ||
+        (field == kKeys && !std::ranges::all_of(KeysOf(r), CarriableKey)) ||
+        (field == kFrame && !std::ranges::all_of(r.batch, CanCarry))) {
+      return false;
+    }
   }
+  return true;
 }
 
 bool AppendTo(const RequestView& request, std::string* out) {
@@ -717,16 +488,10 @@ bool AppendTo(const RequestView& request, std::string* out) {
 
 RequestView ViewOf(const Request& r, std::vector<std::string_view>* keys,
                    std::vector<RequestView>* batch) {
-  RequestView v;
-  v.command = r.command;
-  v.key = r.key;
-  v.data = r.data;
-  v.flags = r.flags;
-  v.exptime = r.exptime;
-  v.cas_unique = r.cas_unique;
-  v.amount = r.amount;
-  v.token = r.token;
-  v.session = r.session;
+  RequestView v{.command = r.command, .key = r.key, .keys = {},
+                .data = r.data, .flags = r.flags, .exptime = r.exptime,
+                .cas_unique = r.cas_unique, .amount = r.amount,
+                .token = r.token, .session = r.session, .batch = {}};
   if (keys != nullptr && !r.keys.empty()) {
     keys->assign(r.keys.begin(), r.keys.end());
     v.keys = *keys;
@@ -755,159 +520,88 @@ std::string Serialize(const Request& request) {
 
 // ---- responses ----------------------------------------------------------------
 
-void AppendValueBlock(const ValueView& v, std::string* out) {
-  out->append("VALUE ");
-  out->append(v.key);
-  out->push_back(' ');
-  AppendU64(out, v.flags);
-  out->push_back(' ');
-  AppendU64(out, v.data.size());
-  if (v.with_cas) {
-    out->push_back(' ');
-    AppendU64(out, v.cas_unique);
-  }
-  if (v.ttl_ns != 0) {
-    // Near-cache validity duration. The 'T' prefix keeps the token
-    // non-numeric, so pre-TTL parsers skip it instead of mistaking it for
-    // a cas unique.
-    out->append(" T");
-    AppendU64(out, v.ttl_ns);
-  }
-  out->append("\r\n");
-  out->append(v.data);
-  out->append("\r\n");
-}
-
-void AppendTo(const ResponseView& r, std::string* out) {
-  switch (r.type) {
-    case ResponseType::kValue: {
-      ValueView v;
-      v.key = r.key;
-      v.data = r.data;
-      v.flags = r.flags;
-      v.cas_unique = r.cas_unique;
-      v.with_cas = r.with_cas;
-      v.ttl_ns = r.ttl_ns;
-      AppendValueBlock(v, out);
-      out->append("END\r\n");
-      return;
-    }
-    case ResponseType::kEnd: out->append("END\r\n"); return;
-    case ResponseType::kStored: out->append("STORED\r\n"); return;
-    case ResponseType::kNotStored: out->append("NOT_STORED\r\n"); return;
-    case ResponseType::kExists: out->append("EXISTS\r\n"); return;
-    case ResponseType::kNotFound: out->append("NOT_FOUND\r\n"); return;
-    case ResponseType::kDeleted: out->append("DELETED\r\n"); return;
-    case ResponseType::kNumber:
-      AppendU64(out, r.number);
-      out->append("\r\n");
-      return;
-    case ResponseType::kError:
-      if (r.message.empty()) {
-        out->append("ERROR\r\n");
-      } else {
-        out->append("CLIENT_ERROR ");
-        out->append(r.message);
-        out->append("\r\n");
-      }
-      return;
-    case ResponseType::kOk: out->append("OK\r\n"); return;
-    case ResponseType::kStats:
-      out->append(r.message);
-      out->append("END\r\n");
-      return;
-    case ResponseType::kMissToken:
-      out->append("MISS_TOKEN ");
-      AppendU64(out, r.number);
-      out->append("\r\n");
-      return;
-    case ResponseType::kMissBackoff: out->append("MISS_BACKOFF\r\n"); return;
-    case ResponseType::kMissNoLease: out->append("MISS_NOLEASE\r\n"); return;
-    case ResponseType::kQValue:
-      out->append("QVALUE ");
-      AppendU64(out, r.number);
-      out->push_back(' ');
-      AppendU64(out, r.data.size());
-      out->append("\r\n");
-      out->append(r.data);
-      out->append("\r\n");
-      return;
-    case ResponseType::kQMiss:
-      out->append("QMISS ");
-      AppendU64(out, r.number);
-      out->append("\r\n");
-      return;
-    case ResponseType::kReject: out->append("REJECT\r\n"); return;
-    case ResponseType::kGranted: out->append("GRANTED\r\n"); return;
-    case ResponseType::kId:
-      out->append("ID ");
-      AppendU64(out, r.number);
-      out->append("\r\n");
-      return;
-    case ResponseType::kMetrics:
-      // Sized block like QVALUE: the Prometheus text contains arbitrary
-      // lines ('#' comments, label braces) that must not be re-scanned as
-      // protocol heads.
-      out->append("METRICS ");
-      AppendU64(out, r.data.size());
-      out->append("\r\n");
-      out->append(r.data);
-      out->append("\r\n");
-      return;
-    case ResponseType::kTrace:
-      // A TRACE_INFO completeness header plus zero or more self-describing
-      // TRACE lines, END-terminated (the STAT pattern; a headerless empty
-      // trace is a bare END and parses as kEnd).
-      out->append(r.message);
-      out->append("END\r\n");
-      return;
-    case ResponseType::kTransportError:
-      out->append("SERVER_ERROR ");
-      out->append(r.message.empty() ? "transport failure" : r.message);
-      out->append("\r\n");
-      return;
-    case ResponseType::kBatch:
-      out->append("BATCH ");
-      AppendU64(out, r.number);
-      out->append("\r\n");
-      return;
-  }
-}
-
-void AppendError(std::string_view message, std::string* out) {
-  ResponseView error;
-  error.type = ResponseType::kError;
-  error.message = message;
-  AppendTo(error, out);
-}
-
 namespace {
 
+/// How a reply's bytes follow its head.
+enum class Shape : std::uint8_t {
+  kBare,         // <head>
+  kNumber,       // <head> <number>, or <number> for a row without a head
+  kBlock,        // <head> <bytes>\r\n<data>\r\n
+  kNumberBlock,  // <head> <number> <bytes>\r\n<data>\r\n
+  kLines,        // lines up to END\r\n, all kept in `message`
+  kMessage,      // <head> [<message>]
+  kValues,       // one or more VALUE blocks, then END\r\n
+  kFrame,        // <head> <m>, then m replies that are not frames
+};
+
+/// One reply type: its head and the shape of what follows it.
+struct Reply {
+  ResponseType type;
+  std::string_view head;        // the line's first token ("" = none)
+  Shape shape;
+  std::string_view alias = {};  // a second head read as this type
+  std::string_view empty = {};  // kMessage: the line an empty message writes
+};
+
+/// The reply grammar: one row per ResponseType, in enum order.
+constexpr Reply kReplies[] = {
+    {ResponseType::kValue, "VALUE", Shape::kValues},
+    {ResponseType::kEnd, "END", Shape::kBare},
+    {ResponseType::kStored, "STORED", Shape::kBare},
+    {ResponseType::kNotStored, "NOT_STORED", Shape::kBare},
+    {ResponseType::kExists, "EXISTS", Shape::kBare},
+    {ResponseType::kNotFound, "NOT_FOUND", Shape::kBare},
+    {ResponseType::kDeleted, "DELETED", Shape::kBare},
+    {ResponseType::kNumber, "", Shape::kNumber},
+    {ResponseType::kError, "CLIENT_ERROR", Shape::kMessage, "ERROR", "ERROR"},
+    {ResponseType::kOk, "OK", Shape::kBare},
+    {ResponseType::kStats, "STAT", Shape::kLines},
+    {ResponseType::kMissToken, "MISS_TOKEN", Shape::kNumber},
+    {ResponseType::kMissBackoff, "MISS_BACKOFF", Shape::kBare},
+    {ResponseType::kMissNoLease, "MISS_NOLEASE", Shape::kBare},
+    {ResponseType::kQValue, "QVALUE", Shape::kNumberBlock},
+    {ResponseType::kQMiss, "QMISS", Shape::kNumber},
+    {ResponseType::kReject, "REJECT", Shape::kBare},
+    {ResponseType::kGranted, "GRANTED", Shape::kBare},
+    {ResponseType::kId, "ID", Shape::kNumber},
+    {ResponseType::kMetrics, "METRICS", Shape::kBlock},
+    {ResponseType::kTrace, "TRACE_INFO", Shape::kLines, "TRACE"},
+    {ResponseType::kBatch, "BATCH", Shape::kFrame},
+    {ResponseType::kTransportError, "SERVER_ERROR", Shape::kMessage, {},
+     "SERVER_ERROR transport failure"},
+};
+
+static_assert(OneRowPerValue(kReplies, &Reply::type,
+                             ResponseType::kTransportError));
+
+const Reply& ReplyOf(ResponseType t) {
+  return kReplies[static_cast<std::size_t>(t)];
+}
+
+constexpr NameIndex<Reply> kReplyIndex = [] {
+  NameIndex<Reply> index;
+  for (const Reply& reply : kReplies) {
+    for (std::string_view head : {reply.head, reply.alias}) {
+      if (!head.empty()) index.Add(head, &reply);
+    }
+  }
+  return index;
+}();
+
 ResponseView ViewOf(const Response& r) {
-  ResponseView v;
-  v.type = r.type;
-  v.key = r.key;
-  v.data = r.data;
-  v.flags = r.flags;
-  v.cas_unique = r.cas_unique;
-  v.with_cas = r.with_cas;
-  v.ttl_ns = r.ttl_ns;
-  v.number = r.type == ResponseType::kBatch ? r.batch.size() : r.number;
-  v.message = r.message;
-  return v;
+  return {.type = r.type, .key = r.key, .data = r.data, .flags = r.flags,
+          .cas_unique = r.cas_unique, .with_cas = r.with_cas,
+          .ttl_ns = r.ttl_ns,
+          .number = r.type == ResponseType::kBatch ? r.batch.size() : r.number,
+          .message = r.message, .values = {}};
 }
 
 Response ToResponse(const ResponseView& v) {
-  Response r;
-  r.type = v.type;
-  r.key = v.key;
-  r.data = v.data;
-  r.flags = v.flags;
-  r.cas_unique = v.cas_unique;
-  r.with_cas = v.with_cas;
-  r.ttl_ns = v.ttl_ns;
-  r.number = v.number;
-  r.message = v.message;
+  Response r{.type = v.type, .key = std::string(v.key),
+             .data = std::string(v.data), .flags = v.flags,
+             .cas_unique = v.cas_unique, .with_cas = v.with_cas,
+             .ttl_ns = v.ttl_ns, .number = v.number,
+             .message = std::string(v.message), .values = {}, .batch = {}};
   std::string_view blocks = v.values;
   ValueView e;
   while (NextValue(&blocks, &e)) {
@@ -917,62 +611,216 @@ Response ToResponse(const ResponseView& v) {
   return r;
 }
 
+/// The sized data block at offset `at` of `bytes`, its size read from the
+/// token `size`, into *data. Returns the offset past the block and its CRLF,
+/// or 0 when the size is malformed or the block not yet whole.
+std::size_t ReadBlock(std::string_view bytes, std::size_t at,
+                      std::string_view size, std::string_view* data) {
+  auto n = ParseNumber(size);
+  if (!n || *n > kMaxPayloadBytes) return 0;
+  std::size_t avail = bytes.size() - at;
+  if (avail < *n || avail - *n < 2) return 0;
+  *data = bytes.substr(at, *n);
+  return at + *n + 2;
+}
+
 /// The VALUE block at the front of `bytes`, whose line ends at `eol` and
 /// tokenizes as `t`. Returns the offset past its data block, or 0 when the
 /// block is malformed or not yet whole.
 std::size_t ReadValueBlock(std::string_view bytes, std::size_t eol,
                            const Tokens& t, ValueView* out) {
   if (t.count < 4 || t.tok[0] != "VALUE") return 0;
-  auto flags = ParseU64(t.tok[2]);
-  auto size = ParseU64(t.tok[3]);
-  if (!flags || !size || *size > kMaxPayloadBytes) return 0;
-  std::size_t avail = bytes.size() - (eol + 2);
-  if (avail < *size || avail - *size < 2) return 0;
+  auto flags = ParseNumber(t.tok[2]);
+  if (!flags || *flags > kMaxFlags) return 0;
   *out = ValueView{};
+  std::size_t end = ReadBlock(bytes, eol + 2, t.tok[3], &out->data);
+  if (end == 0) return 0;
   out->key = t.tok[1];
   out->flags = static_cast<std::uint32_t>(*flags);
-  out->data = bytes.substr(eol + 2, *size);
   for (std::size_t i = 4; i < std::min(t.count, Tokens::kMax); ++i) {
     if (t.tok[i][0] == 'T') {
       // Trailing near-cache validity duration (see protocol.h).
-      if (auto ttl = ParseU64(t.tok[i].substr(1))) out->ttl_ns = *ttl;
-    } else if (auto cas = ParseU64(t.tok[i])) {
+      if (auto ttl = ParseNumber(t.tok[i].substr(1))) out->ttl_ns = *ttl;
+    } else if (auto cas = ParseNumber(t.tok[i])) {
       out->cas_unique = *cas;
       out->with_cas = true;
     }
   }
-  return eol + 2 + *size + 2;
+  return end;
 }
 
-/// The response heads that are the whole response.
-constexpr std::pair<std::string_view, ResponseType> kBareHeads[] = {
-    {"END", ResponseType::kEnd},
-    {"STORED", ResponseType::kStored},
-    {"NOT_STORED", ResponseType::kNotStored},
-    {"EXISTS", ResponseType::kExists},
-    {"NOT_FOUND", ResponseType::kNotFound},
-    {"DELETED", ResponseType::kDeleted},
-    {"OK", ResponseType::kOk},
-    {"MISS_BACKOFF", ResponseType::kMissBackoff},
-    {"MISS_NOLEASE", ResponseType::kMissNoLease},
-    {"REJECT", ResponseType::kReject},
-    {"GRANTED", ResponseType::kGranted},
-    {"ERROR", ResponseType::kError},
-};
+/// ReadResponse, inside a frame when `in_frame`: frames never nest, which
+/// also keeps the read one level deep.
+std::size_t ReadReply(std::string_view bytes, ResponseView* out,
+                      std::vector<ResponseView>* batch, bool in_frame) {
+  std::size_t eol = bytes.find("\r\n");
+  if (eol == std::string_view::npos) return 0;
+  std::string_view line = bytes.substr(0, eol);
+  Tokens tokens = Tokenize(line);
+  if (tokens.count == 0) return 0;
+  // A head no row names is a bare number's row, the one without a head.
+  const Reply* found = kReplyIndex.Find(tokens.tok[0]);
+  const Reply& reply = found ? *found : ReplyOf(ResponseType::kNumber);
+  *out = ResponseView{};
+  out->type = reply.type;
+  const std::size_t line_end = eol + 2;
+  // The number in token i, or false.
+  auto number = [&](std::size_t i) {
+    auto n = ParseNumber(tokens.tok[i]);
+    if (n) out->number = *n;
+    return n.has_value();
+  };
+  switch (reply.shape) {
+    case Shape::kBare:
+      return line_end;
+    case Shape::kNumber: {
+      const std::size_t at = reply.head.empty() ? 0 : 1;
+      return tokens.count == at + 1 && number(at) ? line_end : 0;
+    }
+    case Shape::kBlock:
+      return tokens.count == 2
+                 ? ReadBlock(bytes, line_end, tokens.tok[1], &out->data)
+                 : 0;
+    case Shape::kNumberBlock:
+      return tokens.count == 3 && number(1)
+                 ? ReadBlock(bytes, line_end, tokens.tok[2], &out->data)
+                 : 0;
+    case Shape::kLines: {
+      std::size_t end = bytes.find("END\r\n");
+      if (end == std::string_view::npos) return 0;
+      out->message = bytes.substr(0, end);
+      return end + 5;
+    }
+    case Shape::kMessage: {
+      // The rest of the line, past the head and one space.
+      std::size_t at = tokens.tok[0].data() + tokens.tok[0].size() -
+                       line.data() + 1;
+      if (at < line.size()) out->message = line.substr(at);
+      return line_end;
+    }
+    case Shape::kValues: {
+      // One or more VALUE blocks (a multi-key get), then END. The first
+      // block's fields are mirrored into the single-value fields.
+      ValueView v;
+      std::size_t at = ReadValueBlock(bytes, eol, tokens, &v);
+      if (at == 0) return 0;
+      out->key = v.key;
+      out->data = v.data;
+      out->flags = v.flags;
+      out->cas_unique = v.cas_unique;
+      out->with_cas = v.with_cas;
+      out->ttl_ns = v.ttl_ns;
+      std::string_view rest = bytes.substr(at);
+      while (!rest.starts_with("END\r\n")) {
+        if (!NextValue(&rest, &v)) return 0;
+        out->with_cas = out->with_cas || v.with_cas;
+      }
+      out->values = bytes.substr(0, bytes.size() - rest.size());
+      return out->values.size() + 5;
+    }
+    case Shape::kFrame: {
+      if (in_frame || tokens.count != 2 || !number(1)) return 0;
+      // No reserve(number): the count is the peer's claim, the bytes are not.
+      if (batch != nullptr) batch->clear();
+      std::size_t off = line_end;
+      for (std::uint64_t i = 0; i < out->number; ++i) {
+        ResponseView inner;
+        std::size_t used = ReadReply(bytes.substr(off), &inner, nullptr,
+                                     /*in_frame=*/true);
+        if (used == 0) return 0;
+        if (batch != nullptr) batch->push_back(inner);
+        off += used;
+      }
+      return off;
+    }
+  }
+  return 0;
+}
 
 }  // namespace
+
+void AppendValueBlock(const ValueView& v, std::string* out) {
+  out->append("VALUE ");
+  out->append(v.key);
+  out->push_back(' ');
+  AppendNumber(out, v.flags);
+  out->push_back(' ');
+  AppendNumber(out, v.data.size());
+  if (v.with_cas) {
+    out->push_back(' ');
+    AppendNumber(out, v.cas_unique);
+  }
+  if (v.ttl_ns != 0) {
+    // Near-cache validity duration. The 'T' prefix keeps the token
+    // non-numeric, so pre-TTL parsers skip it instead of mistaking it for
+    // a cas unique.
+    out->append(" T");
+    AppendNumber(out, v.ttl_ns);
+  }
+  out->append("\r\n");
+  out->append(v.data);
+  out->append("\r\n");
+}
+
+void AppendTo(const ResponseView& r, std::string* out) {
+  const Reply& reply = ReplyOf(r.type);
+  switch (reply.shape) {
+    case Shape::kBare:
+      out->append(reply.head);
+      break;
+    case Shape::kNumber:
+    case Shape::kFrame:  // the caller appends the inner replies
+      out->append(reply.head);
+      if (!reply.head.empty()) out->push_back(' ');
+      AppendNumber(out, r.number);
+      break;
+    case Shape::kBlock:
+    case Shape::kNumberBlock:
+      // Sized, so a payload's lines ('#' comments, protocol heads) are
+      // never re-scanned as replies.
+      out->append(reply.head);
+      if (reply.shape == Shape::kNumberBlock) {
+        out->push_back(' ');
+        AppendNumber(out, r.number);
+      }
+      out->push_back(' ');
+      AppendNumber(out, r.data.size());
+      out->append("\r\n");
+      out->append(r.data);
+      break;
+    case Shape::kLines:
+      // An empty kTrace is a bare END, and reads back as kEnd.
+      out->append(r.message);
+      out->append("END");
+      break;
+    case Shape::kMessage:  // an empty message writes the row's `empty` line
+      if (!r.message.empty()) {
+        out->append(reply.head);
+        out->push_back(' ');
+      }
+      out->append(r.message.empty() ? reply.empty : r.message);
+      break;
+    case Shape::kValues:
+      AppendValueBlock(
+          {r.key, r.data, r.flags, r.cas_unique, r.with_cas, r.ttl_ns}, out);
+      out->append("END");
+      break;
+  }
+  out->append("\r\n");
+}
+
+void AppendError(std::string_view message, std::string* out) {
+  ResponseView error;
+  error.type = ResponseType::kError;
+  error.message = message;
+  AppendTo(error, out);
+}
 
 void AppendTo(const Response& r, std::string* out) {
   if (r.type == ResponseType::kValue && !r.values.empty()) {
     for (const ValueEntry& e : r.values) {
-      ValueView v;
-      v.key = e.key;
-      v.data = e.data;
-      v.flags = e.flags;
-      v.cas_unique = e.cas_unique;
-      v.with_cas = r.with_cas;
-      v.ttl_ns = e.ttl_ns;
-      AppendValueBlock(v, out);
+      AppendValueBlock(
+          {e.key, e.data, e.flags, e.cas_unique, r.with_cas, e.ttl_ns}, out);
     }
     out->append("END\r\n");
     return;
@@ -999,126 +847,7 @@ bool NextValue(std::string_view* blocks, ValueView* out) {
 
 std::size_t ReadResponse(std::string_view bytes, ResponseView* out,
                          std::vector<ResponseView>* batch) {
-  std::size_t eol = bytes.find("\r\n");
-  if (eol == std::string_view::npos) return 0;
-  std::string_view line = bytes.substr(0, eol);
-  Tokens tokens = Tokenize(line);
-  if (tokens.count == 0) return 0;
-  *out = ResponseView{};
-  const std::size_t line_end = eol + 2;
-  const std::string_view head = tokens.tok[0];
-  // The sized data block after the head line: its end, or 0.
-  auto block_end = [&](std::optional<std::uint64_t> size) -> std::size_t {
-    if (!size || *size > kMaxPayloadBytes) return 0;
-    std::size_t avail = bytes.size() - line_end;
-    if (avail < *size || avail - *size < 2) return 0;
-    out->data = bytes.substr(line_end, *size);
-    return line_end + *size + 2;
-  };
-  // STAT and TRACE lines run to END, one response.
-  auto lines_to_end = [&](ResponseType type) -> std::size_t {
-    std::size_t end = bytes.find("END\r\n");
-    if (end == std::string_view::npos) return 0;
-    out->type = type;
-    out->message = bytes.substr(0, end);
-    return end + 5;
-  };
-  if (head == "VALUE") {
-    // One or more VALUE blocks (multi-key get), terminated by END. The
-    // first block's fields are mirrored into the single-value fields.
-    out->type = ResponseType::kValue;
-    std::size_t at = 0;
-    std::size_t block_eol = eol;
-    while (true) {
-      ValueView v;
-      std::size_t end = ReadValueBlock(bytes.substr(at), block_eol - at,
-                                       tokens, &v);
-      if (end == 0) return 0;
-      if (at == 0) {
-        out->key = v.key;
-        out->data = v.data;
-        out->flags = v.flags;
-        out->cas_unique = v.cas_unique;
-        out->ttl_ns = v.ttl_ns;
-      }
-      out->with_cas = out->with_cas || v.with_cas;
-      at += end;
-      if (bytes.substr(at).starts_with("END\r\n")) {
-        out->values = bytes.substr(0, at);
-        return at + 5;
-      }
-      block_eol = bytes.find("\r\n", at);
-      if (block_eol == std::string_view::npos) return 0;
-      tokens = Tokenize(bytes.substr(at, block_eol - at));
-    }
-  }
-  for (const auto& [text, type] : kBareHeads) {
-    if (head == text) {
-      out->type = type;
-      return line_end;
-    }
-  }
-  if (head == "QVALUE") {
-    if (tokens.count != 3) return 0;
-    auto token = ParseU64(tokens.tok[1]);
-    if (!token) return 0;
-    out->type = ResponseType::kQValue;
-    out->number = *token;
-    return block_end(ParseU64(tokens.tok[2]));
-  }
-  if (head == "MISS_TOKEN" || head == "QMISS" || head == "ID") {
-    if (tokens.count != 2) return 0;
-    auto n = ParseU64(tokens.tok[1]);
-    if (!n) return 0;
-    out->type = head == "MISS_TOKEN" ? ResponseType::kMissToken
-                : head == "QMISS"    ? ResponseType::kQMiss
-                                     : ResponseType::kId;
-    out->number = *n;
-    return line_end;
-  }
-  if (head == "CLIENT_ERROR" || head == "SERVER_ERROR") {
-    out->type = head == "CLIENT_ERROR" ? ResponseType::kError
-                                       : ResponseType::kTransportError;
-    if (line.size() > 13) out->message = line.substr(13);
-    return line_end;
-  }
-  if (head == "BATCH") {
-    if (tokens.count != 2) return 0;
-    auto n = ParseU64(tokens.tok[1]);
-    if (!n) return 0;
-    // No reserve(*n): the count is the peer's claim, the bytes are not.
-    if (batch != nullptr) batch->clear();
-    std::size_t off = line_end;
-    for (std::uint64_t i = 0; i < *n; ++i) {
-      std::string_view rest = bytes.substr(off);
-      // Frames never nest; refusing one keeps the parse non-recursive.
-      if (rest.starts_with("BATCH")) return 0;
-      ResponseView inner;
-      std::size_t used = ReadResponse(rest, &inner, nullptr);
-      if (used == 0) return 0;
-      if (batch != nullptr) batch->push_back(inner);
-      off += used;
-    }
-    out->type = ResponseType::kBatch;
-    out->number = *n;
-    return off;
-  }
-  if (head == "STAT") return lines_to_end(ResponseType::kStats);
-  if (head == "TRACE" || head == "TRACE_INFO") {
-    return lines_to_end(ResponseType::kTrace);
-  }
-  if (head == "METRICS") {
-    if (tokens.count != 2) return 0;
-    out->type = ResponseType::kMetrics;
-    return block_end(ParseU64(tokens.tok[1]));
-  }
-  // A bare number (incr/decr result).
-  if (auto n = ParseU64(head); n && tokens.count == 1) {
-    out->type = ResponseType::kNumber;
-    out->number = *n;
-    return line_end;
-  }
-  return 0;
+  return ReadReply(bytes, out, batch, /*in_frame=*/false);
 }
 
 std::optional<Response> ParseResponse(std::string_view bytes,

@@ -62,6 +62,10 @@
 // directions are read in place (RequestView, ResponseView) and written
 // straight into a caller's reused buffer; the owning Request and Response
 // are adapters over those views.
+//
+// The grammar above is the reader's spec; the code holds it once per
+// direction, as the kVerbs and kReplies tables in protocol.cpp, which the
+// parsers, the writers, CanCarry, ToString and IsBatchable all read.
 #pragma once
 
 #include <cstdint>

@@ -49,7 +49,7 @@ ResponseType Reply(ResponseType type, std::string* out,
 Nanos ExptimeToTtl(std::int64_t exptime) {
   // memcached: 0 = never; positive = relative seconds (we skip the 30-day
   // absolute-timestamp rule - callers here always use relative).
-  return exptime <= 0 ? 0 : exptime * kNanosPerSec;
+  return exptime <= 0 ? 0 : SaturatingAdd(0, exptime, kNanosPerSec);
 }
 
 /// True when all of `text` parses as one number.

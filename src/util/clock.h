@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 
 namespace iq {
 
@@ -17,6 +18,19 @@ using Nanos = std::int64_t;
 constexpr Nanos kNanosPerMicro = 1'000;
 constexpr Nanos kNanosPerMilli = 1'000'000;
 constexpr Nanos kNanosPerSec = 1'000'000'000;
+
+/// base + n * unit, clamped to the range of Nanos instead of overflowing: a
+/// duration or deadline read off the wire past that range becomes the
+/// farthest one, which no clock reaches ("never expires").
+constexpr Nanos SaturatingAdd(Nanos base, Nanos n, Nanos unit = 1) {
+  Nanos scaled = 0, sum = 0;
+  if (!__builtin_mul_overflow(n, unit, &scaled) &&
+      !__builtin_add_overflow(base, scaled, &sum)) {
+    return sum;
+  }
+  return (n < 0) != (unit < 0) ? std::numeric_limits<Nanos>::min()
+                               : std::numeric_limits<Nanos>::max();
+}
 
 /// Abstract monotonic time source.
 class Clock {

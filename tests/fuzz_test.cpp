@@ -9,6 +9,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "check/oplog.h"
 #include "net/channel.h"
@@ -51,6 +53,171 @@ std::string Mutate(Rng& rng, std::string bytes) {
   }
 }
 
+/// A valid request of every verb, `batch` frames included: the corpus the
+/// request mutations are drawn from, so every row of the grammar is fuzzed.
+const std::vector<std::string>& ValidRequests() {
+  static const auto* requests = new std::vector<std::string>{
+      "get key\r\n",
+      "gets key other third\r\n",
+      "set key 7 11 5\r\nhello\r\n",
+      "add key 0 60 1\r\nx\r\n",
+      "replace key 3 0 2\r\nxy\r\n",
+      "cas key 1 0 3 42\r\nabc\r\n",
+      "append key 0 0 1\r\nz\r\n",
+      "prepend key 0 0 1\r\na\r\n",
+      "delete key\r\n",
+      "incr n 5\r\n",
+      "decr n 2\r\n",
+      "flush_all\r\n",
+      "stats\r\n",
+      "quit\r\n",
+      "iqget key 7\r\n",
+      "iqset key 9 4\r\ndata\r\n",
+      "qaread key 7\r\n",
+      "sar key 9 4\r\ndata\r\n",
+      "sarnull key 9\r\n",
+      "genid\r\n",
+      "qareg 7 k2\r\n",
+      "dar 7\r\n",
+      "iqappend 3 key 2\r\nxy\r\n",
+      "iqprepend 3 key 1\r\nw\r\n",
+      "iqincr 3 n 2\r\n",
+      "iqdecr 3 n 1\r\n",
+      "commit 3\r\n",
+      "abort 3\r\n",
+      "release 3 key\r\n",
+      "sweep\r\n",
+      "metrics\r\n",
+      "trace\r\n",
+      "trace 5\r\n",
+      "batch 2\r\nqaread key 7\r\nqareg 7 k2\r\n",
+      "batch 3\r\nsar key 9 4\r\ndata\r\nsarnull k2 4\r\ncommit 7\r\n",
+      "batch 3\r\nqaread a 7\r\niqincr 7 b 2\r\nqareg 7 c\r\n",
+      "batch 2\r\niqappend 7 a 2\r\nxy\r\ndar 7\r\n",
+      "batch 2\r\niqprepend 7 a 1\r\nz\r\niqdecr 7 b 3\r\n",
+  };
+  return *requests;
+}
+
+/// The `batch` frames of ValidRequests().
+std::vector<std::string> ValidFrames() {
+  std::vector<std::string> frames;
+  for (const std::string& r : ValidRequests()) {
+    if (r.starts_with("batch ")) frames.push_back(r);
+  }
+  return frames;
+}
+
+/// A valid reply of every head.
+const std::vector<std::string>& ValidReplies() {
+  static const auto* replies = new std::vector<std::string>{
+      "VALUE k 7 3 13 T29\r\nabc\r\nVALUE j 0 1\r\nx\r\nEND\r\n",
+      "END\r\n",
+      "STORED\r\n",
+      "NOT_STORED\r\n",
+      "EXISTS\r\n",
+      "NOT_FOUND\r\n",
+      "DELETED\r\n",
+      "17\r\n",
+      "ERROR\r\n",
+      "CLIENT_ERROR bad data chunk\r\n",
+      "OK\r\n",
+      "STAT pid 1\r\nSTAT commits 2\r\nEND\r\n",
+      "MISS_TOKEN 19\r\n",
+      "MISS_BACKOFF\r\n",
+      "MISS_NOLEASE\r\n",
+      "QVALUE 19 3\r\nabc\r\n",
+      "QMISS 19\r\n",
+      "REJECT\r\n",
+      "GRANTED\r\n",
+      "ID 23\r\n",
+      "METRICS 13\r\niq_commits 2\n\r\n",
+      "TRACE_INFO 1 0 16\r\nTRACE 1 100 0 q_ref_grant 23 7\r\nEND\r\n",
+      "BATCH 3\r\nQVALUE 19 3\r\nabc\r\nGRANTED\r\nREJECT\r\n",
+      "SERVER_ERROR transport failure\r\n",
+  };
+  return *replies;
+}
+
+std::string Pick(Rng& rng, const std::vector<std::string>& from) {
+  return from[rng.NextUint64(from.size())];
+}
+
+bool SameRequest(const Request& a, const Request& b) {
+  if (a.command != b.command || a.key != b.key || a.keys != b.keys ||
+      a.data != b.data || a.flags != b.flags || a.exptime != b.exptime ||
+      a.cas_unique != b.cas_unique || a.amount != b.amount ||
+      a.token != b.token || a.session != b.session ||
+      a.batch.size() != b.batch.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.batch.size(); ++i) {
+    if (!SameRequest(a.batch[i], b.batch[i])) return false;
+  }
+  return true;
+}
+
+/// True when a key of `r`, or of its frame's requests, holds a CR or LF:
+/// lines split only at CRLF, so such a key reads, but no writer sends it.
+bool KeyHoldsLineBreak(const Request& r) {
+  auto breaks = [](const std::string& key) {
+    return key.find_first_of("\r\n") != std::string::npos;
+  };
+  bool found = breaks(r.key);
+  for (const std::string& k : r.keys) found = found || breaks(k);
+  for (const Request& inner : r.batch) found = found || KeyHoldsLineBreak(inner);
+  return found;
+}
+
+/// A request that parsed writes back to bytes that parse to the same value.
+void ExpectWritesBack(const Request& request) {
+  const std::string bytes = Serialize(request);
+  if (bytes.empty()) {
+    EXPECT_TRUE(KeyHoldsLineBreak(request)) << ToString(request.command);
+    return;
+  }
+  RequestParser parser;
+  parser.Feed(bytes);
+  Request again;
+  std::string error;
+  ASSERT_EQ(parser.Next(&again, &error), RequestParser::Status::kOk)
+      << bytes << error;
+  EXPECT_EQ(parser.buffered(), 0u) << bytes;
+  EXPECT_TRUE(SameRequest(again, request)) << bytes;
+}
+
+bool SameResponse(const Response& a, const Response& b) {
+  if (a.type != b.type || a.key != b.key || a.data != b.data ||
+      a.flags != b.flags || a.cas_unique != b.cas_unique ||
+      a.with_cas != b.with_cas || a.ttl_ns != b.ttl_ns ||
+      a.number != b.number || a.message != b.message ||
+      a.values.size() != b.values.size() || a.batch.size() != b.batch.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.values.size(); ++i) {
+    const ValueEntry& x = a.values[i];
+    const ValueEntry& y = b.values[i];
+    if (x.key != y.key || x.data != y.data || x.flags != y.flags ||
+        x.cas_unique != y.cas_unique || x.ttl_ns != y.ttl_ns) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.batch.size(); ++i) {
+    if (!SameResponse(a.batch[i], b.batch[i])) return false;
+  }
+  return true;
+}
+
+/// The value a reply writes back as: a SERVER_ERROR without a message is
+/// written with the default text.
+Response Written(Response r) {
+  if (r.type == ResponseType::kTransportError && r.message.empty()) {
+    r.message = "transport failure";
+  }
+  for (Response& inner : r.batch) inner = Written(std::move(inner));
+  return r;
+}
+
 class FuzzSeedTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzSeedTest, ParserSurvivesRandomBytes) {
@@ -80,27 +247,15 @@ TEST_P(FuzzSeedTest, ParserSurvivesRandomBytes) {
 TEST_P(FuzzSeedTest, ParserSurvivesMutatedValidRequests) {
   Rng rng(GetParam() + 1000);
   RequestParser parser;
-  const std::string templates[] = {
-      "set key 0 0 5\r\nhello\r\n",
-      "get key\r\n",
-      "cas key 1 0 3 42\r\nabc\r\n",
-      "iqget key 7\r\n",
-      "qaread key 7\r\n",
-      "sar key 9 4\r\ndata\r\n",
-      "iqappend 3 key 2\r\nxy\r\n",
-      "commit 3\r\n",
-      "batch 2\r\nqaread key 7\r\nqareg 7 k2\r\n",
-      "batch 3\r\nsar key 9 4\r\ndata\r\nsarnull k2 4\r\ncommit 7\r\n",
-  };
   for (int round = 0; round < 2000; ++round) {
-    std::string bytes =
-        Mutate(rng, templates[rng.NextUint64(std::size(templates))]);
+    std::string bytes = Mutate(rng, Pick(rng, ValidRequests()));
     parser.Feed(bytes);
     Request req;
     std::string error;
     for (int i = 0; i < 100; ++i) {
       auto status = parser.Next(&req, &error);
       if (status == RequestParser::Status::kNeedMore) break;
+      if (status == RequestParser::Status::kOk) ExpectWritesBack(req);
     }
     // Periodically hard-reset by feeding a terminator so truncated data
     // blocks cannot starve the stream forever.
@@ -135,15 +290,11 @@ TEST_P(FuzzSeedTest, BatchFramesParseWholeOrNotAtAll) {
   // whole (every request it announced, each one batchable, no more than
   // kMaxBatchRequests), and a server fed them keeps serving.
   Rng rng(GetParam() + 5000);
-  const std::string frames[] = {
-      "batch 3\r\nqaread a 7\r\niqincr 7 b 2\r\nqareg 7 c\r\n",
-      "batch 2\r\nsar a 9 4\r\ndata\r\ncommit 7\r\n",
-      "batch 2\r\niqappend 7 a 2\r\nxy\r\ndar 7\r\n",
-  };
+  const std::vector<std::string> frames = ValidFrames();
   IQServer server;
   LoopbackChannel channel(server);
   for (int round = 0; round < 1000; ++round) {
-    std::string bytes = Mutate(rng, frames[rng.NextUint64(std::size(frames))]);
+    std::string bytes = Mutate(rng, Pick(rng, frames));
     RequestParser parser;
     parser.Feed(bytes);
     Request req;
@@ -175,17 +326,6 @@ TEST_P(FuzzSeedTest, RoundTripAwaitsEveryResponseTheServerSends) {
   // with: one fewer and a reply is left in the socket to desync the next
   // call; one more and the call waits out its deadline.
   Rng rng(GetParam() + 7000);
-  const std::string templates[] = {
-      "set key 0 0 5\r\nhello\r\n",
-      "get key other\r\n",
-      "iqget key 7\r\n",
-      "qaread key 7\r\n",
-      "sar key 9 4\r\ndata\r\n",
-      "commit 3\r\n",
-      "quit\r\n",
-      "batch 2\r\nqaread key 7\r\nqareg 7 k2\r\n",
-      "batch 3\r\nsar key 9 4\r\ndata\r\nsarnull k2 4\r\ncommit 7\r\n",
-  };
   IQServer server;
   for (int round = 0; round < 1000; ++round) {
     std::string bytes;
@@ -194,7 +334,7 @@ TEST_P(FuzzSeedTest, RoundTripAwaitsEveryResponseTheServerSends) {
       if (rng.NextUint64(2) == 0) bytes += "\r\n";
     } else {
       for (std::uint64_t n = 1 + rng.NextUint64(4); n > 0; --n) {
-        bytes += templates[rng.NextUint64(std::size(templates))];
+        bytes += Pick(rng, ValidRequests());
       }
       bytes = Mutate(rng, bytes);
     }
@@ -223,6 +363,31 @@ TEST_P(FuzzSeedTest, ResponseParserSurvivesRandomBytes) {
     if (resp) {
       EXPECT_LE(consumed, bytes.size());
     }
+  }
+}
+
+TEST_P(FuzzSeedTest, ResponseParserSurvivesMutatedValidReplies) {
+  // Untrusted server bytes: mutated runs of valid replies may parse as
+  // anything, but a reply that parses claims no more bytes than it was
+  // given and writes back to bytes that parse to the same value.
+  Rng rng(GetParam() + 8000);
+  for (int round = 0; round < 2000; ++round) {
+    std::string bytes;
+    for (std::uint64_t n = 1 + rng.NextUint64(3); n > 0; --n) {
+      bytes += Pick(rng, ValidReplies());
+    }
+    bytes = Mutate(rng, bytes);
+    std::size_t consumed = 0;
+    std::optional<Response> resp = ParseResponse(bytes, &consumed);
+    if (!resp) continue;
+    EXPECT_LE(consumed, bytes.size()) << bytes;
+    const std::string again = Serialize(*resp);
+    std::size_t used = 0;
+    std::optional<Response> reparsed = ParseResponse(again, &used);
+    ASSERT_TRUE(reparsed) << bytes << " -> " << again;
+    EXPECT_EQ(used, again.size()) << again;
+    EXPECT_TRUE(SameResponse(*reparsed, Written(*resp))) << bytes << " -> "
+                                                         << again;
   }
 }
 

@@ -5,6 +5,8 @@
 // until every outstanding grant has lapsed.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/iq_client.h"
 #include "core/iq_server.h"
 #include "core/near_cache.h"
@@ -51,6 +53,22 @@ TEST(NearCacheTest, ZeroValidityIsNotStored) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.Get("k"));
   EXPECT_EQ(cache.stats().inserts, 0u);
+}
+
+TEST(NearCacheTest, ValidityPastTheClockRangeSaturatesAndIsServed) {
+  // A validity read off the wire (a VALUE line's T token) may put the
+  // deadline past the range of Nanos: the entry then never lapses, rather
+  // than wrapping into the past and never being served.
+  ManualClock clock(5 * kNanosPerSec);
+  NearCache cache(4, clock);
+  cache.Insert("k", "v", std::numeric_limits<Nanos>::max());
+  auto hit = cache.Get("k");
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit->value, "v");
+  EXPECT_EQ(hit->remaining,
+            std::numeric_limits<Nanos>::max() - 5 * kNanosPerSec);
+  clock.Advance(1000 * kNanosPerSec);
+  EXPECT_TRUE(cache.Get("k"));
 }
 
 TEST(NearCacheTest, LruEvictsLeastRecentlyUsedAtCapacity) {
