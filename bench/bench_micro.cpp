@@ -14,6 +14,15 @@
 namespace iq {
 namespace {
 
+/// `prefix` followed by `n`. Appended rather than written
+/// `"prefix" + std::to_string(n)`: GCC 12 reports a spurious -Wrestrict on
+/// that operator+ where a Release build inlines it into a thread loop.
+std::string Numbered(const char* prefix, int n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
+
 // ---- KVS ---------------------------------------------------------------------
 
 void BM_KvsSet(benchmark::State& state) {
@@ -153,9 +162,9 @@ void BM_IQgetHitThreaded(benchmark::State& state) {
   if (state.thread_index() == 0) {
     server = new IQServer;
     for (int t = 0; t < state.threads(); ++t) {
+      const std::string prefix = Numbered("t", t) + "-";
       for (int i = 0; i < 256; ++i) {
-        server->store().Set("t" + std::to_string(t) + "-" + std::to_string(i),
-                            "value");
+        server->store().Set(prefix + std::to_string(i), "value");
       }
     }
   }
@@ -200,7 +209,7 @@ void BM_QaReadSaRThreaded(benchmark::State& state) {
   if (state.thread_index() == 0) {
     server = new IQServer;
     for (int t = 0; t < state.threads(); ++t) {
-      server->store().Set("q" + std::to_string(t), "value");
+      server->store().Set(Numbered("q", t), "value");
     }
   }
   std::string key = "q" + std::to_string(state.thread_index());

@@ -46,7 +46,7 @@ int main() {
     auto txn = db.Begin();
     auto rows = sql::Query(*txn, "SELECT name, logins FROM Users WHERE id = 1");
     txn->Rollback();
-    std::string value = std::get<std::string>(rows.rows[0][0]) + "|" +
+    std::string value = *sql::AsText(rows.rows[0][0]) + "|" +
                         std::to_string(*sql::AsInt(rows.rows[0][1]));
     if (got.status == ClientGetResult::Status::kMissRecompute) {
       session->Put(key, value);  // dropped automatically if a writer raced us

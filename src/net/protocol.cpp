@@ -613,13 +613,16 @@ Response ToResponse(const ResponseView& v) {
 
 /// The sized data block at offset `at` of `bytes`, its size read from the
 /// token `size`, into *data. Returns the offset past the block and its CRLF,
-/// or 0 when the size is malformed or the block not yet whole.
+/// or 0 when the size is malformed, the block not yet whole, or the two
+/// bytes after it not CRLF (the request parser's "bad data chunk
+/// terminator").
 std::size_t ReadBlock(std::string_view bytes, std::size_t at,
                       std::string_view size, std::string_view* data) {
   auto n = ParseNumber(size);
   if (!n || *n > kMaxPayloadBytes) return 0;
   std::size_t avail = bytes.size() - at;
   if (avail < *n || avail - *n < 2) return 0;
+  if (bytes.substr(at + *n, 2) != "\r\n") return 0;
   *data = bytes.substr(at, *n);
   return at + *n + 2;
 }

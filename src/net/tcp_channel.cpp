@@ -23,7 +23,12 @@ namespace {
 /// timeslice, so there reads go straight to poll.
 constexpr int kReadSpins = 400;
 
-bool SpinWorthwhile() { return std::thread::hardware_concurrency() > 1; }
+/// Asked once: glibc's hardware_concurrency() reads sysfs on every call,
+/// which cost a syscall per round trip when asked per read.
+bool SpinWorthwhile() {
+  static const bool worthwhile = std::thread::hardware_concurrency() > 1;
+  return worthwhile;
+}
 
 void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)

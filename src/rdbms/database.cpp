@@ -192,10 +192,16 @@ TxnResult Transaction::DeleteByPk(Table& table, const Row& pk,
 TxnResult Transaction::Commit() {
   if (state_ != State::kActive) return TxnResult::kAborted;
   db_.DelayFor(db_.config_.commit_delay);
+  // Versions that end at or before the horizon are invisible to every
+  // snapshot registered now and to every one taken later, so each chain
+  // this commit writes drops them.
+  const Timestamp horizon = writes_.empty() ? 0 : db_.OldestSnapshot();
   {
     std::lock_guard commit_lock(db_.commit_mu_);
     Timestamp ts = db_.commit_counter_.load(std::memory_order_relaxed) + 1;
-    for (const auto& w : writes_) w.table->InstallCommit(ctx_.id, *w.chain, ts);
+    for (const auto& w : writes_) {
+      w.table->InstallCommit(ctx_.id, *w.chain, ts, horizon);
+    }
     db_.commit_counter_.store(ts, std::memory_order_release);
     commit_ts_ = ts;
   }
@@ -251,12 +257,16 @@ const Table* Database::GetTable(const std::string& name) const {
 
 std::unique_ptr<Transaction> Database::Begin() {
   TxnId id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  Timestamp snapshot = commit_counter_.load(std::memory_order_acquire);
-  Bump(stats_.txns_started);
+  Timestamp snapshot;
   {
+    // Take the snapshot and register it in one step under active_mu_, so
+    // OldestSnapshot, which reads both under the same lock, never returns a
+    // horizon past a snapshot that is about to be registered.
     std::lock_guard lock(active_mu_);
+    snapshot = commit_counter_.load(std::memory_order_acquire);
     active_snapshots_[id] = snapshot;
   }
+  Bump(stats_.txns_started);
   return std::unique_ptr<Transaction>(new Transaction(*this, id, snapshot));
 }
 
@@ -318,14 +328,17 @@ Database::Stats Database::GetStats() const {
                load(stats_.reads),         load(stats_.writes)};
 }
 
-std::size_t Database::Vacuum() {
+Timestamp Database::OldestSnapshot() const {
+  std::lock_guard lock(active_mu_);
   Timestamp oldest = commit_counter_.load(std::memory_order_acquire);
-  {
-    std::lock_guard lock(active_mu_);
-    for (const auto& [id, snap] : active_snapshots_) {
-      oldest = std::min(oldest, snap);
-    }
+  for (const auto& [id, snap] : active_snapshots_) {
+    oldest = std::min(oldest, snap);
   }
+  return oldest;
+}
+
+std::size_t Database::Vacuum() {
+  const Timestamp oldest = OldestSnapshot();
   std::size_t reclaimed = 0;
   std::lock_guard lock(catalog_mu_);
   for (auto& [name, table] : tables_) reclaimed += table->Vacuum(oldest);

@@ -6,7 +6,9 @@
 // Commit protocol: a global commit mutex serializes commits. The committing
 // transaction takes ts = counter + 1, installs every pending intent at ts,
 // then publishes counter = ts. Snapshots are counter loads, so a snapshot
-// never observes a half-installed commit.
+// never observes a half-installed commit. Each chain a commit writes drops
+// its superseded versions that no registered snapshot can read
+// (OldestSnapshot); a deleted row's chain waits for Vacuum.
 #pragma once
 
 #include <atomic>
@@ -183,6 +185,10 @@ class Database {
   }
   void FireTriggers(Transaction& txn, const TriggerEvent& event);
   void DelayFor(Nanos d) const;
+
+  /// The oldest registered snapshot, or the commit counter when none is
+  /// registered: no snapshot taken now or later is older.
+  Timestamp OldestSnapshot() const;
 
   Config config_;
   const Clock& clock_;

@@ -47,8 +47,9 @@ struct TableSchema {
     if (row.size() != columns.size()) return false;
     for (std::size_t i = 0; i < row.size(); ++i) {
       if (IsNull(row[i])) continue;
-      bool is_int = std::holds_alternative<std::int64_t>(row[i]);
-      if (is_int != (columns[i].type == ColumnType::kInt)) return false;
+      if (row[i].is_int() != (columns[i].type == ColumnType::kInt)) {
+        return false;
+      }
     }
     return true;
   }

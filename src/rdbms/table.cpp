@@ -27,17 +27,20 @@ const Table::Version* Table::VisibleVersion(const RowChain& chain,
   };
   if (chain.newest.begin_ts == 0) return nullptr;
   if (visible(chain.newest)) return &chain.newest;
-  // Older versions exist only until Vacuum; scan from newest.
-  for (auto it = chain.older.rbegin(); it != chain.older.rend(); ++it) {
+  if (chain.history == nullptr) return nullptr;
+  // Older versions live until no snapshot can read them; scan from newest.
+  const std::vector<Version>& older = chain.history->older;
+  for (auto it = older.rbegin(); it != older.rend(); ++it) {
     if (visible(*it)) return &*it;
   }
   return nullptr;
 }
 
 const Row* Table::VisibleRowLocked(const TxnCtx& ctx, const RowChain& chain) {
-  if (chain.writer == ctx.id && ctx.id != 0) {
+  if (ctx.id != 0 && chain.writer() == ctx.id) {
     // Own pending intent wins (read-your-writes within the transaction).
-    return chain.pending.empty() ? nullptr : &chain.pending;
+    const Row& pending = chain.history->pending;
+    return pending.empty() ? nullptr : &pending;
   }
   const Version* v = VisibleVersion(chain, ctx.snapshot);
   return v == nullptr ? nullptr : &v->data;
@@ -100,7 +103,8 @@ std::size_t Table::VisibleCount(const TxnCtx& ctx) const {
 
 TxnResult Table::CheckWritableLocked(const TxnCtx& ctx,
                                      const RowChain& chain) {
-  if (chain.writer != 0 && chain.writer != ctx.id) {
+  const TxnId writer = chain.writer();
+  if (writer != 0 && writer != ctx.id) {
     return TxnResult::kConflict;  // another transaction holds a pending intent
   }
   // First-committer-wins: a version committed, or a delete committed, after
@@ -120,10 +124,10 @@ bool Table::CommittedHolds(const RowChain& chain, std::size_t col,
                            const Value& v) {
   if (chain.newest.begin_ts == 0) return false;
   if (chain.newest.data[col] == v) return true;
-  for (const Version& old : chain.older) {
-    if (old.data[col] == v) return true;
-  }
-  return false;
+  if (chain.history == nullptr) return false;
+  return std::any_of(
+      chain.history->older.begin(), chain.history->older.end(),
+      [&](const Version& old) { return old.data[col] == v; });
 }
 
 void Table::UnlinkLocked(std::size_t slot, const Value& v, RowChain* chain) {
@@ -155,11 +159,15 @@ void Table::ReindexLocked(RowChain& chain, const Row* prev, const Row* next) {
 
 void Table::SetPendingLocked(const TxnCtx& ctx, RowChain& chain, Row next,
                              RowChain** claimed) {
-  ReindexLocked(chain, chain.pending.empty() ? nullptr : &chain.pending,
+  if (chain.history == nullptr) {
+    chain.history = std::make_unique<RowChain::History>();
+  }
+  RowChain::History& h = *chain.history;
+  ReindexLocked(chain, h.pending.empty() ? nullptr : &h.pending,
                 next.empty() ? nullptr : &next);
-  if (claimed != nullptr) *claimed = chain.writer != ctx.id ? &chain : nullptr;
-  chain.writer = ctx.id;
-  chain.pending = std::move(next);
+  if (claimed != nullptr) *claimed = h.writer != ctx.id ? &chain : nullptr;
+  h.writer = ctx.id;
+  h.pending = std::move(next);
 }
 
 TxnResult Table::InsertIntent(const TxnCtx& ctx, Row row, RowChain** claimed) {
@@ -216,37 +224,65 @@ TxnResult Table::DeleteIntent(const TxnCtx& ctx, const Row& pk,
   return TxnResult::kOk;
 }
 
-void Table::InstallCommit(TxnId txn, RowChain& chain, Timestamp ts) {
+void Table::InstallCommit(TxnId txn, RowChain& chain, Timestamp ts,
+                          Timestamp horizon) {
   std::lock_guard lock(mu_);
-  if (chain.writer != txn) return;
+  if (chain.writer() != txn) return;
+  RowChain::History& h = *chain.history;
   const bool has_newest = chain.newest.begin_ts != 0;
   // Terminate the previously live version, if any.
   if (has_newest && chain.newest.end_ts == kInfinity) chain.newest.end_ts = ts;
-  if (!chain.pending.empty()) {
-    if (has_newest) chain.older.push_back(std::move(chain.newest));
-    chain.newest = Version{ts, kInfinity, std::move(chain.pending)};
+  if (!h.pending.empty()) {
+    if (has_newest) h.older.push_back(std::move(chain.newest));
+    chain.newest = Version{ts, kInfinity, std::move(h.pending)};
   }
-  chain.writer = 0;
-  chain.pending.clear();
+  h.writer = 0;
+  h.pending.clear();
+  ReclaimLocked(chain, horizon);
+  chain.TrimHistory();
+}
+
+void Table::ReclaimLocked(RowChain& chain, Timestamp horizon) {
+  std::vector<Version>& older = chain.history->older;
+  // Versions end in commit order, so the dead ones are a prefix.
+  auto kept = std::find_if(older.begin(), older.end(), [&](const Version& v) {
+    return v.end_ts > horizon;
+  });
+  if (kept == older.begin()) return;
+  auto still_held = [&](std::size_t col, const Value& v) {
+    return chain.newest.data[col] == v ||
+           std::any_of(kept, older.end(),
+                       [&](const Version& k) { return k.data[col] == v; });
+  };
+  for (auto dead = older.begin(); dead != kept; ++dead) {
+    for (std::size_t slot = 0; slot < indexes_.size(); ++slot) {
+      const std::size_t col = schema_.secondary_indexes[slot];
+      const Value& v = dead->data[col];
+      // A value two dead versions held is unlinked once; the second
+      // unlink finds nothing.
+      if (!still_held(col, v)) UnlinkLocked(slot, v, &chain);
+    }
+  }
+  older.erase(older.begin(), kept);
 }
 
 void Table::AbortIntent(TxnId txn, RowChain& chain) {
   std::lock_guard lock(mu_);
-  if (chain.writer != txn) return;
-  if (chain.pending.empty()) {
-    // A pending delete holds no indexed value. (After an insert and a
-    // delete in one transaction the chain may hold no version at all;
-    // Vacuum erases it.)
-    chain.writer = 0;
-    return;
+  if (chain.writer() != txn) return;
+  RowChain::History& h = *chain.history;
+  // A pending delete holds no indexed value. (After an insert and a delete
+  // in one transaction the chain may hold no version at all; Vacuum erases
+  // it.)
+  if (!h.pending.empty()) {
+    ReindexLocked(chain, &h.pending, nullptr);
+    if (chain.newest.begin_ts == 0) {  // an aborted fresh insert leaves no trace
+      chains_.erase(chains_.find(schema_.PrimaryKeyOf(h.pending)));
+      return;
+    }
   }
-  ReindexLocked(chain, &chain.pending, nullptr);
-  if (chain.newest.begin_ts == 0) {  // an aborted fresh insert leaves no trace
-    chains_.erase(chains_.find(schema_.PrimaryKeyOf(chain.pending)));
-    return;
-  }
-  chain.writer = 0;
-  chain.pending.clear();
+  h.writer = 0;
+  h.pending.clear();
+  chain.TrimHistory();
 }
 
 std::size_t Table::Vacuum(Timestamp oldest_active) {
@@ -257,19 +293,17 @@ std::size_t Table::Vacuum(Timestamp oldest_active) {
   };
   for (auto it = chains_.begin(); it != chains_.end();) {
     RowChain& chain = it->second;
-    auto before = chain.older.size();
-    chain.older.erase(
-        std::remove_if(chain.older.begin(), chain.older.end(), dead),
-        chain.older.end());
-    reclaimed += before - chain.older.size();
-    if (chain.older.empty()) chain.older = std::vector<Version>();
+    if (chain.history != nullptr) {
+      reclaimed += std::erase_if(chain.history->older, dead);
+    }
     // Every older version ends before the newest begins, so a dead newest
     // leaves nothing behind it.
     if (chain.newest.begin_ts != 0 && dead(chain.newest)) {
       chain.newest = Version{};
       ++reclaimed;
     }
-    if (chain.newest.begin_ts == 0 && chain.writer == 0) {
+    chain.TrimHistory();
+    if (chain.newest.begin_ts == 0 && chain.writer() == 0) {
       it = chains_.erase(it);
     } else {
       ++it;
@@ -282,8 +316,12 @@ std::size_t Table::Vacuum(Timestamp oldest_active) {
   for (auto& [pk, chain] : chains_) {
     rows.clear();
     if (chain.newest.begin_ts != 0) rows.push_back(&chain.newest.data);
-    for (const Version& v : chain.older) rows.push_back(&v.data);
-    if (!chain.pending.empty()) rows.push_back(&chain.pending);
+    if (chain.history != nullptr) {
+      for (const Version& v : chain.history->older) rows.push_back(&v.data);
+      if (!chain.history->pending.empty()) {
+        rows.push_back(&chain.history->pending);
+      }
+    }
     for (std::size_t slot = 0; slot < indexes_.size(); ++slot) {
       const std::size_t col = schema_.secondary_indexes[slot];
       for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -8,11 +8,14 @@
 // blocking): a second writer aborts instead of waiting.
 //
 // Layout. A chain lives in its primary-key map node, with its newest
-// committed version inline, so a row never updated since it was loaded has
-// no heap block besides its key and its cells. A secondary-index bucket
-// holds pointers to the chains that have held its value; a node keeps its
-// address across a rehash, so a bucket hit reaches its row without a second
-// primary-key lookup.
+// committed version inline. Its superseded versions, its pending intent and
+// its writer live in one history block that the row's first intent
+// allocates and that is freed once it holds none of them again, so a row
+// never written since it was loaded has no heap block besides its key and
+// its cells. A commit drops the superseded versions that no registered
+// snapshot can read. A secondary-index bucket holds pointers to the chains
+// that have held its value; a node keeps its address across a rehash, so a
+// bucket hit reaches its row without a second primary-key lookup.
 //
 // Index invariant. A chain is in bucket v of an index exactly once when
 // one of its committed versions or its pending intent holds v in the
@@ -21,13 +24,15 @@
 // reader's snapshot predates an update, or follows it), so every probe
 // re-verifies the visible version. An intent that adds a value no committed
 // version holds links the chain; its abort, or its own replacement within
-// the transaction, unlinks it again. A chain is erased only after it has
-// left every bucket (an aborted fresh insert), or while Vacuum rebuilds the
+// the transaction, unlinks it again, and so does a commit that drops the
+// last version holding the value. A chain is erased only after it has left
+// every bucket (an aborted fresh insert), or while Vacuum rebuilds the
 // buckets from the versions it keeps.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -77,10 +82,22 @@ class Table {
   /// each chain it claimed, to commit or abort it.
   class RowChain {
     friend class Table;
-    Version newest;              // newest committed version, begin_ts 0 if none
-    std::vector<Version> older;  // superseded versions, in commit order
-    Row pending;                 // the writer's row; empty for a pending delete
-    TxnId writer = 0;            // pending intent owner, 0 = none
+    struct History {
+      std::vector<Version> older;  // superseded versions, in commit order
+      Row pending;                 // the writer's row; empty for a pending delete
+      TxnId writer = 0;            // pending intent owner, 0 = none
+    };
+
+    TxnId writer() const { return history ? history->writer : 0; }
+    /// Frees the history block once it holds nothing.
+    void TrimHistory() {
+      if (history && history->writer == 0 && history->older.empty()) {
+        history.reset();
+      }
+    }
+
+    Version newest;  // newest committed version, begin_ts 0 if none
+    std::unique_ptr<History> history;  // null: no older version, no intent
   };
 
   explicit Table(TableSchema schema);
@@ -134,8 +151,10 @@ class Table {
   // ---- commit/abort protocol (driven by Database) -------------------------
 
   /// Make txn's pending intent on `chain` durable at commit timestamp `ts`
-  /// (>= 1).
-  void InstallCommit(TxnId txn, RowChain& chain, Timestamp ts);
+  /// (>= 1), and drop the chain's superseded versions that end at or before
+  /// `horizon`, which no snapshot at or after it can read (0 drops none).
+  void InstallCommit(TxnId txn, RowChain& chain, Timestamp ts,
+                     Timestamp horizon = 0);
 
   /// Discard txn's pending intent on `chain`. An aborted fresh insert
   /// erases the chain, so `chain` must not be used afterwards.
@@ -181,6 +200,11 @@ class Table {
 
   /// Remove `chain` from index `slot`'s bucket for `v`.
   void UnlinkLocked(std::size_t slot, const Value& v, RowChain* chain);
+
+  /// Drop `chain`'s superseded versions that end at or before `horizon`,
+  /// and unlink the chain from each bucket only a dropped version held.
+  /// The chain must have a history block and no pending intent.
+  void ReclaimLocked(RowChain& chain, Timestamp horizon);
 
   TableSchema schema_;
 

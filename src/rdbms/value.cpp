@@ -1,13 +1,35 @@
 #include "rdbms/value.h"
 
 #include <functional>
+#include <limits>
+#include <stdexcept>
 
 namespace iq::sql {
 
+void Value::SetText(std::string_view text) {
+  if (text.size() <= kTag) {
+    std::memcpy(rep_, text.data(), text.size());
+    rep_[kTag] = static_cast<char>(kInlineText + text.size());
+    return;
+  }
+  if (text.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("sql::Value text longer than 4 GiB");
+  }
+  char* bytes = new char[text.size()];
+  std::memcpy(bytes, text.data(), text.size());
+  const auto size = static_cast<std::uint32_t>(text.size());
+  std::memcpy(rep_, &bytes, sizeof bytes);
+  std::memcpy(rep_ + 8, &size, sizeof size);
+  rep_[kTag] = kHeapText;
+}
+
 std::string ToString(const Value& v) {
-  if (IsNull(v)) return "NULL";
-  if (auto i = AsInt(v)) return std::to_string(*i);
-  return "'" + std::get<std::string>(v) + "'";
+  if (v.is_null()) return "NULL";
+  if (v.is_int()) return std::to_string(v.int_value());
+  std::string out = "'";
+  out += v.text();
+  out += "'";
+  return out;
 }
 
 std::string ToString(const Row& row) {
@@ -21,11 +43,9 @@ std::string ToString(const Row& row) {
 }
 
 std::size_t ValueHash::operator()(const Value& v) const {
-  if (IsNull(v)) return 0x9e3779b9;
-  if (const auto* i = std::get_if<std::int64_t>(&v)) {
-    return std::hash<std::int64_t>{}(*i);
-  }
-  return std::hash<std::string>{}(std::get<std::string>(v));
+  if (v.is_null()) return 0x9e3779b9;
+  if (v.is_int()) return std::hash<std::int64_t>{}(v.int_value());
+  return std::hash<std::string_view>{}(v.text());
 }
 
 }  // namespace iq::sql

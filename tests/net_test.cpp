@@ -494,6 +494,28 @@ TEST(ResponseCodec, IncompleteBytesReturnNullopt) {
   EXPECT_FALSE(ParseResponse("STO", &consumed));
 }
 
+// A sized block must end in CRLF. Read past two other bytes, the reply
+// would be taken whole and the next one read from the wrong byte.
+TEST(ResponseCodec, ValueBlockWithoutItsCrlfIsRefused) {
+  std::size_t consumed = 0;
+  EXPECT_TRUE(ParseResponse("VALUE k 0 3\r\nabc\r\nEND\r\n", &consumed));
+  EXPECT_FALSE(ParseResponse("VALUE k 0 3\r\nabcXYEND\r\n", &consumed));
+}
+
+TEST(ResponseCodec, QvalueBlockWithoutItsCrlfIsRefused) {
+  std::size_t consumed = 0;
+  EXPECT_TRUE(ParseResponse("QVALUE 7 3\r\nabc\r\nSTORED\r\n", &consumed));
+  EXPECT_FALSE(ParseResponse("QVALUE 7 3\r\nabcXYSTORED\r\n", &consumed));
+  EXPECT_FALSE(ParseResponse("BATCH 1\r\nQVALUE 7 3\r\nabcXYSTORED\r\n",
+                             &consumed));
+}
+
+TEST(ResponseCodec, MetricsBlockWithoutItsCrlfIsRefused) {
+  std::size_t consumed = 0;
+  EXPECT_TRUE(ParseResponse("METRICS 3\r\nabc\r\nSTORED\r\n", &consumed));
+  EXPECT_FALSE(ParseResponse("METRICS 3\r\nabcXYSTORED\r\n", &consumed));
+}
+
 TEST(ResponseCodec, BareErrorLinesParse) {
   // An error head with no message, alone or inside a frame, parses to an
   // empty message: a peer's bare line must not throw in the client.

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
+#include <string>
+#include <variant>
+
 #include "rdbms/table.h"
 
 namespace iq::sql {
@@ -389,6 +394,29 @@ TEST(Table, PendingIndexedValueIsUnlinkedWhenReplacedOrAborted) {
   EXPECT_TRUE(t.ReadWhereEq(TxnCtx{9, 4}, 1, V(20)).empty());
 }
 
+TEST(Table, CommitDropsVersionsPastTheHorizonAndTheirBucketEntries) {
+  Table t(IndexedSchema());
+  CommitInsert(t, 1, {V(1), V(10), V("x")});
+  // Each update commits at ts = id with the horizon at its own snapshot,
+  // id - 1, as Database does when no other transaction is open.
+  auto set = [&](TxnId id, Value v) {
+    Chain c = nullptr;
+    ASSERT_EQ(t.UpdateIntent(TxnCtx{id, id - 1}, {V(1)},
+                             [&](Row& r) { r[1] = v; }, {}, &c),
+              TxnResult::kOk);
+    t.InstallCommit(id, *c, id, id - 1);
+  };
+  set(2, V(20));  // 10 ends at 2, past horizon 1: kept
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{9, 1}, 1, V(10)).size(), 1u);
+  set(3, V(30));  // drops 10 (ends at 2), and its bucket entry
+  set(4, V(10));  // drops 20; the row is linked under 10 again
+  // Had 10's entry outlived its version, the row would come back twice.
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{9, 4}, 1, V(10)).size(), 1u);
+  EXPECT_TRUE(t.ReadWhereEq(TxnCtx{9, 4}, 1, V(20)).empty());
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{9, 3}, 1, V(30)).size(), 1u);
+  EXPECT_EQ(t.Vacuum(4), 1u);  // only 30, which ends at 4, was left
+}
+
 TEST(Table, ProbeAfterVacuumStillFindsTheRow) {
   Table t(IndexedSchema());
   CommitInsert(t, 1, {V(1), V(10), V("a")});
@@ -470,6 +498,96 @@ TEST(Value, HashingConsistentWithEquality) {
   EXPECT_EQ(h(V("abc")), h(V("abc")));
   RowHash rh;
   EXPECT_EQ(rh({V(1), V("a")}), rh({V(1), V("a")}));
+}
+
+// The 16-byte cell against the variant it replaced, over random cells.
+// Texts of 15 bytes or fewer are stored in the cell and longer ones on the
+// heap, so the lengths straddle that boundary; bytes with the high bit set
+// and NULs check that text compares bytewise, as std::string does.
+using RefCell = std::variant<std::monostate, std::int64_t, std::string>;
+
+Value FromRef(const RefCell& r) {
+  if (const auto* i = std::get_if<std::int64_t>(&r)) return V(*i);
+  if (const auto* s = std::get_if<std::string>(&r)) return V(*s);
+  return V();
+}
+
+RefCell DrawRef(std::mt19937_64& rng) {
+  static constexpr std::size_t kLengths[] = {0, 1, 14, 15, 16, 17, 100};
+  static constexpr std::int64_t kInts[] = {
+      0, 1, -1, std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::max()};
+  switch (rng() % 4) {
+    case 0:
+      return std::monostate{};
+    case 1:
+      return rng() % 2 == 0 ? kInts[rng() % std::size(kInts)]
+                            : static_cast<std::int64_t>(rng() % 7) - 3;
+    default: {
+      // Few distinct bytes, so equal texts and shared prefixes are common.
+      static constexpr char kBytes[] = {'a', 'b', '\0', '\xff'};
+      std::string s(kLengths[rng() % std::size(kLengths)], 'a');
+      for (char& c : s) c = rng() % 8 == 0 ? kBytes[rng() % 4] : 'a';
+      return s;
+    }
+  }
+}
+
+std::string RefToString(const RefCell& r) {
+  if (const auto* i = std::get_if<std::int64_t>(&r)) return std::to_string(*i);
+  if (const auto* s = std::get_if<std::string>(&r)) return "'" + *s + "'";
+  return "NULL";
+}
+
+TEST(Value, MatchesTheVariantReference) {
+  std::mt19937_64 rng(29);
+  ValueHash h;
+  for (int i = 0; i < 20000; ++i) {
+    const RefCell a = DrawRef(rng);
+    const RefCell b = rng() % 4 == 0 ? a : DrawRef(rng);
+    const Value va = FromRef(a);
+    const Value vb = FromRef(b);
+    SCOPED_TRACE(RefToString(a) + " vs " + RefToString(b));
+    ASSERT_EQ(va == vb, a == b);
+    ASSERT_EQ(va != vb, a != b);
+    ASSERT_TRUE((va <=> vb) == (a <=> b));
+    ASSERT_EQ(va < vb, a < b);
+    if (a == b) {
+      ASSERT_EQ(h(va), h(vb));
+    }
+    ASSERT_EQ(IsNull(va), std::holds_alternative<std::monostate>(a));
+    const auto* ai = std::get_if<std::int64_t>(&a);
+    ASSERT_EQ(AsInt(va), ai ? std::optional(*ai) : std::nullopt);
+    const auto* as = std::get_if<std::string>(&a);
+    ASSERT_EQ(AsText(va), as ? std::optional(*as) : std::nullopt);
+    ASSERT_EQ(ToString(va), RefToString(a));
+  }
+}
+
+TEST(Value, CopyMoveAndAssignmentAcrossKinds) {
+  const std::string long_text(100, 'L');
+  const std::vector<Value> cells = {V(), V(-7), V(""), V("fifteen-bytes!!"),
+                                    V("sixteen-bytes!!!"), V(long_text)};
+  for (const Value& from : cells) {
+    for (const Value& to : cells) {
+      Value copy = from;
+      EXPECT_EQ(copy, from);
+      Value moved = std::move(copy);
+      EXPECT_EQ(moved, from);
+      EXPECT_TRUE(IsNull(copy));  // a moved-from cell is NULL
+      Value target = to;
+      target = from;  // copy-assign over another kind (or the same)
+      EXPECT_EQ(target, from);
+      target = Value(to);  // move-assign back
+      EXPECT_EQ(target, to);
+      Value& alias = target;
+      target = alias;
+      EXPECT_EQ(target, to);
+      target = std::move(alias);
+      EXPECT_EQ(target, to);
+    }
+  }
+  EXPECT_EQ(AsText(cells[5]), long_text);
 }
 
 }  // namespace

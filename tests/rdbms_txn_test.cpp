@@ -241,6 +241,92 @@ TEST_F(DatabaseTest, VacuumPreservesCorrectness) {
   EXPECT_EQ(ReadN(1), 4);
 }
 
+// A commit drops the superseded versions no registered snapshot can read,
+// so a long update loop leaves at most the last superseded version behind
+// (the committing transaction's own snapshot still reads it).
+TEST_F(DatabaseTest, CommitReclaimsSupersededVersions) {
+  for (int i = 1; i <= 10000; ++i) {
+    auto txn = db_.Begin();
+    ASSERT_EQ(txn->UpdateByPk("T", {V(3)}, {{"n", V(i)}}), TxnResult::kOk);
+    ASSERT_EQ(txn->Commit(), TxnResult::kOk);
+  }
+  EXPECT_LE(db_.Vacuum(), 1u);
+  EXPECT_EQ(ReadN(3), 10000);
+}
+
+TEST_F(DatabaseTest, CommitKeepsVersionsAnOpenSnapshotReads) {
+  auto reader = db_.Begin();
+  for (int i = 1; i <= 100; ++i) {
+    auto txn = db_.Begin();
+    ASSERT_EQ(txn->UpdateByPk("T", {V(3)}, {{"n", V(i)}}), TxnResult::kOk);
+    ASSERT_EQ(txn->Commit(), TxnResult::kOk);
+  }
+  auto row = reader->SelectByPk("T", {V(3)});
+  ASSERT_TRUE(row);
+  EXPECT_EQ((*row)[1], V(0));
+  reader->Rollback();
+  reader.reset();
+  EXPECT_EQ(db_.Vacuum(), 100u);  // the reader's version and the 99 after it
+}
+
+// Readers begin and read a row while writers commit increments to it, so
+// each commit computes its horizon while snapshots are being taken. A
+// reader's snapshot must keep seeing the row, with a count between the
+// increments finished before it began and those started before it read,
+// and with the same count on a second read after more commits.
+TEST_F(DatabaseTest, ReadersKeepTheirVersionsWhileWritersCommit) {
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kReads = 3000;
+  constexpr int kMaxIncrements = 50000;  // per writer
+  std::atomic<std::int64_t> started{0};
+  std::atomic<std::int64_t> finished{0};
+  std::atomic<int> readers_left{kReaders};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kMaxIncrements && readers_left.load() > 0; ++i) {
+        bool committed = db_.RunTransaction(
+            [&](Transaction& txn) {
+              if (txn.UpdateByPk("T", {V(7)}, [](Row& row) {
+                    row[1] = V(*AsInt(row[1]) + 1);
+                  }) != TxnResult::kOk) {
+                return false;
+              }
+              started.fetch_add(1);
+              return true;
+            },
+            1000000);
+        if (committed) finished.fetch_add(1);
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kReads; ++i) {
+        const std::int64_t low = finished.load();
+        auto txn = db_.Begin();
+        auto first = txn->SelectByPk("T", {V(7)});
+        const std::int64_t high = started.load();
+        std::this_thread::yield();
+        auto second = txn->SelectByPk("T", {V(7)});
+        txn->Rollback();
+        if (!first || !second) {
+          bad.fetch_add(1);
+          continue;
+        }
+        const std::int64_t n = *AsInt((*first)[1]);
+        if (n < low || n > high || *second != *first) bad.fetch_add(1);
+      }
+      readers_left.fetch_sub(1);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(ReadN(7), finished.load());
+}
+
 TEST_F(DatabaseTest, ReadDelayConfigSlowsReads) {
   Database slow({.read_delay = 2 * kNanosPerMilli,
                  .write_delay = 0,

@@ -98,7 +98,7 @@ TEST(SqlParser, ParsesNullLiteral) {
 
 TEST(SqlParser, ParsesEscapedQuotes) {
   auto stmt = Prepare("INSERT INTO t VALUES ('it''s')");
-  EXPECT_EQ(std::get<std::string>(stmt.insert_values[0].literal), "it's");
+  EXPECT_EQ(AsText(stmt.insert_values[0].literal), "it's");
 }
 
 TEST(SqlParser, KeywordsAreCaseInsensitive) {
