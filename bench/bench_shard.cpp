@@ -164,7 +164,9 @@ CellResult RunSharded(int shard_count, Nanos window) {
     std::vector<ShardedBackend::Shard> shards;
     for (int i = 0; i < shard_count; ++i) {
       IQServer* child = children[static_cast<std::size_t>(i)].get();
-      shards.push_back({"s" + std::to_string(i), child, 1,
+      std::string name = "s";
+      name += std::to_string(i);
+      shards.push_back({std::move(name), child, 1,
                         [child] { return child->Stats(); }, {}, {}, {}});
     }
     return std::make_shared<ShardedBackend>(std::move(shards));

@@ -1,4 +1,5 @@
-// Allocation budget of the wire hot path, and heap bytes per RDBMS row. A
+// Allocation budget of the wire hot path, and heap bytes per cached item and
+// per RDBMS row. A
 // replaced global operator new counts every heap allocation in the process,
 // client and server threads alike, and the bytes they hold (malloc's usable
 // size, taken back on free), so this file is a test binary of its own. Each
@@ -16,6 +17,7 @@
 
 #include "bg/social_graph.h"
 #include "core/iq_server.h"
+#include "kvs/kvs.h"
 #include "net/channel.h"
 #include "net/remote_backend.h"
 #include "net/tcp_channel.h"
@@ -152,6 +154,38 @@ TEST_F(AllocTest, RefreshSessionOverTcp) {
   double per_session = AllocationsPer([&] { return RefreshSession(backend); });
   EXPECT_LE(per_session, 20.0);
   RecordProperty("allocations_per_session", std::to_string(per_session));
+}
+
+// A cached item is stored once, in its index entry: a 48-byte header and
+// the words of its size class, plus its index slot. 20,000 items shaped
+// like BG's (14- and 15-byte keys, 23-byte values, every tenth value 100
+// bytes) hold under 200 live bytes each in a default store.
+TEST(AllocBudget, CacheItemBytes) {
+  if (IQ_SANITIZED) GTEST_SKIP() << "sanitizer runtimes allocate on their own";
+  constexpr int kItems = 20000;
+  const std::string small(23, 's');
+  const std::string large(100, 'l');
+  const std::int64_t bytes_before = g_live_bytes.load();
+  const std::uint64_t allocations_before = g_allocations.load();
+  {
+    iq::CacheStore store;
+    for (int i = 0; i < kItems; ++i) {
+      std::string key = i % 2 == 0 ? "Friends:{" : "Comments:";
+      key += std::to_string(10000 + i / 2);
+      if (i % 2 == 0) key += '}';
+      store.Set(key, i % 10 == 0 ? large : small);
+    }
+    ASSERT_EQ(store.Stats().item_count, static_cast<std::uint64_t>(kItems));
+    const double bytes_per_item =
+        static_cast<double>(g_live_bytes.load() - bytes_before) / kItems;
+    const double allocations_per_insert =
+        static_cast<double>(g_allocations.load() - allocations_before) /
+        kItems;
+    EXPECT_LE(bytes_per_item, 200.0);
+    RecordProperty("live_bytes_per_item", std::to_string(bytes_per_item));
+    RecordProperty("allocations_per_insert",
+                   std::to_string(allocations_per_insert));
+  }
 }
 
 // The RDBMS is most of a BG run's memory: every loaded row is a primary-key

@@ -114,7 +114,9 @@ TEST(NearCacheTest, CountersBalanceAfterMixedTraffic) {
   NearCache cache(3, clock);
   for (int round = 0; round < 20; ++round) {
     for (int i = 0; i < 5; ++i) {
-      cache.Insert("k" + std::to_string(i), "v", kValidity);
+      std::string key = "k";
+      key += std::to_string(i);
+      cache.Insert(key, "v", kValidity);
     }
     cache.Get("k0");
     cache.Invalidate("k1");

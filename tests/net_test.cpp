@@ -1421,7 +1421,8 @@ TEST_F(RemoteTest, LeasesPastTheCountCapSplitIntoOrderedFrames) {
   SessionId tid = backend.GenID();
   std::vector<std::string> keys;
   for (std::size_t i = 0; i <= kMaxBatchRequests; ++i) {
-    keys.push_back("k" + std::to_string(i));
+    keys.emplace_back("k");
+    keys.back() += std::to_string(i);
   }
   std::vector<LeaseRequest> requests;
   for (const std::string& k : keys) {

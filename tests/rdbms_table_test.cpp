@@ -231,7 +231,9 @@ TEST(Table, DeleteAfterSnapshotConflictsOnALongChain) {
   // insert at ts 1, then one update per ts up to 200.
   CommitInsert(t, 1, {V(1), V("v1")});
   for (TxnId id = 2; id <= 200; ++id) {
-    CommitSet(t, id, {V(1)}, 1, V("v" + std::to_string(id)));
+    std::string text = "v";
+    text += std::to_string(id);
+    CommitSet(t, id, {V(1)}, 1, V(text));
   }
   // A writer snapshots at ts 200; then another transaction deletes the row.
   TxnCtx stale{300, 200};
@@ -279,7 +281,9 @@ TEST(Table, SecondaryIndexLookup) {
   TxnCtx w{1, 0};
   for (int i = 0; i < 10; ++i) {
     Chain c = nullptr;
-    t.InsertIntent(w, {V(i), V(i % 3), V("v" + std::to_string(i))}, &c);
+    std::string text = "v";
+    text += std::to_string(i);
+    t.InsertIntent(w, {V(i), V(i % 3), V(text)}, &c);
     t.InstallCommit(1, *c, 1);
   }
   TxnCtx r{2, 1};

@@ -119,7 +119,9 @@ TEST(ShardedRing, KeysSharingAHashTagShareAShard) {
     ShardedBackend router(NamedShards(servers, n));
     std::vector<int> owned(n, 0);
     for (int tag = 0; tag < 1000; ++tag) {
-      std::string t = "{" + std::to_string(tag) + "}";
+      std::string t = "{";
+      t += std::to_string(tag);
+      t += '}';
       std::size_t home = router.ShardFor(t);
       ++owned[home];
       for (const std::string& key :
@@ -156,7 +158,8 @@ TEST(ShardedRing, OnlyTheFirstTagPlacesAKey) {
   IQServer servers[4];
   ShardedBackend four(NamedShards(servers, 4));
   for (int i = 0; i < 100; ++i) {
-    std::string tag = "m" + std::to_string(i);
+    std::string tag = "m";
+    tag += std::to_string(i);
     std::size_t home = four.ShardFor(tag);  // an untagged key hashes whole
     EXPECT_EQ(four.ShardFor("{" + tag + "}"), home) << tag;
     EXPECT_EQ(four.ShardFor("x{" + tag + "}{other}"), home) << tag;

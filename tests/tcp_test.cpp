@@ -692,7 +692,10 @@ TEST_F(TcpServerTest, CasqlWriteCostsTwoRequestsWhateverItsKeyCount) {
     auto conn = system.Connect();
     for (int k = 1; k <= 5; ++k) {
       std::vector<std::string> keys;
-      for (int i = 0; i < k; ++i) keys.push_back("w" + std::to_string(i));
+      for (int i = 0; i < k; ++i) {
+        keys.emplace_back("w");
+        keys.back() += std::to_string(i);
+      }
       for (const std::string& key : keys) server_.store().Set(key, "old");
       std::uint64_t before = tcp_->Stats().requests;
       casql::WriteOutcome out = conn->Write(TouchSpec(keys, "new"));
