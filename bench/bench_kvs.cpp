@@ -1,5 +1,5 @@
 // bench_kvs: read-hit scaling of the CacheStore hot path, optimistic
-// (mutex-free seqlock mirrors, DESIGN.md §4.6) vs locked (per-shard mutex),
+// (mutex-free seqlock entries, DESIGN.md §4.6) vs locked (per-shard mutex),
 // plus single-thread hit latency for both — the numbers behind the claim
 // that lease-free read hits no longer serialize on shard mutexes.
 //
