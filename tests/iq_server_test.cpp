@@ -699,5 +699,362 @@ TEST(IQServerRestartTest, PreRestartTokenDoesNotInstall) {
   EXPECT_EQ(after.IQset("k", "fresh", miss.token), StoreResult::kStored);
 }
 
+// ---- every lease transition, pinned ------------------------------------------
+//
+// One scripted run through each transition the server performs, on a
+// one-shard store so the trace ring holds its events in program order. Each
+// step pins the exact (kind, session, key) events it records, and the run
+// ends by pinning all 13 counters. The sessions are fixed numbers, not GenID
+// results, so the expected events are literal.
+
+struct PinnedEvent {
+  LeaseTraceKind kind;
+  SessionId session;
+  std::string key;
+};
+
+class TransitionPinTest : public ::testing::Test {
+ protected:
+  static constexpr Nanos kLifetime = 10 * kNanosPerSec;
+  static constexpr Nanos kValidity = kNanosPerSec;
+
+  static IQServer::Config PinConfig(const Clock* clock, bool deferred) {
+    IQServer::Config cfg = DefaultConfig(clock, deferred, kLifetime);
+    cfg.near_validity = kValidity;
+    return cfg;
+  }
+
+  explicit TransitionPinTest(bool deferred = true)
+      : clock_(1000 * kNanosPerSec),
+        server_(CacheStore::Config{.shard_count = 1},
+                PinConfig(&clock_, deferred)) {}
+
+  /// The events recorded since the last call are exactly `want`.
+  void ExpectEvents(const std::vector<PinnedEvent>& want) {
+    std::vector<std::string> expected;
+    for (const PinnedEvent& e : want) {
+      keys_.push_back(e.key);
+      expected.push_back(Describe(e.kind, e.session, TraceKeyHash(e.key)));
+    }
+    const std::vector<TraceEvent> all = server_.TraceSnapshot(4096);
+    ASSERT_GE(all.size(), seen_);
+    std::vector<std::string> got;
+    for (std::size_t i = seen_; i < all.size(); ++i) {
+      got.push_back(Describe(all[i].kind, all[i].session, all[i].key_hash));
+    }
+    seen_ = all.size();
+    EXPECT_EQ(got, expected);
+  }
+
+  std::string Describe(LeaseTraceKind kind, SessionId session,
+                       std::uint64_t key_hash) const {
+    std::string key = "#";
+    key.append(std::to_string(key_hash));
+    for (const std::string& k : keys_) {
+      if (TraceKeyHash(k) == key_hash) key = k;
+    }
+    std::string out = ToString(kind);
+    out.append(" s").append(std::to_string(session)).append(" ").append(key);
+    return out;
+  }
+
+  void ExpectStats(const IQServerStats& want) {
+    const IQServerStats got = server_.Stats();
+    for (const IQStatsField& f : kIQStatsFields) {
+      EXPECT_EQ(got.*f.member, want.*f.member) << f.name;
+    }
+  }
+
+  ManualClock clock_;
+  IQServer server_;
+  std::size_t seen_ = 0;
+  std::vector<std::string> keys_;
+};
+
+using LT = LeaseTraceKind;
+using GS = GetReply::Status;
+using QS = QaReadReply::Status;
+
+TEST_F(TransitionPinTest, EveryTransition) {
+  // -- I leases: grant, back-off, install, stale drop.
+  GetReply i1 = server_.IQget("i1", 1);
+  ASSERT_EQ(i1.status, GS::kMissGrantedI);
+  EXPECT_EQ(server_.IQget("i1", 2).status, GS::kMissBackoff);
+  EXPECT_EQ(server_.IQset("i1", "v", i1.token), StoreResult::kStored);
+  EXPECT_EQ(server_.IQset("i1", "v2", i1.token), StoreResult::kNotStored);
+  ExpectEvents({{LT::kIGrant, 1, "i1"}, {LT::kRelease, 1, "i1"}});
+
+  // -- I void by QaRead; the voided install drops; the swap releases.
+  GetReply i2 = server_.IQget("i2", 3);
+  QaReadReply q20 = server_.QaRead("i2", 20);
+  ASSERT_EQ(q20.status, QS::kGranted);
+  EXPECT_FALSE(q20.value);
+  EXPECT_EQ(server_.IQset("i2", "x", i2.token), StoreResult::kNotStored);
+  EXPECT_EQ(server_.SaR("i2", "w", q20.token), StoreResult::kStored);
+  ExpectEvents({{LT::kIGrant, 3, "i2"},
+                {LT::kIVoid, 3, "i2"},
+                {LT::kQRefGrant, 20, "i2"},
+                {LT::kRelease, 20, "i2"}});
+
+  // -- I void by QaReg, then the quarantine commits.
+  server_.IQget("i3", 4);
+  EXPECT_EQ(server_.QaReg(21, "i3"), QuarantineResult::kGranted);
+  server_.Commit(21);
+  ExpectEvents({{LT::kIGrant, 4, "i3"},
+                {LT::kIVoid, 4, "i3"},
+                {LT::kQInvGrant, 21, "i3"},
+                {LT::kCommit, 21, "i3"}});
+
+  // -- I void by IQDelta, then the delta session aborts.
+  server_.IQget("i4", 5);
+  EXPECT_EQ(server_.IQDelta(22, "i4", DeltaOp{DeltaOp::Kind::kAppend, "z", 0}),
+            QuarantineResult::kGranted);
+  server_.Abort(22);
+  ExpectEvents({{LT::kIGrant, 5, "i4"},
+                {LT::kIVoid, 5, "i4"},
+                {LT::kQRefGrant, 22, "i4"},
+                {LT::kAbort, 22, "i4"}});
+
+  // -- I void by DeleteVoid.
+  server_.IQget("i5", 6);
+  EXPECT_FALSE(server_.DeleteVoid("i5"));
+  ExpectEvents({{LT::kIGrant, 6, "i5"}, {LT::kIVoid, 6, "i5"}});
+
+  // -- Q(refresh): grant, buffered delta, re-acquire and own-update read
+  //    (both replay the delta), foreign hit on the old value, two rejects,
+  //    commit.
+  server_.store().Set("r1", "10");
+  QaReadReply q30 = server_.QaRead("r1", 30);
+  ASSERT_EQ(q30.status, QS::kGranted);
+  EXPECT_EQ(q30.value, "10");
+  EXPECT_EQ(server_.IQDelta(30, "r1", DeltaOp{DeltaOp::Kind::kIncr, {}, 5}),
+            QuarantineResult::kGranted);
+  QaReadReply again = server_.QaRead("r1", 30);
+  EXPECT_EQ(again.token, q30.token);
+  EXPECT_EQ(again.value, "15");
+  EXPECT_EQ(server_.IQget("r1", 30).value, "15");
+  EXPECT_EQ(server_.IQget("r1", 31).value, "10");
+  EXPECT_EQ(server_.QaRead("r1", 31).status, QS::kReject);
+  EXPECT_EQ(server_.IQDelta(31, "r1", DeltaOp{DeltaOp::Kind::kDecr, {}, 1}),
+            QuarantineResult::kReject);
+  server_.Commit(30);
+  EXPECT_EQ(server_.store().Get("r1")->value, "15");
+  ExpectEvents({{LT::kQRefGrant, 30, "r1"},
+                {LT::kReject, 31, "r1"},
+                {LT::kReject, 31, "r1"},
+                {LT::kCommit, 30, "r1"}});
+
+  // -- Q(refresh) on a missing key: a foreign reader backs off; abort.
+  EXPECT_FALSE(server_.QaRead("r2", 32).value);
+  EXPECT_EQ(server_.IQget("r2", 33).status, GS::kMissBackoff);
+  server_.Abort(32);
+  ExpectEvents({{LT::kQRefGrant, 32, "r2"}, {LT::kAbort, 32, "r2"}});
+
+  // -- Q(refresh) expiry deletes the key; the late swap drops.
+  server_.store().Set("r3", "v");
+  QaReadReply q34 = server_.QaRead("r3", 34);
+  clock_.Advance(kLifetime);
+  EXPECT_EQ(server_.SaR("r3", "late", q34.token), StoreResult::kNotFound);
+  EXPECT_FALSE(server_.store().Get("r3"));
+  ExpectEvents({{LT::kQRefGrant, 34, "r3"}, {LT::kExpireDelete, 34, "r3"}});
+
+  // -- Q(invalidate): grant, share, the holder's own miss, a foreign hit on
+  //    the old value, one holder aborts, the other commits the delete.
+  server_.store().Set("v1", "old");
+  EXPECT_EQ(server_.QaReg(40, "v1"), QuarantineResult::kGranted);
+  EXPECT_EQ(server_.QaReg(41, "v1"), QuarantineResult::kGranted);
+  EXPECT_EQ(server_.IQget("v1", 40).status, GS::kMissNoLease);
+  EXPECT_EQ(server_.IQget("v1", 42).value, "old");
+  server_.Abort(41);
+  EXPECT_TRUE(server_.store().Get("v1"));
+  server_.Commit(40);
+  EXPECT_FALSE(server_.store().Get("v1"));
+  ExpectEvents({{LT::kQInvGrant, 40, "v1"},
+                {LT::kQInvGrant, 41, "v1"},
+                {LT::kAbort, 41, "v1"},
+                {LT::kCommit, 40, "v1"}});
+
+  // -- Q(invalidate) release; a foreign reader of a missing quarantined key
+  //    backs off; DaR commits.
+  server_.QaReg(43, "v2");
+  server_.ReleaseKey(43, "v2");
+  server_.QaReg(45, "v3");
+  EXPECT_EQ(server_.IQget("v3", 46).status, GS::kMissBackoff);
+  server_.DaR(45);
+  ExpectEvents({{LT::kQInvGrant, 43, "v2"},
+                {LT::kRelease, 43, "v2"},
+                {LT::kQInvGrant, 45, "v3"},
+                {LT::kCommit, 45, "v3"}});
+
+  // -- The cross-technique void: QaReg voids a Q(refresh) and deletes now;
+  //    the voided swap drops and its session's commit finds nothing.
+  server_.store().Set("x1", "old");
+  QaReadReply q50 = server_.QaRead("x1", 50);
+  server_.QaReg(51, "x1");
+  EXPECT_FALSE(server_.store().Get("x1"));
+  EXPECT_EQ(server_.SaR("x1", "new", q50.token), StoreResult::kNotFound);
+  server_.Commit(51);
+  server_.Commit(50);
+  ExpectEvents({{LT::kQRefGrant, 50, "x1"},
+                {LT::kQRefVoid, 50, "x1"},
+                {LT::kQInvGrant, 51, "x1"},
+                {LT::kCommit, 51, "x1"}});
+
+  // -- ReleaseKey on a Q(refresh) and on an I lease.
+  server_.QaRead("x2", 52);
+  server_.ReleaseKey(52, "x2");
+  server_.IQget("x3", 53);
+  server_.ReleaseKey(53, "x3");
+  EXPECT_FALSE(server_.LeaseOn("x3"));
+  ExpectEvents({{LT::kQRefGrant, 52, "x2"},
+                {LT::kRelease, 52, "x2"},
+                {LT::kIGrant, 53, "x3"},
+                {LT::kRelease, 53, "x3"}});
+
+  // -- SweepExpired: an I lease expires; later a Q(invalidate) expires with
+  //    its key while a younger lease stays. One overdue lease per sweep, so
+  //    the order of the lease map does not show.
+  server_.IQget("e1", 60);
+  clock_.Advance(kLifetime);
+  server_.store().Set("e2", "v");
+  server_.QaReg(61, "e2");
+  EXPECT_EQ(server_.SweepExpired(), 1u);
+  clock_.Advance(kLifetime / 2);
+  server_.QaRead("e3", 62);
+  clock_.Advance(kLifetime / 2);
+  EXPECT_EQ(server_.SweepExpired(), 1u);
+  EXPECT_FALSE(server_.store().Get("e2"));
+  server_.Abort(62);
+  server_.Commit(61);
+  ExpectEvents({{LT::kIGrant, 60, "e1"},
+                {LT::kQInvGrant, 61, "e2"},
+                {LT::kExpire, 60, "e1"},
+                {LT::kQRefGrant, 62, "e3"},
+                {LT::kExpireDelete, 0, "e2"},
+                {LT::kAbort, 62, "e3"}});
+
+  // -- The holdover under near_validity (DESIGN.md §4.10): a clean hit
+  //    grants validity, so the committed delete waits for it to lapse. The
+  //    old value stays readable, a joining holder re-lives the entry and
+  //    its abort keeps the pending delete, and the lapse reclaims the entry
+  //    silently.
+  server_.store().Set("h1", "old");
+  GetReply hit = server_.IQget("h1", 70);
+  EXPECT_EQ(hit.validity, kValidity);
+  server_.QaReg(71, "h1");
+  server_.Commit(71);
+  EXPECT_EQ(server_.IQget("h1", 72).value, "old");
+  EXPECT_EQ(server_.IQget("h1", 72).validity, 0);
+  server_.QaReg(73, "h1");
+  server_.Abort(73);
+  EXPECT_EQ(server_.LeaseOn("h1"), LeaseKind::kQInvalidate);
+  clock_.Advance(kValidity);
+  EXPECT_FALSE(server_.LeaseOn("h1"));
+  EXPECT_FALSE(server_.store().Get("h1"));
+  ExpectEvents({{LT::kQInvGrant, 71, "h1"},
+                {LT::kCommit, 71, "h1"},
+                {LT::kQInvGrant, 73, "h1"},
+                {LT::kAbort, 73, "h1"}});
+
+  // -- A holdover whose grants lapse while a joined holder remains: that
+  //    holder's release, or abort, performs the pending delete.
+  for (SessionId s : {80, 82}) {
+    const std::string key = s == 80 ? "h2" : "h3";
+    server_.store().Set(key, "old");
+    server_.IQget(key, 79);
+    server_.QaReg(s, key);
+    server_.Commit(s);
+    server_.QaReg(s + 1, key);
+    clock_.Advance(kValidity);
+    EXPECT_TRUE(server_.store().Get(key));
+    if (s == 80) {
+      server_.ReleaseKey(s + 1, key);
+    } else {
+      server_.Abort(s + 1);
+    }
+    EXPECT_FALSE(server_.store().Get(key));
+    EXPECT_FALSE(server_.LeaseOn(key));
+  }
+  ExpectEvents({{LT::kQInvGrant, 80, "h2"},
+                {LT::kCommit, 80, "h2"},
+                {LT::kQInvGrant, 81, "h2"},
+                {LT::kRelease, 81, "h2"},
+                {LT::kQInvGrant, 82, "h3"},
+                {LT::kCommit, 82, "h3"},
+                {LT::kQInvGrant, 83, "h3"},
+                {LT::kAbort, 83, "h3"}});
+
+  // -- Two holders under a live grant: the first commit leaves the delete
+  //    pending behind the second holder, the second starts the holdover,
+  //    and SweepExpired reclaims it silently once the grant lapses.
+  server_.store().Set("h4", "old");
+  server_.IQget("h4", 89);
+  server_.QaReg(90, "h4");
+  server_.QaReg(91, "h4");
+  server_.Commit(90);
+  server_.Commit(91);
+  EXPECT_TRUE(server_.store().Get("h4"));
+  clock_.Advance(kValidity);
+  EXPECT_EQ(server_.SweepExpired(), 1u);
+  EXPECT_FALSE(server_.store().Get("h4"));
+  ExpectEvents({{LT::kQInvGrant, 90, "h4"},
+                {LT::kQInvGrant, 91, "h4"},
+                {LT::kCommit, 90, "h4"},
+                {LT::kCommit, 91, "h4"}});
+
+  EXPECT_EQ(server_.LeaseCount(), 0u);
+  IQServerStats want;
+  want.i_granted = 7;
+  want.i_voided = 4;
+  want.q_ref_voided = 1;
+  want.backoffs = 3;
+  want.stale_sets_dropped = 4;
+  want.q_inv_granted = 15;
+  want.q_ref_granted = 8;
+  want.q_rejected = 2;
+  want.leases_expired = 3;
+  want.expiry_deletes = 2;
+  want.commits = 12;
+  want.aborts = 6;
+  want.near_grants = 4;
+  ExpectStats(want);
+}
+
+// The same grants under eager delete: QaReg removes the value at once, in
+// both its grant and its share, and a foreign reader backs off.
+class EagerTransitionPinTest : public TransitionPinTest {
+ protected:
+  EagerTransitionPinTest() : TransitionPinTest(/*deferred=*/false) {}
+};
+
+TEST_F(EagerTransitionPinTest, QuarantineDeletesAtOnce) {
+  server_.store().Set("k", "old");
+  server_.QaReg(1, "k");
+  EXPECT_FALSE(server_.store().Get("k"));
+  server_.store().Set("k", "again");
+  server_.QaReg(2, "k");
+  EXPECT_FALSE(server_.store().Get("k"));
+  EXPECT_EQ(server_.IQget("k", 3).status, GS::kMissBackoff);
+  server_.store().Set("r", "old");
+  server_.QaRead("r", 4);
+  EXPECT_EQ(server_.IQget("r", 5).status, GS::kMissBackoff);
+  server_.Commit(1);
+  server_.Abort(2);
+  server_.Commit(4);
+  ExpectEvents({{LT::kQInvGrant, 1, "k"},
+                {LT::kQInvGrant, 2, "k"},
+                {LT::kQRefGrant, 4, "r"},
+                {LT::kCommit, 1, "k"},
+                {LT::kAbort, 2, "k"},
+                {LT::kCommit, 4, "r"}});
+  IQServerStats want;
+  want.backoffs = 2;
+  want.q_inv_granted = 2;
+  want.q_ref_granted = 1;
+  want.commits = 2;
+  want.aborts = 1;
+  ExpectStats(want);
+}
+
 }  // namespace
 }  // namespace iq
