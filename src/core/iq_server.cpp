@@ -1,41 +1,10 @@
 #include "core/iq_server.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 
 namespace iq {
 namespace {
-
-std::optional<std::uint64_t> ParseUint(std::string_view v) {
-  std::uint64_t out = 0;
-  auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc{} || ptr != v.data() + v.size()) return std::nullopt;
-  return out;
-}
-
-/// Apply one delta to an in-memory value (memcached semantics; incr/decr on
-/// non-numeric values are ignored, decr saturates at zero).
-void ApplyDeltaToValue(std::string& value, const DeltaOp& delta) {
-  switch (delta.kind) {
-    case DeltaOp::Kind::kAppend:
-      value.append(delta.blob);
-      return;
-    case DeltaOp::Kind::kPrepend:
-      value.insert(0, delta.blob);
-      return;
-    case DeltaOp::Kind::kIncr: {
-      auto cur = ParseUint(value);
-      if (cur) value = std::to_string(*cur + delta.amount);
-      return;
-    }
-    case DeltaOp::Kind::kDecr: {
-      auto cur = ParseUint(value);
-      if (cur) value = std::to_string(*cur >= delta.amount ? *cur - delta.amount : 0);
-      return;
-    }
-  }
-}
 
 /// Distance between the id bases of two incarnations in one process.
 constexpr std::uint64_t kIncarnationStride = std::uint64_t{1} << 32;
@@ -126,6 +95,19 @@ Nanos IQServer::TakeNearHorizon(const CacheStore::ShardGuard& g,
 
 IQServer::IQServer() : IQServer(CacheStore::Config{}, Config{}) {}
 
+IQServer::Locked IQServer::Lock(std::string_view key, const LazyNow& now) {
+  std::string skey(key);
+  auto g = store_.LockKey(key);
+  MaybeExpire(g, skey, now);
+  LeaseEntry* entry = leases_.Find(g.shard_index(), skey);
+  return {std::move(g), std::move(skey), now, entry};
+}
+
+void IQServer::Erase(Locked& k) {
+  leases_.Erase(k.g.shard_index(), k.key);
+  k.entry = nullptr;
+}
+
 bool IQServer::MaybeExpire(const CacheStore::ShardGuard& g,
                            const std::string& key, const LazyNow& now) {
   LeaseEntry* entry = leases_.Find(g.shard_index(), key);
@@ -165,14 +147,126 @@ bool IQServer::MaybeExpire(const CacheStore::ShardGuard& g,
   return true;
 }
 
+void IQServer::VoidI(Locked& k) {
+  // A writer preempts a reader's I lease: the RDBMS ordering between them
+  // is unknown, so the reader's eventual IQset must be dropped.
+  const SessionId reader = k.entry->holder;
+  Erase(k);
+  StatsFor(k.g).i_voided.fetch_add(1, std::memory_order_relaxed);
+  Trace(k.g, LeaseTraceKind::kIVoid, reader, k.key, k.now);
+}
+
+LeaseEntry* IQServer::GrantQRefresh(Locked& k, SessionId tid) {
+  if (LeaseEntry* e = k.entry) {
+    if (e->kind == LeaseKind::kQRefresh && e->holder == tid) {
+      // Idempotent re-acquisition by the holder: a holder touch, so the
+      // deadline extends (the session is alive; an expiry here would delete
+      // the key and silently no-op the coming SaR/Commit).
+      e->expires_at = Deadline(k.now);
+      return e;
+    }
+    if (e->kind == LeaseKind::kInhibit) {
+      VoidI(k);
+    } else if (config_.mutate_overlap_q && e->kind == LeaseKind::kQRefresh) {
+      // TEST-ONLY mutation (Config::mutate_overlap_q): steal the key from
+      // the live foreign Q(refresh) holder instead of rejecting — two write
+      // sessions now race on one key and the trace shows a q_ref_grant
+      // inside a live Q window.
+      Erase(k);
+    } else {
+      // Another write session holds Q (Figure 5b): reject; the caller
+      // releases everything, rolls back its RDBMS transaction, retries.
+      StatsFor(k.g).q_rejected.fetch_add(1, std::memory_order_relaxed);
+      Trace(k.g, LeaseTraceKind::kReject, tid, k.key, k.now);
+      return nullptr;
+    }
+  }
+  k.entry = &leases_.Put(k.g.shard_index(), k.key,
+                         LeaseEntry{.kind = LeaseKind::kQRefresh,
+                                    .token = NewToken(),
+                                    .holder = tid,
+                                    .expires_at = Deadline(k.now)});
+  registry_.AddKey(tid, k.key);
+  StatsFor(k.g).q_ref_granted.fetch_add(1, std::memory_order_relaxed);
+  Trace(k.g, LeaseTraceKind::kQRefGrant, tid, k.key, k.now);
+  return k.entry;
+}
+
+std::optional<std::string> IQServer::OwnRead(Locked& k) {
+  // A holder touch too: the session is demonstrably alive, and letting the
+  // lease lapse mid-session would delete the key and no-op its SaR/Commit.
+  k.entry->expires_at = Deadline(k.now);
+  auto item = store_.GetLocked(k.g, k.key);
+  if (!item) return std::nullopt;
+  // TEST-ONLY mutation (Config::mutate_own_update_invisible): skip the
+  // replay so iqcheck can prove it catches the historical bug.
+  if (!config_.mutate_own_update_invisible) {
+    for (const DeltaOp& d : k.entry->pending_deltas) ApplyDelta(item->value, d);
+  }
+  return std::move(item->value);
+}
+
+bool IQServer::Install(Locked& k, LeaseKind kind, LeaseToken token,
+                       std::optional<std::string_view> value) {
+  const LeaseEntry* e = k.entry;
+  if (e == nullptr || e->kind != kind || e->token != token || token == 0) {
+    // The lease was voided by a Q request, expired, or never existed: the
+    // computed value may be stale, so it is dropped (Section 3.2); a key
+    // whose Q lease went is (or will be) deleted, which is always safe.
+    StatsFor(k.g).stale_sets_dropped.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  if (value) store_.SetLocked(k.g, k.key, *value);
+  const SessionId holder = e->holder;
+  Erase(k);
+  if (kind == LeaseKind::kQRefresh) registry_.RemoveKey(holder, k.key);
+  Trace(k.g, LeaseTraceKind::kRelease, holder, k.key, k.now);
+  return true;
+}
+
+void IQServer::Leave(Locked& k, SessionId tid, bool commit) {
+  LeaseEntry& e = *k.entry;
+  if (e.kind != LeaseKind::kQInvalidate) {
+    if (commit) {
+      for (const DeltaOp& d : e.pending_deltas) {
+        store_.UpdateLocked(k.g, k.key, d);
+      }
+    }
+    Erase(k);  // an abort discards the buffered deltas
+    return;
+  }
+  // The holdover rule (DESIGN.md §4.10): while validity intervals granted
+  // on the key before its Q are outstanding, remote near caches may still
+  // serve the old value, so a committed delete stays pending, and the old
+  // value visible, until the newest interval lapses. Otherwise a commit
+  // deletes at once, and an abort leaves the current version in place
+  // (Section 3.3) but performs a pending delete if it ends the lease.
+  const bool hold = e.hold_until > k.now();
+  e.inv_holders.erase(tid);
+  const bool last = e.inv_holders.empty();
+  if (commit && hold) e.pending_delete = true;
+  if (!hold && (commit || (last && e.pending_delete))) {
+    store_.DeleteLocked(k.g, k.key);
+  }
+  if (!last) return;
+  if (hold && e.pending_delete) {
+    // Silent holdover: every holder has ended (and is traced as such);
+    // MaybeExpire reclaims the entry at hold_until without further trace
+    // events or expiry counters.
+    e.expires_at = e.hold_until;
+  } else {
+    Erase(k);
+  }
+}
+
 GetReply IQServer::IQget(std::string_view key, SessionId session) {
   // Mutex-free fast path (DESIGN.md §4.6): when the key's shard holds no
   // lease at all, a read hit is just a plain cache hit — serve it from the
-  // seqlock mirror without taking the shard lock. The shard-level count is
-  // conservative: any lease anywhere in the shard sends us to the locked
-  // path, which also preserves own-update visibility (a session that holds
-  // a lease on this key observes its own grant in program order, so the
-  // count it reads here is nonzero). Disabled while near-cache validity
+  // item's seqlock entry without taking the shard lock. The shard-level
+  // count is conservative: any lease anywhere in the shard sends us to the
+  // locked path, which also preserves own-update visibility (a session that
+  // holds a lease on this key observes its own grant in program order, so
+  // the count it reads here is nonzero). Disabled while near-cache validity
   // grants are on: every hit must record its grant horizon under the shard
   // lock so QaReg can hold the Q until the newest grant lapses.
   if (store_.optimistic_enabled() && config_.near_validity == 0) {
@@ -183,62 +277,34 @@ GetReply IQServer::IQget(std::string_view key, SessionId session) {
       }
     }
   }
-  std::string skey(key);
-  auto g = store_.LockKey(key);
   const LazyNow now(clock_);
-  MaybeExpire(g, skey, now);
-  LeaseEntry* entry = leases_.Find(g.shard_index(), skey);
+  Locked k = Lock(key, now);
 
-  if (entry != nullptr) {
-    switch (entry->kind) {
-      case LeaseKind::kQInvalidate: {
-        if (session != 0 && entry->inv_holders.contains(session)) {
-          // The quarantining session must observe a miss so it re-queries
-          // the RDBMS and sees its own update (Section 3.3). No lease: it
-          // must not install the recomputed value either.
-          return {GetReply::Status::kMissNoLease, {}, 0};
-        }
-        if (config_.deferred_delete) {
-          // Old version stays visible until DaR: readers serialize before
-          // the in-flight write session (the re-arrangement window).
-          auto item = store_.GetLocked(g, key);
-          if (item) return {GetReply::Status::kHit, std::move(item->value), 0};
-        }
-        StatsFor(g).backoffs.fetch_add(1, std::memory_order_relaxed);
-        return {GetReply::Status::kMissBackoff, {}, 0};
-      }
-      case LeaseKind::kQRefresh: {
-        if (session != 0 && entry->holder == session) {
-          // Own-update visibility (Section 4.2.2): the holder sees its
-          // buffered deltas applied. A holder touch also extends the lease:
-          // the session is demonstrably alive, and letting the lease lapse
-          // mid-session would delete the key and no-op the coming SaR.
-          entry->expires_at = Deadline(now);
-          auto item = store_.GetLocked(g, key);
-          if (item) {
-            std::string value = std::move(item->value);
-            for (const auto& d : entry->pending_deltas) ApplyDeltaToValue(value, d);
-            return {GetReply::Status::kHit, std::move(value), 0};
-          }
-          return {GetReply::Status::kMissNoLease, {}, 0};
-        }
-        if (config_.deferred_delete) {
-          auto item = store_.GetLocked(g, key);
-          if (item) return {GetReply::Status::kHit, std::move(item->value), 0};
-        }
-        StatsFor(g).backoffs.fetch_add(1, std::memory_order_relaxed);
-        return {GetReply::Status::kMissBackoff, {}, 0};
-      }
-      case LeaseKind::kInhibit: {
-        auto item = store_.GetLocked(g, key);
-        if (item) return {GetReply::Status::kHit, std::move(item->value), 0};
-        StatsFor(g).backoffs.fetch_add(1, std::memory_order_relaxed);
-        return {GetReply::Status::kMissBackoff, {}, 0};
+  if (const LeaseEntry* e = k.entry) {
+    if (session != 0 && e->kind != LeaseKind::kInhibit && e->HeldBy(session)) {
+      // The writer's own key. Under Q(invalidate) it must observe a miss so
+      // it re-queries the RDBMS and sees its own update (Section 3.3); no
+      // lease: it must not install the recomputed value either. Under
+      // Q(refresh) it sees its buffered deltas applied (Section 4.2.2).
+      std::optional<std::string> own;
+      if (e->kind == LeaseKind::kQRefresh) own = OwnRead(k);
+      if (!own) return {GetReply::Status::kMissNoLease, {}, 0};
+      return {GetReply::Status::kHit, std::move(*own), 0};
+    }
+    // Another session's lease. The old version stays visible until the
+    // write session ends — readers serialize before it (the Section 3.3
+    // re-arrangement window) — unless eager delete removed it; a value
+    // under an I lease is always served. Otherwise back off.
+    if (config_.deferred_delete || e->kind == LeaseKind::kInhibit) {
+      if (auto item = store_.GetLocked(k.g, key)) {
+        return {GetReply::Status::kHit, std::move(item->value), 0};
       }
     }
+    StatsFor(k.g).backoffs.fetch_add(1, std::memory_order_relaxed);
+    return {GetReply::Status::kMissBackoff, {}, 0};
   }
 
-  auto item = store_.GetLocked(g, key);
+  auto item = store_.GetLocked(k.g, key);
   if (item) {
     GetReply reply{GetReply::Status::kHit, std::move(item->value), 0};
     if (config_.near_validity > 0) {
@@ -248,382 +314,147 @@ GetReply IQServer::IQget(std::string_view key, SessionId session) {
       // own-update replay) never grant — a value already being written out
       // must not gain new validity.
       reply.validity = config_.near_validity;
-      RecordNearGrant(g, skey, now);
+      RecordNearGrant(k.g, k.key, now);
     }
     return reply;
   }
 
   // Miss with no pending lease: grant an I lease so exactly one session
   // queries the RDBMS (also Facebook's thundering-herd protection).
-  LeaseEntry lease;
-  lease.kind = LeaseKind::kInhibit;
-  lease.token = NewToken();
-  lease.holder = session;
-  lease.expires_at = Deadline(now);
-  LeaseToken token = lease.token;
-  leases_.Put(g.shard_index(), skey, std::move(lease));
-  StatsFor(g).i_granted.fetch_add(1, std::memory_order_relaxed);
-  Trace(g, LeaseTraceKind::kIGrant, session, key, now);
+  const LeaseToken token = NewToken();
+  leases_.Put(k.g.shard_index(), k.key,
+              LeaseEntry{.kind = LeaseKind::kInhibit,
+                         .token = token,
+                         .holder = session,
+                         .expires_at = Deadline(now)});
+  StatsFor(k.g).i_granted.fetch_add(1, std::memory_order_relaxed);
+  Trace(k.g, LeaseTraceKind::kIGrant, session, key, now);
   return {GetReply::Status::kMissGrantedI, {}, token};
 }
 
 StoreResult IQServer::IQset(std::string_view key, std::string_view value,
                             LeaseToken token) {
-  std::string skey(key);
-  auto g = store_.LockKey(key);
   const LazyNow now(clock_);
-  MaybeExpire(g, skey, now);
-  LeaseEntry* entry = leases_.Find(g.shard_index(), skey);
-  if (entry != nullptr && entry->kind == LeaseKind::kInhibit &&
-      entry->token == token && token != 0) {
-    SessionId holder = entry->holder;
-    store_.SetLocked(g, key, value);
-    leases_.Erase(g.shard_index(), skey);
-    Trace(g, LeaseTraceKind::kRelease, holder, key, now);
-    return StoreResult::kStored;
-  }
-  // The I lease was voided by a Q request, expired, or never existed: the
-  // computed value may be stale, so the set is ignored (Section 3.2).
-  StatsFor(g).stale_sets_dropped.fetch_add(1, std::memory_order_relaxed);
-  return StoreResult::kNotStored;
+  Locked k = Lock(key, now);
+  return Install(k, LeaseKind::kInhibit, token, value) ? StoreResult::kStored
+                                                       : StoreResult::kNotStored;
 }
 
 QaReadReply IQServer::QaRead(std::string_view key, SessionId session) {
-  std::string skey(key);
-  auto g = store_.LockKey(key);
   const LazyNow now(clock_);
-  MaybeExpire(g, skey, now);
-  LeaseEntry* entry = leases_.Find(g.shard_index(), skey);
-
-  if (entry != nullptr) {
-    if (entry->kind == LeaseKind::kInhibit) {
-      // A writer preempts a reader's I lease: the RDBMS ordering between
-      // them is unknown, so the reader's eventual IQset must be dropped.
-      SessionId reader = entry->holder;
-      leases_.Erase(g.shard_index(), skey);
-      entry = nullptr;
-      StatsFor(g).i_voided.fetch_add(1, std::memory_order_relaxed);
-      Trace(g, LeaseTraceKind::kIVoid, reader, key, now);
-    } else if (entry->kind == LeaseKind::kQRefresh && entry->holder == session) {
-      // Idempotent re-acquisition by the same session: a holder touch, so
-      // the deadline extends (the session is alive; an expiry here would
-      // delete the key and silently no-op the coming SaR/Commit), and the
-      // reply must show the session's own buffered deltas — the same
-      // own-update visibility rule (Section 4.2.2) IQget applies. Without
-      // the replay, an IQDelta'd update would be visible through IQget but
-      // vanish from the very QaRead that re-reads the key.
-      entry->expires_at = Deadline(now);
-      auto item = store_.GetLocked(g, key);
-      if (!item) {
-        return {QaReadReply::Status::kGranted, std::nullopt, entry->token};
-      }
-      std::string value = std::move(item->value);
-      // TEST-ONLY mutation (Config::mutate_own_update_invisible): skip the
-      // replay so iqcheck can prove it catches the historical bug.
-      if (!config_.mutate_own_update_invisible) {
-        for (const auto& d : entry->pending_deltas) ApplyDeltaToValue(value, d);
-      }
-      return {QaReadReply::Status::kGranted, std::move(value), entry->token};
-    } else if (config_.mutate_overlap_q &&
-               entry->kind == LeaseKind::kQRefresh) {
-      // TEST-ONLY mutation (Config::mutate_overlap_q): steal the key from
-      // the live foreign Q(refresh) holder instead of rejecting, then fall
-      // through to a fresh grant — two write sessions now race on one key
-      // and the trace shows a q_ref_grant inside a live Q window.
-      leases_.Erase(g.shard_index(), skey);
-      entry = nullptr;
-    } else {
-      // Another write session holds Q (Figure 5b): reject; the caller
-      // releases everything, rolls back its RDBMS transaction, retries.
-      StatsFor(g).q_rejected.fetch_add(1, std::memory_order_relaxed);
-      Trace(g, LeaseTraceKind::kReject, session, key, now);
-      return {QaReadReply::Status::kReject, std::nullopt, 0};
-    }
-  }
-
-  LeaseEntry lease;
-  lease.kind = LeaseKind::kQRefresh;
-  lease.token = NewToken();
-  lease.holder = session;
-  lease.expires_at = Deadline(now);
-  LeaseToken token = lease.token;
-  leases_.Put(g.shard_index(), skey, std::move(lease));
-  registry_.AddKey(session, skey);
-  StatsFor(g).q_ref_granted.fetch_add(1, std::memory_order_relaxed);
-  Trace(g, LeaseTraceKind::kQRefGrant, session, key, now);
-  auto item = store_.GetLocked(g, key);
-  return {QaReadReply::Status::kGranted,
-          item ? std::optional<std::string>(std::move(item->value)) : std::nullopt,
-          token};
+  Locked k = Lock(key, now);
+  const LeaseEntry* lease = GrantQRefresh(k, session);
+  if (lease == nullptr) return {QaReadReply::Status::kReject, std::nullopt, 0};
+  // A re-acquisition's reply shows the session's own buffered deltas — the
+  // own-update visibility rule (Section 4.2.2) IQget applies. Without the
+  // replay, an IQDelta'd update would be visible through IQget but vanish
+  // from the very QaRead that re-reads the key.
+  return {QaReadReply::Status::kGranted, OwnRead(k), lease->token};
 }
 
 StoreResult IQServer::SaR(std::string_view key,
                           std::optional<std::string_view> v_new,
                           LeaseToken token) {
-  std::string skey(key);
-  auto g = store_.LockKey(key);
   const LazyNow now(clock_);
-  MaybeExpire(g, skey, now);
-  LeaseEntry* entry = leases_.Find(g.shard_index(), skey);
-  if (entry == nullptr || entry->kind != LeaseKind::kQRefresh ||
-      entry->token != token || token == 0) {
-    // Voided (by a QaReg) or expired lease: swap is ignored; the key is (or
-    // will be) deleted, which is always safe.
-    StatsFor(g).stale_sets_dropped.fetch_add(1, std::memory_order_relaxed);
-    return StoreResult::kNotFound;
-  }
-  if (v_new) store_.SetLocked(g, key, *v_new);
-  SessionId holder = entry->holder;
-  leases_.Erase(g.shard_index(), skey);
-  registry_.RemoveKey(holder, skey);
-  Trace(g, LeaseTraceKind::kRelease, holder, key, now);
-  return StoreResult::kStored;
+  Locked k = Lock(key, now);
+  return Install(k, LeaseKind::kQRefresh, token, v_new) ? StoreResult::kStored
+                                                        : StoreResult::kNotFound;
 }
 
 QuarantineResult IQServer::QaReg(SessionId tid, std::string_view key) {
-  std::string skey(key);
-  auto g = store_.LockKey(key);
   const LazyNow now(clock_);
-  MaybeExpire(g, skey, now);
-  LeaseEntry* entry = leases_.Find(g.shard_index(), skey);
-
-  if (entry != nullptr) {
-    switch (entry->kind) {
-      case LeaseKind::kInhibit: {
-        SessionId reader = entry->holder;
-        leases_.Erase(g.shard_index(), skey);
-        entry = nullptr;
-        StatsFor(g).i_voided.fetch_add(1, std::memory_order_relaxed);
-        Trace(g, LeaseTraceKind::kIVoid, reader, key, now);
-        break;
-      }
-      case LeaseKind::kQInvalidate:
-        // Deletes are idempotent: Q(invalidate) leases share (Figure 5a).
-        // Sharing is a holder touch: the deadline extends to cover the
-        // newest quarantining session. Joining a holdover re-lives it; its
-        // hold_until / pending_delete carry over.
-        entry->inv_holders.insert(tid);
-        entry->expires_at = Deadline(now);
-        entry->hold_until = std::max(entry->hold_until, TakeNearHorizon(g, skey));
-        registry_.AddKey(tid, skey);
-        if (!config_.deferred_delete) store_.DeleteLocked(g, key);
-        StatsFor(g).q_inv_granted.fetch_add(1, std::memory_order_relaxed);
-        Trace(g, LeaseTraceKind::kQInvGrant, tid, key, now);
-        return QuarantineResult::kGranted;
-      case LeaseKind::kQRefresh: {
-        // Cross-technique collision: invalidation always wins because a
-        // delete is always safe. Void the refresh lease - its SaR/Commit
-        // becomes a no-op - and quarantine for deletion. The value goes
-        // now, even under deferred delete: the voided writer may already
-        // have committed its RDBMS transaction, and its dropped swap or
-        // delta was what would have replaced the old value, which must not
-        // stay readable until this session commits.
-        SessionId writer = entry->holder;
-        registry_.RemoveKey(entry->holder, skey);
-        leases_.Erase(g.shard_index(), skey);
-        entry = nullptr;
-        store_.DeleteLocked(g, key);
-        StatsFor(g).q_ref_voided.fetch_add(1, std::memory_order_relaxed);
-        Trace(g, LeaseTraceKind::kQRefVoid, writer, key, now);
-        break;
-      }
-    }
+  Locked k = Lock(key, now);
+  if (k.entry != nullptr && k.entry->kind == LeaseKind::kInhibit) {
+    VoidI(k);
+  } else if (k.entry != nullptr && k.entry->kind == LeaseKind::kQRefresh) {
+    // Cross-technique collision: invalidation always wins because a
+    // delete is always safe. Void the refresh lease - its SaR/Commit
+    // becomes a no-op - and quarantine for deletion. The value goes
+    // now, even under deferred delete: the voided writer may already
+    // have committed its RDBMS transaction, and its dropped swap or
+    // delta was what would have replaced the old value, which must not
+    // stay readable until this session commits.
+    const SessionId writer = k.entry->holder;
+    registry_.RemoveKey(writer, k.key);
+    Erase(k);
+    store_.DeleteLocked(k.g, key);
+    StatsFor(k.g).q_ref_voided.fetch_add(1, std::memory_order_relaxed);
+    Trace(k.g, LeaseTraceKind::kQRefVoid, writer, key, now);
   }
-
-  LeaseEntry lease;
-  lease.kind = LeaseKind::kQInvalidate;
-  lease.inv_holders.insert(tid);
-  lease.expires_at = Deadline(now);
-  // QaReg on a key with outstanding near-cache validity grants holds the Q
-  // until the newest grant lapses (DESIGN.md §4.10): the commit's delete
-  // must not take effect as "fresh" while a near cache may still serve the
-  // old value within its granted interval.
-  lease.hold_until = TakeNearHorizon(g, skey);
-  leases_.Put(g.shard_index(), skey, std::move(lease));
-  registry_.AddKey(tid, skey);
-  if (!config_.deferred_delete) store_.DeleteLocked(g, key);
-  StatsFor(g).q_inv_granted.fetch_add(1, std::memory_order_relaxed);
-  Trace(g, LeaseTraceKind::kQInvGrant, tid, key, now);
+  // Grant, or join: deletes are idempotent, so Q(invalidate) leases share
+  // (Figure 5a). Joining is a holder touch: the deadline extends to cover
+  // the newest quarantining session, and joining a holdover re-lives it,
+  // its pending delete carried over. A key with outstanding near-cache
+  // validity grants holds the Q until the newest grant lapses (DESIGN.md
+  // §4.10): the commit's delete must not take effect as "fresh" while a
+  // near cache may still serve the old value within its granted interval.
+  if (k.entry == nullptr) {
+    k.entry = &leases_.Put(k.g.shard_index(), k.key,
+                           LeaseEntry{.kind = LeaseKind::kQInvalidate});
+  }
+  LeaseEntry& q = *k.entry;
+  q.inv_holders.insert(tid);
+  q.expires_at = Deadline(now);
+  q.hold_until = std::max(q.hold_until, TakeNearHorizon(k.g, k.key));
+  registry_.AddKey(tid, k.key);
+  if (!config_.deferred_delete) store_.DeleteLocked(k.g, key);
+  StatsFor(k.g).q_inv_granted.fetch_add(1, std::memory_order_relaxed);
+  Trace(k.g, LeaseTraceKind::kQInvGrant, tid, key, now);
   return QuarantineResult::kGranted;
 }
 
 QuarantineResult IQServer::IQDelta(SessionId tid, std::string_view key,
                                    DeltaOp delta) {
-  std::string skey(key);
-  auto g = store_.LockKey(key);
   const LazyNow now(clock_);
-  MaybeExpire(g, skey, now);
-  LeaseEntry* entry = leases_.Find(g.shard_index(), skey);
-
-  if (entry != nullptr) {
-    if (entry->kind == LeaseKind::kInhibit) {
-      SessionId reader = entry->holder;
-      leases_.Erase(g.shard_index(), skey);
-      entry = nullptr;
-      StatsFor(g).i_voided.fetch_add(1, std::memory_order_relaxed);
-      Trace(g, LeaseTraceKind::kIVoid, reader, key, now);
-    } else if (entry->kind == LeaseKind::kQRefresh && entry->holder == tid) {
-      // Holder touch: extend the deadline so a long multi-delta session's
-      // lease cannot expire between buffered updates (expiry would delete
-      // the key and no-op the eventual Commit).
-      entry->expires_at = Deadline(now);
-      entry->pending_deltas.push_back(std::move(delta));
-      return QuarantineResult::kGranted;
-    } else {
-      StatsFor(g).q_rejected.fetch_add(1, std::memory_order_relaxed);
-      Trace(g, LeaseTraceKind::kReject, tid, key, now);
-      return QuarantineResult::kReject;
-    }
-  }
-
-  LeaseEntry lease;
-  lease.kind = LeaseKind::kQRefresh;
-  lease.token = NewToken();
-  lease.holder = tid;
-  lease.expires_at = Deadline(now);
-  lease.pending_deltas.push_back(std::move(delta));
-  leases_.Put(g.shard_index(), skey, std::move(lease));
-  registry_.AddKey(tid, skey);
-  StatsFor(g).q_ref_granted.fetch_add(1, std::memory_order_relaxed);
-  Trace(g, LeaseTraceKind::kQRefGrant, tid, key, now);
+  Locked k = Lock(key, now);
+  LeaseEntry* lease = GrantQRefresh(k, tid);
+  if (lease == nullptr) return QuarantineResult::kReject;
+  lease->pending_deltas.push_back(std::move(delta));
   return QuarantineResult::kGranted;
 }
 
-void IQServer::ApplyDeltaLocked(const CacheStore::ShardGuard& g,
-                                const std::string& key, const DeltaOp& delta) {
-  auto item = store_.GetLocked(g, key);
-  if (!item) return;  // delta on a non-resident key is a no-op
-  std::string value = std::move(item->value);
-  ApplyDeltaToValue(value, delta);
-  store_.SetLocked(g, key, value);
-}
-
-void IQServer::Commit(SessionId tid) {
+void IQServer::EndSession(SessionId tid, bool commit) {
   const LazyNow now(clock_);
-  for (const std::string& key : registry_.Keys(tid)) {
-    auto g = store_.LockKey(key);
-    LeaseEntry* entry = leases_.Find(g.shard_index(), key);
-    if (entry == nullptr || !entry->HeldBy(tid)) continue;
-    switch (entry->kind) {
-      case LeaseKind::kQInvalidate: {
-        // The invalidating commit takes effect immediately unless validity
-        // grants on the key are still outstanding (DESIGN.md §4.10): then
-        // the old value stays visible and the delete is deferred until the
-        // newest granted interval lapses, matching what remote near caches
-        // may still serve.
-        const bool hold = entry->hold_until > now();
-        if (hold) {
-          entry->pending_delete = true;
-        } else {
-          store_.DeleteLocked(g, key);
-        }
-        entry->inv_holders.erase(tid);
-        if (entry->inv_holders.empty()) {
-          if (hold) {
-            // Silent holdover: every holder has ended (and is traced as
-            // such); MaybeExpire reclaims the entry at hold_until without
-            // further trace events or expiry counters.
-            entry->expires_at = entry->hold_until;
-          } else {
-            leases_.Erase(g.shard_index(), key);
-          }
-        }
-        Trace(g, LeaseTraceKind::kCommit, tid, key, now);
-        break;
-      }
-      case LeaseKind::kQRefresh:
-        for (const auto& d : entry->pending_deltas) ApplyDeltaLocked(g, key, d);
-        leases_.Erase(g.shard_index(), key);
-        Trace(g, LeaseTraceKind::kCommit, tid, key, now);
-        break;
-      case LeaseKind::kInhibit:
-        break;  // I leases are not registered; defensive
+  for (std::string& key : registry_.Keys(tid)) {
+    Locked k{store_.LockKey(key), std::move(key), now, nullptr};
+    k.entry = leases_.Find(k.g.shard_index(), k.key);
+    // I leases are never registered; the kind test is defensive.
+    if (k.entry == nullptr || k.entry->kind == LeaseKind::kInhibit ||
+        !k.entry->HeldBy(tid)) {
+      continue;
     }
+    Leave(k, tid, commit);
+    Trace(k.g, commit ? LeaseTraceKind::kCommit : LeaseTraceKind::kAbort, tid,
+          k.key, now);
   }
   registry_.Drop(tid);
-  StatsFor(tid).commits.fetch_add(1, std::memory_order_relaxed);
+  IQShardStats& st = StatsFor(tid);
+  (commit ? st.commits : st.aborts).fetch_add(1, std::memory_order_relaxed);
 }
+
+void IQServer::Commit(SessionId tid) { EndSession(tid, /*commit=*/true); }
 
 void IQServer::DaR(SessionId tid) { Commit(tid); }
 
-void IQServer::Abort(SessionId tid) {
-  const LazyNow now(clock_);
-  for (const std::string& key : registry_.Keys(tid)) {
-    auto g = store_.LockKey(key);
-    LeaseEntry* entry = leases_.Find(g.shard_index(), key);
-    if (entry == nullptr || !entry->HeldBy(tid)) continue;
-    switch (entry->kind) {
-      case LeaseKind::kQInvalidate:
-        // Leave the current version in place (paper Section 3.3).
-        entry->inv_holders.erase(tid);
-        if (entry->inv_holders.empty()) {
-          if (entry->pending_delete) {
-            // Another holder's committed delete is pending behind
-            // outstanding validity grants; the abort must not discard it.
-            if (entry->hold_until > now()) {
-              entry->expires_at = entry->hold_until;  // silent holdover
-            } else {
-              store_.DeleteLocked(g, key);
-              leases_.Erase(g.shard_index(), key);
-            }
-          } else {
-            leases_.Erase(g.shard_index(), key);
-          }
-        }
-        Trace(g, LeaseTraceKind::kAbort, tid, key, now);
-        break;
-      case LeaseKind::kQRefresh:
-        leases_.Erase(g.shard_index(), key);  // pending deltas discarded
-        Trace(g, LeaseTraceKind::kAbort, tid, key, now);
-        break;
-      case LeaseKind::kInhibit:
-        break;
-    }
-  }
-  registry_.Drop(tid);
-  StatsFor(tid).aborts.fetch_add(1, std::memory_order_relaxed);
-}
+void IQServer::Abort(SessionId tid) { EndSession(tid, /*commit=*/false); }
 
 void IQServer::ReleaseKey(SessionId tid, std::string_view key) {
-  std::string skey(key);
-  auto g = store_.LockKey(key);
-  const LazyNow now(clock_);
   // An overdue lease takes the expiry path first — the quarantine delete
   // plus the leases_expired/expiry_deletes accounting every other lease-
   // mutating entry point performs — and the release is then a no-op.
-  MaybeExpire(g, skey, now);
-  LeaseEntry* entry = leases_.Find(g.shard_index(), skey);
-  if (entry == nullptr || !entry->HeldBy(tid)) return;
-  if (entry->kind == LeaseKind::kQInvalidate) {
-    entry->inv_holders.erase(tid);
-    if (entry->inv_holders.empty()) {
-      if (entry->pending_delete && entry->hold_until > now()) {
-        entry->expires_at = entry->hold_until;  // silent holdover (§4.10)
-      } else {
-        if (entry->pending_delete) store_.DeleteLocked(g, skey);
-        leases_.Erase(g.shard_index(), skey);
-      }
-    }
-  } else {
-    leases_.Erase(g.shard_index(), skey);
-  }
-  registry_.RemoveKey(tid, skey);
-  Trace(g, LeaseTraceKind::kRelease, tid, key, now);
+  const LazyNow now(clock_);
+  Locked k = Lock(key, now);
+  if (k.entry == nullptr || !k.entry->HeldBy(tid)) return;
+  Leave(k, tid, /*commit=*/false);
+  registry_.RemoveKey(tid, k.key);
+  Trace(k.g, LeaseTraceKind::kRelease, tid, key, now);
 }
 
 bool IQServer::DeleteVoid(std::string_view key) {
-  std::string skey(key);
-  auto g = store_.LockKey(key);
   const LazyNow now(clock_);
-  MaybeExpire(g, skey, now);
-  LeaseEntry* entry = leases_.Find(g.shard_index(), skey);
-  if (entry != nullptr && entry->kind == LeaseKind::kInhibit) {
-    SessionId reader = entry->holder;
-    leases_.Erase(g.shard_index(), skey);
-    StatsFor(g).i_voided.fetch_add(1, std::memory_order_relaxed);
-    Trace(g, LeaseTraceKind::kIVoid, reader, key, now);
-  }
-  return store_.DeleteLocked(g, key);
+  Locked k = Lock(key, now);
+  if (k.entry != nullptr && k.entry->kind == LeaseKind::kInhibit) VoidI(k);
+  return store_.DeleteLocked(k.g, key);
 }
 
 IQServerStats IQServer::Stats() const {
@@ -720,13 +551,10 @@ std::size_t IQServer::SweepExpired() {
 }
 
 std::optional<LeaseKind> IQServer::LeaseOn(std::string_view key) {
-  std::string skey(key);
-  auto g = store_.LockKey(key);
   const LazyNow now(clock_);
-  MaybeExpire(g, skey, now);
-  LeaseEntry* entry = leases_.Find(g.shard_index(), skey);
-  if (entry == nullptr) return std::nullopt;
-  return entry->kind;
+  Locked k = Lock(key, now);
+  if (k.entry == nullptr) return std::nullopt;
+  return k.entry->kind;
 }
 
 }  // namespace iq

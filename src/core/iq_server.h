@@ -113,14 +113,16 @@ class IQServer final : public KvsBackend {
     // history checker can prove it has teeth. NEVER set outside tests /
     // iqcached --mutate.
 
-    /// Re-introduce the PR 5 own-update visibility bug: QaRead
-    /// re-acquisition returns the stored value WITHOUT replaying the
-    /// session's buffered deltas (a session stops seeing its own writes —
-    /// the Section 4.2.2 violation iqcheck flags as non_monotonic_session).
+    /// Re-introduce the PR 5 own-update visibility bug: the Q(refresh)
+    /// holder's own reads (QaRead re-acquisition, IQget) return the stored
+    /// value WITHOUT replaying the session's buffered deltas (a session
+    /// stops seeing its own writes — the Section 4.2.2 violation iqcheck
+    /// flags as non_monotonic_session).
     bool mutate_own_update_invisible = false;
-    /// Violate Q exclusivity: QaRead steals the key from another session's
-    /// live Q(refresh) lease instead of rejecting (Figure 5b), so two
-    /// write sessions proceed on one key (iqcheck flags overlap_q).
+    /// Violate Q exclusivity: a Q(refresh) request (QaRead, IQDelta) steals
+    /// the key from another session's live Q(refresh) lease instead of
+    /// rejecting (Figure 5b), so two write sessions proceed on one key
+    /// (iqcheck flags overlap_q).
     bool mutate_overlap_q = false;
   };
 
@@ -246,18 +248,51 @@ class IQServer final : public KvsBackend {
   std::size_t SweepExpired();
 
  private:
-  /// Expire `entry` if due as of `now`: Q leases delete the key value.
-  /// Returns true if the entry was removed. Caller holds the shard lock.
-  /// `now` is the operation's shared lazy timestamp: lease-free fast paths
-  /// never read the clock, and paths that expire + grant + trace read it
-  /// once.
+  /// One key's critical section: its shard lock, the key, the operation's
+  /// shared lazy timestamp and the key's lease (nullptr: none). The
+  /// helpers below take it, so each lease transition is written once.
+  struct Locked {
+    CacheStore::ShardGuard g;
+    std::string key;
+    const LazyNow& now;
+    LeaseEntry* entry;
+  };
+
+  /// The prelude of every per-key command: lock `key`'s shard, expire an
+  /// overdue lease on it (MaybeExpire) and find the live one. `now` is the
+  /// operation's shared lazy timestamp: lease-free fast paths never read
+  /// the clock, and paths that expire + grant + trace read it once.
+  Locked Lock(std::string_view key, const LazyNow& now);
+
+  /// Expire the lease on `key` if due as of `now`: Q leases delete the key
+  /// value. Returns true if the entry was removed. Caller holds the shard
+  /// lock.
   bool MaybeExpire(const CacheStore::ShardGuard& g, const std::string& key,
                    const LazyNow& now);
 
-  /// Apply one buffered delta to the key's current value. Missing keys are
-  /// skipped for append/prepend/incr/decr (memcached semantics).
-  void ApplyDeltaLocked(const CacheStore::ShardGuard& g, const std::string& key,
-                        const DeltaOp& delta);
+  /// Drop k's lease entry.
+  void Erase(Locked& k);
+  /// Void k's I lease, so its holder's IQset is dropped.
+  void VoidI(Locked& k);
+  /// A Q(refresh) request by `tid` (Figure 5b): the holder re-acquires its
+  /// lease (a touch), an I lease is voided, another session's Q lease
+  /// rejects the request (nullptr), and a free key is granted.
+  LeaseEntry* GrantQRefresh(Locked& k, SessionId tid);
+  /// The Q(refresh) holder's own view of the key (Section 4.2.2): the
+  /// cached value with its buffered deltas replayed, or nullopt on a miss.
+  /// A holder touch.
+  std::optional<std::string> OwnRead(Locked& k);
+  /// IQset and SaR: install `value` (nullopt: keep the current one) under
+  /// k's `kind` lease with `token` and release it. False, counting a stale
+  /// set, when that lease is not live.
+  bool Install(Locked& k, LeaseKind kind, LeaseToken token,
+               std::optional<std::string_view> value);
+  /// `tid` leaves k's lease, committing or not: a Q(refresh) commit applies
+  /// its buffered deltas; a Q(invalidate) holder follows the one holdover
+  /// rule of DESIGN.md §4.10.
+  void Leave(Locked& k, SessionId tid, bool commit);
+  /// Commit/DaR (commit) and Abort: leave every lease `tid` holds.
+  void EndSession(SessionId tid, bool commit);
 
   /// Record a near-cache validity grant on `key` (shard lock held): the
   /// horizon advances to the server-clock instant the new interval lapses.

@@ -1,9 +1,11 @@
 // KvsBackend: the cache-server contract seen by clients - the ten IQ
 // commands of Section 5 plus the plain memcached operations the baseline
-// clients use. Two implementations exist:
+// clients use. Three implementations exist:
 //
 //   IQServer            (core/iq_server.h)  - in-process
 //   net::RemoteBackend  (net/remote_backend.h) - over the wire protocol
+//   ShardedBackend      (core/sharded_backend.h) - routes each key to one
+//                       of several child backends (the sharded tier)
 //
 // Everything above this interface (IQClient, the casql session layer, the
 // BG benchmark) is transport-agnostic.

@@ -10,8 +10,6 @@ namespace iq {
 
 namespace {
 
-/// Optimistic readers give up after this many slots and fall back.
-constexpr std::size_t kOptMaxProbes = 32;
 constexpr std::size_t kInitialIndexCapacity = 256;
 
 /// splitmix64 finalizer. Shard selection consumes the raw hash modulo the
@@ -113,6 +111,31 @@ char* Block(const std::atomic<std::uint64_t>* words) {
 }
 
 }  // namespace
+
+bool ApplyDelta(std::string& value, const DeltaOp& delta,
+                std::uint64_t* count) {
+  switch (delta.kind) {
+    case DeltaOp::Kind::kAppend:
+      value.append(delta.blob);
+      return true;
+    case DeltaOp::Kind::kPrepend:
+      value.insert(0, delta.blob);
+      return true;
+    case DeltaOp::Kind::kIncr:
+    case DeltaOp::Kind::kDecr:
+      break;
+  }
+  std::uint64_t n = 0;
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, n);
+  if (ec != std::errc{} || ptr != end) return false;
+  n = delta.kind == DeltaOp::Kind::kIncr ? n + delta.amount
+      : n >= delta.amount                ? n - delta.amount
+                                         : 0;
+  value = std::to_string(n);
+  if (count != nullptr) *count = n;
+  return true;
+}
 
 const char* ToString(StoreResult r) {
   switch (r) {
@@ -471,8 +494,10 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
   if (opt_val_cap_ == 0 || key.size() > kOptKeyCap) return std::nullopt;
   Shard& s = shards_[h % shards_.size()];
   const Index* t = s.index.load(std::memory_order_acquire);
-  const std::size_t probe_cap = std::min(kOptMaxProbes, t->capacity);
-  for (std::uint64_t i = MixHash(h), n = 0; n < probe_cap; ++i, ++n) {
+  // The probe ends where the locked one does, at an empty slot, which an
+  // index at most 3/4 full always has; the capacity bound only stops a
+  // probe that races writers moving entries.
+  for (std::uint64_t i = MixHash(h), n = 0; n < t->capacity; ++i, ++n) {
     Entry* e = t->slots[i & t->mask].load(std::memory_order_acquire);
     if (e == nullptr) break;  // not indexed: the locked path decides hit/miss
     // An entry's hash changes only when it is recycled, which a version
@@ -529,8 +554,7 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     ThreadOptCounters().hits.fetch_add(1, std::memory_order_relaxed);
     return out;
   }
-  return std::nullopt;  // genuine miss or overlong probe chain: locked path
-                        // gives the authoritative answer either way
+  return std::nullopt;  // not indexed, or raced: the locked path decides
 }
 
 StoreResult CacheStore::Set(std::string_view key, std::string_view value,
@@ -595,72 +619,38 @@ bool CacheStore::Delete(std::string_view key) {
   return true;
 }
 
-namespace {
-
-std::optional<std::uint64_t> ParseUint(std::string_view v) {
-  std::uint64_t out = 0;
-  auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc{} || ptr != v.data() + v.size()) return std::nullopt;
-  return out;
-}
-
-}  // namespace
-
-// Append, Prepend, Incr and Decr rewrite the whole item through WriteLocked
-// with a fresh cas, keeping its flags and expiry.
+// Append, Prepend, Incr and Decr rewrite the whole item through
+// UpdateLocked.
 
 StoreResult CacheStore::Append(std::string_view key, std::string_view suffix) {
-  return Extend(key, suffix, true);
+  return UpdateLocked(LockKey(key), key,
+                      {DeltaOp::Kind::kAppend, std::string(suffix), 0})
+             ? StoreResult::kStored
+             : StoreResult::kNotStored;
 }
 
 StoreResult CacheStore::Prepend(std::string_view key, std::string_view prefix) {
-  return Extend(key, prefix, false);
-}
-
-StoreResult CacheStore::Extend(std::string_view key, std::string_view piece,
-                               bool at_end) {
-  const std::uint64_t h = HashKey(key);
-  Shard& s = shards_[h % shards_.size()];
-  std::lock_guard lock(s.mu);
-  ++(at_end ? s.stats.appends : s.stats.prepends);
-  const std::size_t slot = FindLive(s, key, h);
-  if (slot == kNoSlot) return StoreResult::kNotStored;
-  const Entry& e = EntryAt(s, slot);
-  std::string value = ValueOf(e);
-  value.insert(at_end ? value.size() : 0, piece);
-  WriteLocked(s, h, slot, key, value, e.flags.load(std::memory_order_relaxed),
-              e.expires_at.load(std::memory_order_relaxed));
-  return StoreResult::kStored;
+  return UpdateLocked(LockKey(key), key,
+                      {DeltaOp::Kind::kPrepend, std::string(prefix), 0})
+             ? StoreResult::kStored
+             : StoreResult::kNotStored;
 }
 
 std::optional<std::uint64_t> CacheStore::Incr(std::string_view key,
                                               std::uint64_t delta) {
-  return Count(key, delta, true);
+  return Count(key, {DeltaOp::Kind::kIncr, {}, delta});
 }
 
 std::optional<std::uint64_t> CacheStore::Decr(std::string_view key,
                                               std::uint64_t delta) {
-  return Count(key, delta, false);
+  return Count(key, {DeltaOp::Kind::kDecr, {}, delta});
 }
 
 std::optional<std::uint64_t> CacheStore::Count(std::string_view key,
-                                               std::uint64_t delta, bool up) {
-  const std::uint64_t h = HashKey(key);
-  Shard& s = shards_[h % shards_.size()];
-  std::lock_guard lock(s.mu);
-  ++s.stats.incr_decrs;
-  const std::size_t slot = FindLive(s, key, h);
-  if (slot == kNoSlot) return std::nullopt;
-  const Entry& e = EntryAt(s, slot);
-  auto cur = ParseUint(ValueOf(e));
-  if (!cur) return std::nullopt;
-  const std::uint64_t next = up             ? *cur + delta
-                             : *cur >= delta ? *cur - delta
-                                             : 0;  // decr saturates at 0
-  WriteLocked(s, h, slot, key, std::to_string(next),
-              e.flags.load(std::memory_order_relaxed),
-              e.expires_at.load(std::memory_order_relaxed));
-  return next;
+                                               const DeltaOp& delta) {
+  std::uint64_t count = 0;
+  if (!UpdateLocked(LockKey(key), key, delta, &count)) return std::nullopt;
+  return count;
 }
 
 void CacheStore::Flush() {
@@ -785,6 +775,23 @@ bool CacheStore::DeleteLocked(const ShardGuard& g, std::string_view key) {
   if (slot == kNoSlot) return false;
   EraseLocked(s, slot);
   ++s.stats.delete_hits;
+  return true;
+}
+
+bool CacheStore::UpdateLocked(const ShardGuard& g, std::string_view key,
+                              const DeltaOp& delta, std::uint64_t* count) {
+  Shard& s = shards_[g.shard_index()];
+  ++(delta.kind == DeltaOp::Kind::kAppend    ? s.stats.appends
+     : delta.kind == DeltaOp::Kind::kPrepend ? s.stats.prepends
+                                             : s.stats.incr_decrs);
+  const std::uint64_t h = HashKey(key);
+  const std::size_t slot = FindLive(s, key, h);
+  if (slot == kNoSlot) return false;
+  const Entry& e = EntryAt(s, slot);
+  std::string value = ValueOf(e);
+  if (!ApplyDelta(value, delta, count)) return false;
+  WriteLocked(s, h, slot, key, value, e.flags.load(std::memory_order_relaxed),
+              e.expires_at.load(std::memory_order_relaxed));
   return true;
 }
 

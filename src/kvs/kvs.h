@@ -51,6 +51,24 @@ struct CacheItem {
   std::uint64_t cas = 0;  // unique version; changes on every write
 };
 
+/// An append, prepend, incr or decr: memcached's delta verbs, as
+/// CacheStore applies them and as the IQ server buffers them under a
+/// Q(refresh) lease (the paper's IQ-delta command).
+struct DeltaOp {
+  enum class Kind { kAppend, kPrepend, kIncr, kDecr };
+  Kind kind;
+  std::string blob;          // kAppend / kPrepend payload
+  std::uint64_t amount = 0;  // kIncr / kDecr amount
+};
+
+/// memcached's arithmetic for `delta`, applied to `value` in place. Append
+/// and prepend add the blob. Incr and decr read the value as an ASCII
+/// unsigned integer and write back the sum or difference (decr saturates at
+/// 0), also into `*count` when given; they leave a value that is not such a
+/// number alone and return false.
+bool ApplyDelta(std::string& value, const DeltaOp& delta,
+                std::uint64_t* count = nullptr);
+
 /// Aggregate statistics (monotonic counters). Optimistic (mutex-free) read
 /// hits are folded into gets/get_hits and also reported separately.
 struct CacheStats {
@@ -205,6 +223,12 @@ class CacheStore {
                         Nanos ttl = 0);
   bool DeleteLocked(const ShardGuard& g, std::string_view key);
   bool ContainsLocked(const ShardGuard& g, std::string_view key);
+  /// append/prepend/incr/decr under the shard lock, the one body of all
+  /// four verbs: rewrites key's item with `delta` applied (ApplyDelta) and
+  /// a fresh cas, keeping its flags and expiry, and counts the verb. Returns
+  /// false, changing nothing, on a miss or a non-numeric incr/decr.
+  bool UpdateLocked(const ShardGuard& g, std::string_view key,
+                    const DeltaOp& delta, std::uint64_t* count = nullptr);
 
  private:
   // ---- item storage (see DESIGN.md §4.6) ---------------------------------
@@ -333,12 +357,9 @@ class CacheStore {
   /// room in; returns its slot.
   std::size_t InsertLocked(Shard& s, Entry* e, std::uint64_t h);
 
-  /// append (at_end) or prepend.
-  StoreResult Extend(std::string_view key, std::string_view piece,
-                     bool at_end);
-  /// incr (up) or decr.
+  /// incr or decr: the new count, or nullopt.
   std::optional<std::uint64_t> Count(std::string_view key,
-                                     std::uint64_t delta, bool up);
+                                     const DeltaOp& delta);
   /// Every write (store, append/prepend, incr/decr): writes key's item in
   /// place of the entry in `slot` (kNoSlot: a new item) with a fresh cas,
   /// sets the reference bit, and re-checks the byte budget.

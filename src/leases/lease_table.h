@@ -27,6 +27,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "kvs/kvs.h"
 #include "util/clock.h"
 
 namespace iq {
@@ -41,14 +42,6 @@ enum class LeaseKind { kInhibit, kQInvalidate, kQRefresh };
 
 const char* ToString(LeaseKind k);
 
-/// A buffered incremental update (paper's IQ-delta command).
-struct DeltaOp {
-  enum class Kind { kAppend, kPrepend, kIncr, kDecr };
-  Kind kind;
-  std::string blob;          // kAppend / kPrepend payload
-  std::uint64_t amount = 0;  // kIncr / kDecr amount
-};
-
 struct LeaseEntry {
   LeaseKind kind;
   /// Valid for kInhibit and kQRefresh. 0 for kQInvalidate.
@@ -56,11 +49,11 @@ struct LeaseEntry {
   /// Owner for kInhibit/kQRefresh.
   SessionId holder = 0;
   /// Sharing owners for kQInvalidate.
-  std::unordered_set<SessionId> inv_holders;
+  std::unordered_set<SessionId> inv_holders{};
   /// Expiration (Clock::Now() scale).
   Nanos expires_at = 0;
   /// kQRefresh only: deltas queued by IQ-delta, applied at Commit.
-  std::vector<DeltaOp> pending_deltas;
+  std::vector<DeltaOp> pending_deltas{};
   /// kQInvalidate only: latest lapse of a near-cache validity interval
   /// granted on this key before the Q arrived (Clock::Now() scale, 0 =
   /// none). The invalidating commit must not take effect as "fresh" before

@@ -329,6 +329,42 @@ TEST_F(IQServerTest, PrependDelta) {
   EXPECT_EQ(server_.store().Get("k")->value, "head-tail");
 }
 
+TEST(IQServerDeltaTest, CommittedDeltaIsAnIncrOrAppendOfTheItem) {
+  // A committed delta changes the item as memcached's own incr and append
+  // do: flags and expiry stay, and the store counts the verb, not a get
+  // plus a set.
+  ManualClock clock;
+  IQServer server(CacheStore::Config{}, DefaultConfig(&clock));
+  constexpr Nanos kTtl = 100 * kNanosPerSec;
+  server.store().Set("n", "41", /*flags=*/7, kTtl);
+  server.store().Set("s", "ab", /*flags=*/9, kTtl);
+  ASSERT_EQ(server.IQDelta(1, "n", DeltaOp{DeltaOp::Kind::kIncr, {}, 1}),
+            QuarantineResult::kGranted);
+  ASSERT_EQ(server.IQDelta(1, "s", DeltaOp{DeltaOp::Kind::kAppend, "c", 0}),
+            QuarantineResult::kGranted);
+  const CacheStats before = server.store().Stats();
+  server.Commit(1);
+  const CacheStats after = server.store().Stats();
+  EXPECT_EQ(after.incr_decrs - before.incr_decrs, 1u);
+  EXPECT_EQ(after.appends - before.appends, 1u);
+  EXPECT_EQ(after.gets - before.gets, 0u);
+  EXPECT_EQ(after.get_hits - before.get_hits, 0u);
+  EXPECT_EQ(after.sets - before.sets, 0u);
+  auto n = server.store().Get("n");
+  ASSERT_TRUE(n);
+  EXPECT_EQ(n->value, "42");
+  EXPECT_EQ(n->flags, 7u);
+  auto s = server.store().Get("s");
+  ASSERT_TRUE(s);
+  EXPECT_EQ(s->value, "abc");
+  EXPECT_EQ(s->flags, 9u);
+  clock.Advance(kTtl - 1);
+  EXPECT_TRUE(server.store().Get("n"));
+  clock.Advance(1);
+  EXPECT_FALSE(server.store().Get("n"));
+  EXPECT_FALSE(server.store().Get("s"));
+}
+
 TEST_F(IQServerTest, ConflictingDeltaRejected) {
   SessionId t1 = server_.GenID();
   SessionId t2 = server_.GenID();

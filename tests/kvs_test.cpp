@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "bg/codec.h"
 #include "kvs/kvs.h"
 #include "util/clock.h"
 
@@ -583,6 +584,31 @@ TEST(CacheStore, OptimisticHitsFoldIntoGetCounters) {
   EXPECT_EQ(stats.gets, 3u);
   EXPECT_EQ(stats.get_hits, 3u);
   EXPECT_EQ(stats.opt_hits, 3u);
+}
+
+TEST(CacheStore, OptimisticGetReachesEveryKeyOfAWarmBgCache) {
+  // bg_read's warm cache: the 140,000 keys of a 10,000-member BG graph in a
+  // default store. The lock-free probe must end where the locked one does,
+  // at an empty slot, however long the probe run: then every key is a
+  // lock-free hit.
+  std::vector<std::string> keys;
+  for (bg::MemberId id = 0; id < 10000; ++id) {
+    keys.push_back(bg::ProfileKey(id));
+    keys.push_back(bg::FriendsKey(id));
+    keys.push_back(bg::PendingKey(id));
+    keys.push_back(bg::TopKKey(id));
+  }
+  for (std::int64_t r = 0; r < 100000; ++r) keys.push_back(bg::CommentsKey(r));
+  CacheStore store;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    store.Set(keys[i], std::string(i % 10 == 0 ? 100 : 23, 'v'));
+  }
+  std::size_t served = 0;
+  for (const std::string& key : keys) served += store.OptimisticGet(key) ? 1 : 0;
+  const CacheStats stats = store.Stats();
+  EXPECT_EQ(served, keys.size());
+  EXPECT_EQ(stats.opt_hits, keys.size());
+  EXPECT_EQ(stats.opt_fallbacks, 0u);
 }
 
 TEST(CacheStore, OptimisticReadsUnderConcurrentWrites) {
