@@ -81,7 +81,7 @@ void CasqlConnection::MaybeAudit(const std::string& key,
     std::optional<std::string> current;
     if (session_->QaRead(key, current) != ClientQResult::kGranted) {
       // Conflict (a writer is mid-session) or transport error: no verdict.
-      system_.audit_skipped_.fetch_add(1, std::memory_order_relaxed);
+      Bump(system_.audit_.skipped);
       return;
     }
     std::optional<std::string> truth = ComputeFresh(key, compute);
@@ -89,7 +89,7 @@ void CasqlConnection::MaybeAudit(const std::string& key,
     // RDBMS); a present value disagreeing with the ground truth is.
     bool stale = current && (!truth || *truth != *current);
     session_->SaR(key, std::nullopt);  // release, leave the value in place
-    system_.audit_samples_.fetch_add(1, std::memory_order_relaxed);
+    Bump(system_.audit_.samples);
     if (near_hit && observed && (!truth || *truth != *observed)) {
       // A hit served from the client's near cache may trail the serialized
       // ground truth — that is the validity-interval contract working as
@@ -97,13 +97,13 @@ void CasqlConnection::MaybeAudit(const std::string& key,
       // cache never serves expired entries, so near_remaining > 0 always
       // holds here; a violation of that invariant is real staleness.
       if (near_remaining > 0) {
-        system_.audit_bounded_.fetch_add(1, std::memory_order_relaxed);
+        Bump(system_.audit_.bounded);
       } else {
         stale = true;
       }
     }
     if (stale) {
-      system_.stale_reads_detected_.fetch_add(1, std::memory_order_relaxed);
+      Bump(system_.audit_.stale_reads_detected);
     }
     return;
   }
@@ -113,9 +113,9 @@ void CasqlConnection::MaybeAudit(const std::string& key,
   // but unbounded staleness is exactly what the baselines exhibit.
   std::optional<std::string> truth = ComputeFresh(key, compute);
   bool stale = observed && (!truth || *truth != *observed);
-  system_.audit_samples_.fetch_add(1, std::memory_order_relaxed);
+  Bump(system_.audit_.samples);
   if (stale) {
-    system_.stale_reads_detected_.fetch_add(1, std::memory_order_relaxed);
+    Bump(system_.audit_.stale_reads_detected);
   }
 }
 

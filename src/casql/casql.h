@@ -28,6 +28,7 @@
 
 #include "core/iq_client.h"
 #include "rdbms/database.h"
+#include "util/counters.h"
 #include "util/rng.h"
 
 namespace iq::casql {
@@ -79,6 +80,14 @@ struct AuditStats {
                                           // interval (allowed by design,
                                           // DESIGN.md §4.10) — not stale
 };
+
+inline constexpr CounterField<AuditStats> kAuditStatsFields[] = {
+    {"audit_samples", &AuditStats::samples},
+    {"stale_reads_detected", &AuditStats::stale_reads_detected},
+    {"audit_skipped", &AuditStats::skipped},
+    {"audit_bounded", &AuditStats::bounded},
+};
+static_assert(CoversEveryField(kAuditStatsFields));
 
 /// One impacted key in a write session.
 struct KeyUpdate {
@@ -189,13 +198,7 @@ class CasqlSystem {
 
   /// Snapshot of the staleness-auditor tally across all connections.
   AuditStats audit_stats() const {
-    AuditStats s;
-    s.samples = audit_samples_.load(std::memory_order_relaxed);
-    s.stale_reads_detected =
-        stale_reads_detected_.load(std::memory_order_relaxed);
-    s.skipped = audit_skipped_.load(std::memory_order_relaxed);
-    s.bounded = audit_bounded_.load(std::memory_order_relaxed);
-    return s;
+    return LoadCounters(audit_, kAuditStatsFields);
   }
 
  private:
@@ -206,10 +209,7 @@ class CasqlSystem {
   CasqlConfig config_;
   IQClient client_;
   std::atomic<std::uint64_t> connections_{0};
-  std::atomic<std::uint64_t> audit_samples_{0};
-  std::atomic<std::uint64_t> stale_reads_detected_{0};
-  std::atomic<std::uint64_t> audit_skipped_{0};
-  std::atomic<std::uint64_t> audit_bounded_{0};
+  AuditStats audit_;  // live: every connection's thread bumps it (Bump)
 };
 
 }  // namespace iq::casql

@@ -79,7 +79,7 @@ void IQServer::RecordNearGrant(const CacheStore::ShardGuard& g,
                                const std::string& key, const LazyNow& now) {
   Nanos& horizon = near_horizons_[g.shard_index()][key];
   horizon = std::max(horizon, now() + config_.near_validity);
-  StatsFor(g).near_grants.fetch_add(1, std::memory_order_relaxed);
+  Bump(StatsFor(g).near_grants);
 }
 
 Nanos IQServer::TakeNearHorizon(const CacheStore::ShardGuard& g,
@@ -139,9 +139,9 @@ bool IQServer::MaybeExpire(const CacheStore::ShardGuard& g,
   }
   SessionId holder = entry->kind == LeaseKind::kQInvalidate ? 0 : entry->holder;
   leases_.Erase(g.shard_index(), key);
-  IQShardStats& st = StatsFor(g);
-  st.leases_expired.fetch_add(1, std::memory_order_relaxed);
-  if (deleted) st.expiry_deletes.fetch_add(1, std::memory_order_relaxed);
+  IQServerStats& st = StatsFor(g);
+  Bump(st.leases_expired);
+  if (deleted) Bump(st.expiry_deletes);
   Trace(g, deleted ? LeaseTraceKind::kExpireDelete : LeaseTraceKind::kExpire,
         holder, key, now);
   return true;
@@ -152,7 +152,7 @@ void IQServer::VoidI(Locked& k) {
   // is unknown, so the reader's eventual IQset must be dropped.
   const SessionId reader = k.entry->holder;
   Erase(k);
-  StatsFor(k.g).i_voided.fetch_add(1, std::memory_order_relaxed);
+  Bump(StatsFor(k.g).i_voided);
   Trace(k.g, LeaseTraceKind::kIVoid, reader, k.key, k.now);
 }
 
@@ -176,7 +176,7 @@ LeaseEntry* IQServer::GrantQRefresh(Locked& k, SessionId tid) {
     } else {
       // Another write session holds Q (Figure 5b): reject; the caller
       // releases everything, rolls back its RDBMS transaction, retries.
-      StatsFor(k.g).q_rejected.fetch_add(1, std::memory_order_relaxed);
+      Bump(StatsFor(k.g).q_rejected);
       Trace(k.g, LeaseTraceKind::kReject, tid, k.key, k.now);
       return nullptr;
     }
@@ -187,7 +187,7 @@ LeaseEntry* IQServer::GrantQRefresh(Locked& k, SessionId tid) {
                                     .holder = tid,
                                     .expires_at = Deadline(k.now)});
   registry_.AddKey(tid, k.key);
-  StatsFor(k.g).q_ref_granted.fetch_add(1, std::memory_order_relaxed);
+  Bump(StatsFor(k.g).q_ref_granted);
   Trace(k.g, LeaseTraceKind::kQRefGrant, tid, k.key, k.now);
   return k.entry;
 }
@@ -213,7 +213,7 @@ bool IQServer::Install(Locked& k, LeaseKind kind, LeaseToken token,
     // The lease was voided by a Q request, expired, or never existed: the
     // computed value may be stale, so it is dropped (Section 3.2); a key
     // whose Q lease went is (or will be) deleted, which is always safe.
-    StatsFor(k.g).stale_sets_dropped.fetch_add(1, std::memory_order_relaxed);
+    Bump(StatsFor(k.g).stale_sets_dropped);
     return false;
   }
   if (value) store_.SetLocked(k.g, k.key, *value);
@@ -300,7 +300,7 @@ GetReply IQServer::IQget(std::string_view key, SessionId session) {
         return {GetReply::Status::kHit, std::move(item->value), 0};
       }
     }
-    StatsFor(k.g).backoffs.fetch_add(1, std::memory_order_relaxed);
+    Bump(StatsFor(k.g).backoffs);
     return {GetReply::Status::kMissBackoff, {}, 0};
   }
 
@@ -327,7 +327,7 @@ GetReply IQServer::IQget(std::string_view key, SessionId session) {
                          .token = token,
                          .holder = session,
                          .expires_at = Deadline(now)});
-  StatsFor(k.g).i_granted.fetch_add(1, std::memory_order_relaxed);
+  Bump(StatsFor(k.g).i_granted);
   Trace(k.g, LeaseTraceKind::kIGrant, session, key, now);
   return {GetReply::Status::kMissGrantedI, {}, token};
 }
@@ -378,7 +378,7 @@ QuarantineResult IQServer::QaReg(SessionId tid, std::string_view key) {
     registry_.RemoveKey(writer, k.key);
     Erase(k);
     store_.DeleteLocked(k.g, key);
-    StatsFor(k.g).q_ref_voided.fetch_add(1, std::memory_order_relaxed);
+    Bump(StatsFor(k.g).q_ref_voided);
     Trace(k.g, LeaseTraceKind::kQRefVoid, writer, key, now);
   }
   // Grant, or join: deletes are idempotent, so Q(invalidate) leases share
@@ -398,7 +398,7 @@ QuarantineResult IQServer::QaReg(SessionId tid, std::string_view key) {
   q.hold_until = std::max(q.hold_until, TakeNearHorizon(k.g, k.key));
   registry_.AddKey(tid, k.key);
   if (!config_.deferred_delete) store_.DeleteLocked(k.g, key);
-  StatsFor(k.g).q_inv_granted.fetch_add(1, std::memory_order_relaxed);
+  Bump(StatsFor(k.g).q_inv_granted);
   Trace(k.g, LeaseTraceKind::kQInvGrant, tid, key, now);
   return QuarantineResult::kGranted;
 }
@@ -428,8 +428,8 @@ void IQServer::EndSession(SessionId tid, bool commit) {
           k.key, now);
   }
   registry_.Drop(tid);
-  IQShardStats& st = StatsFor(tid);
-  (commit ? st.commits : st.aborts).fetch_add(1, std::memory_order_relaxed);
+  IQServerStats& st = StatsFor(tid);
+  Bump(commit ? st.commits : st.aborts);
 }
 
 void IQServer::Commit(SessionId tid) { EndSession(tid, /*commit=*/true); }
@@ -459,53 +459,23 @@ bool IQServer::DeleteVoid(std::string_view key) {
 
 IQServerStats IQServer::Stats() const {
   IQServerStats total;
-  for (const IQShardStats& s : shard_stats_) {
-    total.i_granted += s.i_granted.load(std::memory_order_relaxed);
-    total.i_voided += s.i_voided.load(std::memory_order_relaxed);
-    total.q_ref_voided += s.q_ref_voided.load(std::memory_order_relaxed);
-    total.backoffs += s.backoffs.load(std::memory_order_relaxed);
-    total.stale_sets_dropped +=
-        s.stale_sets_dropped.load(std::memory_order_relaxed);
-    total.q_inv_granted += s.q_inv_granted.load(std::memory_order_relaxed);
-    total.q_ref_granted += s.q_ref_granted.load(std::memory_order_relaxed);
-    total.q_rejected += s.q_rejected.load(std::memory_order_relaxed);
-    total.leases_expired += s.leases_expired.load(std::memory_order_relaxed);
-    total.expiry_deletes += s.expiry_deletes.load(std::memory_order_relaxed);
-    total.commits += s.commits.load(std::memory_order_relaxed);
-    total.aborts += s.aborts.load(std::memory_order_relaxed);
-    total.near_grants += s.near_grants.load(std::memory_order_relaxed);
+  for (const IQServerStats& s : shard_stats_) {
+    AccumulateLive(total, s, kIQStatsFields);
   }
   return total;
 }
 
 std::vector<TraceEvent> IQServer::TraceSnapshot(std::size_t max_events) const {
-  std::vector<TraceEvent> merged;
-  if (trace_rings_.empty() || max_events == 0) return merged;
-  for (const auto& ring : trace_rings_) {
-    std::vector<TraceEvent> part = ring->Snapshot(max_events);
-    merged.insert(merged.end(), part.begin(), part.end());
-  }
-  // Per-ring snapshots are already ordered; merge across shards by
-  // timestamp (ties broken by shard then ring sequence for determinism).
-  std::sort(merged.begin(), merged.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.at != b.at) return a.at < b.at;
-              if (a.shard != b.shard) return a.shard < b.shard;
-              return a.seq < b.seq;
-            });
-  if (merged.size() > max_events) {
-    merged.erase(merged.begin(),
-                 merged.end() - static_cast<std::ptrdiff_t>(max_events));
-  }
-  return merged;
+  return MergeDrains(trace_rings_, max_events, [](const auto& ring, auto n) {
+    return ring->Snapshot(n);
+  });
 }
 
 TraceInfo IQServer::TraceInfoTotal() const {
   TraceInfo info;
   for (const auto& ring : trace_rings_) {
-    info.recorded += ring->recorded();
-    info.dropped += ring->dropped();
-    info.capacity += ring->capacity();
+    Accumulate(info, {ring->recorded(), ring->dropped(), ring->capacity()},
+               kTraceInfoFields);
   }
   return info;
 }

@@ -38,27 +38,6 @@
 
 namespace iq {
 
-/// Live counters for one CacheStore shard. Commands increment these while
-/// already holding that shard's lock, so distinct shards never contend; the
-/// counters are still relaxed atomics because Stats() aggregates without
-/// taking any lock (and Commit/Abort account outside a shard lock). The
-/// alignment keeps adjacent shards' blocks off each other's cache lines.
-struct alignas(64) IQShardStats {
-  std::atomic<std::uint64_t> i_granted{0};
-  std::atomic<std::uint64_t> i_voided{0};
-  std::atomic<std::uint64_t> q_ref_voided{0};
-  std::atomic<std::uint64_t> backoffs{0};
-  std::atomic<std::uint64_t> stale_sets_dropped{0};
-  std::atomic<std::uint64_t> q_inv_granted{0};
-  std::atomic<std::uint64_t> q_ref_granted{0};
-  std::atomic<std::uint64_t> q_rejected{0};
-  std::atomic<std::uint64_t> leases_expired{0};
-  std::atomic<std::uint64_t> expiry_deletes{0};
-  std::atomic<std::uint64_t> commits{0};
-  std::atomic<std::uint64_t> aborts{0};
-  std::atomic<std::uint64_t> near_grants{0};
-};
-
 /// Coarse command classes for server-side latency accounting. The wire
 /// dispatcher (net/server.h) records one observation per request into the
 /// server's StripedLatencyRecorder under the matching class; FormatStats
@@ -308,12 +287,12 @@ class IQServer final : public KvsBackend {
   }
 
   /// Counter block for the shard whose lock `g` holds.
-  IQShardStats& StatsFor(const CacheStore::ShardGuard& g) {
+  IQServerStats& StatsFor(const CacheStore::ShardGuard& g) {
     return shard_stats_[g.shard_index()];
   }
   /// Counter block for session-scoped commands (Commit/Abort) that hold no
   /// single shard lock; spread by session id to keep contention low.
-  IQShardStats& StatsFor(SessionId tid) {
+  IQServerStats& StatsFor(SessionId tid) {
     return shard_stats_[tid % shard_stats_.size()];
   }
 
@@ -343,8 +322,9 @@ class IQServer final : public KvsBackend {
   std::atomic<LeaseToken> next_token_;
   std::atomic<SessionId> next_session_;
 
-  /// One counter block per CacheStore shard; see IQShardStats.
-  std::vector<IQShardStats> shard_stats_;
+  /// One live counter block per CacheStore shard, bumped (Bump) under its
+  /// lock; Stats() sums without one, and Commit/Abort count outside one.
+  std::vector<CounterBlock<IQServerStats>> shard_stats_;
   /// One trace ring per CacheStore shard (empty when tracing is disabled);
   /// unique_ptr because TraceRing is immovable (atomics).
   std::vector<std::unique_ptr<TraceRing>> trace_rings_;

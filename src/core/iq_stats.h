@@ -1,16 +1,17 @@
-// IQServerStats and the canonical (name, member) table every generic user
-// of its fields walks: STAT rendering, ParseIQStats and per-shard
-// breakdowns. Split out of iq_server.h so observers that only handle
-// counter snapshots need not pull in the server.
+// IQServerStats and its counter table (util/counters.h), which every
+// generic user of its fields walks: STAT rendering, ParseIQStats and
+// per-shard breakdowns. Split out of iq_server.h so observers that only
+// handle counter snapshots need not pull in the server.
 #pragma once
 
 #include <cstdint>
 
+#include "util/counters.h"
+
 namespace iq {
 
-/// Server-side counters for the evaluation harness. This is the aggregated
-/// snapshot returned by IQServer::Stats(); the live counters are sharded
-/// (see IQShardStats) so the hot path never takes a statistics lock.
+/// Server-side lease counters for the evaluation harness: the snapshot
+/// IQServer::Stats() returns, and the type of its live per-shard blocks.
 struct IQServerStats {
   std::uint64_t i_granted = 0;
   std::uint64_t i_voided = 0;       // I leases preempted by Q requests
@@ -29,15 +30,11 @@ struct IQServerStats {
   std::uint64_t near_grants = 0;
 };
 
-/// One row of the canonical IQServerStats field table.
-struct IQStatsField {
-  const char* name;  // wire name, as emitted in "STAT <name> <value>" lines
-  std::uint64_t IQServerStats::* member;
-};
+/// One row of the IQServerStats table.
+using IQStatsField = CounterField<IQServerStats>;
 
-/// The single source of truth mapping wire names to IQServerStats members.
-/// Shared by net::FormatStats / net::ParseIQStats and the ShardedBackend
-/// aggregate and per-shard breakdowns — add new counters here once.
+/// Wire names of the IQServerStats members, shared by net::FormatStats,
+/// net::ParseIQStats and the ShardedBackend aggregate and per-shard lines.
 inline constexpr IQStatsField kIQStatsFields[] = {
     {"i_leases_granted", &IQServerStats::i_granted},
     {"i_leases_voided", &IQServerStats::i_voided},
@@ -53,5 +50,6 @@ inline constexpr IQStatsField kIQStatsFields[] = {
     {"aborts", &IQServerStats::aborts},
     {"near_grants", &IQServerStats::near_grants},
 };
+static_assert(CoversEveryField(kIQStatsFields));
 
 }  // namespace iq

@@ -1,7 +1,6 @@
 #include "core/sharded_backend.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace iq {
@@ -34,13 +33,6 @@ std::string_view HashTag(std::string_view key) {
   std::size_t close = key.find('}', open + 1);
   if (close == std::string_view::npos || close == open + 1) return key;
   return key.substr(open + 1, close - open - 1);
-}
-
-// Counter names and members come from the canonical kIQStatsFields table
-// (core/iq_stats.h), shared with net::FormatStats/ParseIQStats so the
-// per-shard lines stay grep-compatible with a child's own `stats` output.
-void Accumulate(IQServerStats& total, const IQServerStats& s) {
-  for (const IQStatsField& f : kIQStatsFields) total.*f.member += s.*f.member;
 }
 
 // The per-key lease verbs are Acquire of one request; these map its reply
@@ -130,18 +122,18 @@ void ShardedBackend::RecordResult(std::size_t shard, bool transport_error) {
     }
     if (h.down.load(std::memory_order_acquire) &&
         h.down.exchange(false, std::memory_order_acq_rel)) {
-      shard_recoveries_.fetch_add(1, std::memory_order_relaxed);
+      Bump(counters_.shard_recoveries);
     }
     return;
   }
   h.transport_errors.fetch_add(1, std::memory_order_relaxed);
-  transport_errors_.fetch_add(1, std::memory_order_relaxed);
+  Bump(counters_.transport_errors);
   std::uint32_t streak =
       h.consecutive_errors.fetch_add(1, std::memory_order_relaxed) + 1;
   if (config_.down_after_errors == 0) return;  // breaker disabled
   if (streak >= config_.down_after_errors) {
     if (!h.down.exchange(true, std::memory_order_acq_rel)) {
-      shard_trips_.fetch_add(1, std::memory_order_relaxed);
+      Bump(counters_.shard_trips);
     }
     // Tripping and a failed probe both push the next probe out one full
     // interval from now.
@@ -153,7 +145,7 @@ void ShardedBackend::RecordResult(std::size_t shard, bool transport_error) {
 // ---- session plumbing ------------------------------------------------------
 
 SessionId ShardedBackend::GenID() {
-  sessions_.fetch_add(1, std::memory_order_relaxed);
+  Bump(counters_.sessions);
   return next_sid_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -186,7 +178,7 @@ SessionId ShardedBackend::ShardSession(SessionId tid, std::size_t shard,
     // against a misbehaving caller, in which case the first mint wins and
     // the loser's child id is simply never used (children are free).
     slot = child;
-    shard_sessions_.fetch_add(1, std::memory_order_relaxed);
+    Bump(counters_.shard_sessions);
   }
   if (write) state.written[shard] = true;
   return slot;
@@ -237,12 +229,12 @@ void ShardedBackend::ReleaseAllWritten(SessionId tid) {
     // and the child's lease expiry reclaims whatever the session held.
     if (!ShardDown(w.shard)) shards_[w.shard].backend->Abort(w.sid);
   }
-  reject_releases_.fetch_add(1, std::memory_order_relaxed);
+  Bump(counters_.reject_releases);
 }
 
 template <typename End>
 void ShardedBackend::FanOut(const std::vector<Written>& written,
-                            std::atomic<std::uint64_t>& logical, End&& end) {
+                            std::uint64_t& logical, End&& end) {
   for (const Written& w : written) {
     // Safe to skip a down shard: its unreleased leases expire, and expiry
     // DELETES the key (Section 6.1) — readers recompute from the RDBMS, so
@@ -252,12 +244,9 @@ void ShardedBackend::FanOut(const std::vector<Written>& written,
   CountEnd(written.size(), logical);
 }
 
-void ShardedBackend::CountEnd(std::size_t written,
-                              std::atomic<std::uint64_t>& logical) {
-  if (written > 0) logical.fetch_add(1, std::memory_order_relaxed);
-  if (written > 1) {
-    cross_shard_sessions_.fetch_add(1, std::memory_order_relaxed);
-  }
+void ShardedBackend::CountEnd(std::size_t written, std::uint64_t& logical) {
+  if (written > 0) Bump(logical);
+  if (written > 1) Bump(counters_.cross_shard_sessions);
 }
 
 // ---- the IQ command set ----------------------------------------------------
@@ -280,11 +269,7 @@ GetReply ShardedBackend::IQget(std::string_view key, SessionId session) {
 StoreResult ShardedBackend::IQset(std::string_view key, std::string_view value,
                                   LeaseToken token) {
   // Tokens are child-issued; the key's shard is the child that issued it.
-  std::size_t s = ShardFor(key);
-  if (!AllowRequest(s)) return StoreResult::kTransportError;
-  StoreResult r = shards_[s].backend->IQset(key, value, token);
-  RecordResult(s, r == StoreResult::kTransportError);
-  return r;
+  return Gated(key, [&](KvsBackend& c) { return c.IQset(key, value, token); });
 }
 
 QaReadReply ShardedBackend::QaRead(std::string_view key, SessionId session) {
@@ -295,11 +280,7 @@ QaReadReply ShardedBackend::QaRead(std::string_view key, SessionId session) {
 StoreResult ShardedBackend::SaR(std::string_view key,
                                 std::optional<std::string_view> v_new,
                                 LeaseToken token) {
-  std::size_t s = ShardFor(key);
-  if (!AllowRequest(s)) return StoreResult::kTransportError;
-  StoreResult r = shards_[s].backend->SaR(key, v_new, token);
-  RecordResult(s, r == StoreResult::kTransportError);
-  return r;
+  return Gated(key, [&](KvsBackend& c) { return c.SaR(key, v_new, token); });
 }
 
 QuarantineResult ShardedBackend::QaReg(SessionId tid, std::string_view key) {
@@ -308,7 +289,7 @@ QuarantineResult ShardedBackend::QaReg(SessionId tid, std::string_view key) {
 }
 
 void ShardedBackend::DaR(SessionId tid) {
-  FanOut(TakeWritten(tid, /*forget=*/false), fanout_commits_,
+  FanOut(TakeWritten(tid, /*forget=*/false), counters_.fanout_commits,
          [](KvsBackend& child, SessionId sid) { child.DaR(sid); });
 }
 
@@ -323,7 +304,7 @@ void ShardedBackend::Commit(SessionId tid) { CommitSwaps(tid, {}); }
 void ShardedBackend::Abort(SessionId tid) {
   // An abort also forgets the child ids: the next transaction re-mints
   // them, so ids never outlive a session that failed on a dead shard.
-  FanOut(TakeWritten(tid, /*forget=*/true), fanout_aborts_,
+  FanOut(TakeWritten(tid, /*forget=*/true), counters_.fanout_aborts,
          [](KvsBackend& child, SessionId sid) { child.Abort(sid); });
 }
 
@@ -398,84 +379,72 @@ std::vector<StoreResult> ShardedBackend::CommitSwaps(
     }
     if (!idx.empty()) RecordResult(w.shard, transport);
   }
-  CountEnd(written.size(), fanout_commits_);
+  CountEnd(written.size(), counters_.fanout_commits);
   return results;
 }
 
 // ---- plain memcached operations --------------------------------------------
 
+template <typename Call>
+StoreResult ShardedBackend::Gated(std::string_view key, Call&& call) {
+  std::size_t s = ShardFor(key);
+  if (!AllowRequest(s)) return StoreResult::kTransportError;
+  StoreResult r = call(*shards_[s].backend);
+  RecordResult(s, r == StoreResult::kTransportError);
+  return r;
+}
+
 // The optional/bool-returning operations have no distinct error channel (a
 // dead remote already surfaces as nullopt/false), so they cannot feed the
 // breaker; they only honor it with a ShardDown fast path — no probe slot
 // consumed, since their outcome could not heal the shard anyway.
+template <typename Call>
+auto ShardedBackend::UnlessDown(std::string_view key, Call&& call)
+    -> decltype(call(std::declval<KvsBackend&>())) {
+  std::size_t s = ShardFor(key);
+  if (ShardDown(s)) return {};  // a degraded read is a miss, with no install
+  return call(*shards_[s].backend);
+}
 
 std::optional<CacheItem> ShardedBackend::Get(std::string_view key) {
-  std::size_t s = ShardFor(key);
-  if (ShardDown(s)) return std::nullopt;  // degraded read: miss, no install
-  return shards_[s].backend->Get(key);
+  return UnlessDown(key, [&](KvsBackend& c) { return c.Get(key); });
 }
 
 StoreResult ShardedBackend::Set(std::string_view key, std::string_view value) {
-  std::size_t s = ShardFor(key);
-  if (!AllowRequest(s)) return StoreResult::kTransportError;
-  StoreResult r = shards_[s].backend->Set(key, value);
-  RecordResult(s, r == StoreResult::kTransportError);
-  return r;
+  return Gated(key, [&](KvsBackend& c) { return c.Set(key, value); });
 }
 
 StoreResult ShardedBackend::Add(std::string_view key, std::string_view value) {
-  std::size_t s = ShardFor(key);
-  if (!AllowRequest(s)) return StoreResult::kTransportError;
-  StoreResult r = shards_[s].backend->Add(key, value);
-  RecordResult(s, r == StoreResult::kTransportError);
-  return r;
+  return Gated(key, [&](KvsBackend& c) { return c.Add(key, value); });
 }
 
 StoreResult ShardedBackend::Cas(std::string_view key, std::string_view value,
                                 std::uint64_t cas) {
-  std::size_t s = ShardFor(key);
-  if (!AllowRequest(s)) return StoreResult::kTransportError;
-  StoreResult r = shards_[s].backend->Cas(key, value, cas);
-  RecordResult(s, r == StoreResult::kTransportError);
-  return r;
+  return Gated(key, [&](KvsBackend& c) { return c.Cas(key, value, cas); });
 }
 
 StoreResult ShardedBackend::Append(std::string_view key,
                                    std::string_view blob) {
-  std::size_t s = ShardFor(key);
-  if (!AllowRequest(s)) return StoreResult::kTransportError;
-  StoreResult r = shards_[s].backend->Append(key, blob);
-  RecordResult(s, r == StoreResult::kTransportError);
-  return r;
+  return Gated(key, [&](KvsBackend& c) { return c.Append(key, blob); });
 }
 
 StoreResult ShardedBackend::Prepend(std::string_view key,
                                     std::string_view blob) {
-  std::size_t s = ShardFor(key);
-  if (!AllowRequest(s)) return StoreResult::kTransportError;
-  StoreResult r = shards_[s].backend->Prepend(key, blob);
-  RecordResult(s, r == StoreResult::kTransportError);
-  return r;
+  return Gated(key, [&](KvsBackend& c) { return c.Prepend(key, blob); });
 }
 
 std::optional<std::uint64_t> ShardedBackend::Incr(std::string_view key,
                                                   std::uint64_t amount) {
-  std::size_t s = ShardFor(key);
-  if (ShardDown(s)) return std::nullopt;
-  return shards_[s].backend->Incr(key, amount);
+  return UnlessDown(key, [&](KvsBackend& c) { return c.Incr(key, amount); });
 }
 
 std::optional<std::uint64_t> ShardedBackend::Decr(std::string_view key,
                                                   std::uint64_t amount) {
-  std::size_t s = ShardFor(key);
-  if (ShardDown(s)) return std::nullopt;
-  return shards_[s].backend->Decr(key, amount);
+  return UnlessDown(key, [&](KvsBackend& c) { return c.Decr(key, amount); });
 }
 
 bool ShardedBackend::DeleteVoid(std::string_view key) {
-  std::size_t s = ShardFor(key);
-  if (ShardDown(s)) return false;
-  return shards_[s].backend->DeleteVoid(key);
+  return UnlessDown(key, [&](KvsBackend& c) { return c.DeleteVoid(key); });
 }
 
 // ---- introspection ---------------------------------------------------------
@@ -483,103 +452,61 @@ bool ShardedBackend::DeleteVoid(std::string_view key) {
 IQServerStats ShardedBackend::Stats() const {
   IQServerStats total;
   for (const Shard& s : shards_) {
-    if (s.stats) Accumulate(total, s.stats());
+    if (s.stats) Accumulate(total, s.stats(), kIQStatsFields);
   }
   return total;
 }
 
 std::vector<TraceEvent> ShardedBackend::TraceSnapshot(
     std::size_t max_events) const {
-  std::vector<TraceEvent> merged;
-  if (max_events == 0) return merged;
-  for (const Shard& s : shards_) {
-    if (!s.trace) continue;
-    std::vector<TraceEvent> part = s.trace(max_events);
-    merged.insert(merged.end(), part.begin(), part.end());
-  }
-  // Each child drain is already (at, shard, seq)-ordered; a stable sort on
-  // the timestamp alone therefore yields (at, child, shard, seq) — equal
-  // timestamps (ManualClock tests, coarse clocks) stay deterministic and
-  // per-key causal, since one key's events all live in one child's ring.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.at < b.at;
-                   });
-  if (merged.size() > max_events) {
-    merged.erase(merged.begin(),
-                 merged.end() - static_cast<std::ptrdiff_t>(max_events));
-  }
-  return merged;
+  return MergeDrains(shards_, max_events, [](const Shard& s, std::size_t n) {
+    return s.trace ? s.trace(n) : std::vector<TraceEvent>{};
+  });
 }
 
 TraceInfo ShardedBackend::TraceInfoTotal() const {
   TraceInfo total;
   for (const Shard& s : shards_) {
-    if (!s.trace_info) continue;
-    const TraceInfo info = s.trace_info();
-    total.recorded += info.recorded;
-    total.dropped += info.dropped;
-    total.capacity += info.capacity;
+    if (s.trace_info) Accumulate(total, s.trace_info(), kTraceInfoFields);
   }
   return total;
 }
 
 ShardedBackendStats ShardedBackend::router_stats() const {
-  ShardedBackendStats s;
-  s.sessions = sessions_.load(std::memory_order_relaxed);
-  s.shard_sessions = shard_sessions_.load(std::memory_order_relaxed);
-  s.fanout_commits = fanout_commits_.load(std::memory_order_relaxed);
-  s.fanout_aborts = fanout_aborts_.load(std::memory_order_relaxed);
-  s.cross_shard_sessions =
-      cross_shard_sessions_.load(std::memory_order_relaxed);
-  s.reject_releases = reject_releases_.load(std::memory_order_relaxed);
-  s.transport_errors = transport_errors_.load(std::memory_order_relaxed);
-  s.shard_trips = shard_trips_.load(std::memory_order_relaxed);
-  s.shard_recoveries = shard_recoveries_.load(std::memory_order_relaxed);
-  return s;
+  return LoadCounters(counters_, kRouterStatsFields);
 }
 
 std::string ShardedBackend::FormatStats() const {
-  std::ostringstream out;
-  auto stat = [&](const std::string& name, std::uint64_t v) {
-    out << "STAT " << name << " " << v << "\r\n";
-  };
-  ShardedBackendStats router = router_stats();
-  stat("shard_count", shards_.size());
-  stat("ring_points", ring_.size());
-  stat("router_sessions", router.sessions);
-  stat("router_shard_sessions", router.shard_sessions);
-  stat("router_fanout_commits", router.fanout_commits);
-  stat("router_fanout_aborts", router.fanout_aborts);
-  stat("router_cross_shard_sessions", router.cross_shard_sessions);
-  stat("router_reject_releases", router.reject_releases);
-  stat("transport_errors", router.transport_errors);
-  stat("shard_trips", router.shard_trips);
-  stat("shard_recoveries", router.shard_recoveries);
+  // One call of each provider: a TCP child's `stats` is a round trip, and
+  // the aggregate lines must be the sum of the breakdown printed after them.
+  IQServerStats total;
   std::uint64_t reconnects = 0;
-  for (const Shard& s : shards_) {
-    if (s.reconnects) reconnects += s.reconnects();
-  }
-  stat("reconnects", reconnects);
-  IQServerStats total = Stats();
-  for (const IQStatsField& f : kIQStatsFields) stat(f.name, total.*f.member);
+  std::string breakdown;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::string prefix = "shard" + std::to_string(i) + "_";
-    out << "STAT " << prefix << "endpoint " << shards_[i].name << "\r\n";
-    stat(prefix + "weight", shards_[i].weight);
-    stat(prefix + "down", ShardDown(i) ? 1 : 0);
-    stat(prefix + "transport_errors",
-         health_[i].transport_errors.load(std::memory_order_relaxed));
+    const std::string prefix = "shard" + std::to_string(i) + "_";
+    AppendStat(breakdown, prefix + "endpoint", shards_[i].name);
+    AppendStat(breakdown, prefix + "weight", shards_[i].weight);
+    AppendStat(breakdown, prefix + "down", ShardDown(i) ? 1 : 0);
+    AppendStat(breakdown, prefix + "transport_errors",
+               health_[i].transport_errors.load(std::memory_order_relaxed));
     if (shards_[i].reconnects) {
-      stat(prefix + "reconnects", shards_[i].reconnects());
+      const std::uint64_t n = shards_[i].reconnects();
+      reconnects += n;
+      AppendStat(breakdown, prefix + "reconnects", n);
     }
-    if (!shards_[i].stats) continue;
-    IQServerStats s = shards_[i].stats();
-    for (const IQStatsField& f : kIQStatsFields) {
-      stat(prefix + f.name, s.*f.member);
+    if (shards_[i].stats) {
+      const IQServerStats s = shards_[i].stats();
+      Accumulate(total, s, kIQStatsFields);
+      AppendStats(breakdown, s, kIQStatsFields, prefix);
     }
   }
-  return out.str();
+  std::string out;
+  AppendStat(out, "shard_count", shards_.size());
+  AppendStat(out, "ring_points", ring_.size());
+  AppendStats(out, router_stats(), kRouterStatsFields);
+  AppendStat(out, "reconnects", reconnects);
+  AppendStats(out, total, kIQStatsFields);
+  return out + breakdown;
 }
 
 }  // namespace iq

@@ -63,9 +63,11 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/iq_server.h"
+#include "util/counters.h"
 
 namespace iq {
 
@@ -83,6 +85,19 @@ struct ShardedBackendStats {
   std::uint64_t shard_trips = 0;         // shards marked down
   std::uint64_t shard_recoveries = 0;    // shards healed by a probe
 };
+
+inline constexpr CounterField<ShardedBackendStats> kRouterStatsFields[] = {
+    {"router_sessions", &ShardedBackendStats::sessions},
+    {"router_shard_sessions", &ShardedBackendStats::shard_sessions},
+    {"router_fanout_commits", &ShardedBackendStats::fanout_commits},
+    {"router_fanout_aborts", &ShardedBackendStats::fanout_aborts},
+    {"router_cross_shard_sessions", &ShardedBackendStats::cross_shard_sessions},
+    {"router_reject_releases", &ShardedBackendStats::reject_releases},
+    {"transport_errors", &ShardedBackendStats::transport_errors},
+    {"shard_trips", &ShardedBackendStats::shard_trips},
+    {"shard_recoveries", &ShardedBackendStats::shard_recoveries},
+};
+static_assert(CoversEveryField(kRouterStatsFields));
 
 class ShardedBackend final : public KvsBackend {
  public:
@@ -257,10 +272,18 @@ class ShardedBackend final : public KvsBackend {
   /// Fan `end` (a child's DaR or Abort) out to the written shards that are
   /// up, and count the logical commit or abort in `logical`.
   template <typename End>
-  void FanOut(const std::vector<Written>& written,
-              std::atomic<std::uint64_t>& logical, End&& end);
+  void FanOut(const std::vector<Written>& written, std::uint64_t& logical,
+              End&& end);
   /// Count one logical commit or abort that wrote `written` shards.
-  void CountEnd(std::size_t written, std::atomic<std::uint64_t>& logical);
+  void CountEnd(std::size_t written, std::uint64_t& logical);
+
+  /// `call` on the key's child, through and feeding its circuit breaker.
+  template <typename Call>
+  StoreResult Gated(std::string_view key, Call&& call);
+  /// `call` on the key's child, or an empty answer while the shard is down.
+  template <typename Call>
+  auto UnlessDown(std::string_view key, Call&& call)
+      -> decltype(call(std::declval<KvsBackend&>()));
 
   /// False while the shard is down and the probe slot for this interval is
   /// already claimed: the caller must fail fast without touching the child.
@@ -280,16 +303,8 @@ class ShardedBackend final : public KvsBackend {
   std::unique_ptr<ShardHealth[]> health_;  // one per shard
   std::atomic<SessionId> next_sid_{1};
 
-  // Router counters, same relaxed-atomic discipline as IQShardStats.
-  std::atomic<std::uint64_t> sessions_{0};
-  std::atomic<std::uint64_t> shard_sessions_{0};
-  std::atomic<std::uint64_t> fanout_commits_{0};
-  std::atomic<std::uint64_t> fanout_aborts_{0};
-  std::atomic<std::uint64_t> cross_shard_sessions_{0};
-  std::atomic<std::uint64_t> reject_releases_{0};
-  std::atomic<std::uint64_t> transport_errors_{0};
-  std::atomic<std::uint64_t> shard_trips_{0};
-  std::atomic<std::uint64_t> shard_recoveries_{0};
+  /// Live router counters, bumped from every session's thread (Bump).
+  ShardedBackendStats counters_;
 };
 
 }  // namespace iq

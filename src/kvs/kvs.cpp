@@ -161,7 +161,7 @@ CacheStore::CacheStore(Config config)
       class_words_(SizeClasses(kOptKeyCap + 8 * WordsFor(opt_val_cap_))),
       out_of_line_(static_cast<std::uint8_t>(class_words_.size() - 1)),
       shards_(config.shard_count > 0 ? config.shard_count : 1),
-      opt_counters_(std::make_unique<OptCounters[]>(kCounterSlots)) {
+      opt_counters_(std::make_unique<CounterBlock<CacheStats>[]>(kCounterSlots)) {
   for (auto& s : shards_) {
     s.free.resize(class_words_.size());
     s.indexes.push_back(std::make_unique<Index>(kInitialIndexCapacity));
@@ -478,7 +478,7 @@ std::optional<CacheItem> CacheStore::GetLocked(Shard& s, std::string_view key,
                    e.cas.load(std::memory_order_relaxed)};
 }
 
-CacheStore::OptCounters& CacheStore::ThreadOptCounters() {
+CacheStats& CacheStore::ThreadOptCounters() {
   static std::atomic<std::size_t> next_thread{0};
   thread_local const std::size_t index =
       next_thread.fetch_add(1, std::memory_order_relaxed);
@@ -505,7 +505,7 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     if (e->hash.load(std::memory_order_relaxed) != h) continue;
     const std::uint64_t v1 = e->version.load(std::memory_order_acquire);
     if (v1 & 1) {  // writer mid-update or dead entry: bounce, never spin
-      ThreadOptCounters().fallbacks.fetch_add(1, std::memory_order_relaxed);
+      Bump(ThreadOptCounters().opt_fallbacks);
       return std::nullopt;
     }
     // The loads below may be torn until the version is validated; any
@@ -515,7 +515,7 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     const std::uint32_t klen = e->key_len.load(std::memory_order_relaxed);
     if (klen != key.size()) continue;
     if (OutOfLine(*e)) {  // a value the lock-free path does not serve
-      ThreadOptCounters().fallbacks.fetch_add(1, std::memory_order_relaxed);
+      Bump(ThreadOptCounters().opt_fallbacks);
       return std::nullopt;
     }
     const std::size_t capacity = class_words_[e->cls];  // in words
@@ -533,13 +533,13 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     }
     std::atomic_thread_fence(std::memory_order_acquire);
     if (!fits || e->version.load(std::memory_order_relaxed) != v1) {
-      ThreadOptCounters().fallbacks.fetch_add(1, std::memory_order_relaxed);
+      Bump(ThreadOptCounters().opt_fallbacks);
       return std::nullopt;  // raced a writer; the locked path settles it
     }
     // Snapshot is consistent as of v1.
     if (expires != 0 && clock_.Now() >= expires) {
       // TTL hits are served (and expired) by the locked path.
-      ThreadOptCounters().fallbacks.fetch_add(1, std::memory_order_relaxed);
+      Bump(ThreadOptCounters().opt_fallbacks);
       return std::nullopt;
     }
     out.flags = flags;
@@ -551,7 +551,7 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     if (!e->referenced.load(std::memory_order_relaxed)) {
       e->referenced.store(true, std::memory_order_relaxed);
     }
-    ThreadOptCounters().hits.fetch_add(1, std::memory_order_relaxed);
+    Bump(ThreadOptCounters().opt_hits);
     return out;
   }
   return std::nullopt;  // not indexed, or raced: the locked path decides
@@ -673,32 +673,18 @@ void CacheStore::Flush() {
 CacheStats CacheStore::Stats() const {
   CacheStats total;
   for (std::size_t i = 0; i < kCounterSlots; ++i) {
-    total.opt_hits += opt_counters_[i].hits.load(std::memory_order_relaxed);
-    total.opt_fallbacks +=
-        opt_counters_[i].fallbacks.load(std::memory_order_relaxed);
+    AccumulateLive(total, opt_counters_[i], kCacheStatsFields);
   }
-  // Optimistic hits bypass the locked counters; fold them in so gets/
-  // get_hits keep meaning "every get / every hit" regardless of path.
-  total.gets = total.get_hits = total.opt_hits;
   for (const auto& s : shards_) {
     std::lock_guard lock(s.mu);
-    total.gets += s.stats.gets;
-    total.get_hits += s.stats.get_hits;
-    total.get_misses += s.stats.get_misses;
-    total.sets += s.stats.sets;
-    total.deletes += s.stats.deletes;
-    total.delete_hits += s.stats.delete_hits;
-    total.cas_ops += s.stats.cas_ops;
-    total.cas_mismatches += s.stats.cas_mismatches;
-    total.appends += s.stats.appends;
-    total.prepends += s.stats.prepends;
-    total.incr_decrs += s.stats.incr_decrs;
-    total.evictions += s.stats.evictions;
-    total.expirations += s.stats.expirations;
-    total.flushes += s.stats.flushes;
-    total.bytes_used += s.bytes;
+    Accumulate(total, s.stats, kCacheStatsFields);
+    total.bytes_used += s.bytes;  // gauges the shard keeps for itself
     total.item_count += s.live;
   }
+  // A lock-free hit counts only as opt_hits; fold it in so gets/get_hits
+  // keep meaning "every get / every hit" whichever path served it.
+  total.gets += total.opt_hits;
+  total.get_hits += total.opt_hits;
   return total;
 }
 

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "util/clock.h"
+#include "util/counters.h"
 
 namespace iq {
 
@@ -92,6 +93,28 @@ struct CacheStats {
   std::uint64_t bytes_used = 0;  // snapshot, not monotonic
   std::uint64_t item_count = 0;  // snapshot, not monotonic
 };
+
+inline constexpr CounterField<CacheStats> kCacheStatsFields[] = {
+    {"gets", &CacheStats::gets},
+    {"get_hits", &CacheStats::get_hits},
+    {"get_misses", &CacheStats::get_misses},
+    {"sets", &CacheStats::sets},
+    {"deletes", &CacheStats::deletes},
+    {"delete_hits", &CacheStats::delete_hits},
+    {"cas_ops", &CacheStats::cas_ops},
+    {"cas_mismatches", &CacheStats::cas_mismatches},
+    {"appends", &CacheStats::appends},
+    {"prepends", &CacheStats::prepends},
+    {"incr_decrs", &CacheStats::incr_decrs},
+    {"evictions", &CacheStats::evictions},
+    {"expirations", &CacheStats::expirations},
+    {"flushes", &CacheStats::flushes},
+    {"opt_hits", &CacheStats::opt_hits},
+    {"opt_fallbacks", &CacheStats::opt_fallbacks},
+    {"bytes_used", &CacheStats::bytes_used},
+    {"item_count", &CacheStats::item_count},
+};
+static_assert(CoversEveryField(kCacheStatsFields));
 
 class CacheStore {
  public:
@@ -312,17 +335,13 @@ class CacheStore {
     std::vector<std::vector<Entry*>> free;        // dead entries, per class
   };
 
-  /// Per-thread lock-free hit/fallback counts, a cache line per slot
+  /// Per-thread blocks for the lock-free path's opt_hits and opt_fallbacks
   /// (masstree's threadinfo counters); Stats() sums them. Threads take
   /// slots in the order of their first count, so the first kCounterSlots
-  /// threads (a server's workers) each own one; the atomic add keeps a slot
-  /// exact when a later thread wraps onto it.
-  struct alignas(64) OptCounters {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> fallbacks{0};
-  };
+  /// threads (a server's workers) each own one; the atomic add (Bump) keeps
+  /// a slot exact when a later thread wraps onto it.
   static constexpr std::size_t kCounterSlots = 64;
-  OptCounters& ThreadOptCounters();
+  CacheStats& ThreadOptCounters();
 
   /// The smallest class whose words hold key and value, or the out-of-line
   /// class when the lock-free path would refuse the item.
@@ -397,7 +416,7 @@ class CacheStore {
   std::vector<std::uint32_t> class_words_;
   std::uint8_t out_of_line_;
   std::vector<Shard> shards_;
-  std::unique_ptr<OptCounters[]> opt_counters_;  // kCounterSlots entries
+  std::unique_ptr<CounterBlock<CacheStats>[]> opt_counters_;  // kCounterSlots
   std::atomic<std::uint64_t> cas_counter_{1};
 };
 

@@ -59,13 +59,7 @@ struct alignas(64) TcpServer::Worker {
   // conns.find() check and be applied to the wrong (new) connection.
   std::vector<int> pending_close;
 
-  // Wire counters: relaxed atomics in a worker-private cache line, summed
-  // lock-free by Stats() — the IQShardStats discipline.
-  std::atomic<std::uint64_t> conn_accepted{0};
-  std::atomic<std::uint64_t> conn_active{0};
-  std::atomic<std::uint64_t> bytes_read{0};
-  std::atomic<std::uint64_t> bytes_written{0};
-  std::atomic<std::uint64_t> requests{0};
+  TcpServerStats wire;  // live: summed lock-free by Stats()
 };
 
 namespace {
@@ -136,7 +130,9 @@ bool TcpServer::Start(std::string* error) {
     if (w->epoll_fd < 0 || w->wake_fd < 0) return fail("epoll/eventfd");
     AddEpoll(w->epoll_fd, w->wake_fd, EPOLLIN);
     w->dispatcher.set_stats_augmenter(
-        [this](std::string& out) { AppendWireStats(out); });
+        [this](std::string& out) {
+          AppendStats(out, Stats(), kTcpServerStatsFields);
+        });
     workers_.push_back(std::move(w));
   }
   // Only worker 0 watches the listener; it distributes accepted sockets
@@ -182,29 +178,9 @@ void TcpServer::Stop() {
 TcpServerStats TcpServer::Stats() const {
   TcpServerStats total;
   for (const auto& w : workers_) {
-    total.conn_accepted += w->conn_accepted.load(std::memory_order_relaxed);
-    total.conn_active += w->conn_active.load(std::memory_order_relaxed);
-    total.bytes_read += w->bytes_read.load(std::memory_order_relaxed);
-    total.bytes_written += w->bytes_written.load(std::memory_order_relaxed);
-    total.requests += w->requests.load(std::memory_order_relaxed);
+    AccumulateLive(total, w->wire, kTcpServerStatsFields);
   }
   return total;
-}
-
-void TcpServer::AppendWireStats(std::string& out) const {
-  TcpServerStats s = Stats();
-  auto stat = [&out](const char* name, std::uint64_t v) {
-    out += "STAT ";
-    out += name;
-    out += ' ';
-    out += std::to_string(v);
-    out += "\r\n";
-  };
-  stat("conn_accepted", s.conn_accepted);
-  stat("conn_active", s.conn_active);
-  stat("bytes_read", s.bytes_read);
-  stat("bytes_written", s.bytes_written);
-  stat("net_requests", s.requests);
 }
 
 void TcpServer::WorkerLoop(Worker& worker) {
@@ -284,7 +260,7 @@ void TcpServer::AcceptReady(Worker& w0) {
     for (std::size_t i = 0; i < n; ++i) {
       std::size_t idx = (accept_rotor_ + i) % n;
       Worker& w = *workers_[idx];
-      std::uint64_t load = w.conn_active.load(std::memory_order_relaxed) +
+      std::uint64_t load = Peek(w.wire.conn_active) +
                            w.handoff_pending.load(std::memory_order_relaxed);
       if (load < best_load) {
         best_load = load;
@@ -293,7 +269,7 @@ void TcpServer::AcceptReady(Worker& w0) {
     }
     ++accept_rotor_;
     Worker& target = *workers_[best];
-    target.conn_accepted.fetch_add(1, std::memory_order_relaxed);
+    Bump(target.wire.conn_accepted);
     if (&target == &w0) {
       AdoptConnection(w0, fd);
     } else {
@@ -320,7 +296,7 @@ void TcpServer::AdoptPending(Worker& worker) {
 }
 
 void TcpServer::AdoptConnection(Worker& worker, int fd) {
-  worker.conn_active.fetch_add(1, std::memory_order_relaxed);
+  Bump(worker.wire.conn_active);
   worker.conns.emplace(fd, std::make_unique<Connection>(fd));
   AddEpoll(worker.epoll_fd, fd, EPOLLIN);
 }
@@ -337,8 +313,7 @@ void TcpServer::HandleEvent(Worker& worker, Connection& conn,
     while (true) {
       ssize_t r = ::read(conn.fd, buf, sizeof(buf));
       if (r > 0) {
-        worker.bytes_read.fetch_add(static_cast<std::uint64_t>(r),
-                                    std::memory_order_relaxed);
+        Bump(worker.wire.bytes_read, static_cast<std::uint64_t>(r));
         conn.parser.Feed(std::string_view(buf, static_cast<std::size_t>(r)));
         if (static_cast<std::size_t>(r) < sizeof(buf)) break;
         continue;
@@ -395,7 +370,7 @@ void TcpServer::DrainRequests(Worker& worker, Connection& conn) {
       AppendError(error, &conn.out);
       continue;  // parser resynced past the bad line; keep the connection
     }
-    worker.requests.fetch_add(1, std::memory_order_relaxed);
+    Bump(worker.wire.requests);
     if (request.command == Command::kQuit) {
       // memcached closes without a reply; flush what's pending first.
       conn.closing = true;
@@ -419,8 +394,7 @@ void TcpServer::FlushOutput(Worker& worker, Connection& conn) {
     ssize_t w = ::write(conn.fd, conn.out.data() + conn.out_pos,
                         conn.out.size() - conn.out_pos);
     if (w > 0) {
-      worker.bytes_written.fetch_add(static_cast<std::uint64_t>(w),
-                                     std::memory_order_relaxed);
+      Bump(worker.wire.bytes_written, static_cast<std::uint64_t>(w));
       conn.out_pos += static_cast<std::size_t>(w);
       continue;
     }
@@ -464,7 +438,7 @@ void TcpServer::CloseConnection(Worker& worker, Connection& conn) {
   ::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   worker.conns.erase(fd);  // destroys conn
   worker.pending_close.push_back(fd);  // close()d at end of batch
-  worker.conn_active.fetch_sub(1, std::memory_order_relaxed);
+  Unbump(worker.wire.conn_active);
 }
 
 }  // namespace iq::net

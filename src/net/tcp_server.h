@@ -16,9 +16,9 @@
 //     input buffer before returning to epoll_wait, and the responses are
 //     coalesced into one write() per flush.
 //
-// Per-worker wire counters (conn_accepted, conn_active, bytes_read,
-// bytes_written, requests) are cache-line-aligned relaxed atomics, the same
-// discipline as IQShardStats; `stats` over any connection includes them.
+// Each worker keeps a live TcpServerStats block (util/counters.h), bumped
+// with relaxed atomic adds and summed lock-free by Stats(); `stats` over any
+// connection includes the totals.
 #pragma once
 
 #include <atomic>
@@ -29,6 +29,7 @@
 
 #include "core/iq_server.h"
 #include "net/server.h"
+#include "util/counters.h"
 
 namespace iq::net {
 
@@ -40,6 +41,15 @@ struct TcpServerStats {
   std::uint64_t bytes_written = 0;
   std::uint64_t requests = 0;
 };
+
+inline constexpr CounterField<TcpServerStats> kTcpServerStatsFields[] = {
+    {"conn_accepted", &TcpServerStats::conn_accepted},
+    {"conn_active", &TcpServerStats::conn_active},
+    {"bytes_read", &TcpServerStats::bytes_read},
+    {"bytes_written", &TcpServerStats::bytes_written},
+    {"net_requests", &TcpServerStats::requests},
+};
+static_assert(CoversEveryField(kTcpServerStatsFields));
 
 class TcpServer {
  public:
@@ -76,10 +86,6 @@ class TcpServer {
   std::uint16_t port() const { return port_; }
 
   TcpServerStats Stats() const;
-
-  /// Append the wire counters as "STAT name value\r\n" lines — installed
-  /// into each worker's dispatcher as the stats augmenter.
-  void AppendWireStats(std::string& out) const;
 
  private:
   struct Connection;

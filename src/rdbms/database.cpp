@@ -84,7 +84,7 @@ TxnResult Transaction::DeleteByPk(const std::string& table, const Row& pk) {
 
 std::optional<Row> Transaction::SelectByPk(Table& table, const Row& pk) {
   db_.DelayFor(db_.config_.read_delay);
-  Database::Bump(db_.stats_.reads);
+  Bump(db_.stats_.reads);
   if (state_ != State::kActive) return std::nullopt;
   return table.Read(ctx_, pk);
 }
@@ -92,7 +92,7 @@ std::optional<Row> Transaction::SelectByPk(Table& table, const Row& pk) {
 std::vector<Row> Transaction::SelectWhereEq(Table& table, std::size_t col,
                                             const Value& value) {
   db_.DelayFor(db_.config_.read_delay);
-  Database::Bump(db_.stats_.reads);
+  Bump(db_.stats_.reads);
   if (state_ != State::kActive || col >= table.schema().columns.size()) {
     return {};
   }
@@ -102,7 +102,7 @@ std::vector<Row> Transaction::SelectWhereEq(Table& table, std::size_t col,
 std::vector<Row> Transaction::SelectWhere(
     Table& table, const std::function<bool(const Row&)>& pred) {
   db_.DelayFor(db_.config_.read_delay);
-  Database::Bump(db_.stats_.reads);
+  Bump(db_.stats_.reads);
   if (state_ != State::kActive) return {};
   return table.Scan(ctx_, pred);
 }
@@ -110,7 +110,7 @@ std::vector<Row> Transaction::SelectWhere(
 void Transaction::Record(Table& table, TxnResult r,
                          Table::RowChain* claimed) {
   if (r == TxnResult::kConflict) {
-    Database::Bump(db_.stats_.conflicts);
+    Bump(db_.stats_.conflicts);
     Doom();
   }
   if (r == TxnResult::kOk && claimed != nullptr) {
@@ -121,7 +121,7 @@ void Transaction::Record(Table& table, TxnResult r,
 TxnResult Transaction::Insert(Table& table, Row row) {
   if (state_ != State::kActive) return TxnResult::kAborted;
   db_.DelayFor(db_.config_.write_delay);
-  Database::Bump(db_.stats_.writes);
+  Bump(db_.stats_.writes);
   const bool fire = db_.HasTriggers();
   Row new_row;  // the trigger event's copy
   if (fire) new_row = row;
@@ -140,7 +140,7 @@ TxnResult Transaction::UpdateByPk(Table& table, const Row& pk,
                                   const std::function<bool(const Row&)>& match) {
   if (state_ != State::kActive) return TxnResult::kAborted;
   db_.DelayFor(db_.config_.write_delay);
-  Database::Bump(db_.stats_.writes);
+  Bump(db_.stats_.writes);
   Table::RowChain* claimed = nullptr;
   if (!db_.HasTriggers()) {
     TxnResult r = table.UpdateIntent(ctx_, pk, mutate, match, &claimed);
@@ -167,7 +167,7 @@ TxnResult Transaction::DeleteByPk(Table& table, const Row& pk,
                                   const std::function<bool(const Row&)>& match) {
   if (state_ != State::kActive) return TxnResult::kAborted;
   db_.DelayFor(db_.config_.write_delay);
-  Database::Bump(db_.stats_.writes);
+  Bump(db_.stats_.writes);
   Table::RowChain* claimed = nullptr;
   if (!db_.HasTriggers()) {
     TxnResult r = table.DeleteIntent(ctx_, pk, match, &claimed);
@@ -206,7 +206,7 @@ TxnResult Transaction::Commit() {
     commit_ts_ = ts;
   }
   state_ = State::kCommitted;
-  Database::Bump(db_.stats_.txns_committed);
+  Bump(db_.stats_.txns_committed);
   return TxnResult::kOk;
 }
 
@@ -219,7 +219,7 @@ void Transaction::Doom() {
   for (const auto& w : writes_) w.table->AbortIntent(ctx_.id, *w.chain);
   writes_.clear();
   state_ = State::kAborted;
-  Database::Bump(db_.stats_.txns_aborted);
+  Bump(db_.stats_.txns_aborted);
 }
 
 // ---- Database ---------------------------------------------------------------
@@ -320,12 +320,7 @@ void Database::FireTriggers(Transaction& txn, const TriggerEvent& event) {
 }
 
 Database::Stats Database::GetStats() const {
-  auto load = [](const std::atomic<std::uint64_t>& c) {
-    return c.load(std::memory_order_relaxed);
-  };
-  return Stats{load(stats_.txns_started), load(stats_.txns_committed),
-               load(stats_.txns_aborted),  load(stats_.conflicts),
-               load(stats_.reads),         load(stats_.writes)};
+  return LoadCounters(stats_, kDatabaseStatsFields);
 }
 
 Timestamp Database::OldestSnapshot() const {

@@ -22,6 +22,7 @@
 
 #include "rdbms/table.h"
 #include "util/clock.h"
+#include "util/counters.h"
 
 namespace iq::sql {
 
@@ -216,22 +217,20 @@ class Database {
       triggers_;
   std::atomic<bool> has_triggers_{false};
 
-  /// Stats fields, bumped with relaxed atomics (no lock per statement).
-  struct Counters {
-    std::atomic<std::uint64_t> txns_started{0};
-    std::atomic<std::uint64_t> txns_committed{0};
-    std::atomic<std::uint64_t> txns_aborted{0};
-    std::atomic<std::uint64_t> conflicts{0};
-    std::atomic<std::uint64_t> reads{0};
-    std::atomic<std::uint64_t> writes{0};
-  };
-  static void Bump(std::atomic<std::uint64_t>& counter) {
-    counter.fetch_add(1, std::memory_order_relaxed);
-  }
-  Counters stats_;
+  Stats stats_;  // live: bumped with Bump, no lock per statement
 
   mutable std::mutex active_mu_;
   std::unordered_map<TxnId, Timestamp> active_snapshots_;
 };
+
+inline constexpr CounterField<Database::Stats> kDatabaseStatsFields[] = {
+    {"txns_started", &Database::Stats::txns_started},
+    {"txns_committed", &Database::Stats::txns_committed},
+    {"txns_aborted", &Database::Stats::txns_aborted},
+    {"conflicts", &Database::Stats::conflicts},
+    {"reads", &Database::Stats::reads},
+    {"writes", &Database::Stats::writes},
+};
+static_assert(CoversEveryField(kDatabaseStatsFields));
 
 }  // namespace iq::sql

@@ -133,9 +133,7 @@ bool ParseTraceEvents(std::string_view text, std::vector<TraceEvent>* out,
           !ParseU64(tok[2], &ti.capacity)) {
         return false;
       }
-      totals.recorded += ti.recorded;
-      totals.dropped += ti.dropped;
-      totals.capacity += ti.capacity;
+      Accumulate(totals, ti, kTraceInfoFields);
       saw_info = true;
       continue;
     }
@@ -166,11 +164,7 @@ bool ParseTraceEvents(std::string_view text, std::vector<TraceEvent>* out,
     events.push_back(e);
   }
   out->insert(out->end(), events.begin(), events.end());
-  if (info) {
-    info->recorded += totals.recorded;
-    info->dropped += totals.dropped;
-    info->capacity += totals.capacity;
-  }
+  if (info) Accumulate(*info, totals, kTraceInfoFields);
   if (has_info) *has_info = saw_info;
   return true;
 }

@@ -20,6 +20,7 @@
 // it is an accepted diagnostic-grade bound for the general MPMC case.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "util/clock.h"
+#include "util/counters.h"
 
 namespace iq {
 
@@ -142,6 +144,36 @@ struct TraceInfo {
   std::uint64_t dropped = 0;
   std::uint64_t capacity = 0;
 };
+
+inline constexpr CounterField<TraceInfo> kTraceInfoFields[] = {
+    {"trace_recorded", &TraceInfo::recorded},
+    {"trace_dropped", &TraceInfo::dropped},
+    {"trace_capacity", &TraceInfo::capacity},
+};
+static_assert(CoversEveryField(kTraceInfoFields));
+
+/// Concatenate drain(source, max_events), each oldest first, in source
+/// order; stable-sort by timestamp, so ties keep source and then seq order
+/// (one key's events, all from one ring, stay causal); keep the newest.
+template <typename Sources, typename Drain>
+std::vector<TraceEvent> MergeDrains(const Sources& sources,
+                                    std::size_t max_events, Drain&& drain) {
+  std::vector<TraceEvent> merged;
+  if (max_events == 0) return merged;
+  for (const auto& source : sources) {
+    std::vector<TraceEvent> part = drain(source, max_events);
+    merged.insert(merged.end(), part.begin(), part.end());
+  }
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.at < b.at;
+                   });
+  if (merged.size() > max_events) {
+    merged.erase(merged.begin(),
+                 merged.end() - static_cast<std::ptrdiff_t>(max_events));
+  }
+  return merged;
+}
 
 /// Render events as the wire format used by the `trace` verb, one
 /// "TRACE <seq> <at> <shard> <kind> <session> <key_hash>\r\n" line per

@@ -1,15 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "casql/casql.h"
+#include "core/sharded_backend.h"
 #include "net/channel.h"
 #include "net/reconnecting_channel.h"
 #include "net/remote_backend.h"
+#include "net/tcp_server.h"
+#include "rdbms/database.h"
+#include "stat_lines.h"
 #include "util/backoff.h"
+#include "util/clock.h"
 #include "net/protocol.h"
 #include "net/server.h"
 
@@ -1199,6 +1207,195 @@ TEST(ParseIQStats, IgnoresForeignLinesAndGarbage) {
   EXPECT_EQ(s.commits, 7u);
   EXPECT_EQ(s.q_rejected, 3u);
   EXPECT_EQ(s.aborts, 0u);  // unparsable value left at zero
+}
+
+// ---- counter export ------------------------------------------------------------
+
+TEST(StatsExport, FormatStatsRendersEveryCounterOnceWithItsValue) {
+  ManualClock clock;
+  IQServer::Config cfg;
+  cfg.clock = &clock;
+  IQServer server(CacheStore::Config{.clock = &clock}, cfg);
+  CacheStore& store = server.store();
+  store.Set("a", "1");
+  store.Get("a");
+  store.Get("missing");
+  store.Delete("a");
+  store.Delete("a");
+  store.Set("n", "5");
+  store.Incr("n", 2);
+  store.Append("n", "0");
+  store.Prepend("n", "1");
+  const std::optional<CacheItem> n = store.Get("n");
+  ASSERT_TRUE(n);
+  store.Cas("n", "9", n->cas);
+  store.Cas("n", "8", n->cas);  // a cas mismatch
+  GetReply miss = server.IQget("k", 1);
+  ASSERT_EQ(miss.status, GetReply::Status::kMissGrantedI);
+  server.IQset("k", "v", miss.token);
+  server.IQget("k", 2);
+  QaReadReply q = server.QaRead("k", 3);
+  server.SaR("k", "w", q.token);
+  server.Commit(3);
+  server.command_latencies().Record(
+      static_cast<std::size_t>(CommandClass::kIQget), 750);
+
+  const std::string text = FormatStats(server);
+  const CacheStats kvs = store.Stats();
+  const IQServerStats iq = server.Stats();
+  const TraceInfo trace = server.TraceInfoTotal();
+  // Written by field name, independently of the tables.
+  const std::vector<std::pair<std::string, std::uint64_t>> want = {
+      {"gets", kvs.gets},
+      {"get_hits", kvs.get_hits},
+      {"get_misses", kvs.get_misses},
+      {"sets", kvs.sets},
+      {"deletes", kvs.deletes},
+      {"delete_hits", kvs.delete_hits},
+      {"cas_ops", kvs.cas_ops},
+      {"cas_mismatches", kvs.cas_mismatches},
+      {"appends", kvs.appends},
+      {"prepends", kvs.prepends},
+      {"incr_decrs", kvs.incr_decrs},
+      {"evictions", kvs.evictions},
+      {"expirations", kvs.expirations},
+      {"flushes", kvs.flushes},
+      {"opt_hits", kvs.opt_hits},
+      {"opt_fallbacks", kvs.opt_fallbacks},
+      {"bytes_used", kvs.bytes_used},
+      {"item_count", kvs.item_count},
+      {"i_leases_granted", iq.i_granted},
+      {"i_leases_voided", iq.i_voided},
+      {"q_ref_voided", iq.q_ref_voided},
+      {"backoffs", iq.backoffs},
+      {"stale_sets_dropped", iq.stale_sets_dropped},
+      {"q_inv_granted", iq.q_inv_granted},
+      {"q_ref_granted", iq.q_ref_granted},
+      {"q_rejected", iq.q_rejected},
+      {"leases_expired", iq.leases_expired},
+      {"expiry_deletes", iq.expiry_deletes},
+      {"commits", iq.commits},
+      {"aborts", iq.aborts},
+      {"near_grants", iq.near_grants},
+      {"leases_live", server.LeaseCount()},
+      {"trace_recorded", trace.recorded},
+      {"trace_dropped", trace.dropped},
+      {"trace_capacity", trace.capacity},
+  };
+  EXPECT_EQ(kvs.delete_hits, 1u);
+  EXPECT_EQ(kvs.cas_mismatches, 1u);
+  EXPECT_EQ(kvs.appends, 1u);
+
+  const auto lines = StatLines(text);
+  std::set<std::string> names;
+  for (const auto& [name, values] : lines) names.insert(name);
+  std::set<std::string> expected;
+  for (const auto& [name, value] : want) {
+    expected.insert(name);
+    auto it = lines.find(name);
+    if (it == lines.end()) {
+      ADD_FAILURE() << name << " is not rendered";
+      continue;
+    }
+    EXPECT_EQ(it->second, std::vector<std::string>{std::to_string(value)})
+        << name;
+  }
+  for (const char* suffix : {"count", "mean_ns", "p95_ns", "p99_ns", "max_ns"}) {
+    expected.insert(std::string("cmd_iqget_") + suffix);
+  }
+  // Every name rendered is one of these, and every one is rendered.
+  EXPECT_EQ(names, expected);
+}
+
+/// `s` holds a distinct non-zero value in every field. Its table renders
+/// exactly the lines of `want` (written by field name, so a row bound to
+/// the wrong member shows up as a wrong value), and parses back to `s`.
+template <typename Set, std::size_t N>
+void ExpectRoundTrip(const Set& s, const CounterField<Set> (&rows)[N],
+                     const std::map<std::string, std::uint64_t>& want) {
+  std::uint64_t words[N];
+  static_assert(sizeof words == sizeof s);
+  std::memcpy(words, &s, sizeof s);
+  const std::set<std::uint64_t> distinct(words, words + N);
+  EXPECT_EQ(distinct.size(), N);
+  EXPECT_EQ(distinct.count(0), 0u);
+
+  std::string text;
+  AppendStats(text, s, rows);
+  const auto lines = StatLines(text);
+  EXPECT_EQ(lines.size(), want.size());
+  for (const auto& [name, value] : want) {
+    auto it = lines.find(name);
+    ASSERT_NE(it, lines.end()) << name;
+    ASSERT_EQ(it->second.size(), 1u) << name;
+    EXPECT_EQ(it->second[0], std::to_string(value)) << name;
+  }
+  const Set back = ParseStats(text, rows);
+  EXPECT_EQ(std::memcmp(&back, &s, sizeof s), 0);
+}
+
+TEST(CounterTables, EveryRowIsBoundToItsOwnField) {
+  ExpectRoundTrip(
+      IQServerStats{.i_granted = 1, .i_voided = 2, .q_ref_voided = 3,
+                    .backoffs = 4, .stale_sets_dropped = 5, .q_inv_granted = 6,
+                    .q_ref_granted = 7, .q_rejected = 8, .leases_expired = 9,
+                    .expiry_deletes = 10, .commits = 11, .aborts = 12,
+                    .near_grants = 13},
+      kIQStatsFields,
+      {{"i_leases_granted", 1}, {"i_leases_voided", 2}, {"q_ref_voided", 3},
+       {"backoffs", 4}, {"stale_sets_dropped", 5}, {"q_inv_granted", 6},
+       {"q_ref_granted", 7}, {"q_rejected", 8}, {"leases_expired", 9},
+       {"expiry_deletes", 10}, {"commits", 11}, {"aborts", 12},
+       {"near_grants", 13}});
+  ExpectRoundTrip(
+      CacheStats{.gets = 1, .get_hits = 2, .get_misses = 3, .sets = 4,
+                 .deletes = 5, .delete_hits = 6, .cas_ops = 7,
+                 .cas_mismatches = 8, .appends = 9, .prepends = 10,
+                 .incr_decrs = 11, .evictions = 12, .expirations = 13,
+                 .flushes = 14, .opt_hits = 15, .opt_fallbacks = 16,
+                 .bytes_used = 17, .item_count = 18},
+      kCacheStatsFields,
+      {{"gets", 1}, {"get_hits", 2}, {"get_misses", 3}, {"sets", 4},
+       {"deletes", 5}, {"delete_hits", 6}, {"cas_ops", 7},
+       {"cas_mismatches", 8}, {"appends", 9}, {"prepends", 10},
+       {"incr_decrs", 11}, {"evictions", 12}, {"expirations", 13},
+       {"flushes", 14}, {"opt_hits", 15}, {"opt_fallbacks", 16},
+       {"bytes_used", 17}, {"item_count", 18}});
+  ExpectRoundTrip(
+      TcpServerStats{.conn_accepted = 1, .conn_active = 2, .bytes_read = 3,
+                     .bytes_written = 4, .requests = 5},
+      kTcpServerStatsFields,
+      {{"conn_accepted", 1}, {"conn_active", 2}, {"bytes_read", 3},
+       {"bytes_written", 4}, {"net_requests", 5}});
+  ExpectRoundTrip(
+      ShardedBackendStats{.sessions = 1, .shard_sessions = 2,
+                          .fanout_commits = 3, .fanout_aborts = 4,
+                          .cross_shard_sessions = 5, .reject_releases = 6,
+                          .transport_errors = 7, .shard_trips = 8,
+                          .shard_recoveries = 9},
+      kRouterStatsFields,
+      {{"router_sessions", 1}, {"router_shard_sessions", 2},
+       {"router_fanout_commits", 3}, {"router_fanout_aborts", 4},
+       {"router_cross_shard_sessions", 5}, {"router_reject_releases", 6},
+       {"transport_errors", 7}, {"shard_trips", 8},
+       {"shard_recoveries", 9}});
+  ExpectRoundTrip(
+      sql::Database::Stats{.txns_started = 1, .txns_committed = 2,
+                           .txns_aborted = 3, .conflicts = 4, .reads = 5,
+                           .writes = 6},
+      sql::kDatabaseStatsFields,
+      {{"txns_started", 1}, {"txns_committed", 2}, {"txns_aborted", 3},
+       {"conflicts", 4}, {"reads", 5}, {"writes", 6}});
+  ExpectRoundTrip(
+      casql::AuditStats{.samples = 1, .stale_reads_detected = 2,
+                        .skipped = 3, .bounded = 4},
+      casql::kAuditStatsFields,
+      {{"audit_samples", 1}, {"stale_reads_detected", 2},
+       {"audit_skipped", 3}, {"audit_bounded", 4}});
+  ExpectRoundTrip(TraceInfo{.recorded = 1, .dropped = 2, .capacity = 3},
+                  kTraceInfoFields,
+                  {{"trace_recorded", 1}, {"trace_dropped", 2},
+                   {"trace_capacity", 3}});
 }
 
 // ---- endpoint parsing ----------------------------------------------------------

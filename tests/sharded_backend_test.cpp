@@ -12,6 +12,7 @@
 #include "core/iq_server.h"
 #include "net/channel.h"
 #include "net/remote_backend.h"
+#include "stat_lines.h"
 
 namespace iq {
 namespace {
@@ -340,6 +341,72 @@ TEST_F(ShardedBackendTest, StatsAggregateAcrossShardsWithBreakdown) {
   EXPECT_NE(stats.find("STAT shard0_i_leases_granted 1"), std::string::npos);
   EXPECT_NE(stats.find("STAT shard1_q_ref_granted 1"), std::string::npos);
   EXPECT_NE(stats.find("STAT router_sessions 2"), std::string::npos);
+}
+
+TEST(ShardedStats, FormatStatsReadsEachChildOnce) {
+  // Providers that answer differently on every call, as a live TCP child
+  // does: the aggregate lines must be the sum of the breakdown below them.
+  IQServer a, b;
+  int stats_calls[2] = {0, 0};
+  int reconnect_calls[2] = {0, 0};
+  auto stats = [&stats_calls](int i) {
+    return [&stats_calls, i] {
+      const int call = ++stats_calls[i];
+      IQServerStats s;
+      s.i_granted = static_cast<std::uint64_t>(100 * (i + 1) + call);
+      s.commits = static_cast<std::uint64_t>(10 * call);
+      return s;
+    };
+  };
+  auto reconnects = [&reconnect_calls](int i) {
+    return [&reconnect_calls, i] {
+      return static_cast<std::uint64_t>(++reconnect_calls[i] + 5 * i);
+    };
+  };
+  ShardedBackend router({{.name = "s0", .backend = &a, .stats = stats(0),
+                          .reconnects = reconnects(0)},
+                         {.name = "s1", .backend = &b, .stats = stats(1),
+                          .reconnects = reconnects(1)}});
+  const auto lines = StatLines(router.FormatStats());
+  EXPECT_EQ(stats_calls[0], 1);
+  EXPECT_EQ(stats_calls[1], 1);
+  EXPECT_EQ(reconnect_calls[0], 1);
+  EXPECT_EQ(reconnect_calls[1], 1);
+  auto value = [&lines](const std::string& name) -> std::uint64_t {
+    auto it = lines.find(name);
+    if (it == lines.end() || it->second.size() != 1) {
+      ADD_FAILURE() << name << " is not rendered exactly once";
+      return 0;
+    }
+    return std::stoull(it->second[0]);
+  };
+  for (const std::string name : {"i_leases_granted", "commits", "aborts"}) {
+    EXPECT_EQ(value(name), value("shard0_" + name) + value("shard1_" + name))
+        << name;
+  }
+  EXPECT_EQ(value("reconnects"),
+            value("shard0_reconnects") + value("shard1_reconnects"));
+}
+
+TEST_F(ShardedBackendTest, FormatStatsRendersEveryRowOnce) {
+  std::string k0 = KeyOnShard(router_, 0);
+  SessionId t = router_.GenID();
+  ASSERT_EQ(router_.IQget(k0, t).status, GetReply::Status::kMissGrantedI);
+  router_.Set(KeyOnShard(router_, 1), "v");
+  const auto lines = StatLines(router_.FormatStats());
+  ExpectRowsOnce(lines, router_.router_stats(), kRouterStatsFields);
+  ExpectRowsOnce(lines, router_.Stats(), kIQStatsFields);
+  ExpectRowsOnce(lines, child0_.Stats(), kIQStatsFields, "shard0_");
+  ExpectRowsOnce(lines, child1_.Stats(), kIQStatsFields, "shard1_");
+  for (const char* name :
+       {"shard_count", "ring_points", "reconnects", "shard0_endpoint",
+        "shard0_weight", "shard0_down", "shard0_transport_errors",
+        "shard1_endpoint", "shard1_weight", "shard1_down",
+        "shard1_transport_errors"}) {
+    auto it = lines.find(name);
+    ASSERT_NE(it, lines.end()) << name;
+    EXPECT_EQ(it->second.size(), 1u) << name;
+  }
 }
 
 TEST_F(ShardedBackendTest, SessionIdReuseAfterCommitKeepsChildIds) {

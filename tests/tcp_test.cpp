@@ -29,6 +29,7 @@
 #include "net/server.h"
 #include "net/tcp_channel.h"
 #include "net/tcp_server.h"
+#include "stat_lines.h"
 #include "util/clock.h"
 
 namespace iq::net {
@@ -236,6 +237,30 @@ TEST_F(TcpServerTest, WireCountersShowUpInStats) {
   EXPECT_GT(s.bytes_read, 0u);
   EXPECT_GT(s.bytes_written, 0u);
   EXPECT_GE(s.requests, 2u);
+}
+
+TEST_F(TcpServerTest, WireStatsRenderEveryRowOnceWithItsValue) {
+  auto channel = Connect();
+  RemoteBackend client(*channel);
+  client.Set("k", "v");
+  const std::string stats = client.Stats();
+  const auto lines = StatLines(stats);
+  for (const char* name : {"conn_accepted", "conn_active", "bytes_read",
+                           "bytes_written", "net_requests"}) {
+    auto it = lines.find(name);
+    ASSERT_NE(it, lines.end()) << name;
+    EXPECT_EQ(it->second.size(), 1u) << name;
+  }
+  // The reply rendered after its own request was counted; since then only
+  // the reply itself ("END\r\n" closes it) went out on the wire.
+  const TcpServerStats rendered = ParseStats(stats, kTcpServerStatsFields);
+  const std::uint64_t reply_bytes = stats.size() + 5;
+  EXPECT_TRUE(Eventually([&] {
+    return tcp_->Stats().bytes_written == rendered.bytes_written + reply_bytes;
+  }));
+  TcpServerStats now = tcp_->Stats();
+  now.bytes_written -= reply_bytes;
+  ExpectRowsOnce(lines, now, kTcpServerStatsFields);
 }
 
 TEST(TcpScrapeTest, MetricsMirrorsStatsThenSweepAndFlushAllTakeEffect) {

@@ -3,9 +3,12 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "util/backoff.h"
 #include "util/clock.h"
+#include "util/counters.h"
 #include "util/flags.h"
 #include "util/histogram.h"
 #include "util/rng.h"
@@ -352,6 +355,113 @@ TEST(Flags, ValueMatchesOnlyItsPrefix) {
   ASSERT_TRUE(flags::Value("--port=11211", "--port=", &v));
   EXPECT_STREQ(v, "11211");
   EXPECT_FALSE(flags::Value("--ports=1", "--port=", &v));
+}
+
+// ---- counter sets ------------------------------------------------------------
+
+struct Toy {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint64_t c = 0;
+};
+
+constexpr CounterField<Toy> kToyFields[] = {
+    {"toy_a", &Toy::a}, {"toy_b", &Toy::b}, {"toy_c", &Toy::c}};
+static_assert(CoversEveryField(kToyFields));
+
+// What `static_assert(CoversEveryField(...))` refuses to build.
+constexpr CounterField<Toy> kMissingRow[] = {{"toy_a", &Toy::a},
+                                             {"toy_b", &Toy::b}};
+static_assert(!CoversEveryField(kMissingRow));
+constexpr CounterField<Toy> kRepeatedMember[] = {
+    {"toy_a", &Toy::a}, {"toy_b", &Toy::b}, {"toy_c", &Toy::b}};
+static_assert(!CoversEveryField(kRepeatedMember));
+constexpr CounterField<Toy> kRepeatedName[] = {
+    {"toy_a", &Toy::a}, {"toy_b", &Toy::b}, {"toy_b", &Toy::c}};
+static_assert(!CoversEveryField(kRepeatedName));
+
+TEST(CounterSet, ConcurrentBumpsAndSumsEndExact) {
+  // Three threads bump live blocks (each its own `a` and `c`, and a
+  // neighbour's `b`) while a fourth sums them; every sum the reader sees
+  // only grows, and the final one is exact.
+  constexpr std::uint64_t kPerThread = 50000;
+  std::vector<CounterBlock<Toy>> blocks(3);
+  std::atomic<bool> done{false};
+  std::uint64_t sums = 0;
+  std::thread reader([&] {
+    Toy last;
+    while (!done.load(std::memory_order_acquire)) {
+      Toy total;
+      for (const Toy& block : blocks) AccumulateLive(total, block, kToyFields);
+      EXPECT_GE(total.a, last.a);
+      EXPECT_GE(total.b, last.b);
+      last = total;
+      ++sums;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    writers.emplace_back([&, i] {
+      for (std::uint64_t n = 0; n < kPerThread; ++n) {
+        Bump(blocks[i].a);
+        Bump(blocks[(i + 1) % blocks.size()].b);
+        Bump(blocks[i].c, 3);
+        Unbump(blocks[i].c);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(sums, 0u);
+
+  Toy total;
+  for (const Toy& block : blocks) AccumulateLive(total, block, kToyFields);
+  EXPECT_EQ(total.a, 3 * kPerThread);
+  EXPECT_EQ(total.b, 3 * kPerThread);
+  EXPECT_EQ(total.c, 6 * kPerThread);
+  const Toy one = LoadCounters(blocks[1], kToyFields);
+  EXPECT_EQ(one.a, kPerThread);
+  EXPECT_EQ(one.b, kPerThread);
+  EXPECT_EQ(one.c, 2 * kPerThread);
+  EXPECT_EQ(Peek(blocks[2].c), 2 * kPerThread);
+}
+
+TEST(CounterSet, StatLinesRoundTripWithAPrefix) {
+  const Toy toy{.a = 7, .b = 18446744073709551615u, .c = 0};
+  std::string text;
+  AppendStat(text, "label", "cache-a");
+  AppendStats(text, toy, kToyFields, "shard3_");
+  EXPECT_EQ(text,
+            "STAT label cache-a\r\n"
+            "STAT shard3_toy_a 7\r\n"
+            "STAT shard3_toy_b 18446744073709551615\r\n"
+            "STAT shard3_toy_c 0\r\n");
+
+  std::string plain;
+  AppendStats(plain, toy, kToyFields);
+  const Toy back = ParseStats(plain, kToyFields);
+  EXPECT_EQ(back.a, toy.a);
+  EXPECT_EQ(back.b, toy.b);
+  EXPECT_EQ(back.c, toy.c);
+
+  // Lines that are not a row's, or whose value is not a whole number, are
+  // ignored; LF alone ends a line too.
+  const Toy parsed = ParseStats(
+      "STAT toy_a 5\nSTAT toy_b 12x\r\nnoise\r\nSTAT shard3_toy_c 9\r\n"
+      "STAT toy_c\r\nSTAT toy_c 4",
+      kToyFields);
+  EXPECT_EQ(parsed.a, 5u);
+  EXPECT_EQ(parsed.b, 0u);
+  EXPECT_EQ(parsed.c, 4u);
+
+  std::vector<std::string> seen;
+  ForEachStat(text, [&](std::string_view name, std::string_view value) {
+    seen.push_back(std::string(name) + "=" + std::string(value));
+  });
+  EXPECT_EQ(seen, (std::vector<std::string>{
+                      "label=cache-a", "shard3_toy_a=7",
+                      "shard3_toy_b=18446744073709551615", "shard3_toy_c=0"}));
 }
 
 }  // namespace

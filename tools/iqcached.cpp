@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
 
   // Snapshot the wire counters before Stop() tears the workers down.
   std::string stats = net::FormatStats(server);
-  tcp.AppendWireStats(stats);
+  AppendStats(stats, tcp.Stats(), net::kTcpServerStatsFields);
   tcp.Stop();
   std::printf("iqcached: shutting down\n%s", stats.c_str());
   if (trace_dump > 0) {
