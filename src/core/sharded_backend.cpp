@@ -127,7 +127,6 @@ void ShardedBackend::RecordResult(std::size_t shard, bool transport_error) {
     return;
   }
   h.transport_errors.fetch_add(1, std::memory_order_relaxed);
-  Bump(counters_.transport_errors);
   std::uint32_t streak =
       h.consecutive_errors.fetch_add(1, std::memory_order_relaxed) + 1;
   if (config_.down_after_errors == 0) return;  // breaker disabled
@@ -473,13 +472,21 @@ TraceInfo ShardedBackend::TraceInfoTotal() const {
 }
 
 ShardedBackendStats ShardedBackend::router_stats() const {
-  return LoadCounters(counters_, kRouterStatsFields);
+  // A transport error is counted once, on its shard; the router reports
+  // their sum.
+  ShardedBackendStats stats = LoadCounters(counters_, kRouterStatsFields);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    stats.transport_errors +=
+        health_[i].transport_errors.load(std::memory_order_relaxed);
+  }
+  return stats;
 }
 
 std::string ShardedBackend::FormatStats() const {
   // One call of each provider: a TCP child's `stats` is a round trip, and
   // the aggregate lines must be the sum of the breakdown printed after them.
   IQServerStats total;
+  ShardedBackendStats router = LoadCounters(counters_, kRouterStatsFields);
   std::uint64_t reconnects = 0;
   std::string breakdown;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -487,8 +494,10 @@ std::string ShardedBackend::FormatStats() const {
     AppendStat(breakdown, prefix + "endpoint", shards_[i].name);
     AppendStat(breakdown, prefix + "weight", shards_[i].weight);
     AppendStat(breakdown, prefix + "down", ShardDown(i) ? 1 : 0);
-    AppendStat(breakdown, prefix + "transport_errors",
-               health_[i].transport_errors.load(std::memory_order_relaxed));
+    const std::uint64_t errors =
+        health_[i].transport_errors.load(std::memory_order_relaxed);
+    router.transport_errors += errors;
+    AppendStat(breakdown, prefix + "transport_errors", errors);
     if (shards_[i].reconnects) {
       const std::uint64_t n = shards_[i].reconnects();
       reconnects += n;
@@ -503,7 +512,7 @@ std::string ShardedBackend::FormatStats() const {
   std::string out;
   AppendStat(out, "shard_count", shards_.size());
   AppendStat(out, "ring_points", ring_.size());
-  AppendStats(out, router_stats(), kRouterStatsFields);
+  AppendStats(out, router, kRouterStatsFields);
   AppendStat(out, "reconnects", reconnects);
   AppendStats(out, total, kIQStatsFields);
   return out + breakdown;

@@ -81,7 +81,8 @@ struct ShardedBackendStats {
   std::uint64_t cross_shard_sessions = 0;  // commits/aborts that wrote >1
                                            // shard
   std::uint64_t reject_releases = 0;     // fan-out releases after a Q reject
-  std::uint64_t transport_errors = 0;    // child calls that failed transport
+  std::uint64_t transport_errors = 0;    // child calls that failed transport:
+                                         // the sum of the shards' counts
   std::uint64_t shard_trips = 0;         // shards marked down
   std::uint64_t shard_recoveries = 0;    // shards healed by a probe
 };
@@ -239,6 +240,7 @@ class ShardedBackend final : public KvsBackend {
     std::atomic<std::uint32_t> consecutive_errors{0};
     std::atomic<bool> down{false};
     std::atomic<Nanos> next_probe{0};
+    // The one count of this shard's errors; router_stats() sums them.
     std::atomic<std::uint64_t> transport_errors{0};
   };
 

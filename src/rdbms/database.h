@@ -8,7 +8,8 @@
 // then publishes counter = ts. Snapshots are counter loads, so a snapshot
 // never observes a half-installed commit. Each chain a commit writes drops
 // its superseded versions that no registered snapshot can read
-// (OldestSnapshot); a deleted row's chain waits for Vacuum.
+// (OldestSnapshot), and each table the commit writes erases its deleted
+// rows that no registered snapshot can read any more.
 #pragma once
 
 #include <atomic>

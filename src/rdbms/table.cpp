@@ -1,6 +1,8 @@
 #include "rdbms/table.h"
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 
 namespace iq::sql {
 
@@ -17,42 +19,165 @@ const char* ToString(TxnResult r) {
 }
 
 Table::Table(TableSchema schema) : schema_(std::move(schema)) {
-  indexes_.resize(schema_.secondary_indexes.size());
+  indexes_.reserve(schema_.secondary_indexes.size());
+  for (std::size_t i = 0; i < schema_.secondary_indexes.size(); ++i) {
+    indexes_.emplace_back(&pool_);
+  }
 }
 
-const Table::Version* Table::VisibleVersion(const RowChain& chain,
-                                            Timestamp snapshot) {
-  auto visible = [snapshot](const Version& v) {
-    return v.begin_ts <= snapshot && snapshot < v.end_ts;
-  };
-  if (chain.newest.begin_ts == 0) return nullptr;
-  if (visible(chain.newest)) return &chain.newest;
-  if (chain.history == nullptr) return nullptr;
-  // Older versions live until no snapshot can read them; scan from newest.
-  const std::vector<Version>& older = chain.history->older;
-  for (auto it = older.rbegin(); it != older.rend(); ++it) {
-    if (visible(*it)) return &*it;
+Table::~Table() {
+  for (RowChain* chain : slots_) {
+    if (chain != nullptr) FreeChain(chain);
+  }
+}
+
+// ---- the primary-key index -----------------------------------------------
+
+template <typename KeyCell>
+std::size_t Table::KeyHash(const KeyCell& key) const {
+  std::size_t h = RowHash::kBasis;
+  for (std::size_t k = 0; k < schema_.primary_key.size(); ++k) {
+    h = RowHash::Add(h, key(k));
+  }
+  return h;
+}
+
+std::size_t Table::HomeSlot(std::size_t hash) const {
+  // Fibonacci hashing: the product's top log2(size) bits mix every bit of
+  // the hash.
+  const int bits = std::countr_zero(slots_.size());
+  return (hash * 0x9e3779b97f4a7c15ULL) >> (64 - bits);
+}
+
+std::size_t Table::ChainHash(const RowChain& chain) const {
+  const Value* cells = chain.cells();
+  return KeyHash([&](std::size_t k) -> const Value& {
+    return cells[schema_.primary_key[k]];
+  });
+}
+
+template <typename KeyCell>
+Table::RowChain* Table::FindLocked(const KeyCell& key) const {
+  if (chain_count_ == 0) return nullptr;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = HomeSlot(KeyHash(key)); slots_[i] != nullptr;
+       i = (i + 1) & mask) {
+    const Value* cells = slots_[i]->cells();
+    bool equal = true;
+    for (std::size_t k = 0; equal && k < schema_.primary_key.size(); ++k) {
+      equal = cells[schema_.primary_key[k]] == key(k);
+    }
+    if (equal) return slots_[i];
   }
   return nullptr;
 }
 
-const Row* Table::VisibleRowLocked(const TxnCtx& ctx, const RowChain& chain) {
+Table::RowChain* Table::FindLocked(const Row& pk) const {
+  if (pk.size() != schema_.primary_key.size()) return nullptr;
+  return FindLocked([&](std::size_t k) -> const Value& { return pk[k]; });
+}
+
+void Table::PlaceLocked(RowChain* chain) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = HomeSlot(ChainHash(*chain));
+  while (slots_[i] != nullptr) i = (i + 1) & mask;
+  slots_[i] = chain;
+}
+
+Table::RowChain* Table::NewChainLocked(const Row& row) {
+  if ((chain_count_ + 1) * 2 > slots_.size()) {
+    // Grow to keep at most half the slots used, and re-place every chain.
+    std::vector<RowChain*> old = std::move(slots_);
+    const std::size_t size = std::max<std::size_t>(16, old.size() * 2);
+    slots_.assign(size, nullptr);
+    for (RowChain* chain : old) {
+      if (chain != nullptr) PlaceLocked(chain);
+    }
+  }
+  const std::size_t width = schema_.columns.size();
+  void* block = ::operator new(sizeof(RowChain) + width * sizeof(Value));
+  auto* chain = new (block) RowChain;
+  Value* cells = chain->cells();
+  for (std::size_t i = 0; i < width; ++i) new (&cells[i]) Value();
+  for (std::size_t col : schema_.primary_key) cells[col] = row[col];
+  PlaceLocked(chain);
+  ++chain_count_;
+  return chain;
+}
+
+void Table::EraseChainLocked(RowChain& chain) {
+  // Backward-shift deletion: pull each later chain of the probe run into
+  // the hole unless that would put it before its home slot.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = HomeSlot(ChainHash(chain));
+  while (slots_[hole] != &chain) hole = (hole + 1) & mask;
+  for (std::size_t i = (hole + 1) & mask; slots_[i] != nullptr;
+       i = (i + 1) & mask) {
+    const std::size_t home = HomeSlot(ChainHash(*slots_[i]));
+    // Movable iff home is not cyclically in (hole, i].
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole] = nullptr;
+  --chain_count_;
+  FreeChain(&chain);
+}
+
+void Table::FreeChain(RowChain* chain) {
+  if (chain->history != nullptr) {
+    std::pmr::polymorphic_allocator<>(&pool_).delete_object(chain->history);
+  }
+  const std::size_t width = schema_.columns.size();
+  std::destroy_n(chain->cells(), width);
+  chain->~RowChain();
+  ::operator delete(static_cast<void*>(chain),
+                    sizeof(RowChain) + width * sizeof(Value));
+}
+
+void Table::TrimHistoryLocked(RowChain& chain) {
+  RowChain::History* h = chain.history;
+  if (h != nullptr && h->writer == 0 && h->older.empty()) {
+    std::pmr::polymorphic_allocator<>(&pool_).delete_object(h);
+    chain.history = nullptr;
+  }
+}
+
+// ---- visibility ----------------------------------------------------------
+
+const Value* Table::VisibleVersion(const RowChain& chain, Timestamp snapshot) {
+  auto visible = [snapshot](Timestamp begin_ts, Timestamp end_ts) {
+    return begin_ts <= snapshot && snapshot < end_ts;
+  };
+  if (chain.begin_ts == 0) return nullptr;
+  if (visible(chain.begin_ts, chain.end_ts)) return chain.cells();
+  if (chain.history == nullptr) return nullptr;
+  // Older versions live until no snapshot can read them; scan from newest.
+  const std::vector<Version>& older = chain.history->older;
+  for (auto it = older.rbegin(); it != older.rend(); ++it) {
+    if (visible(it->begin_ts, it->end_ts)) return it->data.data();
+  }
+  return nullptr;
+}
+
+const Value* Table::VisibleRowLocked(const TxnCtx& ctx,
+                                     const RowChain& chain) {
   if (ctx.id != 0 && chain.writer() == ctx.id) {
     // Own pending intent wins (read-your-writes within the transaction).
     const Row& pending = chain.history->pending;
-    return pending.empty() ? nullptr : &pending;
+    return pending.empty() ? nullptr : pending.data();
   }
-  const Version* v = VisibleVersion(chain, ctx.snapshot);
-  return v == nullptr ? nullptr : &v->data;
+  return VisibleVersion(chain, ctx.snapshot);
 }
 
 std::optional<Row> Table::Read(const TxnCtx& ctx, const Row& pk) const {
   std::lock_guard lock(mu_);
-  auto it = chains_.find(pk);
-  if (it == chains_.end()) return std::nullopt;
-  const Row* row = VisibleRowLocked(ctx, it->second);
+  const RowChain* chain = FindLocked(pk);
+  if (chain == nullptr) return std::nullopt;
+  const Value* row = VisibleRowLocked(ctx, *chain);
   if (row == nullptr) return std::nullopt;
-  return *row;
+  return RowOf(row);
 }
 
 std::vector<Row> Table::ReadWhereEq(const TxnCtx& ctx, std::size_t col,
@@ -69,14 +194,15 @@ std::vector<Row> Table::ReadWhereEq(const TxnCtx& ctx, std::size_t col,
     for (const RowChain* chain : bucket->second) {
       // The bucket holds every chain that has held `value`; keep the ones
       // whose visible version still does.
-      const Row* row = VisibleRowLocked(ctx, *chain);
-      if (row != nullptr && (*row)[col] == value) out.push_back(*row);
+      const Value* row = VisibleRowLocked(ctx, *chain);
+      if (row != nullptr && row[col] == value) out.push_back(RowOf(row));
     }
     return out;
   }
-  for (const auto& [pk, chain] : chains_) {
-    const Row* row = VisibleRowLocked(ctx, chain);
-    if (row != nullptr && (*row)[col] == value) out.push_back(*row);
+  for (const RowChain* chain : slots_) {
+    if (chain == nullptr) continue;
+    const Value* row = VisibleRowLocked(ctx, *chain);
+    if (row != nullptr && row[col] == value) out.push_back(RowOf(row));
   }
   return out;
 }
@@ -85,9 +211,13 @@ std::vector<Row> Table::Scan(const TxnCtx& ctx,
                              const std::function<bool(const Row&)>& pred) const {
   std::lock_guard lock(mu_);
   std::vector<Row> out;
-  for (const auto& [pk, chain] : chains_) {
-    const Row* row = VisibleRowLocked(ctx, chain);
-    if (row != nullptr && pred(*row)) out.push_back(*row);
+  Row row;  // each visible row in turn, for the predicate
+  for (const RowChain* chain : slots_) {
+    if (chain == nullptr) continue;
+    const Value* cells = VisibleRowLocked(ctx, *chain);
+    if (cells == nullptr) continue;
+    row.assign(cells, cells + schema_.columns.size());
+    if (pred(row)) out.push_back(row);
   }
   return out;
 }
@@ -95,11 +225,13 @@ std::vector<Row> Table::Scan(const TxnCtx& ctx,
 std::size_t Table::VisibleCount(const TxnCtx& ctx) const {
   std::lock_guard lock(mu_);
   std::size_t n = 0;
-  for (const auto& [pk, chain] : chains_) {
-    if (VisibleRowLocked(ctx, chain) != nullptr) ++n;
+  for (const RowChain* chain : slots_) {
+    if (chain != nullptr && VisibleRowLocked(ctx, *chain) != nullptr) ++n;
   }
   return n;
 }
+
+// ---- write intents -------------------------------------------------------
 
 TxnResult Table::CheckWritableLocked(const TxnCtx& ctx,
                                      const RowChain& chain) {
@@ -111,10 +243,9 @@ TxnResult Table::CheckWritableLocked(const TxnCtx& ctx,
   // our snapshot means a concurrent transaction already won this row.
   // Versions are in commit order and each ends no later than the next
   // begins, so only the newest can begin or end after the snapshot.
-  const Version& newest = chain.newest;
-  if (newest.begin_ts == 0) return TxnResult::kOk;
-  if (newest.begin_ts > ctx.snapshot ||
-      (newest.end_ts != kInfinity && newest.end_ts > ctx.snapshot)) {
+  if (chain.begin_ts == 0) return TxnResult::kOk;
+  if (chain.begin_ts > ctx.snapshot ||
+      (chain.end_ts != kInfinity && chain.end_ts > ctx.snapshot)) {
     return TxnResult::kConflict;
   }
   return TxnResult::kOk;
@@ -122,8 +253,8 @@ TxnResult Table::CheckWritableLocked(const TxnCtx& ctx,
 
 bool Table::CommittedHolds(const RowChain& chain, std::size_t col,
                            const Value& v) {
-  if (chain.newest.begin_ts == 0) return false;
-  if (chain.newest.data[col] == v) return true;
+  if (chain.begin_ts == 0) return false;
+  if (chain.cells()[col] == v) return true;
   if (chain.history == nullptr) return false;
   return std::any_of(
       chain.history->older.begin(), chain.history->older.end(),
@@ -134,7 +265,7 @@ void Table::UnlinkLocked(std::size_t slot, const Value& v, RowChain* chain) {
   IndexMap& index = indexes_[slot];
   auto bucket = index.find(v);
   if (bucket == index.end()) return;
-  std::vector<RowChain*>& refs = bucket->second;
+  Bucket& refs = bucket->second;
   auto it = std::find(refs.begin(), refs.end(), chain);
   if (it == refs.end()) return;
   *it = refs.back();
@@ -142,11 +273,12 @@ void Table::UnlinkLocked(std::size_t slot, const Value& v, RowChain* chain) {
   if (refs.empty()) index.erase(bucket);
 }
 
-void Table::ReindexLocked(RowChain& chain, const Row* prev, const Row* next) {
+void Table::ReindexLocked(RowChain& chain, const Value* prev,
+                          const Value* next) {
   for (std::size_t slot = 0; slot < indexes_.size(); ++slot) {
     const std::size_t col = schema_.secondary_indexes[slot];
-    const Value* old_v = prev != nullptr ? &(*prev)[col] : nullptr;
-    const Value* new_v = next != nullptr ? &(*next)[col] : nullptr;
+    const Value* old_v = prev != nullptr ? &prev[col] : nullptr;
+    const Value* new_v = next != nullptr ? &next[col] : nullptr;
     if (old_v != nullptr && new_v != nullptr && *old_v == *new_v) continue;
     if (new_v != nullptr && !CommittedHolds(chain, col, *new_v)) {
       indexes_[slot][*new_v].push_back(&chain);
@@ -160,11 +292,12 @@ void Table::ReindexLocked(RowChain& chain, const Row* prev, const Row* next) {
 void Table::SetPendingLocked(const TxnCtx& ctx, RowChain& chain, Row next,
                              RowChain** claimed) {
   if (chain.history == nullptr) {
-    chain.history = std::make_unique<RowChain::History>();
+    std::pmr::polymorphic_allocator<> alloc(&pool_);
+    chain.history = alloc.new_object<RowChain::History>();
   }
   RowChain::History& h = *chain.history;
-  ReindexLocked(chain, h.pending.empty() ? nullptr : &h.pending,
-                next.empty() ? nullptr : &next);
+  ReindexLocked(chain, h.pending.empty() ? nullptr : h.pending.data(),
+                next.empty() ? nullptr : next.data());
   if (claimed != nullptr) *claimed = h.writer != ctx.id ? &chain : nullptr;
   h.writer = ctx.id;
   h.pending = std::move(next);
@@ -173,12 +306,20 @@ void Table::SetPendingLocked(const TxnCtx& ctx, RowChain& chain, Row next,
 TxnResult Table::InsertIntent(const TxnCtx& ctx, Row row, RowChain** claimed) {
   if (!schema_.RowMatches(row)) return TxnResult::kInvalidRow;
   std::lock_guard lock(mu_);
-  RowChain& chain = chains_.try_emplace(schema_.PrimaryKeyOf(row)).first->second;
-  TxnResult writable = CheckWritableLocked(ctx, chain);
-  if (writable != TxnResult::kOk) return writable;
-  // Duplicate if a row is visible to us (own pending insert included).
-  if (VisibleRowLocked(ctx, chain) != nullptr) return TxnResult::kDuplicateKey;
-  SetPendingLocked(ctx, chain, std::move(row), claimed);
+  RowChain* chain = FindLocked([&](std::size_t k) -> const Value& {
+    return row[schema_.primary_key[k]];
+  });
+  if (chain == nullptr) {
+    chain = NewChainLocked(row);  // no version and no writer: writable
+  } else {
+    TxnResult writable = CheckWritableLocked(ctx, *chain);
+    if (writable != TxnResult::kOk) return writable;
+    // Duplicate if a row is visible to us (own pending insert included).
+    if (VisibleRowLocked(ctx, *chain) != nullptr) {
+      return TxnResult::kDuplicateKey;
+    }
+  }
+  SetPendingLocked(ctx, *chain, std::move(row), claimed);
   return TxnResult::kOk;
 }
 
@@ -187,23 +328,21 @@ TxnResult Table::UpdateIntent(const TxnCtx& ctx, const Row& pk,
                               const std::function<bool(const Row&)>& match,
                               RowChain** claimed) {
   std::lock_guard lock(mu_);
-  auto it = chains_.find(pk);
-  if (it == chains_.end()) return TxnResult::kNotFound;
-  RowChain& chain = it->second;
-  TxnResult writable = CheckWritableLocked(ctx, chain);
+  RowChain* chain = FindLocked(pk);
+  if (chain == nullptr) return TxnResult::kNotFound;
+  TxnResult writable = CheckWritableLocked(ctx, *chain);
   if (writable != TxnResult::kOk) return writable;
-  const Row* current = VisibleRowLocked(ctx, chain);
-  if (current == nullptr || (match && !match(*current))) {
-    return TxnResult::kNotFound;
-  }
-  Row next = *current;
+  const Value* current = VisibleRowLocked(ctx, *chain);
+  if (current == nullptr) return TxnResult::kNotFound;
+  Row next = RowOf(current);
+  if (match && !match(next)) return TxnResult::kNotFound;
   mutate(next);
   if (!schema_.RowMatches(next)) return TxnResult::kInvalidRow;
   // Updating primary-key columns is not supported (delete + insert instead).
   for (std::size_t k = 0; k < schema_.primary_key.size(); ++k) {
     if (next[schema_.primary_key[k]] != pk[k]) return TxnResult::kInvalidRow;
   }
-  SetPendingLocked(ctx, chain, std::move(next), claimed);
+  SetPendingLocked(ctx, *chain, std::move(next), claimed);
   return TxnResult::kOk;
 }
 
@@ -211,35 +350,55 @@ TxnResult Table::DeleteIntent(const TxnCtx& ctx, const Row& pk,
                               const std::function<bool(const Row&)>& match,
                               RowChain** claimed) {
   std::lock_guard lock(mu_);
-  auto it = chains_.find(pk);
-  if (it == chains_.end()) return TxnResult::kNotFound;
-  RowChain& chain = it->second;
-  TxnResult writable = CheckWritableLocked(ctx, chain);
+  RowChain* chain = FindLocked(pk);
+  if (chain == nullptr) return TxnResult::kNotFound;
+  TxnResult writable = CheckWritableLocked(ctx, *chain);
   if (writable != TxnResult::kOk) return writable;
-  const Row* current = VisibleRowLocked(ctx, chain);
-  if (current == nullptr || (match && !match(*current))) {
+  const Value* current = VisibleRowLocked(ctx, *chain);
+  if (current == nullptr || (match && !match(RowOf(current)))) {
     return TxnResult::kNotFound;
   }
-  SetPendingLocked(ctx, chain, Row{}, claimed);
+  SetPendingLocked(ctx, *chain, Row{}, claimed);
   return TxnResult::kOk;
 }
+
+// ---- commit and abort ----------------------------------------------------
 
 void Table::InstallCommit(TxnId txn, RowChain& chain, Timestamp ts,
                           Timestamp horizon) {
   std::lock_guard lock(mu_);
   if (chain.writer() != txn) return;
   RowChain::History& h = *chain.history;
-  const bool has_newest = chain.newest.begin_ts != 0;
+  Value* cells = chain.cells();
+  const bool has_newest = chain.begin_ts != 0;
+  const bool was_live = has_newest && chain.end_ts == kInfinity;
   // Terminate the previously live version, if any.
-  if (has_newest && chain.newest.end_ts == kInfinity) chain.newest.end_ts = ts;
+  if (was_live) chain.end_ts = ts;
   if (!h.pending.empty()) {
-    if (has_newest) h.older.push_back(std::move(chain.newest));
-    chain.newest = Version{ts, kInfinity, std::move(h.pending)};
+    if (has_newest) {
+      // The pending row's cell array takes the superseded version.
+      std::swap_ranges(cells, cells + schema_.columns.size(),
+                       h.pending.begin());
+      h.older.push_back(Version{chain.begin_ts, chain.end_ts,
+                                std::move(h.pending)});
+    } else {
+      std::move(h.pending.begin(), h.pending.end(), cells);
+    }
+    chain.begin_ts = ts;
+    chain.end_ts = kInfinity;
+  } else if (was_live) {
+    graves_.push_back({ts, &chain});
   }
   h.writer = 0;
   h.pending.clear();
-  ReclaimLocked(chain, horizon);
-  chain.TrimHistory();
+  if (chain.begin_ts == 0) {
+    // A fresh insert deleted again: nothing to keep, and no bucket entry.
+    EraseChainLocked(chain);
+  } else {
+    ReclaimLocked(chain, horizon);
+    TrimHistoryLocked(chain);
+  }
+  SweepGravesLocked(horizon);
 }
 
 void Table::ReclaimLocked(RowChain& chain, Timestamp horizon) {
@@ -250,7 +409,7 @@ void Table::ReclaimLocked(RowChain& chain, Timestamp horizon) {
   });
   if (kept == older.begin()) return;
   auto still_held = [&](std::size_t col, const Value& v) {
-    return chain.newest.data[col] == v ||
+    return chain.cells()[col] == v ||
            std::any_of(kept, older.end(),
                        [&](const Version& k) { return k.data[col] == v; });
   };
@@ -266,78 +425,120 @@ void Table::ReclaimLocked(RowChain& chain, Timestamp horizon) {
   older.erase(older.begin(), kept);
 }
 
+void Table::SweepGravesLocked(Timestamp horizon) {
+  std::vector<Grave> held;  // re-queued: a writer holds the chain again
+  while (!graves_.empty() && graves_.front().ts <= horizon) {
+    const Grave grave = graves_.front();
+    graves_.pop_front();
+    RowChain& chain = *grave.chain;
+    // Stale: the row was re-inserted after this delete; the version it
+    // ended is now a superseded one, which ReclaimLocked drops.
+    if (chain.end_ts != grave.ts) continue;
+    if (chain.writer() != 0) {
+      held.push_back(grave);
+      continue;
+    }
+    // Every version ends at or before the delete, so none is readable.
+    for (std::size_t slot = 0; slot < indexes_.size(); ++slot) {
+      const std::size_t col = schema_.secondary_indexes[slot];
+      UnlinkLocked(slot, chain.cells()[col], &chain);
+      if (chain.history == nullptr) continue;
+      for (const Version& v : chain.history->older) {
+        UnlinkLocked(slot, v.data[col], &chain);
+      }
+    }
+    EraseChainLocked(chain);
+  }
+  graves_.insert(graves_.end(), held.begin(), held.end());
+}
+
 void Table::AbortIntent(TxnId txn, RowChain& chain) {
   std::lock_guard lock(mu_);
   if (chain.writer() != txn) return;
   RowChain::History& h = *chain.history;
-  // A pending delete holds no indexed value. (After an insert and a delete
-  // in one transaction the chain may hold no version at all; Vacuum erases
-  // it.)
-  if (!h.pending.empty()) {
-    ReindexLocked(chain, &h.pending, nullptr);
-    if (chain.newest.begin_ts == 0) {  // an aborted fresh insert leaves no trace
-      chains_.erase(chains_.find(schema_.PrimaryKeyOf(h.pending)));
-      return;
-    }
+  // A pending delete holds no indexed value.
+  if (!h.pending.empty()) ReindexLocked(chain, h.pending.data(), nullptr);
+  if (chain.begin_ts == 0) {  // an aborted fresh insert leaves no trace
+    EraseChainLocked(chain);
+    return;
   }
   h.writer = 0;
   h.pending.clear();
-  chain.TrimHistory();
+  TrimHistoryLocked(chain);
 }
+
+// ---- maintenance ---------------------------------------------------------
 
 std::size_t Table::Vacuum(Timestamp oldest_active) {
   std::lock_guard lock(mu_);
   std::size_t reclaimed = 0;
-  auto dead = [&](const Version& v) {
-    return v.end_ts != kInfinity && v.end_ts <= oldest_active;
+  auto dead = [&](Timestamp end_ts) {
+    return end_ts != kInfinity && end_ts <= oldest_active;
   };
-  for (auto it = chains_.begin(); it != chains_.end();) {
-    RowChain& chain = it->second;
-    if (chain.history != nullptr) {
-      reclaimed += std::erase_if(chain.history->older, dead);
+  std::vector<RowChain*> kept;
+  kept.reserve(chain_count_);
+  for (RowChain* chain : slots_) {
+    if (chain == nullptr) continue;
+    if (chain->history != nullptr) {
+      reclaimed += std::erase_if(chain->history->older, [&](const Version& v) {
+        return dead(v.end_ts);
+      });
     }
     // Every older version ends before the newest begins, so a dead newest
-    // leaves nothing behind it.
-    if (chain.newest.begin_ts != 0 && dead(chain.newest)) {
-      chain.newest = Version{};
+    // leaves nothing behind it. Its key cells stay for the index.
+    if (chain->begin_ts != 0 && dead(chain->end_ts)) {
+      chain->begin_ts = 0;
+      chain->end_ts = kInfinity;
       ++reclaimed;
     }
-    chain.TrimHistory();
-    if (chain.newest.begin_ts == 0 && chain.writer() == 0) {
-      it = chains_.erase(it);
+    TrimHistoryLocked(*chain);
+    if (chain->begin_ts == 0 && chain->writer() == 0) {
+      FreeChain(chain);
     } else {
-      ++it;
+      kept.push_back(chain);
     }
   }
-  // Rebuild the buckets: each chain once per distinct value its kept
+  // Rebuild the primary-key index, the queue of deletes and the buckets
+  // from the chains kept: each chain once per distinct value its kept
   // versions and pending intent hold.
+  std::fill(slots_.begin(), slots_.end(), nullptr);
+  chain_count_ = kept.size();
+  graves_.clear();
   for (auto& index : indexes_) index.clear();
-  std::vector<const Row*> rows;
-  for (auto& [pk, chain] : chains_) {
+  std::vector<const Value*> rows;
+  for (RowChain* chain : kept) {
+    PlaceLocked(chain);
+    if (chain->begin_ts != 0 && chain->end_ts != kInfinity) {
+      graves_.push_back({chain->end_ts, chain});
+    }
     rows.clear();
-    if (chain.newest.begin_ts != 0) rows.push_back(&chain.newest.data);
-    if (chain.history != nullptr) {
-      for (const Version& v : chain.history->older) rows.push_back(&v.data);
-      if (!chain.history->pending.empty()) {
-        rows.push_back(&chain.history->pending);
+    if (chain->begin_ts != 0) rows.push_back(chain->cells());
+    if (chain->history != nullptr) {
+      for (const Version& v : chain->history->older) {
+        rows.push_back(v.data.data());
+      }
+      if (!chain->history->pending.empty()) {
+        rows.push_back(chain->history->pending.data());
       }
     }
     for (std::size_t slot = 0; slot < indexes_.size(); ++slot) {
       const std::size_t col = schema_.secondary_indexes[slot];
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Value& v = (*rows[i])[col];
+        const Value& v = rows[i][col];
         bool seen = std::any_of(rows.begin(), rows.begin() + i,
-                                [&](const Row* r) { return (*r)[col] == v; });
-        if (!seen) indexes_[slot][v].push_back(&chain);
+                                [&](const Value* r) { return r[col] == v; });
+        if (!seen) indexes_[slot][v].push_back(chain);
       }
     }
   }
+  std::sort(graves_.begin(), graves_.end(),
+            [](const Grave& a, const Grave& b) { return a.ts < b.ts; });
   return reclaimed;
 }
 
 std::size_t Table::ChainCount() const {
   std::lock_guard lock(mu_);
-  return chains_.size();
+  return chain_count_;
 }
 
 }  // namespace iq::sql

@@ -7,15 +7,19 @@
 // conflicts are detected eagerly at intent time (first-committer-wins, no
 // blocking): a second writer aborts instead of waiting.
 //
-// Layout. A chain lives in its primary-key map node, with its newest
-// committed version inline. Its superseded versions, its pending intent and
-// its writer live in one history block that the row's first intent
-// allocates and that is freed once it holds none of them again, so a row
-// never written since it was loaded has no heap block besides its key and
-// its cells. A commit drops the superseded versions that no registered
-// snapshot can read. A secondary-index bucket holds pointers to the chains
-// that have held its value; a node keeps its address across a rehash, so a
-// bucket hit reaches its row without a second primary-key lookup.
+// Layout. A chain is one heap block: the newest committed version's two
+// timestamps, a pointer to a history block, and the row's cells inline (the
+// schema fixes their count). The cells always hold the row's key, and hold
+// the newest committed version while there is one. Superseded versions, the
+// pending intent and its writer live in the history block, which the row's
+// first intent takes from the table's pool and which goes back once it
+// holds none of them again, so a row never written since it was loaded is
+// its block alone. The primary-key index is an open-addressing array of
+// block pointers that hashes and compares the key cells inside each block.
+// A commit drops the superseded versions that no registered snapshot can
+// read. A secondary-index bucket holds pointers to the chains that have held
+// its value; a block never moves, so a bucket hit reaches its row without a
+// primary-key lookup. Bucket storage also comes from the table's pool.
 //
 // Index invariant. A chain is in bucket v of an index exactly once when
 // one of its committed versions or its pending intent holds v in the
@@ -25,15 +29,22 @@
 // re-verifies the visible version. An intent that adds a value no committed
 // version holds links the chain; its abort, or its own replacement within
 // the transaction, unlinks it again, and so does a commit that drops the
-// last version holding the value. A chain is erased only after it has left
-// every bucket (an aborted fresh insert), or while Vacuum rebuilds the
-// buckets from the versions it keeps.
+// last version holding the value.
+//
+// Erasure. A chain left with no committed version and no writer (an
+// aborted or self-deleted fresh insert) is erased at once. A committed
+// delete queues its chain; a later commit whose horizon has passed the
+// delete erases it, with its bucket entries, unless a writer holds it
+// again. Vacuum drops every version invisible to the snapshots it is given
+// and erases the chains left with nothing.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
+#include <memory_resource>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -71,15 +82,16 @@ struct TxnCtx {
 class Table {
  private:
   struct Version {
-    Timestamp begin_ts = 0;  // 0: no version (commit timestamps start at 1)
+    Timestamp begin_ts = 0;
     Timestamp end_ts = kInfinity;
     Row data;
   };
 
  public:
-  /// One logical row: its committed versions and its pending intent. Only
-  /// Table reads or writes the fields; a Transaction keeps a pointer to
-  /// each chain it claimed, to commit or abort it.
+  /// One logical row: its committed versions and its pending intent, in
+  /// one block followed by the schema's cells. Only Table reads or writes
+  /// the fields; a Transaction keeps a pointer to each chain it claimed, to
+  /// commit or abort it.
   class RowChain {
     friend class Table;
     struct History {
@@ -89,18 +101,22 @@ class Table {
     };
 
     TxnId writer() const { return history ? history->writer : 0; }
-    /// Frees the history block once it holds nothing.
-    void TrimHistory() {
-      if (history && history->writer == 0 && history->older.empty()) {
-        history.reset();
-      }
+    /// The row's cells, which follow the block's header.
+    Value* cells() { return std::launder(reinterpret_cast<Value*>(this + 1)); }
+    const Value* cells() const {
+      return std::launder(reinterpret_cast<const Value*>(this + 1));
     }
 
-    Version newest;  // newest committed version, begin_ts 0 if none
-    std::unique_ptr<History> history;  // null: no older version, no intent
+    // The newest committed version: [begin_ts, end_ts), cells(); begin_ts 0
+    // if none, and then the cells hold only the key.
+    Timestamp begin_ts = 0;
+    Timestamp end_ts = kInfinity;
+    // From the table's pool; null: no older version and no intent.
+    History* history = nullptr;
   };
 
   explicit Table(TableSchema schema);
+  ~Table();
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
@@ -151,13 +167,16 @@ class Table {
   // ---- commit/abort protocol (driven by Database) -------------------------
 
   /// Make txn's pending intent on `chain` durable at commit timestamp `ts`
-  /// (>= 1), and drop the chain's superseded versions that end at or before
-  /// `horizon`, which no snapshot at or after it can read (0 drops none).
+  /// (>= 1), and drop what no snapshot at or after `horizon` can read (0
+  /// drops nothing): the chain's superseded versions that end by then, and
+  /// the chains whose queued delete committed by then. A chain left with
+  /// nothing (a fresh insert deleted again) is erased, so `chain` must not
+  /// be used afterwards.
   void InstallCommit(TxnId txn, RowChain& chain, Timestamp ts,
                      Timestamp horizon = 0);
 
-  /// Discard txn's pending intent on `chain`. An aborted fresh insert
-  /// erases the chain, so `chain` must not be used afterwards.
+  /// Discard txn's pending intent on `chain`. A chain left with no
+  /// committed version is erased, so `chain` must not be used afterwards.
   void AbortIntent(TxnId txn, RowChain& chain);
 
   // ---- maintenance --------------------------------------------------------
@@ -167,20 +186,27 @@ class Table {
   /// versions kept. Returns number of versions reclaimed.
   std::size_t Vacuum(Timestamp oldest_active);
 
-  /// Rows with at least one committed version (including dead ones).
+  /// Chains in the primary-key index: rows with a committed version
+  /// (including a dead one not yet reclaimed) or a pending intent.
   std::size_t ChainCount() const;
 
  private:
-  using ChainMap = std::unordered_map<Row, RowChain, RowHash>;
-  using IndexMap =
-      std::unordered_map<Value, std::vector<RowChain*>, ValueHash>;
+  using Bucket = std::pmr::vector<RowChain*>;
+  using IndexMap = std::pmr::unordered_map<Value, Bucket, ValueHash>;
 
-  /// Visible committed version for the snapshot, or nullptr.
-  static const Version* VisibleVersion(const RowChain& chain,
-                                       Timestamp snapshot);
+  /// A committed delete waiting for the horizon to pass `ts`.
+  struct Grave {
+    Timestamp ts;
+    RowChain* chain;
+  };
 
-  /// Row visible to ctx including own pending intent; nullptr if none.
-  static const Row* VisibleRowLocked(const TxnCtx& ctx, const RowChain& chain);
+  /// Visible committed version's cells for the snapshot, or nullptr.
+  static const Value* VisibleVersion(const RowChain& chain,
+                                     Timestamp snapshot);
+
+  /// Cells visible to ctx including own pending intent; nullptr if none.
+  static const Value* VisibleRowLocked(const TxnCtx& ctx,
+                                       const RowChain& chain);
 
   /// First-committer-wins + writer-lock conflict check.
   static TxnResult CheckWritableLocked(const TxnCtx& ctx,
@@ -190,9 +216,41 @@ class Table {
   static bool CommittedHolds(const RowChain& chain, std::size_t col,
                              const Value& v);
 
+  /// A copy of `cells`, a whole row.
+  Row RowOf(const Value* cells) const {
+    return Row(cells, cells + schema_.columns.size());
+  }
+
+  // ---- the primary-key index ----
+  /// Hash of a key whose k-th cell is `key(k)`.
+  template <typename KeyCell>
+  std::size_t KeyHash(const KeyCell& key) const;
+  /// The chain whose key cells are `key(0..)`, or nullptr.
+  template <typename KeyCell>
+  RowChain* FindLocked(const KeyCell& key) const;
+  /// The chain keyed by `pk`, or nullptr (also for a key of the wrong width).
+  RowChain* FindLocked(const Row& pk) const;
+  /// Slot where a probe for `hash` starts.
+  std::size_t HomeSlot(std::size_t hash) const;
+  /// Hash of the key `chain` holds.
+  std::size_t ChainHash(const RowChain& chain) const;
+  /// Puts `chain` in the first free slot from its home (no growth).
+  void PlaceLocked(RowChain* chain);
+  /// A new chain for `row`'s key, with no version yet, in the index.
+  RowChain* NewChainLocked(const Row& row);
+  /// Removes `chain` from the primary-key index and frees it; it must be in
+  /// no bucket.
+  void EraseChainLocked(RowChain& chain);
+  /// Frees the block, its cells and its history block.
+  void FreeChain(RowChain* chain);
+
+  /// Frees the history block once it holds nothing.
+  void TrimHistoryLocked(RowChain& chain);
+
   /// Move `chain` between index buckets as its pending intent changes from
-  /// `prev` to `next` (nullptr: no row), as the invariant above requires.
-  void ReindexLocked(RowChain& chain, const Row* prev, const Row* next);
+  /// `prev` to `next` (cells, nullptr: no row), as the invariant above
+  /// requires.
+  void ReindexLocked(RowChain& chain, const Value* prev, const Value* next);
 
   /// Make `next` (empty = delete) ctx's pending intent on `chain`.
   void SetPendingLocked(const TxnCtx& ctx, RowChain& chain, Row next,
@@ -206,12 +264,27 @@ class Table {
   /// The chain must have a history block and no pending intent.
   void ReclaimLocked(RowChain& chain, Timestamp horizon);
 
+  /// Erase the queued deleted chains whose delete committed at or before
+  /// `horizon`, unless a writer holds one again.
+  void SweepGravesLocked(Timestamp horizon);
+
   TableSchema schema_;
 
   mutable std::mutex mu_;
-  ChainMap chains_;
+  /// History blocks and bucket storage. Declared before the members that
+  /// allocate from it, so it is destroyed after them.
+  std::pmr::unsynchronized_pool_resource pool_;
+  /// Open addressing with linear probing; nullptr marks a free slot. The
+  /// size is a power of two, at most half of it used.
+  std::vector<RowChain*> slots_;
+  std::size_t chain_count_ = 0;
   /// indexes_[i] covers column schema_.secondary_indexes[i].
   std::vector<IndexMap> indexes_;
+  /// Committed deletes in commit order (entries re-queued while a writer
+  /// held their chain may follow later ones). A chain is freed only
+  /// through its newest entry, the one whose ts is its end_ts; an older
+  /// entry for it is stale and is dropped unread.
+  std::deque<Grave> graves_;
 };
 
 }  // namespace iq::sql

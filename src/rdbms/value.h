@@ -150,11 +150,17 @@ struct ValueHash {
   std::size_t operator()(const Value& v) const;
 };
 
+/// FNV-style hash of a row. The primary-key index folds a row's key cells
+/// in place with the same two steps, so a key hashes alike either way.
 struct RowHash {
+  static constexpr std::size_t kBasis = 0xcbf29ce484222325ULL;
+  /// `h` with one more cell folded in.
+  static std::size_t Add(std::size_t h, const Value& v) {
+    return (h ^ ValueHash{}(v)) * 0x100000001b3ULL;
+  }
   std::size_t operator()(const Row& r) const {
-    std::size_t h = 0xcbf29ce484222325ULL;
-    ValueHash vh;
-    for (const auto& v : r) h = (h ^ vh(v)) * 0x100000001b3ULL;
+    std::size_t h = kBasis;
+    for (const auto& v : r) h = Add(h, v);
     return h;
   }
 };

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <random>
 #include <string>
 #include <variant>
@@ -447,6 +448,242 @@ TEST(Table, ProbeAfterVacuumStillFindsTheRow) {
   EXPECT_EQ(t.ReadWhereEq(TxnCtx{5, 4}, 1, V(50)).size(), 1u);
   t.InstallCommit(5, *c, 5);
   EXPECT_EQ(t.ReadWhereEq(TxnCtx{9, 5}, 1, V(50)).size(), 1u);
+}
+
+// ---- keys held in the row's block ------------------------------------------
+//
+// The primary-key index hashes and compares the key cells inside each
+// row's block. These cases drive one row through its whole life for three
+// key shapes; under ASan they also check that no probe reads a freed block.
+
+struct KeyShape {
+  const char* name;
+  TableSchema schema;
+  Row row;                 // the row as first inserted
+  Row pk;                  // its primary key
+  Row neighbour;           // another row whose key shares a cell with it
+  Row fresh;               // a row with a key no other row has
+  std::size_t indexed;     // an indexed non-key column ...
+  Value updated;           // ... and the value an update gives it
+};
+
+std::vector<KeyShape> KeyShapes() {
+  const std::string heap_key(40, 'k');  // past the 15 bytes a cell holds
+  auto text_schema = [] {
+    return SchemaBuilder("T")
+        .AddText("k")
+        .AddInt("g")
+        .AddText("v")
+        .PrimaryKey({"k"})
+        .Index("g")
+        .Build();
+  };
+  return {
+      {"friendship",
+       SchemaBuilder("Friendship")
+           .AddInt("inviterID")
+           .AddInt("inviteeID")
+           .AddInt("status")
+           .PrimaryKey({"inviterID", "inviteeID"})
+           .Index("inviterID")
+           .Index("inviteeID")
+           .Build(),
+       {V(1), V(2), V(1)}, {V(1), V(2)}, {V(2), V(1), V(1)}, {V(1), V(1), V(1)},
+       2, V(2)},
+      {"inline text", text_schema(), {V("fifteen-bytes!!"), V(10), V("a")},
+       {V("fifteen-bytes!!")}, {V("fifteen-bytes!?"), V(10), V("b")},
+       {V("fifteen-bytes"), V(10), V("c")}, 1, V(20)},
+      {"heap text", text_schema(), {V(heap_key), V(10), V("a")}, {V(heap_key)},
+       {V(heap_key + "?"), V(10), V("b")}, {V(heap_key + "!"), V(10), V("c")},
+       1, V(20)},
+  };
+}
+
+TEST(TableKeys, EachShapeThroughItsWholeLife) {
+  for (KeyShape& shape : KeyShapes()) {
+    SCOPED_TRACE(shape.name);
+    Table t(shape.schema);
+    const std::size_t probe_col = shape.schema.secondary_indexes.front();
+    const Value probe_value = shape.row[probe_col];
+    CommitInsert(t, 1, shape.row);
+    CommitInsert(t, 2, shape.neighbour);
+    // Point read and index probe.
+    auto row = t.Read(TxnCtx{9, 2}, shape.pk);
+    ASSERT_TRUE(row);
+    EXPECT_EQ(*row, shape.row);
+    auto probed = [&](Timestamp snapshot) {
+      std::size_t n = 0;
+      for (const Row& r : t.ReadWhereEq(TxnCtx{99, snapshot}, probe_col,
+                                        probe_value)) {
+        n += t.schema().PrimaryKeyOf(r) == shape.pk;
+      }
+      return n;
+    };
+    EXPECT_EQ(probed(2), 1u);
+    // Update a non-key column.
+    CommitSet(t, 3, shape.pk, shape.indexed, shape.updated);
+    EXPECT_EQ((*t.Read(TxnCtx{9, 3}, shape.pk))[shape.indexed], shape.updated);
+    EXPECT_EQ(*t.Read(TxnCtx{9, 2}, shape.pk), shape.row);
+    // Delete, then re-insert.
+    CommitDelete(t, 4, shape.pk);
+    EXPECT_FALSE(t.Read(TxnCtx{9, 4}, shape.pk));
+    EXPECT_EQ(probed(4), 0u);
+    EXPECT_TRUE(t.Read(TxnCtx{9, 3}, shape.pk));
+    CommitInsert(t, 5, shape.row);
+    EXPECT_EQ(*t.Read(TxnCtx{9, 5}, shape.pk), shape.row);
+    EXPECT_EQ(probed(5), 1u);
+    // An aborted update leaves the row; an aborted insert of a new key
+    // leaves no chain.
+    Chain c = nullptr;
+    ASSERT_EQ(t.UpdateIntent(TxnCtx{6, 5}, shape.pk,
+                             [&](Row& r) { r[shape.indexed] = shape.updated; },
+                             {}, &c),
+              TxnResult::kOk);
+    t.AbortIntent(6, *c);
+    EXPECT_EQ(*t.Read(TxnCtx{9, 5}, shape.pk), shape.row);
+    const std::size_t chains = t.ChainCount();
+    const Row fresh_pk = t.schema().PrimaryKeyOf(shape.fresh);
+    ASSERT_FALSE(t.Read(TxnCtx{9, 5}, fresh_pk));
+    ASSERT_EQ(t.InsertIntent(TxnCtx{7, 5}, shape.fresh, &c), TxnResult::kOk);
+    EXPECT_EQ(*t.Read(TxnCtx{7, 5}, fresh_pk), shape.fresh);
+    t.AbortIntent(7, *c);
+    EXPECT_EQ(t.ChainCount(), chains);
+    EXPECT_FALSE(t.Read(TxnCtx{7, 5}, fresh_pk));
+    // The neighbour, whose key shares a cell, was never disturbed.
+    EXPECT_EQ(*t.Read(TxnCtx{9, 5}, t.schema().PrimaryKeyOf(shape.neighbour)),
+              shape.neighbour);
+  }
+}
+
+TEST(TableKeys, KeyOfTheWrongWidthFindsNothing) {
+  Table t(SchemaBuilder("F")
+              .AddInt("a")
+              .AddInt("b")
+              .PrimaryKey({"a", "b"})
+              .Build());
+  CommitInsert(t, 1, {V(1), V(2)});
+  EXPECT_FALSE(t.Read(TxnCtx{9, 1}, {V(1)}));
+  EXPECT_FALSE(t.Read(TxnCtx{9, 1}, {V(1), V(2), V(3)}));
+  EXPECT_EQ(t.UpdateIntent(TxnCtx{9, 1}, {V(1)}, [](Row&) {}),
+            TxnResult::kNotFound);
+  EXPECT_TRUE(t.Read(TxnCtx{9, 1}, {V(1), V(2)}));
+}
+
+TEST(TableKeys, KeyFoundAfterVacuumDropsADeadVersionUnderAPendingReinsert) {
+  Table t(IndexedSchema());
+  CommitInsert(t, 1, {V(1), V(10), V("a")});
+  CommitDelete(t, 2, {V(1)});
+  Chain c = nullptr;
+  ASSERT_EQ(t.InsertIntent(TxnCtx{3, 2}, {V(1), V(30), V("b")}, &c),
+            TxnResult::kOk);
+  // No snapshot before 2 is left: the deleted version goes, the chain and
+  // its key stay for the pending re-insert.
+  EXPECT_EQ(t.Vacuum(2), 1u);
+  EXPECT_EQ(t.ChainCount(), 1u);
+  EXPECT_EQ((*t.Read(TxnCtx{3, 2}, {V(1)}))[2], V("b"));
+  EXPECT_FALSE(t.Read(TxnCtx{4, 2}, {V(1)}));
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{3, 2}, 1, V(30)).size(), 1u);
+  EXPECT_TRUE(t.ReadWhereEq(TxnCtx{3, 2}, 1, V(10)).empty());
+  EXPECT_EQ(t.InsertIntent(TxnCtx{4, 2}, {V(1), V(40), V("c")}),
+            TxnResult::kConflict);
+  EXPECT_EQ(t.InsertIntent(TxnCtx{3, 2}, {V(1), V(40), V("c")}),
+            TxnResult::kDuplicateKey);
+  t.InstallCommit(3, *c, 3);
+  EXPECT_EQ((*t.Read(TxnCtx{9, 3}, {V(1)}))[2], V("b"));
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{9, 3}, 1, V(30)).size(), 1u);
+  // The same, but the re-insert aborts: nothing is left.
+  CommitDelete(t, 4, {V(1)});
+  ASSERT_EQ(t.InsertIntent(TxnCtx{5, 4}, {V(1), V(50), V("d")}, &c),
+            TxnResult::kOk);
+  EXPECT_EQ(t.Vacuum(4), 1u);  // the version deleted at 4
+  t.AbortIntent(5, *c);
+  EXPECT_EQ(t.ChainCount(), 0u);
+  EXPECT_FALSE(t.Read(TxnCtx{9, 5}, {V(1)}));
+  EXPECT_TRUE(t.ReadWhereEq(TxnCtx{9, 5}, 1, V(50)).empty());
+  CommitInsert(t, 6, {V(1), V(60), V("e")});
+  EXPECT_EQ(t.ReadWhereEq(TxnCtx{9, 6}, 1, V(60)).size(), 1u);
+}
+
+TEST(TableKeys, FreshInsertAbortedOrDeletedAgainLeavesNoBlock) {
+  Table t(IndexedSchema());
+  for (int i = 0; i < 100; ++i) {
+    Chain c = nullptr;
+    ASSERT_EQ(t.InsertIntent(TxnCtx{1, 0}, {V(i), V(7), V("x")}, &c),
+              TxnResult::kOk);
+    t.AbortIntent(1, *c);
+  }
+  EXPECT_EQ(t.ChainCount(), 0u);
+  Chain c = nullptr;
+  ASSERT_EQ(t.InsertIntent(TxnCtx{2, 0}, {V(1), V(7), V("x")}, &c),
+            TxnResult::kOk);
+  ASSERT_EQ(t.DeleteIntent(TxnCtx{2, 0}, {V(1)}), TxnResult::kOk);
+  t.InstallCommit(2, *c, 1);
+  EXPECT_EQ(t.ChainCount(), 0u);
+  EXPECT_TRUE(t.ReadWhereEq(TxnCtx{9, 1}, 1, V(7)).empty());
+}
+
+// The open-addressing index against a map, over a churn of inserts,
+// updates, deletes and aborts on a few hundred keys: every probe run that
+// a deletion shifts must still reach its chains.
+TEST(TableKeys, PrimaryIndexMatchesAModelUnderChurn) {
+  Table t(IndexedSchema());
+  std::map<std::int64_t, std::int64_t> model;  // id -> group_id
+  std::mt19937_64 rng(33);
+  TxnId id = 1;
+  for (int step = 0; step < 20000; ++step) {
+    const std::int64_t key = static_cast<std::int64_t>(rng() % 300);
+    const std::int64_t group = static_cast<std::int64_t>(rng() % 5);
+    const TxnCtx ctx{id, id - 1};
+    Chain c = nullptr;
+    TxnResult r;
+    const bool present = model.count(key) != 0;
+    switch (rng() % 3) {
+      case 0:
+        r = t.InsertIntent(ctx, {V(key), V(group), V("x")}, &c);
+        ASSERT_EQ(r, present ? TxnResult::kDuplicateKey : TxnResult::kOk);
+        break;
+      case 1:
+        r = t.UpdateIntent(ctx, {V(key)}, [&](Row& row) { row[1] = V(group); },
+                           {}, &c);
+        ASSERT_EQ(r, present ? TxnResult::kOk : TxnResult::kNotFound);
+        break;
+      default:
+        r = t.DeleteIntent(ctx, {V(key)}, {}, &c);
+        ASSERT_EQ(r, present ? TxnResult::kOk : TxnResult::kNotFound);
+        break;
+    }
+    if (r == TxnResult::kOk) {
+      if (rng() % 4 == 0) {
+        t.AbortIntent(id, *c);
+      } else {
+        // The horizon trails by a few commits, so deletes queue and erase.
+        t.InstallCommit(id, *c, id, id > 3 ? id - 3 : 0);
+        auto row = t.Read(TxnCtx{0, id}, {V(key)});
+        if (row) {
+          model[key] = *AsInt((*row)[1]);
+        } else {
+          model.erase(key);
+        }
+      }
+    }
+    ++id;
+  }
+  const TxnCtx now{0, id};
+  for (std::int64_t key = 0; key < 300; ++key) {
+    auto row = t.Read(now, {V(key)});
+    ASSERT_EQ(row.has_value(), model.count(key) != 0) << key;
+    if (row) {
+      EXPECT_EQ(*AsInt((*row)[1]), model[key]) << key;
+    }
+  }
+  for (std::int64_t group = 0; group < 5; ++group) {
+    std::size_t expected = 0;
+    for (const auto& [key, g] : model) expected += g == group;
+    EXPECT_EQ(t.ReadWhereEq(now, 1, V(group)).size(), expected) << group;
+  }
+  EXPECT_LE(t.ChainCount(), model.size() + 4);  // + deletes not yet erased
+  t.Vacuum(id);
+  EXPECT_EQ(t.ChainCount(), model.size());
 }
 
 TEST(Table, ScanAppliesPredicateToVisibleRows) {

@@ -254,6 +254,106 @@ TEST_F(DatabaseTest, CommitReclaimsSupersededVersions) {
   EXPECT_EQ(ReadN(3), 10000);
 }
 
+// A committed delete queues its row; a later commit whose horizon has
+// passed the delete erases the row's block and its bucket entries, so a
+// loop of inserts and deletes holds the table's chain count flat.
+TEST(DatabaseReclaim, DeletedRowsAreErasedWithoutVacuum) {
+  Database db;
+  db.CreateTable(SchemaBuilder("Friendship")
+                     .AddInt("inviterID")
+                     .AddInt("inviteeID")
+                     .AddInt("status")
+                     .PrimaryKey({"inviterID", "inviteeID"})
+                     .Index("inviterID")
+                     .Index("inviteeID")
+                     .Build());
+  const Table& table = *db.GetTable("Friendship");
+  for (int i = 0; i < 10000; ++i) {
+    auto insert = db.Begin();
+    ASSERT_EQ(insert->Insert("Friendship", {V(i), V(i + 1), V(1)}),
+              TxnResult::kOk);
+    ASSERT_EQ(insert->Commit(), TxnResult::kOk);
+    auto remove = db.Begin();
+    ASSERT_EQ(remove->DeleteByPk("Friendship", {V(i), V(i + 1)}),
+              TxnResult::kOk);
+    ASSERT_EQ(remove->Commit(), TxnResult::kOk);
+  }
+  // Only the last delete waits: no commit has followed it.
+  EXPECT_LE(table.ChainCount(), 2u);
+  // A reclaimed key inserts again, and a probe of its value finds it once.
+  auto txn = db.Begin();
+  ASSERT_EQ(txn->Insert("Friendship", {V(7), V(8), V(2)}), TxnResult::kOk);
+  ASSERT_EQ(txn->Commit(), TxnResult::kOk);
+  auto reader = db.Begin();
+  EXPECT_TRUE(reader->SelectByPk("Friendship", {V(7), V(8)}));
+  EXPECT_EQ(reader->SelectWhereEq("Friendship", "inviterID", V(7)).size(), 1u);
+  EXPECT_EQ(reader->SelectWhereEq("Friendship", "inviteeID", V(8)).size(), 1u);
+  EXPECT_TRUE(reader->SelectWhereEq("Friendship", "inviterID", V(9)).empty());
+  EXPECT_EQ(reader->SelectAll("Friendship").size(), 1u);
+}
+
+// A fresh insert deleted again in the same transaction leaves nothing.
+TEST(DatabaseReclaim, InsertAndDeleteInOneTransactionLeaveNoChain) {
+  Database db;
+  db.CreateTable(SchemaBuilder("T")
+                     .AddInt("id")
+                     .AddInt("g")
+                     .PrimaryKey({"id"})
+                     .Index("g")
+                     .Build());
+  for (int i = 0; i < 1000; ++i) {
+    auto txn = db.Begin();
+    ASSERT_EQ(txn->Insert("T", {V(i), V(i % 7)}), TxnResult::kOk);
+    ASSERT_EQ(txn->DeleteByPk("T", {V(i)}), TxnResult::kOk);
+    ASSERT_EQ(txn->Commit(), TxnResult::kOk);
+  }
+  EXPECT_EQ(db.GetTable("T")->ChainCount(), 0u);
+  auto reader = db.Begin();
+  EXPECT_TRUE(reader->SelectWhereEq("T", "g", V(3)).empty());
+}
+
+// A snapshot older than a delete keeps the deleted row: later commits do
+// not erase it until that snapshot ends.
+TEST(DatabaseReclaim, AnOpenSnapshotKeepsADeletedRow) {
+  Database db;
+  db.CreateTable(SchemaBuilder("T")
+                     .AddInt("id")
+                     .AddInt("g")
+                     .PrimaryKey({"id"})
+                     .Index("g")
+                     .Build());
+  {
+    auto load = db.Begin();
+    ASSERT_EQ(load->Insert("T", {V(1), V(10)}), TxnResult::kOk);
+    ASSERT_EQ(load->Commit(), TxnResult::kOk);
+  }
+  auto reader = db.Begin();
+  {
+    auto remove = db.Begin();
+    ASSERT_EQ(remove->DeleteByPk("T", {V(1)}), TxnResult::kOk);
+    ASSERT_EQ(remove->Commit(), TxnResult::kOk);
+  }
+  for (int i = 2; i < 50; ++i) {
+    auto txn = db.Begin();
+    ASSERT_EQ(txn->Insert("T", {V(i), V(10)}), TxnResult::kOk);
+    ASSERT_EQ(txn->Commit(), TxnResult::kOk);
+  }
+  auto row = reader->SelectByPk("T", {V(1)});
+  ASSERT_TRUE(row);
+  EXPECT_EQ(reader->SelectWhereEq("T", "g", V(10)).size(), 1u);
+  reader->Rollback();
+  reader.reset();
+  const std::size_t before = db.GetTable("T")->ChainCount();
+  auto txn = db.Begin();
+  ASSERT_EQ(txn->Insert("T", {V(99), V(11)}), TxnResult::kOk);
+  ASSERT_EQ(txn->Commit(), TxnResult::kOk);
+  // The commit after the reader ended erased the deleted row.
+  EXPECT_EQ(db.GetTable("T")->ChainCount(), before);
+  auto later = db.Begin();
+  EXPECT_FALSE(later->SelectByPk("T", {V(1)}));
+  EXPECT_EQ(later->SelectWhereEq("T", "g", V(10)).size(), 48u);
+}
+
 TEST_F(DatabaseTest, CommitKeepsVersionsAnOpenSnapshotReads) {
   auto reader = db_.Begin();
   for (int i = 1; i <= 100; ++i) {

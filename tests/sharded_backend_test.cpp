@@ -11,6 +11,7 @@
 #include "core/iq_client.h"
 #include "core/iq_server.h"
 #include "net/channel.h"
+#include "net/fault.h"
 #include "net/remote_backend.h"
 #include "stat_lines.h"
 
@@ -386,6 +387,49 @@ TEST(ShardedStats, FormatStatsReadsEachChildOnce) {
   }
   EXPECT_EQ(value("reconnects"),
             value("shard0_reconnects") + value("shard1_reconnects"));
+}
+
+TEST(ShardedStats, TransportErrorsCountOncePerShard) {
+  // Two wire shards behind fault injectors, with the breaker off so every
+  // call reaches its shard: shard 0 fails twice, shard 1 five times.
+  IQServer server0, server1;
+  net::LoopbackChannel loop0(server0), loop1(server1);
+  net::FaultChannel fault0(loop0), fault1(loop1);
+  net::RemoteBackend remote0(fault0), remote1(fault1);
+  ShardedBackend::Config config;
+  config.down_after_errors = 0;
+  ShardedBackend router(
+      {{.name = "s0", .backend = &remote0},
+       {.name = "s1", .backend = &remote1}},
+      config);
+  auto drop_sets = [](int n) {
+    net::FaultChannel::Rule rule;
+    rule.fault = net::FaultChannel::Fault::kDropRequest;
+    rule.match = "set ";
+    rule.count = n;
+    return rule;
+  };
+  fault0.Arm(drop_sets(2));
+  fault1.Arm(drop_sets(5));
+  const std::string k0 = KeyOnShard(router, 0);
+  const std::string k1 = KeyOnShard(router, 1);
+  for (int i = 0; i < 3; ++i) router.Set(k0, "v");
+  for (int i = 0; i < 6; ++i) router.Set(k1, "v");
+  ASSERT_EQ(fault0.faults_injected(), 2u);
+  ASSERT_EQ(fault1.faults_injected(), 5u);
+  EXPECT_EQ(router.router_stats().transport_errors, 7u);
+  const auto lines = StatLines(router.FormatStats());
+  auto value = [&lines](const std::string& name) -> std::uint64_t {
+    auto it = lines.find(name);
+    if (it == lines.end() || it->second.size() != 1) {
+      ADD_FAILURE() << name << " is not rendered exactly once";
+      return 0;
+    }
+    return std::stoull(it->second[0]);
+  };
+  EXPECT_EQ(value("shard0_transport_errors"), 2u);
+  EXPECT_EQ(value("shard1_transport_errors"), 5u);
+  EXPECT_EQ(value("transport_errors"), 7u);
 }
 
 TEST_F(ShardedBackendTest, FormatStatsRendersEveryRowOnce) {
