@@ -97,9 +97,9 @@ Table::RowChain* Table::NewChainLocked(const Row& row) {
   const std::size_t width = schema_.columns.size();
   void* block = ::operator new(sizeof(RowChain) + width * sizeof(Value));
   auto* chain = new (block) RowChain;
-  Value* cells = chain->cells();
-  for (std::size_t i = 0; i < width; ++i) new (&cells[i]) Value();
-  for (std::size_t col : schema_.primary_key) cells[col] = row[col];
+  std::uninitialized_default_construct_n(reinterpret_cast<Value*>(chain + 1),
+                                         width);
+  for (std::size_t col : schema_.primary_key) chain->cells()[col] = row[col];
   PlaceLocked(chain);
   ++chain_count_;
   return chain;

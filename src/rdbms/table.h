@@ -108,7 +108,7 @@ class Table {
     }
 
     // The newest committed version: [begin_ts, end_ts), cells(); begin_ts 0
-    // if none, and then the cells hold only the key.
+    // if none, and then only the key cells are meaningful.
     Timestamp begin_ts = 0;
     Timestamp end_ts = kInfinity;
     // From the table's pool; null: no older version and no intent.
@@ -282,8 +282,8 @@ class Table {
   std::vector<IndexMap> indexes_;
   /// Committed deletes in commit order (entries re-queued while a writer
   /// held their chain may follow later ones). A chain is freed only
-  /// through its newest entry, the one whose ts is its end_ts; an older
-  /// entry for it is stale and is dropped unread.
+  /// through its newest entry, the one whose ts is its end_ts; its older
+  /// entries are stale and come before that one.
   std::deque<Grave> graves_;
 };
 
