@@ -387,7 +387,7 @@ void Table::InstallCommit(TxnId txn, RowChain& chain, Timestamp ts,
     chain.begin_ts = ts;
     chain.end_ts = kInfinity;
   } else if (was_live) {
-    graves_.push_back({ts, &chain});
+    deletes_.push_back({ts, &chain});
   }
   h.writer = 0;
   h.pending.clear();
@@ -398,7 +398,7 @@ void Table::InstallCommit(TxnId txn, RowChain& chain, Timestamp ts,
     ReclaimLocked(chain, horizon);
     TrimHistoryLocked(chain);
   }
-  SweepGravesLocked(horizon);
+  EraseDeletedLocked(horizon);
 }
 
 void Table::ReclaimLocked(RowChain& chain, Timestamp horizon) {
@@ -425,17 +425,17 @@ void Table::ReclaimLocked(RowChain& chain, Timestamp horizon) {
   older.erase(older.begin(), kept);
 }
 
-void Table::SweepGravesLocked(Timestamp horizon) {
-  std::vector<Grave> held;  // re-queued: a writer holds the chain again
-  while (!graves_.empty() && graves_.front().ts <= horizon) {
-    const Grave grave = graves_.front();
-    graves_.pop_front();
-    RowChain& chain = *grave.chain;
+void Table::EraseDeletedLocked(Timestamp horizon) {
+  std::vector<QueuedDelete> held;  // a writer holds the chain again
+  while (!deletes_.empty() && deletes_.front().ts <= horizon) {
+    const QueuedDelete queued = deletes_.front();
+    deletes_.pop_front();
+    RowChain& chain = *queued.chain;
     // Stale: the row was re-inserted after this delete; the version it
     // ended is now a superseded one, which ReclaimLocked drops.
-    if (chain.end_ts != grave.ts) continue;
+    if (chain.end_ts != queued.ts) continue;
     if (chain.writer() != 0) {
-      held.push_back(grave);
+      held.push_back(queued);
       continue;
     }
     // Every version ends at or before the delete, so none is readable.
@@ -449,7 +449,7 @@ void Table::SweepGravesLocked(Timestamp horizon) {
     }
     EraseChainLocked(chain);
   }
-  graves_.insert(graves_.end(), held.begin(), held.end());
+  deletes_.insert(deletes_.end(), held.begin(), held.end());
 }
 
 void Table::AbortIntent(TxnId txn, RowChain& chain) {
@@ -503,13 +503,13 @@ std::size_t Table::Vacuum(Timestamp oldest_active) {
   // versions and pending intent hold.
   std::fill(slots_.begin(), slots_.end(), nullptr);
   chain_count_ = kept.size();
-  graves_.clear();
+  deletes_.clear();
   for (auto& index : indexes_) index.clear();
   std::vector<const Value*> rows;
   for (RowChain* chain : kept) {
     PlaceLocked(chain);
     if (chain->begin_ts != 0 && chain->end_ts != kInfinity) {
-      graves_.push_back({chain->end_ts, chain});
+      deletes_.push_back({chain->end_ts, chain});
     }
     rows.clear();
     if (chain->begin_ts != 0) rows.push_back(chain->cells());
@@ -531,8 +531,10 @@ std::size_t Table::Vacuum(Timestamp oldest_active) {
       }
     }
   }
-  std::sort(graves_.begin(), graves_.end(),
-            [](const Grave& a, const Grave& b) { return a.ts < b.ts; });
+  std::sort(deletes_.begin(), deletes_.end(),
+            [](const QueuedDelete& a, const QueuedDelete& b) {
+              return a.ts < b.ts;
+            });
   return reclaimed;
 }
 

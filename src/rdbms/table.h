@@ -195,7 +195,7 @@ class Table {
   using IndexMap = std::pmr::unordered_map<Value, Bucket, ValueHash>;
 
   /// A committed delete waiting for the horizon to pass `ts`.
-  struct Grave {
+  struct QueuedDelete {
     Timestamp ts;
     RowChain* chain;
   };
@@ -266,7 +266,7 @@ class Table {
 
   /// Erase the queued deleted chains whose delete committed at or before
   /// `horizon`, unless a writer holds one again.
-  void SweepGravesLocked(Timestamp horizon);
+  void EraseDeletedLocked(Timestamp horizon);
 
   TableSchema schema_;
 
@@ -284,7 +284,7 @@ class Table {
   /// held their chain may follow later ones). A chain is freed only
   /// through its newest entry, the one whose ts is its end_ts; its older
   /// entries are stale and come before that one.
-  std::deque<Grave> graves_;
+  std::deque<QueuedDelete> deletes_;
 };
 
 }  // namespace iq::sql

@@ -36,7 +36,11 @@ std::vector<ShardedBackend::Shard> NamedShards(IQServer* servers,
                                                std::size_t n) {
   std::vector<ShardedBackend::Shard> shards;
   for (std::size_t i = 0; i < n; ++i) {
-    shards.push_back({"s" + std::to_string(i), &servers[i], 1, {}, {}, {}, {}});
+    // Appended, not "s" + to_string: GCC 12's Release build flags the
+    // latter with a false -Wrestrict.
+    std::string name = "s";
+    name += std::to_string(i);
+    shards.push_back({name, &servers[i], 1, {}, {}, {}, {}});
   }
   return shards;
 }
