@@ -217,7 +217,7 @@ std::vector<Row> Table::Scan(const TxnCtx& ctx,
     const Value* cells = VisibleRowLocked(ctx, *chain);
     if (cells == nullptr) continue;
     row.assign(cells, cells + schema_.columns.size());
-    if (pred(row)) out.push_back(row);
+    if (pred(row)) out.push_back(std::move(row));  // assign() refills it
   }
   return out;
 }
